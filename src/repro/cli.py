@@ -132,7 +132,7 @@ def cmd_repair(args) -> None:
     from repro.core.dump import dump_output
     from repro.netsim import MachineProfile, repair_time
     from repro.core.runner import run_collective
-    from repro.repair import plan_repair, repair_cluster, scan_cluster
+    from repro.repair import execute_repair, plan_repair, scan_cluster
     from repro.sim.metrics import repair_balance
     from repro.storage.failures import FailureInjector
     from repro.storage.local_store import Cluster
@@ -167,7 +167,11 @@ def cmd_repair(args) -> None:
     lost_bytes = sum(cluster.nodes[v].chunks.physical_bytes for v in victims)
     scan = scan_cluster(cluster, k)
     schedule = plan_repair(cluster, scan)
-    report = repair_cluster(cluster, k, backend=config.spmd_backend)
+    results, _world = run_collective(
+        n, execute_repair, cluster, schedule, scan,
+        cluster=cluster, backend=config.spmd_backend,
+    )
+    report = results[0]
     audit = injector.audit(0)
     balance = repair_balance(report)
     modelled = repair_time(report, MachineProfile.shamrock())

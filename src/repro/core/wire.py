@@ -109,56 +109,6 @@ def encode_records_into(
     return count
 
 
-def decode_region_batch(
-    buffer: bytes,
-    digest_size: int,
-    chunk_size: int,
-    start_slot: int,
-    slot_count: int,
-) -> List[Tuple[Fingerprint, bytes]]:
-    """Vectorised :func:`decode_region`: identical output, one pass.
-
-    Slot headers are validated in one numpy sweep over the region instead
-    of one ``unpack_from`` per record; the per-record work left is exactly
-    the two ``bytes`` slices the caller keeps.
-    """
-    if slot_count <= 0:
-        return []
-    slot = slot_nbytes(digest_size, chunk_size)
-    base = start_slot * slot
-    end = base + slot_count * slot
-    if end > len(buffer):
-        short = next(
-            i for i in range(start_slot, start_slot + slot_count)
-            if (i + 1) * slot > len(buffer)
-        )
-        raise ValueError(
-            f"window truncated: slot {short} needs {slot}B, have "
-            f"{max(0, len(buffer) - short * slot)}B"
-        )
-    region = bytes(buffer[base:end])
-    lengths = (
-        np.frombuffer(region, dtype=np.uint8)
-        .reshape(slot_count, slot)[:, digest_size : digest_size + _LEN.size]
-        .copy()
-        .view("<u4")
-        .ravel()
-    )
-    bad = np.nonzero(lengths > chunk_size)[0]
-    if bad.size:
-        raise ValueError(
-            f"corrupt record in slot {start_slot + int(bad[0])}: "
-            f"length {int(lengths[bad[0]])}"
-        )
-    hdr = digest_size + _LEN.size
-    return [
-        (region[pos : pos + digest_size], region[pos + hdr : pos + hdr + n])
-        for pos, n in zip(
-            range(0, slot_count * slot, slot), lengths.tolist()
-        )
-    ]
-
-
 def decode_region_unique(
     buffer: bytes,
     digest_size: int,
@@ -177,8 +127,9 @@ def decode_region_unique(
     receiver's store only ever needs one payload per distinct fingerprint;
     collapsing in one ``np.unique`` sweep avoids materialising a payload
     ``bytes`` per slot.  Precondition (guaranteed by content addressing):
-    slots sharing a fingerprint carry identical payloads.  Validation is
-    identical to :func:`decode_region_batch`.
+    slots sharing a fingerprint carry identical payloads.  Slot headers are
+    validated in one numpy sweep over the region, with the errors
+    :func:`decode_region` raises.
     """
     if slot_count <= 0:
         return [], [], 0

@@ -19,6 +19,13 @@ only what was actually lost:
 its own SPMD world); inside an existing world — e.g. right after a
 collective restart — call the layers directly, every rank planning
 independently, as :meth:`repro.ftrt.runtime.CheckpointRuntime.repair` does.
+
+All three layers are batched: the scan's table and the schedule are
+columns (``ChunkDeficit`` / ``RepairTransfer`` are views built on request),
+and a repair moves each (source, destination) region with one store read,
+one encode, one put and one decode, like the dump's exchange.  The
+per-chunk loops they replaced live on as the executable reference in
+``tests/repair/reference.py``.
 """
 
 from __future__ import annotations

@@ -2,12 +2,14 @@
 
 Runs the planner's schedule through the same machinery the dump itself
 uses: a one-sided window per receiver sized exactly to its incoming
-repair traffic, senders writing fixed-size wire records
-(:mod:`repro.core.wire`) at slot offsets derived deterministically from
-the schedule, one fence separating the exchange epoch from the local
-commit.  Phases are traced (``repair-exchange``, ``repair-write``,
-``repair-manifest``) so :func:`repro.netsim.cost_model.repair_time` can
-price a repair exactly like a dump.
+repair traffic, each sender packing a destination's whole region of
+fixed-size wire records (:mod:`repro.core.wire`) into one reused buffer
+and shipping it with a single put at the slot offset the schedule derived,
+one fence separating the exchange epoch from the local commit (one decode
+of the window into one batched store write).  Phases are traced
+(``repair-exchange``, ``repair-write``, ``repair-manifest``) so
+:func:`repro.netsim.cost_model.repair_time` can price a repair exactly
+like a dump.
 
 One live node = one *agent* rank (the lowest rank mapped to it).  Every
 rank of the world participates in the collectives — including ranks whose
@@ -19,9 +21,15 @@ collective restart) without communicator surgery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from repro.core.wire import decode_region_batch, encode_record, slot_nbytes
+import numpy as np
+
+from repro.core.wire import (
+    decode_region_unique,
+    encode_records_into,
+    slot_nbytes,
+)
 from repro.repair.planner import RepairSchedule
 from repro.repair.scanner import RepairScan
 from repro.simmpi import collectives
@@ -121,6 +129,62 @@ def agent_ranks(cluster: Cluster, world_size: int) -> Dict[int, int]:
     return agents
 
 
+def _send_regions(
+    win: Window,
+    cluster: Cluster,
+    schedule: RepairSchedule,
+    my_node: int,
+    agents: Dict[int, int],
+    fragment: RepairReport,
+) -> None:
+    """Ship everything ``my_node`` serves: one region per destination.
+
+    A destination's records from this source are contiguous in its window,
+    so each region is read, packed into the reused buffer and put once.
+    The buffer dies with this frame — before the receive side allocates
+    its window snapshot.
+    """
+    from repro.erasure.ec_dump import reconstruct_chunk
+
+    digest_size, capacity = schedule.digest_size, schedule.slot_payload
+    slot = slot_nbytes(digest_size, capacity)
+    store = cluster.nodes[my_node].chunks
+    outgoing = schedule.counts[my_node]
+    sendbuf = bytearray(int(outgoing.max()) * slot)
+    sent_chunks = sent_bytes = 0
+    for dest in np.flatnonzero(outgoing).tolist():
+        rows = schedule.region_rows(my_node, dest).tolist()
+        fps = [schedule.fps[row] for row in rows]
+        decode = schedule.reconstruct[rows]
+        if decode.any():
+            payloads = [
+                reconstruct_chunk(cluster, fp, schedule.dump_ids[row])
+                if rebuilt
+                else store.get(fp)
+                for fp, row, rebuilt in zip(fps, rows, decode.tolist())
+            ]
+            fragment.reconstructed_chunks += int(decode.sum())
+        else:
+            payloads = store.get_many(fps)
+        encode_records_into(
+            sendbuf, list(zip(fps, payloads)), digest_size, capacity
+        )
+        win.put_many(
+            [
+                (
+                    int(schedule.starts[my_node, dest]) * slot,
+                    memoryview(sendbuf)[: len(rows) * slot],
+                )
+            ],
+            agents[dest],
+        )
+        sent_chunks += len(rows)
+        sent_bytes += sum(map(len, payloads))
+    if sent_chunks:
+        fragment.sent_chunks[my_node] = sent_chunks
+        fragment.sent_bytes[my_node] = sent_bytes
+
+
 def execute_repair(
     comm: Communicator,
     cluster: Cluster,
@@ -135,8 +199,6 @@ def execute_repair(
     guarantees when each rank plans independently from the shared cluster
     state.
     """
-    from repro.erasure.ec_dump import reconstruct_chunk
-
     if comm.size != cluster.n_ranks:
         raise ValueError(
             f"repair world of {comm.size} ranks does not match the cluster's "
@@ -149,7 +211,7 @@ def execute_repair(
     comm.barrier()
     repair_span = comm.trace.begin_span(
         "repair",
-        transfers=len(schedule.transfers),
+        transfers=schedule.chunks_scheduled,
         manifest_transfers=len(schedule.manifest_transfers),
     )
     agents = agent_ranks(cluster, comm.size)
@@ -161,58 +223,32 @@ def execute_repair(
     )
 
     # -- chunk replicas: one-sided exchange, then local commit ----------------
-    if schedule.transfers:
-        slot = slot_nbytes(schedule.digest_size, schedule.slot_payload)
-        incoming = schedule.incoming()
-        slot_index = schedule.slot_of()
-        my_in = incoming.get(my_node, []) if i_am_agent else []
+    if schedule.fps:
+        digest_size, capacity = schedule.digest_size, schedule.slot_payload
+        slot = slot_nbytes(digest_size, capacity)
+        n_in = int(schedule.window_slots[my_node]) if i_am_agent else 0
         with comm.trace.phase("repair-exchange"):
-            win = Window.create(comm, len(my_in) * slot)
+            win = Window.create(comm, n_in * slot)
             if i_am_agent:
-                by_dest: Dict[int, List] = {}
-                for t in schedule.outgoing().get(my_node, []):
-                    if t.reconstruct:
-                        payload = reconstruct_chunk(cluster, t.fp, t.dump_id)
-                        fragment.reconstructed_chunks += 1
-                    else:
-                        payload = cluster.nodes[my_node].chunks.get(t.fp)
-                    record = encode_record(
-                        t.fp, payload, schedule.slot_payload
-                    )
-                    by_dest.setdefault(t.dest, []).append(
-                        (slot_index[t] * slot, record)
-                    )
-                    fragment.sent_chunks[my_node] = (
-                        fragment.sent_chunks.get(my_node, 0) + 1
-                    )
-                    fragment.sent_bytes[my_node] = (
-                        fragment.sent_bytes.get(my_node, 0) + len(payload)
-                    )
-                for dest in sorted(by_dest):
-                    win.put_many(by_dest[dest], agents[dest])
+                _send_regions(win, cluster, schedule, my_node, agents, fragment)
             win.fence()
-            view = win.local_view() if my_in else b""
+            view = win.local_view() if n_in else b""
         with comm.trace.phase("repair-write"):
-            if my_in:
-                records = decode_region_batch(
-                    view,
-                    schedule.digest_size,
-                    schedule.slot_payload,
-                    0,
-                    len(my_in),
+            if n_in:
+                # A chunk never lands twice on one node, so every
+                # multiplicity is 1; the unique decode is the window codec
+                # the dump's receive side uses.
+                pairs, mults, landed = decode_region_unique(
+                    view, digest_size, capacity, 0, n_in
                 )
-                node = cluster.nodes[my_node]
-                node.chunks.put_many(records)
-                landed = sum(len(payload) for _fp, payload in records)
-                comm.trace.record_chunks(len(records), landed)
-                fragment.chunks_moved += len(records)
+                cluster.nodes[my_node].chunks.put_counted(
+                    (fp, payload, m) for (fp, payload), m in zip(pairs, mults)
+                )
+                comm.trace.record_chunks(n_in, landed)
+                fragment.chunks_moved += n_in
                 fragment.bytes_moved += landed
-                fragment.recv_chunks[my_node] = (
-                    fragment.recv_chunks.get(my_node, 0) + len(records)
-                )
-                fragment.recv_bytes[my_node] = (
-                    fragment.recv_bytes.get(my_node, 0) + landed
-                )
+                fragment.recv_chunks[my_node] = n_in
+                fragment.recv_bytes[my_node] = landed
         win.free()
 
     # -- manifests: tiny point-to-point blobs between agents ------------------

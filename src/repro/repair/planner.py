@@ -11,11 +11,18 @@ transfers, applying the same load-balancing philosophy as the dump itself:
   physical occupancy plus bytes already scheduled to land there (the
   repair-side analogue of ``RANK_SHUFFLE``'s receive balancing) — and never
   co-locate with an existing replica or another new copy of the same chunk;
-* **offsets are deterministic** — the schedule orders every destination's
-  incoming transfers canonically, so each participant of the collective
-  executor computes its one-sided window offsets from the schedule alone,
-  ``CALC_OFF``-style: no extra coordination round is needed before the
-  transfers start.
+* **offsets are deterministic** — every destination's window is laid out by
+  (source, schedule order), and slot offsets are the prefix sum of the
+  (source, destination) transfer-count matrix, ``CALC_OFF``-style: each
+  participant of the collective executor derives them from the schedule
+  alone, so no extra coordination round is needed before the transfers
+  start, and a source's records for one destination are one contiguous
+  region — one put.
+
+The greedy is inherently sequential (every choice moves the loads the next
+one reads), so it stays one sweep in fingerprint order, but over plain ints
+and with the schedule kept as columns; :attr:`RepairSchedule.transfers`
+materialises the per-transfer objects only for whoever asks.
 
 Planning is a pure function of (cluster state, scan): every rank running it
 independently produces the identical schedule.
@@ -24,7 +31,10 @@ independently produces the identical schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Tuple
+
+import numpy as np
 
 from repro.core.fingerprint import Fingerprint
 from repro.repair.scanner import RepairScan
@@ -56,56 +66,105 @@ class ManifestTransfer:
     dest: int
 
 
-@dataclass
+def _no_rows() -> np.ndarray:
+    return np.zeros(0, dtype=np.int64)
+
+
+@dataclass(eq=False)
 class RepairSchedule:
-    """The full repair plan, in canonical (deterministic) order."""
+    """The full repair plan, in canonical (deterministic) order.
+
+    Chunk transfers are columns with one row per replica to create, in
+    schedule order: row ``i`` copies ``fps[i]`` (``sizes[i]`` bytes) from
+    node ``source[i]`` to node ``dest[i]``.  The window layout is derived
+    from them once: destination ``d`` exposes ``window_slots[d]`` slots,
+    source ``s`` owns the ``counts[s, d]`` consecutive slots starting at
+    ``starts[s, d]``, filled in schedule order.
+    """
 
     target_k: int
     #: digest size shared by every scheduled fingerprint (0 when empty)
     digest_size: int = 0
     #: payload capacity of one window slot: the largest scheduled chunk
     slot_payload: int = 0
-    transfers: List[RepairTransfer] = field(default_factory=list)
+    fps: List[Fingerprint] = field(default_factory=list)
+    dump_ids: List[int] = field(default_factory=list)
+    sizes: np.ndarray = field(default_factory=_no_rows)
+    source: np.ndarray = field(default_factory=_no_rows)
+    dest: np.ndarray = field(default_factory=_no_rows)
+    #: True where ``source`` does not hold the chunk and must RS-decode it
+    #: from its parity stripe before sending
+    reconstruct: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=bool)
+    )
     manifest_transfers: List[ManifestTransfer] = field(default_factory=list)
+    #: (source node, dest node) -> transfers / first slot in dest's window
+    counts: np.ndarray = field(
+        default_factory=lambda: np.zeros((0, 0), dtype=np.int64)
+    )
+    starts: np.ndarray = field(
+        default_factory=lambda: np.zeros((0, 0), dtype=np.int64)
+    )
+    #: node id -> slots its repair window exposes
+    window_slots: np.ndarray = field(default_factory=_no_rows)
+    #: row -> slot index inside its destination's window
+    slots: np.ndarray = field(default_factory=_no_rows)
+    #: rows sorted by (dest, source, schedule order): window after window,
+    #: each in slot order; node ``d``'s window begins at ``window_base[d]``
+    window_order: np.ndarray = field(default_factory=_no_rows)
+    window_base: np.ndarray = field(default_factory=_no_rows)
 
     @property
     def bytes_scheduled(self) -> int:
-        return sum(t.size for t in self.transfers)
+        return int(self.sizes.sum())
 
     @property
     def chunks_scheduled(self) -> int:
-        return len(self.transfers)
+        return len(self.fps)
 
     @property
     def empty(self) -> bool:
-        return not (self.transfers or self.manifest_transfers)
+        return not (self.fps or self.manifest_transfers)
 
-    def incoming(self) -> Dict[int, List[RepairTransfer]]:
-        """dest node -> its transfers in window order (schedule order).
+    @cached_property
+    def transfers(self) -> List[RepairTransfer]:
+        """One :class:`RepairTransfer` per row (built on first use; the
+        executor reads the columns)."""
+        return [
+            RepairTransfer(*row)
+            for row in zip(
+                self.fps,
+                self.dump_ids,
+                self.sizes.tolist(),
+                self.source.tolist(),
+                self.dest.tolist(),
+                self.reconstruct.tolist(),
+            )
+        ]
 
-        Every participant derives the same mapping, so a sender computes its
-        put offset as the transfer's index in the destination's list — the
-        repair counterpart of Algorithm 3's prefix-sum offsets.
-        """
-        regions: Dict[int, List[RepairTransfer]] = {}
-        for t in self.transfers:
-            regions.setdefault(t.dest, []).append(t)
-        return regions
+    def region_rows(self, source: int, dest: int) -> np.ndarray:
+        """Rows ``source`` sends to ``dest``, in slot order: they fill the
+        ``counts[source, dest]`` slots from ``starts[source, dest]``."""
+        first = self.window_base[dest] + self.starts[source, dest]
+        return self.window_order[first : first + self.counts[source, dest]]
 
-    def outgoing(self) -> Dict[int, List[RepairTransfer]]:
-        """source node -> its transfers in schedule order."""
-        out: Dict[int, List[RepairTransfer]] = {}
-        for t in self.transfers:
-            out.setdefault(t.source, []).append(t)
-        return out
-
-    def slot_of(self) -> Dict[RepairTransfer, int]:
-        """transfer -> slot index inside its destination's window."""
-        slots: Dict[RepairTransfer, int] = {}
-        for _dest, region in self.incoming().items():
-            for i, t in enumerate(region):
-                slots[t] = i
-        return slots
+    def _lay_out_windows(self, n_nodes: int) -> None:
+        """Derive the window layout columns from ``source`` / ``dest``."""
+        pair = self.dest * n_nodes + self.source
+        self.counts = (
+            np.bincount(pair, minlength=n_nodes * n_nodes)
+            .reshape(n_nodes, n_nodes)
+            .T.copy()
+        )
+        self.starts = np.cumsum(self.counts, axis=0) - self.counts
+        self.window_slots = self.counts.sum(axis=0)
+        self.window_base = np.cumsum(self.window_slots) - self.window_slots
+        self.window_order = np.argsort(pair, kind="stable")
+        self.slots = np.empty(len(pair), dtype=np.int64)
+        self.slots[self.window_order] = (
+            np.arange(len(pair))
+            - self.window_base[self.dest[self.window_order]]
+        )
 
 
 def plan_repair(cluster: Cluster, scan: RepairScan) -> RepairSchedule:
@@ -119,65 +178,57 @@ def plan_repair(cluster: Cluster, scan: RepairScan) -> RepairSchedule:
     if not live:
         return schedule
 
-    # Scheduled load so far, in bytes.  Destinations additionally weigh the
-    # node's current physical occupancy so repair fills the emptiest nodes
-    # first instead of amplifying existing imbalance.
-    read_load: Dict[int, int] = {n: 0 for n in live}
-    write_load: Dict[int, int] = {
-        n: cluster.nodes[n].chunks.physical_bytes for n in live
-    }
+    # Scheduled load so far, in bytes, indexed by node id.  Destinations
+    # additionally weigh the node's current physical occupancy so repair
+    # fills the emptiest nodes first instead of amplifying existing
+    # imbalance.
+    n_nodes = len(cluster.nodes)
+    read_load = [0] * n_nodes
+    write_load = [0] * n_nodes
+    for n in live:
+        write_load[n] = cluster.nodes[n].chunks.physical_bytes
+    # min() keeps the first of equal keys and every candidate list is in
+    # ascending node id, so ties break towards the lowest id.
+    read_of = read_load.__getitem__
+    write_of = write_load.__getitem__
 
-    digest_sizes = set()
-    for fp in sorted(scan.chunks):
-        entry = scan.chunks[fp]
-        if entry.deficit <= 0:
-            continue
-        digest_sizes.add(len(fp))
-        holders = set(entry.holders)
-        placed: List[int] = []
-        for _copy in range(entry.deficit):
-            candidates = [
-                n for n in live if n not in holders and n not in placed
+    rows: List[int] = []
+    sources: List[int] = []
+    dests: List[int] = []
+    target = scan.target
+    free_of: Dict[Tuple[int, ...], List[int]] = {}  # holders -> other live nodes
+    for row, (size, holders) in enumerate(zip(scan.sizes, scan.holders)):
+        candidates = free_of.get(holders)
+        if candidates is None:
+            candidates = free_of[holders] = [
+                n for n in live if n not in holders
             ]
+        copies = target - len(holders)
+        for copy in range(copies):
             if not candidates:
                 break  # fewer live nodes than the target; best effort
-            dest = min(candidates, key=lambda n: (write_load[n], n))
-            if entry.holders:
-                source = min(entry.holders, key=lambda n: (read_load[n], n))
-                reconstruct = False
-            else:
-                # Parity-only: any live node can decode the stripe; let the
-                # least read-loaded one do it (the decode re-reads surviving
-                # shards, so it is genuine read work).
-                source = min(live, key=lambda n: (read_load[n], n))
-                reconstruct = True
-            schedule.transfers.append(
-                RepairTransfer(
-                    fp=fp,
-                    dump_id=entry.dump_id,
-                    size=entry.size,
-                    source=source,
-                    dest=dest,
-                    reconstruct=reconstruct,
-                )
-            )
-            read_load[source] += entry.size
-            write_load[dest] += entry.size
-            placed.append(dest)
+            dest = min(candidates, key=write_of)
+            # Parity-only: any live node can decode the stripe; let the
+            # least read-loaded one do it (the decode re-reads surviving
+            # shards, so it is genuine read work).
+            source = min(holders or live, key=read_of)
+            rows.append(row)
+            sources.append(source)
+            dests.append(dest)
+            read_load[source] += size
+            write_load[dest] += size
+            if copy + 1 < copies:
+                candidates = [n for n in candidates if n != dest]
 
     for deficit in sorted(
         scan.manifests, key=lambda m: (m.dump_id, m.rank)
     ):
-        placed_m: List[int] = []
-        holders_m = set(deficit.holders)
+        candidates = [n for n in live if n not in deficit.holders]
         for _copy in range(deficit.deficit):
-            candidates = [
-                n for n in live if n not in holders_m and n not in placed_m
-            ]
             if not candidates:
                 break
-            dest = min(candidates, key=lambda n: (write_load[n], n))
-            source = min(deficit.holders, key=lambda n: (read_load[n], n))
+            dest = min(candidates, key=write_of)
+            source = min(deficit.holders, key=read_of)
             schedule.manifest_transfers.append(
                 ManifestTransfer(
                     rank=deficit.rank,
@@ -189,12 +240,26 @@ def plan_repair(cluster: Cluster, scan: RepairScan) -> RepairSchedule:
             )
             read_load[source] += deficit.nbytes
             write_load[dest] += deficit.nbytes
-            placed_m.append(dest)
+            candidates.remove(dest)
 
-    if len(digest_sizes) > 1:
-        raise ValueError(
-            f"mixed fingerprint sizes in repair schedule: {sorted(digest_sizes)}"
+    if rows:
+        digest_sizes = set(map(len, scan.fps))
+        if len(digest_sizes) > 1:
+            raise ValueError(
+                "mixed fingerprint sizes in repair schedule: "
+                f"{sorted(digest_sizes)}"
+            )
+        schedule.digest_size = digest_sizes.pop()
+        schedule.fps = [scan.fps[row] for row in rows]
+        schedule.dump_ids = [scan.chunk_dump_ids[row] for row in rows]
+        schedule.sizes = np.array(
+            [scan.sizes[row] for row in rows], dtype=np.int64
         )
-    schedule.digest_size = digest_sizes.pop() if digest_sizes else 0
-    schedule.slot_payload = max((t.size for t in schedule.transfers), default=0)
+        schedule.reconstruct = np.array(
+            [not scan.holders[row] for row in rows], dtype=bool
+        )
+        schedule.source = np.array(sources, dtype=np.int64)
+        schedule.dest = np.array(dests, dtype=np.int64)
+        schedule.slot_payload = int(schedule.sizes.max())
+        schedule._lay_out_windows(n_nodes)
     return schedule

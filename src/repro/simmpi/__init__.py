@@ -35,6 +35,7 @@ from repro.simmpi.backend import (
 )
 from repro.simmpi.errors import (
     DeadlockError,
+    PeerFailedError,
     RankCrashError,
     SimMPIError,
     WorldError,
@@ -52,6 +53,7 @@ __all__ = [
     "Communicator",
     "DEFAULT_TIMEOUT",
     "DeadlockError",
+    "PeerFailedError",
     "ProcessWorld",
     "RankCrashError",
     "Request",

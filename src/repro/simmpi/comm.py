@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import queue
 import threading
+import time
 from typing import Any, Optional, Tuple
 
-from repro.simmpi.errors import DeadlockError, SimMPIError
+from repro.simmpi.errors import DeadlockError, PeerFailedError, SimMPIError
 from repro.simmpi.trace import Trace, nbytes_of, resolve_trace_level
 
 
@@ -207,11 +208,20 @@ class Communicator:
     def barrier(self) -> None:
         """Block until every rank has entered the barrier."""
         self.trace.record_round()
+        timeout = self._world.timeout
+        entered = time.monotonic()
         try:
-            self._world.barrier.wait(timeout=self._world.timeout)
+            self._world.barrier.wait(timeout=timeout)
         except threading.BrokenBarrierError:
+            # An abort and a timeout break the barrier alike; only the rank
+            # whose own wait ran out waited the full budget.
+            if time.monotonic() - entered < timeout:
+                raise PeerFailedError(
+                    f"rank {self._rank}: barrier aborted because a peer rank "
+                    "failed first (its failure is the root cause)"
+                ) from None
             raise DeadlockError(
-                f"rank {self._rank}: barrier timed out after {self._world.timeout}s"
+                f"rank {self._rank}: barrier timed out after {timeout}s"
             ) from None
 
     # -- sub-communicators ----------------------------------------------------

@@ -14,8 +14,21 @@ class DeadlockError(SimMPIError):
     """
 
 
+class PeerFailedError(DeadlockError):
+    """A barrier was released because another rank failed first.
+
+    A *secondary* failure: the rank that raises it did nothing wrong, it was
+    waiting for a peer that raised (or timed out) and the world aborted the
+    barrier so the run fails fast.  The peer's own failure is the root
+    cause; :class:`WorldError` leads with that one.
+    """
+
+
 class WorldError(SimMPIError):
     """One or more ranks raised inside :meth:`repro.simmpi.world.World.run`.
+
+    The message leads with the lowest-rank *root* failure — the first one
+    that is not a :class:`PeerFailedError` echo of somebody else's.
 
     Attributes
     ----------
@@ -26,7 +39,11 @@ class WorldError(SimMPIError):
     def __init__(self, failures):
         self.failures = dict(failures)
         ranks = ", ".join(str(r) for r in sorted(self.failures))
-        first = self.failures[min(self.failures)]
+        in_rank_order = [self.failures[r] for r in sorted(self.failures)]
+        first = next(
+            (f for f in in_rank_order if not isinstance(f, PeerFailedError)),
+            in_rank_order[0],
+        )
         super().__init__(
             f"{len(self.failures)} rank(s) failed (ranks {ranks}); "
             f"first failure: {first!r}"

@@ -102,9 +102,13 @@ class Window:
         region (or several disjoint ones) and ships it with a single
         synchronised access, so the exchange critical section is entered
         once per partner instead of once per chunk.  Traced as one put of
-        the total byte count.
+        the total byte count.  Buffer-protocol objects (``bytes``, a
+        ``memoryview`` of the sender's packing buffer, ...) are handed to the
+        slot as byte views — the only copy is the one into the window.
         """
-        staged = [(int(offset), bytes(data)) for offset, data in parts]
+        staged = [
+            (int(offset), memoryview(data).cast("B")) for offset, data in parts
+        ]
         target_world = self._comm.world_rank_of(target_rank)
         slot = self._comm.world.window_slot(self._id, target_world)
         for offset, payload in staged:

@@ -607,6 +607,10 @@ class NodeStorage:
         """A parity record covering ``fp`` for ``dump_id``, or None."""
         return self._parity_by_fp.get((fp, dump_id))
 
+    def parity_keys(self):
+        """Every ``(fingerprint, dump_id)`` :meth:`find_parity` would hit."""
+        return self._parity_by_fp.keys()
+
     def parity_for_stripe(self, stripe_key) -> List:
         """All locally stored shards of one stripe (see
         :meth:`~repro.erasure.ec_dump.ParityRecord.stripe_key`)."""

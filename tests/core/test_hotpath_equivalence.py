@@ -18,7 +18,7 @@ from repro.core.fpcache import FingerprintCache
 from repro.core.local_dedup import local_dedup, local_dedup_batched
 from repro.core.wire import (
     decode_region,
-    decode_region_batch,
+    decode_region_unique,
     encode_record,
     encode_records_into,
     slot_nbytes,
@@ -68,22 +68,33 @@ class TestWireCodecEquivalence:
             st.integers(min_value=0, max_value=len(records) - start),
             label="count",
         )
-        assert decode_region_batch(
+        pairs, mults, nbytes = decode_region_unique(
             window, DIGEST, CHUNK, start, count
-        ) == decode_region(window, DIGEST, CHUNK, start, count)
+        )
+        legacy = decode_region(window, DIGEST, CHUNK, start, count)
+        # The region collapsed to distinct fingerprints in first-occurrence
+        # order, each with its first payload and its multiplicity.
+        first = {}
+        for fp, payload in legacy:
+            first.setdefault(fp, payload)
+        assert pairs == list(first.items())
+        assert mults == [
+            sum(1 for fp, _ in legacy if fp == seen) for seen in first
+        ]
+        assert nbytes == sum(len(payload) for _, payload in legacy)
 
     @given(records=records_strategy)
     def test_round_trip_through_reused_buffer(self, records):
         # A dirty, reused buffer must not leak stale bytes into the region.
         buf = bytearray(b"\xaa" * (max(len(records), 1) * slot_nbytes(DIGEST, CHUNK)))
         encode_records_into(buf, records, DIGEST, CHUNK)
-        decoded = decode_region_batch(bytes(buf), DIGEST, CHUNK, 0, len(records))
+        decoded = decode_region(bytes(buf), DIGEST, CHUNK, 0, len(records))
         assert decoded == records
 
     def test_batched_decode_rejects_truncated_window(self):
         window = encode_record(fp_of(1), b"a", CHUNK)
         try:
-            decode_region_batch(window[:-1], DIGEST, CHUNK, 0, 1)
+            decode_region_unique(window[:-1], DIGEST, CHUNK, 0, 1)
         except ValueError as exc:
             assert "truncated" in str(exc)
         else:  # pragma: no cover - defensive
@@ -93,7 +104,7 @@ class TestWireCodecEquivalence:
         record = bytearray(encode_record(fp_of(1), b"a", CHUNK))
         record[DIGEST] = 0xFF  # length field now > CHUNK
         try:
-            decode_region_batch(bytes(record), DIGEST, CHUNK, 0, 1)
+            decode_region_unique(bytes(record), DIGEST, CHUNK, 0, 1)
         except ValueError as exc:
             assert "corrupt" in str(exc)
         else:  # pragma: no cover - defensive

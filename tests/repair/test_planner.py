@@ -1,5 +1,7 @@
 """Repair planner: deterministic, load-balanced transfer schedules."""
 
+import numpy as np
+
 from repro.repair import plan_repair, scan_cluster
 
 from tests.repair.conftest import dumped_cluster
@@ -79,17 +81,25 @@ class TestPlacement:
 
 
 class TestWindowOffsets:
-    def test_incoming_preserves_schedule_order(self):
+    def test_regions_preserve_schedule_order(self):
         cluster, scan = failed_scan()
         schedule = plan_repair(cluster, scan)
-        for dest, region in schedule.incoming().items():
-            indices = [schedule.transfers.index(t) for t in region]
-            assert indices == sorted(indices)
-            assert all(t.dest == dest for t in region)
+        regions = 0
+        for source, dest in zip(*np.nonzero(schedule.counts)):
+            rows = schedule.region_rows(source, dest)
+            regions += 1
+            assert rows.tolist() == sorted(rows.tolist())
+            assert (schedule.source[rows] == source).all()
+            assert (schedule.dest[rows] == dest).all()
+            first = schedule.starts[source, dest]
+            assert schedule.slots[rows].tolist() == list(
+                range(first, first + len(rows))
+            )
+        assert regions > 1
 
     def test_slots_are_dense_per_destination(self):
         cluster, scan = failed_scan()
         schedule = plan_repair(cluster, scan)
-        slots = schedule.slot_of()
-        for region in schedule.incoming().values():
-            assert sorted(slots[t] for t in region) == list(range(len(region)))
+        for dest, n_slots in enumerate(schedule.window_slots):
+            landed = schedule.slots[schedule.dest == dest]
+            assert sorted(landed.tolist()) == list(range(n_slots))

@@ -9,6 +9,7 @@ import pytest
 from repro.simmpi import (
     BACKENDS,
     DeadlockError,
+    PeerFailedError,
     ProcessWorld,
     RankCrashError,
     Window,
@@ -105,6 +106,46 @@ class TestTimeoutResolution:
         assert any(
             isinstance(e, DeadlockError) for e in err.value.failures.values()
         )
+
+
+class TestRootCauseReporting:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_world_error_leads_with_the_rank_that_raised(self, backend):
+        # Rank 2 raises before a fence; ranks 0 and 1 are released from the
+        # aborted barrier.  Nothing timed out, and the headline must be the
+        # ValueError, not the lowest rank's echo of it.
+        def prog(comm):
+            win = Window.create(comm, 8)
+            if comm.rank == 2:
+                raise ValueError("bad offset computed on rank 2")
+            win.fence()
+
+        with pytest.raises(WorldError) as err:
+            run_spmd(3, prog, backend=backend, timeout=20)
+        failures = err.value.failures
+        assert isinstance(failures[2], ValueError)
+        for rank in (0, 1):
+            assert isinstance(failures[rank], PeerFailedError)
+            assert "peer rank failed" in str(failures[rank])
+            assert "timed out" not in str(failures[rank])
+        headline = str(err.value)
+        assert "ranks 0, 1, 2" in headline
+        assert "first failure: ValueError('bad offset computed on rank 2')" in headline
+
+    def test_genuine_barrier_timeout_still_says_so(self):
+        def prog(comm):
+            if comm.rank == 0:
+                comm.recv(1, tag=7, timeout=0.8)  # never sent
+            comm.barrier()
+
+        with pytest.raises(WorldError) as err:
+            run_spmd(2, prog, timeout=0.3)
+        assert "barrier timed out after 0.3s" in str(err.value.failures[1])
+        assert not isinstance(err.value.failures[1], PeerFailedError)
+
+    def test_all_secondary_falls_back_to_lowest_rank(self):
+        echo = PeerFailedError("rank 1: barrier aborted")
+        assert "first failure: PeerFailedError" in str(WorldError({1: echo}))
 
 
 class TestProcessBackend:

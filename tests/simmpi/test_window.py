@@ -1,5 +1,8 @@
 """One-sided window semantics: creation, puts at offsets, fences, bounds."""
 
+import array
+import sys
+
 import pytest
 
 from repro.simmpi import Window, World, run_spmd
@@ -189,6 +192,34 @@ class TestPutMany:
 
         results = run_spmd(2, prog)
         assert results[0] == b"AA\x00C\x00\x00BB\x00\x00"
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_buffers_go_in_without_staging(self, backend):
+        # A slice of the sender's reused packing buffer, a bytearray and a
+        # wider-than-byte array all land byte for byte (sizes are in bytes,
+        # whatever the item size), and the sender may repack its buffer as
+        # soon as the call returns.
+        def prog(comm):
+            win = Window.create(comm, 12 if comm.rank == 0 else 0)
+            if comm.rank == 1:
+                sendbuf = bytearray(b"abcdWXYZ")
+                win.put_many(
+                    [
+                        (0, memoryview(sendbuf)[:4]),
+                        (4, bytearray(b"efgh")),
+                        (8, array.array("I", [0x64636261])),
+                    ],
+                    target_rank=0,
+                )
+                sendbuf[:4] = b"????"
+            win.fence()
+            view = win.local_view()
+            win.free()
+            return view
+
+        results = run_spmd(2, prog, backend=backend, timeout=20)
+        expected_word = (0x64636261).to_bytes(4, sys.byteorder)
+        assert results[0] == b"abcdefgh" + expected_word
 
     def test_traced_as_one_message_of_total_bytes(self):
         world = World(2)
