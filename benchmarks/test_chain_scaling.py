@@ -6,18 +6,12 @@ fingerprint caches, dumping the next epoch as a delta must move only the
 dirty chunks, so a lightly mutating workload dumps several times faster
 than re-shipping a full every epoch.
 
-Two measured quantities:
-
-* **delta dump** — ``EPOCHS`` consecutive epochs of a 5%-dirty
-  :class:`~repro.apps.mutating.MutatingWorkload` dumped as deltas on one
-  chain vs the same epochs dumped as fulls on a second, independent chain
-  over identical content.  The aggregate delta time must win >= 3x.
-* **time-travel restore** — restoring the tip epoch through the delta
-  chain (depth ``EPOCHS + 1``: base-full resolution plus newest-wins
-  overlays) on the batched and legacy restore paths, byte-compared to the
-  per-epoch workload oracle and to the full chain's tip.  Reported for
-  the trajectory; no floor — depth resolution is manifest arithmetic,
-  the chunk movement dominates either way.
+``EPOCHS`` consecutive epochs of a 5%-dirty
+:class:`~repro.apps.mutating.MutatingWorkload` are dumped as deltas on one
+chain and as fulls on a second, independent chain over identical content;
+the aggregate delta time must win >= 3x, and both tips are byte-compared
+to the per-epoch workload oracle.  (Time-travel restore at depth is
+``chain.manager.restore_s_d*`` in ``bench/``.)
 
 Results land in ``BENCH_restore.json`` in the unified
 ``repro.obs/bench/v1`` schema.  Set ``CHAIN_SMOKE=1`` for a fast
@@ -126,50 +120,3 @@ def test_warm_delta_dump_speedup():
             f"warm delta dumps only {speedup:.2f}x faster than fulls on a "
             f"{DIRTY_FRAC:.0%}-dirty workload (need >= {MIN_DELTA_SPEEDUP}x)"
         )
-
-
-def test_time_travel_restore_through_a_deep_chain():
-    """Tip restore through EPOCHS deltas: batched vs legacy, oracle-checked."""
-    chain, workload = _chain(), _workload()
-    chain.chain_dump(workload, kind="full")
-    for _ in range(EPOCHS):
-        workload.advance()
-        chain.chain_dump(workload, kind="delta")
-    tip = chain.live_epochs()[-1]
-    depth = chain.depth_of(tip)
-    assert depth == EPOCHS + 1
-    oracle = workload.at_epoch(tip)
-
-    def run(batched):
-        start = time.perf_counter()
-        results = [
-            chain.restore_epoch(rank, tip, batched=batched)
-            for rank in range(N_RANKS)
-        ]
-        return time.perf_counter() - start, results
-
-    run(True)  # warm-up
-    legacy_wall, legacy = run(False)
-    batched_wall, batched = run(True)
-    for rank in range(N_RANKS):
-        want = oracle.build_dataset(rank, N_RANKS).to_bytes()
-        assert batched[rank][0].to_bytes() == want
-        assert legacy[rank][0].to_bytes() == want
-        assert vars(batched[rank][1]) == vars(legacy[rank][1])
-
-    _emit(
-        "chain_time_travel_restore",
-        {
-            "ranks": N_RANKS,
-            "replication_factor": K,
-            "chunk_size": CS,
-            "chunks_per_rank": CHUNKS,
-            "dirty_frac": DIRTY_FRAC,
-            "chain_depth": depth,
-            "timings": {
-                "legacy": round(legacy_wall, 4),
-                "batched": round(batched_wall, 4),
-            },
-            "speedup": round(legacy_wall / batched_wall, 2),
-        },
-    )

@@ -496,7 +496,7 @@ class ChainManager:
         return None
 
     def restore_epoch(
-        self, rank: int, epoch: int, batched: bool = True
+        self, rank: int, epoch: int
     ) -> Tuple[Dataset, RestoreReport]:
         """Time-travel restore: rebuild ``rank``'s dataset as of ``epoch``.
 
@@ -526,8 +526,7 @@ class ChainManager:
         ):
             self._gauge("chain_depth", float(self.depth_of(epoch)))
             return restore_from_manifest(
-                self.cluster, rank, manifest,
-                batched=batched, trace=self.trace,
+                self.cluster, rank, manifest, trace=self.trace
             )
 
     # -- GC ---------------------------------------------------------------------

@@ -796,7 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
     tc.add_argument(
         "--pipelined", action="store_true",
         help="double-buffered hash/exchange/write pipeline "
-        "(batched replication configs only)",
+        "(replication, non-degraded configs only)",
     )
     tc.add_argument(
         "--integrity", default="crypto", choices=("crypto", "fast"),

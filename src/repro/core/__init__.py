@@ -22,7 +22,7 @@ from repro.core.config import DumpConfig, Strategy
 from repro.core.chunking import Dataset, iter_chunk_views, join_chunks, split_chunks
 from repro.core.fingerprint import Fingerprinter
 from repro.core.fpcache import FingerprintCache
-from repro.core.local_dedup import LocalIndex, local_dedup, local_dedup_batched
+from repro.core.local_dedup import LocalIndex, local_dedup_batched
 from repro.core.hmerge import GlobalView, MergeTable, hmerge
 from repro.core.shuffle import (
     identity_shuffle,
@@ -57,7 +57,6 @@ __all__ = [
     "iter_chunk_views",
     "join_chunks",
     "load_input",
-    "local_dedup",
     "local_dedup_batched",
     "node_aware_shuffle",
     "partners_of",

@@ -16,12 +16,12 @@ collective:
 2. **reply round** — every rank serves the chunk payloads it was asked
    for, again via an all-to-all; requesters reassemble their segments.
 
-``DumpConfig.batched`` selects the hot path: one vectorised source plan
+The work is batched: one vectorised source plan
 (:func:`repro.core.restore_plan.plan_restore`), request lists coalesced
 into per-holder runs and shipped as packed ``RRQ1``/``RRP1`` wire blobs,
 ``get_many`` batch reads on the serving side, and segment reassembly that
-cuts the chunk list directly.  ``batched=False`` keeps the per-chunk
-reference loop; both paths are byte-identical in datasets and reports.
+cuts the chunk list directly.  The naive source-resolution loop it must
+agree with is ``tests/core/reference.py``.
 
 The per-rank traffic this generates is exactly the restart cost the paper's
 local-storage design promises to keep low (most chunks are local), and the
@@ -31,7 +31,7 @@ report makes it measurable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -78,29 +78,6 @@ class CollectiveRestoreReport:
     pulled_from: Dict[int, int] = field(default_factory=dict)  # rank -> chunks
 
 
-def load_input(
-    comm: Communicator,
-    cluster: Cluster,
-    config: DumpConfig,
-    dump_id: int = 0,
-) -> Tuple[Dataset, CollectiveRestoreReport]:
-    """Collectively restore every rank's dataset for ``dump_id``.
-
-    All ranks must call this together (two all-to-all rounds).  Each rank
-    returns its own reassembled :class:`Dataset` plus a traffic report.
-    Raises :class:`~repro.storage.local_store.StorageError` on any rank
-    whose manifest or chunks are unrecoverable (which aborts the world —
-    restart is all-or-nothing, like the paper's checkpoint semantics), and
-    :class:`~repro.chain.errors.ChainBrokenError` when ``dump_id`` is a
-    chain *delta* dump (not independently restorable — resolve the epoch
-    through :class:`repro.chain.ChainManager`).
-    """
-    with comm.trace.span("restore", dump_id=dump_id, batched=config.batched):
-        if config.batched:
-            return _load_input_batched(comm, cluster, dump_id)
-        return _load_input_impl(comm, cluster, config, dump_id)
-
-
 def _serving_ranks(cluster: Cluster, world: int) -> Dict[int, int]:
     """node id -> the rank that serves that node's chunks.
 
@@ -123,252 +100,151 @@ def _record_locality(comm: Communicator, local_bytes: int, pulled_bytes: int) ->
     )
 
 
-def _load_input_batched(
-    comm: Communicator,
-    cluster: Cluster,
-    dump_id: int,
-) -> Tuple[Dataset, CollectiveRestoreReport]:
-    rank, world = comm.rank, comm.size
-    report = CollectiveRestoreReport(rank=rank, dump_id=dump_id)
-
-    # Plan every distinct fingerprint's source in one vectorised pass.
-    # Failures here (lost manifest/chunk) are detected locally but must
-    # abort *collectively*: the agreement round keeps peers from blocking
-    # in an all-to-all a failed rank will never join.
-    plan = None
-    manifest = None
-    serving = _serving_ranks(cluster, world)
-    error = ""
-    chain_broken = False
-    with comm.trace.phase("restore-plan"):
-        try:
-            manifest = cluster.find_manifest(rank, dump_id)
-            _reject_chain_delta(manifest, rank, dump_id)
-            plan = plan_restore(
-                cluster,
-                rank,
-                manifest,
-                allow_reconstruct=False,
-                eligible_nodes=set(serving),
-            )
-        except StorageError as exc:
-            error = str(exc)
-        except ChainBrokenError as exc:
-            error = str(exc)
-            chain_broken = True
-        statuses = collectives.allgather(comm, error)
-        failed = [s for s in statuses if s]
-        if failed:
-            message = (
-                f"collective restore of dump {dump_id} aborted; "
-                f"{len(failed)} rank(s) unrecoverable: {failed[0]}"
-            )
-            if chain_broken:
-                raise ChainBrokenError(message)
-            raise StorageError(message)
-        report.local_chunks = len(plan.local_indices)
-        if comm.trace.span_enabled:
-            comm.trace.annotate(
-                chunks=len(manifest.fingerprints),
-                distinct_chunks=len(plan.fps),
-                local_chunks=report.local_chunks,
-            )
-
-    # Round 1: per-holder request lists as packed RRQ1 blobs.  Each list
-    # keeps first-occurrence order — the contiguous runs the holder's store
-    # committed them in — so the reply round reads sequentially.
-    request_indices: List[List[int]] = [[] for _ in range(world)]
-    for node_id, indices in plan.remote_groups().items():
-        request_indices[serving[node_id]] = indices
-    with comm.trace.phase("restore-request"):
-        requests = [
-            encode_restore_request([plan.fps[j] for j in indices])
-            if indices
-            else b""
-            for indices in request_indices
-        ]
-        incoming_requests = collectives.alltoall(comm, requests)
-        comm.trace.record_chunks(
-            sum(len(ix) for ix in request_indices), sum(map(len, requests))
-        )
-
-    # Round 2: serve what we were asked, via one batched store read.  The
-    # liveness check is hoisted out of the loop: serving from a failed node
-    # is wrong whether it is the first chunk or the last.
-    serving_node = cluster.node_of(rank)
-    asked_of: List[List[Fingerprint]] = [
-        decode_restore_request(blob) if blob else [] for blob in incoming_requests
-    ]
-    if any(asked_of) and not serving_node.alive:
-        raise StorageError(
-            f"rank {rank}: asked to serve from failed node "
-            f"{serving_node.node_id}"
-        )
-    with comm.trace.phase("restore-reply"):
-        replies: List[bytes] = []
-        for asked in asked_of:
-            if not asked:
-                replies.append(b"")
-                continue
-            payloads = serving_node.chunks.get_many(asked)
-            nbytes = sum(map(len, payloads))
-            report.served_chunks += len(payloads)
-            report.served_bytes += nbytes
-            replies.append(encode_restore_reply(payloads))
-        incoming_replies = collectives.alltoall(comm, replies)
-        comm.trace.record_chunks(report.served_chunks, report.served_bytes)
-
-    # Merge local and pulled frames, then reassemble the segment structure.
-    if manifest.compressed:
-        from repro.compress.codecs import decode_auto
-    else:
-        decode_auto = None
-    with comm.trace.phase("restore-reassemble"):
-        # Object array so per-peer frame lists scatter (and the final
-        # manifest-order gather runs) as single fancy-index operations.
-        payloads = np.empty(len(plan.fps), dtype=object)
-        local_bytes = 0
-        local_indices = plan.local_indices
-        if local_indices:
-            own_frames = serving_node.chunks.get_many(
-                [plan.fps[j] for j in local_indices]
-            )
-            payloads[local_indices] = own_frames
-            local_bytes = sum(map(len, own_frames))
-        for peer in range(world):
-            indices = request_indices[peer]
-            if not indices:
-                continue
-            frames = decode_restore_reply(incoming_replies[peer])
-            payloads[indices] = frames
-            report.pulled_chunks += len(indices)
-            report.pulled_bytes += sum(map(len, frames))
-            report.pulled_from[peer] = (
-                report.pulled_from.get(peer, 0) + len(indices)
-            )
-        _record_locality(comm, local_bytes, report.pulled_bytes)
-        if decode_auto is not None:
-            payloads[:] = [decode_auto(frame) for frame in payloads.tolist()]
-        chunks = payloads[plan.index].tolist()
-        segments = cut_segments(chunks, manifest.segment_lengths, rank)
-        report.total_bytes = sum(manifest.segment_lengths)
-    comm.barrier()
-    return Dataset(segments), report
-
-
-def _load_input_impl(
+def load_input(
     comm: Communicator,
     cluster: Cluster,
     config: DumpConfig,
-    dump_id: int,
+    dump_id: int = 0,
 ) -> Tuple[Dataset, CollectiveRestoreReport]:
-    rank, world = comm.rank, comm.size
-    report = CollectiveRestoreReport(rank=rank, dump_id=dump_id)
+    """Collectively restore every rank's dataset for ``dump_id``.
 
-    # Resolve every distinct fingerprint to a source: own node, or the
-    # least-loaded live holder node (same deterministic policy as
-    # restore_dataset, so no coordination is needed).  Failures here (lost
-    # manifest/chunk) are detected locally but must abort *collectively*:
-    # the agreement round below keeps peers from blocking in an all-to-all
-    # a failed rank will never join.
-    needed: Dict[Fingerprint, int] = {}
-    manifest = None
-    serving = _serving_ranks(cluster, world)
-    loads: Dict[int, int] = {}
-    error: str = ""
-    chain_broken = False
-    with comm.trace.phase("restore-plan"):
-        try:
-            manifest = cluster.find_manifest(rank, dump_id)
-            _reject_chain_delta(manifest, rank, dump_id)
-            own_node = cluster.node_of(rank)
-            own_alive = own_node.alive
-            for fp in manifest.fingerprints:
-                if fp in needed:
-                    continue
-                if own_alive and own_node.chunks.has(fp):
-                    needed[fp] = rank
-                    report.local_chunks += 1
-                    loads[own_node.node_id] = (
-                        loads.get(own_node.node_id, 0) + 1
-                    )
-                    continue
-                holders = [h for h in cluster.locate(fp) if h in serving]
-                if not holders:
-                    raise StorageError(
-                        f"rank {rank}: chunk {fp.hex()[:12]}... unrecoverable"
-                    )
-                source = min(holders, key=lambda h: (loads.get(h, 0), h))
-                loads[source] = loads.get(source, 0) + 1
-                needed[fp] = serving[source]
-        except StorageError as exc:
-            error = str(exc)
-        except ChainBrokenError as exc:
-            error = str(exc)
-            chain_broken = True
-        statuses = collectives.allgather(comm, error)
-        failed = [s for s in statuses if s]
-        if failed:
-            message = (
-                f"collective restore of dump {dump_id} aborted; "
-                f"{len(failed)} rank(s) unrecoverable: {failed[0]}"
+    All ranks must call this together (two all-to-all rounds).  Each rank
+    returns its own reassembled :class:`Dataset` plus a traffic report.
+    ``config`` mirrors :func:`~repro.core.dump.dump_output`'s call shape;
+    everything the restore needs (chunk size, compression, segment
+    structure) is read from the manifest.
+
+    Raises :class:`~repro.storage.local_store.StorageError` on any rank
+    whose manifest or chunks are unrecoverable (which aborts the world —
+    restart is all-or-nothing, like the paper's checkpoint semantics), and
+    :class:`~repro.chain.errors.ChainBrokenError` when ``dump_id`` is a
+    chain *delta* dump (not independently restorable — resolve the epoch
+    through :class:`repro.chain.ChainManager`).
+    """
+    with comm.trace.span("restore", dump_id=dump_id):
+        rank, world = comm.rank, comm.size
+        report = CollectiveRestoreReport(rank=rank, dump_id=dump_id)
+
+        # Plan every distinct fingerprint's source in one vectorised pass.
+        # Failures here (lost manifest/chunk) are detected locally but must
+        # abort *collectively*: the agreement round keeps peers from blocking
+        # in an all-to-all a failed rank will never join.
+        plan = None
+        manifest = None
+        serving = _serving_ranks(cluster, world)
+        error = ""
+        chain_broken = False
+        with comm.trace.phase("restore-plan"):
+            try:
+                manifest = cluster.find_manifest(rank, dump_id)
+                _reject_chain_delta(manifest, rank, dump_id)
+                plan = plan_restore(
+                    cluster,
+                    rank,
+                    manifest,
+                    allow_reconstruct=False,
+                    eligible_nodes=set(serving),
+                )
+            except StorageError as exc:
+                error = str(exc)
+            except ChainBrokenError as exc:
+                error = str(exc)
+                chain_broken = True
+            statuses = collectives.allgather(comm, error)
+            failed = [s for s in statuses if s]
+            if failed:
+                message = (
+                    f"collective restore of dump {dump_id} aborted; "
+                    f"{len(failed)} rank(s) unrecoverable: {failed[0]}"
+                )
+                if chain_broken:
+                    raise ChainBrokenError(message)
+                raise StorageError(message)
+            report.local_chunks = len(plan.local_indices)
+            if comm.trace.span_enabled:
+                comm.trace.annotate(
+                    chunks=len(manifest.fingerprints),
+                    distinct_chunks=len(plan.fps),
+                    local_chunks=report.local_chunks,
+                )
+
+        # Round 1: per-holder request lists as packed RRQ1 blobs.  Each list
+        # keeps first-occurrence order — the contiguous runs the holder's store
+        # committed them in — so the reply round reads sequentially.
+        request_indices: List[List[int]] = [[] for _ in range(world)]
+        for node_id, indices in plan.remote_groups().items():
+            request_indices[serving[node_id]] = indices
+        with comm.trace.phase("restore-request"):
+            requests = [
+                encode_restore_request([plan.fps[j] for j in indices])
+                if indices
+                else b""
+                for indices in request_indices
+            ]
+            incoming_requests = collectives.alltoall(comm, requests)
+            comm.trace.record_chunks(
+                sum(len(ix) for ix in request_indices), sum(map(len, requests))
             )
-            if chain_broken:
-                raise ChainBrokenError(message)
-            raise StorageError(message)
-        own_node = cluster.node_of(rank)
 
-    # Round 1: ship request lists (fingerprints only) to their holders.
-    requests: List[List[Fingerprint]] = [[] for _ in range(world)]
-    for fp, source in needed.items():
-        if source != rank:
-            requests[source].append(fp)
-    with comm.trace.phase("restore-request"):
-        incoming_requests = collectives.alltoall(comm, requests)
+        # Round 2: serve what we were asked, via one batched store read.  The
+        # liveness check is hoisted out of the loop: serving from a failed node
+        # is wrong whether it is the first chunk or the last.
+        serving_node = cluster.node_of(rank)
+        asked_of: List[List[Fingerprint]] = [
+            decode_restore_request(blob) if blob else [] for blob in incoming_requests
+        ]
+        if any(asked_of) and not serving_node.alive:
+            raise StorageError(
+                f"rank {rank}: asked to serve from failed node "
+                f"{serving_node.node_id}"
+            )
+        with comm.trace.phase("restore-reply"):
+            replies: List[bytes] = []
+            for asked in asked_of:
+                if not asked:
+                    replies.append(b"")
+                    continue
+                payloads = serving_node.chunks.get_many(asked)
+                nbytes = sum(map(len, payloads))
+                report.served_chunks += len(payloads)
+                report.served_bytes += nbytes
+                replies.append(encode_restore_reply(payloads))
+            incoming_replies = collectives.alltoall(comm, replies)
+            comm.trace.record_chunks(report.served_chunks, report.served_bytes)
 
-    # Round 2: serve payloads for what we were asked.  The liveness check
-    # is hoisted out of the loop: serving any chunk from a failed node is
-    # wrong, so one check up front covers the whole round.
-    replies: List[List[bytes]] = []
-    serving_node = cluster.node_of(rank)
-    if any(incoming_requests) and not serving_node.alive:
-        raise StorageError(
-            f"rank {rank}: asked to serve from failed node "
-            f"{serving_node.node_id}"
-        )
-    for peer, asked in enumerate(incoming_requests):
-        payloads = []
-        for fp in asked:
-            chunk = serving_node.chunks.get(fp)
-            payloads.append(chunk)
-            report.served_chunks += 1
-            report.served_bytes += len(chunk)
-        replies.append(payloads)
-    with comm.trace.phase("restore-reply"):
-        incoming_replies = collectives.alltoall(comm, replies)
-
-    # Merge local and pulled chunks, then reassemble the segment structure.
-    if manifest.compressed:
-        from repro.compress.codecs import decode_auto
-    else:
-        decode_auto = None
-    with comm.trace.phase("restore-reassemble"):
-        payload_of: Dict[Fingerprint, bytes] = {}
-        local_bytes = 0
-        for fp, source in needed.items():
-            if source == rank:
-                frame = own_node.chunks.get(fp)
-                local_bytes += len(frame)
-                payload_of[fp] = decode_auto(frame) if decode_auto else frame
-        for peer in range(world):
-            for fp, chunk in zip(requests[peer], incoming_replies[peer]):
-                report.pulled_chunks += 1
-                report.pulled_bytes += len(chunk)
-                report.pulled_from[peer] = report.pulled_from.get(peer, 0) + 1
-                payload_of[fp] = decode_auto(chunk) if decode_auto else chunk
-        _record_locality(comm, local_bytes, report.pulled_bytes)
-        chunks = [payload_of[fp] for fp in manifest.fingerprints]
-        segments = cut_segments(chunks, manifest.segment_lengths, rank)
-        report.total_bytes = sum(manifest.segment_lengths)
-    comm.barrier()
-    return Dataset(segments), report
+        # Merge local and pulled frames, then reassemble the segment structure.
+        if manifest.compressed:
+            from repro.compress.codecs import decode_auto
+        else:
+            decode_auto = None
+        with comm.trace.phase("restore-reassemble"):
+            # Object array so per-peer frame lists scatter (and the final
+            # manifest-order gather runs) as single fancy-index operations.
+            payloads = np.empty(len(plan.fps), dtype=object)
+            local_bytes = 0
+            local_indices = plan.local_indices
+            if local_indices:
+                own_frames = serving_node.chunks.get_many(
+                    [plan.fps[j] for j in local_indices]
+                )
+                payloads[local_indices] = own_frames
+                local_bytes = sum(map(len, own_frames))
+            for peer in range(world):
+                indices = request_indices[peer]
+                if not indices:
+                    continue
+                frames = decode_restore_reply(incoming_replies[peer])
+                payloads[indices] = frames
+                report.pulled_chunks += len(indices)
+                report.pulled_bytes += sum(map(len, frames))
+                report.pulled_from[peer] = (
+                    report.pulled_from.get(peer, 0) + len(indices)
+                )
+            _record_locality(comm, local_bytes, report.pulled_bytes)
+            if decode_auto is not None:
+                payloads[:] = [decode_auto(frame) for frame in payloads.tolist()]
+            chunks = payloads[plan.index].tolist()
+            segments = cut_segments(chunks, manifest.segment_lengths, rank)
+            report.total_bytes = sum(manifest.segment_lengths)
+        comm.barrier()
+        return Dataset(segments), report

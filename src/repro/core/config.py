@@ -92,12 +92,6 @@ class DumpConfig:
     node_aware: bool = False
     chunking: str = "fixed"
     compress: Optional[str] = None
-    #: Batched hot path (default): zero-copy batch fingerprinting,
-    #: array-backed local dedup and one window put per partner region.
-    #: ``False`` selects the legacy per-chunk path (kept as the reference
-    #: for equivalence tests and the hot-path benchmarks); CDC chunking
-    #: always takes the legacy per-chunk hash path.
-    batched: bool = True
     #: "replication" (the paper) or "parity" (§VI extension): chunks without
     #: natural replicas are protected with RS(d + K-1, d) stripes shipped to
     #: the K-1 partners instead of K-1 full copies.  coll-dedup + threaded
@@ -147,8 +141,8 @@ class DumpConfig:
     #: chunk batches instead of strict barriers, so a rank's store writes
     #: overlap its partners' hashing/exchange.  Results are byte-identical
     #: to the strict path; configurations the pipeline cannot express
-    #: (legacy per-chunk path, CDC chunking, parity redundancy, degraded
-    #: mode) silently fall back to strict phases.
+    #: (parity redundancy, degraded mode) silently fall back to strict
+    #: phases.
     pipelined: bool = False
     #: Chain-delta dump (see :mod:`repro.chain`): the datasets being dumped
     #: are one epoch's *dirty chunks only*, so the written manifests carry
@@ -240,29 +234,19 @@ class DumpConfig:
         return self.chunk_size + (1 if self.compress is not None else 0)
 
     def make_chunker(self):
-        """Segment -> chunk-iterator callable implementing ``chunking``."""
-        if self.chunking == "fixed":
-            chunk_size = self.chunk_size
-
-            def fixed(segment):
-                from repro.core.chunking import iter_chunks
-
-                return iter_chunks(segment, chunk_size)
-
-            return fixed
+        """The content-defined chunker ``chunking="cdc"`` cuts segments
+        with: ``chunk_size`` is the maximum chunk size, the average is the
+        largest power of two not above half of it."""
         from repro.cdc.chunker import CDCChunker, CDCParams
 
         avg = 1 << max(6, (self.chunk_size // 2).bit_length() - 1)
-        params = CDCParams(
-            min_size=max(1, avg // 4),
-            avg_size=min(avg, self.chunk_size),
-            max_size=self.chunk_size,
+        return CDCChunker(
+            CDCParams(
+                min_size=max(1, avg // 4),
+                avg_size=min(avg, self.chunk_size),
+                max_size=self.chunk_size,
+            )
         )
-
-        def cdc(segment):
-            return CDCChunker(params).iter_chunks(bytes(segment))
-
-        return cdc
 
     def with_(self, **changes) -> "DumpConfig":
         """Return a copy with the given fields replaced."""

@@ -29,7 +29,7 @@ from repro.core.fingerprint import Fingerprint, Fingerprinter
 from repro.core.fpcache import DirtyRegions, FingerprintCache
 from repro.core.global_dedup import build_global_view
 from repro.core.hmerge import GlobalView
-from repro.core.local_dedup import LocalIndex, local_dedup, local_dedup_batched
+from repro.core.local_dedup import local_dedup_batched
 from repro.core.offsets import WindowLayout, window_layout, window_layout_degraded
 from repro.core.pipeline import (
     pipeline_eligible,
@@ -48,13 +48,7 @@ from repro.core.shuffle import (
     rank_shuffle,
     senders_to,
 )
-from repro.core.wire import (
-    decode_region,
-    decode_region_unique,
-    encode_record,
-    encode_records_into,
-    slot_nbytes,
-)
+from repro.core.wire import decode_region_unique, encode_records_into, slot_nbytes
 from repro.simmpi import collectives
 from repro.simmpi.comm import Communicator
 from repro.simmpi.window import Window
@@ -165,7 +159,9 @@ def dump_output(
         :meth:`repro.apps.base.SegmentedWorkload.dirty_regions`) chunks
         outside the declared dirty ranges reuse their cached fingerprint
         and skip hashing; ``report.cache_hits``/``cache_bytes_skipped``
-        account the savings.  Batched fixed-size path only.
+        account the savings.  Fixed-size chunking only: content-defined
+        boundaries move with the content, so a cache keyed by chunk index
+        does not apply and is left untouched.
     phase_hook:
         Optional callback invoked as ``hook(phase_name, rank)`` when this
         rank enters each trace phase — the failure-injection seam
@@ -219,14 +215,10 @@ def _dump_output_impl(
         if phase_hook is not None:
             phase_hook(name, rank)
 
-    # Phase 1: chunk, fingerprint, local dedup.
-    chunker = config.make_chunker() if config.chunking != "fixed" else None
-    batched = config.batched and chunker is None
-
     # 3-stage pipeline: under no-dedup the Load vector is known from the
     # chunk count alone, so the window layout is agreed first and hash,
     # exchange and write run per batch (see repro.core.pipeline).
-    if pipeline_full_eligible(config, batched, fpcache):
+    if pipeline_full_eligible(config, fpcache):
         return pipelined_no_dedup_dump(
             comm, dataset, config, cluster, dump_id, report, enter_phase,
             fingerprinter,
@@ -234,24 +226,31 @@ def _dump_output_impl(
 
     with comm.trace.phase("hash"):
         enter_phase("hash")
-        if batched:
-            if fpcache is not None:
-                fpcache.ensure_compatible(config.chunk_size, config.effective_hash_name)
-            index = local_dedup_batched(
-                dataset,
-                fingerprinter,
-                config.chunk_size,
-                cache=fpcache,
-                dirty_regions=dirty_regions,
-            )
-            if fpcache is not None:
-                stats = fpcache.take_stats()
-                report.cache_hits = stats.hits
-                report.cache_bytes_skipped = stats.bytes_skipped
-        else:
-            index = local_dedup(
-                dataset, fingerprinter, config.chunk_size, chunker=chunker
-            )
+        # Phase 1: chunk, fingerprint, local dedup.  Where the chunk
+        # boundaries come from is the only place the dump looks at
+        # ``chunking``; everything downstream works on the LocalIndex.
+        boundaries = None
+        if config.chunking == "cdc":
+            chunker = config.make_chunker()
+            boundaries = [
+                chunker.boundaries(bytes(dataset.segment(i)))
+                for i in range(dataset.num_segments)
+            ]
+            fpcache = None
+        if fpcache is not None:
+            fpcache.ensure_compatible(config.chunk_size, config.effective_hash_name)
+        index = local_dedup_batched(
+            dataset,
+            fingerprinter,
+            config.chunk_size,
+            cache=fpcache,
+            dirty_regions=dirty_regions,
+            boundaries=boundaries,
+        )
+        if fpcache is not None:
+            stats = fpcache.take_stats()
+            report.cache_hits = stats.hits
+            report.cache_bytes_skipped = stats.bytes_skipped
         comm.trace.record_chunks(index.total_chunks, dataset.nbytes)
         comm.trace.annotate(
             chunks=index.total_chunks,
@@ -357,7 +356,7 @@ def _dump_output_impl(
 
     # 2-stage pipeline: exchange and write interleave over chunk batches;
     # everything up to the layout stayed strict (see repro.core.pipeline).
-    if pipeline_eligible(config, batched):
+    if pipeline_eligible(config):
         pipelined_exchange_write(
             comm, config, cluster, plan, layout, report, payload_of,
             payload_size, fingerprinter.digest_size, slot, dataset,
@@ -366,20 +365,16 @@ def _dump_output_impl(
         comm.barrier()
         return report
 
-    # Phase 4: one-sided exchange.  Batched: each partner's whole region is
-    # packed into one reused buffer and shipped with a single put (one lock
-    # acquisition + one trace record per partner); legacy: one put per chunk.
+    # Phase 4: one-sided exchange.  Each partner's whole region is packed
+    # into one reused buffer and shipped with a single put (one lock
+    # acquisition + one trace record per partner).
     with comm.trace.phase("exchange"):
         enter_phase("exchange")
         window = Window.create(comm, layout.window_slots[rank] * slot)
         capacity = config.wire_payload_capacity
         digest_size = fingerprinter.digest_size
-        sendbuf: Optional[bytearray] = None
-        if batched:
-            max_region = max(
-                (len(fps) for fps in plan.partner_chunks), default=0
-            )
-            sendbuf = bytearray(max_region * slot)
+        max_region = max((len(fps) for fps in plan.partner_chunks), default=0)
+        sendbuf = bytearray(max_region * slot)
         for p, fps in enumerate(plan.partner_chunks):
             if p >= len(report.partners):
                 # Degraded: fewer live partners than slots; the planner kept
@@ -395,7 +390,7 @@ def _dump_output_impl(
             target = report.partners[p]
             base = layout.offset_of(rank, target)
             count = len(fps)
-            if batched and count:
+            if count:
                 encode_records_into(
                     sendbuf,
                     ((fp, payload_of[fp]) for fp in fps),
@@ -406,10 +401,6 @@ def _dump_output_impl(
                     [(base * slot, memoryview(sendbuf)[: count * slot])],
                     target,
                 )
-            elif not batched:
-                for i, fp in enumerate(fps):
-                    record = encode_record(fp, payload_of[fp], capacity)
-                    window.put(record, target, (base + i) * slot)
             report.sent_per_partner.append(count)
             report.sent_chunks += count
             report.sent_bytes += sum(payload_size[fp] for fp in fps)
@@ -419,27 +410,20 @@ def _dump_output_impl(
         )
         window.fence()
         incoming = window.local_view()
-        received: List[Tuple[Fingerprint, bytes]] = []
         received_unique: List[Tuple[Fingerprint, bytes, int]] = []
         received_records = received_nbytes = 0
         for sender, start, count in layout.regions[rank]:
-            if batched:
-                # Replicated regions repeat few distinct fingerprints;
-                # collapse each region in one vectorised sweep instead of
-                # materialising a payload per slot.
-                pairs, mults, nbytes = decode_region_unique(
-                    incoming, digest_size, capacity, start, count
-                )
-                received_unique.extend(
-                    (fp, payload, m)
-                    for (fp, payload), m in zip(pairs, mults)
-                )
-                received_records += sum(mults)
-                received_nbytes += nbytes
-            else:
-                received.extend(
-                    decode_region(incoming, digest_size, capacity, start, count)
-                )
+            # Replicated regions repeat few distinct fingerprints; collapse
+            # each region in one vectorised sweep instead of materialising a
+            # payload per slot.
+            pairs, mults, nbytes = decode_region_unique(
+                incoming, digest_size, capacity, start, count
+            )
+            received_unique.extend(
+                (fp, payload, m) for (fp, payload), m in zip(pairs, mults)
+            )
+            received_records += sum(mults)
+            received_nbytes += nbytes
         window.free()
 
     # Phase 5: commit to local storage and replicate the manifest.
@@ -454,38 +438,17 @@ def _dump_output_impl(
         else:
             node = cluster.storage_for(rank)
             commit_ok = True
+        store_nbytes = sum(map(payload_size.__getitem__, plan.store_fps))
         if commit_ok:
-            if batched:
-                node.chunks.put_many(
-                    (fp, payload_of[fp]) for fp in plan.store_fps
-                )
-                report.stored_chunks += len(plan.store_fps)
-                report.stored_bytes += sum(
-                    map(payload_size.__getitem__, plan.store_fps)
-                )
-                node.chunks.put_counted(received_unique)
-                report.received_chunks += received_records
-                report.received_bytes += received_nbytes
-            else:
-                for fp in plan.store_fps:
-                    node.chunks.put(fp, payload_of[fp])
-                    report.stored_chunks += 1
-                    report.stored_bytes += payload_size[fp]
-                for fp, payload in received:
-                    node.chunks.put(fp, payload)
-                    report.received_chunks += 1
-                    report.received_bytes += len(payload)
+            node.chunks.put_many((fp, payload_of[fp]) for fp in plan.store_fps)
+            report.stored_chunks = len(plan.store_fps)
+            report.stored_bytes = store_nbytes
+            node.chunks.put_counted(received_unique)
+            report.received_chunks = received_records
+            report.received_bytes = received_nbytes
         else:
-            if batched:
-                recv_records, recv_nbytes = received_records, received_nbytes
-            else:
-                recv_records = len(received)
-                recv_nbytes = sum(len(payload) for _fp, payload in received)
-            report.dropped_chunks = len(plan.store_fps) + recv_records
-            report.dropped_bytes = (
-                sum(map(payload_size.__getitem__, plan.store_fps))
-                + recv_nbytes
-            )
+            report.dropped_chunks = len(plan.store_fps) + received_records
+            report.dropped_bytes = store_nbytes + received_nbytes
         comm.trace.record_chunks(
             report.stored_chunks + report.received_chunks,
             report.stored_bytes + report.received_bytes,

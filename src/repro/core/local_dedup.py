@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -66,44 +66,6 @@ class LocalIndex:
         return list(self.counts.keys())
 
 
-def local_dedup(
-    dataset: Dataset,
-    fingerprinter: Fingerprinter,
-    chunk_size: int,
-    keep_payloads: bool = True,
-    chunker=None,
-) -> LocalIndex:
-    """Chunk + fingerprint a dataset and collapse local duplicates.
-
-    ``keep_payloads=False`` builds a fingerprints-only index (used by the
-    deterministic global simulator, which never moves real chunk bytes).
-    ``chunker`` overrides the fixed-size chunking with any callable mapping
-    a segment to an iterable of chunks (e.g. content-defined chunking via
-    ``DumpConfig.make_chunker()``); chunks must not exceed ``chunk_size``.
-    """
-    if chunker is not None:
-        chunks = (
-            chunk
-            for i in range(dataset.num_segments)
-            for chunk in chunker(dataset.segment(i))
-        )
-    else:
-        chunks = dataset.chunks(chunk_size)
-    index = LocalIndex()
-    for chunk in chunks:
-        fp = fingerprinter(chunk)
-        index.order.append(fp)
-        count = index.counts.get(fp)
-        if count is None:
-            index.counts[fp] = 1
-            index.chunk_sizes[fp] = len(chunk)
-            if keep_payloads:
-                index.unique[fp] = chunk
-        else:
-            index.counts[fp] = count + 1
-    return index
-
-
 def local_dedup_batched(
     dataset: Dataset,
     fingerprinter: Fingerprinter,
@@ -111,50 +73,64 @@ def local_dedup_batched(
     keep_payloads: bool = True,
     cache=None,
     dirty_regions=None,
+    boundaries: Optional[Sequence[Sequence[int]]] = None,
 ) -> LocalIndex:
-    """Array-backed fixed-size-chunking variant of :func:`local_dedup`.
+    """Chunk + fingerprint a dataset and collapse local duplicates.
 
-    Produces a :class:`LocalIndex` bit-identical to the per-chunk path
-    (same ``order``, same first-occurrence dict ordering) but with the two
-    per-chunk costs removed:
+    Array-backed: chunks are hashed as ``memoryview`` slices (no ``bytes``
+    copy per chunk; see :meth:`Fingerprinter.fingerprint_segment`), only the
+    locally *unique* chunks are ever materialised as payload bytes, and the
+    duplicate collapse runs as one sorted-``np.unique`` over the packed
+    fingerprint array.  The dicts of the returned :class:`LocalIndex`
+    iterate in first-occurrence order (``tests/core/reference.py`` holds
+    the naive per-chunk builder this is tested against).
 
-    * chunks are hashed as ``memoryview`` slices (no ``bytes`` copy per
-      chunk; see :meth:`Fingerprinter.fingerprint_segment`), and only the
-      locally *unique* chunks are ever materialised as payload bytes;
-    * duplicate collapse runs as one sorted-``np.unique`` over the packed
-      fingerprint array instead of a dict probe per chunk.
+    ``boundaries`` replaces the fixed ``chunk_size`` grid with explicit
+    chunk end-offsets, one ascending list per segment ending at the
+    segment's length (content-defined chunking:
+    :meth:`repro.cdc.chunker.CDCChunker.boundaries`); ``chunk_size`` is then
+    only the upper bound the caller promises.  ``keep_payloads=False``
+    builds a fingerprints-only index (used by the deterministic global
+    simulator, which never moves real chunk bytes).
 
     ``cache``/``dirty_regions`` plug in a cross-dump
     :class:`~repro.core.fpcache.FingerprintCache`: clean chunks reuse their
     cached fingerprint and skip hashing entirely (differential-checkpointing
-    style); payloads still come from the live dataset views.
+    style); payloads still come from the live dataset views.  The cache is
+    keyed by fixed-grid chunk index, so it is not consulted when
+    ``boundaries`` are given.
     """
-    if cache is not None:
-        fps = cache.fingerprint_dataset(dataset, fingerprinter, dirty_regions)
+    seg_views = [dataset.segment(i) for i in range(dataset.num_segments)]
+    if boundaries is not None:
+        views: List[memoryview] = []
+        for view, ends in zip(seg_views, boundaries):
+            views.extend(view[lo:hi] for lo, hi in zip([0, *ends], ends))
+        fps = fingerprinter.fingerprint_views(views)
+        chunk_view_at = views.__getitem__
     else:
-        fps = []
-        for i in range(dataset.num_segments):
-            fps.extend(
-                fingerprinter.fingerprint_segment(dataset.segment(i), chunk_size)
-            )
+        if cache is not None:
+            fps = cache.fingerprint_dataset(dataset, fingerprinter, dirty_regions)
+        else:
+            fps = []
+            for view in seg_views:
+                fps.extend(fingerprinter.fingerprint_segment(view, chunk_size))
+
+        # Chunk-index -> segment resolution for the few first-occurrence
+        # payload slices below (duplicates never get materialised, and
+        # neither do the non-first copies of unique chunks).
+        starts = [0]
+        for view in seg_views:
+            starts.append(starts[-1] + num_chunks(len(view), chunk_size))
+
+        def chunk_view_at(i: int) -> memoryview:
+            s = bisect_right(starts, i) - 1
+            offset = (i - starts[s]) * chunk_size
+            return seg_views[s][offset : offset + chunk_size]
 
     index = LocalIndex()
     index.order = fps
     if not fps:
         return index
-
-    # Chunk-index -> segment resolution for the few first-occurrence
-    # payload slices below (duplicates never get materialised, and neither
-    # do the non-first copies of unique chunks).
-    seg_views = [dataset.segment(i) for i in range(dataset.num_segments)]
-    starts = [0]
-    for view in seg_views:
-        starts.append(starts[-1] + num_chunks(len(view), chunk_size))
-
-    def chunk_view_at(i: int) -> memoryview:
-        s = bisect_right(starts, i) - 1
-        offset = (i - starts[s]) * chunk_size
-        return seg_views[s][offset : offset + chunk_size]
 
     digest = fingerprinter.digest_size
     arr = np.frombuffer(b"".join(fps), dtype=np.dtype((np.void, digest)))
@@ -162,7 +138,7 @@ def local_dedup_batched(
         arr, return_index=True, return_counts=True
     )
     # np.unique sorts by fingerprint value; re-walk in first-occurrence
-    # order so the dicts iterate exactly like the per-chunk builder's.
+    # order so the dicts iterate in dataset order.
     for u in np.argsort(first_idx):
         i = int(first_idx[u])
         fp = fps[i]

@@ -27,9 +27,9 @@ window offsets with the same record bytes, local stores replay the same
 ``(fingerprint, payload)`` sequence (put accounting is additive), and the
 post-fence tail (decode received regions, commit replicas, manifest
 exchange) is unchanged.  Configurations the pipeline cannot express —
-legacy per-chunk path, CDC chunking, parity redundancy, degraded mode —
-are rejected by :func:`pipeline_eligible` and silently fall back to the
-strict phases in :mod:`repro.core.dump`.
+parity redundancy, degraded mode — are rejected by
+:func:`pipeline_eligible` and silently fall back to the strict phases in
+:mod:`repro.core.dump`.
 
 Observability: each batch records a ``pipeline`` span tagged with
 ``stage=hash|exchange|write`` and the batch number (trace level "span"),
@@ -71,31 +71,33 @@ from repro.storage.manifest import Manifest
 PIPELINE_BATCH_SLOTS = 64
 
 
-def pipeline_eligible(config: DumpConfig, batched: bool) -> bool:
+def pipeline_eligible(config: DumpConfig) -> bool:
     """True when this dump may take a pipelined path at all.
 
-    ``batched`` is the dump's resolved hot-path flag (fixed-size chunking
-    with the array-backed hash); the legacy per-chunk path, CDC chunking,
-    parity redundancy and degraded mode all fall back to strict phases.
+    Parity redundancy and degraded mode fall back to strict phases.  The
+    2-stage form works on the plan, so it does not care how the chunks
+    were cut: fixed and content-defined chunking are equally eligible.
     """
     return (
         config.pipelined
-        and batched
         and not config.degraded
         and config.redundancy == "replication"
     )
 
 
-def pipeline_full_eligible(config: DumpConfig, batched: bool, fpcache) -> bool:
+def pipeline_full_eligible(config: DumpConfig, fpcache) -> bool:
     """True when the dump may take the 3-stage hash→exchange→write form.
 
-    Requires no-dedup (the Load vector is known before hashing), raw
-    payloads (compression changes wire sizes mid-stream) and no
-    fingerprint cache (the cache API wants whole-dataset resolution).
+    Requires no-dedup and fixed-size chunking (the Load vector must be
+    known before hashing: the chunk count follows from the segment lengths
+    on the fixed grid, but from the content under CDC), raw payloads
+    (compression changes wire sizes mid-stream) and no fingerprint cache
+    (the cache API wants whole-dataset resolution).
     """
     return (
-        pipeline_eligible(config, batched)
+        pipeline_eligible(config)
         and config.strategy is Strategy.NO_DEDUP
+        and config.chunking == "fixed"
         and config.compress is None
         and fpcache is None
     )

@@ -8,28 +8,23 @@ survived, else from any live replica holder.  Restoration succeeding after
 K-1 node failures is the end-to-end guarantee every strategy must provide —
 the integration suite drives this path for all of them.
 
-Two implementations share the same observable behaviour:
-
-* the **batched hot path** (default, ``batched=True``) plans every source
-  in one vectorised pass (:func:`repro.core.restore_plan.plan_restore`),
-  pulls each holder's chunks with one ``get_many`` per node, and cuts
-  segments straight from the chunk list;
-* the **legacy per-chunk loop** (``batched=False``), kept as the reference
-  the equivalence suite and ``benchmarks/test_restore_scaling.py`` compare
-  against — byte-identical datasets and reports, field for field.
+Every source is planned in one vectorised pass
+(:func:`repro.core.restore_plan.plan_restore`), each holder's chunks are
+pulled with one ``get_many`` per node, and segments are cut straight from
+the chunk list.  The naive per-chunk loop this must match, bytes and
+report field for field, is ``tests/core/reference.py``.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.core.chunking import Dataset
-from repro.core.fingerprint import Fingerprint
-from repro.core.restore_plan import RECONSTRUCT, cut_segments, plan_restore
+from repro.core.restore_plan import cut_segments, plan_restore
 from repro.storage.local_store import Cluster, StorageError
 
 
@@ -56,14 +51,11 @@ def restore_dataset(
     cluster: Cluster,
     rank: int,
     dump_id: int = 0,
-    batched: bool = True,
     trace=None,
 ) -> "tuple[Dataset, RestoreReport]":
     """Rebuild rank ``rank``'s dataset for ``dump_id`` from live nodes.
 
-    ``batched`` selects the vectorised hot path (default) or the legacy
-    per-chunk reference loop; both produce byte-identical datasets and
-    reports.  Pass a :class:`~repro.simmpi.trace.Trace` to record
+    Pass a :class:`~repro.simmpi.trace.Trace` to record
     ``restore-plan``/``restore-request``/``restore-reassemble`` spans and
     the ``restore_locality`` gauge (fraction of restored frame bytes served
     by the rank's own node).
@@ -84,34 +76,23 @@ def restore_dataset(
             f"(dirty chunks only) — restore its epoch through the chain "
             f"manager, not restore_dataset",
         )
-    return restore_from_manifest(
-        cluster, rank, manifest, batched=batched, trace=trace
-    )
+    return restore_from_manifest(cluster, rank, manifest, trace=trace)
 
 
 def restore_from_manifest(
     cluster: Cluster,
     rank: int,
     manifest,
-    batched: bool = True,
     trace=None,
 ) -> "tuple[Dataset, RestoreReport]":
     """Rebuild a dataset from an explicit (possibly synthetic) manifest.
 
     The chain layer resolves an epoch's newest-wins chunk set into a
     synthetic full manifest and feeds it through here, reusing the whole
-    batched planning/fetch/reassembly hot path without the manifest ever
-    touching a store.  ``manifest.delta`` is ignored — the caller vouches
-    that the fingerprint list describes a complete dataset.
+    planning/fetch/reassembly path without the manifest ever touching a
+    store.  ``manifest.delta`` is ignored — the caller vouches that the
+    fingerprint list describes a complete dataset.
     """
-    if batched:
-        return _restore_dataset_batched(cluster, rank, manifest, trace)
-    return _restore_dataset_legacy(cluster, rank, manifest)
-
-
-def _restore_dataset_batched(
-    cluster: Cluster, rank: int, manifest, trace
-) -> "tuple[Dataset, RestoreReport]":
     dump_id = manifest.dump_id
     report = RestoreReport(rank=rank, dump_id=dump_id)
     if manifest.compressed:
@@ -182,64 +163,6 @@ def _restore_dataset_batched(
         report.total_bytes = sum(manifest.segment_lengths)
         if trace is not None:
             trace.annotate(total_bytes=report.total_bytes)
-    return Dataset(segments), report
-
-
-def _restore_dataset_legacy(
-    cluster: Cluster, rank: int, manifest
-) -> "tuple[Dataset, RestoreReport]":
-    dump_id = manifest.dump_id
-    report = RestoreReport(rank=rank, dump_id=dump_id)
-    if manifest.compressed:
-        from repro.compress.codecs import decode_auto
-    else:
-        decode_auto = None
-
-    own_node = cluster.node_of(rank)
-    own_alive = own_node.alive
-    cache: Dict[Fingerprint, bytes] = {}
-    chunks: List[bytes] = []
-    for fp in manifest.fingerprints:
-        payload = cache.get(fp)
-        if payload is None:
-            if own_alive and own_node.chunks.has(fp):
-                payload = own_node.chunks.get(fp)
-                report.local_chunks += 1
-                report.source_nodes[own_node.node_id] = (
-                    report.source_nodes.get(own_node.node_id, 0) + 1
-                )
-            else:
-                holders = cluster.locate(fp)
-                if holders:
-                    # Least-loaded live holder (fewest chunks served so far,
-                    # ties by node id): a mass restore after failures spreads
-                    # its reads across every surviving replica holder instead
-                    # of hammering the lowest-numbered node.
-                    source = min(
-                        holders,
-                        key=lambda h: (report.source_nodes.get(h, 0), h),
-                    )
-                    payload = cluster.nodes[source].chunks.get(fp)
-                    report.source_nodes[source] = (
-                        report.source_nodes.get(source, 0) + 1
-                    )
-                else:
-                    # Last resort: erasure-coded redundancy (parity mode) —
-                    # decode the chunk from its stripe's survivors.
-                    from repro.erasure.ec_dump import reconstruct_chunk
-
-                    payload = reconstruct_chunk(cluster, fp, dump_id)
-                    report.decoded_chunks += 1
-                report.remote_chunks += 1
-                report.remote_bytes += len(payload)
-            if decode_auto is not None:
-                payload = decode_auto(payload)
-            cache[fp] = payload
-        chunks.append(payload)
-
-    # Reassemble segments by cutting the chunk list at segment boundaries.
-    segments = cut_segments(chunks, manifest.segment_lengths, rank)
-    report.total_bytes = sum(manifest.segment_lengths)
     return Dataset(segments), report
 
 

@@ -9,9 +9,9 @@ the dump hot path.  This module is the restore-side mirror:
   distinct fingerprints in first-occurrence order (numpy dedup over the
   fixed-width digest column), resolves holders with one ``has_many`` sweep
   per live node, and assigns each remote chunk to the least-loaded live
-  holder with the *same greedy policy and tie-break* as the legacy
-  per-chunk loop — so the batched path is byte-identical in both data and
-  report accounting.  The dominant case (every remote chunk replicated to
+  holder with the *same greedy policy and tie-break* as the naive
+  per-chunk loop (``tests/core/reference.py``) — byte-identical in both
+  data and report accounting.  The dominant case (every remote chunk replicated to
   the same holder set, which is what partner replication produces) is
   assigned in one closed-form round-robin instead of a per-chunk loop.
 * :func:`cut_segments` reassembles segment structure by cutting the chunk
@@ -136,7 +136,7 @@ def plan_restore(
 ) -> RestorePlan:
     """Resolve a manifest's fingerprints to sources in one batched pass.
 
-    Reproduces the legacy per-chunk greedy exactly: fingerprints are
+    Reproduces the per-chunk greedy exactly: fingerprints are
     considered in first-occurrence order; a chunk on the rank's own live
     node is served locally, otherwise the least-loaded live holder wins
     (fewest chunks assigned so far — local assignments included — with ties
@@ -233,8 +233,8 @@ def cut_segments(
     falls on a chunk boundary), so peak memory is one dataset copy instead
     of two.  Segment boundaries are resolved against the chunk-offset
     column with one ``searchsorted`` instead of a per-chunk walk.  Raises
-    the same manifest-inconsistency error as the legacy path when the
-    segment structure does not cover the chunk bytes.
+    a manifest-inconsistency :class:`StorageError` when the segment
+    structure does not cover the chunk bytes.
     """
     n_chunks = len(chunks)
     lens = np.fromiter(map(len, chunks), dtype=np.int64, count=n_chunks)

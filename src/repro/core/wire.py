@@ -10,7 +10,7 @@ makes a received chunk a usable *replica* rather than anonymous bytes.
 from __future__ import annotations
 
 import struct
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -24,16 +24,6 @@ def slot_nbytes(digest_size: int, chunk_size: int) -> int:
     return digest_size + _LEN.size + chunk_size
 
 
-def encode_record(fp: Fingerprint, chunk: bytes, chunk_size: int) -> bytes:
-    """Encode one (fingerprint, chunk) pair into a fixed-size slot."""
-    if len(chunk) > chunk_size:
-        raise ValueError(
-            f"chunk of {len(chunk)}B exceeds the slot payload size {chunk_size}B"
-        )
-    pad = chunk_size - len(chunk)
-    return b"".join((fp, _LEN.pack(len(chunk)), chunk, b"\x00" * pad))
-
-
 def encode_records_into(
     out: bytearray,
     records: Iterable[Tuple[Fingerprint, bytes]],
@@ -43,10 +33,10 @@ def encode_records_into(
 ) -> int:
     """Pack records into consecutive slots of a preallocated buffer.
 
-    The batched sibling of :func:`encode_record`: one partner's whole
-    region is assembled in place (no per-record ``bytes`` concatenation)
-    and shipped with a single window put.  Byte-identical to concatenating
-    ``encode_record`` outputs.  Returns the number of records packed.
+    One partner's whole region is assembled in place (no per-record
+    ``bytes`` concatenation) and shipped with a single window put.  Each
+    slot is ``fingerprint | u32 length | payload | zero padding``.  Returns
+    the number of records packed.
 
     ``out`` may be reused across partners: padding after each payload is
     zeroed explicitly, so stale bytes from a previous, longer region cannot
@@ -128,8 +118,8 @@ def decode_region_unique(
     collapsing in one ``np.unique`` sweep avoids materialising a payload
     ``bytes`` per slot.  Precondition (guaranteed by content addressing):
     slots sharing a fingerprint carry identical payloads.  Slot headers are
-    validated in one numpy sweep over the region, with the errors
-    :func:`decode_region` raises.
+    validated in one numpy sweep over the region: a region reaching past
+    the buffer or a length field above ``chunk_size`` raises ``ValueError``.
     """
     if slot_count <= 0:
         return [], [], 0
@@ -174,32 +164,6 @@ def decode_region_unique(
         )
         multiplicities.append(int(counts[u]))
     return pairs, multiplicities, int(lengths.sum())
-
-
-def decode_region(
-    buffer: bytes,
-    digest_size: int,
-    chunk_size: int,
-    start_slot: int,
-    slot_count: int,
-) -> List[Tuple[Fingerprint, bytes]]:
-    """Decode ``slot_count`` records starting at ``start_slot``."""
-    slot = slot_nbytes(digest_size, chunk_size)
-    out: List[Tuple[Fingerprint, bytes]] = []
-    for i in range(start_slot, start_slot + slot_count):
-        base = i * slot
-        record = buffer[base : base + slot]
-        if len(record) < slot:
-            raise ValueError(
-                f"window truncated: slot {i} needs {slot}B, have {len(record)}B"
-            )
-        fp = record[:digest_size]
-        (length,) = _LEN.unpack_from(record, digest_size)
-        if length > chunk_size:
-            raise ValueError(f"corrupt record in slot {i}: length {length}")
-        payload = record[digest_size + _LEN.size : digest_size + _LEN.size + length]
-        out.append((fp, payload))
-    return out
 
 
 # -- packed merge-state codec -------------------------------------------------
@@ -375,17 +339,16 @@ def decode_global_view(blob):
 # pickled python lists: a request is the raw fingerprint column under a
 # small header, a reply is a u32 length column plus the concatenated chunk
 # payloads.  Decoding is a zero-copy `np.frombuffer` over the columns.
-# Mirrors the RCD1/RCDP arrangement in `repro.storage.delta_codec`: inputs
-# the packed layout cannot carry (mixed digest widths, >4GiB payloads)
-# fall back to whole-object pickle under a distinct magic.
+# The blobs arrive from a peer, so both decoders check every length against
+# the blob before cutting it and raise a ``ValueError`` naming the codec;
+# inputs the packed layout cannot carry (ragged or zero-length digests, a
+# payload of 4 GiB or more) are rejected when encoding.
 
 _RQ_HEADER = struct.Struct("<4sBBHI")  # magic, digest, flags, reserved, count
 _RQ_MAGIC = b"RRQ1"
-_RQ_PICKLE_MAGIC = b"RRQP"
 
 _RP_HEADER = struct.Struct("<4sI")  # magic, count
 _RP_MAGIC = b"RRP1"
-_RP_PICKLE_MAGIC = b"RRPP"
 
 
 def encode_restore_request(fps: Iterable[Fingerprint]) -> bytes:
@@ -393,24 +356,26 @@ def encode_restore_request(fps: Iterable[Fingerprint]) -> bytes:
     fps = fps if isinstance(fps, (list, tuple)) else list(fps)
     n = len(fps)
     digest = len(fps[0]) if n else 0
-    if n and (digest == 0 or any(len(fp) != digest for fp in fps)):
-        import pickle
-
-        return _RQ_PICKLE_MAGIC + pickle.dumps(
-            list(fps), protocol=pickle.HIGHEST_PROTOCOL
+    if n and (not 0 < digest < 256 or any(len(fp) != digest for fp in fps)):
+        raise ValueError(
+            "RRQ1: fingerprints must share one width of 1..255 bytes, got "
+            f"{sorted({len(fp) for fp in fps})}"
         )
     return _RQ_HEADER.pack(_RQ_MAGIC, digest, 0, 0, n) + b"".join(fps)
 
 
 def decode_restore_request(blob: bytes) -> List[Fingerprint]:
     """Rebuild the fingerprint list of :func:`encode_restore_request`."""
-    if blob[:4] == _RQ_PICKLE_MAGIC:
-        import pickle
-
-        return pickle.loads(blob[4:])
+    if len(blob) < _RQ_HEADER.size:
+        raise ValueError(f"RRQ1: blob of {len(blob)}B is shorter than its header")
     magic, digest, _flags, _reserved, n = _RQ_HEADER.unpack_from(blob, 0)
     if magic != _RQ_MAGIC:
-        raise ValueError(f"bad restore-request blob magic {magic!r}")
+        raise ValueError(f"RRQ1: bad restore-request blob magic {bytes(magic)!r}")
+    if len(blob) != _RQ_HEADER.size + n * digest or (n and not digest):
+        raise ValueError(
+            f"RRQ1: {n} digests of {digest}B need "
+            f"{_RQ_HEADER.size + n * digest}B, blob has {len(blob)}B"
+        )
     if not n:
         return []
     # Void dtype, not S: numpy's S strings are null-stripped, which would
@@ -430,10 +395,8 @@ def encode_restore_reply(payloads: Iterable[bytes]) -> bytes:
         (len(p) for p in payloads), dtype=np.int64, count=n
     )
     if n and int(lengths.max()) >= 1 << 32:
-        import pickle
-
-        return _RP_PICKLE_MAGIC + pickle.dumps(
-            list(payloads), protocol=pickle.HIGHEST_PROTOCOL
+        raise ValueError(
+            f"RRP1: payload of {int(lengths.max())}B exceeds the u32 length field"
         )
     return b"".join(
         [
@@ -451,34 +414,27 @@ def decode_restore_reply(blob: bytes) -> List[bytes]:
     cut from one memoryview of the blob (one copy per chunk, none of the
     whole stream).
     """
-    if blob[:4] == _RP_PICKLE_MAGIC:
-        import pickle
-
-        return pickle.loads(blob[4:])
+    if len(blob) < _RP_HEADER.size:
+        raise ValueError(f"RRP1: blob of {len(blob)}B is shorter than its header")
     magic, n = _RP_HEADER.unpack_from(blob, 0)
     if magic != _RP_MAGIC:
-        raise ValueError(f"bad restore-reply blob magic {magic!r}")
-    pos = _RP_HEADER.size
-    lengths = np.frombuffer(blob, dtype="<u4", count=n, offset=pos)
-    pos += 4 * n
+        raise ValueError(f"RRP1: bad restore-reply blob magic {bytes(magic)!r}")
+    pos = _RP_HEADER.size + 4 * n
+    if pos > len(blob):
+        raise ValueError(
+            f"RRP1: length column of {n} payloads needs {pos}B, "
+            f"blob has {len(blob)}B"
+        )
+    lengths = np.frombuffer(blob, dtype="<u4", count=n, offset=_RP_HEADER.size)
+    expected = pos + int(lengths.sum(dtype=np.int64))
+    if expected != len(blob):
+        raise ValueError(
+            f"RRP1: header and lengths describe {expected}B, "
+            f"blob has {len(blob)}B"
+        )
     view = memoryview(blob)
     payloads: List[bytes] = []
     for length in lengths.tolist():
         payloads.append(bytes(view[pos : pos + length]))
         pos += length
     return payloads
-
-
-def iter_window_records(
-    buffer: bytes, digest_size: int, chunk_size: int
-) -> Iterator[Tuple[Fingerprint, bytes]]:
-    """Decode every slot of a fully packed window."""
-    slot = slot_nbytes(digest_size, chunk_size)
-    if len(buffer) % slot:
-        raise ValueError(
-            f"window of {len(buffer)}B is not a multiple of the slot size {slot}B"
-        )
-    for fp, payload in decode_region(
-        buffer, digest_size, chunk_size, 0, len(buffer) // slot
-    ):
-        yield fp, payload

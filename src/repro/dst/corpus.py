@@ -1,16 +1,13 @@
 """Seed-corpus management for the CI fuzz job.
 
 The checked-in corpus (``tests/dst/corpus/*.json``) is a set of generated
-scenarios frozen as JSON, chosen to cover the feature matrix (batched and
-legacy paths, degraded dumps with mid-dump and between-dump crashes,
-repair, parity redundancy, compression, the fingerprint-cache mode, the
+scenarios frozen as JSON, chosen to cover the feature matrix (degraded
+dumps with mid-dump and between-dump crashes, repair, parity redundancy, compression, the fingerprint-cache mode, the
 pipelined dump with fast (non-cryptographic) fingerprints, sharded chunk
 stores, multi-tenant service scenarios with per-tenant GC, bursty
 arrival with idle ticks — including at least one seed whose queue-wait
 SLO fires, keeping the burn-rate engine's alert path replayed in CI —
-cross-backend differential runs, both the batched and legacy restore
-paths with the batched-vs-legacy differential oracle armed, and
-checkpoint-chain scenarios: delta dumps over an epoch-evolving workload,
+cross-backend differential runs, and checkpoint-chain scenarios: delta dumps over an epoch-evolving workload,
 prune/compact maintenance and chain crashes — including at least one
 long chain reaching depth >= 8 and one compacting chain, both replayed
 differentially on the thread and process backends).  CI replays the
@@ -30,7 +27,7 @@ from repro.dst.scenario import Scenario, load_scenario, save_scenario
 #: seeds frozen into the checked-in corpus; regenerate the JSON with
 #: ``write_corpus`` when the generator changes (the files are the source
 #: of truth for CI — a drifting generator does not silently change them)
-CORPUS_SEEDS = (1, 3, 7, 11, 21, 25, 33, 45, 48, 54, 67, 68, 722)
+CORPUS_SEEDS = (1, 3, 7, 11, 21, 25, 33, 45, 48, 54, 68, 85, 722)
 
 
 def default_corpus_dir() -> str:

@@ -231,7 +231,6 @@ def execute_scenario(
     fpcaches: Dict[int, object] = {}
     use_fpcache = (
         scenario.workload_mode == "repeat"
-        and config.batched
         and config.chunking == "fixed"
         and backend == "thread"
     )
@@ -259,7 +258,6 @@ def execute_scenario(
             found += inv.check_restore(
                 cluster, step_idx,
                 {key: 1 for key in ledger.floors}, oracle,
-                batched_restore=scenario.batched_restore,
             )
         else:
             checked.append("replication")
@@ -267,7 +265,6 @@ def execute_scenario(
             checked.append("restore")
             found += inv.check_restore(
                 cluster, step_idx, ledger.floors, oracle,
-                batched_restore=scenario.batched_restore,
             )
             checked.append("audit-consistency")
             found += inv.check_audit_consistency(
@@ -482,7 +479,6 @@ def _execute_svc_scenario(
         checked.append("restore")
         found += inv.check_restore(
             cluster, step_idx, ledger.floors, oracle,
-            batched_restore=scenario.batched_restore,
         )
         checked.append("audit-consistency")
         known = sorted({d for d, _r in ledger.floors})
@@ -734,7 +730,6 @@ def _execute_chain_scenario(
         checked.append("chain-restore")
         found += inv.check_chain_restore(
             manager, step_idx, effective_floors(), oracle,
-            batched_restore=scenario.batched_restore,
         )
         return found
 

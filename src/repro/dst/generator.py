@@ -17,11 +17,11 @@ Generation respects the constraints that make the invariant oracles sound:
   whose failure semantics are identical across SPMD backends;
 * parity redundancy (incompatible with degraded mode) is only drawn for
   crash-free, coll-dedup, non-differential scenarios;
-* the fingerprint-cache mode (``workload_mode="repeat"``) requires the
-  batched fixed-size path and is never differential (per-rank caches do
-  not survive the process backend's forks);
+* the fingerprint-cache mode (``workload_mode="repeat"``) is never
+  differential (per-rank caches do not survive the process backend's
+  forks);
 * ``pipelined=True`` is only drawn for configs the pipelined dump
-  actually accepts (batched replication, non-degraded), so the knob never
+  actually accepts (replication, non-degraded), so the knob never
   silently degenerates to the strict path; ``integrity`` varies freely;
 * bursty arrival (whole dump-runs submitted up front, idle ``tick`` steps
   between bursts) is only drawn for multi-tenant scenarios — it is a
@@ -63,7 +63,7 @@ def generate_scenario(seed: int) -> Scenario:
     strategy = rng.choice(
         ("coll-dedup", "coll-dedup", "coll-dedup", "local-dedup", "no-dedup")
     )
-    batched = rng.random() < 0.8
+    rng.random()  # retired draw (batched dump), kept so seeds keep their scenarios
     shuffle = rng.random() < 0.7
     compress = rng.choice(COMPRESS_CHOICES)
     workload = WorkloadSpec(
@@ -74,7 +74,7 @@ def generate_scenario(seed: int) -> Scenario:
     )
 
     parity = strategy == "coll-dedup" and rng.random() < 0.12
-    repeat = not parity and batched and rng.random() < 0.15
+    repeat = not parity and rng.random() < 0.15
     differential = (
         not parity and not repeat and rng.random() < 0.35
     )
@@ -89,15 +89,11 @@ def generate_scenario(seed: int) -> Scenario:
         return Scenario(
             seed=seed, n_ranks=n, k=k, chunk_size=chunk_size,
             chunks_per_rank=chunks_per_rank, f_threshold=f_threshold,
-            strategy=strategy, batched=batched, shuffle=shuffle,
+            strategy=strategy, shuffle=shuffle,
             redundancy="parity", compress=compress, degraded=False,
             integrity=rng.choice(("crypto", "crypto", "fast")),
             workload_mode="fresh", workload=workload,
             steps=tuple(steps), differential=False,
-            # Trailing draw (stability rule): batched restore engages for
-            # every config — including parity, where it reaches the
-            # erasure-decode fallback — so the draw needs no gate.
-            batched_restore=rng.random() < 0.7,
         )
 
     alive = [True] * n
@@ -139,10 +135,10 @@ def generate_scenario(seed: int) -> Scenario:
 
     degraded = any_crash or rng.random() < 0.2
     # New dimensions draw last so older seeds keep their step schedules.
-    # Pipelined dumps need the batched replication path and no degraded
-    # mode (dump.py falls back to strict otherwise); gating the knob here
-    # keeps the feature matrix honest — a drawn True always engages.
-    pipelined = rng.random() < 0.35 and batched and not degraded
+    # Pipelined dumps need replication and no degraded mode (dump.py falls
+    # back to strict otherwise); gating the knob here keeps the feature
+    # matrix honest — a drawn True always engages.
+    pipelined = rng.random() < 0.35 and not degraded
     integrity = rng.choice(("crypto", "crypto", "fast"))
 
     # Store sharding and multi-tenancy draw after everything else (same
@@ -172,12 +168,9 @@ def generate_scenario(seed: int) -> Scenario:
                 live[t] -= 1
         steps = tenant_steps
 
-    # Trailing draw (stability rule).  Batched restore engages for every
-    # config — it is a property of the read path, not the dump — so the
-    # draw needs no gate; False keeps the legacy loop covered.
-    batched_restore = rng.random() < 0.7
+    rng.random()  # retired draw (batched restore), kept so seeds keep their scenarios
 
-    # Arrival pattern draws after batched_restore (same stability rule).
+    # Arrival pattern draws after it (same stability rule).
     # Bursty arrival only means anything to the service path, so it is
     # gated on multi-tenancy; the burstification below inserts idle ticks
     # between Poisson-ish bursts so the queue drains and the SLO engine
@@ -256,7 +249,7 @@ def generate_scenario(seed: int) -> Scenario:
     return Scenario(
         seed=seed, n_ranks=n, k=k, chunk_size=chunk_size,
         chunks_per_rank=chunks_per_rank, f_threshold=f_threshold,
-        strategy=strategy, batched=batched, shuffle=shuffle,
+        strategy=strategy, shuffle=shuffle,
         redundancy="replication", compress=compress,
         degraded=degraded, pipelined=pipelined, integrity=integrity,
         workload_mode="repeat" if repeat else "fresh",
@@ -264,7 +257,6 @@ def generate_scenario(seed: int) -> Scenario:
         differential=differential,
         tenants=tenants, tenant_overlap=tenant_overlap,
         shard_count=shard_count,
-        batched_restore=batched_restore,
         arrival=arrival,
         chain=chain,
     )

@@ -102,14 +102,9 @@ def check_restore(
     step: int,
     floors: Dict[Tuple[int, int], int],
     oracle,
-    batched_restore: bool = True,
 ) -> List[Violation]:
     """Every ``(dump, rank)`` with a positive floor must restore to exactly
     the bytes the application dumped (``oracle(dump_id, rank) -> bytes``).
-
-    When ``batched_restore`` is True the legacy per-chunk loop runs as a
-    differential reference: both paths must yield byte-identical datasets
-    and field-identical reports (the batched hot path's correctness bar).
     """
     out: List[Violation] = []
     for (dump_id, rank), floor in sorted(floors.items()):
@@ -117,9 +112,7 @@ def check_restore(
             continue
         expected = oracle(dump_id, rank)
         try:
-            dataset, report = restore_dataset(
-                cluster, rank, dump_id, batched=batched_restore
-            )
+            dataset, _report = restore_dataset(cluster, rank, dump_id)
         except StorageError as exc:
             out.append(Violation(
                 "restore", step,
@@ -134,30 +127,6 @@ def check_restore(
                 f"rank {rank} dump {dump_id} restored {len(actual)}B that "
                 f"differ from the {len(expected)}B oracle",
             ))
-        if batched_restore:
-            try:
-                legacy, legacy_report = restore_dataset(
-                    cluster, rank, dump_id, batched=False
-                )
-            except StorageError as exc:
-                out.append(Violation(
-                    "restore", step,
-                    f"rank {rank} dump {dump_id} restored batched but the "
-                    f"legacy reference failed: {exc}",
-                ))
-                continue
-            if legacy.to_bytes() != actual:
-                out.append(Violation(
-                    "restore", step,
-                    f"rank {rank} dump {dump_id}: batched restore bytes "
-                    f"diverge from the legacy per-chunk loop",
-                ))
-            if vars(legacy_report) != vars(report):
-                out.append(Violation(
-                    "restore", step,
-                    f"rank {rank} dump {dump_id}: batched restore report "
-                    f"{vars(report)} != legacy {vars(legacy_report)}",
-                ))
     return out
 
 
@@ -460,25 +429,20 @@ def check_chain_restore(
     step: int,
     epoch_floors: Dict[Tuple[int, int], int],
     oracle,
-    batched_restore: bool = True,
 ) -> List[Violation]:
     """Time-travel soundness: every live ``(epoch, rank)`` whose
     *effective floor* — the minimum replica floor over every dump on the
     epoch's ancestor path — is positive must restore to exactly the bytes
     the workload held at that epoch (``oracle(epoch, rank) -> bytes``).
     Below the floor a typed failure is acceptable, silently wrong bytes
-    never are: whatever a restore returns must equal the oracle.  With
-    ``batched_restore`` the legacy per-chunk loop runs as a differential
-    reference, exactly as in :func:`check_restore`."""
+    never are: whatever a restore returns must equal the oracle."""
     from repro.chain.errors import ChainError
 
     out: List[Violation] = []
     for (epoch, rank), floor in sorted(epoch_floors.items()):
         expected = oracle(epoch, rank)
         try:
-            dataset, report = manager.restore_epoch(
-                rank, epoch, batched=batched_restore
-            )
+            dataset, _report = manager.restore_epoch(rank, epoch)
         except (ChainError, StorageError) as exc:
             if floor >= 1:
                 out.append(Violation(
@@ -494,30 +458,6 @@ def check_chain_restore(
                 f"epoch {epoch} rank {rank} restored {len(actual)}B that "
                 f"differ from the {len(expected)}B per-epoch oracle",
             ))
-        if batched_restore:
-            try:
-                legacy, legacy_report = manager.restore_epoch(
-                    rank, epoch, batched=False
-                )
-            except (ChainError, StorageError) as exc:
-                out.append(Violation(
-                    "chain-restore", step,
-                    f"epoch {epoch} rank {rank} restored batched but the "
-                    f"legacy reference failed: {exc}",
-                ))
-                continue
-            if legacy.to_bytes() != actual:
-                out.append(Violation(
-                    "chain-restore", step,
-                    f"epoch {epoch} rank {rank}: batched restore bytes "
-                    f"diverge from the legacy per-chunk loop",
-                ))
-            if vars(legacy_report) != vars(report):
-                out.append(Violation(
-                    "chain-restore", step,
-                    f"epoch {epoch} rank {rank}: batched restore report "
-                    f"{vars(report)} != legacy {vars(legacy_report)}",
-                ))
     return out
 
 

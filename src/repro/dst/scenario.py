@@ -2,8 +2,8 @@
 
 A :class:`Scenario` is a complete, serializable description of one
 dump→crash→repair→restore experiment: the cluster shape (ranks, K, chunk
-geometry), the dump configuration flags under test (strategy, batched vs
-legacy path, shuffle, redundancy mode, compression, degraded operation),
+geometry), the dump configuration flags under test (strategy, shuffle,
+redundancy mode, compression, degraded operation),
 the synthetic workload composition, and an ordered *step schedule* mixing
 collective dumps (optionally with a mid-dump node crash at a chosen
 phase), between-dump node crashes and online repairs.
@@ -177,14 +177,13 @@ class Scenario:
     chunks_per_rank: int = 6
     f_threshold: int = 4096
     strategy: str = "coll-dedup"
-    batched: bool = True
     shuffle: bool = True
     redundancy: str = "replication"
     compress: Optional[str] = None
     degraded: bool = False
     #: request the double-buffered hash/exchange/write pipeline; silently
     #: falls back to the strict phase order when the config is ineligible
-    #: (legacy path, degraded, parity) — byte-identical either way, which
+    #: (degraded, parity) — byte-identical either way, which
     #: is exactly what the invariant oracles then re-prove
     pipelined: bool = False
     #: fingerprint integrity mode: ``"crypto"`` (sha1) or ``"fast"`` (the
@@ -209,10 +208,6 @@ class Scenario:
     tenant_overlap: float = 0.5
     #: fingerprint-prefix shards per node store (1 = flat store)
     shard_count: int = 1
-    #: restore through the batched hot path (True) or the legacy per-chunk
-    #: loop (False); when True the restore oracle also runs the legacy path
-    #: and requires byte-identical datasets and reports
-    batched_restore: bool = True
     #: request arrival pattern (multi-tenant only, see :data:`ARRIVAL_MODES`)
     arrival: str = "steady"
     #: incremental checkpoint chain mode: dumps route through
@@ -355,7 +350,6 @@ class Scenario:
             chunk_size=self.chunk_size,
             f_threshold=self.f_threshold,
             strategy=Strategy.parse(self.strategy),
-            batched=self.batched,
             shuffle=self.shuffle,
             redundancy=self.redundancy,
             compress=self.compress,
@@ -436,7 +430,6 @@ class Scenario:
             "chunks_per_rank": self.chunks_per_rank,
             "f_threshold": self.f_threshold,
             "strategy": self.strategy,
-            "batched": self.batched,
             "shuffle": self.shuffle,
             "redundancy": self.redundancy,
             "compress": self.compress,
@@ -450,7 +443,6 @@ class Scenario:
             "tenants": self.tenants,
             "tenant_overlap": self.tenant_overlap,
             "shard_count": self.shard_count,
-            "batched_restore": self.batched_restore,
             "arrival": self.arrival,
             "chain": self.chain,
         }
@@ -479,7 +471,6 @@ class Scenario:
                 chunks_per_rank=int(doc["chunks_per_rank"]),
                 f_threshold=int(doc.get("f_threshold", 4096)),
                 strategy=str(doc.get("strategy", "coll-dedup")),
-                batched=bool(doc.get("batched", True)),
                 shuffle=bool(doc.get("shuffle", True)),
                 redundancy=str(doc.get("redundancy", "replication")),
                 compress=doc.get("compress"),
@@ -493,7 +484,6 @@ class Scenario:
                 tenants=int(doc.get("tenants", 1)),
                 tenant_overlap=float(doc.get("tenant_overlap", 0.5)),
                 shard_count=int(doc.get("shard_count", 1)),
-                batched_restore=bool(doc.get("batched_restore", True)),
                 arrival=str(doc.get("arrival", "steady")),
                 chain=bool(doc.get("chain", False)),
             )

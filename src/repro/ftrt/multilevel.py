@@ -140,7 +140,6 @@ class MultiLevelRuntime:
                 self.cluster,
                 self.comm.rank,
                 dump_id,
-                batched=self.runtime.config.batched,
                 trace=self.comm.trace,
             )
             level = "L1"

@@ -156,7 +156,6 @@ class CheckpointRuntime:
                 self.cluster,
                 self.comm.rank,
                 dump_id,
-                batched=self.config.batched,
                 trace=self.comm.trace,
             )
         total = report.local_chunks + report.remote_chunks

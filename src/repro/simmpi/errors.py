@@ -15,11 +15,11 @@ class DeadlockError(SimMPIError):
 
 
 class PeerFailedError(DeadlockError):
-    """A barrier was released because another rank failed first.
+    """A barrier or receive was released because another rank failed first.
 
     A *secondary* failure: the rank that raises it did nothing wrong, it was
     waiting for a peer that raised (or timed out) and the world aborted the
-    barrier so the run fails fast.  The peer's own failure is the root
+    wait so the run fails fast.  The peer's own failure is the root
     cause; :class:`WorldError` leads with that one.
     """
 

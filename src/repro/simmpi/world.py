@@ -23,6 +23,7 @@ rank is a thread of the calling interpreter) plus the backend-dispatching
 
 from __future__ import annotations
 
+import queue
 import threading
 import time
 from typing import Any, Callable, Dict, List, Optional
@@ -34,9 +35,19 @@ from repro.simmpi.backend import (
     resolve_timeout,
 )
 from repro.simmpi.comm import Communicator, _Mailbox
-from repro.simmpi.errors import DeadlockError, SimMPIError, WorldError
+from repro.simmpi.errors import (
+    DeadlockError,
+    PeerFailedError,
+    SimMPIError,
+    WorldError,
+)
 
 __all__ = ["DEFAULT_TIMEOUT", "World", "run_spmd"]
+
+#: How often a rank blocked in ``recv`` looks up to see whether the run was
+#: aborted.  Coarse on purpose: an idle wait wakes twenty times a second,
+#: and a dead peer is noticed within one slice instead of the world timeout.
+_ABORT_POLL_S = 0.05
 
 
 class _WindowSlot:
@@ -104,8 +115,25 @@ class World(BaseWorld):
         self._mailboxes[dest].queue_for(source, tag).put(obj)
 
     def deliver(self, rank: int, source: int, tag: int, timeout: float) -> Any:
-        # Raises queue.Empty on timeout; the communicator translates.
-        return self._mailboxes[rank].queue_for(source, tag).get(timeout=timeout)
+        # Raises queue.Empty on timeout; the communicator translates.  The
+        # wait is sliced so that a receiver notices the abort ``run`` signals
+        # through the barrier when a rank fails; a message that is already
+        # queued still wins over the abort.
+        inbox = self._mailboxes[rank].queue_for(source, tag)
+        deadline = time.monotonic() + timeout
+        while True:
+            remaining = deadline - time.monotonic()
+            try:
+                return inbox.get(timeout=max(0.0, min(remaining, _ABORT_POLL_S)))
+            except queue.Empty:
+                if self.barrier.broken:
+                    raise PeerFailedError(
+                        f"rank {rank}: recv(source={source}, tag={tag}) "
+                        "aborted because a peer rank failed first (its "
+                        "failure is the root cause)"
+                    ) from None
+                if remaining <= _ABORT_POLL_S:
+                    raise
 
     def probe_pending(self, rank: int, source: int, tag: int) -> bool:
         return self._mailboxes[rank].queue_for(source, tag).qsize() > 0
@@ -166,7 +194,8 @@ class World(BaseWorld):
             except BaseException as exc:  # noqa: BLE001 - reported via WorldError
                 with failures_lock:
                     failures[rank] = exc
-                # Release peers stuck in the barrier so the run fails fast.
+                # Release peers stuck in the barrier or a recv so the run
+                # fails fast.
                 self.barrier.abort()
 
         threads = [

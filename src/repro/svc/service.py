@@ -459,9 +459,8 @@ class CheckpointService:
     def restore(self, tenant: str, rank: int, tenant_dump_id: int):
         """Restore ``rank``'s dataset of one of ``tenant``'s own dumps.
 
-        Runs the batched hot path whenever the service config does (the
-        default), recording restore spans and the ``restore_locality``
-        gauge on the service trace.  Every restore also lands its
+        Records restore spans and the ``restore_locality`` gauge on the
+        service trace.  Every restore also lands its
         counters/latency/locality on the service metrics and a ``restore``
         sample on the timeline, so :meth:`capture_metrics` snapshots cover
         the read path too.
@@ -472,7 +471,6 @@ class CheckpointService:
             self.cluster,
             rank,
             global_id,
-            batched=self.config.batched,
             trace=self.trace,
         )
         elapsed = time.perf_counter() - start
@@ -487,8 +485,8 @@ class CheckpointService:
         ).observe(elapsed)
         metrics.sketch("svc_restore_latency_sketch").observe(elapsed)
         metrics.sketch("svc_restore_locality_sketch").observe(locality)
-        # Chunk-based locality, set even on the legacy path (where the
-        # byte-based core gauge is not recorded).
+        # Chunk-based locality (the core ``restore_locality`` gauge is
+        # byte-based).
         metrics.gauge("svc_restore_locality").set(locality)
         self.timeline.record(
             "restore", self.tick,
@@ -691,9 +689,7 @@ class CheckpointService:
         self._state(tenant)
         manager = self.chain_of(tenant)
         start = time.perf_counter()
-        dataset, report = manager.restore_epoch(
-            rank, epoch, batched=self.config.batched
-        )
+        dataset, report = manager.restore_epoch(rank, epoch)
         elapsed = time.perf_counter() - start
         chunks = report.local_chunks + report.remote_chunks
         locality = report.local_chunks / chunks if chunks else 1.0

@@ -5,7 +5,7 @@ import pytest
 
 from repro.apps.base import SegmentedWorkload, process_grid_2d, process_grid_3d
 from repro.core.fingerprint import Fingerprinter
-from repro.core.local_dedup import local_dedup
+from repro.core.local_dedup import local_dedup_batched
 
 
 class TwoClassWorkload(SegmentedWorkload):
@@ -26,7 +26,7 @@ class TestBuildIndices:
         n = 5
         indices = w.build_indices(n, chunk_size=128)
         for rank in range(n):
-            expected = local_dedup(
+            expected = local_dedup_batched(
                 w.build_dataset(rank, n), Fingerprinter("sha1"), 128
             )
             assert indices[rank].order == expected.order

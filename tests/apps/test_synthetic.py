@@ -5,7 +5,7 @@ import pytest
 from repro.apps.synthetic import SyntheticWorkload
 from repro.core import DumpConfig, Strategy
 from repro.core.fingerprint import Fingerprinter
-from repro.core.local_dedup import local_dedup
+from repro.core.local_dedup import local_dedup_batched
 from repro.sim import simulate_dump
 
 CS = 256
@@ -49,7 +49,7 @@ class TestExpectedRedundancy:
             chunks_per_rank=50, chunk_size=CS, frac_global=0.2, frac_group=0.1,
             frac_zero=0.1, frac_local_dup=0.2, local_dup_degree=5,
         )
-        idx = local_dedup(w.build_dataset(3, 8), Fingerprinter("sha1"), CS)
+        idx = local_dedup_batched(w.build_dataset(3, 8), Fingerprinter("sha1"), CS)
         assert idx.unique_chunks == w.expected_local_unique_chunks()
 
     def test_global_distinct_prediction_exact(self):

@@ -50,17 +50,8 @@ class TestRestorePathsRejectDeltas:
         with pytest.raises(ChainBrokenError, match="chain delta"):
             restore_dataset(cluster, 0, delta_dump_id(manager))
 
-    def test_restore_dataset_legacy_path_raises_too(self):
+    def test_collective_load_input_aborts_typed(self):
         cluster, config, manager, _ = chained_cluster()
-        with pytest.raises(ChainBrokenError, match="chain delta"):
-            restore_dataset(
-                cluster, 0, delta_dump_id(manager), batched=False
-            )
-
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_collective_load_input_aborts_typed(self, batched):
-        cluster, config, manager, _ = chained_cluster()
-        config = config.with_(batched=batched)
         dump_id = delta_dump_id(manager)
 
         def rank_main(comm):

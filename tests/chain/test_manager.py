@@ -122,12 +122,17 @@ class TestResolveAndRestore:
                 assert dataset.to_bytes() == oracle(workload, epoch, rank)
                 assert report.total_bytes == dataset.nbytes
 
-    def test_legacy_restore_matches_batched(self):
+    def test_restore_matches_per_chunk_reference(self):
+        from tests.core import reference
+
         manager, workload = make_chain(depth=2)
         for rank in range(N):
-            batched, _ = manager.restore_epoch(rank, 2, batched=True)
-            legacy, _ = manager.restore_epoch(rank, 2, batched=False)
-            assert batched.to_bytes() == legacy.to_bytes()
+            dataset, report = manager.restore_epoch(rank, 2)
+            ref_dataset, ref_report = reference.restore_from_manifest(
+                manager.cluster, rank, manager.synthetic_manifest(rank, 2)
+            )
+            assert dataset.to_bytes() == ref_dataset.to_bytes()
+            assert vars(report) == vars(ref_report)
 
     def test_resolved_fps_newest_wins(self):
         manager, workload = make_chain(depth=2)

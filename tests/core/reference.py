@@ -1,0 +1,177 @@
+"""Executable reference for the dump's local dedup and wire records and for
+both restore paths.
+
+The per-chunk loops the batched ``repro.core`` replaced, kept naive on
+purpose: one hash and one dict probe per chunk, one ``bytes`` join per
+window slot, one ``has``/``locate``/``get`` per manifest entry.  The
+equivalence suites (``test_hotpath_equivalence.py``, ``test_local_dedup.py``,
+``test_wire.py``, ``test_restore_equivalence.py``) hold the production
+functions equal to these.  Whole-dump decisions have an independent oracle
+already — ``repro.sim.simulate_dump`` — so there is no reference dump here.
+"""
+
+from __future__ import annotations
+
+import struct
+from typing import Dict, List, Tuple
+
+from repro.core.chunking import Dataset
+from repro.core.collective_restore import CollectiveRestoreReport
+from repro.core.local_dedup import LocalIndex
+from repro.core.restore import RestoreReport
+from repro.erasure.ec_dump import reconstruct_chunk
+from repro.storage.local_store import StorageError
+
+_LEN = struct.Struct("<I")
+
+
+def local_dedup(dataset, fingerprinter, chunk_size, chunker=None) -> LocalIndex:
+    """Chunk + fingerprint + collapse duplicates, one chunk at a time.
+
+    ``chunker`` (segment bytes -> iterable of chunks) replaces the fixed
+    ``chunk_size`` grid, e.g. ``DumpConfig.make_chunker().split``.
+    """
+    if chunker is None:
+        chunks = dataset.chunks(chunk_size)
+    else:
+        chunks = (
+            chunk
+            for i in range(dataset.num_segments)
+            for chunk in chunker(bytes(dataset.segment(i)))
+        )
+    index = LocalIndex()
+    for chunk in chunks:
+        fp = fingerprinter(chunk)
+        index.order.append(fp)
+        if fp in index.counts:
+            index.counts[fp] += 1
+        else:
+            index.counts[fp] = 1
+            index.chunk_sizes[fp] = len(chunk)
+            index.unique[fp] = chunk
+    return index
+
+
+def encode_record(fp: bytes, chunk: bytes, chunk_size: int) -> bytes:
+    """One window slot: fingerprint | u32 length | payload | zero padding."""
+    if len(chunk) > chunk_size:
+        raise ValueError(f"chunk of {len(chunk)}B exceeds the slot payload size")
+    return b"".join(
+        (fp, _LEN.pack(len(chunk)), chunk, b"\x00" * (chunk_size - len(chunk)))
+    )
+
+
+def decode_region(
+    buffer: bytes, digest_size: int, chunk_size: int, start_slot: int, slot_count: int
+) -> List[Tuple[bytes, bytes]]:
+    """Every ``(fingerprint, payload)`` of a slot range, duplicates included."""
+    slot = digest_size + _LEN.size + chunk_size
+    out = []
+    for i in range(start_slot, start_slot + slot_count):
+        record = bytes(buffer[i * slot : (i + 1) * slot])
+        if len(record) < slot:
+            raise ValueError(f"window truncated in slot {i}")
+        (length,) = _LEN.unpack_from(record, digest_size)
+        if length > chunk_size:
+            raise ValueError(f"corrupt record in slot {i}: length {length}")
+        hdr = digest_size + _LEN.size
+        out.append((record[:digest_size], record[hdr : hdr + length]))
+    return out
+
+
+def _cut(chunks: List[bytes], segment_lengths) -> Dataset:
+    stream = b"".join(chunks)
+    segments, pos = [], 0
+    for length in segment_lengths:
+        segments.append(stream[pos : pos + length])
+        pos += length
+    assert pos == len(stream), "manifest segments do not cover the chunk bytes"
+    return Dataset(segments)
+
+
+def _decoder(manifest):
+    if not manifest.compressed:
+        return lambda frame: frame
+    from repro.compress.codecs import decode_auto
+
+    return decode_auto
+
+
+def restore_from_manifest(cluster, rank, manifest) -> Tuple[Dataset, RestoreReport]:
+    """Per-chunk restore: own node first, else the least-loaded live holder
+    (fewest chunks served so far, ties to the lowest node id), else parity."""
+    report = RestoreReport(rank=rank, dump_id=manifest.dump_id)
+    decode = _decoder(manifest)
+    own = cluster.node_of(rank)
+    served = report.source_nodes
+    cache: Dict[bytes, bytes] = {}
+    for fp in manifest.fingerprints:
+        if fp in cache:
+            continue
+        if own.alive and own.chunks.has(fp):
+            frame = own.chunks.get(fp)
+            report.local_chunks += 1
+            served[own.node_id] = served.get(own.node_id, 0) + 1
+        else:
+            holders = cluster.locate(fp)
+            if holders:
+                source = min(holders, key=lambda h: (served.get(h, 0), h))
+                frame = cluster.nodes[source].chunks.get(fp)
+                served[source] = served.get(source, 0) + 1
+            else:
+                frame = reconstruct_chunk(cluster, fp, manifest.dump_id)
+                report.decoded_chunks += 1
+            report.remote_chunks += 1
+            report.remote_bytes += len(frame)
+        cache[fp] = decode(frame)
+    report.total_bytes = sum(manifest.segment_lengths)
+    chunks = [cache[fp] for fp in manifest.fingerprints]
+    return _cut(chunks, manifest.segment_lengths), report
+
+
+def restore_dataset(cluster, rank, dump_id=0) -> Tuple[Dataset, RestoreReport]:
+    return restore_from_manifest(cluster, rank, cluster.find_manifest(rank, dump_id))
+
+
+def load_input(
+    cluster, world: int, dump_id=0
+) -> List[Tuple[Dataset, CollectiveRestoreReport]]:
+    """Every rank's collective restore, one rank after the other and with
+    no communicator: a pulled chunk is read straight from the holder node
+    and charged to the rank that serves that node (the lowest one on it)."""
+    serving: Dict[int, int] = {}
+    for peer in range(world):
+        serving.setdefault(cluster.rank_to_node[peer], peer)
+    reports = [CollectiveRestoreReport(rank=r, dump_id=dump_id) for r in range(world)]
+    datasets = []
+    for rank, report in enumerate(reports):
+        manifest = cluster.find_manifest(rank, dump_id)
+        decode = _decoder(manifest)
+        own = cluster.node_of(rank)
+        loads: Dict[int, int] = {}
+        cache: Dict[bytes, bytes] = {}
+        for fp in manifest.fingerprints:
+            if fp in cache:
+                continue
+            if own.alive and own.chunks.has(fp):
+                source = own.node_id
+                report.local_chunks += 1
+            else:
+                holders = [h for h in cluster.locate(fp) if h in serving]
+                if not holders:
+                    raise StorageError(f"rank {rank}: chunk {fp.hex()} unrecoverable")
+                source = min(holders, key=lambda h: (loads.get(h, 0), h))
+            loads[source] = loads.get(source, 0) + 1
+            frame = cluster.nodes[source].chunks.get(fp)
+            if source != own.node_id:
+                peer = serving[source]
+                report.pulled_chunks += 1
+                report.pulled_bytes += len(frame)
+                report.pulled_from[peer] = report.pulled_from.get(peer, 0) + 1
+                reports[peer].served_chunks += 1
+                reports[peer].served_bytes += len(frame)
+            cache[fp] = decode(frame)
+        report.total_bytes = sum(manifest.segment_lengths)
+        chunks = [cache[fp] for fp in manifest.fingerprints]
+        datasets.append(_cut(chunks, manifest.segment_lengths))
+    return list(zip(datasets, reports))

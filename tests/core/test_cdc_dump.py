@@ -26,18 +26,9 @@ class TestCDCConfig:
         with pytest.raises(ValueError, match="chunk_size"):
             DumpConfig(chunking="cdc", chunk_size=32)
 
-    def test_fixed_chunker_matches_split(self):
-        from repro.core.chunking import split_chunks
-
-        cfg = DumpConfig(chunk_size=128)
-        chunker = cfg.make_chunker()
-        data = _stream(1000, b"x")
-        assert list(chunker(data)) == split_chunks(data, 128)
-
     def test_cdc_chunker_bounds(self):
         cfg = DumpConfig(chunking="cdc", chunk_size=1024)
-        chunker = cfg.make_chunker()
-        chunks = list(chunker(_stream(50_000, b"y")))
+        chunks = cfg.make_chunker().split(_stream(50_000, b"y"))
         assert b"".join(chunks) == _stream(50_000, b"y")
         assert all(len(c) <= 1024 for c in chunks)
 
@@ -57,7 +48,8 @@ class TestCDCDump:
         cfg = DumpConfig(replication_factor=3, chunk_size=1024,
                          chunking=chunking, f_threshold=4096)
         cluster = Cluster(n)
-        reports = World(n).run(
+        self.world = World(n)
+        reports = self.world.run(
             lambda comm: dump_output(
                 comm, self.make_dataset(comm.rank, shift), cfg, cluster
             )
@@ -71,6 +63,36 @@ class TestCDCDump:
         for rank in range(n):
             restored, _ = restore_dataset(cluster, rank)
             assert restored == self.make_dataset(rank, shift)
+
+    def test_cdc_rides_the_batched_exchange(self):
+        """Variable-size chunks ship like fixed ones: one put per non-empty
+        partner region, every sent chunk in exactly one wire slot."""
+        reports, _cluster, n = self.run("cdc", shift=True)
+        assert any(r.sent_chunks for r in reports)
+        for rank, r in enumerate(reports):
+            exchange = self.world.comms[rank].trace.counters("exchange")
+            assert exchange.put_msgs == sum(1 for c in r.sent_per_partner if c)
+            assert exchange.chunks == r.sent_chunks
+
+    def test_fingerprint_cache_is_left_untouched(self):
+        """The cache is keyed by fixed-grid chunk index; a CDC dump neither
+        reads nor fills it."""
+        from repro.core.fpcache import FingerprintCache
+
+        n = 3
+        cfg = DumpConfig(replication_factor=2, chunk_size=1024, chunking="cdc")
+        cluster = Cluster(n)
+        caches = [FingerprintCache(1024) for _ in range(n)]
+        reports = World(n).run(
+            lambda comm: dump_output(
+                comm, self.make_dataset(comm.rank), cfg, cluster,
+                fpcache=caches[comm.rank], dirty_regions=[[], []],
+            )
+        )
+        assert all(r.cache_hits == 0 for r in reports)
+        assert all(len(cache) == 0 for cache in caches)
+        for rank in range(n):
+            assert restore_dataset(cluster, rank)[0] == self.make_dataset(rank)
 
     def test_cdc_survives_shift_fixed_does_not(self):
         """On byte-shifted shared data, CDC still finds the cross-rank

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import DumpConfig, Strategy, dump_output, restore_dataset
 from repro.core.fingerprint import Fingerprinter
-from repro.core.local_dedup import local_dedup
+from repro.core.local_dedup import local_dedup_batched
 from repro.sim import simulate_dump
 from repro.simmpi import World
 from repro.storage import Cluster
@@ -16,7 +16,7 @@ CS = 64
 
 def indices_for(n):
     fpr = Fingerprinter("sha1")
-    return [local_dedup(make_rank_dataset(r), fpr, CS) for r in range(n)]
+    return [local_dedup_batched(make_rank_dataset(r), fpr, CS) for r in range(n)]
 
 
 class TestConfig:

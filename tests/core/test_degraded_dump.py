@@ -19,10 +19,9 @@ from tests.conftest import make_rank_dataset
 CS = 64
 
 
-def degraded_dump(n, k=3, strategy=Strategy.COLL_DEDUP, dead=(), batched=True,
-                  phase_hook=None):
+def degraded_dump(n, k=3, strategy=Strategy.COLL_DEDUP, dead=(), phase_hook=None):
     cfg = DumpConfig(replication_factor=k, chunk_size=CS, strategy=strategy,
-                     f_threshold=4096, batched=batched, degraded=True)
+                     f_threshold=4096, degraded=True)
     cluster = Cluster(n)
     for node_id in dead:
         cluster.fail_node(node_id)
@@ -64,11 +63,9 @@ class TestHealthyCluster:
 
 class TestDeadAtDumpTime:
     @pytest.mark.parametrize("strategy", list(Strategy))
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_dump_completes_and_every_rank_restores(self, strategy, batched):
+    def test_dump_completes_and_every_rank_restores(self, strategy):
         n, dead = 7, (2, 5)
-        cluster, reports = degraded_dump(n, strategy=strategy, dead=dead,
-                                         batched=batched)
+        cluster, reports = degraded_dump(n, strategy=strategy, dead=dead)
         assert all(r.degraded for r in reports)
         # Dead-node ranks stored nothing locally...
         for node_id in dead:

@@ -139,19 +139,6 @@ class TestStorageOutcomes:
             assert exchange.put_msgs == sum(1 for c in r.sent_per_partner if c)
             assert exchange.chunks == r.sent_chunks
 
-    def test_window_traffic_matches_report_legacy(self):
-        n = 5
-        cfg = DumpConfig(replication_factor=3, chunk_size=CS, strategy=Strategy.COLL_DEDUP,
-                         f_threshold=4096, batched=False)
-        cluster = Cluster(n)
-        world = World(n)
-        reports = world.run(
-            lambda comm: dump_output(comm, make_rank_dataset(comm.rank), cfg, cluster)
-        )
-        for rank, r in enumerate(reports):
-            exchange = world.comms[rank].trace.counters("exchange")
-            assert exchange.put_msgs == r.sent_chunks
-
     def test_dump_ids_keep_checkpoints_separate(self):
         n = 4
         cluster = Cluster(n)

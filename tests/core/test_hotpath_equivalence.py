@@ -1,32 +1,30 @@
-"""Equivalence of the batched hot path with the legacy per-chunk path.
+"""Equivalence of the dump hot path with the naive per-chunk reference.
 
-The batched pipeline (zero-copy batch fingerprinting, array-backed local
-dedup, packed per-partner exchange) and the cross-dump fingerprint cache
-are pure performance work: every observable — wire bytes, DumpReport
-accounting, stored state, restored datasets — must be identical to the
-seed per-chunk implementation.  These tests pin that, property-style where
-the input space matters.
+The dump's building blocks (zero-copy batch fingerprinting, array-backed
+local dedup, packed per-partner exchange) and the cross-dump fingerprint
+cache are pure performance work: every observable — wire bytes, the
+``LocalIndex``, DumpReport accounting, restored datasets — must be
+identical to the per-chunk loops in ``tests/core/reference.py``.  These
+tests pin that, property-style where the input space matters.  Whole-dump
+decisions are held against ``repro.sim.simulate_dump`` in
+``tests/sim/test_driver_equivalence.py``.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import DumpConfig, Strategy, dump_output, restore_dataset
 from repro.core.chunking import Dataset
 from repro.core.fingerprint import Fingerprinter
 from repro.core.fpcache import FingerprintCache
-from repro.core.local_dedup import local_dedup, local_dedup_batched
-from repro.core.wire import (
-    decode_region,
-    decode_region_unique,
-    encode_record,
-    encode_records_into,
-    slot_nbytes,
-)
+from repro.core.local_dedup import local_dedup_batched
+from repro.core.wire import decode_region_unique, encode_records_into, slot_nbytes
 from repro.simmpi import World
 from repro.storage import Cluster
 
 from tests.conftest import make_rank_dataset
+from tests.core.reference import decode_region, encode_record, local_dedup
 
 DIGEST = 20
 CHUNK = 32
@@ -51,7 +49,7 @@ records_strategy = st.lists(
 
 class TestWireCodecEquivalence:
     @given(records=records_strategy)
-    def test_batched_encode_matches_legacy_bytes(self, records):
+    def test_encode_matches_reference_bytes(self, records):
         legacy = b"".join(encode_record(fp, c, CHUNK) for fp, c in records)
         buf = bytearray(len(records) * slot_nbytes(DIGEST, CHUNK))
         packed = encode_records_into(buf, records, DIGEST, CHUNK)
@@ -59,7 +57,7 @@ class TestWireCodecEquivalence:
         assert bytes(buf) == legacy
 
     @given(records=records_strategy, data=st.data())
-    def test_batched_decode_matches_legacy(self, records, data):
+    def test_decode_matches_reference(self, records, data):
         window = b"".join(encode_record(fp, c, CHUNK) for fp, c in records)
         start = data.draw(
             st.integers(min_value=0, max_value=len(records)), label="start"
@@ -91,24 +89,16 @@ class TestWireCodecEquivalence:
         decoded = decode_region(bytes(buf), DIGEST, CHUNK, 0, len(records))
         assert decoded == records
 
-    def test_batched_decode_rejects_truncated_window(self):
+    def test_decode_rejects_truncated_window(self):
         window = encode_record(fp_of(1), b"a", CHUNK)
-        try:
+        with pytest.raises(ValueError, match="truncated"):
             decode_region_unique(window[:-1], DIGEST, CHUNK, 0, 1)
-        except ValueError as exc:
-            assert "truncated" in str(exc)
-        else:  # pragma: no cover - defensive
-            raise AssertionError("truncated window accepted")
 
-    def test_batched_decode_rejects_corrupt_length(self):
+    def test_decode_rejects_corrupt_length(self):
         record = bytearray(encode_record(fp_of(1), b"a", CHUNK))
         record[DIGEST] = 0xFF  # length field now > CHUNK
-        try:
+        with pytest.raises(ValueError, match="corrupt"):
             decode_region_unique(bytes(record), DIGEST, CHUNK, 0, 1)
-        except ValueError as exc:
-            assert "corrupt" in str(exc)
-        else:  # pragma: no cover - defensive
-            raise AssertionError("corrupt record accepted")
 
 
 # -- local dedup --------------------------------------------------------------
@@ -118,22 +108,63 @@ segments_strategy = st.lists(
 )
 
 
+def assert_same_index(index, reference):
+    assert index.order == reference.order
+    # Dict *iteration order* is part of the contract (plans and wire order
+    # derive from first-occurrence order).
+    assert list(index.counts.items()) == list(reference.counts.items())
+    assert list(index.unique.items()) == list(reference.unique.items())
+    assert list(index.chunk_sizes.items()) == list(reference.chunk_sizes.items())
+
+
+#: CDC at its smallest legal maximum (min 16 / avg 64 / max 128): segments
+#: drawn below include empty ones, ones shorter than ``min_size`` (a single
+#: short chunk) and runs of one byte (every chunk hits ``max_size``, so the
+#: index has real duplicates).
+CDC_MAX = 128
+cdc_segments_strategy = st.lists(
+    st.one_of(
+        st.just(b""),
+        st.binary(min_size=1, max_size=15),
+        st.binary(min_size=16, max_size=6 * CDC_MAX),
+        st.integers(1, 5).map(lambda n: b"\x07" * (n * CDC_MAX)),
+    ),
+    min_size=0,
+    max_size=4,
+)
+
+
 class TestLocalDedupEquivalence:
-    @given(segments=segments_strategy)
-    def test_batched_index_identical_to_legacy(self, segments):
+    @given(segments=segments_strategy, hash_name=st.sampled_from(["sha1", "xx128"]))
+    def test_index_identical_to_reference(self, segments, hash_name):
         ds = Dataset(segments)
-        legacy = local_dedup(ds, Fingerprinter(), CHUNK)
-        f2 = Fingerprinter()
-        batched = local_dedup_batched(ds, f2, CHUNK)
-        assert batched.order == legacy.order
-        # Dict *iteration order* is part of the contract (plans and wire
-        # order derive from first-occurrence order).
-        assert list(batched.counts.items()) == list(legacy.counts.items())
-        assert list(batched.unique.items()) == list(legacy.unique.items())
-        assert list(batched.chunk_sizes.items()) == list(
-            legacy.chunk_sizes.items()
+        reference = local_dedup(ds, Fingerprinter(hash_name), CHUNK)
+        fpr = Fingerprinter(hash_name)
+        assert_same_index(local_dedup_batched(ds, fpr, CHUNK), reference)
+        assert fpr.hashed_bytes == ds.nbytes
+
+    @given(
+        segments=cdc_segments_strategy,
+        integrity=st.sampled_from(["crypto", "fast"]),
+    )
+    def test_cdc_index_identical_to_reference(self, segments, integrity):
+        cfg = DumpConfig(chunking="cdc", chunk_size=CDC_MAX, integrity=integrity)
+        chunker = cfg.make_chunker()
+        ds = Dataset(segments)
+        reference = local_dedup(
+            ds, Fingerprinter(cfg.effective_hash_name), CDC_MAX,
+            chunker=chunker.split,
         )
-        assert f2.hashed_bytes == ds.nbytes
+        fpr = Fingerprinter(cfg.effective_hash_name)
+        index = local_dedup_batched(
+            ds, fpr, CDC_MAX,
+            boundaries=[chunker.boundaries(seg) for seg in segments],
+        )
+        assert_same_index(index, reference)
+        assert fpr.hashed_bytes == ds.nbytes
+        assert sum(
+            index.chunk_sizes[fp] * n for fp, n in index.counts.items()
+        ) == ds.nbytes
 
     @given(segments=segments_strategy)
     def test_warm_cache_index_identical_to_cold(self, segments):
@@ -152,11 +183,11 @@ class TestLocalDedupEquivalence:
 
 # -- full dump ----------------------------------------------------------------
 
-def run_dump(n, batched, datasets, caches=None, dirty=None, k=3, dump_id=0,
+def run_dump(n, datasets, caches=None, dirty=None, k=3, dump_id=0,
              cluster=None, strategy=Strategy.COLL_DEDUP):
     cfg = DumpConfig(
         replication_factor=k, chunk_size=CS, strategy=strategy,
-        f_threshold=4096, batched=batched,
+        f_threshold=4096,
     )
     cluster = cluster or Cluster(n)
     world = World(n)
@@ -185,24 +216,6 @@ def report_key(report):
 
 
 class TestDumpEquivalence:
-    def test_batched_dump_matches_legacy_everywhere(self):
-        n = 6
-        datasets = [make_rank_dataset(r, chunk_size=CS) for r in range(n)]
-        for strategy in Strategy:
-            legacy_reports, legacy_cluster = run_dump(
-                n, False, datasets, strategy=strategy,
-            )
-            batched_reports, batched_cluster = run_dump(
-                n, True, datasets, strategy=strategy,
-            )
-            for lr, br in zip(legacy_reports, batched_reports):
-                assert report_key(lr) == report_key(br)
-            for rank in range(n):
-                legacy_restored, _ = restore_dataset(legacy_cluster, rank)
-                batched_restored, _ = restore_dataset(batched_cluster, rank)
-                assert batched_restored == legacy_restored
-                assert batched_restored == datasets[rank]
-
     def test_warm_cached_dump_identical_to_cold(self):
         n = 5
         base = [
@@ -213,7 +226,7 @@ class TestDumpEquivalence:
         datasets = [Dataset([shared, base[r]]) for r in range(n)]
         caches = [FingerprintCache(CS) for _ in range(n)]
 
-        run_dump(n, True, datasets, caches=caches, dump_id=0)
+        run_dump(n, datasets, caches=caches, dump_id=0)
 
         # Iterate: mutate one chunk of each rank's unique segment.
         for r in range(n):
@@ -221,9 +234,9 @@ class TestDumpEquivalence:
         dirty = [[[], [(3 * CS, 3 * CS + 1)]] for _ in range(n)]
 
         warm_reports, warm_cluster = run_dump(
-            n, True, datasets, caches=caches, dirty=dirty, dump_id=1
+            n, datasets, caches=caches, dirty=dirty, dump_id=1
         )
-        cold_reports, cold_cluster = run_dump(n, True, datasets, dump_id=1)
+        cold_reports, cold_cluster = run_dump(n, datasets, dump_id=1)
 
         for wr, cr in zip(warm_reports, cold_reports):
             assert report_key(wr) == report_key(cr)
@@ -242,11 +255,11 @@ class TestDumpEquivalence:
         n = 4
         datasets = [make_rank_dataset(r, chunk_size=CS) for r in range(n)]
         caches = [FingerprintCache(CS) for _ in range(n)]
-        run_dump(n, True, datasets, caches=caches, dump_id=0)
+        run_dump(n, datasets, caches=caches, dump_id=0)
         cached_reports, cached_cluster = run_dump(
-            n, True, datasets, caches=caches, dump_id=1
+            n, datasets, caches=caches, dump_id=1
         )
-        plain_reports, _ = run_dump(n, True, datasets, dump_id=1)
+        plain_reports, _ = run_dump(n, datasets, dump_id=1)
         for cr, pr in zip(cached_reports, plain_reports):
             assert cr.cache_hits == 0
             assert report_key(cr) == report_key(pr)

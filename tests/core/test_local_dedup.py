@@ -4,11 +4,11 @@ from hypothesis import given, strategies as st
 
 from repro.core.chunking import Dataset
 from repro.core.fingerprint import Fingerprinter
-from repro.core.local_dedup import LocalIndex, index_from_fingerprints, local_dedup
+from repro.core.local_dedup import index_from_fingerprints, local_dedup_batched
 
 
 def _index(data_segments, chunk_size=4, keep=True):
-    return local_dedup(
+    return local_dedup_batched(
         Dataset(data_segments), Fingerprinter("sha1"), chunk_size, keep_payloads=keep
     )
 

@@ -81,7 +81,7 @@ class TestNodeAwareDump:
         """dump_output and the simulator must agree under node_aware too."""
         from repro.core import dump_output
         from repro.core.fingerprint import Fingerprinter
-        from repro.core.local_dedup import local_dedup
+        from repro.core.local_dedup import local_dedup_batched
         from repro.simmpi import World
         from repro.storage import Cluster
         from tests.conftest import make_rank_dataset
@@ -95,7 +95,7 @@ class TestNodeAwareDump:
             lambda comm: dump_output(comm, make_rank_dataset(comm.rank), cfg, cluster)
         )
         fpr = Fingerprinter("sha1")
-        indices = [local_dedup(make_rank_dataset(r), fpr, 64) for r in range(n)]
+        indices = [local_dedup_batched(make_rank_dataset(r), fpr, 64) for r in range(n)]
         sim = simulate_dump(indices, cfg, rank_to_node=rank_to_node)
         for rank in range(n):
             assert threaded[rank].partners == sim.reports[rank].partners

@@ -10,7 +10,7 @@ fingerprint cache), and that a span-level pipelined run records the
 
 import pytest
 
-from repro.core import DumpConfig, Strategy, dump_output
+from repro.core import DumpConfig, Strategy, dump_output, restore_dataset
 from repro.core.pipeline import pipeline_eligible, pipeline_full_eligible
 from repro.core.runner import run_collective
 from repro.obs.analyzer import pipeline_stage_overlap
@@ -56,30 +56,30 @@ def stored(cluster):
 
 
 class TestEligibility:
-    def test_requires_pipelined_flag_and_batched(self):
-        assert pipeline_eligible(cfg(), batched=True)
-        assert not pipeline_eligible(cfg(pipelined=False), batched=True)
-        assert not pipeline_eligible(cfg(), batched=False)
+    def test_requires_pipelined_flag(self):
+        assert pipeline_eligible(cfg())
+        assert pipeline_eligible(cfg(chunking="cdc"))
+        assert not pipeline_eligible(cfg(pipelined=False))
 
     def test_degraded_and_parity_fall_back(self):
-        assert not pipeline_eligible(cfg(degraded=True), batched=True)
-        assert not pipeline_eligible(
-            cfg(redundancy="parity"), batched=True
-        )
+        assert not pipeline_eligible(cfg(degraded=True))
+        assert not pipeline_eligible(cfg(redundancy="parity"))
 
-    def test_full_form_needs_no_dedup_uncompressed_no_cache(self):
+    def test_full_form_needs_no_dedup_fixed_uncompressed_no_cache(self):
         base = cfg(strategy=Strategy.NO_DEDUP)
-        assert pipeline_full_eligible(base, batched=True, fpcache=None)
+        assert pipeline_full_eligible(base, fpcache=None)
         assert not pipeline_full_eligible(
-            cfg(strategy=Strategy.COLL_DEDUP), batched=True, fpcache=None
+            cfg(strategy=Strategy.COLL_DEDUP), fpcache=None
         )
         assert not pipeline_full_eligible(
-            cfg(strategy=Strategy.NO_DEDUP, compress="rle"),
-            batched=True, fpcache=None,
+            cfg(strategy=Strategy.NO_DEDUP, compress="rle"), fpcache=None
         )
+        # CDC's chunk count depends on the content, so the Load vector is
+        # not known before hashing.
         assert not pipeline_full_eligible(
-            base, batched=True, fpcache=object()
+            cfg(strategy=Strategy.NO_DEDUP, chunking="cdc"), fpcache=None
         )
+        assert not pipeline_full_eligible(base, fpcache=object())
 
 
 class TestByteIdentity:
@@ -98,6 +98,24 @@ class TestByteIdentity:
         assert [
             sorted(n.manifest_keys()) for n in pipe.nodes
         ] == [sorted(n.manifest_keys()) for n in strict.nodes]
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_cdc_rides_the_two_stage_pipeline(self, strategy):
+        """Content-defined chunks go through the same batched exchange, so
+        a pipelined CDC dump engages (exchange + write stages only: the
+        3-stage form needs the fixed grid), leaves a strict dump's cluster
+        contents and reports, and restores byte-equal."""
+        kw = dict(strategy=strategy, chunking="cdc", chunk_size=2 * CS,
+                  trace_level="span")
+        pipe, pipe_reports, world = dump(cfg(**kw))
+        strict, strict_reports, _w = dump(cfg(pipelined=False, **kw))
+        stages = pipeline_stage_overlap(capture_run(world))["stages"]
+        assert set(stages) == {"exchange", "write"}
+        assert stored(pipe) == stored(strict)
+        assert [vars(r) for r in pipe_reports] == [vars(r) for r in strict_reports]
+        for rank in range(N):
+            restored, _ = restore_dataset(pipe, rank)
+            assert restored == make_rank_dataset(rank)
 
     def test_reports_match_strict(self):
         _c1, pipe_reports, _w1 = dump(cfg(strategy=Strategy.NO_DEDUP))

@@ -1,14 +1,14 @@
-"""Equivalence of the batched restore hot path with the legacy loop.
+"""Equivalence of the restore paths with the naive per-chunk reference.
 
-The batched pipeline — vectorised source planning (:mod:`restore_plan`),
+The restore pipeline — vectorised source planning (:mod:`restore_plan`),
 ``get_many`` coalesced reads, packed ``RRQ1``/``RRP1`` request/reply blobs
 and zero-copy segment cutting — is pure performance work: restored
 datasets, RestoreReport/CollectiveRestoreReport accounting and the
-per-node source distribution must all be identical to the seed per-chunk
-implementation, across every strategy, sharded and flat stores,
-compression, and degraded (failed-node) clusters.  These tests pin that,
-property-style where the input space matters — the restore-side mirror of
-``test_hotpath_equivalence.py``.
+per-node source distribution must all be identical to the per-chunk loops
+in ``tests/core/reference.py``, across every strategy, sharded and flat
+stores, compression, and degraded (failed-node) clusters.  These tests pin
+that, property-style where the input space matters — the restore-side
+mirror of ``test_hotpath_equivalence.py``.
 """
 
 import random
@@ -32,6 +32,7 @@ from repro.storage import Cluster
 from repro.storage.local_store import StorageError
 
 from tests.conftest import make_rank_dataset
+from tests.core import reference
 
 CS = 64
 
@@ -50,13 +51,13 @@ class TestDedupFingerprints:
         distinct, index = dedup_fingerprints(raw)
         assert len(set(distinct)) == len(distinct)
         assert [distinct[j] for j in index.tolist()] == raw
-        # First-occurrence order — the legacy loop's iteration order.
+        # First-occurrence order — the per-chunk loop's iteration order.
         seen = list(dict.fromkeys(raw))
         assert distinct == seen
 
     def test_trailing_null_digests_survive(self):
         # Regression: an S-dtype dedup would strip trailing zero bytes and
-        # alias distinct digests (found by the dst batched-vs-legacy oracle).
+        # alias distinct digests (found by the dst restore oracle).
         a = b"\x01" * 19 + b"\x00"
         b = b"\x01" * 19 + b"\x02"
         c = b"\x00" * 20
@@ -213,21 +214,25 @@ class TestRestoreDatasetEquivalence:
         n_fail=st.integers(min_value=0, max_value=2),
         seed=st.integers(min_value=0, max_value=2**16),
     )
-    def test_batched_matches_legacy(
-        self, strategy, shards, compress, n_fail, seed
-    ):
+    def test_matches_reference(self, strategy, shards, compress, n_fail, seed):
         n = 5
         cluster, datasets, _cfg = _dump(n, strategy, shards, compress, seed)
         for node_id in range(n_fail):
             cluster.fail_node(node_id)
         for rank in range(n):
-            legacy_ds, legacy_rep = restore_dataset(cluster, rank, batched=False)
-            batched_ds, batched_rep = restore_dataset(cluster, rank, batched=True)
+            ref_ds, ref_rep = reference.restore_dataset(cluster, rank)
+            ds, rep = restore_dataset(cluster, rank)
             # Byte-identical data, field-identical report — including the
             # per-node source distribution (the locality-aware plan must
-            # reproduce the legacy least-loaded greedy exactly).
-            assert batched_ds == legacy_ds == datasets[rank]
-            assert vars(batched_rep) == vars(legacy_rep)
+            # reproduce the per-chunk least-loaded greedy exactly).
+            assert ds == ref_ds == datasets[rank]
+            assert vars(rep) == vars(ref_rep)
+
+
+def _assert_load_input_matches(results, expected, datasets):
+    for rank, ((ds, rep), (ref_ds, ref_rep)) in enumerate(zip(results, expected)):
+        assert ds == ref_ds == datasets[rank]
+        assert vars(rep) == vars(ref_rep)
 
 
 class TestLoadInputEquivalence:
@@ -239,46 +244,32 @@ class TestLoadInputEquivalence:
         n_fail=st.integers(min_value=0, max_value=2),
         seed=st.integers(min_value=0, max_value=2**16),
     )
-    def test_batched_matches_legacy(
-        self, strategy, shards, compress, n_fail, seed
-    ):
+    def test_matches_reference(self, strategy, shards, compress, n_fail, seed):
         n = 5
         cluster, datasets, cfg = _dump(n, strategy, shards, compress, seed)
         for node_id in range(n_fail):
             cluster.fail_node(node_id)
+        results = World(n).run(lambda comm: load_input(comm, cluster, cfg))
+        _assert_load_input_matches(
+            results, reference.load_input(cluster, n), datasets
+        )
 
-        def run(batched):
-            from dataclasses import replace
-
-            run_cfg = replace(cfg, batched=batched)
-            return World(n).run(
-                lambda comm: load_input(comm, cluster, run_cfg)
-            )
-
-        legacy, batched = run(False), run(True)
-        for rank in range(n):
-            assert batched[rank][0] == legacy[rank][0] == datasets[rank]
-            assert vars(batched[rank][1]) == vars(legacy[rank][1])
-
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_process_backend_roundtrip(self, batched):
+    def test_process_backend_matches_reference(self):
         """The packed request/reply path under real fork-based ranks."""
         n = 4
         cluster, datasets, cfg = _dump(
             n, Strategy.COLL_DEDUP, shards=1, compress=None, seed=77, k=2
         )
         cluster.fail_node(0)
-        from dataclasses import replace
-
-        run_cfg = replace(cfg, batched=batched)
 
         def prog(comm, cluster):
-            ds, rep = load_input(comm, cluster, run_cfg)
-            return ds.to_bytes(), vars(rep)
+            ds, rep = load_input(comm, cluster, cfg)
+            return ds.to_bytes(), rep  # a Dataset's memoryviews do not pickle
 
         results, _world = run_collective(
             n, prog, cluster, cluster=cluster, backend="process", timeout=120
         )
-        for rank, (blob, rep) in enumerate(results):
-            assert blob == datasets[rank].to_bytes()
-            assert rep["rank"] == rank
+        for rank, (ref_ds, ref_rep) in enumerate(reference.load_input(cluster, n)):
+            blob, rep = results[rank]
+            assert blob == ref_ds.to_bytes() == datasets[rank].to_bytes()
+            assert vars(rep) == vars(ref_rep)

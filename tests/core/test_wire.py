@@ -4,73 +4,91 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.wire import (
-    decode_region,
+    decode_region_unique,
     decode_restore_reply,
     decode_restore_request,
-    encode_record,
+    encode_records_into,
     encode_restore_reply,
     encode_restore_request,
-    iter_window_records,
     slot_nbytes,
 )
 
+from tests.core.reference import decode_region, encode_record
+
 DIGEST = 20
 CHUNK = 64
+SLOT = slot_nbytes(DIGEST, CHUNK)
 
 
 def fp_of(i):
     return bytes([i]) * DIGEST
 
 
-class TestEncodeRecord:
+def pack(records):
+    buf = bytearray(len(records) * SLOT)
+    assert encode_records_into(buf, records, DIGEST, CHUNK) == len(records)
+    return bytes(buf)
+
+
+class TestEncodeRecords:
     def test_slot_size_constant(self):
-        full = encode_record(fp_of(1), b"x" * CHUNK, CHUNK)
-        short = encode_record(fp_of(1), b"x", CHUNK)
-        assert len(full) == len(short) == slot_nbytes(DIGEST, CHUNK)
+        assert len(pack([(fp_of(1), b"x" * CHUNK)])) == SLOT
+        assert len(pack([(fp_of(1), b"x")])) == SLOT
+
+    def test_bytes_match_reference(self):
+        records = [(fp_of(i), bytes([i]) * (i + 1)) for i in range(5)]
+        assert pack(records) == b"".join(
+            encode_record(fp, chunk, CHUNK) for fp, chunk in records
+        )
 
     def test_oversized_chunk_rejected(self):
         with pytest.raises(ValueError):
-            encode_record(fp_of(1), b"y" * (CHUNK + 1), CHUNK)
+            pack([(fp_of(1), b"y" * (CHUNK + 1))])
 
+    def test_wrong_digest_width_rejected(self):
+        with pytest.raises(ValueError):
+            pack([(b"short", b"y")])
+
+    def test_buffer_overflow_rejected(self):
+        with pytest.raises(ValueError, match="overflows"):
+            encode_records_into(bytearray(SLOT), [(fp_of(1), b"a")] * 2, DIGEST, CHUNK)
+
+    def test_start_slot_offsets_the_region(self):
+        buf = bytearray(3 * SLOT)
+        encode_records_into(buf, [(fp_of(7), b"q")], DIGEST, CHUNK, start_slot=2)
+        assert bytes(buf[: 2 * SLOT]) == bytes(2 * SLOT)
+        assert decode_region(buf, DIGEST, CHUNK, 2, 1) == [(fp_of(7), b"q")]
+
+
+class TestDecodeRegionUnique:
     def test_empty_payload(self):
-        record = encode_record(fp_of(2), b"", CHUNK)
-        (got_fp, got), = decode_region(record, DIGEST, CHUNK, 0, 1)
-        assert got_fp == fp_of(2)
-        assert got == b""
-
-
-class TestDecodeRegion:
-    def test_multi_slot_roundtrip(self):
-        records = b"".join(
-            encode_record(fp_of(i), bytes([i]) * (i + 1), CHUNK) for i in range(5)
+        pairs, mults, nbytes = decode_region_unique(
+            pack([(fp_of(2), b"")]), DIGEST, CHUNK, 0, 1
         )
-        decoded = decode_region(records, DIGEST, CHUNK, 1, 3)
-        assert decoded == [(fp_of(i), bytes([i]) * (i + 1)) for i in (1, 2, 3)]
+        assert (pairs, mults, nbytes) == ([(fp_of(2), b"")], [1], 0)
+
+    def test_sub_region_collapses_duplicates(self):
+        records = [(fp_of(i % 3), bytes([i % 3]) * (i % 3 + 1)) for i in range(6)]
+        pairs, mults, nbytes = decode_region_unique(
+            pack(records), DIGEST, CHUNK, 1, 4
+        )
+        assert pairs == [records[1], records[2], records[0]]
+        assert mults == [2, 1, 1]
+        assert nbytes == 2 + 3 + 1 + 2
 
     def test_truncated_buffer_raises(self):
-        record = encode_record(fp_of(1), b"a", CHUNK)
+        window = pack([(fp_of(1), b"a")])
         with pytest.raises(ValueError, match="truncated"):
-            decode_region(record[:-1], DIGEST, CHUNK, 0, 1)
+            decode_region_unique(window[:-1], DIGEST, CHUNK, 0, 1)
 
     def test_corrupt_length_raises(self):
-        record = bytearray(encode_record(fp_of(1), b"a", CHUNK))
+        record = bytearray(pack([(fp_of(1), b"a")]))
         record[DIGEST : DIGEST + 4] = (CHUNK + 99).to_bytes(4, "little")
         with pytest.raises(ValueError, match="corrupt"):
-            decode_region(bytes(record), DIGEST, CHUNK, 0, 1)
+            decode_region_unique(bytes(record), DIGEST, CHUNK, 0, 1)
 
-
-class TestIterWindowRecords:
-    def test_full_window(self):
-        window = b"".join(encode_record(fp_of(i), b"z" * i, CHUNK) for i in range(4))
-        decoded = list(iter_window_records(window, DIGEST, CHUNK))
-        assert [payload for _f, payload in decoded] == [b"z" * i for i in range(4)]
-
-    def test_misaligned_window_raises(self):
-        with pytest.raises(ValueError, match="multiple"):
-            list(iter_window_records(b"\x00" * 13, DIGEST, CHUNK))
-
-    def test_empty_window(self):
-        assert list(iter_window_records(b"", DIGEST, CHUNK)) == []
+    def test_empty_region(self):
+        assert decode_region_unique(b"", DIGEST, CHUNK, 0, 0) == ([], [], 0)
 
 
 @given(
@@ -80,8 +98,14 @@ class TestIterWindowRecords:
     )
 )
 def test_roundtrip_property(records):
-    window = b"".join(encode_record(f, c, CHUNK) for f, c in records)
-    assert list(iter_window_records(window, DIGEST, CHUNK)) == records
+    window = pack(records)
+    assert decode_region(window, DIGEST, CHUNK, 0, len(records)) == records
+    pairs, mults, nbytes = decode_region_unique(
+        window, DIGEST, CHUNK, 0, len(records)
+    )
+    assert dict(pairs) == dict(reversed(records))  # first payload per fp
+    assert sum(mults) == len(records)
+    assert nbytes == sum(len(chunk) for _fp, chunk in records)
 
 
 # -- packed reduction-state codecs (RMT1 / RGV1) ------------------------------
@@ -199,15 +223,28 @@ class TestRestoreRequestCodec:
         assert decoded == fps
         assert all(isinstance(fp, bytes) and len(fp) == 20 for fp in decoded)
 
-    def test_mixed_widths_fall_back_to_pickle(self):
-        fps = [b"ab", b"abc"]
-        blob = encode_restore_request(fps)
-        assert blob[:4] == b"RRQP"
-        assert decode_restore_request(blob) == fps
+    def test_ragged_or_empty_digests_rejected_at_encode(self):
+        for fps in ([b"ab", b"abc"], [b"", b""], [b"x" * 256]):
+            with pytest.raises(ValueError, match="RRQ1"):
+                encode_restore_request(fps)
 
     def test_bad_magic_rejected(self):
-        with pytest.raises(ValueError):
-            decode_restore_request(b"XXXX" + b"\x00" * 16)
+        blob = encode_restore_request([fp_of(1)])
+        for magic in (b"XXXX", b"RRQP", b"RRP1"):
+            with pytest.raises(ValueError, match="RRQ1"):
+                decode_restore_request(magic + blob[4:])
+
+    def test_truncated_or_overlong_blob_rejected(self):
+        blob = encode_restore_request([fp_of(1), fp_of(2)])
+        for bad in (blob[:-1], blob + b"\x00", blob[:-DIGEST], blob[:8], b""):
+            with pytest.raises(ValueError, match="RRQ1"):
+                decode_restore_request(bad)
+
+    def test_zero_width_digests_rejected(self):
+        header_only = encode_restore_request([])
+        forged = header_only[:-4] + (3).to_bytes(4, "little")  # count 3, digest 0
+        with pytest.raises(ValueError, match="RRQ1"):
+            decode_restore_request(forged)
 
 
 class TestRestoreReplyCodec:
@@ -226,5 +263,29 @@ class TestRestoreReplyCodec:
         assert decode_restore_reply(blob) == payloads
 
     def test_bad_magic_rejected(self):
-        with pytest.raises(ValueError):
-            decode_restore_reply(b"XXXX" + b"\x00" * 8)
+        blob = encode_restore_reply([b"abc"])
+        for magic in (b"XXXX", b"RRPP", b"RRQ1"):
+            with pytest.raises(ValueError, match="RRP1"):
+                decode_restore_reply(magic + blob[4:])
+
+    def test_truncated_reply_is_an_error_not_short_data(self):
+        # Regression: slicing past the end of the blob used to hand
+        # [b"abcde", b""] to reassembly.
+        blob = encode_restore_reply([b"abcde", b"wxyz"])
+        for bad in (blob[:-4], blob[:-1], blob + b"\x00", blob[:10], blob[:3], b""):
+            with pytest.raises(ValueError, match="RRP1"):
+                decode_restore_reply(bad)
+
+    def test_corrupt_length_column_rejected(self):
+        blob = bytearray(encode_restore_reply([b"abcde", b"wxyz"]))
+        blob[8:12] = (6).to_bytes(4, "little")  # first length 5 -> 6
+        with pytest.raises(ValueError, match="RRP1"):
+            decode_restore_reply(bytes(blob))
+
+    def test_oversized_payload_rejected_at_encode(self):
+        class Huge(bytes):
+            def __len__(self):
+                return 1 << 32
+
+        with pytest.raises(ValueError, match="RRP1"):
+            encode_restore_reply([Huge()])

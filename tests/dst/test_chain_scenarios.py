@@ -28,7 +28,7 @@ pytestmark = pytest.mark.smoke
 #: crashes + compacts / long prune-heavy run / natural corpus flip
 CHAIN_SEEDS = (16, 81, 45)
 #: differential chain seed with prune + compact
-DIFF_SEED = 67
+DIFF_SEED = 85
 #: differential chain seed reaching depth 8 with two compactions
 DEEP_SEED = 722
 

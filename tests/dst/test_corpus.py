@@ -51,8 +51,6 @@ def test_corpus_covers_the_feature_matrix():
             feats.add("repeat")
         if s.differential:
             feats.add("differential")
-        if not s.batched:
-            feats.add("legacy")
         if s.compress:
             feats.add("compress")
         if any(st.op == "crash" for st in s.steps):
@@ -69,10 +67,6 @@ def test_corpus_covers_the_feature_matrix():
             feats.add("tenant-gc")
         if s.shard_count > 1:
             feats.add("sharded")
-        if s.batched_restore:
-            feats.add("batched-restore")
-        else:
-            feats.add("legacy-restore")
         if s.arrival == "bursty":
             feats.add("bursty")
         if any(st.op == "tick" for st in s.steps):
@@ -99,10 +93,10 @@ def test_corpus_covers_the_feature_matrix():
             if _max_chain_depth(s) >= 8:
                 feats.add("chain-deep")
     assert feats >= {
-        "parity", "repeat", "differential", "legacy", "compress",
+        "parity", "repeat", "differential", "compress",
         "crash", "mid-dump", "repair", "pipelined-fast",
         "multi-tenant", "tenant-gc", "sharded",
-        "batched-restore", "legacy-restore", "bursty", "tick",
+        "bursty", "tick",
         "chain", "chain-delta", "chain-prune", "chain-compact",
         "chain-crash", "chain-differential", "chain-deep",
     }

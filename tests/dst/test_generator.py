@@ -55,8 +55,6 @@ class TestValidity:
                 seen.add("repeat")
             if s.differential:
                 seen.add("differential")
-            if not s.batched:
-                seen.add("legacy")
             if s.compress:
                 seen.add("compress")
             if any(st.op == "crash" for st in s.steps):
@@ -80,7 +78,7 @@ class TestValidity:
             if s.shard_count > 1:
                 seen.add("sharded")
         assert seen == {
-            "parity", "repeat", "differential", "legacy", "compress",
+            "parity", "repeat", "differential", "compress",
             "crash", "mid-dump", "repair", "baseline-strategy",
             "pipelined", "fast-integrity", "pipelined-fast",
             "multi-tenant", "tenant-gc", "sharded",
@@ -105,11 +103,10 @@ class TestValidity:
 
     def test_pipelined_scenarios_always_engage(self):
         """The generator only sets ``pipelined=True`` on configs where the
-        dump actually takes the pipelined path (batched replication, not
-        degraded) — the knob is never decorative."""
+        dump actually takes the pipelined path (replication, not degraded)
+        — the knob is never decorative."""
         for seed in range(200):
             s = generate_scenario(seed)
             if s.pipelined:
-                assert s.batched
                 assert not s.degraded
                 assert s.redundancy == "replication"

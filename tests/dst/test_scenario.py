@@ -121,6 +121,11 @@ class TestSerialization:
         assert f'"schema": "{SCENARIO_SCHEMA_ID}"' in text
         assert text.endswith("\n")
 
+    def test_retired_keys_in_old_failure_files_are_ignored(self):
+        s = scenario()
+        doc = dict(s.as_dict(), batched=False, batched_restore=False)
+        assert Scenario.from_dict(doc) == s
+
     def test_schema_id_checked(self):
         doc = '{"schema": "something/else/v9", "seed": 1}'
         with pytest.raises(ScenarioError):

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core import DumpConfig, Strategy, dump_output
 from repro.core.fingerprint import Fingerprinter
-from repro.core.local_dedup import local_dedup
+from repro.core.local_dedup import local_dedup_batched
 from repro.sim import simulate_dump
 from repro.simmpi import World
 from repro.storage import Cluster
@@ -52,7 +52,7 @@ def run_both(n, strategy, k, shuffle, dataset_factory=make_rank_dataset, f=4096)
         lambda comm: dump_output(comm, dataset_factory(comm.rank), cfg, cluster)
     )
     fpr = Fingerprinter(cfg.hash_name)
-    indices = [local_dedup(dataset_factory(r), fpr, CS) for r in range(n)]
+    indices = [local_dedup_batched(dataset_factory(r), fpr, CS) for r in range(n)]
     simulated = simulate_dump(indices, cfg)
     return threaded, simulated, cluster
 
@@ -76,11 +76,12 @@ def test_shuffle_modes_identical(shuffle):
         assert threaded[rank].received_bytes == simulated.reports[rank].received_bytes
 
 
-def test_placements_match_cluster_contents():
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_placements_match_cluster_contents(strategy):
     """The simulator's placement map must predict exactly which node stores
     which fingerprint in the real run."""
     n = 8
-    _threaded, simulated, cluster = run_both(n, Strategy.COLL_DEDUP, 3, shuffle=True)
+    _threaded, simulated, cluster = run_both(n, strategy, 3, shuffle=True)
     for fp, holders in simulated.placements.items():
         assert holders == set(cluster.replica_nodes(fp))
     # ... and nothing extra landed anywhere.

@@ -3,6 +3,7 @@ p2p/collectives/windows, crash surfacing and environment overrides."""
 
 import os
 import queue
+import time
 
 import pytest
 
@@ -131,6 +132,39 @@ class TestRootCauseReporting:
         headline = str(err.value)
         assert "ranks 0, 1, 2" in headline
         assert "first failure: ValueError('bad offset computed on rank 2')" in headline
+
+    def test_dead_rank_wakes_a_peer_blocked_in_recv(self):
+        # Thread backend: rank 0 dies while rank 1 sits in a recv nobody
+        # will answer.  The recv must observe the abort instead of waiting
+        # out the world timeout (the process backend still does).
+        def prog(comm):
+            if comm.rank == 0:
+                raise ValueError("rank 0 died")
+            return comm.recv(0, tag=3)
+
+        start = time.monotonic()
+        with pytest.raises(WorldError) as err:
+            run_spmd(3, prog, backend="thread", timeout=30)
+        assert time.monotonic() - start < 2.0
+        failures = err.value.failures
+        assert isinstance(failures[0], ValueError)
+        for rank in (1, 2):
+            assert isinstance(failures[rank], PeerFailedError)
+            assert "recv(source=0, tag=3) aborted" in str(failures[rank])
+        assert "first failure: ValueError('rank 0 died')" in str(err.value)
+
+    def test_queued_message_wins_over_the_abort(self):
+        # The peer sent before it died: the receiver still gets the message.
+        def prog(comm):
+            if comm.rank == 0:
+                comm.send("last words", 1, tag=3)
+                raise ValueError("rank 0 died")
+            time.sleep(0.2)  # let the abort land first
+            return comm.recv(0, tag=3)
+
+        with pytest.raises(WorldError) as err:
+            run_spmd(2, prog, backend="thread", timeout=30)
+        assert set(err.value.failures) == {0}
 
     def test_genuine_barrier_timeout_still_says_so(self):
         def prog(comm):
