@@ -365,16 +365,14 @@ def _dump_output_impl(
         comm.barrier()
         return report
 
-    # Phase 4: one-sided exchange.  Each partner's whole region is packed
-    # into one reused buffer and shipped with a single put (one lock
-    # acquisition + one trace record per partner).
+    # Phase 4: one-sided exchange.  Each partner's whole region is encoded
+    # straight into that partner's window at its Algorithm 3 offset (one
+    # accounting update + one trace record per partner, no staging buffer).
     with comm.trace.phase("exchange"):
         enter_phase("exchange")
         window = Window.create(comm, layout.window_slots[rank] * slot)
         capacity = config.wire_payload_capacity
         digest_size = fingerprinter.digest_size
-        max_region = max((len(fps) for fps in plan.partner_chunks), default=0)
-        sendbuf = bytearray(max_region * slot)
         for p, fps in enumerate(plan.partner_chunks):
             if p >= len(report.partners):
                 # Degraded: fewer live partners than slots; the planner kept
@@ -388,18 +386,15 @@ def _dump_output_impl(
                 report.sent_per_partner.append(0)
                 continue
             target = report.partners[p]
-            base = layout.offset_of(rank, target)
             count = len(fps)
             if count:
                 encode_records_into(
-                    sendbuf,
+                    window.put_view(
+                        target, layout.offset_of(rank, target) * slot, count * slot
+                    ),
                     ((fp, payload_of[fp]) for fp in fps),
                     digest_size,
                     capacity,
-                )
-                window.put_many(
-                    [(base * slot, memoryview(sendbuf)[: count * slot])],
-                    target,
                 )
             report.sent_per_partner.append(count)
             report.sent_chunks += count
@@ -414,8 +409,8 @@ def _dump_output_impl(
         received_records = received_nbytes = 0
         for sender, start, count in layout.regions[rank]:
             # Replicated regions repeat few distinct fingerprints; collapse
-            # each region in one vectorised sweep instead of materialising a
-            # payload per slot.
+            # each region in one vectorised sweep over the window itself and
+            # materialise one payload per distinct fingerprint.
             pairs, mults, nbytes = decode_region_unique(
                 incoming, digest_size, capacity, start, count
             )

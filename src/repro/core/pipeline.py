@@ -5,12 +5,13 @@ chunk is hashed, then every chunk is shipped, then every chunk is written.
 On a multi-core backend that wastes overlap — a rank's store writes are
 pure local work that could proceed while its partners are still hashing or
 exchanging.  This module restructures the tail of the dump into a pipeline
-over fixed-size *chunk batches* with two alternating send buffers:
+over fixed-size *chunk batches*, each encoded straight into the partners'
+windows (:meth:`repro.simmpi.window.Window.put_view`):
 
 * :func:`pipelined_exchange_write` — the general 2-stage form.  Hashing,
   reduction and planning stay strict (they feed the global layout), but the
-  exchange and write phases interleave: each batch of the plan is packed
-  and put into the partner windows, then this rank's own store commits for
+  exchange and write phases interleave: each batch of the plan is encoded
+  into the partner windows, then this rank's own store commits for
   the same batch run *before the fence*, overlapping other ranks' puts.
 
 * :func:`pipelined_no_dedup_dump` — the 3-stage form for the no-dedup
@@ -65,9 +66,9 @@ from repro.storage.local_store import Cluster
 from repro.storage.manifest import Manifest
 
 #: Chunks per pipeline batch.  Large enough that the numpy fingerprint
-#: kernel and the per-put locking amortise, small enough that three stages
-#: of different ranks genuinely interleave (64 x 4 KiB = 256 KiB in flight
-#: per buffer).
+#: kernel and the per-put accounting amortise, small enough that three stages
+#: of different ranks genuinely interleave (64 x 4 KiB = 256 KiB per batch
+#: and partner).
 PIPELINE_BATCH_SLOTS = 64
 
 
@@ -209,8 +210,8 @@ def pipelined_exchange_write(
     """2-stage pipeline: exchange and write interleave over chunk batches.
 
     Replaces the strict dump's phases 4 and 5 for an already-planned dump.
-    Per batch, each partner's slice of the plan is packed into one of two
-    alternating send buffers and put at the strict path's offsets, then
+    Per batch, each partner's slice of the plan is encoded into that
+    partner's window at the strict path's offsets, then
     this rank's own store commits the matching slice of ``plan.store_fps``
     — before the fence, overlapping the other ranks' exchange.
     """
@@ -237,12 +238,10 @@ def pipelined_exchange_write(
         [len(plan.store_fps)] + [len(fps) for fps in plan.partner_chunks],
         default=0,
     )
-    sendbufs = (bytearray(batch * slot), bytearray(batch * slot))
     pre_fence_write = 0.0
 
     for bi, lo in enumerate(range(0, rows, batch)):
         hi = min(lo + batch, rows)
-        buf = sendbufs[bi % 2]
         with comm.trace.phase("exchange"):
             with comm.trace.span("pipeline", stage="exchange", batch=bi):
                 for p, fps in enumerate(plan.partner_chunks):
@@ -250,19 +249,12 @@ def pipelined_exchange_write(
                     if not seg:
                         continue
                     encode_records_into(
-                        buf,
+                        window.put_view(
+                            partners[p], (bases[p] + lo) * slot, len(seg) * slot
+                        ),
                         ((fp, payload_of[fp]) for fp in seg),
                         digest_size,
                         capacity,
-                    )
-                    window.put_many(
-                        [
-                            (
-                                (bases[p] + lo) * slot,
-                                memoryview(buf)[: len(seg) * slot],
-                            )
-                        ],
-                        partners[p],
                     )
         with comm.trace.phase("write"):
             start = time.perf_counter()
@@ -338,7 +330,6 @@ def pipelined_no_dedup_dump(
         window = Window.create(comm, layout.window_slots[rank] * slot)
     bases = [layout.offset_of(rank, target) for target in report.partners]
     batch = PIPELINE_BATCH_SLOTS
-    sendbufs = (bytearray(batch * slot), bytearray(batch * slot))
 
     payload_of: Dict[Fingerprint, bytes] = {}
     order: List[Fingerprint] = []
@@ -367,18 +358,23 @@ def pipelined_no_dedup_dump(
                 total_bytes += len(payload)
             order.extend(fps)
 
-            buf = sendbufs[bi % 2]
             with comm.trace.phase("exchange"):
                 with comm.trace.span("pipeline", stage="exchange", batch=bi):
                     if pairs and nparts:
                         # Every partner receives the same records under
-                        # no-dedup: encode once, put the region K-1 times.
-                        encode_records_into(buf, pairs, digest_size, capacity)
-                        region = memoryview(buf)[: len(pairs) * slot]
-                        for p, target in enumerate(report.partners):
-                            window.put_many(
-                                [((bases[p] + done) * slot, region)], target
+                        # no-dedup: encode into the first partner's window,
+                        # copy that region into the other K-2.
+                        regions = [
+                            window.put_view(
+                                target, (bases[p] + done) * slot, len(pairs) * slot
                             )
+                            for p, target in enumerate(report.partners)
+                        ]
+                        encode_records_into(
+                            regions[0], pairs, digest_size, capacity
+                        )
+                        for region in regions[1:]:
+                            region[:] = regions[0]
             with comm.trace.phase("write"):
                 start = time.perf_counter()
                 with comm.trace.span("pipeline", stage="write", batch=bi):

@@ -24,57 +24,35 @@ def slot_nbytes(digest_size: int, chunk_size: int) -> int:
     return digest_size + _LEN.size + chunk_size
 
 
+#: Records written per ``struct.pack_into`` call: bounds the format string
+#: and the argument tuple, and spreads a call's fixed cost over 64 records.
+_PACK_GROUP = 64
+
+
 def encode_records_into(
-    out: bytearray,
+    out,
     records: Iterable[Tuple[Fingerprint, bytes]],
     digest_size: int,
     chunk_size: int,
     start_slot: int = 0,
 ) -> int:
-    """Pack records into consecutive slots of a preallocated buffer.
+    """Pack records into consecutive slots of a writable buffer.
 
-    One partner's whole region is assembled in place (no per-record
-    ``bytes`` concatenation) and shipped with a single window put.  Each
-    slot is ``fingerprint | u32 length | payload | zero padding``.  Returns
-    the number of records packed.
+    ``out`` is the sender's view of its region in a partner's window
+    (:meth:`repro.simmpi.window.Window.put_view`) or any other writable
+    buffer.  Each slot is ``fingerprint | u32 length | payload | zero
+    padding``, and every byte of it is written exactly once, straight from
+    the payload ``bytes``: ``struct``'s ``s`` code copies a payload and
+    zero-fills the rest of its field, so stale bytes of a reused buffer
+    cannot leak into a slot.  Returns the number of records packed.
 
-    ``out`` may be reused across partners: padding after each payload is
-    zeroed explicitly, so stale bytes from a previous, longer region cannot
-    leak into this one's slots (bytes beyond the packed region are the
-    caller's responsibility).
+    A fingerprint that is not ``digest_size`` wide, a payload longer than
+    ``chunk_size`` or a record past the end of ``out`` raises ``ValueError``
+    before anything is written.
     """
     slot = slot_nbytes(digest_size, chunk_size)
-    view = memoryview(out)
     pos = start_slot * slot
-    count = 0
-    hdr = digest_size + _LEN.size
-    if not isinstance(records, (list, tuple)):
-        records = list(records)
-    # Fast path: a uniform region of full-size records (the common case
-    # for interior chunks) packs as three C-speed column assignments.
-    n_rec = len(records)
-    if (
-        n_rec
-        and all(len(fp) == digest_size for fp, _ in records)
-        and all(len(chunk) == chunk_size for _, chunk in records)
-    ):
-        if pos + n_rec * slot > len(out):
-            raise ValueError(
-                f"record {n_rec - 1} overflows the {len(out)}B buffer"
-            )
-        region = np.frombuffer(out, dtype=np.uint8)[
-            pos : pos + n_rec * slot
-        ].reshape(n_rec, slot)
-        region[:, :digest_size] = np.frombuffer(
-            b"".join(fp for fp, _ in records), dtype=np.uint8
-        ).reshape(n_rec, digest_size)
-        region[:, digest_size:hdr] = np.frombuffer(
-            _LEN.pack(chunk_size), dtype=np.uint8
-        )
-        region[:, hdr:] = np.frombuffer(
-            b"".join(chunk for _, chunk in records), dtype=np.uint8
-        ).reshape(n_rec, chunk_size)
-        return n_rec
+    fields = []
     for fp, chunk in records:
         if len(fp) != digest_size:
             raise ValueError(
@@ -85,22 +63,36 @@ def encode_records_into(
             raise ValueError(
                 f"chunk of {n}B exceeds the slot payload size {chunk_size}B"
             )
-        if pos + slot > len(out):
-            raise ValueError(
-                f"record {count} overflows the {len(out)}B buffer"
-            )
-        view[pos : pos + digest_size] = fp
-        _LEN.pack_into(view, pos + digest_size, n)
-        view[pos + hdr : pos + hdr + n] = chunk
-        if n < chunk_size:
-            view[pos + hdr + n : pos + slot] = bytes(chunk_size - n)
-        pos += slot
-        count += 1
+        fields += (fp, n, chunk)
+    count = len(fields) // 3
+    room = memoryview(out).nbytes
+    if pos + count * slot > room:
+        raise ValueError(
+            f"record {max(0, room - pos) // slot} overflows the {room}B buffer"
+        )
+    record = f"{digest_size}sI{chunk_size}s"
+    for lo in range(0, count, _PACK_GROUP):
+        hi = min(lo + _PACK_GROUP, count)
+        struct.pack_into(
+            "<" + record * (hi - lo), out, pos + lo * slot, *fields[3 * lo : 3 * hi]
+        )
     return count
 
 
+def _record_dtype(digest_size: int, chunk_size: int) -> np.dtype:
+    """A slot as a numpy record: the header fields in place, payload skipped."""
+    return np.dtype(
+        {
+            "names": ["fp", "length"],
+            "formats": [np.dtype((np.void, digest_size)), "<u4"],
+            "offsets": [0, digest_size],
+            "itemsize": slot_nbytes(digest_size, chunk_size),
+        }
+    )
+
+
 def decode_region_unique(
-    buffer: bytes,
+    buffer,
     digest_size: int,
     chunk_size: int,
     start_slot: int,
@@ -113,57 +105,54 @@ def decode_region_unique(
     times each fingerprint appeared in the region, and the summed payload
     length of every record (duplicates included).
 
-    Replicated regions are dominated by repeated fingerprints, so the
-    receiver's store only ever needs one payload per distinct fingerprint;
-    collapsing in one ``np.unique`` sweep avoids materialising a payload
-    ``bytes`` per slot.  Precondition (guaranteed by content addressing):
-    slots sharing a fingerprint carry identical payloads.  Slot headers are
+    ``buffer`` is read in place — it is the receiver's
+    :meth:`~repro.simmpi.window.Window.local_view`, or any bytes-like — and
+    nothing of it is copied but one ``bytes`` per distinct payload, the copy
+    the store keeps.  Replicated regions are dominated by repeated
+    fingerprints, which one ``np.unique`` sweep over the fingerprint column
+    collapses.  Precondition (guaranteed by content addressing): slots
+    sharing a fingerprint carry identical payloads.  Slot headers are
     validated in one numpy sweep over the region: a region reaching past
     the buffer or a length field above ``chunk_size`` raises ``ValueError``.
+    No array over ``buffer`` outlives the call.
     """
     if slot_count <= 0:
         return [], [], 0
     slot = slot_nbytes(digest_size, chunk_size)
     base = start_slot * slot
-    end = base + slot_count * slot
-    if end > len(buffer):
-        short = next(
-            i for i in range(start_slot, start_slot + slot_count)
-            if (i + 1) * slot > len(buffer)
-        )
+    view = memoryview(buffer)
+    if base + slot_count * slot > view.nbytes:
+        short = max(start_slot, view.nbytes // slot)
         raise ValueError(
             f"window truncated: slot {short} needs {slot}B, have "
-            f"{max(0, len(buffer) - short * slot)}B"
+            f"{max(0, view.nbytes - short * slot)}B"
         )
-    region = bytes(buffer[base:end])
-    arr = np.frombuffer(region, dtype=np.uint8).reshape(slot_count, slot)
-    lengths = (
-        arr[:, digest_size : digest_size + _LEN.size].copy().view("<u4").ravel()
+    records = np.frombuffer(
+        view, dtype=_record_dtype(digest_size, chunk_size), count=slot_count,
+        offset=base,
     )
-    bad = np.nonzero(lengths > chunk_size)[0]
+    lengths = records["length"]
+    bad = np.flatnonzero(lengths > chunk_size)
     if bad.size:
         raise ValueError(
             f"corrupt record in slot {start_slot + int(bad[0])}: "
             f"length {int(lengths[bad[0]])}"
         )
-    fp_col = np.ascontiguousarray(arr[:, :digest_size]).view(
-        np.dtype((np.void, digest_size))
-    ).ravel()
-    _uniq, first_idx, counts = np.unique(
-        fp_col, return_index=True, return_counts=True
+    distinct, first_idx, counts = np.unique(
+        records["fp"], return_index=True, return_counts=True
     )
-    hdr = digest_size + _LEN.size
-    pairs: List[Tuple[Fingerprint, bytes]] = []
-    multiplicities: List[int] = []
-    for u in np.argsort(first_idx):
-        i = int(first_idx[u])
-        pos = i * slot
-        n = int(lengths[i])
-        pairs.append(
-            (region[pos : pos + digest_size], region[pos + hdr : pos + hdr + n])
-        )
-        multiplicities.append(int(counts[u]))
-    return pairs, multiplicities, int(lengths.sum())
+    order = np.argsort(first_idx)
+    first = first_idx[order]
+    starts = base + first * slot + digest_size + _LEN.size
+    ends = starts + lengths[first]
+    payloads = [
+        bytes(view[lo:hi]) for lo, hi in zip(starts.tolist(), ends.tolist())
+    ]
+    return (
+        list(zip(distinct[order].tolist(), payloads)),
+        counts[order].tolist(),
+        int(lengths.sum()),
+    )
 
 
 # -- packed merge-state codec -------------------------------------------------

@@ -2,11 +2,11 @@
 
 Runs the planner's schedule through the same machinery the dump itself
 uses: a one-sided window per receiver sized exactly to its incoming
-repair traffic, each sender packing a destination's whole region of
-fixed-size wire records (:mod:`repro.core.wire`) into one reused buffer
-and shipping it with a single put at the slot offset the schedule derived,
-one fence separating the exchange epoch from the local commit (one decode
-of the window into one batched store write).  Phases are traced
+repair traffic, each sender encoding a destination's whole region of
+fixed-size wire records (:mod:`repro.core.wire`) straight into that window
+at the slot offset the schedule derived, one fence separating the exchange
+epoch from the local commit (one in-place decode of the window into one
+batched store write).  Phases are traced
 (``repair-exchange``, ``repair-write``, ``repair-manifest``) so
 :func:`repro.netsim.cost_model.repair_time` can price a repair exactly
 like a dump.
@@ -140,9 +140,8 @@ def _send_regions(
     """Ship everything ``my_node`` serves: one region per destination.
 
     A destination's records from this source are contiguous in its window,
-    so each region is read, packed into the reused buffer and put once.
-    The buffer dies with this frame — before the receive side allocates
-    its window snapshot.
+    so each region is read from the store and encoded straight into the
+    destination's window at the offset the schedule derived.
     """
     from repro.erasure.ec_dump import reconstruct_chunk
 
@@ -150,7 +149,6 @@ def _send_regions(
     slot = slot_nbytes(digest_size, capacity)
     store = cluster.nodes[my_node].chunks
     outgoing = schedule.counts[my_node]
-    sendbuf = bytearray(int(outgoing.max()) * slot)
     sent_chunks = sent_bytes = 0
     for dest in np.flatnonzero(outgoing).tolist():
         rows = schedule.region_rows(my_node, dest).tolist()
@@ -167,16 +165,14 @@ def _send_regions(
         else:
             payloads = store.get_many(fps)
         encode_records_into(
-            sendbuf, list(zip(fps, payloads)), digest_size, capacity
-        )
-        win.put_many(
-            [
-                (
-                    int(schedule.starts[my_node, dest]) * slot,
-                    memoryview(sendbuf)[: len(rows) * slot],
-                )
-            ],
-            agents[dest],
+            win.put_view(
+                agents[dest],
+                int(schedule.starts[my_node, dest]) * slot,
+                len(rows) * slot,
+            ),
+            zip(fps, payloads),
+            digest_size,
+            capacity,
         )
         sent_chunks += len(rows)
         sent_bytes += sum(map(len, payloads))
@@ -232,14 +228,13 @@ def execute_repair(
             if i_am_agent:
                 _send_regions(win, cluster, schedule, my_node, agents, fragment)
             win.fence()
-            view = win.local_view() if n_in else b""
         with comm.trace.phase("repair-write"):
             if n_in:
                 # A chunk never lands twice on one node, so every
                 # multiplicity is 1; the unique decode is the window codec
                 # the dump's receive side uses.
                 pairs, mults, landed = decode_region_unique(
-                    view, digest_size, capacity, 0, n_in
+                    win.local_view(), digest_size, capacity, 0, n_in
                 )
                 cluster.nodes[my_node].chunks.put_counted(
                     (fp, payload, m) for (fp, payload), m in zip(pairs, mults)

@@ -13,8 +13,9 @@ backends ship:
 * ``"process"`` — :class:`repro.simmpi.procworld.ProcessWorld`: every rank
   is a forked OS process; one-sided windows live in
   ``multiprocessing.shared_memory`` segments so ``Window.put``/``put_many``
-  are genuine zero-copy cross-process writes and ranks fingerprint, dedup
-  and pack in parallel across cores.
+  are genuine zero-copy cross-process writes, ``put_view``/``local_view``
+  are slices of the segment itself, and ranks fingerprint, dedup and pack
+  in parallel across cores.
 
 :class:`~repro.simmpi.comm.Communicator`, the collective algorithms and
 :class:`~repro.simmpi.window.Window` are written against the abstract
@@ -29,10 +30,11 @@ timeout) and ``REPRO_SPMD_BACKEND`` (``thread``/``process``).
 from __future__ import annotations
 
 import abc
+import contextlib
 import os
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Iterator, List, Optional
 
-from repro.simmpi.errors import SimMPIError
+from repro.simmpi.errors import SimMPIError, WindowError
 
 #: Fallback world timeout (seconds) when neither ``timeout=`` nor the
 #: ``REPRO_SPMD_TIMEOUT`` environment variable is given.
@@ -96,6 +98,30 @@ def create_world(
     return world_class(backend)(size, timeout=timeout)
 
 
+@contextlib.contextmanager
+def releasing(views: List[memoryview]) -> Iterator[None]:
+    """Release the window views a slot handed out, then run the body that
+    unmaps the slot's memory; every slot's ``close()`` is built on this.
+
+    Memory that still backs an array or a slice cannot be unmapped.  Its
+    holder broke the lifetime rule of
+    :meth:`~repro.simmpi.window.Window.local_view`, and the
+    :class:`~repro.simmpi.errors.WindowError` says so where a bare
+    ``BufferError`` from the unmap would not.
+    """
+    try:
+        for view in views:
+            view.release()
+        views.clear()
+        yield
+    except BufferError:
+        raise WindowError(
+            "window freed while an array or slice derived from one of its "
+            "views is still alive; drop it (or copy with bytes()) before "
+            "free()"
+        ) from None
+
+
 class BaseWorld(abc.ABC):
     """Contract every execution backend implements.
 
@@ -114,10 +140,13 @@ class BaseWorld(abc.ABC):
     rank's memory under a collectively agreed id and returns a *slot*;
     :meth:`window_slot` resolves any rank's slot for remote access.  A slot
     implements the small protocol the :class:`~repro.simmpi.window.Window`
-    drives: ``nbytes``, ``filled``, ``write(staged, remote)`` (serialised
-    batched memcpy), ``read(offset, nbytes)``, ``snapshot()`` and
-    ``take_received()`` (drain receive accounting deferred to fence time —
-    ``(0, 0)`` for backends that charge inline).
+    drives: ``nbytes``, ``filled``, ``view(offset, nbytes, readonly)`` (a
+    zero-copy view of the exposed memory, tracked so that ``close()`` can
+    release it), ``account(nbytes, remote)`` (count a put),
+    ``write(staged, remote)`` (batched memcpy plus its accounting),
+    ``read(offset, nbytes)``, ``take_received()`` (drain receive accounting
+    deferred to fence time — ``(0, 0)`` for backends that charge inline) and
+    ``close()`` (release the views, unmap; called by :meth:`window_free`).
 
     **Execution** — :meth:`run` launches ``fn(comm, *args, **kwargs)`` on
     every rank and returns the rank-ordered results; any rank failure
@@ -196,7 +225,6 @@ class BaseWorld(abc.ABC):
 
     def open_result_blob(self, handle):
         """Context manager yielding the staged blob's buffer (single use)."""
-        import contextlib
 
         @contextlib.contextmanager
         def _open():

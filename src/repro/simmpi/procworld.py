@@ -51,12 +51,13 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import multiprocessing
 from multiprocessing import shared_memory
 
-from repro.simmpi.backend import BaseWorld, resolve_timeout
+from repro.simmpi.backend import BaseWorld, releasing, resolve_timeout
 from repro.simmpi.comm import Communicator
 from repro.simmpi.errors import (
     DeadlockError,
     RankCrashError,
     SimMPIError,
+    WindowError,
     WorldError,
 )
 
@@ -126,35 +127,45 @@ class _ShmSlot:
     since a writer cannot reach the owner's trace across address spaces.
     """
 
-    __slots__ = ("_shm", "nbytes", "_lock")
+    __slots__ = ("_shm", "nbytes", "_lock", "_views")
 
     def __init__(self, shm: shared_memory.SharedMemory, nbytes: int, lock) -> None:
         self._shm = shm
         self.nbytes = int(nbytes)
         self._lock = lock
+        self._views: List[memoryview] = []
 
-    def write(self, staged, remote: bool) -> None:
+    def view(self, offset: int, nbytes: int, readonly: bool = False) -> memoryview:
+        """Zero-copy view of ``[offset, offset + nbytes)`` of the segment,
+        released by :meth:`close` (an exported view would make unmapping the
+        segment raise ``BufferError``)."""
+        view = self._shm.buf[_HEADER + offset : _HEADER + offset + nbytes]
+        if readonly:
+            view = view.toreadonly()
+        self._views.append(view)
+        return view
+
+    def account(self, nbytes: int, remote: bool) -> None:
         buf = self._shm.buf
         with self._lock:
-            total = 0
-            for offset, payload in staged:
-                n = len(payload)
-                buf[_HEADER + offset : _HEADER + offset + n] = payload
-                total += n
             filled, rbytes, rmsgs = struct.unpack_from("<QQQ", buf, 8)
-            filled += total
+            filled += nbytes
             if remote:
-                rbytes += total
+                rbytes += nbytes
                 rmsgs += 1
             struct.pack_into("<QQQ", buf, 8, filled, rbytes, rmsgs)
 
-    def read(self, offset: int, nbytes: int) -> bytes:
-        with self._lock:
-            return bytes(self._shm.buf[_HEADER + offset : _HEADER + offset + nbytes])
+    def write(self, staged, remote: bool) -> None:
+        buf = self._shm.buf
+        total = 0
+        for offset, payload in staged:
+            n = len(payload)
+            buf[_HEADER + offset : _HEADER + offset + n] = payload
+            total += n
+        self.account(total, remote)
 
-    def snapshot(self) -> bytes:
-        with self._lock:
-            return bytes(self._shm.buf[_HEADER : _HEADER + self.nbytes])
+    def read(self, offset: int, nbytes: int) -> bytes:
+        return bytes(self._shm.buf[_HEADER + offset : _HEADER + offset + nbytes])
 
     @property
     def filled(self) -> int:
@@ -168,10 +179,8 @@ class _ShmSlot:
         return int(rbytes), int(rmsgs)
 
     def close(self) -> None:
-        try:
+        with releasing(self._views):
             self._shm.close()
-        except Exception:
-            pass
 
 
 class _RemoteFailure:
@@ -618,10 +627,15 @@ class ProcessWorld(BaseWorld):
         """Child-side safety net: close attachments, unlink own segments.
 
         The normal path already freed every window; this covers exception
-        exits so segments do not outlive the run.
+        exits so segments do not outlive the run.  Such an exit may leave a
+        window view alive in its traceback: the mapping then lasts until the
+        process ends, and the unlink below still removes the segment.
         """
         for slot in self._open_slots.values():
-            slot.close()
+            try:
+                slot.close()
+            except WindowError:
+                pass
         for shm in self._owned_shm.values():
             try:
                 shm.unlink()

@@ -8,9 +8,11 @@ byte offset, and ``fence`` epochs separating accumulation from local reads.
 
 The class is backend-neutral: all storage and synchronisation is delegated
 to the *slot* objects of the owning world (see
-:class:`~repro.simmpi.backend.BaseWorld`) — a locked ``bytearray`` under
-the thread backend, a ``multiprocessing.shared_memory`` segment under the
-process backend, where a put is a genuine zero-copy cross-process write.
+:class:`~repro.simmpi.backend.BaseWorld`) — an anonymous memory mapping
+under the thread backend, a ``multiprocessing.shared_memory`` segment under
+the process backend.  On both, :meth:`Window.put_view` hands a sender the
+target's memory itself and :meth:`Window.local_view` hands the owner its own,
+so a replicated byte is copied once into the window and once out of it.
 
 Out-of-bounds puts raise :class:`~repro.simmpi.errors.WindowError` — in the
 reproduction this is the safety net that catches any error in the offset
@@ -31,8 +33,10 @@ class Window:
 
     Every rank calls :meth:`create` with its own exposure size (possibly 0).
     After creation the window is in an *exposure epoch*: any rank may
-    :meth:`put` into any other rank's region.  A :meth:`fence` closes the
-    epoch; afterwards :meth:`local_view` returns the accumulated bytes.
+    :meth:`put` into any other rank's region, or fill a :meth:`put_view` of
+    it in place.  A :meth:`fence` closes the epoch; afterwards
+    :meth:`local_view` exposes the accumulated bytes.  Views of either kind
+    are valid until :meth:`free`.
     """
 
     def __init__(self, comm: Communicator, window_id: int, nbytes: int) -> None:
@@ -53,7 +57,7 @@ class Window:
         return win
 
     def free(self) -> None:
-        """Collectively tear the window down."""
+        """Collectively tear the window down, releasing every view of it."""
         self._comm.barrier()
         self._comm.world.window_free(self._id, self._comm.world_rank)
 
@@ -63,72 +67,99 @@ class Window:
         return self._nbytes
 
     # -- one sided access --------------------------------------------------------
-    def put(self, data, target_rank: int, offset: int) -> None:
-        """Write ``data`` into ``target_rank``'s region at byte ``offset``.
-
-        Single-sided: the target takes no action.  Overlapping concurrent
-        puts to disjoint ranges are safe (per-slot lock serialises the
-        memcpy); overlapping *ranges* indicate a planning bug upstream and
-        are not detected here — tests cover that via exact-packing checks.
-        """
-        payload = bytes(data)
+    def _target_slot(self, target_rank: int, regions):
+        """``target_rank``'s world rank and slot, once every ``(offset,
+        nbytes)`` of ``regions`` is known to lie inside its window."""
         target_world = self._comm.world_rank_of(target_rank)
         slot = self._comm.world.window_slot(self._id, target_world)
-        end = offset + len(payload)
-        if offset < 0 or end > slot.nbytes:
-            raise WindowError(
-                f"put of {len(payload)}B at offset {offset} exceeds rank "
-                f"{target_rank}'s window of {slot.nbytes}B"
-            )
-        remote = target_rank != self._comm.rank
-        trace = self._comm.trace
-        t0 = time.perf_counter() if trace.span_enabled else 0.0
-        slot.write(((offset, payload),), remote)
-        if remote:
-            # Shared-memory backends charge the target's trace here; process
-            # slots accounted inside write() and drain at the target's fence.
-            self._comm.world.charge_put_received(target_world, len(payload))
-            trace.record_put(len(payload))
-            if trace.span_enabled:
-                trace.metrics.histogram(
-                    "put_latency_seconds", LATENCY_BUCKETS
-                ).observe(time.perf_counter() - t0)
-
-    def put_many(self, parts, target_rank: int) -> None:
-        """Write several ``(offset, data)`` regions into ``target_rank``'s
-        window under one lock acquisition and one trace record.
-
-        The batched exchange primitive: a sender packs a partner's whole
-        region (or several disjoint ones) and ships it with a single
-        synchronised access, so the exchange critical section is entered
-        once per partner instead of once per chunk.  Traced as one put of
-        the total byte count.  Buffer-protocol objects (``bytes``, a
-        ``memoryview`` of the sender's packing buffer, ...) are handed to the
-        slot as byte views — the only copy is the one into the window.
-        """
-        staged = [
-            (int(offset), memoryview(data).cast("B")) for offset, data in parts
-        ]
-        target_world = self._comm.world_rank_of(target_rank)
-        slot = self._comm.world.window_slot(self._id, target_world)
-        for offset, payload in staged:
-            if offset < 0 or offset + len(payload) > slot.nbytes:
+        for offset, nbytes in regions:
+            if offset < 0 or nbytes < 0 or offset + nbytes > slot.nbytes:
                 raise WindowError(
-                    f"put of {len(payload)}B at offset {offset} exceeds rank "
+                    f"put of {nbytes}B at offset {offset} exceeds rank "
                     f"{target_rank}'s window of {slot.nbytes}B"
                 )
-        total = sum(len(payload) for _offset, payload in staged)
-        remote = target_rank != self._comm.rank and total > 0
+        return target_world, slot
+
+    def _charge_put(self, target_world: int, nbytes: int) -> None:
+        """Trace one remote put: the target's receive side, then ours.
+
+        Shared-memory backends charge the target's trace here; process slots
+        accounted inside ``account()`` and drain at the target's fence.
+        """
+        self._comm.world.charge_put_received(target_world, nbytes)
+        self._comm.trace.record_put(nbytes)
+
+    def _put(self, staged, total: int, target_rank: int, remote: bool) -> None:
+        target_world, slot = self._target_slot(
+            target_rank, ((offset, len(payload)) for offset, payload in staged)
+        )
         trace = self._comm.trace
         t0 = time.perf_counter() if trace.span_enabled else 0.0
         slot.write(staged, remote)
         if remote:
-            self._comm.world.charge_put_received(target_world, total)
-            trace.record_put(total)
+            self._charge_put(target_world, total)
             if trace.span_enabled:
                 trace.metrics.histogram(
                     "put_latency_seconds", LATENCY_BUCKETS
                 ).observe(time.perf_counter() - t0)
+
+    def put(self, data, target_rank: int, offset: int) -> None:
+        """Write ``data`` into ``target_rank``'s region at byte ``offset``.
+
+        Single-sided: the target takes no action.  ``data`` is handed to the
+        slot as a byte view, so the only copy is the one into the window.
+        Concurrent puts to disjoint ranges are safe; overlapping *ranges*
+        indicate a planning bug upstream and are not detected here — tests
+        cover that via exact-packing checks.
+        """
+        payload = memoryview(data).cast("B")
+        self._put(
+            ((int(offset), payload),),
+            len(payload),
+            target_rank,
+            target_rank != self._comm.rank,
+        )
+
+    def put_many(self, parts, target_rank: int) -> None:
+        """Write several ``(offset, data)`` regions into ``target_rank``'s
+        window with one accounting update and one trace record.
+
+        Traced as one put of the total byte count.  Buffer-protocol objects
+        (``bytes``, a ``memoryview`` of a packing buffer, ...) are handed to
+        the slot as byte views — the only copy is the one into the window.
+        Nothing is written unless every region is in bounds.
+        """
+        staged = [
+            (int(offset), memoryview(data).cast("B")) for offset, data in parts
+        ]
+        total = sum(len(payload) for _offset, payload in staged)
+        self._put(
+            staged, total, target_rank, target_rank != self._comm.rank and total > 0
+        )
+
+    def put_view(self, target_rank: int, offset: int, nbytes: int) -> memoryview:
+        """A writable view of ``nbytes`` of ``target_rank``'s region at byte
+        ``offset``, for the sender to fill in place.
+
+        This is the exchange primitive: Algorithm 3 gives every sender the
+        offset of its region in each partner's window, so it encodes its
+        records straight into that region — no staging buffer, no second
+        copy.  Granting the view is what counts as the put: ``nbytes`` is
+        added to the target's ``filled`` and traced as one message of
+        ``nbytes`` on both sides, whatever the sender then writes.  A region
+        reaching outside the window raises :class:`WindowError`.
+
+        Lifetime: fill the view before the :meth:`fence` that closes the
+        epoch.  The window releases it at :meth:`free`; arrays or slices
+        derived from it must be gone by then.
+        """
+        target_world, slot = self._target_slot(target_rank, ((offset, nbytes),))
+        remote = target_rank != self._comm.rank and nbytes > 0
+        view = slot.view(offset, nbytes)
+        slot.account(nbytes, remote)
+        if remote:
+            self._charge_put(target_world, nbytes)
+        return view
 
     def get(self, target_rank: int, offset: int, nbytes: int) -> bytes:
         """Read ``nbytes`` from ``target_rank``'s region at ``offset``."""
@@ -161,11 +192,18 @@ class Window:
         if msgs:
             self._comm.trace.record_put_received(nbytes, msgs)
 
-    def local_view(self) -> bytes:
-        """Bytes accumulated in this rank's own region (call after fence)."""
-        return self._comm.world.window_slot(
-            self._id, self._comm.world_rank
-        ).snapshot()
+    def local_view(self) -> memoryview:
+        """Read-only zero-copy view of this rank's own region (call after
+        :meth:`fence`).
+
+        The view is the window's memory, not a snapshot: it stays readable
+        until :meth:`free`, which releases it (reading it afterwards raises
+        ``ValueError``).  Copy what must outlive the window —
+        ``bytes(view)`` — and drop arrays or slices derived from the view
+        before freeing.
+        """
+        slot = self._comm.world.window_slot(self._id, self._comm.world_rank)
+        return slot.view(0, slot.nbytes, readonly=True)
 
     def local_filled(self) -> int:
         """Total bytes written into the local region so far."""

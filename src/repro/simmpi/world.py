@@ -23,6 +23,7 @@ rank is a thread of the calling interpreter) plus the backend-dispatching
 
 from __future__ import annotations
 
+import mmap
 import queue
 import threading
 import time
@@ -32,6 +33,7 @@ from repro.simmpi.backend import (
     BaseWorld,
     DEFAULT_TIMEOUT,
     create_world,
+    releasing,
     resolve_timeout,
 )
 from repro.simmpi.comm import Communicator, _Mailbox
@@ -51,47 +53,67 @@ _ABORT_POLL_S = 0.05
 
 
 class _WindowSlot:
-    """Thread backend's window slot: a bytearray plus its access lock.
+    """Thread backend's window slot: an anonymous private mapping.
 
     Implements the slot protocol the backend-neutral
     :class:`~repro.simmpi.window.Window` drives (see
-    :class:`~repro.simmpi.backend.BaseWorld`).
+    :class:`~repro.simmpi.backend.BaseWorld`).  The kernel zero-fills a
+    mapped page when it is first touched, so a window page is touched once,
+    by the sender that writes it (a ``bytearray`` is zeroed up front).
+    Writers fill disjoint regions without a lock; the lock only guards the
+    ``filled`` counter.
     """
 
-    __slots__ = ("buffer", "lock", "_filled")
+    __slots__ = ("nbytes", "lock", "_mem", "_buf", "_views", "_filled")
 
     def __init__(self, nbytes: int) -> None:
-        self.buffer = bytearray(nbytes)
+        self.nbytes = int(nbytes)
         self.lock = threading.Lock()
+        self._mem = mmap.mmap(
+            -1, max(1, self.nbytes), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+        )
+        self._buf = memoryview(self._mem)
+        self._views: List[memoryview] = []
         self._filled = 0
-
-    @property
-    def nbytes(self) -> int:
-        return len(self.buffer)
 
     @property
     def filled(self) -> int:
         with self.lock:
             return self._filled
 
-    def write(self, staged, remote: bool) -> None:
-        """Copy every ``(offset, payload)`` region in under one lock."""
+    def view(self, offset: int, nbytes: int, readonly: bool = False) -> memoryview:
+        """Zero-copy view of ``[offset, offset + nbytes)``, released by
+        :meth:`close`."""
+        view = self._buf[offset : offset + nbytes]
+        if readonly:
+            view = view.toreadonly()
+        self._views.append(view)
+        return view
+
+    def account(self, nbytes: int, remote: bool) -> None:
+        # Receives are charged inline by World.charge_put_received.
         with self.lock:
-            for offset, payload in staged:
-                self.buffer[offset : offset + len(payload)] = payload
-                self._filled += len(payload)
+            self._filled += nbytes
+
+    def write(self, staged, remote: bool) -> None:
+        """Copy every ``(offset, payload)`` region in; one accounting update."""
+        total = 0
+        for offset, payload in staged:
+            self._buf[offset : offset + len(payload)] = payload
+            total += len(payload)
+        self.account(total, remote)
 
     def read(self, offset: int, nbytes: int) -> bytes:
-        with self.lock:
-            return bytes(self.buffer[offset : offset + nbytes])
-
-    def snapshot(self) -> bytes:
-        with self.lock:
-            return bytes(self.buffer)
+        return bytes(self._buf[offset : offset + nbytes])
 
     def take_received(self):
-        # Receives are charged inline by World.charge_put_received.
         return 0, 0
+
+    def close(self) -> None:
+        """Release every view handed out and unmap the region."""
+        with releasing(self._views):
+            self._buf.release()
+            self._mem.close()
 
 
 class World(BaseWorld):
@@ -156,11 +178,12 @@ class World(BaseWorld):
 
     def window_free(self, window_id: int, rank: int) -> None:
         with self._windows_lock:
-            slots = self._windows.get(window_id)
-            if slots is not None:
-                slots.pop(rank, None)
-                if not slots:
-                    del self._windows[window_id]
+            slots = self._windows.get(window_id, {})
+            slot = slots.pop(rank, None)
+            if not slots:
+                self._windows.pop(window_id, None)
+        if slot is not None:
+            slot.close()
 
     def window_slot(self, window_id: int, rank: int) -> _WindowSlot:
         with self._windows_lock:

@@ -51,6 +51,10 @@ class GlobalDedupIndex:
             {} for _ in range(shard_count)
         ]
         self._locks = [threading.Lock() for _ in range(shard_count)]
+        # Running totals behind `unique_bytes` / `referenced_bytes`, one per
+        # shard so that each is updated under its shard's lock.
+        self._unique_bytes = [0] * shard_count
+        self._referenced: List[Dict[str, int]] = [{} for _ in range(shard_count)]
 
     def _shard(self, fp: Fingerprint) -> int:
         return fp[0] % self.shard_count
@@ -61,12 +65,18 @@ class GlobalDedupIndex:
         i = self._shard(fp)
         with self._locks[i]:
             entry = self._shards[i].get(fp)
+            referenced = self._referenced[i]
             if entry is None:
                 self._shards[i][fp] = ChunkEntry(
                     size=size, first_writer=tenant, refs={tenant: 1}
                 )
+                self._unique_bytes[i] += size
+                referenced[tenant] = referenced.get(tenant, 0) + size
                 return True
-            entry.refs[tenant] = entry.refs.get(tenant, 0) + 1
+            have = entry.refs.get(tenant, 0)
+            if not have:
+                referenced[tenant] = referenced.get(tenant, 0) + entry.size
+            entry.refs[tenant] = have + 1
             return False
 
     def release(self, tenant: str, fp: Fingerprint) -> Tuple[int, bool]:
@@ -84,6 +94,8 @@ class GlobalDedupIndex:
             have = entry.refs.get(tenant, 0)
             if have <= 1:
                 entry.refs.pop(tenant, None)
+                if have:
+                    self._referenced[i][tenant] -= entry.size
             else:
                 entry.refs[tenant] = have - 1
             remaining = entry.total_refs
@@ -92,6 +104,7 @@ class GlobalDedupIndex:
             )
             if remaining == 0:
                 del self._shards[i][fp]
+                self._unique_bytes[i] -= entry.size
             return (remaining, others)
 
     def get(self, fp: Fingerprint) -> ChunkEntry:
@@ -108,18 +121,17 @@ class GlobalDedupIndex:
         return sum(len(shard) for shard in self._shards)
 
     # -- accounting views --------------------------------------------------------
+    # `unique_bytes` and `referenced_bytes` are read after every request, so
+    # `record` / `release` keep them as running totals; the other views walk
+    # the index.
     @property
     def unique_bytes(self) -> int:
         """Bytes the service stores once, regardless of sharing."""
-        return sum(entry.size for _fp, entry in self.items())
+        return sum(self._unique_bytes)
 
     def referenced_bytes(self, tenant: str) -> int:
         """Unique bytes ``tenant`` references (its dedup'd footprint)."""
-        return sum(
-            entry.size
-            for _fp, entry in self.items()
-            if entry.refs.get(tenant, 0) > 0
-        )
+        return sum(shard.get(tenant, 0) for shard in self._referenced)
 
     def shared_bytes(self, tenant: str) -> int:
         """Bytes ``tenant`` references that at least one other tenant also

@@ -217,7 +217,7 @@ class TestProcessBackend:
             win.put(bytes([comm.rank + 1]) * 8, peer, 0)
             win.put_many([(8, b"wxyz"), (12, b"1234")], peer)
             win.fence()
-            view = win.local_view()
+            view = bytes(win.local_view())
             filled = win.local_filled()
             win.free()
             return view, filled

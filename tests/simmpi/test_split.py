@@ -81,7 +81,7 @@ class TestSplit:
             peer = (sub.rank + 1) % sub.size
             win.put(bytes([comm.rank] * 4), peer, 0)
             win.fence()
-            view = win.local_view()
+            view = bytes(win.local_view())
             win.free()
             return view
 

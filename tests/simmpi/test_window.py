@@ -16,7 +16,7 @@ class TestWindowBasics:
             if comm.rank == 1:
                 win.put(b"ABCD", target_rank=0, offset=4)
             win.fence()
-            view = win.local_view()
+            view = bytes(win.local_view())
             win.free()
             return view
 
@@ -40,7 +40,7 @@ class TestWindowBasics:
             win = Window.create(comm, n * 2 if comm.rank == 0 else 0)
             win.put(bytes([comm.rank] * 2), target_rank=0, offset=comm.rank * 2)
             win.fence()
-            view = win.local_view()
+            view = bytes(win.local_view())
             win.free()
             return view
 
@@ -158,7 +158,7 @@ class TestWindowTrace:
                 peer = (comm.rank + 1) % comm.size
                 win.put(bytes([round_no]), target_rank=peer, offset=0)
                 win.fence()
-                out.append(win.local_view())
+                out.append(bytes(win.local_view()))
                 win.free()
             return out
 
@@ -173,7 +173,7 @@ class TestPutMany:
             if comm.rank == 1:
                 win.put_many([(4, b"ABCD")], target_rank=0)
             win.fence()
-            view = win.local_view()
+            view = bytes(win.local_view())
             win.free()
             return view
 
@@ -186,7 +186,7 @@ class TestPutMany:
             if comm.rank == 1:
                 win.put_many([(0, b"AA"), (6, b"BB"), (3, b"C")], target_rank=0)
             win.fence()
-            view = win.local_view()
+            view = bytes(win.local_view())
             win.free()
             return view
 
@@ -213,7 +213,7 @@ class TestPutMany:
                 )
                 sendbuf[:4] = b"????"
             win.fence()
-            view = win.local_view()
+            view = bytes(win.local_view())
             win.free()
             return view
 
@@ -249,7 +249,7 @@ class TestPutMany:
                 except WindowError as exc:
                     err = exc
             win.fence()
-            view = win.local_view()
+            view = bytes(win.local_view())
             win.free()
             return err, view
 

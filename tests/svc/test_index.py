@@ -3,6 +3,7 @@
 import hashlib
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.svc import GlobalDedupIndex
 
@@ -93,3 +94,53 @@ class TestAccounting:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             self.make_index().charged_bytes(["a"], policy="auction")
+
+
+def recount(index, tenants):
+    """``unique_bytes`` and each tenant's ``referenced_bytes`` by walking
+    the whole index, which is what the running totals replace."""
+    entries = [entry for _fp, entry in index.items()]
+    return (
+        sum(entry.size for entry in entries),
+        {
+            t: sum(e.size for e in entries if e.refs.get(t, 0) > 0)
+            for t in tenants
+        },
+    )
+
+
+def assert_totals_match_recount(index, tenants):
+    unique, referenced = recount(index, tenants)
+    assert index.unique_bytes == unique
+    assert {t: index.referenced_bytes(t) for t in tenants} == referenced
+
+
+class TestRunningTotals:
+    TENANTS = ("a", "b", "c")
+
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(("record", "release")),
+                st.sampled_from(TENANTS),
+                st.integers(min_value=0, max_value=11),
+            ),
+            max_size=60,
+        ),
+        shard_count=st.sampled_from((1, 3, 8)),
+    )
+    def test_equal_the_recount_after_every_step(self, ops, shard_count):
+        # Releases of chunks a tenant never recorded, or already released,
+        # are part of the sequence: they must leave the totals alone.
+        index = GlobalDedupIndex(shard_count=shard_count)
+        for op, tenant, i in ops:
+            if op == "record":
+                index.record(tenant, fp(i), 10 + i)
+            else:
+                index.release(tenant, fp(i))
+            assert_totals_match_recount(index, self.TENANTS)
+
+    def test_unknown_tenant_references_nothing(self):
+        index = GlobalDedupIndex()
+        index.record("a", fp(0), 100)
+        assert index.referenced_bytes("nobody") == 0

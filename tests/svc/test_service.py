@@ -146,6 +146,27 @@ class TestGarbageCollection:
             node.chunks.chunk_count == 0 for node in service.cluster.nodes
         )
 
+    def test_index_totals_follow_dumps_and_gc(self):
+        # The ratio every request ends with reads running totals; they must
+        # equal a walk over the index after each dump and each gc.
+        from tests.svc.test_index import assert_totals_match_recount
+
+        service = make_service()
+        tenants = ("a", "b", "c")
+        for name in tenants:
+            service.register_tenant(name)
+        for dump_index in range(2):
+            for i, name in enumerate(tenants):
+                dump(service, name, tenant_workload(i, dump_index=dump_index))
+                assert_totals_match_recount(service.index, tenants)
+        assert service.cross_tenant_dedup_ratio() > 0
+        for name in tenants:
+            for dump_id in range(2):
+                service.gc(name, dump_id)
+                assert_totals_match_recount(service.index, tenants)
+        assert service.index.unique_bytes == 0
+        assert service.cross_tenant_dedup_ratio() == 0.0
+
     def test_gc_of_unknown_dump_raises(self):
         service = make_service()
         service.register_tenant("a")
