@@ -35,7 +35,9 @@ restores — the property the dst chain dimension's differential runs pin.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+import os
+import zlib
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -47,11 +49,7 @@ from repro.core.fingerprint import Fingerprinter
 from repro.core.fpcache import FingerprintCache
 from repro.core.restore import RestoreReport, restore_from_manifest
 from repro.core.runner import run_collective
-from repro.storage.chain_codec import (
-    CHAIN_SCHEMA_ID,
-    decode_chain,
-    encode_chain,
-)
+from repro.storage.chain_codec import ChainCodecError, decode_chain, encode_chain
 from repro.storage.local_store import Cluster
 from repro.storage.manifest import Manifest
 from repro.svc.index import GlobalDedupIndex
@@ -166,8 +164,6 @@ class ChainManager:
         Optional :class:`~repro.simmpi.trace.Trace` for ``chain-*`` spans
         and the ``chain_depth``/``chain_locality`` gauges.
     """
-
-    SCHEMA_ID = CHAIN_SCHEMA_ID
 
     def __init__(
         self,
@@ -741,7 +737,7 @@ class ChainManager:
     # -- persistence ------------------------------------------------------------
     def to_blob(self) -> bytes:
         """Serialize the chain (all nodes, live and retired, plus the
-        epoch/dump-id counters) as one ``repro.chain/v1`` blob."""
+        epoch/dump-id counters) as one RCH1 frame."""
         return encode_chain(
             self.nodes.values(),
             n_ranks=self.n,
@@ -761,7 +757,7 @@ class ChainManager:
         owner_prefix: str = "epoch",
         trace=None,
     ) -> "ChainManager":
-        """Rebuild a manager from a ``repro.chain/v1`` blob over an
+        """Rebuild a manager from a :meth:`to_blob` blob over an
         existing cluster, re-recording every live epoch's references in
         the GC index (the index is derived state; the blob and the stores
         are the source of truth)."""
@@ -787,10 +783,33 @@ class ChainManager:
         return manager
 
     def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_blob())
+        """Write the chain blob plus a CRC32 trailer to ``path`` atomically:
+        a temp file beside it, flushed and fsynced, then renamed over it, so
+        a crash or a failed write leaves the previous file intact.  The
+        checksum lives here and not in the frame: wire blobs do not need it."""
+        blob = self.to_blob()
+        tmp = f"{os.fspath(path)}.tmp{os.getpid()}"
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(blob)
+                fh.write(zlib.crc32(blob).to_bytes(4, "little"))
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        finally:
+            with suppress(FileNotFoundError):  # renamed away on success
+                os.unlink(tmp)
 
     @classmethod
     def load(cls, path, cluster, config, **kwargs) -> "ChainManager":
+        """Rebuild a manager from a :meth:`save` file; an empty, torn or
+        bit-flipped file raises :class:`ChainCodecError`."""
         with open(path, "rb") as fh:
-            return cls.from_blob(fh.read(), cluster, config, **kwargs)
+            data = fh.read()
+        blob = data[:-4]
+        if len(data) < 4 or zlib.crc32(blob) != int.from_bytes(data[-4:], "little"):
+            raise ChainCodecError(
+                f"RCH1: {path}: {len(data)}B fail their CRC32 trailer "
+                "(empty, torn or corrupted chain file)"
+            )
+        return cls.from_blob(blob, cluster, config, **kwargs)

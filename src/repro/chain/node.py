@@ -5,7 +5,7 @@ either a *full* dump (a complete dataset per rank) or a *delta* dump (only
 the chunks that changed since the parent epoch, referencing everything else
 by digest up the parent chain).  Nodes are value-ish records: the
 :class:`~repro.chain.manager.ChainManager` owns mutation (retire on prune,
-in-place rewrite on compaction) and the ``repro.chain/v1`` codec
+in-place rewrite on compaction) and the RCH1 codec
 (:mod:`repro.storage.chain_codec`) persists them losslessly.
 """
 

@@ -187,14 +187,9 @@ class MergeTable:
         )
 
     def __reduce__(self):
-        """Pickle through the packed columnar wire codec.
-
-        Reduction rounds ship tables between ranks; under the process
-        backend that pickles them.  One contiguous blob (header + raw
-        little-endian column buffers) replaces the generic per-attribute
-        pickle walk, and the receiving side reconstructs the columns as
-        zero-copy ``np.frombuffer`` views — see :mod:`repro.core.wire`.
-        """
+        """Pickle as one RMT1 frame (:mod:`repro.core.wire`): reduction
+        rounds ship tables between ranks, and the receiving side gets the
+        columns back as zero-copy views instead of a per-attribute walk."""
         from repro.core.wire import decode_merge_table, encode_merge_table
 
         return (decode_merge_table, (encode_merge_table(self),))
@@ -426,7 +421,7 @@ class GlobalView:
     def from_table(cls, table: MergeTable) -> "GlobalView":
         """Materialise the view; ``wire_nbytes`` is recomputed vectorised
         from *this* table on every call (never cached across tables), so a
-        view always reports the size of its own fresh encode — see
+        view always reports the modelled size of its own entries — see
         :func:`repro.core.wire.global_view_wire_nbytes`."""
         from repro.core.wire import global_view_wire_nbytes
 

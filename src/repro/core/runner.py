@@ -8,11 +8,12 @@ where every forked rank mutates its own copy-on-write copy.
 :func:`run_collective` closes that gap with a delta protocol: under the
 process backend each rank marks its inherited cluster copy before the
 program runs, collects a :class:`~repro.storage.local_store.ClusterDelta`
-afterwards, packs it to one flat blob
+afterwards, packs it to one RCD1 frame
 (:mod:`repro.storage.delta_codec`) staged in a shared-memory segment
 (:meth:`~repro.simmpi.backend.BaseWorld.stage_result_blob`), and ships
 back only the segment handle alongside its result; the parent maps each
-segment, decodes the delta in place and folds it into the real cluster.
+segment, decodes the delta out of it (the decoder returns nothing that
+still views the mapping) and folds it into the real cluster.
 Deltas are additive and commutative, so the merged cluster is
 byte-identical to what a thread-backend run leaves behind — manifests,
 chunk payloads, refcounts and accounting included — but nothing heavier
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Optional, Tuple
 
+from repro.core.frame import FrameError
 from repro.simmpi.backend import create_world, normalize_backend
 
 
@@ -73,9 +75,13 @@ def run_collective(
     results: List[Any] = []
     try:
         pairs = world.run(deltified, *args, **kwargs)
-        for result, handle in pairs:
+        for rank, (result, handle) in enumerate(pairs):
             with world.open_result_blob(handle) as buf:
-                cluster.apply_delta(decode_cluster_delta(buf))
+                try:
+                    delta = decode_cluster_delta(buf)
+                except FrameError as exc:
+                    raise FrameError(f"{exc} (rank {rank}'s cluster delta)") from None
+            cluster.apply_delta(delta)
             results.append(result)
     finally:
         # Failed or partially consumed runs must not leak staged segments.

@@ -14,7 +14,9 @@ from typing import Iterable, List, Tuple
 
 import numpy as np
 
+from repro.core import frame
 from repro.core.fingerprint import Fingerprint
+from repro.core.frame import DIGEST, RAGGED, FrameError, Schema
 
 _LEN = struct.Struct("<I")
 
@@ -155,275 +157,95 @@ def decode_region_unique(
     )
 
 
-# -- packed merge-state codec -------------------------------------------------
+# -- framed blobs: merge tables and the restore request/reply rounds -----------
 #
-# MergeTables cross rank boundaries on every reduction round; under the
-# process backend that used to mean generic pickle over the parallel numpy
-# columns (per-object memo walks, column-by-column reduce protocol).  The
-# packed codec below flattens a table to one header plus its four raw
-# little-endian column buffers, and `MergeTable.__reduce__` routes *all*
-# pickling through it — so a table travels as a single contiguous blob and
-# is reconstructed with zero-copy `np.frombuffer` views on the receiving
-# side.  `hmerge` is pure (never mutates its inputs), which is what makes
-# the read-only frombuffer-backed columns safe.
+# Each is a schema over :mod:`repro.core.frame`, which owns the byte layout
+# and every length check; what is left here is the object mapping.
 
-_MT_HEADER = struct.Struct("<4sBBHIIII")
 _MT_MAGIC = b"RMT1"
-_MT_FLAG_NODE_OF = 1
+_MT_SCHEMA = Schema(
+    scalars=("k", "f", "has_node_of"),
+    columns=(
+        ("fps", DIGEST),
+        ("freq", "i8"),
+        ("ranks", "i4"),  # k per fingerprint, PAD-filled
+        ("load_arr", "i8"),
+        ("node_of", "i8"),
+    ),
+)
 
-_GV_HEADER = struct.Struct("<4sBBHI")
-_GV_MAGIC = b"RGV1"
+_RQ_MAGIC = b"RRQ1"
+_RQ_SCHEMA = Schema(scalars=(), columns=(("fps", DIGEST),))
+
+_RP_MAGIC = b"RRP1"
+_RP_SCHEMA = Schema(scalars=(), columns=(("payloads", RAGGED),))
 
 
 def encode_merge_table(table) -> bytes:
-    """Flatten a :class:`repro.core.hmerge.MergeTable` to one packed blob:
-    header + raw ``fps`` / ``freq`` / ``ranks`` / ``load_arr`` column
-    buffers (little-endian), plus the optional ``node_of`` mapping."""
-    n = len(table.fps)
-    digest = table.digest_size
-    flags = 0 if table.node_of is None else _MT_FLAG_NODE_OF
-    parts = [
-        _MT_HEADER.pack(
-            _MT_MAGIC,
-            digest,
-            flags,
-            table.k,
-            table.f,
-            n,
-            len(table.load_arr),
-            0 if table.node_of is None else len(table.node_of),
-        )
-    ]
-    if n:
-        parts.append(table.fps.tobytes())
-        parts.append(table.freq.astype("<i8", copy=False).tobytes())
-        parts.append(table.ranks.astype("<i4", copy=False).tobytes())
-    parts.append(table.load_arr.astype("<i8", copy=False).tobytes())
-    if table.node_of is not None:
-        parts.append(
-            np.asarray(table.node_of, dtype="<i8").tobytes()
-        )
-    return b"".join(parts)
+    """Flatten a :class:`repro.core.hmerge.MergeTable` to one RMT1 frame.
+
+    ``MergeTable.__reduce__`` routes all pickling through this, so a table
+    crosses a reduction round as one contiguous blob of raw columns."""
+    return frame.encode(
+        _MT_MAGIC,
+        _MT_SCHEMA,
+        (table.k, table.f, table.node_of is not None),
+        (table.fps, table.freq, table.ranks, table.load_arr, table.node_of or ()),
+    )
 
 
 def decode_merge_table(blob):
     """Rebuild a :class:`MergeTable` from :func:`encode_merge_table` output.
 
-    Columns are zero-copy ``np.frombuffer`` views into ``blob`` (read-only;
-    safe because :func:`repro.core.hmerge.hmerge` is pure).
+    Columns are zero-copy read-only views into ``blob``; safe because
+    :func:`repro.core.hmerge.hmerge` never mutates its inputs.
     """
-    from repro.core.hmerge import MergeTable, PAD
+    from repro.core.hmerge import MergeTable
 
-    magic, digest, flags, k, f, n, load_len, node_len = _MT_HEADER.unpack_from(
-        blob, 0
+    (k, f, has_node_of), (fps, freq, ranks, load_arr, node_of) = frame.decode(
+        _MT_MAGIC, blob, _MT_SCHEMA
     )
-    if magic != _MT_MAGIC:
-        raise ValueError(f"bad merge-table blob magic {magic!r}")
-    table = MergeTable(k, f)
-    pos = _MT_HEADER.size
-    if n:
-        table.fps = np.frombuffer(blob, dtype=f"S{digest}", count=n, offset=pos)
-        pos += n * digest
-        table.freq = np.frombuffer(blob, dtype="<i8", count=n, offset=pos)
-        pos += n * 8
-        table.ranks = np.frombuffer(
-            blob, dtype="<i4", count=n * k, offset=pos
-        ).reshape(n, k)
-        pos += n * k * 4
-    else:
-        table.ranks = np.full((0, k), PAD, dtype=np.int32)
-    table.load_arr = np.frombuffer(blob, dtype="<i8", count=load_len, offset=pos)
-    pos += load_len * 8
-    if flags & _MT_FLAG_NODE_OF:
-        table.node_of = tuple(
-            np.frombuffer(blob, dtype="<i8", count=node_len, offset=pos).tolist()
+    n = len(fps)
+    if len(freq) != n or len(ranks) != n * k or has_node_of not in (0, 1):
+        raise FrameError(
+            f"RMT1: {n} fingerprints with {len(freq)} frequencies and "
+            f"{len(ranks)} ranks at k={k}, has_node_of={has_node_of}"
         )
+    try:
+        table = MergeTable(k, f)
+    except ValueError as exc:
+        raise FrameError(f"RMT1: {exc}") from None
+    # hmerge sorts and searches the column as S; only reading single elements
+    # back strips NULs, and nothing does (see ``MergeTable.entries``).
+    table.fps = fps.view(f"S{fps.dtype.itemsize}")
+    table.freq, table.ranks, table.load_arr = freq, ranks.reshape(n, k), load_arr
+    if has_node_of:
+        table.node_of = tuple(node_of.tolist())
     return table
 
 
 def global_view_wire_nbytes(n: int, digest_size: int, designated: int) -> int:
     """The modelled wire size of a global view: digest + u32 frequency per
-    entry plus u32 per designated rank — exactly the payload bytes
-    :func:`encode_global_view` emits after its header/count metadata."""
+    entry plus u32 per designated rank."""
     return n * (digest_size + 4) + 4 * designated
 
 
-def encode_global_view(view) -> Tuple[bytes, int]:
-    """Flatten a :class:`repro.core.hmerge.GlobalView` to a packed blob.
-
-    Returns ``(blob, payload_nbytes)`` where ``payload_nbytes`` counts only
-    the entry columns (fps, u32 frequencies, u32 ranks) — the number
-    :attr:`GlobalView.wire_nbytes` caches — excluding the self-description
-    (header + u16 rank-count column) a decoder needs.
-    """
-    entries = view.entries
-    n = len(entries)
-    digest = len(next(iter(entries))) if n else 0
-    fps = bytearray(n * digest)
-    freq = np.empty(n, dtype="<u4")
-    counts = np.empty(n, dtype="<u2")
-    rank_cols: List[Tuple[int, ...]] = []
-    for i, (fp, entry) in enumerate(entries.items()):
-        if len(fp) != digest:
-            raise ValueError("fingerprints must have a uniform width")
-        fps[i * digest : (i + 1) * digest] = fp
-        if entry.freq >> 32:
-            raise ValueError(f"frequency {entry.freq} exceeds the u32 wire field")
-        freq[i] = entry.freq
-        counts[i] = len(entry.ranks)
-        rank_cols.append(entry.ranks)
-    ranks = np.fromiter(
-        (r for ranks in rank_cols for r in ranks), dtype="<u4"
-    )
-    blob = b"".join(
-        (
-            _GV_HEADER.pack(_GV_MAGIC, digest, 0, view.k, n),
-            counts.tobytes(),
-            bytes(fps),
-            freq.tobytes(),
-            ranks.tobytes(),
-        )
-    )
-    payload = global_view_wire_nbytes(n, digest, int(counts.sum()))
-    return blob, payload
-
-
-def decode_global_view(blob):
-    """Rebuild a :class:`GlobalView` from :func:`encode_global_view` output;
-    ``wire_nbytes`` is restored from the decoded payload size."""
-    from repro.core.hmerge import GlobalView, MergeEntry
-
-    magic, digest, _flags, k, n = _GV_HEADER.unpack_from(blob, 0)
-    if magic != _GV_MAGIC:
-        raise ValueError(f"bad global-view blob magic {magic!r}")
-    pos = _GV_HEADER.size
-    counts = np.frombuffer(blob, dtype="<u2", count=n, offset=pos)
-    pos += n * 2
-    raw_fps = bytes(blob[pos : pos + n * digest])
-    pos += n * digest
-    freq = np.frombuffer(blob, dtype="<u4", count=n, offset=pos)
-    pos += n * 4
-    total_ranks = int(counts.sum())
-    ranks = np.frombuffer(blob, dtype="<u4", count=total_ranks, offset=pos)
-    entries = {}
-    freqs = freq.tolist()
-    count_list = counts.tolist()
-    rank_list = ranks.tolist()
-    cursor = 0
-    for i in range(n):
-        c = count_list[i]
-        entries[raw_fps[i * digest : (i + 1) * digest]] = MergeEntry._trusted(
-            freqs[i], tuple(rank_list[cursor : cursor + c])
-        )
-        cursor += c
-    return GlobalView(
-        entries=entries,
-        k=k,
-        wire_nbytes=global_view_wire_nbytes(n, digest, total_ranks),
-    )
-
-
-# -- packed restore request/reply codecs ---------------------------------------
-# The collective restore's two all-to-all rounds ship these instead of
-# pickled python lists: a request is the raw fingerprint column under a
-# small header, a reply is a u32 length column plus the concatenated chunk
-# payloads.  Decoding is a zero-copy `np.frombuffer` over the columns.
-# The blobs arrive from a peer, so both decoders check every length against
-# the blob before cutting it and raise a ``ValueError`` naming the codec;
-# inputs the packed layout cannot carry (ragged or zero-length digests, a
-# payload of 4 GiB or more) are rejected when encoding.
-
-_RQ_HEADER = struct.Struct("<4sBBHI")  # magic, digest, flags, reserved, count
-_RQ_MAGIC = b"RRQ1"
-
-_RP_HEADER = struct.Struct("<4sI")  # magic, count
-_RP_MAGIC = b"RRP1"
-
-
 def encode_restore_request(fps: Iterable[Fingerprint]) -> bytes:
-    """Pack a restore request list: header + concatenated fingerprints."""
-    fps = fps if isinstance(fps, (list, tuple)) else list(fps)
-    n = len(fps)
-    digest = len(fps[0]) if n else 0
-    if n and (not 0 < digest < 256 or any(len(fp) != digest for fp in fps)):
-        raise ValueError(
-            "RRQ1: fingerprints must share one width of 1..255 bytes, got "
-            f"{sorted({len(fp) for fp in fps})}"
-        )
-    return _RQ_HEADER.pack(_RQ_MAGIC, digest, 0, 0, n) + b"".join(fps)
+    """Pack a restore request: the fingerprint column as one RRQ1 frame."""
+    return frame.encode(_RQ_MAGIC, _RQ_SCHEMA, (), (fps,))
 
 
-def decode_restore_request(blob: bytes) -> List[Fingerprint]:
+def decode_restore_request(blob) -> List[Fingerprint]:
     """Rebuild the fingerprint list of :func:`encode_restore_request`."""
-    if len(blob) < _RQ_HEADER.size:
-        raise ValueError(f"RRQ1: blob of {len(blob)}B is shorter than its header")
-    magic, digest, _flags, _reserved, n = _RQ_HEADER.unpack_from(blob, 0)
-    if magic != _RQ_MAGIC:
-        raise ValueError(f"RRQ1: bad restore-request blob magic {bytes(magic)!r}")
-    if len(blob) != _RQ_HEADER.size + n * digest or (n and not digest):
-        raise ValueError(
-            f"RRQ1: {n} digests of {digest}B need "
-            f"{_RQ_HEADER.size + n * digest}B, blob has {len(blob)}B"
-        )
-    if not n:
-        return []
-    # Void dtype, not S: numpy's S strings are null-stripped, which would
-    # truncate digests with trailing zero bytes (a ~n/256 event per request).
-    return np.frombuffer(
-        blob, dtype=np.dtype((np.void, digest)), count=n, offset=_RQ_HEADER.size
-    ).tolist()
+    return frame.decode(_RQ_MAGIC, blob, _RQ_SCHEMA)[1][0].tolist()
 
 
 def encode_restore_reply(payloads: Iterable[bytes]) -> bytes:
-    """Pack a restore reply: header + u32 length column + payload bytes."""
-    payloads = (
-        payloads if isinstance(payloads, (list, tuple)) else list(payloads)
-    )
-    n = len(payloads)
-    lengths = np.fromiter(
-        (len(p) for p in payloads), dtype=np.int64, count=n
-    )
-    if n and int(lengths.max()) >= 1 << 32:
-        raise ValueError(
-            f"RRP1: payload of {int(lengths.max())}B exceeds the u32 length field"
-        )
-    return b"".join(
-        [
-            _RP_HEADER.pack(_RP_MAGIC, n),
-            lengths.astype("<u4").tobytes(),
-            *payloads,
-        ]
-    )
+    """Pack a restore reply: the chunk payloads as one RRP1 frame."""
+    return frame.encode(_RP_MAGIC, _RP_SCHEMA, (), (payloads,))
 
 
-def decode_restore_reply(blob: bytes) -> List[bytes]:
-    """Rebuild the payload list of :func:`encode_restore_reply`.
-
-    The length column is a zero-copy ``np.frombuffer`` view; payloads are
-    cut from one memoryview of the blob (one copy per chunk, none of the
-    whole stream).
-    """
-    if len(blob) < _RP_HEADER.size:
-        raise ValueError(f"RRP1: blob of {len(blob)}B is shorter than its header")
-    magic, n = _RP_HEADER.unpack_from(blob, 0)
-    if magic != _RP_MAGIC:
-        raise ValueError(f"RRP1: bad restore-reply blob magic {bytes(magic)!r}")
-    pos = _RP_HEADER.size + 4 * n
-    if pos > len(blob):
-        raise ValueError(
-            f"RRP1: length column of {n} payloads needs {pos}B, "
-            f"blob has {len(blob)}B"
-        )
-    lengths = np.frombuffer(blob, dtype="<u4", count=n, offset=_RP_HEADER.size)
-    expected = pos + int(lengths.sum(dtype=np.int64))
-    if expected != len(blob):
-        raise ValueError(
-            f"RRP1: header and lengths describe {expected}B, "
-            f"blob has {len(blob)}B"
-        )
-    view = memoryview(blob)
-    payloads: List[bytes] = []
-    for length in lengths.tolist():
-        payloads.append(bytes(view[pos : pos + length]))
-        pos += length
-    return payloads
+def decode_restore_reply(blob) -> List[bytes]:
+    """Rebuild the payload list of :func:`encode_restore_reply` (one copy
+    per chunk, none of the whole stream)."""
+    return frame.decode(_RP_MAGIC, blob, _RP_SCHEMA)[1][0]

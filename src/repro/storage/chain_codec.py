@@ -1,68 +1,40 @@
-"""``repro.chain/v1``: the persistent manifest-chain format.
+"""RCH1: the persistent manifest-chain format.
 
 Serializes a whole incremental checkpoint chain — every
 :class:`~repro.chain.node.ChainNode`, live and retired, plus the manager's
-epoch/dump-id counters — to one self-describing binary blob.  The layout
-follows the dataset-manifest codec's column style: fixed structs for
-headers, ``<u8`` columns for lengths/positions, and **void-dtype** numpy
-columns for digests (S-dtype strings are null-stripped and would truncate
-trailing-zero digest bytes — the RRQ1/RRP1 bug class the codec round-trip
-property suite pins).
+epoch/dump-id counters — to one :mod:`repro.core.frame`.  The chain-wide
+values are the frame's scalars; the nodes are flattened into columns: one
+row per node, one row of counts per (node, rank), then the segment
+lengths, delta positions and digests of all of them back to back.  One
+digest column means one fingerprint width per chain, which is what one
+``DumpConfig`` writes.
 
-Layout::
-
-    magic "RCH1" | u32 version=1 | u32 n_ranks | u64 chunk_size
-    u32 next_epoch | u64 next_dump_id | u32 n_nodes
-    per node:
-      u32 epoch | u8 kind (0=full, 1=delta) | u8 retired | i64 parent_epoch
-      u64 dump_id
-      per rank (n_ranks):
-        u32 n_segments | n_segments * u64 segment lengths
-        u32 n_positions | n_positions * u64 flat chunk positions
-        u32 digest_size | u32 n_fps | n_fps * digest_size raw digest bytes
-
-Zero-length deltas (a rank with no dirty chunks) serialize as
-``n_positions == n_fps == 0`` with ``digest_size == 0`` and round-trip to
-empty lists.
+A rank with no dirty chunks has counts of zero and round-trips to empty
+lists.
 """
 
 from __future__ import annotations
 
-import struct
-from typing import List, Tuple
+from itertools import chain
 
-import numpy as np
-
-CHAIN_SCHEMA_ID = "repro.chain/v1"
+from repro.core import frame
+from repro.core.frame import DIGEST, FrameError, Schema
 
 _MAGIC = b"RCH1"
-_VERSION = 1
-_HEADER = struct.Struct("<4sIIQ")  # magic, version, n_ranks, chunk_size
-_COUNTERS = struct.Struct("<IQI")  # next_epoch, next_dump_id, n_nodes
-_NODE = struct.Struct("<IBBqQ")  # epoch, kind, retired, parent_epoch, dump_id
-_U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
+_SCHEMA = Schema(
+    scalars=("n_ranks", "chunk_size", "next_epoch", "next_dump_id"),
+    columns=(
+        ("nodes", "i8"),  # epoch, kind, retired, parent_epoch (-1 none), dump_id
+        ("counts", "u8"),  # per (node, rank): segments, positions, fps
+        ("segment_lengths", "u8"),
+        ("positions", "u8"),
+        ("fps", DIGEST),
+    ),
+)
+_KINDS = ("full", "delta")
 
-_KIND_CODES = {"full": 0, "delta": 1}
-_KIND_NAMES = {code: name for name, code in _KIND_CODES.items()}
-
-
-class ChainCodecError(ValueError):
-    """Raised for malformed ``repro.chain/v1`` blobs."""
-
-
-def _pack_u64_list(values: List[int]) -> bytes:
-    return np.asarray(values, dtype="<u8").tobytes()
-
-
-def _pack_fps(fps: List[bytes]) -> Tuple[int, bytes]:
-    if not fps:
-        return 0, b""
-    sizes = set(map(len, fps))
-    if len(sizes) != 1:
-        raise ChainCodecError("mixed fingerprint sizes in one chain column")
-    digest_size = sizes.pop()
-    return digest_size, b"".join(fps)
+#: Raised for malformed chain blobs and chains the format cannot carry.
+ChainCodecError = FrameError
 
 
 def encode_chain(
@@ -74,40 +46,36 @@ def encode_chain(
 ) -> bytes:
     """Serialize ``nodes`` (iterable of ChainNode, any order) to one blob."""
     ordered = sorted(nodes, key=lambda node: node.epoch)
-    parts = [
-        _HEADER.pack(_MAGIC, _VERSION, n_ranks, chunk_size),
-        _COUNTERS.pack(next_epoch, next_dump_id, len(ordered)),
-    ]
     for node in ordered:
-        if len(node.segment_lengths) != n_ranks:
+        widths = {len(node.segment_lengths), len(node.positions), len(node.fps)}
+        if widths != {n_ranks}:
             raise ChainCodecError(
-                f"epoch {node.epoch} has {len(node.segment_lengths)} rank "
-                f"columns, chain header says {n_ranks}"
+                f"RCH1: epoch {node.epoch} has columns for {sorted(widths)} ranks, "
+                f"chain header says {n_ranks}"
             )
-        parent = -1 if node.parent_epoch is None else node.parent_epoch
-        parts.append(_NODE.pack(
-            node.epoch,
-            _KIND_CODES[node.kind],
-            1 if node.retired else 0,
-            parent,
-            node.dump_id,
-        ))
-        for rank in range(n_ranks):
-            lengths = node.segment_lengths[rank]
-            positions = node.positions[rank]
-            digest_size, fp_blob = _pack_fps(node.fps[rank])
-            parts.append(_U32.pack(len(lengths)))
-            parts.append(_pack_u64_list(lengths))
-            parts.append(_U32.pack(len(positions)))
-            parts.append(_pack_u64_list(positions))
-            parts.append(_U32.pack(digest_size))
-            parts.append(_U32.pack(len(node.fps[rank])))
-            parts.append(fp_blob)
-    return b"".join(parts)
+    lengths = [ls for node in ordered for ls in node.segment_lengths]
+    positions = [ps for node in ordered for ps in node.positions]
+    fps = [fs for node in ordered for fs in node.fps]
+    return frame.encode(
+        _MAGIC,
+        _SCHEMA,
+        (n_ranks, chunk_size, next_epoch, next_dump_id),
+        (
+            [
+                (node.epoch, _KINDS.index(node.kind), bool(node.retired),
+                 -1 if node.parent_epoch is None else node.parent_epoch, node.dump_id)
+                for node in ordered
+            ],
+            [tuple(map(len, counts)) for counts in zip(lengths, positions, fps)],
+            list(chain.from_iterable(lengths)),
+            list(chain.from_iterable(positions)),
+            list(chain.from_iterable(fps)),
+        ),
+    )
 
 
 def decode_chain(blob: bytes):
-    """Decode a ``repro.chain/v1`` blob.
+    """Decode an RCH1 blob.
 
     Returns ``(nodes, n_ranks, chunk_size, next_epoch, next_dump_id)``
     with ``nodes`` a list of :class:`~repro.chain.node.ChainNode` in epoch
@@ -115,74 +83,42 @@ def decode_chain(blob: bytes):
     """
     from repro.chain.node import ChainNode
 
-    if len(blob) < _HEADER.size + _COUNTERS.size:
+    (n_ranks, chunk_size, next_epoch, next_dump_id), columns = frame.decode(
+        _MAGIC, blob, _SCHEMA
+    )
+    node_rows, counts, lengths, positions, fps = (c.tolist() for c in columns)
+    n_nodes = len(node_rows) // 5
+    if len(node_rows) % 5 or n_ranks < 0 or len(counts) != 3 * n_nodes * n_ranks:
         raise ChainCodecError(
-            f"chain blob too short ({len(blob)} bytes)"
+            f"RCH1: {len(node_rows)} node values and {len(counts)} counts "
+            f"do not describe whole nodes of {n_ranks} ranks"
         )
-    magic, version, n_ranks, chunk_size = _HEADER.unpack_from(blob, 0)
-    if magic != _MAGIC:
-        raise ChainCodecError(f"bad chain magic {magic!r}")
-    if version != _VERSION:
-        raise ChainCodecError(f"unsupported chain version {version}")
-    offset = _HEADER.size
-    next_epoch, next_dump_id, n_nodes = _COUNTERS.unpack_from(blob, offset)
-    offset += _COUNTERS.size
-
-    def read_u32() -> int:
-        nonlocal offset
-        (value,) = _U32.unpack_from(blob, offset)
-        offset += _U32.size
-        return value
-
-    def read_u64_list(count: int) -> List[int]:
-        nonlocal offset
-        values = np.frombuffer(
-            blob, dtype="<u8", count=count, offset=offset
-        ).tolist()
-        offset += count * _U64.size
-        return values
-
+    if [sum(counts[i::3]) for i in range(3)] != [*map(len, (lengths, positions, fps))]:
+        raise ChainCodecError("RCH1: per-rank counts do not add up to the columns")
     nodes = []
-    for _ in range(n_nodes):
-        epoch, kind_code, retired, parent, dump_id = _NODE.unpack_from(
-            blob, offset
-        )
-        offset += _NODE.size
-        if kind_code not in _KIND_NAMES:
-            raise ChainCodecError(f"unknown chain node kind {kind_code}")
-        segment_lengths: List[List[int]] = []
-        positions: List[List[int]] = []
-        fps: List[List[bytes]] = []
-        for _rank in range(n_ranks):
-            segment_lengths.append(read_u64_list(read_u32()))
-            positions.append(read_u64_list(read_u32()))
-            digest_size = read_u32()
-            n_fps = read_u32()
-            if n_fps and digest_size:
-                # Void dtype: S strings are null-stripped and would
-                # truncate trailing-zero digests.
-                column = np.frombuffer(
-                    blob,
-                    dtype=np.dtype((np.void, digest_size)),
-                    count=n_fps,
-                    offset=offset,
-                ).tolist()
-            else:
-                column = [b""] * n_fps
-            offset += n_fps * digest_size
-            fps.append(column)
-        nodes.append(ChainNode(
-            epoch=epoch,
-            kind=_KIND_NAMES[kind_code],
-            dump_id=dump_id,
-            parent_epoch=None if parent < 0 else parent,
-            retired=bool(retired),
-            segment_lengths=segment_lengths,
-            positions=positions,
-            fps=fps,
-        ))
-    if offset != len(blob):
-        raise ChainCodecError(
-            f"trailing bytes in chain blob: consumed {offset} of {len(blob)}"
-        )
+    s = p = f = 0
+    per_rank = zip(counts[0::3], counts[1::3], counts[2::3])
+    for i in range(n_nodes):
+        epoch, kind, retired, parent, dump_id = node_rows[5 * i : 5 * i + 5]
+        if kind not in (0, 1):
+            raise ChainCodecError(f"RCH1: epoch {epoch} has unknown node kind {kind}")
+        node_lengths, node_positions, node_fps = [], [], []
+        for _rank, (n_s, n_p, n_f) in zip(range(n_ranks), per_rank):
+            node_lengths.append(lengths[s : s + n_s])
+            node_positions.append(positions[p : p + n_p])
+            node_fps.append(fps[f : f + n_f])
+            s, p, f = s + n_s, p + n_p, f + n_f
+        try:
+            nodes.append(ChainNode(
+                epoch=epoch,
+                kind=_KINDS[kind],
+                dump_id=dump_id,
+                parent_epoch=None if parent < 0 else parent,
+                retired=bool(retired),
+                segment_lengths=node_lengths,
+                positions=node_positions,
+                fps=node_fps,
+            ))
+        except ValueError as exc:  # a full with a parent, a delta without
+            raise ChainCodecError(f"RCH1: epoch {epoch}: {exc}") from None
     return nodes, n_ranks, chunk_size, next_epoch, next_dump_id

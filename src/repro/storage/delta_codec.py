@@ -1,177 +1,143 @@
-"""Packed binary encoding of :class:`~repro.storage.local_store.ClusterDelta`.
+"""RCD1: the :class:`~repro.storage.local_store.ClusterDelta` as one frame.
 
 The process backend's merge-back protocol ships every forked rank's cluster
-delta to the parent.  Generic pickle walks each ``(fingerprint, payload,
-count)`` entry as a Python object — for a cold no-dedup dump that is one
-pickled ``bytes`` per stored chunk, and it dominated the merge-back cost
-(the 0.53x process-vs-thread regression in ``BENCH_process.json``).
-
-This codec flattens a delta into one contiguous blob of columnar sections —
-raw fingerprint bytes, int64 count/length columns, concatenated payloads —
-that the parent decodes with vectorised ``np.frombuffer`` reads plus plain
-buffer slicing.  Combined with the shared-memory result transport
-(:meth:`repro.simmpi.procworld.ProcessWorld.stage_result_blob`), rank
-results ship *offsets into a shared segment* instead of pickles: the child
-writes the blob once, the parent maps it and decodes in place.
+delta to the parent through a shared-memory segment
+(:meth:`repro.simmpi.procworld.ProcessWorld.stage_result_blob`).  The delta
+is flattened into the columns of one :mod:`repro.core.frame`: a row of
+counts per node, then the chunk entries and manifests of all nodes back to
+back, and one nested RPR1 frame per parity record.  Nothing on this wire is
+pickled, so nothing on it can run code.
 
 Replay semantics are exactly those of ``ClusterDelta``/``apply_delta``:
 entry order, payload-``None`` markers (fingerprints the marking side
-already held) and node ordering are all preserved.  Parity records — the
-rare path, only populated under the erasure-coded redundancy mode — travel
-as an embedded pickle section.  A delta whose chunk fingerprints are not
-uniform in width (impossible within one dump, but legal through the public
-store API) falls back to a whole-delta pickle wrapped in a distinct magic.
+already held) and node ordering are all preserved.  Chunk fingerprints
+share one digest column, so a delta of mixed widths is rejected at encode;
+every store write inside one collective comes from one ``Fingerprinter``.
 """
 
 from __future__ import annotations
 
-import pickle
-import struct
-from typing import Dict, List, Optional, Tuple
+from typing import Dict
 
-import numpy as np
-
-from repro.core.fingerprint import Fingerprint
+from repro.core import frame
+from repro.core.frame import DIGEST, RAGGED, FrameError, Schema
 from repro.storage.local_store import ClusterDelta, NodeDelta, StoreDelta
 
 DELTA_MAGIC = b"RCD1"
-_PICKLE_MAGIC = b"RCDP"
+_SCHEMA = Schema(
+    scalars=(),
+    columns=(
+        ("nodes", "i8"),  # node_id, alive (-1 unchanged), entries, manifests, parity
+        ("entry_fps", DIGEST),
+        ("entry_counts", "i8"),
+        ("entry_has_payload", "u1"),
+        ("entry_payloads", RAGGED),
+        ("manifest_keys", "i8"),  # rank, dump_id
+        ("manifest_blobs", RAGGED),
+        ("parity", RAGGED),  # one RPR1 frame per record
+    ),
+)
 
-_HEADER = struct.Struct("<4sI")  # magic, n_nodes
-_NODE = struct.Struct("<IbBIII")  # node_id, alive, digest, entries, manifests, parity_len
+_PARITY_MAGIC = b"RPR1"
+_PARITY_SCHEMA = Schema(
+    scalars=("dump_id", "stripe_index", "stripe_data", "stripe_parity", "shard_index"),
+    columns=(
+        ("group_members", "i8"),
+        ("fingerprints", RAGGED),  # NO_CHUNK travels as b""
+        ("chunk_sizes", "i8"),
+        ("shard", RAGGED),
+    ),
+)
 
 
-def _store_uniform_digest(chunks: StoreDelta) -> Optional[int]:
-    """The shared fingerprint width, or None when widths are mixed."""
-    digest = 0
-    for fp, _payload, _count in chunks.entries:
-        if not digest:
-            digest = len(fp)
-        elif len(fp) != digest:
-            return None
-    return digest
+def _encode_parity(r) -> bytes:
+    return frame.encode(
+        _PARITY_MAGIC,
+        _PARITY_SCHEMA,
+        (r.dump_id, r.stripe_index, r.stripe_data, r.stripe_parity, r.shard_index),
+        (r.group_members, r.fingerprints, r.chunk_sizes, (r.shard,)),
+    )
+
+
+def _decode_parity(blob: bytes):
+    from repro.erasure.ec_dump import ParityRecord
+
+    scalars, (members, fps, sizes, shard) = frame.decode(
+        _PARITY_MAGIC, blob, _PARITY_SCHEMA
+    )
+    if len(fps) != len(sizes) or len(shard) != 1:
+        raise FrameError(
+            f"RPR1: {len(fps)} fingerprints, {len(sizes)} sizes, {len(shard)} shards"
+        )
+    dump_id, stripe_index, stripe_data, stripe_parity, shard_index = scalars
+    return ParityRecord(
+        dump_id, stripe_index, tuple(members.tolist()), tuple(fps),
+        tuple(sizes.tolist()), stripe_data, stripe_parity, shard_index, shard[0],
+    )
 
 
 def encode_cluster_delta(delta: ClusterDelta) -> bytes:
-    """Flatten a delta to one packed blob (see the module docstring)."""
-    parts: List[bytes] = [_HEADER.pack(DELTA_MAGIC, len(delta.nodes))]
-    for node_id, node in delta.nodes.items():
-        entries = node.chunks.entries
-        digest = _store_uniform_digest(node.chunks)
-        if digest is None:
-            # Mixed fingerprint widths: no columnar layout exists; ship the
-            # whole delta through pickle under its own magic instead.
-            return _PICKLE_MAGIC + pickle.dumps(delta, protocol=pickle.HIGHEST_PROTOCOL)
-        alive = -1 if node.alive is None else int(bool(node.alive))
-        parity_blob = (
-            pickle.dumps(node.parity, protocol=pickle.HIGHEST_PROTOCOL)
-            if node.parity
-            else b""
-        )
-        parts.append(
-            _NODE.pack(
-                node_id, alive, digest, len(entries), len(node.manifests),
-                len(parity_blob),
-            )
-        )
-        if entries:
-            n = len(entries)
-            counts = np.empty(n, dtype="<i8")
-            pay_lens = np.empty(n, dtype="<i8")
-            fps = bytearray(n * digest)
-            payloads: List[bytes] = []
-            for i, (fp, payload, count) in enumerate(entries):
-                fps[i * digest : (i + 1) * digest] = fp
-                counts[i] = count
-                if payload is None:
-                    pay_lens[i] = -1
-                else:
-                    pay_lens[i] = len(payload)
-                    payloads.append(payload)
-            parts.append(bytes(fps))
-            parts.append(counts.tobytes())
-            parts.append(pay_lens.tobytes())
-            parts.extend(payloads)
-        if node.manifests:
-            m = len(node.manifests)
-            keys = np.empty((m, 2), dtype="<i8")
-            lens = np.empty(m, dtype="<i8")
-            blobs: List[bytes] = []
-            for i, ((rank, dump_id), blob) in enumerate(node.manifests.items()):
-                keys[i, 0] = rank
-                keys[i, 1] = dump_id
-                lens[i] = len(blob)
-                blobs.append(blob)
-            parts.append(keys.tobytes())
-            parts.append(lens.tobytes())
-            parts.extend(blobs)
-        if parity_blob:
-            parts.append(parity_blob)
-    return b"".join(parts)
+    """Flatten a delta to one RCD1 frame (see the module docstring)."""
+    nodes = delta.nodes.values()
+    entries = [entry for node in nodes for entry in node.chunks.entries]
+    fps, payloads, counts = zip(*entries) if entries else ((), (), ())
+    manifests = [item for node in nodes for item in node.manifests.items()]
+    return frame.encode(
+        DELTA_MAGIC,
+        _SCHEMA,
+        (),
+        (
+            [
+                (node_id, -1 if node.alive is None else bool(node.alive),
+                 len(node.chunks.entries), len(node.manifests), len(node.parity))
+                for node_id, node in delta.nodes.items()
+            ],
+            fps,
+            counts,
+            [payload is not None for payload in payloads],
+            [payload or b"" for payload in payloads],
+            [key for key, _blob in manifests],
+            [blob for _key, blob in manifests],
+            [_encode_parity(record) for node in nodes for record in node.parity],
+        ),
+    )
 
 
 def decode_cluster_delta(buf) -> ClusterDelta:
     """Rebuild a :class:`ClusterDelta` from :func:`encode_cluster_delta`
-    output.  ``buf`` may be ``bytes`` or a ``memoryview`` (e.g. mapping a
-    shared-memory segment); column metadata is read with vectorised
-    ``np.frombuffer`` and payloads come out as plain buffer slices.
+    output; anything malformed raises :class:`~repro.core.frame.FrameError`.
+
+    ``buf`` may be ``bytes`` or a ``memoryview`` of a mapped segment.  Only
+    plain Python objects are returned: nothing still views ``buf``, which
+    the caller unmaps as soon as this returns.
     """
-    view = memoryview(buf)
-    magic = bytes(view[:4])
-    if magic == _PICKLE_MAGIC:
-        return pickle.loads(view[4:])
-    if magic != DELTA_MAGIC:
-        raise ValueError(f"bad cluster-delta blob magic {magic!r}")
-    (_magic, n_nodes) = _HEADER.unpack_from(view, 0)
-    pos = _HEADER.size
-    nodes: Dict[int, NodeDelta] = {}
-    for _ in range(n_nodes):
-        node_id, alive, digest, n_entries, n_manifests, parity_len = (
-            _NODE.unpack_from(view, pos)
+    _scalars, columns = frame.decode(DELTA_MAGIC, buf, _SCHEMA)
+    nodes, fps, counts, has_payload, payloads, keys, blobs, parity = columns
+    if not len(fps) == len(counts) == len(has_payload) == len(payloads):
+        raise FrameError("RCD1: chunk entry columns differ in length")
+    if len(nodes) % 5 or len(keys) != 2 * len(blobs):
+        raise FrameError("RCD1: node or manifest key column is not whole rows")
+    entries = list(
+        zip(
+            fps.tolist(),
+            [p if has else None for p, has in zip(payloads, has_payload.tolist())],
+            counts.tolist(),
         )
-        pos += _NODE.size
-        entries: List[Tuple[Fingerprint, Optional[bytes], int]] = []
-        if n_entries:
-            raw_fps = bytes(view[pos : pos + n_entries * digest])
-            pos += n_entries * digest
-            counts = np.frombuffer(view, dtype="<i8", count=n_entries, offset=pos)
-            pos += n_entries * 8
-            pay_lens = np.frombuffer(view, dtype="<i8", count=n_entries, offset=pos)
-            pos += n_entries * 8
-            count_list = counts.tolist()
-            len_list = pay_lens.tolist()
-            for i in range(n_entries):
-                length = len_list[i]
-                if length < 0:
-                    payload = None
-                else:
-                    payload = bytes(view[pos : pos + length])
-                    pos += length
-                entries.append(
-                    (raw_fps[i * digest : (i + 1) * digest], payload, count_list[i])
-                )
-        manifests: Dict[Tuple[int, int], bytes] = {}
-        if n_manifests:
-            keys = np.frombuffer(
-                view, dtype="<i8", count=n_manifests * 2, offset=pos
-            ).reshape(n_manifests, 2)
-            pos += n_manifests * 16
-            lens = np.frombuffer(view, dtype="<i8", count=n_manifests, offset=pos)
-            pos += n_manifests * 8
-            key_list = keys.tolist()
-            for i, length in enumerate(lens.tolist()):
-                manifests[(key_list[i][0], key_list[i][1])] = bytes(
-                    view[pos : pos + length]
-                )
-                pos += length
-        parity: List = []
-        if parity_len:
-            parity = pickle.loads(view[pos : pos + parity_len])
-            pos += parity_len
-        nodes[node_id] = NodeDelta(
-            chunks=StoreDelta(entries),
-            manifests=manifests,
-            parity=parity,
+    )
+    manifests = list(zip(map(tuple, keys.reshape(-1, 2).tolist()), blobs))
+    records = [_decode_parity(blob) for blob in parity]
+    out: Dict[int, NodeDelta] = {}
+    e = m = p = 0
+    for node_id, alive, n_e, n_m, n_p in nodes.reshape(-1, 5).tolist():
+        if min(n_e, n_m, n_p) < 0 or alive not in (-1, 0, 1):
+            raise FrameError(f"RCD1: node {node_id} row {(alive, n_e, n_m, n_p)}")
+        out[node_id] = NodeDelta(
+            chunks=StoreDelta(entries[e : e + n_e]),
+            manifests=dict(manifests[m : m + n_m]),
+            parity=records[p : p + n_p],
             alive=None if alive < 0 else bool(alive),
         )
-    return ClusterDelta(nodes)
+        e, m, p = e + n_e, m + n_m, p + n_p
+    if (e, m, p) != (len(entries), len(manifests), len(records)):
+        raise FrameError("RCD1: node rows do not add up to the entry columns")
+    return ClusterDelta(out)

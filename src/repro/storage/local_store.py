@@ -69,9 +69,10 @@ class ClusterDelta:
 
     Forked ranks write to *copies* of the in-memory cluster; this object is
     what a rank ships back so the parent can fold the writes into the real
-    one (see :func:`repro.core.runner.run_collective`).  All contents are
-    picklable and additive, so applying every rank's delta in any order
-    reproduces the state a shared-memory (thread) run would have produced.
+    one (see :func:`repro.core.runner.run_collective`), as one RCD1 frame
+    (:mod:`repro.storage.delta_codec`).  All contents are additive, so
+    applying every rank's delta in any order reproduces the state a
+    shared-memory (thread) run would have produced.
     """
 
     __slots__ = ("nodes",)

@@ -10,21 +10,20 @@ manifest would otherwise make the rank's replicas unusable.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import List
 
-import numpy as np
-
+from repro.core import frame
 from repro.core.fingerprint import Fingerprint
+from repro.core.frame import DIGEST, Schema
 
-_HEADER = struct.Struct("<IIIIII")  # version, rank, dump_id, n_segments, digest_size, flags
-_U64 = struct.Struct("<Q")
-_VERSION = 2
-_FLAG_COMPRESSED = 1
-#: the manifest describes a chain *delta* dump: its segments are the dirty
-#: chunks of one epoch, not a complete dataset — never directly restorable
-_FLAG_CHAIN_DELTA = 2
+_MAGIC = b"RMF1"
+#: ``rank`` and ``dump_id`` lead the scalar block so :meth:`Manifest.key_of_blob`
+#: reads them from the header alone.
+_SCHEMA = Schema(
+    scalars=("rank", "dump_id", "chunk_size", "compressed", "delta"),
+    columns=(("segment_lengths", "u8"), ("fingerprints", DIGEST)),
+)
 
 
 @dataclass
@@ -60,33 +59,12 @@ class Manifest:
 
     # -- serialization ----------------------------------------------------------
     def to_bytes(self) -> bytes:
-        if not self.fingerprints:
-            digest_size = 0
-        else:
-            # set(map(len, ...)) runs the length check at C speed; this is
-            # on the per-dump hot path for every rank.
-            sizes = set(map(len, self.fingerprints))
-            if len(sizes) != 1:
-                raise ValueError("mixed fingerprint sizes in manifest")
-            digest_size = sizes.pop()
-        flags = _FLAG_COMPRESSED if self.compressed else 0
-        if self.delta:
-            flags |= _FLAG_CHAIN_DELTA
-        parts = [
-            _HEADER.pack(
-                _VERSION,
-                self.rank,
-                self.dump_id,
-                len(self.segment_lengths),
-                digest_size,
-                flags,
-            ),
-            _U64.pack(self.chunk_size),
-            _U64.pack(len(self.fingerprints)),
-        ]
-        parts.extend(_U64.pack(length) for length in self.segment_lengths)
-        parts.extend(self.fingerprints)
-        return b"".join(parts)
+        return frame.encode(
+            _MAGIC,
+            _SCHEMA,
+            (self.rank, self.dump_id, self.chunk_size, self.compressed, self.delta),
+            (self.segment_lengths, self.fingerprints),
+        )
 
     @classmethod
     def key_of_blob(cls, data: bytes) -> tuple:
@@ -96,52 +74,18 @@ class Manifest:
         verbatim without deserialising (and re-serialising) the whole
         fingerprint list.
         """
-        version, rank, dump_id, _n_segments, _digest_size, _flags = (
-            _HEADER.unpack_from(data, 0)
-        )
-        if version != _VERSION:
-            raise ValueError(f"unsupported manifest version {version}")
-        return (rank, dump_id)
+        return frame.peek_scalars(_MAGIC, data, _SCHEMA)[:2]
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Manifest":
-        version, rank, dump_id, n_segments, digest_size, flags = _HEADER.unpack_from(
-            data, 0
-        )
-        if version != _VERSION:
-            raise ValueError(f"unsupported manifest version {version}")
-        offset = _HEADER.size
-        (chunk_size,) = _U64.unpack_from(data, offset)
-        offset += _U64.size
-        (n_fps,) = _U64.unpack_from(data, offset)
-        offset += _U64.size
-        # Column decodes (restore hot path: every restore parses the
-        # manifest).  Void dtype for the digests — numpy's S strings are
-        # null-stripped and would truncate trailing-zero digest bytes.
-        segment_lengths = np.frombuffer(
-            data, dtype="<u8", count=n_segments, offset=offset
-        ).tolist()
-        offset += n_segments * _U64.size
-        if n_fps and digest_size:
-            fingerprints = np.frombuffer(
-                data,
-                dtype=np.dtype((np.void, digest_size)),
-                count=n_fps,
-                offset=offset,
-            ).tolist()
-        else:
-            fingerprints = [b""] * n_fps
-        offset += n_fps * digest_size
-        if offset != len(data):
-            raise ValueError(
-                f"trailing bytes in manifest: consumed {offset} of {len(data)}"
-            )
+        scalars, (segment_lengths, fingerprints) = frame.decode(_MAGIC, data, _SCHEMA)
+        rank, dump_id, chunk_size, compressed, delta = scalars
         return cls(
             rank=rank,
             dump_id=dump_id,
-            segment_lengths=segment_lengths,
-            fingerprints=fingerprints,
+            segment_lengths=segment_lengths.tolist(),
+            fingerprints=fingerprints.tolist(),
             chunk_size=chunk_size,
-            compressed=bool(flags & _FLAG_COMPRESSED),
-            delta=bool(flags & _FLAG_CHAIN_DELTA),
+            compressed=bool(compressed),
+            delta=bool(delta),
         )

@@ -6,16 +6,12 @@ short.  The round-trip strategies here deliberately generate trailing-zero
 digests and zero-length delta columns to pin the void-dtype decode.
 """
 
-import struct
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chain.node import ChainNode
 from repro.storage.chain_codec import (
-    _HEADER,
-    _MAGIC,
     ChainCodecError,
     decode_chain,
     encode_chain,
@@ -156,14 +152,16 @@ def test_bad_magic_rejected():
 
 def test_bad_version_rejected():
     blob = bytearray(encode_chain([], 1, 64, 0, 0))
-    blob[4:8] = struct.pack("<I", 99)
+    blob[4:6] = (99).to_bytes(2, "little")
     with pytest.raises(ChainCodecError, match="version"):
         decode_chain(bytes(blob))
 
 
 def test_truncated_blob_rejected():
-    with pytest.raises(ChainCodecError, match="short"):
-        decode_chain(_MAGIC + b"\x00" * (_HEADER.size - 5))
+    blob = encode_chain([], 1, 64, 0, 0)
+    for cut in (7, 8 + 4 * 8 - 1, len(blob) - 1):  # in the header, scalars, table
+        with pytest.raises(ChainCodecError, match="short"):
+            decode_chain(blob[:cut])
 
 
 def test_trailing_garbage_rejected():

@@ -6,6 +6,8 @@ resolution, time-travel restore, prune/pin/sweep, compaction, locality
 rewriting, persistence and the error surface.
 """
 
+import os
+
 import pytest
 
 from repro.apps.mutating import MutatingWorkload
@@ -17,6 +19,7 @@ from repro.chain import (
 )
 from repro.core.config import DumpConfig
 from repro.simmpi.trace import Trace
+from repro.storage.chain_codec import ChainCodecError
 from repro.storage.local_store import Cluster
 from repro.svc.index import GlobalDedupIndex
 
@@ -377,9 +380,45 @@ class TestPersistence:
         manager, workload = make_chain(depth=2)
         path = tmp_path / "chain.rch1"
         manager.save(path)
+        assert os.listdir(tmp_path) == ["chain.rch1"]  # no temp file left
         clone = ChainManager.load(path, manager.cluster, manager.config)
-        dataset, _ = clone.restore_epoch(0, 2)
-        assert dataset.to_bytes() == oracle(workload, 2, 0)
+        assert sorted(clone.live_epochs()) == [0, 1, 2]
+        for epoch in clone.live_epochs():
+            for rank in range(N):
+                dataset, _ = clone.restore_epoch(rank, epoch)
+                assert dataset.to_bytes() == oracle(workload, epoch, rank)
+
+    def test_load_rejects_empty_torn_and_bit_flipped_files(self, tmp_path):
+        manager, _ = make_chain(depth=1)
+        path = tmp_path / "chain.rch1"
+        manager.save(path)
+        good = path.read_bytes()
+        flipped = bytearray(good)
+        flipped[len(good) // 2] ^= 0x10
+        for bad in (b"", good[:3], good[: len(good) // 2], good[:-1], bytes(flipped)):
+            path.write_bytes(bad)
+            with pytest.raises(ChainCodecError, match="^RCH1: "):
+                ChainManager.load(path, manager.cluster, manager.config)
+
+    def test_failed_save_leaves_the_previous_file_loadable(self, tmp_path, monkeypatch):
+        manager, workload = make_chain(depth=1)
+        path = tmp_path / "chain.rch1"
+        manager.save(path)
+        before = path.read_bytes()
+        workload.advance()
+        manager.chain_dump(workload)
+
+        def disk_full(fd):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "fsync", disk_full)
+        with pytest.raises(OSError, match="No space"):
+            manager.save(path)
+        monkeypatch.undo()
+        assert os.listdir(tmp_path) == ["chain.rch1"]
+        assert path.read_bytes() == before
+        clone = ChainManager.load(path, manager.cluster, manager.config)
+        assert sorted(clone.live_epochs()) == [0, 1]
 
 
 class TestTraceIntegration:

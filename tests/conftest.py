@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -16,7 +18,7 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.register_profile("thorough", max_examples=300, deadline=None)
-settings.load_profile("default")
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

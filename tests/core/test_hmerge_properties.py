@@ -145,18 +145,16 @@ def test_f_truncated_tables_stay_bounded(world, k, f, data):
 #
 # The view caches its packed wire size at construction so reduction-cost
 # accounting never re-walks the entry dict.  The cache is only sound if it
-# always equals a *fresh* encode of the view it is attached to — in
-# particular after hmerge truncation has evicted designated ranks (K bound)
-# or whole fingerprints (F bound), and when several views are materialised
-# from different tables in sequence.
+# always equals a *fresh* count over the entries of the view it is attached
+# to — in particular after hmerge truncation has evicted designated ranks
+# (K bound) or whole fingerprints (F bound), and when several views are
+# materialised from different tables in sequence.
 
 
 def fresh_payload_nbytes(view):
-    from repro.core.wire import encode_global_view
-
-    if not len(view):
-        return 0
-    return encode_global_view(view)[1]
+    """The modelled wire size recounted entry by entry: digest + u32
+    frequency per fingerprint, u32 per designated rank."""
+    return sum(len(fp) + 4 + 4 * len(e.ranks) for fp, e in view.entries.items())
 
 
 @given(ownerships(), st.integers(1, 3), st.integers(1, 6), st.data())
@@ -174,7 +172,7 @@ def test_wire_nbytes_matches_fresh_encode_after_merge_and_eviction(
         acc = hmerge(acc, tables[i])
         views.append(GlobalView.from_table(acc))
     # Every intermediate view (including post-eviction ones) reports the
-    # size its own encode would produce — never a stale predecessor's.
+    # size of its own entries — never a stale predecessor's.
     for view in views:
         assert view.wire_nbytes == fresh_payload_nbytes(view)
         assert view.nbytes_estimate() == view.wire_nbytes

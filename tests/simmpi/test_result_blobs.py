@@ -13,6 +13,8 @@ forked children, open/sweep in the parent.
 import glob
 import os
 
+import pytest
+
 from repro.simmpi.procworld import ProcessWorld
 from repro.simmpi.world import World
 
@@ -82,3 +84,32 @@ class TestProcessTransport:
         world = ProcessWorld(2, timeout=60)
         with world.open_result_blob(("inline", b"fallback-bytes")) as buf:
             assert bytes(buf) == b"fallback-bytes"
+
+
+class TestRunCollectiveMergeBack:
+    def test_corrupt_staged_delta_names_the_rank_and_leaks_no_segment(self, monkeypatch):
+        """A rank's staged RCD1 blob that arrives damaged must surface as a
+        FrameError naming that rank — never a short delta folded into the
+        cluster — and the failed merge-back must not strand a segment."""
+        from repro.core.frame import FrameError
+        from repro.core.runner import run_collective
+        from repro.storage import Cluster
+
+        stage = ProcessWorld.stage_result_blob
+
+        def torn_on_rank_1(self, rank, blob):
+            return stage(self, rank, blob[:-3] if rank == 1 else blob)
+
+        def program(comm, cluster):
+            cluster.nodes[comm.rank].chunks.put(bytes([comm.rank]) * 20, b"payload")
+            return comm.rank
+
+        monkeypatch.setattr(ProcessWorld, "stage_result_blob", torn_on_rank_1)
+        cluster = Cluster(3)
+        before = set(glob.glob("/dev/shm/psr*"))
+        with pytest.raises(FrameError, match=r"^RCD1: .*rank 1's cluster delta"):
+            run_collective(3, program, cluster, cluster=cluster, backend="process", timeout=60)
+        assert set(glob.glob("/dev/shm/psr*")) <= before
+        # Rank 0's delta was whole and is applied; rank 1's is not half-applied.
+        assert cluster.nodes[0].chunks.put_count == 1
+        assert cluster.nodes[1].chunks.put_count == 0

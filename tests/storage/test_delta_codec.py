@@ -1,4 +1,4 @@
-"""Packed cluster-delta codec: round-trips, replay equivalence, fallbacks.
+"""Packed cluster-delta codec: round-trips, replay equivalence, rejections.
 
 The codec is the wire format of the process backend's merge-back protocol
 (see ``repro.storage.delta_codec``): if decode+apply ever diverges from
@@ -10,6 +10,8 @@ not just codec output.
 
 import pytest
 
+from repro.core.frame import FrameError
+from repro.erasure.ec_dump import NO_CHUNK, ParityRecord
 from repro.storage import Cluster
 from repro.storage.delta_codec import (
     DELTA_MAGIC,
@@ -113,36 +115,34 @@ class TestRoundTrip:
         assert decoded.nodes == {}
 
 
-class FakeParityRecord:
-    """Pickle-friendly stand-in for an erasure parity record."""
-
-    def __init__(self, tag):
-        self.tag = tag
-
-    def __eq__(self, other):
-        return isinstance(other, FakeParityRecord) and self.tag == other.tag
-
-
 class TestFallbacks:
-    def test_mixed_width_fingerprints_fall_back_to_pickle(self):
+    def test_mixed_width_fingerprints_rejected_at_encode(self):
         """Mixed digest widths are impossible within one dump but legal
-        through the raw store API; the codec must still round-trip them."""
+        through the raw store API; one digest column cannot carry them and
+        there is no pickle to fall back to."""
         store = StoreDelta([(b"x" * 20, b"p", 1), (b"y" * 16, b"q", 1)])
         delta = ClusterDelta(
             {0: NodeDelta(store, {}, [], None)}
         )
-        blob = encode_cluster_delta(delta)
-        assert blob[:4] != DELTA_MAGIC  # pickle wrapper magic
-        decoded = decode_cluster_delta(blob)
-        assert decoded.nodes[0].chunks.entries == store.entries
+        with pytest.raises(FrameError, match="RCD1.*width"):
+            encode_cluster_delta(delta)
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
             decode_cluster_delta(b"NOPE" + b"\x00" * 16)
 
     def test_parity_records_survive(self):
-        """Parity ships as an embedded pickle section — verify it lands."""
-        records = [FakeParityRecord("p0"), FakeParityRecord("p1")]
+        """Parity ships as nested RPR1 frames; NO_CHUNK placeholders and a
+        short tail group (fewer members than slots) included."""
+        records = [
+            ParityRecord(
+                dump_id=3, stripe_index=s, group_members=(4, 1),
+                fingerprints=(b"F" * 19 + b"\x00", NO_CHUNK, NO_CHUNK),
+                chunk_sizes=(5, 0, 0), stripe_data=3, stripe_parity=2,
+                shard_index=s % 2, shard=bytes([s]) * 8,
+            )
+            for s in range(3)
+        ]
         delta = ClusterDelta(
             {1: NodeDelta(StoreDelta([]), {}, list(records), None)}
         )

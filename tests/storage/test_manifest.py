@@ -50,7 +50,7 @@ class TestRoundtrip:
 
     def test_wrong_version_rejected(self):
         blob = bytearray(Manifest(rank=0, dump_id=0).to_bytes())
-        blob[0] = 99
+        blob[4] = 99  # the frame's u16 version follows its 4-byte magic
         with pytest.raises(ValueError, match="version"):
             Manifest.from_bytes(bytes(blob))
 
