@@ -38,6 +38,11 @@ def _block(tag: bytes, nbytes: int) -> bytes:
 class MutatingWorkload(SegmentedWorkload):
     """Epoch-evolving per-rank state with exact dirty tracking.
 
+    A dataset it hands out is read-only views of the application's live
+    memory, not a copy: it is valid until the next :meth:`advance` is
+    materialised (by a later ``rank_segments`` / ``build_dataset`` of that
+    rank), which rewrites those bytes in place; ``to_bytes()`` outlives it.
+
     Parameters
     ----------
     seed:
@@ -143,9 +148,10 @@ class MutatingWorkload(SegmentedWorkload):
                 keys.append(("chain-shared", self.seed, seg_idx))
             else:
                 keys.append(None)
-        return [
-            (key, bytes(segment)) for key, segment in zip(keys, segments)
-        ]
+        return [(key, memoryview(seg).toreadonly()) for key, seg in zip(keys, segments)]
+
+    def per_rank_bytes(self, n_ranks: int, rank: int = 0) -> int:
+        return sum(self.segment_lengths)
 
     def dirty_regions(
         self, rank: int, n_ranks: int

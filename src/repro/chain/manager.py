@@ -39,11 +39,13 @@ import os
 import zlib
 from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import ne
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.chain.errors import ChainBrokenError, ChainStateError
 from repro.chain.node import ChainNode, chunk_slices
-from repro.core.chunking import Dataset, as_bytes_view
+from repro.core.chunking import Dataset
 from repro.core.config import DumpConfig
 from repro.core.fingerprint import Fingerprinter
 from repro.core.fpcache import FingerprintCache
@@ -192,6 +194,9 @@ class ChainManager:
         self._next_dump_id = 0
         #: parent-side per-rank fingerprint caches (survive both backends)
         self._caches: Dict[int, FingerprintCache] = {}
+        #: ``(epoch, depth, every rank's resolved_fps)`` the next delta diffs against:
+        #: written by :meth:`_carry`, dropped by all but a dump, never read by the walk
+        self._tip: Optional[Tuple[int, int, List[List[bytes]]]] = None
 
     # -- structure queries ------------------------------------------------------
     def live_epochs(self) -> List[int]:
@@ -274,11 +279,34 @@ class ChainManager:
         if self.trace is not None and self.trace.span_enabled:
             self.trace.metrics.gauge(name).set(value)
 
-    def _stored_size(self, fp: bytes) -> int:
-        for node in self.cluster.nodes:
-            if node.chunks.has(fp):
-                return node.chunks.nbytes_of(fp)
-        return 0
+    def _carry(self, node: ChainNode) -> Tuple[int, List[List[bytes]]]:
+        """Move the carried tip onto ``node`` and return its depth and
+        columns: a full's own, the carried parent's with the delta's chunks
+        written over them (O(dirty)), else the from-scratch walk."""
+        epoch, depth, columns = self._tip or (None, 0, [])
+        if epoch != node.epoch:
+            self._tip = None  # half-written columns must not stay keyed
+            if node.kind == "full":
+                depth, columns = 1, [list(column) for column in node.fps]
+            elif epoch == node.parent_epoch:
+                depth += 1
+                for column, positions, fps in zip(columns, node.positions, node.fps):
+                    for pos, fp in zip(positions, fps):
+                        column[pos] = fp
+            else:
+                depth = self.depth_of(node.epoch)
+                columns = [self.resolved_fps(node.epoch, r) for r in range(self.n)]
+            self._tip = (node.epoch, depth, columns)
+        return depth, columns
+
+    def _record(self, node: ChainNode):
+        """Commit ``node``'s references: one per distinct resolved chunk."""
+        depth, columns = self._carry(node)
+        self._gauge("chain_depth", float(depth))
+        return self.index.record_many(
+            self._owner(node.epoch), set().union(*columns),
+            self.cluster.stored_sizes,
+        )
 
     def _live_needed_epochs(self) -> Set[int]:
         """Epochs on the ancestor path of any live epoch."""
@@ -338,17 +366,12 @@ class ChainManager:
         regions = [
             workload.dirty_regions(rank, self.n) for rank in range(self.n)
         ]
-        promoted = False
-        if kind == "delta" and parent is None:
-            kind, promoted = "full", True
-        if kind == "delta":
-            for rank in range(self.n):
-                if (
-                    list(datasets[rank].segment_lengths)
-                    != list(parent.segment_lengths[rank])
-                ):
-                    kind, promoted = "full", True
-                    break
+        lengths = [list(ds.segment_lengths) for ds in datasets]
+        promoted = kind == "delta" and (
+            parent is None or lengths != parent.segment_lengths
+        )
+        if promoted:
+            kind = "full"
 
         fingerprinter = Fingerprinter(self.config.effective_hash_name)
         fps_new: List[List[bytes]] = []
@@ -366,24 +389,20 @@ class ChainManager:
             positions: List[List[int]] = []
             node_fps: List[List[bytes]] = []
             dump_datasets: List[Dataset] = []
-            for rank in range(self.n):
-                parent_fps = self.resolved_fps(parent.epoch, rank)
-                pos = [
-                    i for i, (new, old)
-                    in enumerate(zip(fps_new[rank], parent_fps))
-                    if new != old
-                ]
+            cs = self.config.chunk_size
+            for new, old, dataset, seg_lengths in zip(
+                fps_new, self._carry(parent)[1], datasets, lengths
+            ):
+                # Whole columns, at C speed, not only what this epoch declared
+                # dirty: the cache may have re-hashed more since the parent.
+                pos = list(compress(range(len(new)), map(ne, new, old)))
                 positions.append(pos)
-                node_fps.append([fps_new[rank][i] for i in pos])
-                slices = chunk_slices(
-                    datasets[rank].segment_lengths, self.config.chunk_size
-                )
-                chunks = []
-                for i in pos:
-                    seg_idx, start, length = slices[i]
-                    view = as_bytes_view(datasets[rank].segment(seg_idx))
-                    chunks.append(bytes(view[start:start + length]))
-                dump_datasets.append(Dataset(chunks))
+                node_fps.append([new[i] for i in pos])
+                dump_datasets.append(Dataset([
+                    dataset.segment(seg_idx)[start:start + length]
+                    for seg_idx, start, length
+                    in chunk_slices(seg_lengths, cs, pos)
+                ]))
             dump_config = self.config.with_(chain_delta=True)
             parent_epoch: Optional[int] = parent.epoch
         else:
@@ -415,29 +434,19 @@ class ChainManager:
                 backend=self.backend,
             )
 
+        # The one place a dump changes the manager: one that raised did not.
         node = ChainNode(
             epoch=epoch,
             kind=kind,
             dump_id=did,
             parent_epoch=parent_epoch,
-            segment_lengths=[
-                list(ds.segment_lengths) for ds in datasets
-            ],
+            segment_lengths=lengths,
             positions=positions,
             fps=node_fps,
         )
         self.nodes[epoch] = node
         self.next_epoch = epoch + 1
-
-        owner = self._owner(epoch)
-        new_chunks = 0
-        new_bytes = 0
-        for fp in sorted(self.resolved_distinct(epoch)):
-            size = self._stored_size(fp)
-            if self.index.record(owner, fp, size):
-                new_chunks += 1
-                new_bytes += size
-        self._gauge("chain_depth", float(self.depth_of(epoch)))
+        new_chunks, new_bytes, _cross = self._record(node)
         return ChainDumpResult(
             epoch=epoch,
             kind=kind,
@@ -544,6 +553,7 @@ class ChainManager:
         owner = self._owner(epoch)
         dropped = 0
         freed = 0
+        self._tip = None
         with self._span("chain-gc", epoch=epoch):
             for fp in sorted(self.resolved_distinct(epoch)):
                 remaining, _others = self.index.release(owner, fp)
@@ -579,14 +589,12 @@ class ChainManager:
         (never directly restorable) deltas."""
         cs = self.config.chunk_size
         for rank in range(self.n):
-            if node.kind == "full":
-                lengths = [
-                    length for _seg, _start, length
-                    in chunk_slices(node.segment_lengths[rank], cs)
-                ]
-            else:
-                slices = chunk_slices(node.segment_lengths[rank], cs)
-                lengths = [slices[i][2] for i in node.positions[rank]]
+            lengths = [
+                length for _seg, _start, length in chunk_slices(
+                    node.segment_lengths[rank], cs,
+                    node.positions[rank] if node.kind == "delta" else None,
+                )
+            ]
             kept_lengths = []
             kept_fps = []
             for fp, length in zip(node.fps[rank], lengths):
@@ -625,6 +633,7 @@ class ChainManager:
             )
         old_dump_id = node.dump_id
         new_dump_id = self._alloc_dump_id()
+        self._tip = None
         resolved = [
             self.resolved_fps(epoch, rank) for rank in range(self.n)
         ]
@@ -689,6 +698,7 @@ class ChainManager:
                 f"cannot rewrite pruned epoch {epoch}"
             )
         result = ChainRewriteResult(epoch=epoch, threshold=threshold)
+        self._tip = None
         with self._span("chain-rewrite", epoch=epoch, threshold=threshold):
             for rank in range(self.n):
                 own = self.cluster.node_of(rank)
@@ -760,7 +770,7 @@ class ChainManager:
         """Rebuild a manager from a :meth:`to_blob` blob over an
         existing cluster, re-recording every live epoch's references in
         the GC index (the index is derived state; the blob and the stores
-        are the source of truth)."""
+        are the source of truth) in one forward pass over the nodes."""
         nodes, n_ranks, chunk_size, next_epoch, next_dump_id = (
             decode_chain(blob)
         )
@@ -776,10 +786,11 @@ class ChainManager:
         manager.nodes = {node.epoch: node for node in nodes}
         manager.next_epoch = next_epoch
         manager._next_dump_id = next_dump_id
-        for epoch in manager.live_epochs():
-            owner = manager._owner(epoch)
-            for fp in sorted(manager.resolved_distinct(epoch)):
-                manager.index.record(owner, fp, manager._stored_size(fp))
+        for _epoch, node in sorted(manager.nodes.items()):  # a delta steps its parent
+            if node.retired:
+                manager._carry(node)
+            else:
+                manager._record(node)
         return manager
 
     def save(self, path) -> None:

@@ -11,8 +11,10 @@ in-place rewrite on compaction) and the RCH1 codec
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import List, Optional
+from itertools import accumulate
+from typing import Iterable, List, Optional, Sequence
 
 #: node kinds; a chain always terminates at a ``full`` node
 CHAIN_KINDS = ("full", "delta")
@@ -75,12 +77,18 @@ class ChainNode:
         return sum(len(rank_fps) for rank_fps in self.fps)
 
 
-def chunk_slices(segment_lengths: List[int], chunk_size: int):
+def chunk_slices(
+    segment_lengths: Sequence[int], chunk_size: int, positions: Optional[Iterable[int]] = None
+):
     """Flat chunk index -> ``(segment_index, start, length)`` for a dataset
     of the given segment geometry (chunks never span segments, so the tail
-    chunk of each segment may be short)."""
+    chunk of each segment may be short): the whole table, or only the rows
+    of ``positions`` at a cost that does not depend on the dataset's size."""
+    counts = (-(-nbytes // chunk_size) for nbytes in segment_lengths)
+    firsts = list(accumulate(counts, initial=0))  # each segment's first flat index
     out = []
-    for seg_idx, nbytes in enumerate(segment_lengths):
-        for start in range(0, nbytes, chunk_size):
-            out.append((seg_idx, start, min(chunk_size, nbytes - start)))
+    for p in range(firsts[-1]) if positions is None else positions:
+        seg_idx = bisect_right(firsts, p) - 1
+        start = (p - firsts[seg_idx]) * chunk_size
+        out.append((seg_idx, start, min(chunk_size, segment_lengths[seg_idx] - start)))
     return out

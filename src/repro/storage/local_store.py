@@ -15,6 +15,8 @@ import os
 import threading
 from collections import Counter
 from collections.abc import MutableMapping
+from itertools import compress
+from operator import not_
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.fingerprint import Fingerprint
@@ -781,6 +783,19 @@ class Cluster:
                 if flag:
                     holders[i].append(node_id)
         return holders
+
+    def stored_sizes(self, fps: List[Fingerprint]) -> List[int]:
+        """Stored payload size of each fingerprint, 0 where no node holds it.
+        Failed nodes are asked too (a dead store still knows the size); each
+        node gets one ``has_many`` over what the nodes before it lacked."""
+        sizes: Dict[Fingerprint, int] = {}
+        todo = fps
+        for node in self._nodes:
+            flags = node.chunks.has_many(todo)
+            for fp in compress(todo, flags):
+                sizes[fp] = node.chunks.nbytes_of(fp)
+            todo = list(compress(todo, map(not_, flags)))
+        return [sizes.get(fp, 0) for fp in fps]
 
     def locate_any(self, fp: Fingerprint) -> bytes:
         """Fetch a chunk from any live holder."""

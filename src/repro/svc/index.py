@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Callable, Collection, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.core.fingerprint import Fingerprint
 
@@ -62,22 +62,56 @@ class GlobalDedupIndex:
     def record(self, tenant: str, fp: Fingerprint, size: int) -> bool:
         """Add one reference by ``tenant``; True if the chunk is new to the
         whole service (this tenant is its first writer)."""
-        i = self._shard(fp)
+        added = self._record_shard(self._shard(fp), tenant, (fp,), lambda _new: (size,))
+        return added[0] == 1
+
+    def record_many(
+        self, tenant: str, fps: Collection[Fingerprint],
+        size_of: Callable[[List[Fingerprint]], Sequence[int]],
+    ) -> Tuple[int, int, int]:
+        """One reference by ``tenant`` to each of ``fps``, as a :meth:`record`
+        loop over ``sorted(fps)`` leaves the index, with each shard's lock
+        taken once.  ``size_of`` maps a list of fingerprints to their stored
+        sizes and is asked only about those new to the index, each once (a
+        known entry keeps its size).  New entries enter their shard in
+        ascending order whatever order ``fps`` iterates in, so no view that
+        walks :meth:`items` depends on it.  Returns ``(new chunks, their
+        bytes, known chunks the tenant did not reference before)``; a
+        repeated fingerprint raises ``ValueError`` before anything is recorded.
+        """
+        if not isinstance(fps, (set, frozenset)) and len(set(fps)) != len(fps):
+            raise ValueError("record_many: a fingerprint is repeated in one call")
+        groups: List[List[Fingerprint]] = [[] for _ in self._shards]
+        for fp in fps:
+            groups[fp[0] % self.shard_count].append(fp)
+        parts = [self._record_shard(i, tenant, group, size_of) for i, group in enumerate(groups)]
+        return tuple(map(sum, zip(*parts)))  # an empty group adds (0, 0, 0)
+
+    def _record_shard(self, i: int, tenant: str, fps, size_of) -> Tuple[int, int, int]:
+        """:meth:`record_many` for distinct ``fps`` that all live in shard ``i``."""
+        shard = self._shards[i]
+        new: List[Fingerprint] = []
+        gained = cross_hits = 0
         with self._locks[i]:
-            entry = self._shards[i].get(fp)
+            for fp in fps:
+                entry = shard.get(fp)
+                if entry is None:
+                    new.append(fp)
+                    continue
+                have = entry.refs.get(tenant, 0)
+                if not have:
+                    gained += entry.size
+                    cross_hits += 1
+                entry.refs[tenant] = have + 1
+            new.sort()
+            sizes = size_of(new) if new else ()
+            for fp, size in zip(new, sizes):
+                shard[fp] = ChunkEntry(size, tenant, {tenant: 1})
+            new_bytes = sum(sizes)
+            self._unique_bytes[i] += new_bytes
             referenced = self._referenced[i]
-            if entry is None:
-                self._shards[i][fp] = ChunkEntry(
-                    size=size, first_writer=tenant, refs={tenant: 1}
-                )
-                self._unique_bytes[i] += size
-                referenced[tenant] = referenced.get(tenant, 0) + size
-                return True
-            have = entry.refs.get(tenant, 0)
-            if not have:
-                referenced[tenant] = referenced.get(tenant, 0) + entry.size
-            entry.refs[tenant] = have + 1
-            return False
+            referenced[tenant] = referenced.get(tenant, 0) + gained + new_bytes
+        return len(new), new_bytes, cross_hits
 
     def release(self, tenant: str, fp: Fingerprint) -> Tuple[int, bool]:
         """Drop one of ``tenant``'s references.

@@ -319,13 +319,6 @@ class CheckpointService:
             ) from None
 
     # -- execution ---------------------------------------------------------------
-    def _stored_size(self, fp) -> int:
-        """Stored payload size of ``fp`` from any node, dead included."""
-        for node in self.cluster.nodes:
-            if node.chunks.has(fp):
-                return node.chunks.nbytes_of(fp)
-        return 0
-
     def _execute(self, request: DumpRequest) -> DumpOutcome:
         state = self._state(request.tenant)
         global_id = self._next_global
@@ -371,21 +364,13 @@ class CheckpointService:
                     continue
                 seen_ranks.add(rank)
                 fps.update(node.get_manifest(rank, dump_id).fingerprints)
-        ordered = sorted(fps)
-        new_chunks = 0
-        cross_hits = 0
-        for fp in ordered:
-            if (
-                self.index.has(fp)
-                and request.tenant not in self.index.get(fp).refs
-            ):
-                cross_hits += 1
-            if self.index.record(request.tenant, fp, self._stored_size(fp)):
-                new_chunks += 1
+        new_chunks, _new_bytes, cross_hits = self.index.record_many(
+            request.tenant, fps, cluster.stored_sizes
+        )
 
         state.namespace[tenant_dump_id] = global_id
         self._dump_owner[global_id] = request.tenant
-        self._dump_fps[global_id] = ordered
+        self._dump_fps[global_id] = sorted(fps)
         actual_bytes = sum(r.dataset_bytes for r in reports)
         actual_chunks = sum(r.n_chunks for r in reports)
         state.usage.logical_bytes += actual_bytes

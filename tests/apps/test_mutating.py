@@ -4,6 +4,7 @@ import pytest
 
 from repro.apps.mutating import MutatingWorkload
 from repro.chain.node import chunk_slices
+from repro.core.chunking import Dataset
 
 
 def test_deterministic_per_epoch():
@@ -47,9 +48,13 @@ def test_incremental_materialization_matches_from_scratch():
 
 def test_dirty_regions_cover_exactly_the_mutated_chunks():
     workload = MutatingWorkload(seed=8, dirty_frac=0.1)
-    before = workload.build_dataset(1, 2)
+    # A copy: a dataset is the workload's live memory, and materialising the
+    # advance below rewrites it in place (before and after would alias).
+    live = workload.build_dataset(1, 2)
+    before = Dataset([bytes(live.segment(i)) for i in range(live.num_segments)])
     workload.advance()
     after = workload.build_dataset(1, 2)
+    assert before.to_bytes() != after.to_bytes()
     regions = workload.dirty_regions(1, 2)
     assert regions is not None
     slices = chunk_slices(workload.segment_lengths, workload.chunk_size)
@@ -101,3 +106,26 @@ def test_validation():
         MutatingWorkload().at_epoch(-1)
     with pytest.raises(ValueError):
         MutatingWorkload().advance(-1)
+
+
+def test_datasets_are_read_only_views_valid_until_the_next_materialised_advance():
+    workload = MutatingWorkload(seed=6, dirty_frac=0.2)
+    dataset = workload.build_dataset(0, 2)
+    assert all(dataset.segment(i).readonly for i in range(dataset.num_segments))
+    with pytest.raises(TypeError):
+        dataset.segment(0)[0] = 1
+    snapshot = dataset.to_bytes()
+    workload.advance()
+    assert dataset.to_bytes() == snapshot  # advance() alone touches nothing
+    again = workload.build_dataset(0, 2)  # ... materialising it does
+    assert dataset.to_bytes() == again.to_bytes() != snapshot
+    # the other rank's memory is its own
+    assert workload.build_dataset(1, 2).to_bytes() != again.to_bytes()
+
+
+def test_per_rank_bytes_is_the_declared_geometry_and_materialises_nothing():
+    workload = MutatingWorkload(seed=6)
+    workload.advance(3)
+    assert workload.per_rank_bytes(4, 2) == sum(workload.segment_lengths)
+    assert workload._states == {}
+    assert workload.build_dataset(2, 4).nbytes == workload.per_rank_bytes(4, 2)

@@ -182,3 +182,132 @@ def test_backends_produce_identical_chains(backend):
         for node in reference.cluster.nodes
     }
     assert stored == ref_stored
+
+
+# -- the carried tip ---------------------------------------------------------------
+
+CONFIG = DumpConfig(replication_factor=2, chunk_size=CHUNK)
+
+OPS = st.one_of(
+    st.tuples(st.sampled_from(("delta", "delta", "full", "reload", "failed"))),
+    st.tuples(
+        st.sampled_from(("prune", "compact", "rewrite")),
+        st.integers(min_value=0, max_value=7),
+    ),
+)
+
+
+def assert_carried_tip_is_the_walk(manager):
+    """Whatever is carried is what ``resolved_fps`` derives from scratch."""
+    if manager._tip is not None:
+        epoch, depth, columns = manager._tip
+        assert depth == manager.depth_of(epoch)
+        assert columns == [
+            manager.resolved_fps(epoch, rank) for rank in range(manager.n)
+        ]
+
+
+@settings(
+    max_examples=25, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    seed=st.integers(min_value=0, max_value=2**20),
+    ops=st.lists(OPS, max_size=8),
+)
+def test_carried_tip_equals_the_walk_under_any_interleaving(seed, ops):
+    """Dumps, prune, compact, rewrite_for_locality, save/load and a failed
+    dump in any order: the carried tip is always what the walk resolves,
+    and the next delta is the one a manager that never carried anything
+    produces."""
+    import copy
+    import tempfile
+
+    n = 2
+    manager, workload = build_chain(seed, 1, dirty_frac=0.2, n=n)
+    for op in ops:
+        live = manager.live_epochs()
+        if op[0] in ("delta", "full"):
+            workload.advance()
+            result = manager.chain_dump(workload, kind=op[0])
+            assert manager._tip[0] == result.epoch  # carried, not re-derived
+        elif op[0] == "failed":
+            workload.advance()  # the cache sees these bytes, the chain does not
+
+            def hook(phase, rank):
+                raise RuntimeError("boom")
+
+            with pytest.raises(Exception, match="boom"):
+                manager.chain_dump(workload, phase_hook=hook)
+        elif op[0] == "reload":
+            with tempfile.TemporaryDirectory() as tmp:
+                manager.save(f"{tmp}/chain.rch1")
+                manager = ChainManager.load(
+                    f"{tmp}/chain.rch1", manager.cluster, CONFIG
+                )
+        elif live:
+            epoch = live[op[1] % len(live)]
+            if op[0] == "prune":
+                manager.prune(epoch)
+            elif op[0] == "compact":
+                manager.compact(epoch)
+            else:
+                manager.rewrite_for_locality(epoch, threshold=1.01)
+        assert_carried_tip_is_the_walk(manager)
+
+    # The same next epoch through a manager rebuilt from the blob over a copy
+    # of the cluster, with nothing carried and a cold fingerprint cache.
+    fresh = ChainManager.from_blob(
+        manager.to_blob(), copy.deepcopy(manager.cluster), CONFIG
+    )
+    assert_carried_tip_is_the_walk(fresh)
+    fresh._tip = None
+    workload.advance()
+    got = manager.chain_dump(workload)
+    want = fresh.chain_dump(workload.at_epoch(workload.epoch))
+    assert (got.epoch, got.kind, got.changed_chunks) == (
+        want.epoch, want.kind, want.changed_chunks
+    )
+    assert manager.nodes[got.epoch].positions == fresh.nodes[want.epoch].positions
+    assert manager.nodes[got.epoch].fps == fresh.nodes[want.epoch].fps
+    assert manager.to_blob() == fresh.to_blob()
+    assert_carried_tip_is_the_walk(manager)
+
+
+def test_steady_state_delta_walks_nothing_and_sizes_only_new_chunks(monkeypatch):
+    """Work counts, not seconds: at depth >= 8 a delta epoch never calls
+    ``path_of`` / ``resolved_fps`` and asks the stores for the sizes of no
+    more fingerprints than it added."""
+    manager, workload = build_chain(seed=7, depth=8, dirty_frac=0.1)
+    calls = {"path_of": 0, "resolved_fps": 0}
+    asked = []
+    for name in calls:
+        real = getattr(ChainManager, name)
+
+        def counted(self, *args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(ChainManager, name, counted)
+    real_sizes = manager.cluster.stored_sizes
+    monkeypatch.setattr(
+        manager.cluster, "stored_sizes",
+        lambda fps: asked.extend(fps) or real_sizes(fps),
+    )
+    known = {fp for fp, _entry in manager.index.items()}
+
+    for _ in range(3):
+        workload.advance()
+        result = manager.chain_dump(workload)
+        assert result.kind == "delta"
+        written = manager.nodes[result.epoch].written_fingerprints()
+        assert sorted(asked) == sorted(written - known)
+        assert len(asked) == result.new_unique_chunks <= result.changed_chunks
+        known |= written
+        asked.clear()
+    assert calls == {"path_of": 0, "resolved_fps": 0}
+
+    monkeypatch.undo()
+    assert manager.depth_of(manager.tip().epoch) == 12
+    for epoch in manager.live_epochs():
+        assert_epoch_matches_oracle(manager, workload, epoch, 2)

@@ -6,6 +6,7 @@ resolution, time-travel restore, prune/pin/sweep, compaction, locality
 rewriting, persistence and the error surface.
 """
 
+import copy
 import os
 
 import pytest
@@ -52,6 +53,17 @@ class TestChunkSlices:
 
     def test_empty_geometry(self):
         assert chunk_slices([], CHUNK) == []
+        assert chunk_slices([], CHUNK, []) == []
+
+    def test_rows_of_given_positions_are_rows_of_the_table(self):
+        # empty segments in front, between and behind; a short tail; any order
+        lengths = [0, CHUNK * 2 + 100, 0, 0, 50, CHUNK, 0]
+        table = chunk_slices(lengths, CHUNK)
+        assert len(table) == 5
+        for positions in ([], [0], [4], [3, 0, 2, 2], range(5)):
+            assert chunk_slices(lengths, CHUNK, positions) == [
+                table[p] for p in positions
+            ]
 
 
 class TestDump:
@@ -106,6 +118,56 @@ class TestDump:
         manager, workload = make_chain()
         with pytest.raises(ChainStateError, match="kind"):
             manager.chain_dump(workload, kind="incremental")
+
+    @pytest.mark.parametrize("kind", ["delta", "full"])
+    def test_a_dump_whose_collective_raises_leaves_the_manager_as_it_was(self, kind):
+        """... and the next delta still carries the chunks that changed
+        during the failed epoch, which only the fingerprint cache saw."""
+        from repro.dst.invariants import check_chain_refcounts
+        from repro.simmpi.errors import SimMPIError
+
+        manager, workload = make_chain(depth=2)
+        assert manager._tip[0] == 2  # steady state: the tip is carried
+
+        def state():
+            epoch, depth, columns = manager._tip
+            return (
+                manager.next_epoch,
+                [(e, copy.deepcopy(vars(node))) for e, node in sorted(manager.nodes.items())],
+                [(f, e.size, e.first_writer, dict(e.refs)) for f, e in manager.index.items()],
+                manager.index.unique_bytes,
+                (epoch, depth, [list(column) for column in columns]),
+            )
+
+        before = state()
+
+        def hook(phase, rank):
+            if rank == 1:
+                raise RuntimeError("boom")
+
+        workload.advance()  # workload epoch 3: its dump fails
+        failed_changes = {
+            rank: set(workload._mutated_indices(rank, 3)) for rank in range(N)
+        }
+        with pytest.raises((SimMPIError, RuntimeError)):
+            manager.chain_dump(workload, kind=kind, phase_hook=hook)
+        # (the dump-id counter did move: ids are never handed out twice)
+        assert state() == before
+
+        workload.advance()  # workload epoch 4 becomes chain epoch 3
+        result = manager.chain_dump(workload)
+        assert (result.epoch, result.kind) == (3, "delta")
+        for rank in range(N):
+            declared = set(workload._mutated_indices(rank, 4))
+            # the failed epoch's chunks were not declared dirty this time ...
+            assert failed_changes[rank] - declared
+            # ... and are in the delta all the same
+            assert set(manager.nodes[3].positions[rank]) == failed_changes[rank] | declared
+        for chain_epoch, workload_epoch in ((0, 0), (1, 1), (2, 2), (3, 4)):
+            for rank in range(N):
+                dataset, _ = manager.restore_epoch(rank, chain_epoch)
+                assert dataset.to_bytes() == oracle(workload, workload_epoch, rank)
+        assert check_chain_refcounts(manager, 0) == []
 
     def test_parity_config_rejected(self):
         cluster = Cluster(N)
@@ -368,6 +430,55 @@ class TestPersistence:
         for epoch in list(clone.live_epochs()):
             clone.prune(epoch)
         assert len(clone.index) == 0
+
+    def test_blob_rebuilds_the_live_index_in_one_forward_pass(self, monkeypatch):
+        """Pinned ancestors, a compacted epoch in the middle and a pruned
+        delta: entries, refs, sizes and totals come back as the live index
+        has them, and each delta after a carried parent costs no walk."""
+        manager, workload = make_chain(depth=6, dirty_frac=0.3)
+        manager.prune(0)       # the base: retired, pinned by everything after
+        manager.compact(3)     # 0..2 stay behind 1 and 2; 3 becomes a full
+        manager.prune(2)       # retired, pins nothing: swept
+        manager.prune(4)       # a delta on the compacted full: pinned by 5, 6
+        assert manager.nodes[0].retired and manager.nodes[4].retired
+        assert sorted(manager.nodes) == [0, 1, 3, 4, 5, 6]
+        assert manager.live_epochs() == [1, 3, 5, 6]
+
+        walks = []
+        real = ChainManager.resolved_fps
+        monkeypatch.setattr(
+            ChainManager, "resolved_fps",
+            lambda self, epoch, rank: walks.append(epoch) or real(self, epoch, rank),
+        )
+        clone = ChainManager.from_blob(
+            manager.to_blob(), manager.cluster, manager.config,
+            index=GlobalDedupIndex(),
+        )
+        assert walks == []  # fulls are read, deltas stepped from their parent
+        monkeypatch.undo()
+
+        live, rebuilt = dict(manager.index.items()), dict(clone.index.items())
+        assert set(rebuilt) == set(live)
+        owners = [manager._owner(e) for e in manager.live_epochs()]
+        for f, entry in live.items():
+            assert rebuilt[f].refs == entry.refs, f.hex()
+            assert rebuilt[f].size == entry.size
+            # A first writer that was pruned is not in the blob: the rebuilt
+            # index names the oldest live epoch that references the chunk.
+            if entry.first_writer in entry.refs:
+                assert rebuilt[f].first_writer == entry.first_writer
+            else:
+                assert rebuilt[f].first_writer == next(
+                    o for o in owners if o in entry.refs
+                )
+        assert clone.index.unique_bytes == manager.index.unique_bytes
+        for owner in owners + [manager._owner(0), manager._owner(4)]:
+            assert clone.index.referenced_bytes(owner) == (
+                manager.index.referenced_bytes(owner)
+            )
+        # and the carried tip is the newest epoch's, ready for the next delta
+        assert clone._tip[0] == 6 and clone._tip[1] == clone.depth_of(6) == 4
+        assert clone._tip[2] == [clone.resolved_fps(6, r) for r in range(N)]
 
     def test_chunk_size_mismatch_rejected(self):
         manager, _ = make_chain()

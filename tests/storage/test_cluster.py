@@ -37,6 +37,27 @@ class TestLookup:
         cluster.fail_node(0)
         assert cluster.replica_nodes(fp(1)) == {0}
 
+    @pytest.mark.parametrize("shard_count", [1, 4])
+    def test_stored_sizes_is_the_per_fingerprint_probe(self, shard_count):
+        """First holder's size, dead nodes included, 0 where nobody holds it;
+        order and duplicates of the request are kept."""
+        cluster = Cluster(3, shard_count=shard_count)
+        cluster.nodes[0].chunks.put(fp(1), b"a")
+        cluster.nodes[2].chunks.put(fp(1), b"a")
+        cluster.nodes[1].chunks.put(fp(2), b"bbbb")
+        cluster.nodes[2].chunks.put(fp(3), b"cc")
+        cluster.fail_node(2)
+
+        def probe(f):
+            for node in cluster.nodes:
+                if node.chunks.has(f):
+                    return node.chunks.nbytes_of(f)
+            return 0
+
+        fps = [fp(3), fp(9), fp(1), fp(2), fp(3)]
+        assert cluster.stored_sizes(fps) == [probe(f) for f in fps] == [2, 0, 1, 4, 2]
+        assert cluster.stored_sizes([]) == []
+
 
 class TestManifests:
     def test_find_prefers_owner(self):

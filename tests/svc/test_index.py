@@ -144,3 +144,96 @@ class TestRunningTotals:
         index = GlobalDedupIndex()
         index.record("a", fp(0), 100)
         assert index.referenced_bytes("nobody") == 0
+
+
+def snapshot(index):
+    """Everything observable: per-shard entries in dict order, and the
+    running totals per tenant."""
+    return (
+        [
+            [(f, e.size, e.first_writer, dict(e.refs)) for f, e in shard.items()]
+            for shard in index._shards
+        ],
+        index.unique_bytes,
+        {t: index.referenced_bytes(t) for t in ("a", "b", "c")},
+    )
+
+
+class TestRecordMany:
+    """``record_many`` against its specification: the ``record`` loop over
+    the same fingerprints, sorted."""
+
+    @given(
+        before=st.lists(
+            st.tuples(
+                st.sampled_from(("a", "b", "c")),
+                st.integers(min_value=0, max_value=23),
+            ),
+            max_size=40,
+        ),
+        released=st.lists(st.integers(min_value=0, max_value=23), max_size=6),
+        batch=st.lists(
+            st.integers(min_value=0, max_value=23), unique=True, max_size=24
+        ),
+        as_set=st.booleans(),
+        shard_count=st.sampled_from((1, 3, 8)),
+    )
+    def test_equals_the_record_loop(
+        self, before, released, batch, as_set, shard_count
+    ):
+        size = {fp(i): 10 + i for i in range(24)}
+        loop = GlobalDedupIndex(shard_count=shard_count)
+        many = GlobalDedupIndex(shard_count=shard_count)
+        for index in (loop, many):
+            # other tenants' (and a's own earlier) references, some dropped
+            for tenant, i in before:
+                index.record(tenant, fp(i), size[fp(i)])
+            for i in released:
+                index.release("a", fp(i))
+        fps = [fp(i) for i in batch]
+
+        known = {f for f in fps if loop.has(f)}
+        want_cross = sum(1 for f in known if "a" not in loop.get(f).refs)
+        want_new = [loop.record("a", f, size[f]) for f in sorted(fps)]
+
+        asked = []
+
+        def size_of(new):
+            asked.extend(new)
+            return [size[f] for f in new]
+
+        got = many.record_many("a", set(fps) if as_set else fps, size_of)
+
+        assert snapshot(many) == snapshot(loop)
+        assert got == (
+            sum(want_new),
+            sum(size[f] for f, new in zip(sorted(fps), want_new) if new),
+            want_cross,
+        )
+        # sizes: asked once per new fingerprint, never for a known one
+        assert sorted(asked) == sorted(set(fps) - known)
+        assert_totals_match_recount(many, ("a", "b", "c"))
+
+    def test_new_entries_enter_each_shard_in_ascending_order(self):
+        index = GlobalDedupIndex(shard_count=2)
+        index.record("b", fp(3), 1)
+        fps = [fp(i) for i in (9, 1, 3, 7, 5, 0)]
+        index.record_many("a", fps, lambda new: [1] * len(new))
+        for shard in index._shards:
+            fresh = [f for f in shard if f != fp(3)]
+            assert fresh == sorted(fresh)
+
+    def test_a_repeated_fingerprint_is_rejected_before_anything_is_recorded(self):
+        index = GlobalDedupIndex()
+        index.record("b", fp(0), 7)
+        before = snapshot(index)
+        with pytest.raises(ValueError, match="repeated"):
+            index.record_many(
+                "a", [fp(1), fp(0), fp(1)], lambda new: [7] * len(new)
+            )
+        assert snapshot(index) == before
+
+    def test_empty_batch_records_nothing(self):
+        index = GlobalDedupIndex()
+        assert index.record_many("a", [], lambda new: 1 / 0) == (0, 0, 0)
+        assert len(index) == 0 and index.referenced_bytes("a") == 0
