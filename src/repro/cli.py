@@ -289,8 +289,9 @@ def cmd_fuzz(args) -> None:
     Exactly one scenario source: ``--seed N`` (plus ``--runs R`` for seeds
     N..N+R-1), ``--replay FILE`` (a scenario JSON, e.g. a shrunk failure),
     or ``--corpus [DIR]`` (the checked-in corpus).  Exit 0 when every
-    scenario upholds every invariant, 1 on violations (after shrinking the
-    first failure to a minimal reproducer), 2 on usage errors.
+    scenario upholds every invariant, 1 on violations, a step that raised
+    (``step-error``) included, after shrinking the first failure to a
+    minimal reproducer, 2 on usage errors, a sweep of no scenarios included.
     """
     import json
 
@@ -337,6 +338,12 @@ def cmd_fuzz(args) -> None:
             (f"seed {args.seed + i}", generate_scenario(args.seed + i))
             for i in range(args.runs)
         ]
+    if not scenarios:
+        # A sweep that checked nothing must not report success.
+        raise ValueError(
+            "fuzz: no scenarios to run (an empty corpus directory, or "
+            "--runs below 1)"
+        )
     if args.trace and len(scenarios) != 1:
         raise ValueError("fuzz: --trace needs exactly one scenario")
 

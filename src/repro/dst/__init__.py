@@ -2,15 +2,19 @@
 
 The paper's guarantee — after ``DUMP_OUTPUT`` every chunk lives on
 ``min(K, live)`` distinct nodes and any K-1 losses are survivable — now
-spans five interacting subsystems (batched dump, degraded mode, online
-repair, erasure hybrid, process backend).  Hand-written scenarios cover
-their pairwise compositions; this package searches the rest of the space:
+spans the collective dump (degraded mode, parity redundancy, both SPMD
+backends), online repair, the multi-tenant service and checkpoint chains.
+Hand-written scenarios cover their pairwise compositions; this package
+searches the rest of the space:
 
 * :mod:`repro.dst.scenario`  — serializable scenario values (the unit of
   generation, replay and shrinking);
 * :mod:`repro.dst.generator` — seed → scenario, bit-deterministic;
-* :mod:`repro.dst.executor`  — run the dump→crash→repair→restore loop,
-  checking invariants after every step;
+* :mod:`repro.dst.executor`  — one step interpreter (``crash``,
+  ``repair`` and the dump tail are written once, the invariant battery
+  runs after every step, a step that raises becomes a ``step-error``
+  finding) over three small systems: the bare cluster, the
+  ``CheckpointService`` and the ``ChainManager``;
 * :mod:`repro.dst.invariants` — the oracle library (replication floors,
   restore byte-equality, referential integrity, CALC_OFF window tiling,
   audit consistency, cross-backend equivalence);

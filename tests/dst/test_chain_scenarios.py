@@ -13,11 +13,7 @@ structural integrity.
 
 import pytest
 
-from repro.dst.executor import (
-    differential_check,
-    execute_scenario,
-    run_scenario,
-)
+from repro.dst.executor import differential_check, execute_scenario
 from repro.dst.generator import generate_scenario
 from repro.dst.scenario import Scenario, ScenarioError, Step
 from repro.dst.shrinker import shrink
@@ -127,10 +123,10 @@ class TestScenarioModel:
 
 class TestExecutor:
     @pytest.mark.parametrize("seed", CHAIN_SEEDS)
-    def test_chain_seeds_uphold_all_invariants(self, seed):
+    def test_chain_seeds_uphold_all_invariants(self, seed, memo):
         s = generate_scenario(seed)
         assert s.chain
-        result = execute_scenario(s, backend="thread")
+        result = memo.execute(s, backend="thread")
         assert result.ok, [v.as_dict() for v in result.violations]
         for step_doc in result.steps:
             for name in CHAIN_CHECKS:
@@ -161,7 +157,7 @@ class TestExecutor:
             "old_dump_id"
         ]
 
-    def test_deep_differential_seed_reaches_depth_eight(self):
+    def test_deep_differential_seed_reaches_depth_eight(self, memo):
         """The corpus' long-chain seed really does time-travel through a
         depth >= 8 chain on both backends, post-GC and post-compaction:
         ``run_scenario`` honours its differential flag, and the armed
@@ -178,15 +174,15 @@ class TestExecutor:
                 depth = min(depth, 1)
         assert deepest >= 8
         assert any(st.op == "compact" for st in s.steps)
-        result = run_scenario(s)
+        result = memo.run(s)
         assert result.ok, [v.as_dict() for v in result.violations]
 
-    def test_differential_chain_seed_with_gc_is_green(self):
+    def test_differential_chain_seed_with_gc_is_green(self, memo):
         s = generate_scenario(DIFF_SEED)
         assert s.chain and s.differential
         assert any(st.op == "prune" for st in s.steps)
         assert any(st.op == "compact" for st in s.steps)
-        result = run_scenario(s)
+        result = memo.run(s)
         assert result.ok, [v.as_dict() for v in result.violations]
 
     def test_chain_run_is_deterministic(self):
@@ -204,16 +200,16 @@ class TestExecutor:
 
 
 class TestHarnessCatchesBugs:
-    def test_drop_replica_bug_trips_chain_invariants(self):
+    def test_drop_replica_bug_trips_chain_invariants(self, memo):
         s = generate_scenario(16)  # k=3: replicas to drop
-        result = execute_scenario(s, backend="thread", bug="drop-replica")
+        result = memo.execute(s, backend="thread", bug="drop-replica")
         tripped = {v.invariant for v in result.violations}
         assert "replication" in tripped
         assert "chain-restore" in tripped
 
 
 class TestShrinker:
-    def test_shrinker_simplifies_chain_machinery_away(self):
+    def test_shrinker_simplifies_chain_machinery_away(self, memo):
         """A chain failure that does not depend on the chain machinery
         (an injected replica drop) must shrink to a plain non-chain
         scenario — dropping prune/compact steps, promoting deltas and
@@ -221,7 +217,7 @@ class TestShrinker:
         s = generate_scenario(16)
 
         def still_fails(candidate):
-            return not execute_scenario(
+            return not memo.execute(
                 candidate, backend="thread", bug="drop-replica"
             ).ok
 

@@ -1,11 +1,13 @@
 """The ``repro-eval fuzz`` subcommand: sources, exit codes, artifacts."""
 
+import contextlib
+import io
 import json
 
 import pytest
 
 from repro.cli import main
-from repro.dst import Scenario, load_scenario
+from repro.dst import Scenario, Step, load_scenario, save_scenario
 
 
 def run_cli(argv):
@@ -32,14 +34,13 @@ class TestSources:
         assert "seed 0: ok" in text
         assert "seed 2: ok" in text
 
-    def test_corpus_replay(self, capsys):
-        assert run_cli(["fuzz", "--corpus"]) == 0
+    def test_corpus_replay(self, capsys, memo):
+        with memo.patched():
+            assert run_cli(["fuzz", "--corpus"]) == 0
         text = capsys.readouterr().out
         assert "seed-0003.json: ok" in text
 
     def test_replay_file(self, capsys, tmp_path):
-        from repro.dst import save_scenario
-
         path = str(tmp_path / "case.json")
         save_scenario(path, Scenario(seed=4, n_ranks=3, k=2,
                                      chunks_per_rank=3))
@@ -53,6 +54,25 @@ class TestSources:
     def test_unknown_flag_exits_2(self):
         assert run_cli(["fuzz", "--seed", "1", "--frobnicate"]) == 2
 
+    @pytest.mark.parametrize("source", [
+        ["--corpus", "EMPTY"],
+        ["--seed", "3", "--runs", "0"],
+        ["--seed", "3", "--runs", "-1"],
+        ["--seed", "3", "--runs", "0", "--chain"],
+    ])
+    def test_a_sweep_that_checked_nothing_exits_2(
+        self, source, capsys, tmp_path
+    ):
+        """No scenarios is a usage error, never a green run — and no
+        vacuous ``{"ok": true, "runs": []}`` verdict file is written."""
+        empty = tmp_path / "empty-corpus"
+        empty.mkdir()
+        out = tmp_path / "verdict.json"
+        argv = [str(empty) if arg == "EMPTY" else arg for arg in source]
+        assert run_cli(["fuzz", *argv, "--out", str(out)]) == 2
+        assert "no scenarios to run" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDeterminism:
     def test_same_seed_identical_verdict_files(self, tmp_path):
@@ -65,14 +85,16 @@ class TestDeterminism:
 
 
 class TestFailurePath:
-    @pytest.fixture()
-    def failing_run(self, capsys, tmp_path):
-        shrunk = str(tmp_path / "shrunk.json")
-        code = run_cli([
-            "fuzz", "--seed", "12", "--inject-bug", "drop-replica",
-            "--scenario-out", shrunk,
-        ])
-        return code, shrunk, capsys.readouterr().out
+    @pytest.fixture(scope="class")
+    def failing_run(self, tmp_path_factory, memo):
+        shrunk = str(tmp_path_factory.mktemp("fuzz") / "shrunk.json")
+        text = io.StringIO()
+        with memo.patched(), contextlib.redirect_stdout(text):
+            code = run_cli([
+                "fuzz", "--seed", "12", "--inject-bug", "drop-replica",
+                "--scenario-out", shrunk,
+            ])
+        return code, shrunk, text.getvalue()
 
     def test_injected_bug_exits_1(self, failing_run):
         code, _shrunk, text = failing_run
@@ -106,3 +128,54 @@ class TestFailurePath:
         assert run_cli(
             ["fuzz", "--seed", "0", "--runs", "2", "--trace", trace]
         ) == 2
+
+
+class TestStepError:
+    def test_raised_step_is_a_failure_with_every_artifact(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        """A step that raises must not escape ``main()``: the sweep goes
+        on, the verdict file holds every run, the failure is shrunk and
+        the written scenario replays to the same finding."""
+        from repro.chain import ChainManager
+        from repro.storage.local_store import StorageError
+
+        def prune(self, epoch):
+            raise StorageError(f"epoch {epoch} is on fire")
+
+        monkeypatch.setattr(ChainManager, "prune", prune)
+        sweep = tmp_path / "sweep"
+        sweep.mkdir()
+        small = Scenario(seed=4, n_ranks=3, k=2, chunks_per_rank=3)
+        save_scenario(str(sweep / "a-chain.json"), small.with_(
+            chain=True,
+            steps=(
+                Step("dump"), Step("dump", kind="delta"), Step("prune"),
+                Step("dump", kind="delta"),
+            ),
+        ))
+        save_scenario(str(sweep / "b-plain.json"), small)
+        out = str(tmp_path / "verdicts.json")
+        failure = str(tmp_path / "dst-failure.json")
+        assert run_cli([
+            "fuzz", "--corpus", str(sweep),
+            "--out", out, "--scenario-out", failure,
+        ]) == 1
+        text = capsys.readouterr().out
+        assert "[step-error] step 2: prune raised StorageError" in text
+        assert "b-plain.json: ok" in text
+        doc = json.loads(open(out).read())
+        assert [run["ok"] for run in doc["runs"]] == [False, True]
+        assert doc["ok"] is False
+        failed = doc["runs"][0]
+        assert failed["steps"][-1]["error"] == "StorageError"
+        assert [st["op"] for st in failed["steps"]] == [
+            "dump", "dump", "prune",
+        ]
+        minimal = load_scenario(failure)
+        assert any(st.op == "prune" for st in minimal.steps)
+        assert run_cli([
+            "fuzz", "--replay", failure, "--no-shrink",
+            "--scenario-out", failure + ".again",
+        ]) == 1
+        assert "[step-error]" in capsys.readouterr().out

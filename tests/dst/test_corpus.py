@@ -12,7 +12,6 @@ from repro.dst import (
     default_corpus_dir,
     generate_scenario,
     iter_corpus,
-    run_scenario,
 )
 
 pytestmark = pytest.mark.smoke
@@ -103,12 +102,12 @@ def test_corpus_covers_the_feature_matrix():
 
 
 @pytest.mark.parametrize("seed", sorted(CORPUS_SEEDS))
-def test_corpus_scenario_upholds_all_invariants(seed):
-    result = run_scenario(generate_scenario(seed))
+def test_corpus_scenario_upholds_all_invariants(seed, memo):
+    result = memo.run(generate_scenario(seed))
     assert result.ok, [v.as_dict() for v in result.violations]
 
 
-def test_corpus_keeps_an_alert_firing_bursty_seed():
+def test_corpus_keeps_an_alert_firing_bursty_seed(memo):
     """At least one corpus scenario must drive the queue-wait SLO into a
     fire event, so the burn-rate engine's alert path (and the
     slo-determinism replay over it) stays exercised by every CI run —
@@ -117,7 +116,7 @@ def test_corpus_keeps_an_alert_firing_bursty_seed():
     for _path, s in iter_corpus(default_corpus_dir()):
         if s.arrival != "bursty":
             continue
-        result = run_scenario(s)
+        result = memo.run(s)
         assert result.ok, [v.as_dict() for v in result.violations]
         assert result.slo is not None
         if result.slo["alert_count"]:

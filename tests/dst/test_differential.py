@@ -66,13 +66,13 @@ def test_divergence_is_reported():
     assert out and out[0].invariant == "differential"
 
 
-def test_generated_differential_seeds_stay_green():
+def test_generated_differential_seeds_stay_green(memo):
     ran = 0
     for seed in range(40):
         scenario = generate_scenario(seed)
         if not scenario.differential:
             continue
-        result = run_scenario(scenario)
+        result = memo.run(scenario)
         assert result.ok, [v.as_dict() for v in result.violations]
         ran += 1
         if ran == 3:

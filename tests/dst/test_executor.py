@@ -1,17 +1,31 @@
 """Scenario execution: determinism, the replica ledger, verdicts."""
 
+import hashlib
 import json
+
+import pytest
 
 from repro.dst import (
     ReplicaLedger,
     Scenario,
+    ScenarioError,
     Step,
     VERDICT_SCHEMA_ID,
     execute_scenario,
+    executor,
     generate_scenario,
     run_scenario,
+    shrink,
 )
-from repro.dst.executor import cluster_digest
+from repro.dst.executor import (
+    BareSystem,
+    ChainSystem,
+    ServiceSystem,
+    cluster_digest,
+    system_for,
+)
+from repro.dst.scenario import STEP_OPS
+from repro.storage.manifest import Manifest
 
 
 def small_scenario(**changes):
@@ -257,3 +271,183 @@ class TestBurstyArrival:
         assert result.ok
         assert result.slo is not None
         assert result.slo["ok"] is True
+
+
+def fake_system(forget_dump=None, raise_dump=None):
+    """An in-memory system for driving the real step loop without any
+    collective: a dump writes one chunk and one manifest per rank straight
+    onto ``k_eff`` nodes.  ``forget_dump`` drops one replica of rank 0's
+    chunk at that dump id; ``raise_dump`` makes that dump raise."""
+
+    class FakeSystem(BareSystem):
+        built = []
+
+        def setup(self):
+            super().setup()
+            self.built.append(self)
+
+        def oracle(self, dump_id, rank):
+            return b"dump %d rank %d" % (dump_id, rank)
+
+        def dump(self, step, step_idx, step_doc, arm_crash):
+            dump_id = self.next_dump_id
+            if dump_id == raise_dump:
+                raise RuntimeError("fake dump failed\nwith a second line")
+            for rank in range(self.n):
+                payload = self.oracle(dump_id, rank)
+                fp = hashlib.sha1(payload).digest()
+                manifest = Manifest(
+                    rank, dump_id, [len(payload)], [fp],
+                    chunk_size=len(payload),
+                )
+                holders = [
+                    (rank + i) % self.n for i in range(self.scenario.k_eff)
+                ]
+                for node_id in holders:
+                    self.cluster.nodes[node_id].put_manifest(manifest)
+                if dump_id == forget_dump and rank == 0:
+                    holders.pop()
+                for node_id in holders:
+                    self.cluster.nodes[node_id].chunks.put(fp, payload)
+            self.next_dump_id += 1
+            return dump_id, [], None
+
+    return FakeSystem
+
+
+class TestStepLoopOverAFakeSystem:
+    """The loop's own behaviour, pinned without a collective: the system
+    is substituted at the one place the loop picks it."""
+
+    def run(self, monkeypatch, system, steps, **changes):
+        monkeypatch.setattr(executor, "system_for", lambda scenario: system)
+        scenario = small_scenario(
+            n_ranks=4, k=2, degraded=True, steps=steps, **changes
+        )
+        return scenario, execute_scenario(scenario)
+
+    def test_second_crash_leaves_the_floors_alone(self, monkeypatch):
+        system = fake_system()
+        _s, result = self.run(monkeypatch, system, (
+            Step("dump"), Step("crash", node=2), Step("crash", node=2),
+        ))
+        assert result.ok, result.violations
+        assert [st.get("noop") for st in result.steps] == [None, False, True]
+        (built,) = system.built
+        assert set(built.ledger.floors.values()) == {1}
+        assert not built.cluster.nodes[2].alive
+
+    def test_forgotten_replica_is_caught_at_that_step(self, monkeypatch):
+        _s, result = self.run(
+            monkeypatch, fake_system(forget_dump=1),
+            (Step("dump"), Step("dump"), Step("dump")),
+        )
+        assert not result.ok
+        assert {(v.invariant, v.step) for v in result.violations} == {
+            ("replication", 1), ("replication", 2),
+        }
+        assert result.steps[0]["violations_so_far"] == 0
+        assert result.steps[1]["violations_so_far"] == 1
+
+    def test_raising_dump_is_one_step_error_and_the_run_stops(
+        self, monkeypatch
+    ):
+        scenario, result = self.run(
+            monkeypatch, fake_system(raise_dump=1),
+            (Step("dump"), Step("crash", node=1), Step("dump"),
+             Step("dump")),
+        )
+        assert not result.ok
+        (violation,) = result.violations
+        assert violation.as_dict() == {
+            "invariant": "step-error", "step": 2,
+            "detail": "dump raised RuntimeError: fake dump failed",
+        }
+        assert [st["op"] for st in result.steps] == ["dump", "crash", "dump"]
+        assert result.steps[-1]["error"] == "RuntimeError"
+        assert result.steps[-1]["invariants_checked"] == []
+        assert result.cluster_digest and result.reports_digest
+        json.loads(result.verdict_json())
+        # ... and the failure is an ordinary one to the shrinker
+        out = shrink(scenario, lambda s: not execute_scenario(s).ok)
+        assert out.accepted > 0
+        assert [st.op for st in out.scenario.steps] == ["dump", "dump"]
+        assert out.scenario.n_ranks == 2
+
+    def test_raising_check_is_a_step_error_too(self, monkeypatch):
+        def lost(step_idx):
+            raise KeyError("lost")
+
+        class BrokenCheck(fake_system()):
+            def battery(self):
+                return super().battery()[:2] + [("lost", lost)]
+
+        _s, result = self.run(monkeypatch, BrokenCheck, (Step("dump"),))
+        (violation,) = result.violations
+        assert violation.invariant == "step-error"
+        assert violation.detail == "dump raised KeyError: 'lost'"
+        assert result.steps[0]["invariants_checked"] == [
+            "window-layout", "report-sanity",
+            "replication", "restore", "lost",
+        ]
+
+
+#: per system: the Scenario knobs that select it
+SYSTEM_MODES = {
+    BareSystem: dict(),
+    ServiceSystem: dict(tenants=2, shard_count=2),
+    ChainSystem: dict(chain=True),
+}
+
+
+class TestStepKindsPerSystem:
+    @staticmethod
+    def schedule(op):
+        step = Step("crash", node=1) if op == "crash" else Step(op)
+        return (Step("dump"), step)
+
+    @pytest.mark.parametrize("system", SYSTEM_MODES, ids=lambda s: s.__name__)
+    def test_loop_accepts_exactly_what_the_scenario_admits(self, system):
+        """The step kinds the loop plus the system's ``ops`` table accept
+        are exactly those ``Scenario.__post_init__`` admits for that mode
+        — and a rejected kind is a ``ScenarioError``, never a
+        ``KeyError``."""
+        base = small_scenario(degraded=True, **SYSTEM_MODES[system])
+        assert system_for(base) is system
+        for op in STEP_OPS + ("frobnicate",):
+            try:
+                scenario = base.with_(steps=self.schedule(op))
+            except ScenarioError:
+                # Smuggle the step past validation: the loop must refuse
+                # it the same way, before running anything.
+                step = Step("tick")
+                object.__setattr__(step, "op", op)
+                scenario = base.with_()
+                object.__setattr__(scenario, "steps", (Step("dump"), step))
+                with pytest.raises(ScenarioError):
+                    execute_scenario(scenario)
+            else:
+                result = execute_scenario(scenario)
+                assert result.ok, (op, result.violations)
+                assert [st["op"] for st in result.steps] == ["dump", op]
+
+
+class TestDriverTrace:
+    def test_service_scenario_has_the_driver_pseudo_rank(self):
+        scenario = small_scenario(
+            n_ranks=4, k=2, degraded=True, tenants=2, shard_count=2,
+            steps=(
+                Step("dump", tenant=0), Step("crash", node=1),
+                Step("repair"), Step("dump", tenant=1),
+            ),
+        )
+        result = execute_scenario(scenario, collect_trace=True)
+        assert result.ok, result.violations
+        by_rank = {trace.rank: trace for trace in result.traces}
+        driver = by_rank[scenario.n_ranks]
+        names = [span.name for span in driver.spans]
+        assert names == ["dump-step", "crash", "repair", "dump-step"]
+        repair = driver.spans[names.index("repair")]
+        assert set(repair.attrs) >= {"chunks_moved", "manifests_moved"}
+        # the service's own trace is still there, beside the driver's
+        assert any(s.name == "svc-repair" for s in by_rank[0].spans)

@@ -15,28 +15,28 @@ from repro.dst import (
 )
 
 
-def failing_predicate(bug):
+def failing_predicate(bug, run=run_scenario):
     def still_fails(scenario):
-        return not run_scenario(scenario, bug=bug).ok
+        return not run(scenario, bug=bug).ok
     return still_fails
 
 
 class TestMutation:
-    def test_drop_replica_bug_is_caught(self):
-        result = run_scenario(generate_scenario(12), bug="drop-replica")
+    def test_drop_replica_bug_is_caught(self, memo):
+        result = memo.run(generate_scenario(12), bug="drop-replica")
         assert not result.ok
         assert any(v.invariant == "replication" for v in result.violations)
 
-    def test_bug_step_records_what_was_dropped(self):
-        result = run_scenario(generate_scenario(12), bug="drop-replica")
+    def test_bug_step_records_what_was_dropped(self, memo):
+        result = memo.run(generate_scenario(12), bug="drop-replica")
         dump_steps = [s for s in result.steps if s["op"] == "dump"]
         assert any("bug" in s for s in dump_steps)
 
-    def test_drop_replica_shrinks_to_minimal_scenario(self):
+    def test_drop_replica_shrinks_to_minimal_scenario(self, memo):
         base = generate_scenario(12)
-        out = shrink(base, failing_predicate("drop-replica"))
+        out = shrink(base, failing_predicate("drop-replica", memo.run))
         minimal = out.scenario
-        assert not run_scenario(minimal, bug="drop-replica").ok
+        assert not memo.run(minimal, bug="drop-replica").ok
         # the acceptance bar from the issue: <= 4 ranks, <= 2 crash events
         assert minimal.n_ranks <= 4
         assert minimal.crash_count <= 2
@@ -46,6 +46,7 @@ class TestMutation:
         assert minimal.n_dumps == 1
 
     def test_shrink_is_deterministic(self):
+        # two real shrinks over real executions: no memo here
         base = generate_scenario(12)
         a = shrink(base, failing_predicate("drop-replica"))
         b = shrink(base, failing_predicate("drop-replica"))
@@ -60,15 +61,17 @@ class TestShrinker:
         assert out.scenario == base
         assert out.accepted == 0
 
-    def test_result_of_shrink_still_fails(self):
+    def test_result_of_shrink_still_fails(self, memo):
         base = generate_scenario(12)
-        out = shrink(base, failing_predicate("drop-replica"))
-        assert failing_predicate("drop-replica")(out.scenario)
+        still_fails = failing_predicate("drop-replica", memo.run)
+        out = shrink(base, still_fails)
+        assert still_fails(out.scenario)
 
-    def test_evaluation_budget_respected(self):
+    def test_evaluation_budget_respected(self, memo):
         base = generate_scenario(12)
         out = shrink(
-            base, failing_predicate("drop-replica"), max_evaluations=5
+            base, failing_predicate("drop-replica", memo.run),
+            max_evaluations=5,
         )
         assert out.evaluations <= 5
 
