@@ -13,6 +13,11 @@ backend's merge-back delta and the persisted chain are each a
       kind 2    digests, width = digest size:          count x width bytes
       kind 3    ragged bytes, width 0:  count x u64 end offsets, then the items
 
+A schema names a ragged column :data:`RAGGED` or :data:`RAGGED_VIEW`.  The
+bytes are the same; the second is decoded as views of the blob instead of
+one ``bytes`` per item, for payloads that are going to stay where they are
+(DESIGN.md "Merge-back: one write, one mapping").
+
 Three rules hold for every decode, whatever bytes arrive: digests are read
 as **void** columns, never ``S`` (numpy strips trailing NULs from ``S``
 strings, which shortens one digest in 256); the column table must account
@@ -34,6 +39,8 @@ import numpy as np
 VERSION = 1
 DIGEST = "digest"
 RAGGED = "ragged"
+#: ragged on the wire; decoded as read-only views of the blob, not ``bytes``
+RAGGED_VIEW = "ragged_view"
 
 _HEAD = struct.Struct("<4sHBB")  # magic, version, n_scalars, n_columns
 _ENTRY = struct.Struct("<IIQQ")  # kind, width, count, nbytes
@@ -44,7 +51,14 @@ _KINDS = {
     for code, sign in enumerate("iu")
     for width in (1, 2, 4, 8)
 }
-_KINDS.update({DIGEST: (2, None, None), RAGGED: (3, 0, _ENDS)})
+_RAGGED_CODE = 3
+_KINDS.update(
+    {
+        DIGEST: (2, None, None),
+        RAGGED: (_RAGGED_CODE, 0, _ENDS),
+        RAGGED_VIEW: (_RAGGED_CODE, 0, _ENDS),
+    }
+)
 
 
 class FrameError(ValueError):
@@ -55,22 +69,70 @@ class FrameError(ValueError):
 class Schema(NamedTuple):
     """What one codec puts in a frame: the names of its integer scalars and
     ``(name, kind)`` per column, kind being ``"i1"``..``"i8"``,
-    ``"u1"``..``"u8"``, :data:`DIGEST` or :data:`RAGGED`."""
+    ``"u1"``..``"u8"``, :data:`DIGEST`, :data:`RAGGED` or
+    :data:`RAGGED_VIEW`."""
 
     scalars: Tuple[str, ...]
     columns: Tuple[Tuple[str, str], ...]
 
 
-def encode(
+class Layout:
+    """A validated frame before it is written: its total ``nbytes`` and the
+    ordered pieces (header, column table, columns) that make it up.  One
+    :func:`layout` feeds both sinks, so there is one set of column rules."""
+
+    __slots__ = ("name", "nbytes", "pieces")
+
+    def __init__(self, name: str, nbytes: int, pieces: List[Any]) -> None:
+        self.name = name
+        self.nbytes = nbytes
+        self.pieces = pieces
+
+    def to_bytes(self) -> bytes:
+        """The frame as one fresh ``bytes``."""
+        blob = b"".join(self.pieces)
+        if len(blob) != self.nbytes:
+            raise FrameError(f"{self.name}: an item's len() is not its size in bytes")
+        return blob
+
+    def write_into(self, buffer) -> None:
+        """Copy the pieces back to back into ``buffer``, a writable
+        bytes-like of exactly ``nbytes``: each byte of the frame is written
+        once, where it is going to stay."""
+        out = memoryview(buffer)
+        if out.readonly or out.nbytes != self.nbytes:
+            raise FrameError(
+                f"{self.name}: a {self.nbytes}B frame needs a writable buffer of "
+                f"its size, got {out.nbytes}B"
+            )
+        out = out.cast("B")
+        pos = 0
+        for piece in self.pieces:
+            end = pos + len(piece)  # the lens add up to nbytes by construction
+            try:
+                out[pos:end] = piece
+            except ValueError:  # not unsigned bytes: the same bytes, or not a fit
+                piece = memoryview(piece)
+                if piece.nbytes != end - pos:
+                    raise FrameError(
+                        f"{self.name}: an item's len() is not its size in bytes"
+                    ) from None
+                out[pos:end] = piece.cast("B")
+            pos = end
+
+
+def layout(
     magic: bytes, schema: Schema, scalars: Sequence[int], columns: Sequence[Any]
-) -> bytes:
-    """Pack ``scalars`` and ``columns`` (one per schema entry) into a frame.
+) -> Layout:
+    """Validate ``scalars`` and ``columns`` (one per schema entry) and lay
+    them out as a frame; nothing is copied until a sink is called.
 
     Int columns take anything ``np.asarray`` does and travel flattened in C
     order; a digest column is an iterable of equal-width ``bytes`` or a
     fixed-width numpy column; a ragged column is an iterable of bytes-likes.
     Digests of mixed or zero width, integers outside their column's range
-    and items whose ``len()`` is not their byte size raise :class:`FrameError`.
+    and items whose ``len()`` is not their byte size raise :class:`FrameError`
+    (the last one from the sink).
     """
     name = magic.decode("ascii")
     if len(scalars) != len(schema.scalars) or len(columns) != len(schema.columns):
@@ -89,10 +151,10 @@ def encode(
         if not hasattr(column, "__len__"):
             column = list(column)
         count = len(column)
-        if kind == RAGGED:
+        if code == _RAGGED_CODE:
             ends = np.cumsum(np.fromiter(map(len, column), dtype=_ENDS, count=count))
             nbytes = 8 * count + (int(ends[-1]) if count else 0)
-            body.append(ends)
+            body.append(ends.view(np.uint8))
             body.extend(column)
         elif kind == DIGEST and not isinstance(column, np.ndarray):
             widths = set(map(len, column))
@@ -111,13 +173,17 @@ def encode(
             if kind == DIGEST:
                 width = array.dtype.itemsize if count else 0
             count, nbytes = array.size, array.nbytes
-            body.append(array)
+            body.append(array.reshape(-1).view(np.uint8))
         parts.append(_ENTRY.pack(code, width, count, nbytes))
         described += nbytes
-    blob = b"".join(parts + body)
-    if len(blob) != described:
-        raise FrameError(f"{name}: an item's len() is not its size in bytes")
-    return blob
+    return Layout(name, described, parts + body)
+
+
+def encode(
+    magic: bytes, schema: Schema, scalars: Sequence[int], columns: Sequence[Any]
+) -> bytes:
+    """:func:`layout` written to one ``bytes``."""
+    return layout(magic, schema, scalars, columns).to_bytes()
 
 
 def _header(magic: bytes, view: memoryview, schema: Schema) -> Tuple[int, ...]:
@@ -152,13 +218,22 @@ def _ends_fit(view: memoryview, pos: int, count: int, data_nbytes: int) -> bool:
     return int(ends[-1]) == data_nbytes and bool((ends[1:] >= ends[:-1]).all())
 
 
+def _slices(ends: np.ndarray, base: int):
+    """One ``slice`` of the blob per ragged item whose data starts at ``base``."""
+    stops = (ends + np.uint64(base)).tolist()
+    return map(slice, [base] + stops[:-1], stops)
+
+
 def decode(magic: bytes, blob, schema: Schema) -> Tuple[Tuple[int, ...], List[Any]]:
     """Check ``blob`` against ``schema`` and cut it into ``(scalars, columns)``.
 
     Int columns are read-only zero-copy views of ``blob``, digest columns
     read-only void-dtype views (``.tolist()`` gives full-width ``bytes``),
-    ragged columns a list with one ``bytes`` per item.  Anything else about
-    the blob raises :class:`FrameError` before the first cut.
+    :data:`RAGGED` columns a list with one ``bytes`` per item and
+    :data:`RAGGED_VIEW` columns a list with one read-only ``memoryview``
+    slice of ``blob`` per item, which keeps ``blob`` alive as long as any of
+    them is.  Anything else about the blob raises :class:`FrameError` before
+    the first cut or view.
     """
     name = magic.decode("ascii")
     view = memoryview(blob).toreadonly().cast("B")
@@ -171,8 +246,9 @@ def decode(magic: bytes, blob, schema: Schema) -> Tuple[Tuple[int, ...], List[An
     table = list(_ENTRY.iter_unpack(view[table_at:data_at]))
     for (label, kind), (code, width, count, nbytes) in zip(schema.columns, table):
         want_code, want_width, _dtype = _KINDS[kind]
+        ragged = want_code == _RAGGED_CODE
         fits = code == want_code and want_width in (None, width)
-        if kind == RAGGED:
+        if ragged:
             fits = fits and nbytes >= 8 * count
         elif count:  # numpy item sizes are C ints
             fits = fits and nbytes == width * count and 0 < width < 1 << 31
@@ -185,7 +261,7 @@ def decode(magic: bytes, blob, schema: Schema) -> Tuple[Tuple[int, ...], List[An
             )
         if pos + nbytes > total:
             raise FrameError(f"{name}: truncated: blob of {total}B ends inside {label}")
-        if kind == RAGGED and not _ends_fit(view, pos, count, nbytes - 8 * count):
+        if ragged and not _ends_fit(view, pos, count, nbytes - 8 * count):
             raise FrameError(f"{name}: offsets of {label} do not match its {nbytes}B")
         pos += nbytes
     if pos != total:
@@ -197,10 +273,10 @@ def decode(magic: bytes, blob, schema: Schema) -> Tuple[Tuple[int, ...], List[An
     for (_label, kind), (_code, width, count, nbytes) in zip(schema.columns, table):
         dtype = _KINDS[kind][2] or np.dtype((np.void, width if count else 1))
         column = np.frombuffer(view, dtype=dtype, count=count, offset=pos)
-        if kind == RAGGED:
-            ends = (column + np.uint64(pos + 8 * count)).tolist()
-            starts = [pos + 8 * count] + ends[:-1]
-            column = [bytes(source[lo:hi]) for lo, hi in zip(starts, ends)]
+        if kind == RAGGED_VIEW:
+            column = list(map(view.__getitem__, _slices(column, pos + 8 * count)))
+        elif kind == RAGGED:
+            column = [bytes(source[cut]) for cut in _slices(column, pos + 8 * count)]
         columns.append(column)
         pos += nbytes
     return scalars, columns

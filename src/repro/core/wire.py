@@ -75,9 +75,14 @@ def encode_records_into(
     record = f"{digest_size}sI{chunk_size}s"
     for lo in range(0, count, _PACK_GROUP):
         hi = min(lo + _PACK_GROUP, count)
-        struct.pack_into(
-            "<" + record * (hi - lo), out, pos + lo * slot, *fields[3 * lo : 3 * hi]
-        )
+        group = fields[3 * lo : 3 * hi]
+        try:
+            struct.pack_into("<" + record * (hi - lo), out, pos + lo * slot, *group)
+        except struct.error:
+            # ``s`` takes only ``bytes``; a store also hands out views of a
+            # mapping it adopted (repair reads them with ``get_many``).
+            group[2::3] = map(bytes, group[2::3])
+            struct.pack_into("<" + record * (hi - lo), out, pos + lo * slot, *group)
     return count
 
 

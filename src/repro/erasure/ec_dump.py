@@ -219,7 +219,8 @@ def _gather_stripe(
             continue
         holders = cluster.locate(member_fp)
         if holders:
-            payload = cluster.nodes[holders[0]].chunks.get(member_fp)
+            # A stored payload is a bytes-like, not always ``bytes``.
+            payload = bytes(cluster.nodes[holders[0]].chunks.get(member_fp))
             available[pos] = payload.ljust(anchor.shard_width, b"\x00")
     key = anchor.stripe_key()
     for node in cluster.nodes:

@@ -212,16 +212,30 @@ class BaseWorld(abc.ABC):
 
     # -- result blobs ------------------------------------------------------------
     #
-    # Large per-rank results (e.g. the packed cluster deltas of the
-    # process backend's merge-back protocol) can be handed from rank to
-    # parent out of band: a rank *stages* the blob and returns a small
-    # handle through the normal result channel; the caller *opens* the
-    # handle after run() to read the bytes.  Shared-everything backends
-    # keep these trivial defaults — the blob itself is the handle.
+    # Large per-rank results (e.g. the cluster deltas of the process
+    # backend's merge-back protocol) can be handed from rank to parent out
+    # of band: a rank *stages* the result, writing it once into a buffer
+    # the world provides, and returns a small handle through the normal
+    # result channel; the caller *opens* the handle after run() to read the
+    # bytes.  Shared-everything backends keep these trivial defaults — the
+    # buffer itself is the handle.
+
+    def stage_result(
+        self, rank: int, nbytes: int, fill: Callable[[memoryview], None]
+    ) -> Any:
+        """Let ``fill(view)`` write an ``nbytes`` result into a writable
+        buffer parked for out-of-band hand-off; return a handle."""
+        buffer = bytearray(nbytes)
+        fill(memoryview(buffer))
+        return buffer
 
     def stage_result_blob(self, rank: int, blob) -> Any:
-        """Park ``blob`` for out-of-band hand-off; return a handle."""
-        return blob
+        """:meth:`stage_result` for a blob that already exists."""
+
+        def fill(view: memoryview) -> None:
+            view[:] = blob
+
+        return self.stage_result(rank, len(blob), fill)
 
     def open_result_blob(self, handle):
         """Context manager yielding the staged blob's buffer (single use)."""

@@ -39,6 +39,9 @@ folds those writes back into the caller's cluster.
 
 from __future__ import annotations
 
+import contextlib
+import mmap
+import multiprocessing.connection
 import os
 import pickle
 import queue
@@ -96,6 +99,16 @@ def _untrack(shm: shared_memory.SharedMemory) -> bool:
         return True
     except Exception:
         return False
+
+
+def _map_readonly(fileno: int) -> mmap.mmap:
+    """Map a whole file read-only.  The mapping outlives the descriptor it
+    was made from, but before Python 3.13 (``trackfd=False``) it keeps a
+    duplicate of it open until it is unmapped."""
+    try:
+        return mmap.mmap(fileno, 0, access=mmap.ACCESS_READ, trackfd=False)
+    except TypeError:  # Python < 3.13
+        return mmap.mmap(fileno, 0, access=mmap.ACCESS_READ)
 
 
 def _attach_untracked(name: str) -> shared_memory.SharedMemory:
@@ -349,25 +362,28 @@ class ProcessWorld(BaseWorld):
 
     # -- result blobs (zero-copy child -> parent hand-off) -----------------------
     #
-    # Large rank results — the packed cluster deltas of the merge-back
-    # protocol (see repro.storage.delta_codec) — would otherwise be pickled
-    # through the result queue's pipe.  Instead a child stages the blob in
-    # a dedicated shared-memory segment and ships only (name, nbytes); the
-    # parent maps the segment after run() and decodes in place.  The
-    # segments use the distinct "psr" prefix: the per-run "psm" sweep must
-    # NOT reclaim them (the parent reads them *after* run() returns) —
-    # they are reclaimed by open_result_blob itself, by
+    # Large rank results — the cluster deltas of the merge-back protocol
+    # (see repro.storage.delta_codec) — would otherwise be pickled through
+    # the result queue's pipe.  Instead a child writes the blob straight
+    # into a dedicated shared-memory segment and ships only (name, nbytes);
+    # the parent maps the segment after run(), unlinks its name at once and
+    # reads it in place: what the consumer keeps of it (the stores keep the
+    # chunk payloads) keeps the mapping alive, and the last view to die
+    # unmaps it.  The segments use the distinct "psr" prefix: the per-run
+    # "psm" sweep must NOT reclaim them (the parent reads them *after*
+    # run() returns) — they are reclaimed by open_result_blob itself, by
     # sweep_result_blobs() on failure paths, and at the next run() start.
 
     def _result_blob_prefix(self) -> str:
         return f"psr{self._uid}-"
 
-    def stage_result_blob(self, rank: int, blob) -> Any:
-        """Child side: park ``blob`` in a fresh shared segment; return a
-        small transportable handle.  Falls back to shipping the bytes
-        inline (through the result pickle) if the segment cannot be
-        created."""
-        nbytes = len(blob)
+    def stage_result(
+        self, rank: int, nbytes: int, fill: Callable[[memoryview], None]
+    ) -> Any:
+        """Child side: create a fresh shared segment of ``nbytes``, let
+        ``fill(view)`` write the result into it, and return a small
+        transportable handle.  Falls back to shipping the bytes inline
+        (through the result pickle) if the segment cannot be created."""
         self._blob_seq += 1
         name = f"{self._result_blob_prefix()}{self._run_seq}-{rank}-{self._blob_seq}"
         try:
@@ -375,8 +391,14 @@ class ProcessWorld(BaseWorld):
                 name=name, create=True, size=max(1, nbytes)
             )
         except Exception:
-            return ("inline", bytes(blob))
-        shm.buf[:nbytes] = blob
+            return ("inline", bytes(super().stage_result(rank, nbytes, fill)))
+        try:
+            fill(shm.buf[:nbytes])
+        except BaseException:
+            # The traceback may still view the mapping, so it cannot be
+            # closed here; the name must not outlive the failure.
+            shm.unlink()
+            raise
         # The child must not let its exit unlink the segment before the
         # parent reads it: unregister from the tracker (guarded — on
         # failure the segment stays tracked, worst case a tracker warning).
@@ -384,84 +406,53 @@ class ProcessWorld(BaseWorld):
         shm.close()
         return ("shm", name, nbytes)
 
+    @contextlib.contextmanager
     def open_result_blob(self, handle):
         """Parent side: context manager yielding the staged blob's buffer.
 
-        The segment is unlinked on exit — a handle is single-use.
+        A handle is single-use: the segment's name is unlinked as soon as
+        the mapping exists, so no later exit of this process, a ``SIGKILL``
+        included, can strand it.  The buffer is a read-only view of the
+        mapping; views the consumer keeps past the ``with`` block stay
+        valid, and the mapping is freed when the last of them dies.
         """
-        import contextlib
-        import mmap as mmap_mod
-
-        @contextlib.contextmanager
-        def _open():
-            kind = handle[0]
-            if kind == "inline":
-                yield memoryview(handle[1])
-                return
-            _kind, name, nbytes = handle
-            # Map the segment as the plain /dev/shm file it is on Linux
-            # (the same assumption _sweep_leaked_shm makes) instead of
-            # attaching through SharedMemory: a pre-3.13 attach would
-            # register with the resource tracker and thereby *spawn* a
-            # tracker in the parent, which later forks then share — and
-            # the children's per-segment register/unregister toggling is
-            # only balanced against private per-child trackers.
-            path = os.path.join("/dev/shm", name)
+        if handle[0] == "inline":
+            yield memoryview(handle[1])
+            return
+        _kind, name, nbytes = handle
+        # Map the segment as the plain /dev/shm file it is on Linux (the
+        # same assumption _sweep_leaked_shm makes) instead of attaching
+        # through SharedMemory: a pre-3.13 attach would register with the
+        # resource tracker and thereby *spawn* a tracker in the parent,
+        # which later forks then share — and the children's per-segment
+        # register/unregister toggling is only balanced against private
+        # per-child trackers.
+        path = os.path.join("/dev/shm", name)
+        try:
+            f = open(path, "rb")
+        except OSError:
+            # Not a /dev/shm platform: attach through SharedMemory (spawning
+            # a tracker beats failing; the tracked attach and the unlink
+            # balance in it) and copy the blob out, since a SharedMemory
+            # cannot be closed under a consumer's views.
+            shm = shared_memory.SharedMemory(name=name)
             try:
-                f = open(path, "rb")
-            except OSError:
-                # Not a /dev/shm platform: attach through SharedMemory
-                # instead (tracker registration noise beats failing).
-                shm = _attach_untracked(name)
-                view = shm.buf[:nbytes]
-                try:
-                    yield view
-                finally:
-                    try:
-                        view.release()
-                    except Exception:
-                        pass
-                    try:
-                        shm.unlink()
-                    except FileNotFoundError:
-                        pass
-                    try:
-                        shm.close()
-                    except BufferError:
-                        pass
-                return
+                shm.unlink()
+                blob = bytes(shm.buf[:nbytes])
+            finally:
+                shm.close()
+            yield memoryview(blob)
+            return
+        with f:
             try:
-                mm = mmap_mod.mmap(f.fileno(), 0, access=mmap_mod.ACCESS_READ)
+                mm = _map_readonly(f.fileno())
             except ValueError:
                 # Zero-length file (empty blob staged in a 1-byte segment
                 # is never zero-length; this is pure defence).
-                f.close()
-                os.unlink(path)
-                yield memoryview(b"")
-                return
-            view = memoryview(mm)[:nbytes]
-            try:
-                yield view
+                mm = b""
             finally:
-                # Consumers must not keep sub-views past the with block;
-                # release ours so the mapping can actually close.
-                try:
-                    view.release()
-                except Exception:
-                    pass
-                try:
-                    mm.close()
-                except BufferError:
-                    # A consumer kept a view alive; the mapping is freed
-                    # when that view dies — the name is unlinked below.
-                    pass
-                f.close()
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-
-        return _open()
+                os.unlink(path)
+        yield memoryview(mm)[:nbytes]
 
     def sweep_result_blobs(self) -> None:
         """Unlink staged result segments that were never consumed (failed
@@ -497,14 +488,21 @@ class ProcessWorld(BaseWorld):
         self.sweep_result_blobs()
         self.barrier = ctx.Barrier(self.size)
         self._inboxes = [ctx.Queue() for _ in range(self.size)]
-        # SimpleQueue: puts pickle synchronously in the child (serialisation
-        # errors are catchable there) and nothing is lost in a feeder thread
-        # if the child dies right after reporting.
-        results_q = ctx.SimpleQueue()
+        # One pipe for all results.  ``send`` pickles synchronously in the
+        # child (serialisation errors are catchable there), writes under a
+        # lock shared by the ranks, and nothing is lost in a feeder thread if
+        # the child dies right after reporting.
+        reader, writer = ctx.Pipe(duplex=False)
+        report_lock = ctx.Lock()
+
+        def report(record) -> None:
+            with report_lock:
+                writer.send(record)
+
         procs = [
             ctx.Process(
                 target=self._child_main,
-                args=(rank, results_q, fn, args, kwargs),
+                args=(rank, report, fn, args, kwargs),
                 name=f"simmpi-proc-rank-{rank}",
                 daemon=True,
             )
@@ -536,36 +534,41 @@ class ProcessWorld(BaseWorld):
                 failures[rank] = payload.to_exception()
 
         deadline = time.monotonic() + self.timeout + _COLLECT_SLACK
-        while pending and time.monotonic() < deadline:
-            if not results_q.empty():
-                absorb(results_q.get())
+        while pending:
+            if reader.poll():
+                absorb(reader.recv())
                 continue
             now = time.monotonic()
+            if now >= deadline:
+                break
+            wake = deadline
             for rank in sorted(pending):
                 if procs[rank].exitcode is None:
                     continue
                 # Dead process: give its (possibly in-flight) report a short
                 # grace before declaring a hard crash.
-                first_seen = dead_since.setdefault(rank, now)
-                if now - first_seen > _CRASH_GRACE:
-                    failures[rank] = RankCrashError(
-                        f"rank {rank} process exited with code "
-                        f"{procs[rank].exitcode} without reporting a result"
-                    )
-                    pending.discard(rank)
-                    abort_barrier()
-            time.sleep(0.005)
+                crash_at = dead_since.setdefault(rank, now) + _CRASH_GRACE
+                if now < crash_at:
+                    wake = min(wake, crash_at)
+                    continue
+                failures[rank] = RankCrashError(
+                    f"rank {rank} process exited with code "
+                    f"{procs[rank].exitcode} without reporting a result"
+                )
+                pending.discard(rank)
+                abort_barrier()
+            # Sleep until a result arrives, a live rank's process ends, a dead
+            # rank's grace runs out or the world's budget does.
+            alive = [procs[r].sentinel for r in pending if r not in dead_since]
+            multiprocessing.connection.wait([reader] + alive, max(0.0, wake - now))
 
         if pending:
             # Stragglers past the world budget: release the barrier, grant a
             # short grace to unwind, then report them stuck.
             abort_barrier()
             grace = time.monotonic() + 1.0
-            while pending and time.monotonic() < grace:
-                if not results_q.empty():
-                    absorb(results_q.get())
-                else:
-                    time.sleep(0.01)
+            while pending and reader.poll(max(0.0, grace - time.monotonic())):
+                absorb(reader.recv())
             for rank in sorted(pending):
                 failures[rank] = DeadlockError(
                     f"rank {rank} did not finish within the world timeout "
@@ -592,6 +595,8 @@ class ProcessWorld(BaseWorld):
                 self._comms[rank] = comm
 
         self._sweep_leaked_shm()
+        reader.close()
+        writer.close()
         for inbox in self._inboxes:
             inbox.close()
         self._inboxes = None
@@ -599,7 +604,7 @@ class ProcessWorld(BaseWorld):
             raise WorldError(failures)
         return results
 
-    def _child_main(self, rank, results_q, fn, args, kwargs) -> None:
+    def _child_main(self, rank, report, fn, args, kwargs) -> None:
         self._child_rank = rank
         self._buffered = {}
         self._open_slots = {}
@@ -618,9 +623,9 @@ class ProcessWorld(BaseWorld):
                 pass
         finally:
             try:
-                results_q.put((rank, status, payload, comm.trace))
+                report((rank, status, payload, comm.trace))
             except Exception as exc:  # unpicklable result/trace
-                results_q.put((rank, "err", _RemoteFailure(exc), None))
+                report((rank, "err", _RemoteFailure(exc), None))
             self._release_all_shm()
 
     def _release_all_shm(self) -> None:

@@ -1,12 +1,15 @@
 """RCD1: the :class:`~repro.storage.local_store.ClusterDelta` as one frame.
 
 The process backend's merge-back protocol ships every forked rank's cluster
-delta to the parent through a shared-memory segment
-(:meth:`repro.simmpi.procworld.ProcessWorld.stage_result_blob`).  The delta
-is flattened into the columns of one :mod:`repro.core.frame`: a row of
+delta to the parent through a shared-memory segment the rank writes the
+frame into (:meth:`repro.simmpi.procworld.ProcessWorld.stage_result`).  The
+delta is flattened into the columns of one :mod:`repro.core.frame`: a row of
 counts per node, then the chunk entries and manifests of all nodes back to
 back, and one nested RPR1 frame per parity record.  Nothing on this wire is
-pickled, so nothing on it can run code.
+pickled, so nothing on it can run code.  Chunk payloads are decoded as views
+of the frame (``RAGGED_VIEW``), so the parent's stores keep the segment
+instead of a copy of it; manifests and parity frames are small and are cut
+as ``bytes``, so that a 50 KB manifest never pins a 24 MiB mapping.
 
 Replay semantics are exactly those of ``ClusterDelta``/``apply_delta``:
 entry order, payload-``None`` markers (fingerprints the marking side
@@ -20,7 +23,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.core import frame
-from repro.core.frame import DIGEST, RAGGED, FrameError, Schema
+from repro.core.frame import DIGEST, RAGGED, RAGGED_VIEW, FrameError, Schema
 from repro.storage.local_store import ClusterDelta, NodeDelta, StoreDelta
 
 DELTA_MAGIC = b"RCD1"
@@ -31,7 +34,7 @@ _SCHEMA = Schema(
         ("entry_fps", DIGEST),
         ("entry_counts", "i8"),
         ("entry_has_payload", "u1"),
-        ("entry_payloads", RAGGED),
+        ("entry_payloads", RAGGED_VIEW),
         ("manifest_keys", "i8"),  # rank, dump_id
         ("manifest_blobs", RAGGED),
         ("parity", RAGGED),  # one RPR1 frame per record
@@ -76,13 +79,14 @@ def _decode_parity(blob: bytes):
     )
 
 
-def encode_cluster_delta(delta: ClusterDelta) -> bytes:
-    """Flatten a delta to one RCD1 frame (see the module docstring)."""
+def layout_cluster_delta(delta: ClusterDelta) -> frame.Layout:
+    """Lay a delta out as one RCD1 frame (see the module docstring); the
+    caller picks the sink."""
     nodes = delta.nodes.values()
     entries = [entry for node in nodes for entry in node.chunks.entries]
     fps, payloads, counts = zip(*entries) if entries else ((), (), ())
     manifests = [item for node in nodes for item in node.manifests.items()]
-    return frame.encode(
+    return frame.layout(
         DELTA_MAGIC,
         _SCHEMA,
         (),
@@ -103,13 +107,19 @@ def encode_cluster_delta(delta: ClusterDelta) -> bytes:
     )
 
 
+def encode_cluster_delta(delta: ClusterDelta) -> bytes:
+    """A delta as one RCD1 ``bytes`` blob."""
+    return layout_cluster_delta(delta).to_bytes()
+
+
 def decode_cluster_delta(buf) -> ClusterDelta:
     """Rebuild a :class:`ClusterDelta` from :func:`encode_cluster_delta`
     output; anything malformed raises :class:`~repro.core.frame.FrameError`.
 
-    ``buf`` may be ``bytes`` or a ``memoryview`` of a mapped segment.  Only
-    plain Python objects are returned: nothing still views ``buf``, which
-    the caller unmaps as soon as this returns.
+    ``buf`` may be ``bytes`` or a ``memoryview`` of a mapped segment.
+    Nothing but the chunk payloads still views ``buf``, and they are only
+    handed out after the whole frame validated: they are read-only slices of
+    it and keep it alive (mapped) for as long as any one of them is.
     """
     _scalars, columns = frame.decode(DELTA_MAGIC, buf, _SCHEMA)
     nodes, fps, counts, has_payload, payloads, keys, blobs, parity = columns

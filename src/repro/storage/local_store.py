@@ -17,10 +17,18 @@ from collections import Counter
 from collections.abc import MutableMapping
 from itertools import compress
 from operator import not_
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.core.fingerprint import Fingerprint
 from repro.storage.manifest import Manifest
+
+
+#: A stored chunk payload: a read-only bytes-like.  ``bytes`` when a put
+#: copied it, a ``memoryview`` slice of an adopted mapping when a delta
+#: brought it (DESIGN.md "Merge-back: one write, one mapping").  ``len``,
+#: slicing, ``b"".join``, ``hashlib``, ``np.frombuffer`` and ``==`` against
+#: ``bytes`` work on both; ``bytes`` methods (``ljust``, ``find``) do not.
+Payload = Union[bytes, memoryview]
 
 
 class StorageError(Exception):
@@ -36,11 +44,16 @@ class StoreDelta:
     counters (logical/physical/put_count) come out exactly as if the puts
     had happened on the receiving store directly; deltas from several ranks
     therefore merge commutatively even when they overlap on a fingerprint.
+
+    A delta owns its payloads and they never change: each is ``bytes`` or a
+    read-only view of a buffer nothing writes to again (the mapped result
+    segment of a forked rank).  That is the contract that lets
+    ``apply_delta`` keep them instead of copying them.
     """
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries: List[Tuple[Fingerprint, Optional[bytes], int]]):
+    def __init__(self, entries: List[Tuple[Fingerprint, Optional[Payload], int]]):
         self.entries = entries
 
     def __bool__(self) -> bool:
@@ -104,7 +117,7 @@ class ChunkStore:
     def __init__(self, dedup: bool = True, directory: Optional[str] = None) -> None:
         self.dedup = dedup
         self._directory = directory
-        self._chunks: Dict[Fingerprint, bytes] = {}
+        self._chunks: Dict[Fingerprint, Payload] = {}
         self._refcounts: Dict[Fingerprint, int] = {}
         self.logical_bytes = 0
         self.physical_bytes = 0
@@ -113,14 +126,21 @@ class ChunkStore:
             os.makedirs(directory, exist_ok=True)
 
     # -- chunk operations --------------------------------------------------------
-    def _bump(self, fp: Fingerprint, payload: Optional[bytes], n: int) -> int:
+    def _bump(
+        self, fp: Fingerprint, payload: Optional[Payload], n: int, adopt: bool = False
+    ) -> int:
         """Add ``n`` references to a fingerprint — the one mutation primitive.
 
         Every reference-adding path (:meth:`put`, :meth:`put_counted`, delta
         replay) funnels through here so alternative layouts — the sharded
         store — cannot drift from the flat accounting rules.  ``payload`` may
         be None only when the fingerprint is already stored (the size is then
-        looked up).  Returns the number of chunks physically written.
+        looked up).  A new payload is copied unless the caller vouches with
+        ``adopt`` that it is immutable and the store may keep the object it
+        was given; only :meth:`apply_delta` does (see :class:`StoreDelta`).
+        Never infer that from ``memoryview.readonly``: an application hands
+        out read-only views of memory it rewrites in place.  Returns the
+        number of chunks physically written.
         """
         refcounts = self._refcounts
         if fp in refcounts:
@@ -137,7 +157,7 @@ class ChunkStore:
                 )
             size = len(payload)
             refcounts[fp] = n
-            self._chunks[fp] = bytes(payload)
+            self._chunks[fp] = payload if adopt else bytes(payload)
             written = 1 if self.dedup else n
             self.physical_bytes += size if self.dedup else n * size
             if self._directory is not None:
@@ -238,7 +258,7 @@ class ChunkStore:
                 os.remove(path)
         return size
 
-    def get(self, fp: Fingerprint) -> bytes:
+    def get(self, fp: Fingerprint) -> Payload:
         try:
             return self._chunks[fp]
         except KeyError:
@@ -249,7 +269,7 @@ class ChunkStore:
                         return fh.read()
             raise StorageError(f"chunk {fp.hex()[:12]}... not in store") from None
 
-    def get_many(self, fps: Iterable[Fingerprint]) -> List[bytes]:
+    def get_many(self, fps: Iterable[Fingerprint]) -> List[Payload]:
         """Batch :meth:`get`: payloads in request order.
 
         The common case — every fingerprint in memory — is a single dict
@@ -330,7 +350,7 @@ class ChunkStore:
         marked = getattr(self, "_marked", None)
         if marked is None:
             raise StorageError("collect_delta() without a prior mark()")
-        entries: List[Tuple[Fingerprint, Optional[bytes], int]] = []
+        entries: List[Tuple[Fingerprint, Optional[Payload], int]] = []
         for fp, count in self._refcounts.items():
             base = marked.get(fp, 0)
             if count != base:
@@ -339,9 +359,12 @@ class ChunkStore:
         return StoreDelta(entries)
 
     def apply_delta(self, delta: StoreDelta) -> None:
-        """Replay a delta's entries with :meth:`put` accounting semantics."""
+        """Replay a delta's entries with :meth:`put` accounting semantics.
+        The payloads are kept, not copied (the :class:`StoreDelta`
+        contract): a view among them keeps its buffer alive until the last
+        chunk cut from it is discarded or the store is cleared."""
         for fp, payload, count in delta.entries:
-            self._bump(fp, payload, count)
+            self._bump(fp, payload, count, adopt=True)
 
 
 class ShardedChunkStore:
@@ -513,7 +536,7 @@ class ShardedChunkStore:
             shard.mark()
 
     def collect_delta(self) -> StoreDelta:
-        entries: List[Tuple[Fingerprint, Optional[bytes], int]] = []
+        entries: List[Tuple[Fingerprint, Optional[Payload], int]] = []
         for shard in self.shards:
             entries.extend(shard.collect_delta().entries)
         return StoreDelta(entries)
@@ -522,7 +545,7 @@ class ShardedChunkStore:
         for fp, payload, count in delta.entries:
             i = fp[0] % self.shard_count
             with self._locks[i]:
-                self.shards[i]._bump(fp, payload, count)
+                self.shards[i]._bump(fp, payload, count, adopt=True)
 
 
 class ShardedManifestIndex(MutableMapping):

@@ -35,7 +35,7 @@ from hypothesis import given, strategies as st
 import repro
 from repro.chain.node import ChainNode
 from repro.core import frame, wire
-from repro.core.frame import DIGEST, RAGGED, FrameError, Schema
+from repro.core.frame import DIGEST, RAGGED, RAGGED_VIEW, FrameError, Schema
 from repro.core.hmerge import MergeTable, hmerge
 from repro.erasure.ec_dump import NO_CHUNK, ParityRecord
 from repro.storage import chain_codec, delta_codec, manifest as manifest_mod
@@ -68,7 +68,7 @@ def framed(draw):
     scalars = draw(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=4))
     columns = []
     for kind in kinds:
-        if kind == RAGGED:
+        if kind in (RAGGED, RAGGED_VIEW):
             columns.append(draw(st.lists(st.binary(max_size=12), max_size=6)))
         elif kind == DIGEST:
             width = draw(st.integers(1, 9))
@@ -96,12 +96,91 @@ def test_frame_round_trip(case, mapped):
         if kind == RAGGED:
             assert column == want and all(type(item) is bytes for item in column)
             continue
+        if kind == RAGGED_VIEW:
+            assert column == want
+            assert all(type(item) is memoryview and item.readonly for item in column)
+            continue
         assert column.tolist() == want
         assert not column.flags.writeable
         if kind == DIGEST:
             assert column.dtype.kind == "V"  # void, never S
         else:
             assert column.dtype == np.dtype(f"<{kind}")
+
+
+@given(framed(), st.integers(-3, 3))
+def test_both_sinks_of_a_layout_write_the_same_frame(case, off_by):
+    """One layout, two sinks: ``encode`` is ``to_bytes``, and ``write_into``
+    puts the same bytes into a caller's buffer of exactly ``nbytes``."""
+    schema, scalars, columns = case
+    blob = frame.encode(b"TST1", schema, scalars, columns)
+    laid = frame.layout(b"TST1", schema, scalars, columns)
+    assert laid.nbytes == len(blob) and laid.to_bytes() == blob
+    target = bytearray(b"\xff" * (laid.nbytes + off_by))
+    if off_by:
+        with pytest.raises(FrameError, match="^TST1: .*buffer"):
+            laid.write_into(target)
+        assert target == b"\xff" * len(target)  # and nothing was written
+    else:
+        laid.write_into(memoryview(target))
+        assert target == blob
+    with pytest.raises(FrameError, match="^TST1: .*writable"):
+        laid.write_into(blob)
+
+
+def test_an_item_whose_len_is_not_its_size_fails_in_both_sinks():
+    import array
+
+    ragged = Schema((), (("items", RAGGED),))
+    laid = frame.layout(b"TST1", ragged, (), ([b"ab", array.array("i", [1, 2])],))
+    with pytest.raises(FrameError, match="^TST1: .*len\\(\\) is not its size"):
+        laid.to_bytes()
+    with pytest.raises(FrameError, match="^TST1: .*len\\(\\) is not its size"):
+        laid.write_into(bytearray(laid.nbytes))
+    # Signed bytes are one byte an item: both sinks take them.
+    signed = frame.layout(b"TST1", ragged, (), ([memoryview(b"ab").cast("b")],))
+    target = bytearray(signed.nbytes)
+    signed.write_into(target)
+    assert target == signed.to_bytes()
+
+
+@given(st.lists(st.binary(max_size=12), max_size=6), st.booleans())
+def test_ragged_view_is_the_ragged_cut_without_the_copy(items, mapped):
+    """Same wire kind, same bytes; the items are read-only views that keep
+    the blob alive instead of copies of it."""
+    copied, viewed = Schema((), (("x", RAGGED),)), Schema((), (("x", RAGGED_VIEW),))
+    blob = frame.encode(b"TST1", viewed, (), (items,))
+    assert blob == frame.encode(b"TST1", copied, (), (items,))
+    source = bytearray(blob) if mapped else blob
+    (cut,) = frame.decode(b"TST1", source, copied)[1]
+    (views,) = frame.decode(b"TST1", source, viewed)[1]
+    assert cut == items and views == cut
+    for view in views:
+        assert type(view) is memoryview and view.readonly and view.obj is source
+        with pytest.raises(TypeError):
+            view[:1] = b"x"
+    if mapped and views:
+        with pytest.raises(BufferError):  # pinned while a view lives
+            source.append(0)
+        del views, view
+        source.append(0)
+
+
+def test_no_column_is_cut_before_the_last_one_checked_out(monkeypatch):
+    """Every check runs before the first cut or view: damage in the last
+    column's offsets must not leave views of the first one behind."""
+    schema = Schema((), (("a", RAGGED_VIEW), ("b", RAGGED), ("c", RAGGED_VIEW)))
+    blob = bytearray(frame.encode(b"TST1", schema, (), ([b"aa", b"a"], [b"b"], [b"cc", b"c"])))
+    cuts = []
+    slices = frame._slices
+    monkeypatch.setattr(frame, "_slices", lambda *a: cuts.append(a) or slices(*a))
+    frame.decode(b"TST1", blob, schema)
+    assert len(cuts) == 3
+    blob[-3 - 16] ^= 4  # first end offset of c: 2 -> 6, past the second
+    del cuts[:]
+    with pytest.raises(FrameError, match="^TST1: offsets of c"):
+        frame.decode(b"TST1", blob, schema)
+    assert cuts == []
 
 
 def test_frame_encode_rejects_what_a_column_cannot_carry():
@@ -401,7 +480,21 @@ def decode_within_budget(codec, blob, label):
     peak = tracemalloc.get_traced_memory()[1] - before
     assert peak <= 2 * len(blob) + 64 * 1024, (label, peak)
     assert result is None or type(result) is codec.returns, label
+    if result is None and RAGGED_VIEW in dict(codec.schema.columns).values():
+        assert_failed_decode_hands_out_no_view(codec, blob, label)
     return result
+
+
+def assert_failed_decode_hands_out_no_view(codec, blob, label):
+    """A ``bytearray`` cannot be resized while anything views it, so a
+    decode that raised and left a view of its input behind fails here."""
+    buffer = bytearray(blob)
+    with pytest.raises(FrameError):
+        codec.decode(buffer)
+    try:
+        buffer.clear()
+    except BufferError:
+        pytest.fail(f"{label}: the failed decode still views its input")
 
 
 @each_codec

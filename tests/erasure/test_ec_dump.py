@@ -4,6 +4,7 @@ rotating parity holders, and decode-on-restore."""
 import pytest
 
 from repro.core import DumpConfig, Strategy, dump_output, restore_dataset
+from repro.core.runner import run_collective
 from repro.erasure.ec_dump import (
     ParityRecord,
     effective_geometry,
@@ -21,13 +22,15 @@ from tests.conftest import make_rank_dataset
 CS = 64
 
 
-def dump_parity(n, k=3, stripe_data=4, cluster=None):
+def dump_parity(n, k=3, stripe_data=4, cluster=None, backend="thread"):
     cfg = DumpConfig(replication_factor=k, chunk_size=CS, f_threshold=4096,
                      redundancy="parity", stripe_data=stripe_data)
     if cluster is None:
         cluster = Cluster(n)
-    reports = World(n).run(
-        lambda comm: dump_output(comm, make_rank_dataset(comm.rank), cfg, cluster)
+    reports, _world = run_collective(
+        n,
+        lambda comm: dump_output(comm, make_rank_dataset(comm.rank), cfg, cluster),
+        cluster=cluster, backend=backend, timeout=60,
     )
     return reports, cluster
 
@@ -154,6 +157,33 @@ class TestParityDump:
         reports, cluster = dump_parity(3, k=1)
         assert all(node.parity_bytes == 0 for node in cluster.nodes)
         assert all(r.parity_stripes == 0 for r in reports)
+
+
+class TestProcessBackendParity:
+    """A process-backend dump leaves its chunks in the stores as views of
+    the ranks' result segments, not ``bytes``: the stripe readers must pad
+    and decode them all the same."""
+
+    def test_decode_on_restore_and_repair_read_adopted_chunks(self):
+        from repro.repair import repair_cluster, scan_cluster
+
+        n, k = 6, 3
+        clusters = {}
+        for backend in ("thread", "process"):
+            _reports, cluster = dump_parity(n, k=k, backend=backend)
+            cluster.fail_node(2)
+            restored, report = restore_dataset(cluster, 2)
+            assert restored == make_rank_dataset(2) and report.decoded_chunks > 0
+            repair = repair_cluster(cluster, k, backend=backend, timeout=60)
+            assert repair.reconstructed_chunks > 0 and scan_cluster(cluster, k).clean
+            clusters[backend] = cluster
+        held = clusters["process"].nodes[0].chunks
+        assert any(type(held.get(fp)) is memoryview for fp in held.fingerprints())
+        for thread_node, process_node in zip(clusters["thread"].nodes, clusters["process"].nodes):
+            fps = sorted(thread_node.chunks.fingerprints())
+            assert fps == sorted(process_node.chunks.fingerprints())
+            assert thread_node.chunks.get_many(fps) == process_node.chunks.get_many(fps)
+            assert thread_node.parity_bytes == process_node.parity_bytes
 
 
 class TestReconstructChunk:

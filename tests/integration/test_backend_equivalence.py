@@ -260,6 +260,36 @@ class TestRepairEquivalence:
         assert observed["process"][2] == 0, "repair left deficits"
 
 
+    def test_blank_replacement_node_repaired_identically(self):
+        """The bench's cycle: a node is replaced by a blank one and repair
+        refills it.  On the process backend the senders read chunks their
+        stores hold as views of the dump's result segments, and the refill
+        arrives as views of the repair's; the cluster is the thread
+        backend's byte for byte and /dev/shm ends as it began."""
+        import os
+
+        from repro.dst import cluster_digest
+
+        before = set(os.listdir("/dev/shm"))
+        digests = {}
+        for backend in BACKENDS:
+            cluster, _reports = dump_once(backend, Strategy.COLL_DEDUP)
+            node = cluster.nodes[1]
+            cluster.fail_node(1)
+            node.chunks.clear()
+            for key in node.manifest_keys():
+                node.drop_manifest(*key)
+            node.alive = True
+            report = repair_cluster(cluster, 3, timeout=TIMEOUT, backend=backend)
+            assert report.complete and report.bytes_moved == report.deficit_bytes > 0
+            assert scan_cluster(cluster, 3).clean
+            digests[backend] = (cluster_digest(cluster), cluster_state(cluster))
+        assert digests["thread"] == digests["process"]
+        kinds = {type(cluster.nodes[1].chunks.get(fp)) for fp in cluster.nodes[1].chunks.fingerprints()}
+        assert kinds == {memoryview}, "the process repair's refill is adopted, not copied"
+        assert set(os.listdir("/dev/shm")) <= before
+
+
 class TestCheckpointRuntimeEquivalence:
     def test_run_checkpointed_merges_cluster_back(self):
         observed = {}

@@ -340,6 +340,64 @@ class TestProcessBackendFailures:
             isinstance(e, DeadlockError) for e in err.value.failures.values()
         )
 
+    def test_silent_exit_is_a_crash_within_the_grace(self):
+        """The parent sleeps on the result pipe and the ranks' sentinels: a
+        rank that ends without a report wakes it, and is a crash one grace
+        later, long before the world timeout."""
+        from repro.simmpi import procworld
+
+        def vanish(comm):
+            if comm.rank == 1:
+                os._exit(0)  # a clean exit code is still no result
+            comm.barrier()
+
+        start = time.monotonic()
+        with pytest.raises(WorldError) as err:
+            run_spmd(2, vanish, backend="process", timeout=30)
+        elapsed = time.monotonic() - start
+        assert isinstance(err.value.failures[1], RankCrashError)
+        assert procworld._CRASH_GRACE <= elapsed < procworld._CRASH_GRACE + 3.0
+
+    def test_hung_rank_is_a_deadlock_at_the_world_timeout(self):
+        from repro.simmpi import procworld
+
+        def hang(comm):
+            if comm.rank == 1:
+                time.sleep(60)  # no blocking op of ours to time out
+            return comm.rank
+
+        start = time.monotonic()
+        with pytest.raises(WorldError) as err:
+            run_spmd(2, hang, backend="process", timeout=0.5)
+        elapsed = time.monotonic() - start
+        assert set(err.value.failures) == {1}
+        assert isinstance(err.value.failures[1], DeadlockError)
+        budget = 0.5 + procworld._COLLECT_SLACK
+        assert budget <= elapsed < budget + 4.0  # straggler grace, terminate, joins
+
+    def test_an_idle_run_waits_instead_of_polling(self, monkeypatch):
+        """A run whose ranks sit in a barrier for a while wakes the parent
+        for results and exits only (it slept 5 ms at a time before)."""
+        import multiprocessing.connection as connection
+
+        calls = []
+        wait = connection.wait
+
+        def counting_wait(objects, timeout=None):
+            calls.append(timeout)
+            return wait(objects, timeout)
+
+        monkeypatch.setattr(connection, "wait", counting_wait)
+
+        def idle(comm):
+            time.sleep(0.3)
+            comm.barrier()
+            return comm.rank
+
+        assert run_spmd(2, idle, backend="process", timeout=30) == [0, 1]
+        sleeps = [timeout for timeout in calls if timeout]  # poll() waits for 0.0
+        assert 1 <= len(sleeps) <= 4 and len(calls) <= 12, calls
+
     def test_deliver_contract_raises_queue_empty(self):
         # BaseWorld.deliver's timeout contract (comm converts to DeadlockError).
         def prog(comm):

@@ -1,10 +1,13 @@
 """ChunkStore accounting, dedup vs raw mode, directory backend."""
 
+import gc
 import os
+import weakref
 
+import numpy as np
 import pytest
 
-from repro.storage.local_store import ChunkStore, StorageError
+from repro.storage.local_store import ChunkStore, StorageError, StoreDelta
 
 
 def fp(i):
@@ -120,3 +123,67 @@ class TestBatchedReads:
         evicted = ChunkStore(directory=str(tmp_path))
         fps = [fp(5), fp(1)]
         assert evicted.get_many(fps) == [bytes([5]) * 4, bytes([1]) * 4]
+
+
+def slab_delta(n=4, size=8):
+    """``n`` chunks as read-only views of one buffer, the shape in which a
+    forked rank's result segment reaches ``apply_delta``; the buffer is a
+    numpy array so a ``weakref`` can watch it die."""
+    slab = np.arange(n * size, dtype=np.uint8)
+    view = memoryview(slab).toreadonly()
+    entries = [(fp(i), view[i * size : (i + 1) * size], 1) for i in range(n)]
+    return weakref.ref(slab), StoreDelta(entries)
+
+
+class TestAdoptedPayloads:
+    """``apply_delta`` keeps the payload objects of a delta (by contract: a
+    delta's payloads never change); every other put path copies."""
+
+    def test_apply_delta_keeps_the_views_and_reads_like_bytes(self):
+        slab, delta = slab_delta()
+        store = ChunkStore()
+        store.apply_delta(delta)
+        got = store.get_many([fp(2), fp(0)])
+        assert got == [bytes(range(16, 24)), bytes(range(8))]
+        assert all(type(p) is memoryview and p.readonly for p in got)
+        assert got[0].obj is delta.entries[2][1].obj
+        assert (store.nbytes_of(fp(1)), store.physical_bytes, store.put_count) == (8, 32, 4)
+
+    @pytest.mark.parametrize("put", ["put", "put_many", "put_counted"])
+    def test_every_put_path_copies_even_a_read_only_view(self, put):
+        """Not inferred from ``readonly``: an application hands out
+        read-only views of memory it then rewrites in place."""
+        live = bytearray(b"before!!")
+        view = memoryview(live).toreadonly()
+        store = ChunkStore()
+        if put == "put":
+            store.put(fp(1), view)
+        elif put == "put_many":
+            store.put_many([(fp(1), view)])
+        else:
+            store.put_counted([(fp(1), view, 2)])
+        live[:] = b"after!!!"
+        assert type(store.get(fp(1))) is bytes and store.get(fp(1)) == b"before!!"
+
+    @pytest.mark.parametrize("how", ["discard", "clear"])
+    def test_the_buffer_dies_with_its_last_chunk(self, how):
+        slab, delta = slab_delta()
+        store = ChunkStore()
+        store.apply_delta(delta)
+        del delta
+        gc.collect()
+        assert slab() is not None
+        if how == "clear":
+            store.clear()
+        else:
+            for i in range(3):
+                store.discard(fp(i))
+            assert slab() is not None, "one chunk left: the slab stays"
+            store.discard(fp(3))
+        assert slab() is None
+
+    def test_adopted_chunks_reach_a_directory_backend(self, tmp_path):
+        _slab, delta = slab_delta()
+        store = ChunkStore(directory=str(tmp_path))
+        store.apply_delta(delta)
+        assert (tmp_path / fp(1).hex()).read_bytes() == bytes(range(8, 16))

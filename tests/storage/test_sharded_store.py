@@ -7,8 +7,11 @@ shard count) indistinguishable from a flat store fed the same sequence —
 same payloads, refcounts, byte accounting and dedup stats.
 """
 
+import gc
 import hashlib
+import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,7 +21,7 @@ from repro.storage import (
     ShardedManifestIndex,
     make_chunk_store,
 )
-from repro.storage.local_store import StorageError
+from repro.storage.local_store import StorageError, StoreDelta
 
 PAYLOADS = [bytes([i]) * (16 + 8 * i) for i in range(8)]
 FPS = [hashlib.sha1(p).digest() for p in PAYLOADS]
@@ -120,6 +123,87 @@ class TestShardedEquivalence:
         want = observable(flat)
         for label, target in targets.items():
             assert observable(target) == want, label
+
+
+def slab_of_payloads():
+    """``PAYLOADS`` back to back in one buffer, and a read-only view of each:
+    how a forked rank's result segment reaches ``apply_delta``."""
+    slab = np.frombuffer(b"".join(PAYLOADS), dtype=np.uint8).copy()
+    view, views, pos = memoryview(slab).toreadonly(), [], 0
+    for payload in PAYLOADS:
+        views.append(view[pos : pos + len(payload)])
+        pos += len(payload)
+    return slab, views
+
+
+_delta_op = st.tuples(
+    st.just("apply_delta"),
+    st.lists(
+        st.tuples(st.integers(0, 7), st.integers(1, 3), st.booleans()),
+        min_size=1, max_size=4, unique_by=lambda e: e[0],
+    ),
+)
+
+
+class TestAdoptedDeltaEquivalence:
+    @given(
+        ops=st.lists(_op | _delta_op, max_size=30),
+        shard_count=st.sampled_from(SHARD_COUNTS),
+        dedup=st.booleans(),
+    )
+    def test_a_delta_of_views_is_a_delta_of_bytes(self, ops, shard_count, dedup):
+        """The same delta arriving as ``bytes`` payloads and as views of one
+        buffer, interleaved with puts, increfs, discards and marks, leaves
+        the same store on either layout: only the payload type differs."""
+        _slab, views = slab_of_payloads()
+        stores = {
+            (layout, kind): make_chunk_store(dedup=dedup, shard_count=layout)
+            for layout in (1, shard_count)
+            for kind in ("bytes", "views")
+        }
+        for store in stores.values():
+            store.mark()
+        for op in ops:
+            for (_layout, kind), store in stores.items():
+                if op[0] != "apply_delta":
+                    apply_op(store, op)
+                    continue
+                payloads = PAYLOADS if kind == "bytes" else views
+                store.apply_delta(StoreDelta([
+                    (FPS[i], payloads[i] if carried or not store.has(FPS[i]) else None, n)
+                    for i, n, carried in op[1]
+                ]))
+        want = observable(stores[1, "bytes"])
+        by_fp = lambda entry: entry[0]
+        want_delta = sorted(stores[1, "bytes"].collect_delta().entries, key=by_fp)
+        want_reads = stores[1, "bytes"].get_many(sorted(stores[1, "bytes"].fingerprints()))
+        for key, store in stores.items():
+            assert observable(store) == want, key
+            assert sorted(store.collect_delta().entries, key=by_fp) == want_delta, key
+            reads = store.get_many(sorted(store.fingerprints()))
+            assert list(map(bytes, reads)) == want_reads, key
+
+    @pytest.mark.parametrize("shard_count", SHARD_COUNTS)
+    def test_the_buffer_dies_with_its_last_chunk(self, shard_count):
+        slab, views = slab_of_payloads()
+        slab = weakref.ref(slab)
+        store = ShardedChunkStore(shard_count=shard_count)
+        store.apply_delta(StoreDelta([(fp, view, 1) for fp, view in zip(FPS, views)]))
+        assert all(type(p) is memoryview for p in store.get_many(FPS))
+        del views
+        for fp in FPS[:-1]:
+            store.discard(fp)
+        gc.collect()
+        assert slab() is not None, "one chunk left: the slab stays"
+        store.clear()
+        assert slab() is None
+
+    def test_put_many_copies_a_read_only_view(self):
+        live = bytearray(PAYLOADS[0])
+        store = ShardedChunkStore(shard_count=4)
+        store.put_many([(FPS[0], memoryview(live).toreadonly())])
+        live[:4] = b"XXXX"
+        assert type(store.get(FPS[0])) is bytes and store.get(FPS[0]) == PAYLOADS[0]
 
 
 class TestShardedStore:
