@@ -17,8 +17,9 @@ Restore-to-any-epoch resolves the newest-wins chunk set by walking the
 chain from its base full through each delta, materialises a synthetic full
 manifest and feeds it through the batched
 :func:`~repro.core.restore.restore_from_manifest` hot path.  Refcount GC
-(one reference per live epoch per distinct resolved chunk, tracked in a
-:class:`~repro.svc.index.GlobalDedupIndex`) retires pruned epochs —
+(the manager's one owner holds one reference per live epoch per distinct
+resolved chunk, tracked in a :class:`~repro.svc.index.GlobalDedupIndex`)
+retires pruned epochs —
 replacing their cluster manifests with *pinned* subsets so inherited
 chunks stay referenced and repair-protected — and physically discards
 chunks whose last reference died.  Compaction rewrites a deep chain node
@@ -52,7 +53,7 @@ from repro.core.fpcache import FingerprintCache
 from repro.core.restore import RestoreReport, restore_from_manifest
 from repro.core.runner import run_collective
 from repro.storage.chain_codec import ChainCodecError, decode_chain, encode_chain
-from repro.storage.local_store import Cluster
+from repro.storage.local_store import Cluster, StorageError
 from repro.storage.manifest import Manifest
 from repro.svc.index import GlobalDedupIndex
 
@@ -75,6 +76,8 @@ class ChainDumpResult:
     new_unique_chunks: int
     #: stored bytes of those first-reference chunks (quota accounting)
     new_unique_bytes: int
+    #: chunks another owner had stored that this owner now references too
+    cross_owner_hits: int = 0
     #: per-rank :class:`~repro.core.dump.DumpReport` list
     reports: list = field(default_factory=list)
 
@@ -91,7 +94,7 @@ class ChainGCResult:
     """Outcome of pruning one epoch."""
 
     epoch: int
-    #: distinct chunks physically discarded (last reference died)
+    #: replica copies physically discarded (last reference died)
     chunks_dropped: int
     bytes_freed: int
     #: the epoch still anchors live descendants: its record was retired and
@@ -99,6 +102,14 @@ class ChainGCResult:
     pinned: bool
     #: retired epochs whose records/manifests were swept entirely
     swept_epochs: Tuple[int, ...] = ()
+    #: distinct chunks whose last reference died
+    distinct_dropped: int = 0
+    #: distinct chunks some live epoch (of any owner) still references,
+    #: and those of them that another owner references
+    chunks_retained: int = 0
+    retained_by_others: int = 0
+    #: manifest replicas removed with the swept epochs
+    manifests_dropped: int = 0
 
 
 @dataclass
@@ -150,21 +161,24 @@ class ChainManager:
     cluster:
         The cluster every chain dump writes into.
     config:
-        Base :class:`~repro.core.config.DumpConfig`; the manager sets
-        ``chain_delta`` itself per dump kind.
+        Base :class:`~repro.core.config.DumpConfig` (assignable between
+        dumps); the manager sets ``chain_delta`` itself per dump kind.
     n_ranks:
         World size of the chain's collectives.
     backend:
         SPMD backend for the dump collectives (thread default).
     index:
         Refcount index; pass a private one (default) or a shared service
-        index with a distinctive ``owner_prefix``.
-    owner_prefix:
-        Prefix of the per-epoch reference owner names
-        (``"<prefix>:<epoch>"``).
+        index with a distinctive ``owner``.
+    owner:
+        The one name every reference of this chain is held under:
+        ``refs[owner]`` of a chunk is the number of the chain's live epochs
+        that resolve to it (the service passes the tenant's name).
     trace:
         Optional :class:`~repro.simmpi.trace.Trace` for ``chain-*`` spans
         and the ``chain_depth``/``chain_locality`` gauges.
+    timeout:
+        World timeout of the dump collectives (assignable between dumps).
     """
 
     def __init__(
@@ -174,21 +188,18 @@ class ChainManager:
         n_ranks: int,
         backend: Optional[str] = None,
         index: Optional[GlobalDedupIndex] = None,
-        owner_prefix: str = "epoch",
+        owner: str = "chain",
         trace=None,
+        timeout: Optional[float] = None,
     ) -> None:
-        if config.redundancy != "replication":
-            raise ChainStateError(
-                "checkpoint chains require replication redundancy "
-                "(parity stripes are per-dump and cannot span a chain)"
-            )
         self.cluster = cluster
-        self.config = config.with_(chain_delta=False)
+        self.config = config
         self.n = n_ranks
         self.backend = backend
         self.index = index if index is not None else GlobalDedupIndex()
-        self.owner_prefix = owner_prefix
+        self.owner = owner
         self.trace = trace
+        self.timeout = timeout
         self.nodes: Dict[int, ChainNode] = {}
         self.next_epoch = 0
         self._next_dump_id = 0
@@ -257,18 +268,12 @@ class ChainManager:
         return out
 
     # -- internals --------------------------------------------------------------
-    def _owner(self, epoch: int) -> str:
-        return f"{self.owner_prefix}:{epoch}"
-
-    def _alloc_dump_id(self) -> int:
-        did = self._next_dump_id
-        self._next_dump_id = did + 1
+    def _alloc_dump_id(self, dump_id: Optional[int] = None) -> int:
+        """The next dump id, or ``dump_id`` when the caller owns the id
+        space (the service's global ids); never handed out twice."""
+        did = self._next_dump_id if dump_id is None else dump_id
+        self._next_dump_id = max(self._next_dump_id, did + 1)
         return did
-
-    def set_next_dump_id(self, dump_id: int) -> None:
-        """Raise the dump-id floor (service integration: global ids shared
-        with non-chain dumps must never collide)."""
-        self._next_dump_id = max(self._next_dump_id, dump_id)
 
     def _span(self, name, **attrs):
         if self.trace is not None:
@@ -304,7 +309,7 @@ class ChainManager:
         depth, columns = self._carry(node)
         self._gauge("chain_depth", float(depth))
         return self.index.record_many(
-            self._owner(node.epoch), set().union(*columns),
+            self.owner, set().union(*columns),
             self.cluster.stored_sizes,
         )
 
@@ -316,14 +321,20 @@ class ChainManager:
                 needed.add(node.epoch)
         return needed
 
-    def _drop_manifests(self, dump_id: int) -> None:
-        for node in self.cluster.nodes:
-            for rank in range(self.n):
-                node.drop_manifest(rank, dump_id)
+    def _drop_manifests(self, dump_id: int) -> int:
+        """Remove the dump's manifests from every node, dead ones included;
+        returns how many replicas went."""
+        return sum(
+            bool(node.drop_manifest(rank, dump_id))
+            for node in self.cluster.nodes
+            for rank in range(self.n)
+        )
 
-    def _sweep(self) -> Tuple[int, ...]:
-        """Drop retired epochs no live epoch depends on (cascading)."""
+    def _sweep(self) -> Tuple[Tuple[int, ...], int]:
+        """Drop retired epochs no live epoch depends on (cascading);
+        returns them and the number of manifest replicas dropped."""
         swept: List[int] = []
+        manifests = 0
         while True:
             needed = self._live_needed_epochs()
             stale = [
@@ -331,11 +342,23 @@ class ChainManager:
                 if node.retired and e not in needed
             ]
             if not stale:
-                return tuple(sorted(swept))
+                return tuple(sorted(swept)), manifests
             for e in stale:
-                self._drop_manifests(self.nodes[e].dump_id)
+                manifests += self._drop_manifests(self.nodes[e].dump_id)
                 del self.nodes[e]
                 swept.append(e)
+
+    def _written_column(self, rank: int, dump_id: int) -> List[bytes]:
+        """The fingerprint column ``rank`` itself wrote under ``dump_id``,
+        read from whichever node holds a replica of its manifest.  Dead
+        nodes are asked too: a replica stranded on a crashed node pins its
+        chunks all the same."""
+        for node in self.cluster.nodes:
+            if node.has_manifest(rank, dump_id):
+                return node.get_manifest(rank, dump_id).fingerprints
+        raise ChainStateError(
+            f"rank {rank} left no manifest of dump {dump_id} on any node"
+        )
 
     # -- dumps ------------------------------------------------------------------
     def chain_dump(
@@ -358,13 +381,15 @@ class ChainManager:
             raise ChainStateError(
                 f"chain dump kind must be 'full' or 'delta', got {kind!r}"
             )
+        if kind == "delta" and self.config.redundancy != "replication":
+            raise ChainStateError(
+                "delta epochs require replication redundancy "
+                "(parity stripes are per-dump and cannot span a chain)"
+            )
         epoch = self.next_epoch
         parent = self.tip()
         datasets = [
             workload.build_dataset(rank, self.n) for rank in range(self.n)
-        ]
-        regions = [
-            workload.dirty_regions(rank, self.n) for rank in range(self.n)
         ]
         lengths = [list(ds.segment_lengths) for ds in datasets]
         promoted = kind == "delta" and (
@@ -373,23 +398,21 @@ class ChainManager:
         if promoted:
             kind = "full"
 
-        fingerprinter = Fingerprinter(self.config.effective_hash_name)
-        fps_new: List[List[bytes]] = []
-        for rank in range(self.n):
-            fpc = self._caches.get(rank)
-            if fpc is None:
-                fpc = self._caches[rank] = FingerprintCache(
-                    self.config.chunk_size, self.config.effective_hash_name
-                )
-            fps_new.append(fpc.fingerprint_dataset(
-                datasets[rank], fingerprinter, regions[rank]
-            ))
-
         if kind == "delta":
+            cs, hash_name = self.config.chunk_size, self.config.effective_hash_name
+            fingerprinter = Fingerprinter(hash_name)
+            fps_new: List[List[bytes]] = []
+            for rank in range(self.n):
+                fpc = self._caches.get(rank)
+                if fpc is None:
+                    fpc = self._caches[rank] = FingerprintCache(cs, hash_name)
+                fps_new.append(fpc.fingerprint_dataset(
+                    datasets[rank], fingerprinter,
+                    workload.dirty_regions(rank, self.n),
+                ))
             positions: List[List[int]] = []
             node_fps: List[List[bytes]] = []
             dump_datasets: List[Dataset] = []
-            cs = self.config.chunk_size
             for new, old, dataset, seg_lengths in zip(
                 fps_new, self._carry(parent)[1], datasets, lengths
             ):
@@ -403,17 +426,21 @@ class ChainManager:
                     for seg_idx, start, length
                     in chunk_slices(seg_lengths, cs, pos)
                 ]))
-            dump_config = self.config.with_(chain_delta=True)
+            total = sum(map(len, fps_new))
             parent_epoch: Optional[int] = parent.epoch
         else:
+            # A full is hashed once, by its ranks: its columns are read back
+            # from the manifests they write.  The caches go now and not on
+            # success: if this dump raises, the workload's next dirty_regions
+            # still describe changes since *it*, which a cache left at the
+            # epoch before would miss.  The next delta hashes from cold.
+            self._caches.clear()
             positions = [[] for _ in range(self.n)]
-            node_fps = [list(column) for column in fps_new]
             dump_datasets = datasets
-            dump_config = self.config
             parent_epoch = None
+        dump_config = self.config.with_(chain_delta=kind == "delta")
 
-        did = self._alloc_dump_id() if dump_id is None else dump_id
-        self._next_dump_id = max(self._next_dump_id, did + 1)
+        did = self._alloc_dump_id(dump_id)
 
         def rank_main(comm):
             from repro.core.dump import dump_output
@@ -423,16 +450,17 @@ class ChainManager:
                 dump_id=did, phase_hook=phase_hook,
             )
 
-        changed = sum(len(pos) for pos in node_fps)
-        total = sum(len(column) for column in fps_new)
-        with self._span(
-            "chain-dump", epoch=epoch, kind=kind, dump_id=did,
-            changed_chunks=changed, total_chunks=total,
-        ):
+        with self._span("chain-dump", epoch=epoch, kind=kind, dump_id=did):
             reports, _world = run_collective(
                 self.n, rank_main, cluster=self.cluster,
-                backend=self.backend,
+                backend=self.backend, timeout=self.timeout,
             )
+            if kind == "full":
+                node_fps = [self._written_column(r, did) for r in range(self.n)]
+                total = sum(map(len, node_fps))
+            changed = sum(map(len, node_fps))
+            if self.trace is not None:
+                self.trace.annotate(changed_chunks=changed, total_chunks=total)
 
         # The one place a dump changes the manager: one that raised did not.
         node = ChainNode(
@@ -446,7 +474,7 @@ class ChainManager:
         )
         self.nodes[epoch] = node
         self.next_epoch = epoch + 1
-        new_chunks, new_bytes, _cross = self._record(node)
+        new_chunks, new_bytes, cross_hits = self._record(node)
         return ChainDumpResult(
             epoch=epoch,
             kind=kind,
@@ -456,6 +484,7 @@ class ChainManager:
             total_chunks=total,
             new_unique_chunks=new_chunks,
             new_unique_bytes=new_bytes,
+            cross_owner_hits=cross_hits,
             reports=list(reports),
         )
 
@@ -500,9 +529,7 @@ class ChainManager:
                 )
         return None
 
-    def restore_epoch(
-        self, rank: int, epoch: int
-    ) -> Tuple[Dataset, RestoreReport]:
+    def restore_epoch(self, rank: int, epoch: int) -> Tuple[Dataset, RestoreReport]:
         """Time-travel restore: rebuild ``rank``'s dataset as of ``epoch``.
 
         Raises :class:`~repro.chain.errors.ChainBrokenError` when any
@@ -511,28 +538,29 @@ class ChainManager:
         parent must surface as a typed failure, never reassembled garbage.
         """
         manifest = self.synthetic_manifest(rank, epoch)
-        missing = sorted(
-            fp for fp in set(manifest.fingerprints)
-            if not self.cluster.locate(fp)
+        depth = self.depth_of(epoch)
+        with self._span("chain-restore", epoch=epoch, rank=rank, depth=depth):
+            self._gauge("chain_depth", float(depth))
+            try:
+                return restore_from_manifest(
+                    self.cluster, rank, manifest, trace=self.trace
+                )
+            except StorageError:
+                # The restore's own plan is the one sweep over the stores a
+                # healthy restore pays; who lost what is worked out only here.
+                missing = sorted(
+                    fp for fp in set(manifest.fingerprints)
+                    if not self.cluster.locate(fp)
+                )
+                if not missing:
+                    raise
+        writer = self._writer_epoch(epoch, missing[0])
+        raise ChainBrokenError(
+            f"epoch {epoch} of rank {rank} is not restorable: "
+            f"{len(missing)} chunk(s) lost every live holder (first "
+            f"written by epoch {writer})",
+            epoch=epoch, writer_epoch=writer, missing=missing[:8],
         )
-        if missing:
-            writer = self._writer_epoch(epoch, missing[0])
-            raise ChainBrokenError(
-                f"epoch {epoch} of rank {rank} is not restorable: "
-                f"{len(missing)} chunk(s) lost every live holder (first "
-                f"written by epoch {writer})",
-                epoch=epoch,
-                writer_epoch=writer,
-                missing=missing[:8],
-            )
-        with self._span(
-            "chain-restore", epoch=epoch, rank=rank,
-            depth=self.depth_of(epoch),
-        ):
-            self._gauge("chain_depth", float(self.depth_of(epoch)))
-            return restore_from_manifest(
-                self.cluster, rank, manifest, trace=self.trace
-            )
 
     # -- GC ---------------------------------------------------------------------
     def prune(self, epoch: int) -> ChainGCResult:
@@ -550,19 +578,20 @@ class ChainManager:
         node = self.node_of(epoch)
         if node.retired:
             raise ChainStateError(f"epoch {epoch} is already pruned")
-        owner = self._owner(epoch)
-        dropped = 0
-        freed = 0
+        dropped = freed = distinct = retained = by_others = 0
         self._tip = None
         with self._span("chain-gc", epoch=epoch):
             for fp in sorted(self.resolved_distinct(epoch)):
-                remaining, _others = self.index.release(owner, fp)
+                remaining, others = self.index.release(self.owner, fp)
                 if remaining == 0:
+                    distinct += 1
                     for store_node in self.cluster.nodes:
                         if store_node.chunks.has(fp):
-                            freed += store_node.chunks.nbytes_of(fp)
-                            store_node.chunks.discard(fp)
+                            freed += store_node.chunks.discard(fp)
                             dropped += 1
+                else:
+                    retained += 1
+                    by_others += others
             node.retired = True
             needed = self._live_needed_epochs()
             pinned = epoch in needed
@@ -574,13 +603,17 @@ class ChainManager:
                 retired_node = self.nodes[e]
                 if retired_node.retired and e in needed:
                     self._write_pins(retired_node)
-            swept = self._sweep()
+            swept, manifests = self._sweep()
         return ChainGCResult(
             epoch=epoch,
             chunks_dropped=dropped,
             bytes_freed=freed,
             pinned=pinned,
             swept_epochs=swept,
+            distinct_dropped=distinct,
+            chunks_retained=retained,
+            retained_by_others=by_others,
+            manifests_dropped=manifests,
         )
 
     def _write_pins(self, node: ChainNode) -> None:
@@ -616,11 +649,12 @@ class ChainManager:
                     store_node.put_manifest(pin, blob=blob)
 
     # -- compaction -------------------------------------------------------------
-    def compact(self, epoch: int) -> ChainCompactResult:
+    def compact(self, epoch: int, dump_id: Optional[int] = None) -> ChainCompactResult:
         """Rewrite ``epoch`` as a synthetic full in place: same resolved
         chunk set (no chunk movement, references unchanged), new full
-        manifests under a fresh dump id on the nodes that held the old
-        ones, parent link severed.  Descendant deltas re-anchor
+        manifests under a fresh dump id (``dump_id`` when the caller owns
+        the id space, as in :meth:`chain_dump`) on the nodes that held the
+        old ones, parent link severed.  Descendant deltas re-anchor
         automatically (they reference the epoch, not its dump id); retired
         ancestors only this epoch needed are swept."""
         node = self.node_of(epoch)
@@ -632,25 +666,17 @@ class ChainManager:
                 new_dump_id=node.dump_id, compacted=False,
             )
         old_dump_id = node.dump_id
-        new_dump_id = self._alloc_dump_id()
+        new_dump_id = self._alloc_dump_id(dump_id)
         self._tip = None
-        resolved = [
-            self.resolved_fps(epoch, rank) for rank in range(self.n)
-        ]
+        resolved: List[List[bytes]] = []
         with self._span(
             "chain-compact", epoch=epoch,
             old_dump_id=old_dump_id, new_dump_id=new_dump_id,
         ):
             for rank in range(self.n):
-                manifest = Manifest(
-                    rank=rank,
-                    dump_id=new_dump_id,
-                    segment_lengths=list(node.segment_lengths[rank]),
-                    fingerprints=resolved[rank],
-                    chunk_size=self.config.chunk_size,
-                    compressed=self.config.compress is not None,
-                    delta=False,
-                )
+                manifest = self.synthetic_manifest(rank, epoch)
+                manifest.dump_id = new_dump_id
+                resolved.append(manifest.fingerprints)
                 blob = manifest.to_bytes()
                 holders = [
                     store_node for store_node in self.cluster.nodes
@@ -666,7 +692,7 @@ class ChainManager:
             node.parent_epoch = None
             node.positions = [[] for _ in range(self.n)]
             node.fps = resolved
-            swept = self._sweep()
+            swept, _manifests = self._sweep()
         return ChainCompactResult(
             epoch=epoch,
             old_dump_id=old_dump_id,
@@ -764,7 +790,7 @@ class ChainManager:
         config: DumpConfig,
         backend: Optional[str] = None,
         index: Optional[GlobalDedupIndex] = None,
-        owner_prefix: str = "epoch",
+        owner: str = "chain",
         trace=None,
     ) -> "ChainManager":
         """Rebuild a manager from a :meth:`to_blob` blob over an
@@ -781,7 +807,7 @@ class ChainManager:
             )
         manager = cls(
             cluster, config, n_ranks, backend=backend, index=index,
-            owner_prefix=owner_prefix, trace=trace,
+            owner=owner, trace=trace,
         )
         manager.nodes = {node.epoch: node for node in nodes}
         manager.next_epoch = next_epoch

@@ -199,19 +199,17 @@ def check_tenant_isolation(service, step: int) -> List[Violation]:
     ]
     names = service.tenants()
     for name in names:
-        own = service._tenants[name]
+        taken = service.chain_of(name).next_epoch
         foreign_ids = set()
         for other in names:
             if other == name:
                 continue
-            foreign_ids.update(service._tenants[other].namespace)
+            foreign_ids.update(service.chain_of(other).live_epochs())
         for tenant_dump_id in sorted(foreign_ids):
-            if (
-                tenant_dump_id in own.namespace
-                or tenant_dump_id in own.gced
-            ):
-                # The id exists in this tenant's own namespace too; the
-                # audit above already proves it maps to this tenant's dump.
+            if tenant_dump_id < taken:
+                # The id exists (or existed) in this tenant's own namespace
+                # too; the audit above already proves it maps to this
+                # tenant's dump.
                 continue
             try:
                 service._resolve(name, tenant_dump_id)
@@ -225,33 +223,42 @@ def check_tenant_isolation(service, step: int) -> List[Violation]:
     return out
 
 
+def recount_references(managers) -> Dict[bytes, Dict[str, int]]:
+    """What the index shared by ``managers`` must hold, from scratch: per
+    fingerprint and owner, the number of the owner's live epochs whose
+    resolved chunk set holds it."""
+    expected: Dict[bytes, Dict[str, int]] = {}
+    for manager in managers:
+        for epoch in manager.live_epochs():
+            for fp in manager.resolved_distinct(epoch):
+                refs = expected.setdefault(fp, {})
+                refs[manager.owner] = refs.get(manager.owner, 0) + 1
+    return expected
+
+
 def check_cross_tenant_accounting(service, step: int) -> List[Violation]:
     """The global dedup index must equal a from-scratch recount of every
-    live dump's manifests (dead nodes included), every indexed chunk must
-    still be stored somewhere, and attribution must bill exactly the
-    unique bytes regardless of policy."""
+    tenant's live dumps (:func:`recount_references`), every live dump must
+    still have a manifest somewhere (dead nodes included), every indexed
+    chunk must still be stored somewhere, and attribution must bill
+    exactly the unique bytes regardless of policy, with the cross-tenant
+    ratio in ``[0, 1)``."""
     out: List[Violation] = []
     cluster = service.cluster
-    expected: Dict[bytes, Dict[str, int]] = {}
-    for name in service.tenants():
-        state = service._tenants[name]
-        for tenant_dump_id, global_id in sorted(state.namespace.items()):
-            fps = set()
-            for node in cluster.nodes:
-                for rank, did in node.manifest_keys():
-                    if did == global_id:
-                        fps.update(
-                            node.get_manifest(rank, did).fingerprints
-                        )
-            if not fps:
+    chains = [service.chain_of(name) for name in service.tenants()]
+    stored_ids = {
+        did for node in cluster.nodes for _rank, did in node.manifest_keys()
+    }
+    for chain in chains:
+        for epoch in chain.live_epochs():
+            global_id = chain.nodes[epoch].dump_id
+            if global_id not in stored_ids:
                 out.append(Violation(
                     "cross-tenant-accounting", step,
-                    f"live dump {tenant_dump_id} of tenant {name!r} "
+                    f"live dump {epoch} of tenant {chain.owner!r} "
                     f"(global {global_id}) has no manifest on any node",
                 ))
-            for fp in fps:
-                refs = expected.setdefault(fp, {})
-                refs[name] = refs.get(name, 0) + 1
+    expected = recount_references(chains)
     for fp in sorted(expected):
         if not service.index.has(fp):
             out.append(Violation(
@@ -290,6 +297,12 @@ def check_cross_tenant_accounting(service, step: int) -> List[Violation]:
                 f"{policy} attribution bills {charged} bytes but the "
                 f"store holds {service.index.unique_bytes} unique bytes",
             ))
+    ratio = service.cross_tenant_dedup_ratio()
+    if not 0.0 <= ratio < 1.0:
+        out.append(Violation(
+            "cross-tenant-accounting", step,
+            f"cross-tenant dedup ratio {ratio} is outside [0, 1)",
+        ))
     return out
 
 
@@ -381,22 +394,20 @@ def check_chain_structure(manager, step: int) -> List[Violation]:
 
 def check_chain_refcounts(manager, step: int) -> List[Violation]:
     """Refcount conservation: the GC index must equal a from-scratch
-    recount of every live epoch's resolved chunk set (one reference per
-    epoch per distinct chunk, no leaks and no premature releases), and —
-    on a cluster whose every dump flowed through the chain — every stored
-    chunk must still be referenced by some live epoch."""
+    recount of every live epoch's resolved chunk set
+    (:func:`recount_references`: one reference per epoch per distinct
+    chunk, no leaks and no premature releases), and — on a cluster whose
+    every dump flowed through the chain — every stored chunk must still be
+    referenced by some live epoch."""
     out: List[Violation] = []
-    expected: Dict[bytes, Dict[str, int]] = {}
-    for epoch in manager.live_epochs():
-        owner = manager._owner(epoch)
-        for fp in manager.resolved_distinct(epoch):
-            expected.setdefault(fp, {})[owner] = 1
+    expected = recount_references([manager])
     for fp in sorted(expected):
         if not manager.index.has(fp):
             out.append(Violation(
                 "chain-refcounts", step,
-                f"chunk {fp.hex()[:12]} is resolved by live epochs "
-                f"{sorted(expected[fp])} but missing from the GC index",
+                f"chunk {fp.hex()[:12]} is resolved by "
+                f"{expected[fp][manager.owner]} live epoch(s) but missing "
+                f"from the GC index",
             ))
             continue
         refs = dict(manager.index.get(fp).refs)

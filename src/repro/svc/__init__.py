@@ -10,8 +10,12 @@ dump requests pass an admission queue — FIFO per tenant, round-robin
 across tenants, bounded depth, typed quota rejections — whose health is
 surfaced through ``repro.obs`` gauges.
 
-Entry points: :class:`CheckpointService` (register tenants, submit,
-drain, restore, gc, repair), :func:`build_report` /
+Every dump is an epoch of its tenant's :class:`~repro.chain.ChainManager`,
+requested as a full or a delta through the one submit / step path.
+
+Entry points: :class:`CheckpointService` (register tenants, submit a
+``"full"`` or a ``"delta"``, step / drain, restore, gc, compact, repair),
+:func:`build_report` /
 :func:`format_service_report` for the ``repro-eval serve`` output, and
 :class:`TenantWorkload` for overlap-controlled synthetic tenants.
 """

@@ -15,7 +15,7 @@ signal (surfaced as the ``svc_queue_depth`` gauge).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional
 
 from repro.svc.errors import QueueFullError
@@ -29,14 +29,11 @@ class DumpRequest:
     tenant: str
     #: workload whose ``build_dataset(rank, n)`` yields each rank's dataset
     workload: object
-    #: submit-time estimates used for quota accounting
-    logical_bytes: int = 0
-    n_chunks: int = 0
     submitted_tick: int = 0
     #: optional per-phase hook threaded into ``dump_output`` (dst crashes)
     phase_hook: Optional[Callable] = None
-    #: extra span attributes recorded at admission
-    attrs: Dict[str, object] = field(default_factory=dict)
+    #: ``"full"``, or ``"delta"`` against the tenant's newest live dump
+    kind: str = "full"
 
 
 class AdmissionQueue:

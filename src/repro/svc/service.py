@@ -6,19 +6,26 @@ shared by every tenant, one global dedup index attributing chunks to
 tenants, and an admission queue that turns concurrent dump requests into
 a fair, bounded schedule.
 
+There is one dump model: a dump is an epoch of its tenant's
+:class:`~repro.chain.ChainManager` (DESIGN.md "One dump model").  A request
+is a ``"full"`` or a ``"delta"``; a standalone dump is a chain of depth 1.
+The service owns admission, quota, ids, isolation and telemetry; the chain
+owns the epoch's columns, its references in the shared index, GC and pins.
+
 Tenant namespaces are the isolation boundary.  A tenant addresses its
-dumps with small per-tenant ids (0, 1, 2, …); the service maps those to
-monotonically allocated *global* dump ids under which manifests actually
-live.  There is no API that accepts a global id, so a tenant can never
-name — let alone restore — another tenant's dump; the mapping itself is
+dumps with small per-tenant ids (0, 1, 2, …), which are its chain's
+epochs; manifests live under monotonically allocated *global* dump ids.
+There is no API that accepts a global id, so a tenant can never name — let
+alone restore — another tenant's dump; the mapping itself is
 double-checked against the dump-owner table on every resolve
 (:class:`~repro.svc.errors.TenantIsolationError` if it ever disagrees).
 
 Chunk payloads, by contrast, dedup *across* tenants: two tenants dumping
 the same bytes store them once (the paper's naturally-distributed
-redundancy, stretched over users instead of ranks).  Garbage collection
-by one tenant drops a payload only when the global index shows no tenant
-references it anymore.
+redundancy, stretched over users instead of ranks).  Every chain holds its
+references under its tenant's name, so garbage collection by one tenant
+drops a payload only when the global index shows no tenant references it
+anymore, and attribution needs no second rule.
 
 Logical time is the service ``tick`` (one per drain iteration): quota
 rate-windows and admission-latency accounting run on ticks, so fuzz
@@ -37,12 +44,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import DumpConfig
-from repro.core.dump import DumpReport, dump_output
-from repro.core.restore import restore_dataset
-from repro.core.runner import run_collective
+from repro.core.dump import DumpReport
 from repro.obs.metrics import LATENCY_BUCKETS
 from repro.obs.timeline import DEFAULT_CAPACITY, TimelineStore
 from repro.simmpi.trace import Trace
@@ -57,6 +62,9 @@ from repro.svc.errors import (
 from repro.svc.index import GlobalDedupIndex
 from repro.svc.quota import TenantQuota, TenantUsage, check_quota
 
+if TYPE_CHECKING:
+    from repro.chain import ChainManager, ChainNode
+
 ATTRIBUTION_POLICIES = ("first-writer", "split")
 
 
@@ -66,12 +74,12 @@ class TenantState:
 
     name: str
     quota: TenantQuota
+    #: the tenant's dumps: tenant dump id == chain epoch
+    chain: "ChainManager"
     usage: TenantUsage = field(default_factory=TenantUsage)
-    #: tenant dump id -> global dump id (live dumps only)
-    namespace: Dict[int, int] = field(default_factory=dict)
-    #: tenant dump ids already garbage-collected
-    gced: Set[int] = field(default_factory=set)
-    next_dump_id: int = 0
+    #: live dump id -> (logical_bytes, chunk_records) charged at dump time,
+    #: refunded on gc
+    charges: Dict[int, Tuple[int, int]] = field(default_factory=dict)
 
 
 @dataclass
@@ -89,6 +97,12 @@ class DumpOutcome:
     new_chunks: int = 0
     #: chunks satisfied by another tenant's earlier dump
     cross_tenant_hits: int = 0
+    #: the kind actually dumped (a requested delta may promote to a full)
+    kind: str = "full"
+    promoted: bool = False
+    #: chunks this dump rewrote / chunks of its datasets, summed over ranks
+    changed_chunks: int = 0
+    total_chunks: int = 0
 
 
 @dataclass
@@ -105,6 +119,9 @@ class GCOutcome:
     #: of those, chunks another tenant references
     retained_cross_tenant: int = 0
     manifests_dropped: int = 0
+    #: the dump still anchors live deltas: its manifests were replaced with
+    #: pinned (still-referenced) subsets instead of dropped
+    pinned: bool = False
 
 
 class CheckpointService:
@@ -149,21 +166,11 @@ class CheckpointService:
         self.tick = 0
         self._tenants: Dict[str, TenantState] = {}
         self._dump_owner: Dict[int, str] = {}
-        #: global dump id -> distinct fingerprints its manifests reference
-        self._dump_fps: Dict[int, List] = {}
         self._pending: Dict[int, DumpRequest] = {}
         self._outcomes: Dict[int, DumpOutcome] = {}
         self._next_global = 0
         self._next_ticket = 0
         self.rejections: Dict[str, int] = {}
-        #: per-tenant incremental checkpoint chains (lazily created);
-        #: they share ``self.index`` under per-epoch owner names, so one
-        #: tenant's chain GC can never discard a chunk another tenant's
-        #: chain — or a regular dump — still references
-        self._chains: Dict[str, object] = {}
-        #: (tenant, epoch) -> (logical_bytes, chunk_records) charged at
-        #: chain-dump time, refunded on chain GC
-        self._chain_charges: Dict[Tuple[str, int], Tuple[int, int]] = {}
 
     # -- tenants -----------------------------------------------------------------
     def register_tenant(
@@ -171,7 +178,17 @@ class CheckpointService:
     ) -> TenantState:
         if name in self._tenants:
             raise TenantExistsError(f"tenant {name!r} already registered")
-        state = TenantState(name=name, quota=quota or TenantQuota())
+        # Imported here: repro.chain imports repro.svc.index.
+        from repro.chain import ChainManager
+
+        # The chains share the cluster and the index, each under its
+        # tenant's name: one tenant's GC can never discard a chunk another
+        # tenant still references.
+        chain = ChainManager(
+            self.cluster, self.config, self.n_ranks, backend=self.backend,
+            index=self.index, owner=name, trace=self.trace,
+        )
+        state = TenantState(name=name, quota=quota or TenantQuota(), chain=chain)
         self._tenants[name] = state
         return state
 
@@ -186,27 +203,36 @@ class CheckpointService:
                 f"tenant {tenant!r} is not registered"
             ) from None
 
-    def _resolve(self, tenant: str, tenant_dump_id: int) -> int:
-        """Tenant-visible dump id -> global dump id, isolation-checked."""
-        state = self._state(tenant)
-        if tenant_dump_id in state.gced:
+    def chain_of(self, tenant: str) -> "ChainManager":
+        """The tenant's chain, for reading (tests, reports): its epochs are
+        the tenant's dump ids, its nodes' ``dump_id`` the global ids."""
+        return self._state(tenant).chain
+
+    def _resolve(self, tenant: str, tenant_dump_id: int) -> "ChainNode":
+        """Tenant-visible dump id -> its live chain node, isolation-checked."""
+        chain = self._state(tenant).chain
+        node = chain.nodes.get(tenant_dump_id)
+        if node is None or node.retired:
             raise UnknownDumpError(
                 f"tenant {tenant!r} dump {tenant_dump_id} was garbage-collected"
+                if 0 <= tenant_dump_id < chain.next_epoch
+                else f"tenant {tenant!r} has no dump {tenant_dump_id}"
             )
-        try:
-            global_id = state.namespace[tenant_dump_id]
-        except KeyError:
-            raise UnknownDumpError(
-                f"tenant {tenant!r} has no dump {tenant_dump_id}"
-            ) from None
-        owner = self._dump_owner.get(global_id)
+        owner = self._dump_owner.get(node.dump_id)
         if owner != tenant:
             raise TenantIsolationError(
                 f"namespace corruption: tenant {tenant!r} dump "
-                f"{tenant_dump_id} maps to global dump {global_id} "
+                f"{tenant_dump_id} maps to global dump {node.dump_id} "
                 f"owned by {owner!r}"
             )
-        return global_id
+        return node
+
+    def _live_dump(self, tenant: str, newest: bool) -> int:
+        """The tenant's oldest (or newest) live dump id."""
+        live = self._state(tenant).chain.live_epochs()
+        if not live:
+            raise UnknownDumpError(f"tenant {tenant!r} has no live dump")
+        return live[-1 if newest else 0]
 
     # -- submission / admission --------------------------------------------------
     def submit(
@@ -214,12 +240,19 @@ class CheckpointService:
         tenant: str,
         workload,
         phase_hook: Optional[Callable] = None,
+        kind: str = "full",
     ) -> int:
-        """Queue one dump of ``workload`` for ``tenant``; returns a ticket.
+        """Queue one dump of ``workload`` for ``tenant``, as a ``"full"`` or
+        as a ``"delta"`` against the tenant's newest live dump; returns a
+        ticket.
 
         Quota and backpressure rejections raise typed errors *here*, before
-        anything is queued — a rejected request consumes no slot.
+        anything is queued — a rejected request consumes no slot.  Quota is
+        checked against the full dataset size whatever the kind (a delta may
+        always promote to a full); usage is charged what the dump shipped.
         """
+        if kind not in ("full", "delta"):
+            raise ValueError(f"dump kind must be 'full' or 'delta', got {kind!r}")
         state = self._state(tenant)
         request_bytes = sum(
             workload.per_rank_bytes(self.n_ranks, rank)
@@ -237,16 +270,15 @@ class CheckpointService:
                 ticket=ticket,
                 tenant=tenant,
                 workload=workload,
-                logical_bytes=request_bytes,
-                n_chunks=request_chunks,
                 submitted_tick=self.tick,
                 phase_hook=phase_hook,
+                kind=kind,
             )
             self.queue.push(request)
         except Exception as exc:
             state.usage.rejected += 1
-            kind = type(exc).__name__
-            self.rejections[kind] = self.rejections.get(kind, 0) + 1
+            reason = type(exc).__name__
+            self.rejections[reason] = self.rejections.get(reason, 0) + 1
             self.trace.metrics.counter("svc_dumps_rejected").inc()
             raise
         self._next_ticket += 1
@@ -281,17 +313,7 @@ class CheckpointService:
         """
         outcomes: List[DumpOutcome] = []
         while self.queue.depth:
-            self.tick += 1
-            admitted: List[DumpRequest] = []
-            while len(admitted) < self.max_inflight:
-                request = self.queue.pop()
-                if request is None:
-                    break
-                admitted.append(request)
-            for request in admitted:
-                outcomes.append(self._execute(request))
-            self.trace.metrics.gauge("svc_queue_depth").set(self.queue.depth)
-            self._after_tick()
+            outcomes.extend(self.step())
         return outcomes
 
     def step(self) -> List[DumpOutcome]:
@@ -320,26 +342,20 @@ class CheckpointService:
 
     # -- execution ---------------------------------------------------------------
     def _execute(self, request: DumpRequest) -> DumpOutcome:
+        """The one place a dump runs: the next epoch of its tenant's chain."""
+        self._pending.pop(request.ticket, None)
         state = self._state(request.tenant)
+        chain = state.chain
+        # Allocated before the collective and never reused: a dump that
+        # raises may have left manifests under it.  The tenant's id is the
+        # epoch, which the chain consumes only when the dump commits.
         global_id = self._next_global
         self._next_global += 1
-        tenant_dump_id = state.next_dump_id
-        state.next_dump_id += 1
         wait_ticks = self.tick - request.submitted_tick
-        n = self.n_ranks
-        workload = request.workload
-        config = self.config
-        cluster = self.cluster
-        phase_hook = request.phase_hook
+        # The service's current settings, not those at registration.
+        chain.config = self.config
+        chain.timeout = self.timeout
         start = time.perf_counter()
-
-        def rank_main(comm):
-            dataset = workload.build_dataset(comm.rank, n)
-            return dump_output(
-                comm, dataset, config, cluster,
-                dump_id=global_id, phase_hook=phase_hook,
-            )
-
         with self.trace.span(
             "svc-dump",
             tenant=request.tenant,
@@ -347,32 +363,14 @@ class CheckpointService:
             dump_id=global_id,
             wait_ticks=wait_ticks,
         ):
-            reports, _world = run_collective(
-                n, rank_main, cluster=cluster,
-                backend=self.backend, timeout=self.timeout,
+            result = chain.chain_dump(
+                request.workload, request.kind, request.phase_hook, global_id
             )
-
-        # Index every distinct fingerprint the dump's manifests reference.
-        # Scan ALL nodes (dead included): a manifest replica stranded on a
-        # crashed node still pins its chunks, and GC later drops manifests
-        # everywhere — missing one here would orphan chunks on revival.
-        fps: Set = set()
-        seen_ranks: Set[int] = set()
-        for node in cluster.nodes:
-            for rank, dump_id in node.manifest_keys():
-                if dump_id != global_id or rank in seen_ranks:
-                    continue
-                seen_ranks.add(rank)
-                fps.update(node.get_manifest(rank, dump_id).fingerprints)
-        new_chunks, _new_bytes, cross_hits = self.index.record_many(
-            request.tenant, fps, cluster.stored_sizes
-        )
-
-        state.namespace[tenant_dump_id] = global_id
+        reports = result.reports
         self._dump_owner[global_id] = request.tenant
-        self._dump_fps[global_id] = sorted(fps)
         actual_bytes = sum(r.dataset_bytes for r in reports)
         actual_chunks = sum(r.n_chunks for r in reports)
+        state.charges[result.epoch] = (actual_bytes, actual_chunks)
         state.usage.logical_bytes += actual_bytes
         state.usage.chunk_records += actual_chunks
         state.usage.live_dumps += 1
@@ -398,9 +396,7 @@ class CheckpointService:
             self.timeline.record(
                 "dump", self.tick,
                 tenant=request.tenant,
-                strategy=getattr(
-                    self.config.strategy, "value", str(self.config.strategy)
-                ),
+                strategy=self.config.strategy.value,
                 backend=self.backend,
                 epoch=global_id,
                 latency_s=elapsed,
@@ -410,22 +406,27 @@ class CheckpointService:
                 bytes_moved=sum(r.sent_bytes for r in reports),
                 logical_bytes=actual_bytes,
                 chunks=actual_chunks,
-                new_chunks=new_chunks,
-                cross_tenant_hits=cross_hits,
+                new_chunks=result.new_unique_chunks,
+                cross_tenant_hits=result.cross_owner_hits,
+                delta_fraction=result.delta_fraction,
+                changed_chunks=result.changed_chunks,
             )
 
         outcome = DumpOutcome(
             ticket=request.ticket,
             tenant=request.tenant,
-            tenant_dump_id=tenant_dump_id,
+            tenant_dump_id=result.epoch,
             global_dump_id=global_id,
-            reports=list(reports),
+            reports=reports,
             wait_ticks=wait_ticks,
-            new_chunks=new_chunks,
-            cross_tenant_hits=cross_hits,
+            new_chunks=result.new_unique_chunks,
+            cross_tenant_hits=result.cross_owner_hits,
+            kind=result.kind,
+            promoted=result.promoted,
+            changed_chunks=result.changed_chunks,
+            total_chunks=result.total_chunks,
         )
         self._outcomes[request.ticket] = outcome
-        self._pending.pop(request.ticket, None)
         return outcome
 
     def _observe_store_stats(self) -> Dict:
@@ -450,14 +451,10 @@ class CheckpointService:
         sample on the timeline, so :meth:`capture_metrics` snapshots cover
         the read path too.
         """
-        global_id = self._resolve(tenant, tenant_dump_id)
+        node = self._resolve(tenant, tenant_dump_id)
+        chain = self._state(tenant).chain
         start = time.perf_counter()
-        dataset, report = restore_dataset(
-            self.cluster,
-            rank,
-            global_id,
-            trace=self.trace,
-        )
+        dataset, report = chain.restore_epoch(rank, tenant_dump_id)
         elapsed = time.perf_counter() - start
         chunks = report.local_chunks + report.remote_chunks
         locality = report.local_chunks / chunks if chunks else 1.0
@@ -477,13 +474,14 @@ class CheckpointService:
             "restore", self.tick,
             tenant=tenant,
             backend=self.backend,
-            epoch=global_id,
+            epoch=node.dump_id,
             latency_s=elapsed,
             bytes=report.total_bytes,
             remote_bytes=report.remote_bytes,
             chunks=chunks,
             locality=locality,
             decoded_chunks=report.decoded_chunks,
+            depth=chain.depth_of(tenant_dump_id),
         )
         return dataset, report
 
@@ -510,53 +508,36 @@ class CheckpointService:
         )
         return report
 
-    def gc(self, tenant: str, tenant_dump_id: int) -> GCOutcome:
-        """Garbage-collect one of ``tenant``'s dumps.
+    def gc(self, tenant: str, tenant_dump_id: Optional[int] = None) -> GCOutcome:
+        """Garbage-collect one of ``tenant``'s dumps (its oldest live one
+        by default) and refund what it was charged.
 
-        Manifests of the dump disappear from every node; chunk payloads
-        are physically discarded only when the global index shows *no*
-        tenant (this one included, via its other dumps) still references
-        them — one tenant's GC can never break another tenant's restore.
+        Chunk payloads are physically discarded only when the global index
+        shows *no* tenant (this one included, via its other dumps) still
+        references them — one tenant's GC can never break another tenant's
+        restore.  Manifests of the dump disappear from every node unless
+        live deltas still build on it; then they shrink to pins.
         """
-        global_id = self._resolve(tenant, tenant_dump_id)
+        if tenant_dump_id is None:
+            tenant_dump_id = self._live_dump(tenant, newest=False)
+        global_id = self._resolve(tenant, tenant_dump_id).dump_id
         state = self._state(tenant)
+        pruned = state.chain.prune(tenant_dump_id)
         outcome = GCOutcome(
             tenant=tenant,
             tenant_dump_id=tenant_dump_id,
             global_dump_id=global_id,
+            chunks_dropped=pruned.distinct_dropped,
+            bytes_reclaimed=pruned.bytes_freed,
+            chunks_retained=pruned.chunks_retained,
+            retained_cross_tenant=pruned.retained_by_others,
+            manifests_dropped=pruned.manifests_dropped,
+            pinned=pruned.pinned,
         )
-        for fp in self._dump_fps.get(global_id, ()):
-            remaining, others = self.index.release(tenant, fp)
-            if remaining == 0:
-                for node in self.cluster.nodes:
-                    reclaimed = node.chunks.discard(fp)
-                    if reclaimed:
-                        outcome.bytes_reclaimed += reclaimed
-                outcome.chunks_dropped += 1
-            else:
-                outcome.chunks_retained += 1
-                if others:
-                    outcome.retained_cross_tenant += 1
-        for node in self.cluster.nodes:
-            for rank in range(self.n_ranks):
-                freed = node.drop_manifest(rank, global_id)
-                if freed:
-                    outcome.manifests_dropped += 1
-        ticket = self._ticket_of(global_id)
-        reports = self._outcomes[ticket].reports if ticket is not None else []
-        state.usage.logical_bytes = max(
-            0,
-            state.usage.logical_bytes
-            - sum(r.dataset_bytes for r in reports),
-        )
-        state.usage.chunk_records = max(
-            0,
-            state.usage.chunk_records - sum(r.n_chunks for r in reports),
-        )
+        charged_bytes, charged_chunks = state.charges.pop(tenant_dump_id)
+        state.usage.logical_bytes -= charged_bytes
+        state.usage.chunk_records -= charged_chunks
         state.usage.live_dumps -= 1
-        state.namespace.pop(tenant_dump_id, None)
-        state.gced.add(tenant_dump_id)
-        self._dump_fps.pop(global_id, None)
         self.trace.metrics.counter("svc_dumps_gced").inc()
         self.trace.metrics.gauge("svc_cross_tenant_dedup_ratio").set(
             self.cross_tenant_dedup_ratio()
@@ -571,198 +552,24 @@ class CheckpointService:
             chunks_retained=outcome.chunks_retained,
             bytes_reclaimed=outcome.bytes_reclaimed,
             manifests_dropped=outcome.manifests_dropped,
-        )
-        return outcome
-
-    # -- incremental checkpoint chains -------------------------------------------
-    def chain_of(self, tenant: str):
-        """The tenant's :class:`~repro.chain.ChainManager`, created on
-        first use.  Chains live in their own addressing domain (epochs,
-        not tenant dump ids) but share the service cluster, the global
-        dedup index (under ``<tenant>/chain:<epoch>`` owner names) and the
-        global dump-id space, so chain manifests never collide with
-        regular dumps and cross-tenant chunk sharing stays refcounted."""
-        from repro.chain import ChainManager
-
-        self._state(tenant)
-        manager = self._chains.get(tenant)
-        if manager is None:
-            manager = ChainManager(
-                self.cluster, self.config, self.n_ranks,
-                backend=self.backend, index=self.index,
-                owner_prefix=f"{tenant}/chain", trace=self.trace,
-            )
-            self._chains[tenant] = manager
-        manager.set_next_dump_id(self._next_global)
-        return manager
-
-    def _sync_chain_ids(self, manager) -> None:
-        """Keep the service's global dump-id allocator ahead of every id
-        the chain handed out (deltas, compactions)."""
-        self._next_global = max(self._next_global, manager._next_dump_id)
-
-    def chain_dump(self, tenant: str, workload, kind: str = "delta"):
-        """Dump the workload's current state as the next epoch of the
-        tenant's chain (one service tick per executed chain dump, like a
-        drain iteration).  Quota is checked against the *full* dataset
-        size — a delta may always promote to a full — while usage charges
-        only what the dump actually shipped."""
-        state = self._state(tenant)
-        request_bytes = sum(
-            workload.per_rank_bytes(self.n_ranks, rank)
-            for rank in range(self.n_ranks)
-        )
-        chunk_size = max(1, self.config.chunk_size)
-        request_chunks = -(-request_bytes // chunk_size)
-        try:
-            check_quota(
-                tenant, state.quota, state.usage,
-                request_bytes, request_chunks, self.tick,
-            )
-        except Exception as exc:
-            state.usage.rejected += 1
-            kind_name = type(exc).__name__
-            self.rejections[kind_name] = self.rejections.get(kind_name, 0) + 1
-            self.trace.metrics.counter("svc_dumps_rejected").inc()
-            raise
-        manager = self.chain_of(tenant)
-        global_id = self._next_global
-        self._next_global += 1
-        self.tick += 1
-        start = time.perf_counter()
-        result = manager.chain_dump(workload, kind=kind, dump_id=global_id)
-        elapsed = time.perf_counter() - start
-        self._sync_chain_ids(manager)
-        self._dump_owner[result.dump_id] = tenant
-        charged_bytes = sum(r.dataset_bytes for r in result.reports)
-        charged_chunks = sum(r.n_chunks for r in result.reports)
-        state.usage.logical_bytes += charged_bytes
-        state.usage.chunk_records += charged_chunks
-        state.usage.live_dumps += 1
-        state.usage.total_dumps += 1
-        state.usage.submit_ticks.append(self.tick)
-        self._chain_charges[(tenant, result.epoch)] = (
-            charged_bytes, charged_chunks,
-        )
-        metrics = self.trace.metrics
-        metrics.counter("svc_chain_dumps_completed").inc()
-        metrics.gauge("svc_chain_delta_fraction").set(result.delta_fraction)
-        metrics.sketch("svc_dump_latency_sketch").observe(elapsed)
-        stats = self._observe_store_stats()
-        self.timeline.record(
-            "dump", self.tick,
-            tenant=tenant,
-            strategy=getattr(
-                self.config.strategy, "value", str(self.config.strategy)
-            ),
-            backend=self.backend,
-            epoch=result.epoch,
-            chain=1.0,
-            latency_s=elapsed,
-            delta_fraction=result.delta_fraction,
-            changed_chunks=result.changed_chunks,
-            new_chunks=result.new_unique_chunks,
-            new_bytes=result.new_unique_bytes,
-            logical_bytes=charged_bytes,
-            dedup_ratio=stats["dedup_ratio"],
-        )
-        self._after_tick()
-        return result
-
-    def chain_restore(self, tenant: str, rank: int, epoch: int):
-        """Time-travel restore of the tenant's chain at ``epoch``."""
-        self._state(tenant)
-        manager = self.chain_of(tenant)
-        start = time.perf_counter()
-        dataset, report = manager.restore_epoch(rank, epoch)
-        elapsed = time.perf_counter() - start
-        chunks = report.local_chunks + report.remote_chunks
-        locality = report.local_chunks / chunks if chunks else 1.0
-        metrics = self.trace.metrics
-        metrics.counter("svc_chain_restores_completed").inc()
-        metrics.sketch("svc_restore_latency_sketch").observe(elapsed)
-        metrics.sketch("svc_restore_locality_sketch").observe(locality)
-        metrics.gauge("svc_restore_locality").set(locality)
-        self.timeline.record(
-            "restore", self.tick,
-            tenant=tenant,
-            backend=self.backend,
-            epoch=epoch,
-            chain=1.0,
-            latency_s=elapsed,
-            depth=manager.depth_of(epoch),
-            bytes=report.total_bytes,
-            remote_bytes=report.remote_bytes,
-            chunks=chunks,
-            locality=locality,
-        )
-        return dataset, report
-
-    def chain_gc(self, tenant: str, epoch: Optional[int] = None):
-        """Prune one epoch of the tenant's chain (the oldest live epoch
-        by default), refunding the usage it was charged at dump time."""
-        from repro.chain.errors import ChainStateError
-
-        state = self._state(tenant)
-        manager = self.chain_of(tenant)
-        if epoch is None:
-            live = manager.live_epochs()
-            if not live:
-                raise ChainStateError(
-                    f"tenant {tenant!r} has no live chain epochs to prune"
-                )
-            epoch = live[0]
-        outcome = manager.prune(epoch)
-        charged_bytes, charged_chunks = self._chain_charges.pop(
-            (tenant, epoch), (0, 0)
-        )
-        state.usage.logical_bytes = max(
-            0, state.usage.logical_bytes - charged_bytes
-        )
-        state.usage.chunk_records = max(
-            0, state.usage.chunk_records - charged_chunks
-        )
-        state.usage.live_dumps -= 1
-        self.trace.metrics.counter("svc_chain_epochs_pruned").inc()
-        self._observe_store_stats()
-        self.timeline.record(
-            "gc", self.tick,
-            tenant=tenant,
-            backend=self.backend,
-            epoch=epoch,
-            chain=1.0,
-            chunks_dropped=outcome.chunks_dropped,
-            bytes_reclaimed=outcome.bytes_freed,
             pinned=float(outcome.pinned),
         )
         return outcome
 
-    def chain_compact(self, tenant: str, epoch: Optional[int] = None):
-        """Compact one epoch of the tenant's chain (the tip by default)
-        into a synthetic full under a fresh global dump id."""
-        from repro.chain.errors import ChainStateError
-
-        self._state(tenant)
-        manager = self.chain_of(tenant)
-        if epoch is None:
-            live = manager.live_epochs()
-            if not live:
-                raise ChainStateError(
-                    f"tenant {tenant!r} has no live chain epochs to compact"
-                )
-            epoch = live[-1]
-        outcome = manager.compact(epoch)
-        self._sync_chain_ids(manager)
+    def compact(self, tenant: str, tenant_dump_id: Optional[int] = None):
+        """Rewrite one of ``tenant``'s dumps (its newest live one by
+        default) as a synthetic full under a fresh global dump id, so it no
+        longer depends on the dumps before it; a no-op on a full."""
+        if tenant_dump_id is None:
+            tenant_dump_id = self._live_dump(tenant, newest=True)
+        self._resolve(tenant, tenant_dump_id)
+        outcome = self._state(tenant).chain.compact(
+            tenant_dump_id, dump_id=self._next_global
+        )
         if outcome.compacted:
+            self._next_global += 1
             self._dump_owner[outcome.new_dump_id] = tenant
-        self.trace.metrics.counter("svc_chain_epochs_compacted").inc()
         return outcome
-
-    def _ticket_of(self, global_id: int) -> Optional[int]:
-        for ticket, outcome in self._outcomes.items():
-            if outcome.global_dump_id == global_id:
-                return ticket
-        return None
 
     # -- introspection -----------------------------------------------------------
     def cross_tenant_dedup_ratio(self) -> float:
@@ -777,12 +584,14 @@ class CheckpointService:
         return 1.0 - self.index.unique_bytes / per_tenant
 
     def isolation_audit(self) -> List[str]:
-        """Cross-check namespaces against the owner table; each returned
+        """Cross-check every chain node (retired ones included: their pins
+        still sit under a global id) against the owner table; each returned
         string is a corruption (the dst invariant asserts this is empty)."""
         problems: List[str] = []
         seen: Dict[int, Tuple[str, int]] = {}
         for name, state in sorted(self._tenants.items()):
-            for tenant_dump_id, global_id in sorted(state.namespace.items()):
+            for tenant_dump_id, node in sorted(state.chain.nodes.items()):
+                global_id = node.dump_id
                 owner = self._dump_owner.get(global_id)
                 if owner != name:
                     problems.append(

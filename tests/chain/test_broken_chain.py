@@ -103,8 +103,9 @@ class TestFtrtRuntimeSeam:
 
     def test_ftrt_checkpoints_interleave_with_chains_safely(self):
         """ftrt checkpoints sharing a cluster with a chain keep restoring:
-        the chain's dump ids never collide after set_next_dump_id."""
-        cluster, config, manager, _ = chained_cluster()
+        the chain dumps under the ids its caller hands it and never goes
+        back below them."""
+        cluster, config, manager, workload = chained_cluster()
 
         def rank_main(comm):
             runtime = CheckpointRuntime(comm, cluster, config, interval=1)
@@ -115,8 +116,9 @@ class TestFtrtRuntimeSeam:
 
         results, _ = run_collective(N, rank_main, cluster=cluster)
         assert results == [100] * N
-        manager.set_next_dump_id(101)
-        assert manager._next_dump_id == 101
+        workload.advance()
+        assert manager.chain_dump(workload, dump_id=101).dump_id == 101
+        assert manager.compact(manager.tip().epoch).new_dump_id == 102
 
 
 class TestLostParentChunks:
@@ -138,8 +140,63 @@ class TestLostParentChunks:
         err = excinfo.value
         assert err.epoch == 3
         assert err.writer_epoch == 0
-        assert victim in err.missing
+        assert err.missing == (victim,)
         assert isinstance(err, ChainError)
+        assert str(err) == (
+            "epoch 3 of rank 0 is not restorable: 1 chunk(s) lost every "
+            "live holder (first written by epoch 0)"
+        )
+        # the other rank never resolved that chunk
+        if victim not in manager.resolved_fps(3, 1):
+            manager.restore_epoch(1, 3)
+
+    def test_a_lost_chunk_fails_before_any_byte_is_returned(self, monkeypatch):
+        """More lost than the error samples: ``missing`` is the first eight
+        in fingerprint order and names the newest writer of the first."""
+        cluster, config, manager, _ = chained_cluster(depth=3)
+        victims = sorted(set(manager.resolved_fps(3, 0)))[:11]
+        for node in cluster.nodes:
+            for fp in victims:
+                node.chunks.discard(fp)
+        from repro.core import restore
+
+        cut = []
+        monkeypatch.setattr(
+            restore, "cut_segments", lambda *a: cut.append(a) or []
+        )
+        with pytest.raises(ChainBrokenError, match="11 chunk") as excinfo:
+            manager.restore_epoch(0, 3)
+        assert cut == []  # nothing was reassembled
+        assert excinfo.value.missing == tuple(victims[:8])
+        assert excinfo.value.writer_epoch == manager._writer_epoch(3, victims[0])
+
+    def test_a_healthy_restore_plans_once_and_locates_nothing(self, monkeypatch):
+        """Work counts: one ``has_many`` sweep per live node (the restore's
+        own plan), no per-fingerprint ``locate`` before it."""
+        cluster, config, manager, workload = chained_cluster(depth=3)
+        cluster.fail_node(1)
+        sweeps = {node.node_id: 0 for node in cluster.nodes}
+        for node in cluster.nodes:
+            real = node.chunks.has_many
+
+            def counted(fps, _real=real, _id=node.node_id):
+                sweeps[_id] += 1
+                return _real(fps)
+
+            monkeypatch.setattr(node.chunks, "has_many", counted)
+        located = []
+        monkeypatch.setattr(
+            cluster, "locate", lambda fp: located.append(fp) or []
+        )
+        monkeypatch.setattr(
+            cluster, "locate_many", lambda fps: located.extend(fps) or []
+        )
+        dataset, report = manager.restore_epoch(1, 3)
+        assert dataset.to_bytes() == (
+            workload.at_epoch(3).build_dataset(1, N).to_bytes()
+        )
+        assert sweeps == {0: 1, 1: 0}
+        assert located == []
 
     def test_verify_epoch_degrades_before_restore_garbage(self):
         cluster, config, manager, _ = chained_cluster(depth=2)

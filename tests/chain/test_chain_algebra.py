@@ -13,7 +13,7 @@ The laws that make incremental chains safe to operate:
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.mutating import MutatingWorkload
@@ -189,7 +189,9 @@ def test_backends_produce_identical_chains(backend):
 CONFIG = DumpConfig(replication_factor=2, chunk_size=CHUNK)
 
 OPS = st.one_of(
-    st.tuples(st.sampled_from(("delta", "delta", "full", "reload", "failed"))),
+    st.tuples(st.sampled_from(
+        ("delta", "delta", "full", "reload", "failed", "failed-full")
+    )),
     st.tuples(
         st.sampled_from(("prune", "compact", "rewrite")),
         st.integers(min_value=0, max_value=7),
@@ -215,6 +217,8 @@ def assert_carried_tip_is_the_walk(manager):
     seed=st.integers(min_value=0, max_value=2**20),
     ops=st.lists(OPS, max_size=8),
 )
+@example(seed=3, ops=[("failed-full",)])  # warm caches, then a full that raises
+@example(seed=3, ops=[("failed",), ("failed-full",), ("compact", 1)])
 def test_carried_tip_equals_the_walk_under_any_interleaving(seed, ops):
     """Dumps, prune, compact, rewrite_for_locality, save/load and a failed
     dump in any order: the carried tip is always what the walk resolves,
@@ -231,14 +235,20 @@ def test_carried_tip_equals_the_walk_under_any_interleaving(seed, ops):
             workload.advance()
             result = manager.chain_dump(workload, kind=op[0])
             assert manager._tip[0] == result.epoch  # carried, not re-derived
-        elif op[0] == "failed":
-            workload.advance()  # the cache sees these bytes, the chain does not
+        elif op[0] in ("failed", "failed-full"):
+            # A failed delta: the cache sees these bytes, the chain does not.
+            # A failed full: neither does, and the next dirty_regions will not
+            # name them either, so the caches must be gone by now.
+            workload.advance()
 
             def hook(phase, rank):
                 raise RuntimeError("boom")
 
+            kind = "full" if op[0] == "failed-full" else "delta"
             with pytest.raises(Exception, match="boom"):
-                manager.chain_dump(workload, phase_hook=hook)
+                manager.chain_dump(workload, kind=kind, phase_hook=hook)
+            if kind == "full":
+                assert manager._caches == {}
         elif op[0] == "reload":
             with tempfile.TemporaryDirectory() as tmp:
                 manager.save(f"{tmp}/chain.rch1")

@@ -19,6 +19,7 @@ from repro.chain import (
     chunk_slices,
 )
 from repro.core.config import DumpConfig
+from repro.dst.invariants import recount_references
 from repro.simmpi.trace import Trace
 from repro.storage.chain_codec import ChainCodecError
 from repro.storage.local_store import Cluster
@@ -174,8 +175,19 @@ class TestDump:
         config = DumpConfig(
             replication_factor=2, chunk_size=CHUNK, redundancy="parity"
         )
+        manager = ChainManager(cluster, config, N)
+        workload = MutatingWorkload(seed=11, chunk_size=CHUNK)
+        # a full is the ordinary parity dump; only a delta cannot be one
+        assert manager.chain_dump(workload, kind="full").kind == "full"
+        workload.advance()
+        before = (manager.next_epoch, len(manager.index), dict(manager._caches))
         with pytest.raises(ChainStateError, match="parity"):
-            ChainManager(cluster, config, N)
+            manager.chain_dump(workload, kind="delta")
+        assert (manager.next_epoch, len(manager.index), dict(manager._caches)) == before
+        cluster.fail_node(1)
+        for rank in range(N):
+            dataset, report = manager.restore_epoch(rank, 0)
+            assert dataset.to_bytes() == oracle(workload, 0, rank)
 
 
 class TestResolveAndRestore:
@@ -251,17 +263,16 @@ class TestPrune:
         manager, _ = make_chain(depth=4)
         manager.prune(0)
         manager.prune(2)
-        # recount: index must equal the union of live epochs' resolved sets
+        # recount: the one owner holds a reference per live epoch that
+        # resolves to the chunk
         expected = {}
         for epoch in manager.live_epochs():
-            owner = manager._owner(epoch)
             for fp in manager.resolved_distinct(epoch):
-                expected.setdefault(fp, set()).add(owner)
+                expected[fp] = expected.get(fp, 0) + 1
         assert len(manager.index) == len(expected)
-        for fp, owners in expected.items():
-            entry = manager.index.get(fp)
-            assert entry is not None
-            assert set(entry.refs) == owners
+        assert max(expected.values()) == len(manager.live_epochs()) == 3
+        for fp, count in expected.items():
+            assert manager.index.get(fp).refs == {manager.owner: count}
         # every stored chunk is referenced (no leaks)
         stored = set()
         for node in manager.cluster.nodes:
@@ -459,23 +470,16 @@ class TestPersistence:
 
         live, rebuilt = dict(manager.index.items()), dict(clone.index.items())
         assert set(rebuilt) == set(live)
-        owners = [manager._owner(e) for e in manager.live_epochs()]
+        assert clone.owner == manager.owner
+        recount = recount_references([manager])
         for f, entry in live.items():
-            assert rebuilt[f].refs == entry.refs, f.hex()
+            assert rebuilt[f].refs == entry.refs == recount[f], f.hex()
             assert rebuilt[f].size == entry.size
-            # A first writer that was pruned is not in the blob: the rebuilt
-            # index names the oldest live epoch that references the chunk.
-            if entry.first_writer in entry.refs:
-                assert rebuilt[f].first_writer == entry.first_writer
-            else:
-                assert rebuilt[f].first_writer == next(
-                    o for o in owners if o in entry.refs
-                )
+            assert rebuilt[f].first_writer == entry.first_writer == manager.owner
         assert clone.index.unique_bytes == manager.index.unique_bytes
-        for owner in owners + [manager._owner(0), manager._owner(4)]:
-            assert clone.index.referenced_bytes(owner) == (
-                manager.index.referenced_bytes(owner)
-            )
+        assert clone.index.referenced_bytes(manager.owner) == (
+            manager.index.referenced_bytes(manager.owner)
+        ) == manager.index.unique_bytes
         # and the carried tip is the newest epoch's, ready for the next delta
         assert clone._tip[0] == 6 and clone._tip[1] == clone.depth_of(6) == 4
         assert clone._tip[2] == [clone.resolved_fps(6, r) for r in range(N)]

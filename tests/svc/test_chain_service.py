@@ -1,16 +1,30 @@
-"""Checkpoint chains through the multi-tenant service: per-tenant chain
-managers over the shared cluster/index, global dump-id space, quota and
-usage accounting, GC refunds and the chain timeline/metrics surface."""
+"""Checkpoint chains through the multi-tenant service: a dump is an epoch
+of its tenant's chain, requested as a full or a delta through the one
+submit / step path; global dump-id space, quota and usage accounting, GC
+refunds, attribution and the timeline/metrics surface."""
 
 import pytest
+from hypothesis import HealthCheck, settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.apps.mutating import MutatingWorkload
-from repro.chain import ChainBrokenError, ChainStateError
+from repro.chain import ChainBrokenError
 from repro.core.config import DumpConfig
+from repro.dst.invariants import (
+    check_cross_tenant_accounting,
+    check_tenant_isolation,
+    recount_references,
+)
 from repro.svc import (
     CheckpointService,
     QuotaExceededError,
     TenantQuota,
+    UnknownDumpError,
 )
 
 N = 3
@@ -33,16 +47,31 @@ def make_workload(seed=99):
     )
 
 
+def dump(service, tenant, workload, kind="full"):
+    ticket = service.submit(tenant, workload, kind=kind)
+    service.drain()
+    return service.outcome(ticket)
+
+
 def grow_chain(service, tenant, workload, deltas=3):
     """Dump a full plus ``deltas`` delta epochs, returning the per-epoch
     workload snapshots for oracle comparison."""
-    service.chain_dump(tenant, workload, kind="full")
+    dump(service, tenant, workload, kind="full")
     snapshots = {0: workload.at_epoch(0)}
     for epoch in range(1, deltas + 1):
         workload.advance(1)
-        service.chain_dump(tenant, workload)
+        dump(service, tenant, workload, kind="delta")
         snapshots[epoch] = workload.at_epoch(epoch)
     return snapshots
+
+
+def assert_restores(service, tenant, snapshots):
+    for epoch in service.chain_of(tenant).live_epochs():
+        for rank in range(N):
+            data, _report = service.restore(tenant, rank, epoch)
+            assert data.to_bytes() == snapshots[epoch].build_dataset(
+                rank, N
+            ).to_bytes()
 
 
 class TestChainLifecycle:
@@ -54,7 +83,7 @@ class TestChainLifecycle:
         assert manager.live_epochs() == [0, 1, 2, 3]
         for epoch, snap in snapshots.items():
             for rank in range(N):
-                data, report = service.chain_restore("a", rank, epoch)
+                data, report = service.restore("a", rank, epoch)
                 assert data.to_bytes() == snap.build_dataset(
                     rank, N
                 ).to_bytes()
@@ -64,9 +93,9 @@ class TestChainLifecycle:
         service = make_service()
         service.register_tenant("a")
         workload = make_workload()
-        full = service.chain_dump("a", workload, kind="full")
+        full = dump(service, "a", workload, kind="full")
         workload.advance(1)
-        delta = service.chain_dump("a", workload)
+        delta = dump(service, "a", workload, kind="delta")
         assert full.kind == "full" and delta.kind == "delta"
         assert not delta.promoted
         assert 0 < delta.changed_chunks < delta.total_chunks
@@ -77,7 +106,7 @@ class TestChainLifecycle:
     def test_first_chain_dump_promotes_delta_to_full(self):
         service = make_service()
         service.register_tenant("a")
-        result = service.chain_dump("a", make_workload())
+        result = dump(service, "a", make_workload(), kind="delta")
         assert result.kind == "full"
         assert result.promoted
 
@@ -86,59 +115,61 @@ class TestChainLifecycle:
         service.register_tenant("a")
         workload = make_workload()
         snapshots = grow_chain(service, "a", workload, deltas=4)
-        gc = service.chain_gc("a")
-        assert gc.epoch == 0
-        compacted = service.chain_compact("a")
-        assert compacted.compacted
-        manager = service.chain_of("a")
-        for epoch in manager.live_epochs():
-            for rank in range(N):
-                data, _report = service.chain_restore("a", rank, epoch)
-                assert data.to_bytes() == snapshots[epoch].build_dataset(
-                    rank, N
-                ).to_bytes()
+        gc = service.gc("a")
+        assert gc.tenant_dump_id == 0 and gc.pinned
+        compacted = service.compact("a")
+        assert compacted.compacted and compacted.epoch == 4
+        assert service.chain_of("a").live_epochs() == [1, 2, 3, 4]
+        assert_restores(service, "a", snapshots)
 
     def test_gc_of_empty_chain_raises(self):
         service = make_service()
         service.register_tenant("a")
-        with pytest.raises(ChainStateError):
-            service.chain_gc("a")
-        with pytest.raises(ChainStateError):
-            service.chain_compact("a")
+        with pytest.raises(UnknownDumpError):
+            service.gc("a")
+        with pytest.raises(UnknownDumpError):
+            service.compact("a")
 
 
 class TestGlobalIdSpace:
     def test_chain_dumps_share_the_global_dump_id_space(self):
-        """Regular dumps and chain dumps interleave without ever reusing
-        a dump id, and every chain id is registered to its tenant."""
+        """One tenant's fulls and another's deltas interleave without ever
+        reusing a dump id, and every id is registered to its tenant."""
         service = make_service()
         service.register_tenant("a")
         service.register_tenant("b")
         workload = make_workload()
-        ticket = service.submit("b", workload)
-        service.drain()
-        first = service.outcome(ticket)
-        chain_ids = [service.chain_dump("a", workload, kind="full").dump_id]
+        first = dump(service, "b", workload)
+        chain_ids = [dump(service, "a", workload).global_dump_id]
         for _ in range(2):
             workload.advance(1)
-            chain_ids.append(service.chain_dump("a", workload).dump_id)
-        ticket2 = service.submit("b", workload)
-        service.drain()
-        second = service.outcome(ticket2)
+            chain_ids.append(
+                dump(service, "a", workload, kind="delta").global_dump_id
+            )
+        second = dump(service, "b", workload)
         all_ids = [first.global_dump_id, *chain_ids, second.global_dump_id]
-        assert len(set(all_ids)) == len(all_ids)
+        assert all_ids == sorted(set(all_ids))
+        assert (first.tenant_dump_id, second.tenant_dump_id) == (0, 1)
         for dump_id in chain_ids:
             assert service._dump_owner[dump_id] == "a"
+        assert [
+            node.dump_id for _e, node in sorted(service.chain_of("a").nodes.items())
+        ] == chain_ids
 
     def test_compaction_allocates_a_fresh_registered_id(self):
         service = make_service()
         service.register_tenant("a")
         grow_chain(service, "a", make_workload(), deltas=2)
-        outcome = service.chain_compact("a")
+        outcome = service.compact("a")
         assert outcome.new_dump_id > outcome.old_dump_id
         assert service._dump_owner[outcome.new_dump_id] == "a"
         # the allocator moved past the compaction id
         assert service._next_global > outcome.new_dump_id
+        # compacting a full is a no-op and takes no id
+        before = service._next_global
+        assert not service.compact("a").compacted
+        assert service._next_global == before
+        assert not service.isolation_audit()
 
 
 class TestQuotaAndUsage:
@@ -150,9 +181,13 @@ class TestQuotaAndUsage:
         assert usage.live_dumps == 3
         before = usage.logical_bytes
         assert before > 0
-        service.chain_gc("a")
+        service.gc("a")
         assert usage.live_dumps == 2
         assert usage.logical_bytes < before
+        charges = service._state("a").charges
+        assert sorted(charges) == service.chain_of("a").live_epochs() == [1, 2]
+        assert usage.logical_bytes == sum(b for b, _c in charges.values())
+        assert usage.chunk_records == sum(c for _b, c in charges.values())
 
     def test_chain_quota_is_checked_against_full_size(self):
         """Admission uses the full dataset size (a delta may always
@@ -165,16 +200,18 @@ class TestQuotaAndUsage:
         service.register_tenant(
             "a", TenantQuota(max_logical_bytes=full_bytes)
         )
-        service.chain_dump("a", workload, kind="full")
+        dump(service, "a", workload, kind="full")
         workload.advance(1)
         with pytest.raises(QuotaExceededError):
-            service.chain_dump("a", workload)
+            service.submit("a", workload, kind="delta")
         usage = service._state("a").usage
         assert usage.rejected == 1
         # after pruning the full, the delta (promoted to full) admits
-        service.chain_gc("a")
-        result = service.chain_dump("a", workload, kind="full")
-        assert result.epoch == 1
+        service.gc("a")
+        result = dump(service, "a", workload, kind="delta")
+        assert (result.tenant_dump_id, result.kind, result.promoted) == (
+            1, "full", True
+        )
 
 
 class TestSharedIndexIsolation:
@@ -187,28 +224,19 @@ class TestSharedIndexIsolation:
         snapshots = grow_chain(
             service, "a", make_workload(seed=7), deltas=2
         )
-        ticket = service.submit("b", make_workload(seed=7))
-        service.drain()
-        outcome = service.outcome(ticket)
-        service.gc("b", outcome.tenant_dump_id)
-        manager = service.chain_of("a")
-        for epoch in manager.live_epochs():
-            for rank in range(N):
-                data, _ = service.chain_restore("a", rank, epoch)
-                assert data.to_bytes() == snapshots[epoch].build_dataset(
-                    rank, N
-                ).to_bytes()
+        outcome = dump(service, "b", make_workload(seed=7))
+        gc = service.gc("b", outcome.tenant_dump_id)
+        assert gc.chunks_dropped == 0 and gc.retained_cross_tenant > 0
+        assert_restores(service, "a", snapshots)
 
     def test_chain_gc_never_breaks_another_tenants_dump(self):
         service = make_service()
         service.register_tenant("a")
         service.register_tenant("b")
         grow_chain(service, "a", make_workload(seed=7), deltas=1)
-        ticket = service.submit("b", make_workload(seed=7))
-        service.drain()
-        outcome = service.outcome(ticket)
+        outcome = dump(service, "b", make_workload(seed=7))
         while service.chain_of("a").live_epochs():
-            service.chain_gc("a")
+            service.gc("a")
         for rank in range(N):
             service.restore("b", rank, outcome.tenant_dump_id)
 
@@ -217,6 +245,70 @@ class TestSharedIndexIsolation:
         service.register_tenant("a")
         grow_chain(service, "a", make_workload(), deltas=2)
         assert not service.isolation_audit()
+        service.gc("a")  # retired, still pinned under its global id
+        assert not service.isolation_audit()
+        service._dump_owner[service.chain_of("a").nodes[0].dump_id] = "b"
+        assert len(service.isolation_audit()) == 1
+
+    def test_accounting_does_not_depend_on_how_the_bytes_were_dumped(self):
+        """The same bytes as a full and as a full-then-deltas chain whose
+        older epochs were collected bill and share exactly alike."""
+        def two_tenants():
+            service = make_service()
+            service.register_tenant("a")
+            service.register_tenant("b")
+            tip = make_workload(seed=7)
+            tip.advance(2)
+            dump(service, "a", tip)
+            return service, tip
+
+        plain, tip = two_tenants()
+        dump(plain, "b", tip)
+        chained, _tip = two_tenants()
+        grow_chain(chained, "b", make_workload(seed=7), deltas=2)
+        chained.gc("b")
+        chained.gc("b")
+        assert chained.chain_of("b").live_epochs() == [2]
+        for service in (plain, chained):
+            assert service.cross_tenant_dedup_ratio() == 0.5
+        assert chained.index.unique_bytes == plain.index.unique_bytes
+        assert chained.index.cross_tenant_shared_bytes == (
+            plain.index.cross_tenant_shared_bytes
+        ) == plain.index.unique_bytes
+        for policy in ("first-writer", "split"):
+            assert chained.index.charged_bytes(["a", "b"], policy) == (
+                plain.index.charged_bytes(["a", "b"], policy)
+            )
+
+    def test_only_tenants_are_billed_with_deltas_live(self):
+        service = make_service()
+        service.register_tenant("a")
+        service.register_tenant("b")
+        dump(service, "a", make_workload(seed=3))
+        grow_chain(service, "b", make_workload(seed=4), deltas=2)
+        assert 0.0 <= service.cross_tenant_dedup_ratio() < 1.0
+        for policy in ("first-writer", "split"):
+            charged = service.index.charged_bytes(service.tenants(), policy)
+            assert set(charged) == set(service.tenants())
+            assert sum(charged.values()) == pytest.approx(
+                service.index.unique_bytes
+            )
+        assert all(
+            set(entry.refs) <= {"a", "b"} for _fp, entry in service.index.items()
+        )
+        assert check_cross_tenant_accounting(service, 0) == []
+
+    def test_parity_full_restores_with_a_node_down(self):
+        service = make_service(config=DumpConfig(
+            replication_factor=2, chunk_size=CS, redundancy="parity"
+        ))
+        service.register_tenant("a")
+        workload = make_workload()
+        dump(service, "a", workload)
+        service.cluster.fail_node(1)
+        for rank in range(N):
+            data, _report = service.restore("a", rank, 0)
+            assert data.to_bytes() == workload.build_dataset(rank, N).to_bytes()
 
 
 class TestBrokenChainSurfacing:
@@ -224,9 +316,15 @@ class TestBrokenChainSurfacing:
         service = make_service()
         service.register_tenant("a")
         grow_chain(service, "a", make_workload(), deltas=2)
-        pruned = service.chain_gc("a").epoch
-        with pytest.raises(ChainStateError):
-            service.chain_restore("a", 0, pruned)
+        pruned = service.gc("a").tenant_dump_id
+        # still in the chain as a pin, gone from the tenant's namespace
+        assert service.chain_of("a").nodes[pruned].retired
+        with pytest.raises(UnknownDumpError, match="garbage-collected"):
+            service.restore("a", 0, pruned)
+        with pytest.raises(UnknownDumpError, match="garbage-collected"):
+            service.gc("a", pruned)
+        with pytest.raises(UnknownDumpError, match="has no dump"):
+            service.restore("a", 0, 3)
 
     def test_lost_parent_chunks_raise_chain_broken_error(self):
         service = make_service()
@@ -239,8 +337,10 @@ class TestBrokenChainSurfacing:
             for fp in fps:
                 for node in service.cluster.nodes:
                     node.chunks.discard(fp)
-        with pytest.raises(ChainBrokenError):
-            service.chain_restore("a", 0, 2)
+        with pytest.raises(ChainBrokenError) as excinfo:
+            service.restore("a", 0, 2)
+        assert (excinfo.value.epoch, excinfo.value.writer_epoch) == (2, 0)
+        assert excinfo.value.missing
 
 
 class TestObservability:
@@ -248,28 +348,142 @@ class TestObservability:
         service = make_service()
         service.register_tenant("a")
         grow_chain(service, "a", make_workload(), deltas=2)
-        service.chain_restore("a", 0, 2)
-        service.chain_gc("a")
-        ops = [
-            s.op for s in service.timeline.samples()
-            if s.values.get("chain")
-        ]
-        assert ops.count("dump") == 3
-        assert "restore" in ops
-        assert "gc" in ops
+        service.restore("a", 0, 2)
+        service.gc("a")
+        samples = {}
+        for s in service.timeline.samples():
+            samples.setdefault(s.op, []).append(s.values)
+        assert len(samples["dump"]) == 3
+        assert samples["dump"][0]["delta_fraction"] == 1.0
+        for values in samples["dump"][1:]:
+            assert 0.0 < values["delta_fraction"] < 1.0
+            assert values["changed_chunks"] == values["chunks"] > 0
+        assert [v["depth"] for v in samples["restore"]] == [3.0]
+        assert [v["pinned"] for v in samples["gc"]] == [1.0]
 
     def test_chain_metrics_are_exported(self):
         service = make_service()
         service.register_tenant("a")
         grow_chain(service, "a", make_workload(), deltas=2)
-        service.chain_restore("a", 1, 1)
-        service.chain_gc("a")
-        service.chain_compact("a")
+        service.restore("a", 1, 1)
+        service.gc("a")
+        service.compact("a")
         snap = service.capture_metrics()
         counters = snap["metrics"]["counters"]
-        assert counters["svc_chain_dumps_completed"]["max"] == 3
-        assert counters["svc_chain_restores_completed"]["max"] == 1
-        assert counters["svc_chain_epochs_pruned"]["max"] == 1
-        assert counters["svc_chain_epochs_compacted"]["max"] == 1
-        gauges = snap["metrics"]["gauges"]
-        assert 0.0 < gauges["svc_chain_delta_fraction"]["max"] < 1.0
+        # every dump counts, whatever its kind, under the one set of names
+        assert counters["svc_dumps_submitted"]["max"] == 3
+        assert counters["svc_dumps_completed"]["max"] == 3
+        assert counters["svc_restores_completed"]["max"] == 1
+        assert counters["svc_dumps_gced"]["max"] == 1
+        names = set(counters) | set(snap["metrics"]["gauges"])
+        assert not [name for name in names if name.startswith("svc_chain_")]
+
+
+class ServiceMachine(RuleBasedStateMachine):
+    """Two tenants drawing full and delta requests, steps, gc, compact and
+    restores in any order: every live dump restores to the bytes it was
+    taken from, usage is the sum of the live charges, and the shared index
+    is the recount of the chains, after every step."""
+
+    tenants = ("a", "b")
+
+    def __init__(self):
+        super().__init__()
+        self.service = make_service(max_inflight=1)
+        self.workloads = {}
+        self.snapshots = {name: {} for name in self.tenants}
+        self.queued = set()
+        for i, name in enumerate(self.tenants):
+            self.service.register_tenant(name)
+            # same base, drifting apart: real cross-tenant sharing
+            self.workloads[name] = make_workload(seed=5)
+            self.workloads[name].advance(i)
+        for kind in ("full", "delta"):  # the draws start on a chain of two
+            for name in self.tenants:
+                self.submit(name, kind)
+            while self.queued:
+                self.step()
+
+    def live(self, tenant):
+        return self.service.chain_of(tenant).live_epochs()
+
+    @rule(tenant=st.sampled_from(tenants), kind=st.sampled_from(("full", "delta", "delta", "delta")))
+    def submit(self, tenant, kind):
+        if tenant in self.queued:  # one change per dump: the dirty contract
+            return
+        self.workloads[tenant].advance(1)
+        self.service.submit(tenant, self.workloads[tenant], kind=kind)
+        self.queued.add(tenant)
+
+    @precondition(lambda self: self.queued)
+    @rule()
+    def step(self):
+        (outcome,) = self.service.step()
+        self.queued.discard(outcome.tenant)
+        workload = self.workloads[outcome.tenant]
+        taken = self.snapshots[outcome.tenant]
+        assert outcome.tenant_dump_id == max(taken, default=-1) + 1
+        taken[outcome.tenant_dump_id] = workload.at_epoch(workload.epoch)
+
+    @rule(tenant=st.sampled_from(tenants), pick=st.integers(0, 7), default=st.booleans())
+    def gc(self, tenant, pick, default):
+        live = self.live(tenant)
+        if not live:
+            return
+        victim = live[0] if default else live[pick % len(live)]
+        outcome = self.service.gc(tenant, None if default else victim)
+        assert outcome.tenant_dump_id == victim
+        assert victim not in self.live(tenant)
+
+    @rule(tenant=st.sampled_from(tenants), pick=st.integers(0, 7), default=st.booleans())
+    def compact(self, tenant, pick, default):
+        live = self.live(tenant)
+        if not live:
+            return
+        epoch = live[-1] if default else live[pick % len(live)]
+        outcome = self.service.compact(tenant, None if default else epoch)
+        assert outcome.epoch == epoch
+        assert self.service.chain_of(tenant).depth_of(epoch) == 1
+
+    @rule(tenant=st.sampled_from(tenants), pick=st.integers(0, 7), rank=st.integers(0, N - 1))
+    def restore(self, tenant, pick, rank):
+        live = self.live(tenant)
+        if not live:
+            return
+        epoch = live[pick % len(live)]
+        data, _report = self.service.restore(tenant, rank, epoch)
+        want = self.snapshots[tenant][epoch].build_dataset(rank, N)
+        assert data.to_bytes() == want.to_bytes()
+
+    @invariant()
+    def books_balance(self):
+        service = self.service
+        for name in self.tenants:
+            state = service._state(name)
+            assert sorted(state.charges) == self.live(name)
+            assert state.usage.live_dumps == len(state.charges)
+            assert state.usage.logical_bytes == sum(
+                b for b, _c in state.charges.values()
+            )
+            assert state.usage.chunk_records == sum(
+                c for _b, c in state.charges.values()
+            )
+        assert service.isolation_audit() == []
+        assert check_tenant_isolation(service, 0) == []
+        chains = [service.chain_of(name) for name in self.tenants]
+        assert {
+            fp: dict(entry.refs) for fp, entry in service.index.items()
+        } == recount_references(chains)
+        assert check_cross_tenant_accounting(service, 0) == []
+        assert 0.0 <= service.cross_tenant_dedup_ratio() < 1.0
+
+    def teardown(self):
+        for name in self.tenants:
+            assert_restores(self.service, name, self.snapshots[name])
+
+
+TestServiceMachine = ServiceMachine.TestCase
+TestServiceMachine.settings = settings(
+    max_examples=25, stateful_step_count=40, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)

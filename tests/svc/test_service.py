@@ -224,6 +224,111 @@ class TestQuotasAndScheduling:
             dump(service, "other", tenant_workload(1, dump_index=dump_index))
         dump(service, "bursty", tenant_workload(0, dump_index=1))
 
+    def test_a_raised_dump_costs_its_tenant_nothing(self):
+        """No tenant dump id burnt, nothing charged, recorded or left
+        pending; only the global id is spent (manifests may sit under it)."""
+        service = make_service(max_inflight=2)
+        for name in ("c", "a", "b"):
+            service.register_tenant(name)
+        dump(service, "c", tenant_workload(2))
+        usage = service._state("a").usage
+
+        def books():
+            return (
+                usage.logical_bytes, usage.chunk_records, usage.live_dumps,
+                usage.total_dumps, len(service.index),
+                service.index.unique_bytes, dict(service._dump_owner),
+            )
+
+        before = books()
+
+        def hook(phase, rank):
+            if rank == 1:
+                raise RuntimeError("boom")
+
+        failed = service.submit("a", tenant_workload(0), phase_hook=hook)
+        queued = service.submit("b", tenant_workload(1, dump_index=1))
+        with pytest.raises(Exception, match="boom"):
+            service.drain()
+        assert list(service._pending) == [queued]
+        assert service.queue.depth == 1  # b's request was not lost with it
+        with pytest.raises(UnknownDumpError):
+            service.outcome(failed)
+        assert service._state("a").charges == {}
+        assert service.chain_of("a").live_epochs() == []
+        assert books() == before
+        service.drain()
+        assert service._pending == {}
+
+        good = dump(service, "a", tenant_workload(0))
+        assert good.tenant_dump_id == 0
+        assert good.global_dump_id == 3  # 1 went with the failed request
+        assert service.outcome(queued).global_dump_id == 2
+        dataset, _report = service.restore("a", 0, 0)
+        assert dataset.to_bytes() == tenant_workload(0).build_dataset(0, N).to_bytes()
+        assert service.isolation_audit() == []
+
+
+class TestCurrentSettingsReachEveryDump:
+    """``config`` and ``timeout`` are read when a dump runs, not when its
+    tenant registered."""
+
+    def test_config_assigned_after_registration_takes_effect(self, monkeypatch):
+        import repro.core.dump
+
+        seen = []
+        real = repro.core.dump.dump_output
+
+        def spy(comm, dataset, config, cluster, **kwargs):
+            if comm.rank == 0:
+                seen.append((config.trace_level, config.replication_factor))
+            return real(comm, dataset, config, cluster, **kwargs)
+
+        monkeypatch.setattr(repro.core.dump, "dump_output", spy)
+        from repro.apps.mutating import MutatingWorkload
+
+        service = make_service()
+        service.register_tenant("a")
+        workload = MutatingWorkload(seed=3, chunk_size=CS)
+        dump(service, "a", workload)
+        service.config = service.config.with_(trace_level="span")
+        workload.advance()
+        service.submit("a", workload, kind="delta")
+        (delta,) = service.drain()
+        service.config = service.config.with_(replication_factor=3)
+        outcome = dump(service, "a", workload)
+        assert delta.kind == "delta"
+        assert seen == [(None, 2), ("span", 2), ("span", 3)]
+        assert {r.k for r in outcome.reports} == {3}
+
+    def test_a_blocked_delta_raises_within_the_service_timeout(self):
+        import threading
+        import time
+
+        from repro.apps.mutating import MutatingWorkload
+        from repro.simmpi.errors import SimMPIError
+
+        service = make_service(timeout=0.5)
+        service.register_tenant("a")
+        workload = MutatingWorkload(seed=3, chunk_size=CS)
+        dump(service, "a", workload)
+        release = threading.Event()
+
+        def hook(phase, rank):
+            if rank == 1:
+                release.wait(30)
+
+        workload.advance()
+        service.submit("a", workload, phase_hook=hook, kind="delta")
+        start = time.monotonic()
+        try:
+            with pytest.raises(SimMPIError):
+                service.drain()
+            assert time.monotonic() - start < 10
+        finally:
+            release.set()
+        assert service.chain_of("a").live_epochs() == [0]
+
 
 class TestObservability:
     def test_metrics_snapshot_carries_the_service_gauges(self):
