@@ -13,8 +13,8 @@ searches the rest of the space:
 * :mod:`repro.dst.executor`  — one step interpreter (``crash``,
   ``repair`` and the dump tail are written once, the invariant battery
   runs after every step, a step that raises becomes a ``step-error``
-  finding) over three small systems: the bare cluster, the
-  ``CheckpointService`` and the ``ChainManager``;
+  finding) over two small systems: the bare cluster, and the
+  ``CheckpointService`` every multi-tenant or chain scenario runs behind;
 * :mod:`repro.dst.invariants` — the oracle library (replication floors,
   restore byte-equality, referential integrity, CALC_OFF window tiling,
   audit consistency, cross-backend equivalence);

@@ -1,7 +1,7 @@
 """Scenario executor: one step interpreter runs a
 :class:`~repro.dst.scenario.Scenario` as a dump→crash→repair→restore loop
-over one of three systems (bare cluster, service, chain), with the
-system's invariant battery after every step.
+over one of two systems (the bare cluster, or the service every chain
+runs behind), with the system's invariant battery after every step.
 
 Execution is a pure function of the scenario (and the chosen backend):
 datasets come from the seeded synthetic workload, failures fire at the
@@ -25,7 +25,6 @@ import logging
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.chain import ChainManager
 from repro.core.dump import dump_output
 from repro.core.fpcache import FingerprintCache
 from repro.core.restore import verify_restorable
@@ -211,10 +210,10 @@ def reports_digest(all_reports: List[List]) -> str:
 
 
 class BareSystem:
-    """The bare cluster, and the base the other two systems extend.
+    """The bare cluster, and the base :class:`ServiceSystem` extends.
 
     A *system* is what the step loop drives, and it owns everything that
-    differs between the three: how the cluster is built, what a dump is
+    differs between the two: how the cluster is built, what a dump is
     (and which step-document fields it adds), who repairs, its byte
     oracle, the ordered invariant battery, and the step kinds beyond
     ``dump``/``crash``/``repair`` it understands (:attr:`ops`: ``op ->
@@ -302,12 +301,6 @@ class BareSystem:
         workload = self.scenario.make_workload(dump_id)
         return workload.build_dataset(rank, self.n).to_bytes()
 
-    def pop_floors(self, dump_ids) -> None:
-        """Dumps that were collected on purpose no longer owe replicas."""
-        for did in dump_ids:
-            for rank in range(self.n):
-                self.ledger.floors.pop((did, rank), None)
-
     def battery(self) -> List[tuple]:
         """The ``(verdict name, check(step_idx) -> violations)`` pairs armed
         after every step, in verdict order."""
@@ -347,7 +340,9 @@ class BareSystem:
 
 
 class ServiceSystem(BareSystem):
-    """A multi-tenant scenario on :class:`repro.svc.CheckpointService`.
+    """A multi-tenant or chain scenario on
+    :class:`repro.svc.CheckpointService`: the one dump model production
+    runs, where every dump is an epoch of its tenant's chain.
 
     Dumps route through the service's admission queue — one executes per
     tick, so under ``steady`` arrival the schedule is exactly the
@@ -355,18 +350,33 @@ class ServiceSystem(BareSystem):
     a consecutive-dump run up front (later dumps queue behind earlier
     ones, so queue waits grow and the armed queue-wait SLO sees real
     burn); ``tick`` steps advance the service clock idly between bursts.
-    GC steps collect the named tenant's oldest live dump, and the
-    invariant battery gains three service oracles: tenant isolation,
-    cross-tenant accounting and SLO determinism (a fresh engine replayed
-    over the timeline must reproduce the live alert list).  The replica
-    ledger works on *global* dump ids, matching the manifest keys the
-    service actually writes.
+    A chain scenario's tenants each dump one epoch-evolving
+    :class:`~repro.apps.mutating.MutatingWorkload` (the k-th submission is
+    epoch k, as a ``full`` or a ``delta``); the others dump independent
+    synthetic fulls.  ``gc`` and ``prune`` retire the tenant's oldest live
+    dump, ``compact`` rewrites its newest into a synthetic full.
+
+    The replica ledger works on *global* dump ids, the manifest keys the
+    service writes (a delta's manifests list only its own chunks —
+    precisely what its floors protect): compaction migrates the old id's
+    floors to the new id at the *effective* (path-minimum) level, swept
+    dumps stop owing replicas and pinned ones keep owing them.
+
+    The battery is the base one minus the per-dump ``restore`` (a delta is
+    not independently restorable by design; the per-epoch oracle replaces
+    it) plus the service oracles (tenant isolation, cross-tenant
+    accounting, SLO determinism: a fresh engine replayed over the timeline
+    must reproduce the live alert list) and the chain oracles: structure,
+    refcount conservation over every chain sharing the index, and
+    restore-to-any-epoch byte-equality against what each ``(tenant,
+    epoch)`` dumped, under the effective floor.
     """
 
     def setup(self) -> None:
+        scenario = self.scenario
         self.service = service = CheckpointService(
             self.n, config=self.config, backend=self.backend,
-            shard_count=self.scenario.shard_count, max_inflight=1,
+            shard_count=scenario.shard_count, max_inflight=1,
         )
         service.attach_slo(SLOEngine(
             SVC_SLO_OBJECTIVES, windows=SVC_SLO_WINDOWS,
@@ -374,20 +384,27 @@ class ServiceSystem(BareSystem):
         ))
         self.cluster = service.cluster
         self.trace_sources.append([service.trace])
-        self.tenant_names = [f"t{i}" for i in range(self.scenario.tenants)]
-        for name in self.tenant_names:
-            service.register_tenant(name)
-        #: tenant name -> live (tenant_dump_id, global_dump_id), oldest first
-        self.live_dumps: Dict[str, List[Tuple[int, int]]] = {
-            name: [] for name in self.tenant_names
-        }
-        #: global dump id -> (tenant idx, scenario dump idx), for the oracle
-        self.dump_meta: Dict[int, Tuple[int, int]] = {}
-        #: ticket -> (tenant index, scenario dump index, crash that will fire)
-        self.pending_meta: Dict[int, Tuple[int, int, Optional[object]]] = {}
+        self.tenant_names = [f"t{i}" for i in range(scenario.tenants)]
+        self.chains = [
+            service.register_tenant(name).chain for name in self.tenant_names
+        ]
+        #: chain scenarios: per tenant, its evolving workload, standing at
+        #: the epoch its next submission dumps
+        self.chain_workloads = [
+            scenario.make_chain_workload(t) for t in range(scenario.tenants)
+        ] if scenario.chain else []
+        #: (tenant name, epoch) -> the workload it dumped: the byte oracle
+        self.dumped: Dict[Tuple[str, int], object] = {}
+        #: ticket -> (workload, crash that will fire)
+        self.pending: Dict[int, Tuple[object, Optional[object]]] = {}
         self.submit_dump_index = 0  # scenario dump index of next submission
         self.next_submit_idx = 0  # first step whose dump is not yet submitted
-        self.ops["gc"] = self.gc
+        # Exactly the step kinds Scenario validation admits for the mode.
+        if scenario.tenants > 1:
+            self.ops["gc"] = self.collect
+        if scenario.chain:
+            self.ops["prune"] = self.collect
+            self.ops["compact"] = self.compact
 
     def tick(self, step: Step, step_idx: int, step_doc: dict) -> None:
         self.service.tick_idle()
@@ -408,16 +425,22 @@ class ServiceSystem(BareSystem):
         j = start_idx
         while j < len(steps) and steps[j].op == "dump":
             s = steps[j]
-            workload = self.scenario.make_workload(
-                self.submit_dump_index, tenant=s.tenant
-            )
+            if self.chain_workloads:
+                # A snapshot, not the live workload: a burst queues
+                # several epochs of one tenant before any of them runs.
+                evolving = self.chain_workloads[s.tenant]
+                workload = evolving.at_epoch(evolving.epoch)
+                evolving.advance()
+            else:
+                workload = self.scenario.make_workload(
+                    self.submit_dump_index, tenant=s.tenant
+                )
             crash, phase_hook = arm_crash(s.crash)
             ticket = self.service.submit(
-                self.tenant_names[s.tenant], workload, phase_hook=phase_hook
+                self.tenant_names[s.tenant], workload,
+                phase_hook=phase_hook, kind=s.kind,
             )
-            self.pending_meta[ticket] = (
-                s.tenant, self.submit_dump_index, crash
-            )
+            self.pending[ticket] = (workload, crash)
             self.submit_dump_index += 1
             j += 1
             if self.scenario.arrival != "bursty":
@@ -432,117 +455,28 @@ class ServiceSystem(BareSystem):
         # different tenant's dump than this step submitted, so the
         # outcome's own ticket keys the bookkeeping.
         outcome = self.service.step()[0]
-        tenant_idx, dump_index, crash = self.pending_meta.pop(outcome.ticket)
-        global_id = outcome.global_dump_id
-        self.dump_meta[global_id] = (tenant_idx, dump_index)
-        self.live_dumps[outcome.tenant].append(
-            (outcome.tenant_dump_id, global_id)
+        workload, crash = self.pending.pop(outcome.ticket)
+        self.dumped[(outcome.tenant, outcome.tenant_dump_id)] = workload
+        step_doc.update(
+            tenant=outcome.tenant, wait_ticks=outcome.wait_ticks,
+            epoch=outcome.tenant_dump_id, kind=outcome.kind,
+            promoted=outcome.promoted,
+            changed_chunks=outcome.changed_chunks,
+            total_chunks=outcome.total_chunks,
         )
-        step_doc["tenant"] = outcome.tenant
-        step_doc["wait_ticks"] = outcome.wait_ticks
-        return global_id, outcome.reports, crash
+        return outcome.global_dump_id, outcome.reports, crash
 
-    def gc(self, step: Step, step_idx: int, step_doc: dict):
-        name = self.tenant_names[step.tenant]
-        step_doc["tenant"] = name
-        if not self.live_dumps[name]:
-            step_doc["noop"] = True
-            return None
-        tenant_dump_id, global_id = self.live_dumps[name].pop(0)
-        gc_outcome = self.service.gc(name, tenant_dump_id)
-        self.pop_floors([global_id])
-        step_doc["dump_id"] = global_id
-        step_doc["chunks_dropped"] = gc_outcome.chunks_dropped
-        step_doc["chunks_retained"] = gc_outcome.chunks_retained
-        step_doc["retained_cross_tenant"] = gc_outcome.retained_cross_tenant
-        try:
-            self.service.restore(name, 0, tenant_dump_id)
-        except ServiceError:
-            return None
-        return [inv.Violation(
-            "tenant-isolation", step_idx,
-            f"tenant {name!r} restored dump {tenant_dump_id} "
-            f"after garbage-collecting it",
-        )]
+    def pop_floors(self, dump_ids) -> None:
+        """Dumps that were collected on purpose no longer owe replicas."""
+        for did in dump_ids:
+            for rank in range(self.n):
+                self.ledger.floors.pop((did, rank), None)
 
-    def oracle(self, dump_id: int, rank: int) -> bytes:
-        tenant_idx, scenario_dump = self.dump_meta[dump_id]
-        workload = self.scenario.make_workload(
-            scenario_dump, tenant=tenant_idx
-        )
-        return workload.build_dataset(rank, self.n).to_bytes()
-
-    def battery(self) -> List[tuple]:
-        service = self.service
-        return super().battery() + [
-            ("tenant-isolation",
-             lambda i: inv.check_tenant_isolation(service, i)),
-            ("cross-tenant-accounting",
-             lambda i: inv.check_cross_tenant_accounting(service, i)),
-            ("slo-determinism",
-             lambda i: inv.check_slo_determinism(service, i)),
-        ]
-
-    def finish(self, result: FuzzResult) -> None:
-        result.slo = self.service.slo.verdict(self.service.timeline)
-
-
-class ChainSystem(BareSystem):
-    """A chain scenario on :class:`repro.chain.ChainManager`.
-
-    Dumps flow through ``chain_dump`` (mostly deltas over an
-    epoch-evolving :class:`~repro.apps.mutating.MutatingWorkload`),
-    ``prune`` retires the oldest live non-tip epoch, ``compact`` rewrites
-    the tip into a synthetic full, and ticks and repairs behave exactly
-    as on the bare cluster.  The per-dump replica ledger keeps working on
-    physical dump ids (a delta's manifests list only its own chunks —
-    precisely what its floors protect); compaction migrates the old dump
-    id's floors to the new id at the *effective* (path-minimum) level and
-    sweeps pop the floors of dropped epochs.
-
-    On top of the base battery (minus the per-dump restore check — a
-    chain delta is not independently restorable by design, and the typed
-    rejection has its own regression suite) the battery arms the three
-    chain oracles: structural integrity, refcount conservation and
-    restore-to-any-epoch byte-equality against the per-epoch workload
-    oracle under the effective floor.
-
-    With ``collect_trace`` the manager's ``chain-*`` spans land on the
-    driver pseudo-rank; per-rank collective traces stay inside the
-    manager's dumps and are not collected.
-    """
-
-    def setup(self) -> None:
-        super().setup()
-        self.manager = ChainManager(
-            self.cluster, self.config, self.n, backend=self.backend,
-            trace=self.trace,
-        )
-        self.workload = self.scenario.make_chain_workload()
-        self.ops["prune"] = self.prune
-        self.ops["compact"] = self.compact
-
-    def dump(self, step: Step, step_idx: int, step_doc: dict, arm_crash):
-        manager, workload = self.manager, self.workload
-        target_epoch = manager.next_epoch
-        if target_epoch > workload.epoch:
-            workload.advance(target_epoch - workload.epoch)
-        crash, phase_hook = arm_crash(step.crash)
-        dump_res = manager.chain_dump(
-            workload, kind=step.kind, phase_hook=phase_hook
-        )
-        step_doc["epoch"] = dump_res.epoch
-        step_doc["kind"] = dump_res.kind
-        step_doc["promoted"] = dump_res.promoted
-        step_doc["changed_chunks"] = dump_res.changed_chunks
-        step_doc["total_chunks"] = dump_res.total_chunks
-        return dump_res.dump_id, dump_res.reports, crash
-
-    def path_floors(self, epoch: int) -> Dict[int, int]:
+    def path_floors(self, chain, epoch: int) -> Dict[int, int]:
         """Per rank: the minimum replica floor over every dump on the
         epoch's ancestor path — losing any ancestor below its floor breaks
         every descendant's time travel."""
-        path = self.manager.path_of(epoch)
+        path = chain.path_of(epoch)
         return {
             rank: min(
                 self.ledger.floors.get((node.dump_id, rank), 0)
@@ -551,79 +485,113 @@ class ChainSystem(BareSystem):
             for rank in range(self.n)
         }
 
-    def dump_ids(self) -> Dict[int, int]:
-        return {e: node.dump_id for e, node in self.manager.nodes.items()}
-
-    def prune(self, step: Step, step_idx: int, step_doc: dict) -> None:
-        live = self.manager.live_epochs()
-        if len(live) < 2:
-            # Never collect the tip: time travel to *somewhere* must
-            # survive every schedule the generator draws.
+    def collect(self, step: Step, step_idx: int, step_doc: dict):
+        """``gc`` and ``prune``: retire the tenant's oldest live dump.
+        ``prune`` never takes the last one, so time travel to *somewhere*
+        survives every chain schedule the generator draws (and no later
+        full lands on a store GC emptied: DESIGN.md "dst: one interpreter,
+        two systems")."""
+        tenant = step_doc["tenant"] = self.tenant_names[step.tenant]
+        chain = self.chains[step.tenant]
+        live = chain.live_epochs()
+        if len(live) <= (step.op == "prune"):
             step_doc["noop"] = True
-            return
+            return None
         victim = live[0]
-        ids_before = self.dump_ids()
-        gc_res = self.manager.prune(victim)
-        self.pop_floors(ids_before[e] for e in gc_res.swept_epochs)
-        step_doc["epoch"] = victim
-        step_doc["chunks_dropped"] = gc_res.chunks_dropped
-        step_doc["bytes_freed"] = gc_res.bytes_freed
-        step_doc["pinned"] = gc_res.pinned
-        step_doc["swept_epochs"] = list(gc_res.swept_epochs)
+        ids_before = {e: node.dump_id for e, node in chain.nodes.items()}
+        outcome = self.service.gc(tenant, victim)
+        # A pinned dump stays in the chain and keeps owing its replicas.
+        swept = sorted(ids_before.keys() - chain.nodes.keys())
+        self.pop_floors(ids_before[e] for e in swept)
+        step_doc.update(
+            epoch=victim, dump_id=outcome.global_dump_id,
+            chunks_dropped=outcome.chunks_dropped,
+            chunks_retained=outcome.chunks_retained,
+            retained_cross_tenant=outcome.retained_cross_tenant,
+            bytes_freed=outcome.bytes_reclaimed, pinned=outcome.pinned,
+            swept_epochs=swept,
+        )
+        try:
+            self.service.restore(tenant, 0, victim)
+        except ServiceError:
+            return None
+        return [inv.Violation(
+            "tenant-isolation", step_idx,
+            f"tenant {tenant!r} restored dump {victim} "
+            f"after garbage-collecting it",
+        )]
 
     def compact(self, step: Step, step_idx: int, step_doc: dict) -> None:
-        manager = self.manager
-        live = manager.live_epochs()
-        tip_epoch = live[-1] if live else None
-        tip = manager.nodes[tip_epoch] if live else None
+        tenant = step_doc["tenant"] = self.tenant_names[step.tenant]
+        chain = self.chains[step.tenant]
+        tip = chain.tip()
         if tip is None or (tip.kind == "full" and tip.parent_epoch is None):
             step_doc["noop"] = True
             return
-        ids_before = self.dump_ids()
+        ids_before = {e: node.dump_id for e, node in chain.nodes.items()}
         # The synthetic full inherits ancestors' chunks, so its
         # floor is only as good as the weakest dump on the path.
-        eff = self.path_floors(tip_epoch)
-        compact_res = manager.compact(tip_epoch)
-        self.pop_floors([compact_res.old_dump_id])
+        eff = self.path_floors(chain, tip.epoch)
+        outcome = self.service.compact(tenant, tip.epoch)
+        self.pop_floors([outcome.old_dump_id])
         for rank in range(self.n):
-            self.ledger.floors[(compact_res.new_dump_id, rank)] = eff[rank]
-        self.pop_floors(ids_before[e] for e in compact_res.swept_epochs)
-        step_doc["epoch"] = tip_epoch
-        step_doc["old_dump_id"] = compact_res.old_dump_id
-        step_doc["new_dump_id"] = compact_res.new_dump_id
-        step_doc["swept_epochs"] = list(compact_res.swept_epochs)
+            self.ledger.floors[(outcome.new_dump_id, rank)] = eff[rank]
+        self.pop_floors(ids_before[e] for e in outcome.swept_epochs)
+        step_doc.update(
+            epoch=tip.epoch, old_dump_id=outcome.old_dump_id,
+            new_dump_id=outcome.new_dump_id,
+            swept_epochs=list(outcome.swept_epochs),
+        )
 
-    def oracle(self, epoch: int, rank: int) -> bytes:
-        dataset = self.workload.at_epoch(epoch).build_dataset(rank, self.n)
-        return dataset.to_bytes()
+    def oracle(self, tenant: str, epoch: int, rank: int) -> bytes:
+        workload = self.dumped[(tenant, epoch)]
+        return workload.build_dataset(rank, self.n).to_bytes()
 
-    def effective_floors(self) -> Dict[Tuple[int, int], int]:
-        return {
-            (epoch, rank): floor
-            for epoch in self.manager.live_epochs()
-            for rank, floor in self.path_floors(epoch).items()
-        }
+    def chain_restore(self, step_idx: int) -> List[inv.Violation]:
+        out: List[inv.Violation] = []
+        for chain in self.chains:
+            floors = {
+                (epoch, rank): floor
+                for epoch in chain.live_epochs()
+                for rank, floor in self.path_floors(chain, epoch).items()
+            }
+            out += inv.check_chain_restore(
+                chain, step_idx, floors,
+                lambda epoch, rank, tenant=chain.owner: self.oracle(
+                    tenant, epoch, rank
+                ),
+            )
+        return out
 
     def battery(self) -> List[tuple]:
-        manager = self.manager
+        service, chains = self.service, self.chains
         return [
             check for check in super().battery() if check[0] != "restore"
         ] + [
-            ("chain-structure",
-             lambda i: inv.check_chain_structure(manager, i)),
+            ("tenant-isolation",
+             lambda i: inv.check_tenant_isolation(service, i)),
+            ("cross-tenant-accounting",
+             lambda i: inv.check_cross_tenant_accounting(service, i)),
+            ("slo-determinism",
+             lambda i: inv.check_slo_determinism(service, i)),
+            ("chain-structure", lambda i: [
+                found for chain in chains
+                for found in inv.check_chain_structure(chain, i)
+            ]),
             ("chain-refcounts",
-             lambda i: inv.check_chain_refcounts(manager, i)),
-            ("chain-restore", lambda i: inv.check_chain_restore(
-                manager, i, self.effective_floors(), self.oracle
-            )),
+             lambda i: inv.check_chain_refcounts(chains, i)),
+            ("chain-restore", self.chain_restore),
         ]
+
+    def finish(self, result: FuzzResult) -> None:
+        result.slo = self.service.slo.verdict(self.service.timeline)
 
 
 def system_for(scenario: Scenario) -> type:
     """The system a scenario runs on, chosen from the scenario itself."""
-    if scenario.chain:
-        return ChainSystem
-    return ServiceSystem if scenario.tenants > 1 else BareSystem
+    if scenario.chain or scenario.tenants > 1:
+        return ServiceSystem
+    return BareSystem
 
 
 def execute_scenario(
@@ -669,7 +637,7 @@ def execute_scenario(
         """``(crash, phase_hook)`` for a dump being submitted now — both
         None unless the victim is alive at this moment.  A system calls
         this when it *submits* a dump, because the service judges
-        liveness at submission and the other two at execution."""
+        liveness at submission and the bare cluster at execution."""
         if crash is None or not alive[crash.node]:
             return None, None
         return crash, FailureInjector(cluster).mid_dump_hook(

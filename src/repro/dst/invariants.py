@@ -237,50 +237,28 @@ def recount_references(managers) -> Dict[bytes, Dict[str, int]]:
 
 
 def check_cross_tenant_accounting(service, step: int) -> List[Violation]:
-    """The global dedup index must equal a from-scratch recount of every
-    tenant's live dumps (:func:`recount_references`), every live dump must
-    still have a manifest somewhere (dead nodes included), every indexed
-    chunk must still be stored somewhere, and attribution must bill
-    exactly the unique bytes regardless of policy, with the cross-tenant
-    ratio in ``[0, 1)``."""
+    """What only a service has (the references themselves are
+    :func:`check_chain_refcounts`'s): every live dump must still have a
+    manifest somewhere (dead nodes included), every indexed chunk must
+    still be stored somewhere, and attribution must bill exactly the
+    unique bytes regardless of policy, with the cross-tenant ratio in
+    ``[0, 1)``."""
     out: List[Violation] = []
     cluster = service.cluster
-    chains = [service.chain_of(name) for name in service.tenants()]
     stored_ids = {
         did for node in cluster.nodes for _rank, did in node.manifest_keys()
     }
-    for chain in chains:
+    for name in service.tenants():
+        chain = service.chain_of(name)
         for epoch in chain.live_epochs():
             global_id = chain.nodes[epoch].dump_id
             if global_id not in stored_ids:
                 out.append(Violation(
                     "cross-tenant-accounting", step,
-                    f"live dump {epoch} of tenant {chain.owner!r} "
+                    f"live dump {epoch} of tenant {name!r} "
                     f"(global {global_id}) has no manifest on any node",
                 ))
-    expected = recount_references(chains)
-    for fp in sorted(expected):
-        if not service.index.has(fp):
-            out.append(Violation(
-                "cross-tenant-accounting", step,
-                f"chunk {fp.hex()[:12]} is referenced by live manifests "
-                f"but missing from the global index",
-            ))
-            continue
-        entry = service.index.get(fp)
-        if dict(entry.refs) != expected[fp]:
-            out.append(Violation(
-                "cross-tenant-accounting", step,
-                f"chunk {fp.hex()[:12]}: index refs {dict(entry.refs)} "
-                f"!= manifest recount {expected[fp]}",
-            ))
-    for fp, entry in sorted(service.index.items()):
-        if fp not in expected:
-            out.append(Violation(
-                "cross-tenant-accounting", step,
-                f"index holds chunk {fp.hex()[:12]} referenced by no "
-                f"live dump (leaked on GC?)",
-            ))
+    for fp, _entry in sorted(service.index.items()):
         if not any(node.chunks.has(fp) for node in cluster.nodes):
             out.append(Violation(
                 "cross-tenant-accounting", step,
@@ -392,39 +370,41 @@ def check_chain_structure(manager, step: int) -> List[Violation]:
     return out
 
 
-def check_chain_refcounts(manager, step: int) -> List[Violation]:
-    """Refcount conservation: the GC index must equal a from-scratch
-    recount of every live epoch's resolved chunk set
-    (:func:`recount_references`: one reference per epoch per distinct
-    chunk, no leaks and no premature releases), and — on a cluster whose
-    every dump flowed through the chain — every stored chunk must still be
-    referenced by some live epoch."""
+def check_chain_refcounts(managers, step: int) -> List[Violation]:
+    """Refcount conservation over the chains sharing one index and one
+    cluster (a bare manager alone; every tenant's chain in a service): the
+    index must equal a from-scratch recount of every live epoch's resolved
+    chunk set (:func:`recount_references`: one reference per owner per
+    epoch per distinct chunk, no leaks and no premature releases), and —
+    every dump of the cluster having flowed through these chains — every
+    stored chunk must still be referenced by some live epoch."""
     out: List[Violation] = []
-    expected = recount_references([manager])
+    index, cluster = managers[0].index, managers[0].cluster
+    expected = recount_references(managers)
     for fp in sorted(expected):
-        if not manager.index.has(fp):
+        if not index.has(fp):
             out.append(Violation(
                 "chain-refcounts", step,
                 f"chunk {fp.hex()[:12]} is resolved by "
-                f"{expected[fp][manager.owner]} live epoch(s) but missing "
+                f"{sum(expected[fp].values())} live epoch(s) but missing "
                 f"from the GC index",
             ))
             continue
-        refs = dict(manager.index.get(fp).refs)
+        refs = dict(index.get(fp).refs)
         if refs != expected[fp]:
             out.append(Violation(
                 "chain-refcounts", step,
                 f"chunk {fp.hex()[:12]}: index refs {refs} != live-epoch "
                 f"recount {expected[fp]}",
             ))
-    for fp, _entry in sorted(manager.index.items()):
+    for fp, _entry in sorted(index.items()):
         if fp not in expected:
             out.append(Violation(
                 "chain-refcounts", step,
                 f"GC index holds chunk {fp.hex()[:12]} resolved by no "
                 f"live epoch (leaked reference)",
             ))
-    for node in manager.cluster.nodes:
+    for node in cluster.nodes:
         for fp in sorted(node.chunks.fingerprints()):
             if fp not in expected:
                 out.append(Violation(

@@ -32,10 +32,14 @@ MID_DUMP_PHASES = ("exchange", "write")
 #: step operations understood by the executor; ``gc`` (multi-tenant
 #: scenarios only) garbage-collects the acting tenant's oldest live dump;
 #: ``tick`` advances logical time with no work — an idle service tick in
-#: multi-tenant scenarios (arrival gaps between bursts), a no-op otherwise;
-#: ``prune``/``compact`` (chain scenarios only) retire the oldest
-#: non-tip live epoch / rewrite the newest live epoch as a synthetic full
+#: service scenarios (arrival gaps between bursts), a no-op otherwise;
+#: ``prune``/``compact`` (chain scenarios only) retire the acting tenant's
+#: oldest live epoch unless it is its last / rewrite its newest live epoch
+#: as a synthetic full
 STEP_OPS = ("dump", "crash", "repair", "gc", "tick", "prune", "compact")
+
+#: step kinds that act for one tenant (``Step.tenant``)
+TENANT_OPS = ("dump", "gc", "prune", "compact")
 
 #: chain dump kinds a chain scenario's dump step may request (``delta``
 #: silently promotes to ``full`` when there is no live parent)
@@ -86,7 +90,7 @@ class Step:
     op: str
     node: int = -1  # crash steps only
     crash: Optional[MidDumpCrash] = None  # dump steps only
-    #: acting tenant (dump and gc steps of multi-tenant scenarios)
+    #: acting tenant (:data:`TENANT_OPS` steps of multi-tenant scenarios)
     tenant: int = 0
     #: chain dump kind (dump steps of chain scenarios only)
     kind: str = "full"
@@ -100,8 +104,10 @@ class Step:
             raise ScenarioError("only dump steps may carry a mid-dump crash")
         if self.tenant < 0:
             raise ScenarioError(f"step tenant must be >= 0, got {self.tenant}")
-        if self.op not in ("dump", "gc") and self.tenant != 0:
-            raise ScenarioError("only dump/gc steps may name a tenant")
+        if self.op not in TENANT_OPS and self.tenant != 0:
+            raise ScenarioError(
+                f"only {'/'.join(TENANT_OPS)} steps may name a tenant"
+            )
         if self.kind not in CHAIN_DUMP_KINDS:
             raise ScenarioError(
                 f"dump kind must be one of {CHAIN_DUMP_KINDS}, "
@@ -199,8 +205,8 @@ class Scenario:
     #: run the scenario on both SPMD backends and require byte-identical
     #: reports, cluster state and invariant verdicts
     differential: bool = False
-    #: tenants sharing the cluster; > 1 routes execution through the
-    #: multi-tenant :class:`~repro.svc.service.CheckpointService` with
+    #: tenants sharing the cluster; > 1 (or ``chain``) routes execution
+    #: through :class:`~repro.svc.service.CheckpointService` with the
     #: namespace-isolation and cross-tenant accounting invariants armed
     tenants: int = 1
     #: fraction of multi-tenant dumps that write the cross-tenant shared
@@ -210,12 +216,12 @@ class Scenario:
     shard_count: int = 1
     #: request arrival pattern (multi-tenant only, see :data:`ARRIVAL_MODES`)
     arrival: str = "steady"
-    #: incremental checkpoint chain mode: dumps route through
-    #: :class:`repro.chain.ChainManager` over an epoch-evolving
-    #: :class:`~repro.apps.mutating.MutatingWorkload` (dump steps draw a
-    #: ``kind``, ``prune``/``compact`` steps become legal), and the
-    #: invariants add chain-restore soundness vs the per-epoch oracle,
-    #: chain refcount conservation and parent referential integrity
+    #: incremental checkpoint chain mode: every tenant dumps one
+    #: epoch-evolving :class:`~repro.apps.mutating.MutatingWorkload`
+    #: through the service as fulls and deltas (dump steps draw a ``kind``,
+    #: ``prune``/``compact`` steps become legal); like any service scenario
+    #: it is checked for restore-to-any-epoch soundness against the
+    #: per-epoch oracle, refcount conservation and chain structure
     chain: bool = False
 
     def __post_init__(self) -> None:
@@ -281,7 +287,7 @@ class Scenario:
                 raise ScenarioError(
                     "gc steps require a multi-tenant scenario (tenants >= 2)"
                 )
-            if step.op in ("dump", "gc") and step.tenant >= self.tenants:
+            if step.op in TENANT_OPS and step.tenant >= self.tenants:
                 raise ScenarioError(
                     f"step tenant {step.tenant} out of range for "
                     f"{self.tenants} tenants"
@@ -296,12 +302,6 @@ class Scenario:
                 "(tenants >= 2)"
             )
         if self.chain:
-            if self.tenants > 1:
-                raise ScenarioError(
-                    "chain scenarios are single-tenant (the service's "
-                    "cross-tenant accounting recount does not model "
-                    "per-epoch chain references)"
-                )
             if self.workload_mode != "fresh":
                 raise ScenarioError(
                     "chain scenarios use the epoch-evolving mutating "
@@ -397,19 +397,24 @@ class Scenario:
             seed=self.seed * 7919 + content,
         )
 
-    def make_chain_workload(self):
-        """The epoch-evolving workload of a chain scenario (deterministic).
+    def make_chain_workload(self, tenant: int = 0):
+        """The epoch-evolving workload ``tenant`` dumps in a chain scenario
+        (deterministic).
 
         Geometry is a pure function of the scenario's chunk knobs — most
         chunks land in segment 0, plus one unaligned segment and one short
         tail segment so delta slicing sees non-chunk-multiple boundaries.
+        A later tenant shares tenant 0's content (same seed, so every chunk
+        of every epoch is cross-tenant) with probability ``tenant_overlap``,
+        a pure function of seed and tenant like :meth:`shared_dump`.
         """
         from repro.apps.mutating import MutatingWorkload
 
         cs = self.chunk_size
         main_chunks = max(1, self.chunks_per_rank - 2)
+        salt = 0 if self.shared_dump(tenant) else tenant * 104729
         return MutatingWorkload(
-            seed=self.seed * 6151 + 13,
+            seed=self.seed * 6151 + 13 + salt,
             segment_lengths=(
                 cs * main_chunks,
                 cs + max(1, cs // 3),

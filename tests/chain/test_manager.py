@@ -168,7 +168,7 @@ class TestDump:
             for rank in range(N):
                 dataset, _ = manager.restore_epoch(rank, chain_epoch)
                 assert dataset.to_bytes() == oracle(workload, workload_epoch, rank)
-        assert check_chain_refcounts(manager, 0) == []
+        assert check_chain_refcounts([manager], 0) == []
 
     def test_parity_config_rejected(self):
         cluster = Cluster(N)

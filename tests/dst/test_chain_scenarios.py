@@ -102,8 +102,17 @@ class TestScenarioModel:
         assert Scenario.from_dict(s.as_dict()) == s
 
     def test_delta_kind_requires_chain(self):
-        with pytest.raises(ScenarioError):
-            chain_scenario(chain=False)
+        """A delta needs a chain under it, in any number of tenants; a
+        chain scenario's dump may be a delta for any of them."""
+        for tenants in (1, 2):
+            with pytest.raises(ScenarioError, match="delta dump steps"):
+                chain_scenario(chain=False, tenants=tenants, steps=(
+                    Step("dump"), Step("dump", kind="delta"),
+                ))
+        s = chain_scenario(tenants=2, steps=(
+            Step("dump", tenant=1), Step("dump", tenant=1, kind="delta"),
+        ))
+        assert [st.kind for st in s.steps] == ["full", "delta"]
 
     def test_prune_requires_chain(self):
         with pytest.raises(ScenarioError):
@@ -113,8 +122,24 @@ class TestScenarioModel:
             )
 
     def test_chain_excludes_multi_tenancy(self):
-        with pytest.raises(ScenarioError):
-            chain_scenario(tenants=2)
+        """It no longer does: a chain scenario is a service scenario, so
+        any step that acts for a tenant may name one, within range."""
+        steps = (
+            Step("dump", tenant=2), Step("dump", tenant=0),
+            Step("dump", tenant=2, kind="delta"), Step("prune", tenant=2),
+            Step("compact", tenant=2), Step("gc", tenant=0),
+        )
+        s = chain_scenario(tenants=3, degraded=False, steps=steps)
+        assert Scenario.from_dict(s.as_dict()) == s
+        for op in ("dump", "gc", "prune", "compact"):
+            with pytest.raises(ScenarioError, match="out of range"):
+                chain_scenario(tenants=3, steps=(
+                    Step("dump"), Step(op, tenant=3),
+                ))
+        with pytest.raises(ScenarioError, match="may name a tenant"):
+            Step("repair", tenant=1)
+        with pytest.raises(ScenarioError, match="multi-tenant"):
+            chain_scenario(steps=(Step("dump"), Step("gc")))
 
     def test_chain_excludes_parity(self):
         with pytest.raises(ScenarioError):

@@ -19,7 +19,6 @@ from repro.dst import (
 )
 from repro.dst.executor import (
     BareSystem,
-    ChainSystem,
     ServiceSystem,
     cluster_digest,
     system_for,
@@ -392,11 +391,13 @@ class TestStepLoopOverAFakeSystem:
         ]
 
 
-#: per system: the Scenario knobs that select it
+#: per system: the Scenario modes that select it
 SYSTEM_MODES = {
-    BareSystem: dict(),
-    ServiceSystem: dict(tenants=2, shard_count=2),
-    ChainSystem: dict(chain=True),
+    BareSystem: (dict(),),
+    ServiceSystem: (
+        dict(tenants=2, shard_count=2), dict(chain=True),
+        dict(chain=True, tenants=3),
+    ),
 }
 
 
@@ -412,24 +413,56 @@ class TestStepKindsPerSystem:
         are exactly those ``Scenario.__post_init__`` admits for that mode
         — and a rejected kind is a ``ScenarioError``, never a
         ``KeyError``."""
-        base = small_scenario(degraded=True, **SYSTEM_MODES[system])
-        assert system_for(base) is system
-        for op in STEP_OPS + ("frobnicate",):
-            try:
-                scenario = base.with_(steps=self.schedule(op))
-            except ScenarioError:
-                # Smuggle the step past validation: the loop must refuse
-                # it the same way, before running anything.
-                step = Step("tick")
-                object.__setattr__(step, "op", op)
-                scenario = base.with_()
-                object.__setattr__(scenario, "steps", (Step("dump"), step))
-                with pytest.raises(ScenarioError):
-                    execute_scenario(scenario)
-            else:
-                result = execute_scenario(scenario)
-                assert result.ok, (op, result.violations)
-                assert [st["op"] for st in result.steps] == ["dump", op]
+        for mode in SYSTEM_MODES[system]:
+            base = small_scenario(degraded=True, **mode)
+            assert system_for(base) is system
+            for op in STEP_OPS + ("frobnicate",):
+                try:
+                    scenario = base.with_(steps=self.schedule(op))
+                except ScenarioError:
+                    # Smuggle the step past validation: the loop must
+                    # refuse it the same way, before running anything.
+                    step = Step("tick")
+                    object.__setattr__(step, "op", op)
+                    scenario = base.with_()
+                    object.__setattr__(
+                        scenario, "steps", (Step("dump"), step)
+                    )
+                    with pytest.raises(ScenarioError):
+                        execute_scenario(scenario)
+                else:
+                    result = execute_scenario(scenario)
+                    assert result.ok, (mode, op, result.violations)
+                    assert [st["op"] for st in result.steps] == ["dump", op]
+
+    def test_prune_and_gc_are_one_handler(self):
+        """A chain is collected one way: ``prune`` and ``gc`` differ only
+        in that ``prune`` never takes a tenant's last live dump."""
+        scenario = small_scenario(
+            chain=True, tenants=2,
+            steps=(Step("dump"), Step("prune"), Step("gc"), Step("gc")),
+        )
+        built = []
+
+        class Spy(ServiceSystem):
+            def setup(self):
+                super().setup()
+                built.append(self)
+
+        result = execute_scenario_on(Spy, scenario)
+        (system,) = built
+        assert system.ops["prune"] == system.ops["gc"]
+        assert [st.get("noop") for st in result.steps] == [
+            None, True, None, True,
+        ]
+        assert result.steps[2]["epoch"] == 0
+        assert result.ok, result.violations
+
+
+def execute_scenario_on(system, scenario):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(executor, "system_for", lambda s: system)
+        return execute_scenario(scenario)
 
 
 class TestDriverTrace:

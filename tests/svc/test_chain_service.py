@@ -16,6 +16,7 @@ from repro.apps.mutating import MutatingWorkload
 from repro.chain import ChainBrokenError
 from repro.core.config import DumpConfig
 from repro.dst.invariants import (
+    check_chain_refcounts,
     check_cross_tenant_accounting,
     check_tenant_isolation,
     recount_references,
@@ -297,6 +298,8 @@ class TestSharedIndexIsolation:
             set(entry.refs) <= {"a", "b"} for _fp, entry in service.index.items()
         )
         assert check_cross_tenant_accounting(service, 0) == []
+        chains = [service.chain_of(name) for name in service.tenants()]
+        assert check_chain_refcounts(chains, 0) == []
 
     def test_parity_full_restores_with_a_node_down(self):
         service = make_service(config=DumpConfig(
@@ -474,6 +477,7 @@ class ServiceMachine(RuleBasedStateMachine):
         assert {
             fp: dict(entry.refs) for fp, entry in service.index.items()
         } == recount_references(chains)
+        assert check_chain_refcounts(chains, 0) == []
         assert check_cross_tenant_accounting(service, 0) == []
         assert 0.0 <= service.cross_tenant_dedup_ratio() < 1.0
 
