@@ -348,17 +348,35 @@ class ChainManager:
                 del self.nodes[e]
                 swept.append(e)
 
-    def _written_column(self, rank: int, dump_id: int) -> List[bytes]:
+    def _written_column(
+        self, rank: int, dump_id: int, dataset: Dataset
+    ) -> List[bytes]:
         """The fingerprint column ``rank`` itself wrote under ``dump_id``,
         read from whichever node holds a replica of its manifest.  Dead
         nodes are asked too: a replica stranded on a crashed node pins its
-        chunks all the same."""
+        chunks all the same.
+
+        A degraded dump may lose one rank outright (its node was already
+        dead, so its one replica went to a partner, and the partner died
+        mid-dump).  The other ranks' chunks are stored by then, so the
+        epoch commits with the column the rank would have written, hashed
+        here as its dump chunked it; what nobody stores restores as a
+        typed loss.  Without degraded mode a missing manifest is a bug."""
         for node in self.cluster.nodes:
             if node.has_manifest(rank, dump_id):
                 return node.get_manifest(rank, dump_id).fingerprints
-        raise ChainStateError(
-            f"rank {rank} left no manifest of dump {dump_id} on any node"
-        )
+        if not self.config.degraded:
+            raise ChainStateError(
+                f"rank {rank} left no manifest of dump {dump_id} on any node"
+            )
+        from repro.core.dump import chunk_boundaries
+        from repro.core.local_dedup import local_dedup_batched
+
+        return local_dedup_batched(
+            dataset, Fingerprinter(self.config.effective_hash_name),
+            self.config.chunk_size,
+            boundaries=chunk_boundaries(dataset, self.config),
+        ).order
 
     # -- dumps ------------------------------------------------------------------
     def chain_dump(
@@ -456,7 +474,10 @@ class ChainManager:
                 backend=self.backend, timeout=self.timeout,
             )
             if kind == "full":
-                node_fps = [self._written_column(r, did) for r in range(self.n)]
+                node_fps = [
+                    self._written_column(r, did, datasets[r])
+                    for r in range(self.n)
+                ]
                 total = sum(map(len, node_fps))
             changed = sum(map(len, node_fps))
             if self.trace is not None:
@@ -618,8 +639,11 @@ class ChainManager:
 
     def _write_pins(self, node: ChainNode) -> None:
         """Replace the epoch's cluster manifests with pinned subsets: only
-        the written chunks still referenced by live epochs, marked as
-        (never directly restorable) deltas."""
+        the written chunks *this chain's* live epochs still reference,
+        marked as (never directly restorable) deltas.  Another owner's
+        reference on a shared index pins nothing here: that owner's GC may
+        discard the chunk, and a pin naming a chunk no node stores is a
+        permanent false "lost chunk" to repair."""
         cs = self.config.chunk_size
         for rank in range(self.n):
             lengths = [
@@ -631,7 +655,8 @@ class ChainManager:
             kept_lengths = []
             kept_fps = []
             for fp, length in zip(node.fps[rank], lengths):
-                if self.index.has(fp):
+                held = self.index.has(fp) and self.index.get(fp).refs
+                if held and held.get(self.owner):
                     kept_fps.append(fp)
                     kept_lengths.append(length)
             pin = Manifest(

@@ -130,6 +130,18 @@ class DumpReport:
         }
 
 
+def chunk_boundaries(dataset: Dataset, config: DumpConfig):
+    """Per-segment content-defined cut points of ``dataset`` under
+    ``config``, or ``None`` on the fixed grid."""
+    if config.chunking != "cdc":
+        return None
+    chunker = config.make_chunker()
+    return [
+        chunker.boundaries(bytes(dataset.segment(i)))
+        for i in range(dataset.num_segments)
+    ]
+
+
 def dump_output(
     comm: Communicator,
     dataset: Dataset,
@@ -229,13 +241,8 @@ def _dump_output_impl(
         # Phase 1: chunk, fingerprint, local dedup.  Where the chunk
         # boundaries come from is the only place the dump looks at
         # ``chunking``; everything downstream works on the LocalIndex.
-        boundaries = None
-        if config.chunking == "cdc":
-            chunker = config.make_chunker()
-            boundaries = [
-                chunker.boundaries(bytes(dataset.segment(i)))
-                for i in range(dataset.num_segments)
-            ]
+        boundaries = chunk_boundaries(dataset, config)
+        if boundaries is not None:
             fpcache = None
         if fpcache is not None:
             fpcache.ensure_compatible(config.chunk_size, config.effective_hash_name)

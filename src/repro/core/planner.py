@@ -3,9 +3,11 @@
 Given the global view, each rank derives — with no further communication —
 exactly which chunks it stores, discards, and sends to which partner slot:
 
-* fingerprint in the view, rank **not** designated: *discard* — K other
-  ranks already cover it ("it can be safely discarded as the desired
-  replication factor was reached").
+* fingerprint in the view, rank **not** designated, K designated: *discard*
+  — K other ranks already cover it ("it can be safely discarded as the
+  desired replication factor was reached").  With fewer than K designated
+  (a view truncated to F entries per rank can miss some of a chunk's
+  holders) the condition does not hold: store locally, send nothing.
 * fingerprint in the view, rank designated, D = len(designated) >= K:
   store locally, send nothing (enough natural replicas).
 * fingerprint in the view, rank designated, D < K: store locally and top
@@ -119,6 +121,11 @@ def build_plan(
         the data even though their store is gone), and a live natural
         holder whose designated list died entirely steps up as if the chunk
         were unique.  ``None`` or all-True is exactly the healthy plan.
+        Unlike the healthy plan, an undesignated holder here discards on
+        *any* live designated holder, however few: the single seeder ships
+        a short chunk to every live partner slot and reaches ``min(K,
+        live)`` by itself, which healthy round-robin top-ups (aimed by
+        position, possibly at another holder) do not.
     """
     k_eff = min(k, world_size)
     nparts = k_eff - 1
@@ -194,15 +201,15 @@ def build_plan(
             elif ranks.index(rank) == 0:
                 plan.short_fps.append(fp)
             continue
-        if rank not in ranks:
-            plan.discarded_fps.append(fp)
-            continue
-        plan.store_fps.append(fp)
         d = len(ranks)
         coverage = (
             len({node_of[r] for r in ranks}) if node_of is not None else d
         )
-        if coverage >= k_eff:
+        if rank not in ranks and coverage >= k_eff:
+            plan.discarded_fps.append(fp)
+            continue
+        plan.store_fps.append(fp)
+        if coverage >= k_eff or rank not in ranks:
             continue
         j = ranks.index(rank)
         if topup:

@@ -323,9 +323,7 @@ class BareSystem:
             ("audit-consistency", lambda i: inv.check_audit_consistency(
                 cluster, i, sorted({d for d, _r in floors}), floors
             )),
-            ("referential-integrity", lambda i: (
-                inv.check_referential_integrity(cluster, i)
-            )),
+            ("referential-integrity", self.referential_integrity),
         ]
         # Parity keeps shards, not replicas: its margin check stands in
         # for the two replica-count oracles.
@@ -334,6 +332,9 @@ class BareSystem:
             else ("parity-margin",)
         )
         return [check for check in checks if check[0] not in unarmed]
+
+    def referential_integrity(self, step_idx: int) -> List[inv.Violation]:
+        return inv.check_referential_integrity(self.cluster, step_idx)
 
     def finish(self, result: FuzzResult) -> None:
         """Add what only this system knows to the finished result."""
@@ -541,6 +542,15 @@ class ServiceSystem(BareSystem):
             epoch=tip.epoch, old_dump_id=outcome.old_dump_id,
             new_dump_id=outcome.new_dump_id,
             swept_epochs=list(outcome.swept_epochs),
+        )
+
+    def referential_integrity(self, step_idx: int) -> List[inv.Violation]:
+        pinned = {
+            node.dump_id for chain in self.chains
+            for node in chain.nodes.values() if node.retired
+        }
+        return inv.check_referential_integrity(
+            self.cluster, step_idx, pinned, self.service.index
         )
 
     def oracle(self, tenant: str, epoch: int, rank: int) -> bytes:

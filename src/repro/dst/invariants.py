@@ -131,25 +131,46 @@ def check_restore(
 
 
 def check_referential_integrity(
-    cluster: Cluster, step: int
+    cluster: Cluster, step: int, pinned_dumps=(), index=None
 ) -> List[Violation]:
     """No orphan chunks: every fingerprint in any chunk store must be
     referenced by some manifest somewhere in the cluster (dead nodes
     included — losing every live manifest replica must not reclassify the
-    surviving chunks as garbage)."""
+    surviving chunks as garbage) or, where chains share an ``index``, by
+    that (a degraded dump that lost one rank's every manifest replica
+    commits all the same, and its epoch still resolves that rank's chunks).
+    And the reverse for ``pinned_dumps``, the retired dumps a chain keeps
+    as pins: a pin lists what its chain still references, so it may not
+    name a chunk that no node, dead ones included, stores (repair would
+    report it lost for ever)."""
     referenced = set()
+    pinned = set()
     for node in cluster.nodes:
         for rank, dump_id in node.manifest_keys():
-            referenced.update(node.get_manifest(rank, dump_id).fingerprints)
+            fps = node.get_manifest(rank, dump_id).fingerprints
+            referenced.update(fps)
+            if dump_id in pinned_dumps:
+                pinned.update((dump_id, rank, fp) for fp in fps)
     out: List[Violation] = []
+    stored = set()
     for node in cluster.nodes:
         for fp in sorted(node.chunks.fingerprints()):
-            if fp not in referenced:
+            stored.add(fp)
+            if fp not in referenced and not (
+                index is not None and index.has(fp)
+            ):
                 out.append(Violation(
                     "referential-integrity", step,
                     f"node {node.node_id} stores orphan chunk "
                     f"{fp.hex()[:12]} referenced by no manifest",
                 ))
+    for dump_id, rank, fp in sorted(pinned):
+        if fp not in stored:
+            out.append(Violation(
+                "referential-integrity", step,
+                f"pin of rank {rank} dump {dump_id} names chunk "
+                f"{fp.hex()[:12]} that no node stores",
+            ))
     return out
 
 
@@ -239,8 +260,8 @@ def recount_references(managers) -> Dict[bytes, Dict[str, int]]:
 def check_cross_tenant_accounting(service, step: int) -> List[Violation]:
     """What only a service has (the references themselves are
     :func:`check_chain_refcounts`'s): every live dump must still have a
-    manifest somewhere (dead nodes included), every indexed chunk must
-    still be stored somewhere, and attribution must bill exactly the
+    manifest somewhere (dead nodes included), every indexed chunk that was
+    ever stored must still be stored somewhere, and attribution must bill exactly the
     unique bytes regardless of policy, with the cross-tenant ratio in
     ``[0, 1)``."""
     out: List[Violation] = []
@@ -258,8 +279,12 @@ def check_cross_tenant_accounting(service, step: int) -> List[Violation]:
                     f"live dump {epoch} of tenant {name!r} "
                     f"(global {global_id}) has no manifest on any node",
                 ))
-    for fp, _entry in sorted(service.index.items()):
-        if not any(node.chunks.has(fp) for node in cluster.nodes):
+    for fp, entry in sorted(service.index.items()):
+        # Size 0 is "no node stored it when it was recorded": a degraded
+        # dump committed although it lost the rank that wrote the chunk.
+        if entry.size and not any(
+            node.chunks.has(fp) for node in cluster.nodes
+        ):
             out.append(Violation(
                 "cross-tenant-accounting", step,
                 f"indexed chunk {fp.hex()[:12]} is stored on no node",

@@ -73,9 +73,10 @@ class GlobalDedupIndex:
         loop over ``sorted(fps)`` leaves the index, with each shard's lock
         taken once.  ``size_of`` maps a list of fingerprints to their stored
         sizes and is asked only about those new to the index, each once (a
-        known entry keeps its size).  New entries enter their shard in
-        ascending order whatever order ``fps`` iterates in, so no view that
-        walks :meth:`items` depends on it.  Returns ``(new chunks, their
+        known entry keeps its size, unless that is the 0 of "no node stored
+        it": then it is asked about again).  New entries enter their shard
+        in ascending order whatever order ``fps`` iterates in, so no view
+        that walks :meth:`items` depends on it.  Returns ``(new chunks, their
         bytes, known chunks the tenant did not reference before)``; a
         repeated fingerprint raises ``ValueError`` before anything is recorded.
         """
@@ -95,7 +96,7 @@ class GlobalDedupIndex:
         with self._locks[i]:
             for fp in fps:
                 entry = shard.get(fp)
-                if entry is None:
+                if entry is None or not entry.size:
                     new.append(fp)
                     continue
                 have = entry.refs.get(tenant, 0)
@@ -105,11 +106,22 @@ class GlobalDedupIndex:
                 entry.refs[tenant] = have + 1
             new.sort()
             sizes = size_of(new) if new else ()
+            referenced = self._referenced[i]
             for fp, size in zip(new, sizes):
-                shard[fp] = ChunkEntry(size, tenant, {tenant: 1})
+                entry = shard.get(fp)
+                if entry is None:
+                    shard[fp] = ChunkEntry(size, tenant, {tenant: 1})
+                    continue
+                # Recorded while no node stored it (size 0: a degraded dump
+                # lost the rank that wrote it).  If someone stores it now,
+                # everyone who references it starts paying for it.
+                entry.size = size
+                for other in entry.refs:
+                    if other != tenant:
+                        referenced[other] += size
+                entry.refs[tenant] = entry.refs.get(tenant, 0) + 1
             new_bytes = sum(sizes)
             self._unique_bytes[i] += new_bytes
-            referenced = self._referenced[i]
             referenced[tenant] = referenced.get(tenant, 0) + gained + new_bytes
         return len(new), new_bytes, cross_hits
 

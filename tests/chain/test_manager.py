@@ -45,6 +45,94 @@ def oracle(workload, epoch, rank, n=N):
     return workload.at_epoch(epoch).build_dataset(rank, n).to_bytes()
 
 
+def lose_rank_one(n=4, **cfg):
+    """A degraded full that loses rank 1 outright: node 1 was dead when the
+    dump began, so rank 1's one manifest replica goes to its partner (node
+    2 without the shuffle), and that node dies in the write phase."""
+    from repro.storage.failures import FailureInjector
+
+    cluster = Cluster(n)
+    config = DumpConfig(
+        replication_factor=2, chunk_size=CHUNK, shuffle=False, **cfg
+    )
+    manager = ChainManager(cluster, config, n)
+    workload = MutatingWorkload(seed=11, chunk_size=CHUNK, shared_base=False)
+    cluster.fail_node(1)
+    hook = FailureInjector(cluster).mid_dump_hook(2, "write", rank=2)
+    return manager, workload, hook
+
+
+class TestLostRank:
+    @pytest.mark.parametrize("chunking", ["fixed", "cdc"])
+    def test_degraded_full_that_lost_a_rank_commits(self, chunking):
+        """The other ranks' chunks are stored under the dump id by then, so
+        the epoch commits (before PR 23 it did; in between it raised after
+        the collective).  The lost rank restores as a typed loss, never as
+        wrong or empty bytes, and the index does not bill what nobody
+        stored until somebody stores it."""
+        n = 4
+        manager, workload, hook = lose_rank_one(
+            n, degraded=True, chunking=chunking
+        )
+        result = manager.chain_dump(workload, kind="full", phase_hook=hook)
+        assert (result.epoch, result.kind) == (0, "full")
+        assert not any(
+            node.has_manifest(1, result.dump_id)
+            for node in manager.cluster.nodes
+        )
+        lost = set(manager.nodes[0].fps[1])
+        assert lost and result.total_chunks == sum(
+            map(len, manager.nodes[0].fps)
+        )
+        for rank in (0, 2, 3):
+            dataset, _report = manager.restore_epoch(rank, 0)
+            assert dataset.to_bytes() == oracle(workload, 0, rank, n)
+        with pytest.raises(ChainBrokenError, match="rank 1"):
+            manager.restore_epoch(1, 0)
+        assert manager.verify_epoch(1, 0) is not None
+        assert {
+            fp for fp, entry in manager.index.items() if not entry.size
+        } == lost
+        assert recount_references([manager]) == {
+            fp: dict(entry.refs) for fp, entry in manager.index.items()
+        }
+        # A later dump that does store them is billed for them, once.
+        billed = manager.index.unique_bytes
+        from repro.repair import repair_cluster
+
+        repair_cluster(manager.cluster, 2)
+        again = manager.chain_dump(workload, kind="full")
+        assert again.new_unique_chunks == len(lost)
+        assert manager.index.unique_bytes == billed + again.new_unique_bytes
+        assert all(entry.size for _fp, entry in manager.index.items())
+        assert manager.index.referenced_bytes("chain") == (
+            manager.index.unique_bytes
+        )
+        # ... and content-addressed: epoch 0 is whole again with it.
+        for epoch in (0, 1):
+            dataset, _report = manager.restore_epoch(1, epoch)
+            assert dataset.to_bytes() == oracle(workload, 0, 1, n)
+
+    def test_a_dump_that_is_not_degraded_still_raises(self, monkeypatch):
+        """Without degraded mode nothing may be lost: a rank that left no
+        manifest anywhere is a bug, named by rank, and commits nothing."""
+        from repro.storage.local_store import NodeStorage
+
+        manager, workload = make_chain(depth=1)
+        before = (dict(manager.nodes), manager.next_epoch, len(manager.index))
+        has_manifest = NodeStorage.has_manifest
+        monkeypatch.setattr(
+            NodeStorage, "has_manifest",
+            lambda self, rank, dump_id: rank != 1
+            and has_manifest(self, rank, dump_id),
+        )
+        with pytest.raises(ChainStateError, match="rank 1 left no manifest"):
+            manager.chain_dump(workload, kind="full")
+        assert before == (
+            dict(manager.nodes), manager.next_epoch, len(manager.index)
+        )
+
+
 class TestChunkSlices:
     def test_tail_chunks_short(self):
         slices = chunk_slices([CHUNK * 2 + 100, 50], CHUNK)

@@ -59,6 +59,28 @@ class TestBuildPlanCollDedup:
         assert plan.discarded_fps == [fp(1)]
         assert plan.load == [0, 0, 0]
 
+    def test_undesignated_holder_of_a_short_entry_keeps_its_copy(self):
+        """dst seed 1064: three ranks hold a chunk, K=3, but the view was
+        truncated (``f_threshold=4``) and lists two of them.  The third
+        holder sees fewer than K designated: "the desired replication
+        factor was reached" does not hold, so it stores its copy and sends
+        nothing (the designated pair's one top-up may land on each other)."""
+        idx = index_from_fingerprints([fp(1)], 64)
+        view = view_of({fp(1): MergeEntry(freq=2, ranks=(0, 1))})
+        plan = build_plan(2, idx, view, k=3, world_size=3)
+        assert plan.store_fps == [fp(1)]
+        assert plan.discarded_fps == []
+        assert plan.send_total == 0
+        # ... and a full entry still discards, node-aware coverage included
+        full = view_of({fp(1): MergeEntry(freq=3, ranks=(0, 1, 3))})
+        assert build_plan(
+            2, idx, full, k=3, world_size=4
+        ).discarded_fps == [fp(1)]
+        colocated = build_plan(
+            2, idx, full, k=3, world_size=4, node_of=[0, 0, 1, 2]
+        )
+        assert colocated.store_fps == [fp(1)] and colocated.send_total == 0
+
     def test_designated_with_enough_replicas_stores_only(self):
         idx = index_from_fingerprints([fp(1)], 64)
         view = view_of({fp(1): MergeEntry(freq=5, ranks=(0, 1, 2))})

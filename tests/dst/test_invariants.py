@@ -103,6 +103,22 @@ class TestReferentialIntegrity:
         assert "orphan" in out[0].detail
 
 
+    def test_pin_naming_an_unstored_chunk_detected(self):
+        """The reverse direction holds for pinned dumps only: a live dump
+        may have lost chunks to accepted failures, a pin lists what its
+        chain still references and nothing else."""
+        cluster, _reports = dumped_cluster()
+        fp = cluster.nodes[0].get_manifest(0, 0).fingerprints[0]
+        for node in cluster.nodes:
+            while node.chunks.has(fp):
+                node.chunks.discard(fp)
+        assert inv.check_referential_integrity(cluster, 0) == []
+        out = inv.check_referential_integrity(cluster, 0, pinned_dumps={0})
+        assert out and all("pin of rank" in v.detail for v in out)
+        assert all(fp.hex()[:12] in v.detail for v in out)
+        assert inv.check_referential_integrity(cluster, 0, {7}) == []
+
+
 class TestAuditConsistency:
     def test_agrees_when_healthy(self):
         cluster, _reports = dumped_cluster()

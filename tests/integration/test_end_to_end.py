@@ -133,3 +133,51 @@ class TestCrossStrategyConsistency:
             < footprint[Strategy.LOCAL_DEDUP]
             < footprint[Strategy.NO_DEDUP]
         )
+
+
+class TestTruncatedView:
+    """``f_threshold=4`` truncates every rank's table, so a chunk more than
+    K ranks hold can enter the view with fewer than K designated holders
+    (dst seed 938: n=4, K=3).  Every holder the view does not list keeps
+    its copy then, and the simulator, which shares ``build_plan``, agrees
+    with the threaded dump on every placement."""
+
+    def test_every_chunk_keeps_k_replicas_and_the_simulator_agrees(self):
+        from repro.apps.synthetic import SyntheticWorkload
+        from repro.core import dump_output
+        from repro.core.fingerprint import Fingerprinter
+        from repro.core.local_dedup import local_dedup_batched
+        from repro.sim import simulate_dump
+        from tests.sim.test_driver_equivalence import COMPARED_FIELDS
+
+        n, k, cs = 4, 3, 64
+        workload = SyntheticWorkload(
+            chunks_per_rank=7, chunk_size=cs, frac_global=0.2,
+            frac_zero=0.2, frac_local_dup=0.2, local_dup_degree=2,
+            seed=7428022,
+        )
+        cfg = DumpConfig(replication_factor=k, chunk_size=cs,
+                         f_threshold=4, shuffle=False)
+        cluster = Cluster(n)
+        threaded = World(n).run(
+            lambda comm: dump_output(
+                comm, workload.build_dataset(comm.rank, n), cfg, cluster
+            )
+        )
+        fpr = Fingerprinter(cfg.hash_name)
+        indices = [
+            local_dedup_batched(workload.build_dataset(r, n), fpr, cs)
+            for r in range(n)
+        ]
+        simulated = simulate_dump(indices, cfg)
+        for rank in range(n):
+            for name in COMPARED_FIELDS:
+                assert getattr(threaded[rank], name) == getattr(
+                    simulated.reports[rank], name
+                ), (rank, name)
+        truncated = False
+        for index in indices:
+            truncated |= len(index.unique_fingerprints()) > cfg.f_threshold
+            for fp in index.unique_fingerprints():
+                assert len(cluster.locate(fp)) >= k, fp.hex()
+        assert truncated

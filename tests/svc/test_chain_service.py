@@ -66,6 +66,17 @@ def grow_chain(service, tenant, workload, deltas=3):
     return snapshots
 
 
+def assert_no_manifest_names_an_unstored_chunk(service):
+    """Pins included: a pin lists what *its* chain still references."""
+    nodes = service.cluster.nodes
+    for node in nodes:
+        for rank, dump_id in node.manifest_keys():
+            for fp in node.get_manifest(rank, dump_id).fingerprints:
+                assert any(other.chunks.has(fp) for other in nodes), (
+                    f"rank {rank} dump {dump_id} names {fp.hex()[:12]}"
+                )
+
+
 def assert_restores(service, tenant, snapshots):
     for epoch in service.chain_of(tenant).live_epochs():
         for rank in range(N):
@@ -382,6 +393,37 @@ class TestObservability:
         assert not [name for name in names if name.startswith("svc_chain_")]
 
 
+class TestPinsFollowTheChainsOwnReferences:
+    def test_another_tenants_reference_pins_nothing(self):
+        """Two tenants dump the same state as a full and a delta each, then
+        each collects its full.  ``a``'s pin used to keep every chunk the
+        shared index still knew, and ``b``'s reference satisfied that;
+        ``b``'s GC then discarded the chunks, leaving ``a``'s pinned
+        manifests naming chunks that no node stores and ``repair``
+        reporting them lost on a cluster where nothing ever failed."""
+        from repro.dst.invariants import check_referential_integrity
+
+        service = make_service()
+        snapshots = {}
+        for name in ("a", "b"):
+            service.register_tenant(name)
+            workload = MutatingWorkload(
+                seed=3, segment_lengths=(CS * 4,), chunk_size=CS,
+                dirty_frac=1.0,
+            )
+            snapshots[name] = grow_chain(service, name, workload, deltas=1)
+        pinned = set()
+        for name in ("a", "b"):
+            outcome = service.gc(name, 0)
+            assert outcome.pinned
+            pinned.add(outcome.global_dump_id)
+        assert_no_manifest_names_an_unstored_chunk(service)
+        assert check_referential_integrity(service.cluster, 0, pinned) == []
+        assert service.repair().lost_chunks == 0
+        for name in ("a", "b"):
+            assert_restores(service, name, snapshots[name])
+
+
 class ServiceMachine(RuleBasedStateMachine):
     """Two tenants drawing full and delta requests, steps, gc, compact and
     restores in any order: every live dump restores to the bytes it was
@@ -437,6 +479,7 @@ class ServiceMachine(RuleBasedStateMachine):
         outcome = self.service.gc(tenant, None if default else victim)
         assert outcome.tenant_dump_id == victim
         assert victim not in self.live(tenant)
+        assert_no_manifest_names_an_unstored_chunk(self.service)
 
     @rule(tenant=st.sampled_from(tenants), pick=st.integers(0, 7), default=st.booleans())
     def compact(self, tenant, pick, default):

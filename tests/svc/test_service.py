@@ -411,3 +411,61 @@ class TestBackendsAndRepair:
             make_service(attribution="auction")
         with pytest.raises(ValueError):
             make_service(max_inflight=0)
+
+
+class TestDegradedDumpThatLosesARank:
+    """Node 1 is dead when the dump begins, so rank 1's chunks and manifest
+    have one replica, on its partner (node 2 without the shuffle); node 2
+    dies in the write phase.  Nothing of rank 1 is stored anywhere, and the
+    ledger of a fuzzer accepts that: the request must still commit."""
+
+    @pytest.mark.parametrize("kind", ["full", "delta"])
+    def test_the_request_commits_and_the_loss_is_typed(self, kind):
+        from repro.apps.mutating import MutatingWorkload
+        from repro.chain import ChainBrokenError
+        from repro.dst.invariants import (
+            check_chain_refcounts,
+            check_cross_tenant_accounting,
+        )
+        from repro.storage.failures import FailureInjector
+
+        service = make_service(config=DumpConfig(
+            replication_factor=2, chunk_size=CS, degraded=True, shuffle=False,
+        ))
+        service.register_tenant("a")
+        workload = MutatingWorkload(
+            seed=5, chunk_size=CS, segment_lengths=(CS * 12, CS + 20),
+            dirty_frac=0.3, shared_base=False,
+        )
+        if kind == "delta":
+            dump(service, "a", workload.at_epoch(0))
+            workload.advance()
+        service.cluster.fail_node(1)
+        hook = FailureInjector(service.cluster).mid_dump_hook(
+            2, "write", rank=2
+        )
+        ticket = service.submit("a", workload, phase_hook=hook, kind=kind)
+        (outcome,) = service.step()
+        assert (outcome.ticket, outcome.kind) == (ticket, kind)
+        epoch = outcome.tenant_dump_id
+        assert not any(
+            node.has_manifest(1, outcome.global_dump_id)
+            for node in service.cluster.nodes
+        )
+        chain = service.chain_of("a")
+        assert check_chain_refcounts([chain], 0) == []
+        assert check_cross_tenant_accounting(service, 0) == []
+        assert any(not entry.size for _fp, entry in service.index.items())
+        for rank in (0, 3):
+            dataset, _report = service.restore("a", rank, epoch)
+            assert dataset.to_bytes() == workload.build_dataset(
+                rank, N
+            ).to_bytes()
+        with pytest.raises(ChainBrokenError, match="rank 1"):
+            service.restore("a", 1, epoch)
+        # GC of it frees what was stored and bills nothing negative.
+        service.gc("a", epoch)
+        assert check_cross_tenant_accounting(service, 0) == []
+        assert service.index.unique_bytes == sum(
+            entry.size for _fp, entry in service.index.items()
+        )
