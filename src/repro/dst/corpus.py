@@ -10,7 +10,11 @@ SLO fires, keeping the burn-rate engine's alert path replayed in CI —
 cross-backend differential runs, and checkpoint-chain scenarios: delta dumps over an epoch-evolving workload,
 prune/compact maintenance and chain crashes — including at least one
 long chain reaching depth >= 8 and one compacting chain, both replayed
-differentially on the thread and process backends).  CI replays the
+differentially on the thread and process backends, and two multi-tenant
+chains: one whose tenants share content and prune a pinned base (330),
+one bursty with a mid-delta crash (851) — plus the seeds of two bugs the
+0-1199 window found: a view truncated by the F cap (779) and a degraded
+full that loses one rank outright (1090)).  CI replays the
 corpus on every PR under a small time budget; the scheduled sweep
 explores fresh random seeds and falls back to the corpus format when it
 finds a failure.
@@ -27,7 +31,9 @@ from repro.dst.scenario import Scenario, load_scenario, save_scenario
 #: seeds frozen into the checked-in corpus; regenerate the JSON with
 #: ``write_corpus`` when the generator changes (the files are the source
 #: of truth for CI — a drifting generator does not silently change them)
-CORPUS_SEEDS = (1, 3, 7, 11, 21, 25, 33, 45, 48, 54, 68, 85, 722)
+CORPUS_SEEDS = (
+    1, 3, 7, 11, 21, 25, 33, 45, 48, 54, 68, 85, 330, 722, 779, 851, 1090,
+)
 
 
 def default_corpus_dir() -> str:

@@ -27,9 +27,12 @@ Generation respects the constraints that make the invariant oracles sound:
   between bursts) is only drawn for multi-tenant scenarios — it is a
   service-queue property — and feeds the deterministic queue-wait SLO;
 * chain mode (incremental checkpoint chains: delta dumps, prune/compact
-  maintenance, time-travel restores against a per-epoch oracle) is only
-  drawn single-tenant, always starts with a full dump, and keeps prune
-  steps behind at least two live epochs so the tip is never collected.
+  maintenance, time-travel restores against a per-epoch oracle) is drawn
+  for any number of tenants, always starts with a full dump, and keeps a
+  tenant's prune steps behind at least two of its live epochs, so no
+  tenant's last dump is ever collected (a later full of a diverged state
+  would land on a store GC emptied, which is where healthy-path top-up
+  collisions show: ROADMAP, fault-model item).
 """
 
 from __future__ import annotations
@@ -188,20 +191,29 @@ def generate_scenario(seed: int) -> Scenario:
         steps = bursty_steps
 
     # Chain mode draws dead last (stability rule).  A chain scenario
-    # replaces the step schedule wholesale: an epoch-evolving workload
-    # dumped through the chain manager as one base full plus mostly-delta
-    # epochs, interleaved with prune/compact maintenance, between-dump and
-    # mid-dump crashes (same K_eff - 1 budget and repair reset as above)
-    # and time-travel restores checked against the per-epoch oracle.
-    # Single-tenant only: the service's cross-tenant accounting recount
-    # does not model per-epoch chain references.
-    chain = tenants == 1 and not repeat and rng.random() < 0.25
+    # replaces the step schedule wholesale: per tenant an epoch-evolving
+    # workload dumped through the service as one base full plus
+    # mostly-delta epochs, interleaved with prune/compact maintenance,
+    # between-dump and mid-dump crashes (same K_eff - 1 budget and repair
+    # reset as above) and time-travel restores checked against the
+    # per-epoch oracle.  A multi-tenant scenario draws a tenant per dump /
+    # prune / compact step (its tenants share content with probability
+    # ``tenant_overlap``, see ``Scenario.make_chain_workload``) and keeps
+    # its arrival mode; a single-tenant one draws nothing new, so those
+    # seeds keep their scenarios.
+    chain = not repeat and rng.random() < 0.25
     if chain:
         alive = [True] * n
         crash_budget = max(0, k_eff - 1)
         any_crash = False
-        chain_steps: List[Step] = [Step("dump", kind="full")]
-        live_epochs = 1
+
+        def pick_tenant() -> int:
+            return rng.randrange(tenants) if tenants > 1 else 0
+
+        first = pick_tenant()
+        chain_steps: List[Step] = [Step("dump", kind="full", tenant=first)]
+        live_epochs = [0] * tenants
+        live_epochs[first] = 1
         for _ in range(rng.randint(3, 9)):
             if (
                 crash_budget > 0
@@ -216,11 +228,13 @@ def generate_scenario(seed: int) -> Scenario:
                 if rng.random() < 0.6:
                     chain_steps.append(Step("repair"))
                     crash_budget = max(0, k_eff - 1)
-            if live_epochs >= 2 and rng.random() < 0.3:
-                chain_steps.append(Step("prune"))
-                live_epochs -= 1
-            if live_epochs >= 1 and rng.random() < 0.15:
-                chain_steps.append(Step("compact"))
+            t = pick_tenant()
+            if live_epochs[t] >= 2 and rng.random() < 0.3:
+                chain_steps.append(Step("prune", tenant=t))
+                live_epochs[t] -= 1
+            t = pick_tenant()
+            if live_epochs[t] >= 1 and rng.random() < 0.15:
+                chain_steps.append(Step("compact", tenant=t))
             crash = None
             if (
                 crash_budget > 0
@@ -235,8 +249,9 @@ def generate_scenario(seed: int) -> Scenario:
                 crash_budget -= 1
                 any_crash = True
             kind = "delta" if rng.random() < 0.7 else "full"
-            chain_steps.append(Step("dump", kind=kind, crash=crash))
-            live_epochs += 1
+            t = pick_tenant()
+            chain_steps.append(Step("dump", kind=kind, crash=crash, tenant=t))
+            live_epochs[t] += 1
         if any_crash and rng.random() < 0.5:
             chain_steps.append(Step("repair"))
         steps = chain_steps

@@ -11,7 +11,7 @@ and the whole walk is bounded by an evaluation budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, List, Optional
 
 from repro.dst.scenario import Scenario, ScenarioError, Step
@@ -37,9 +37,9 @@ def _candidates(scenario: Scenario) -> Iterator:
     first.  Invalid candidates (scenario validation) are skipped by the
     caller."""
     steps = scenario.steps
-    # 1. Drop between-dump crash / repair / chain-maintenance events.
+    # 1. Drop between-dump crash / repair / collection / compaction events.
     for i, step in enumerate(steps):
-        if step.op in ("crash", "repair", "prune", "compact"):
+        if step.op in ("crash", "repair", "gc", "prune", "compact"):
             yield (
                 f"drop {step.op} step {i}",
                 lambda s=scenario, i=i: s.with_(
@@ -153,6 +153,20 @@ def _candidates(scenario: Scenario) -> Iterator:
             "disable chain mode",
             lambda s=scenario: s.with_(chain=False),
         )
+    # 9. Then fewer tenants, folding their steps onto the ones that stay;
+    #    a single tenant is only valid once every gc step and bursty
+    #    arrival went, and is the bare cluster.
+    for target in sorted({1, scenario.tenants - 1}):
+        if 1 <= target < scenario.tenants:
+            yield (
+                f"reduce tenants to {target}",
+                lambda s=scenario, t=target: s.with_(
+                    tenants=t,
+                    steps=tuple(
+                        replace(st, tenant=st.tenant % t) for st in s.steps
+                    ),
+                ),
+            )
 
 
 def shrink(

@@ -69,19 +69,45 @@ class TestGenerator:
         for s in map(generate_scenario, range(200)):
             if not s.chain:
                 continue
-            assert s.tenants == 1
             assert s.workload_mode == "fresh"
             assert s.redundancy == "replication"
             dumps = [st for st in s.steps if st.op == "dump"]
             assert dumps[0].kind == "full"
-            # prune only ever fires with two live epochs (tip survives)
-            live = 0
+            assert not any(st.op == "gc" for st in s.steps)
+            # prune only ever fires with two live epochs of that tenant
+            # (no tenant's last dump is ever collected)
+            live = [0] * s.tenants
             for st in s.steps:
                 if st.op == "dump":
-                    live += 1
+                    live[st.tenant] += 1
                 elif st.op == "prune":
-                    assert live >= 2
-                    live -= 1
+                    assert live[st.tenant] >= 2
+                    live[st.tenant] -= 1
+
+    def test_generator_draws_multi_tenant_chains(self):
+        """The one draw that puts a delta behind admission, beside a second
+        tenant and under a crash: at least 40 of seeds 0-1199, some with
+        every tenant dumping the same content, some bursty, some with a
+        crash in the middle of a delta."""
+        drawn = [
+            s for s in map(generate_scenario, range(1200))
+            if s.chain and s.tenants > 1
+        ]
+        assert len(drawn) >= 40
+        base = {s.seed: s.make_chain_workload(0).seed for s in drawn}
+        assert any(
+            s.make_chain_workload(1).seed == base[s.seed] for s in drawn
+        )
+        assert any(
+            s.make_chain_workload(1).seed != base[s.seed] for s in drawn
+        )
+        assert any(s.arrival == "bursty" for s in drawn)
+        assert any(
+            st.kind == "delta" and st.crash is not None
+            for s in drawn for st in s.steps
+        )
+        for s in drawn:
+            assert {st.tenant for st in s.steps} <= set(range(s.tenants))
 
     def test_non_chain_scenarios_never_use_chain_ops(self):
         for s in map(generate_scenario, range(200)):

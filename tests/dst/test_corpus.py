@@ -66,6 +66,10 @@ def test_corpus_covers_the_feature_matrix():
             feats.add("tenant-gc")
         if s.shard_count > 1:
             feats.add("sharded")
+        if s.strategy == "coll-dedup" and s.f_threshold < 4096:
+            feats.add("f-cap")
+        if s.tenants > 1 and any(st.kind == "delta" for st in s.steps):
+            feats.add("tenant-delta")
         if s.arrival == "bursty":
             feats.add("bursty")
         if any(st.op == "tick" for st in s.steps):
@@ -94,7 +98,7 @@ def test_corpus_covers_the_feature_matrix():
     assert feats >= {
         "parity", "repeat", "differential", "compress",
         "crash", "mid-dump", "repair", "pipelined-fast",
-        "multi-tenant", "tenant-gc", "sharded",
+        "multi-tenant", "tenant-gc", "sharded", "f-cap", "tenant-delta",
         "bursty", "tick",
         "chain", "chain-delta", "chain-prune", "chain-compact",
         "chain-crash", "chain-differential", "chain-deep",
@@ -105,6 +109,40 @@ def test_corpus_covers_the_feature_matrix():
 def test_corpus_scenario_upholds_all_invariants(seed, memo):
     result = memo.run(generate_scenario(seed))
     assert result.ok, [v.as_dict() for v in result.violations]
+
+
+def test_first_window_is_green(memo):
+    """Seeds 0-149 on the thread backend: the corpus replay alone did not
+    notice when a production change turned two seeds outside it red (the
+    differential halves stay with CI's 0-1199 window)."""
+    red = [
+        seed for seed in range(150)
+        if not memo.execute(generate_scenario(seed), backend="thread").ok
+    ]
+    assert red == []
+
+
+def test_corpus_keeps_the_two_multi_tenant_chain_shapes(memo):
+    """330: tenants with the same content, and a prune that pins a base
+    whose chunks the other tenant's live epochs share (the schedule behind
+    "a pin outlives its chunks").  851: bursty arrival with a crash in the
+    middle of a delta, replayed on both backends."""
+    shared = generate_scenario(330)
+    assert shared.chain and shared.tenants == 2
+    assert shared.make_chain_workload(1).seed == (
+        shared.make_chain_workload(0).seed
+    )
+    prunes = [
+        doc for doc in memo.run(shared).steps
+        if doc["op"] == "prune" and doc.get("pinned")
+    ]
+    assert any(doc["retained_cross_tenant"] > 0 for doc in prunes)
+    bursty = generate_scenario(851)
+    assert bursty.chain and bursty.tenants > 1 and bursty.differential
+    assert bursty.arrival == "bursty"
+    assert any(
+        st.kind == "delta" and st.crash is not None for st in bursty.steps
+    )
 
 
 def test_corpus_keeps_an_alert_firing_bursty_seed(memo):

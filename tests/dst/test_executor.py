@@ -6,11 +6,13 @@ import json
 import pytest
 
 from repro.dst import (
+    MidDumpCrash,
     ReplicaLedger,
     Scenario,
     ScenarioError,
     Step,
     VERDICT_SCHEMA_ID,
+    WorkloadSpec,
     execute_scenario,
     executor,
     generate_scenario,
@@ -176,6 +178,29 @@ class TestMultiTenantExecution:
         scenario = self.make_scenario(differential=True)
         result = run_scenario(scenario)
         assert result.ok, [v.as_dict() for v in result.violations]
+
+    def test_degraded_full_that_loses_a_rank_is_an_accepted_loss(self):
+        """What seed 558 drew before the multi-tenant chain draw took it
+        (1090 in the corpus is the same class): node 1 dies in the first
+        dump and is never repaired back, so rank 1 keeps one replica, on
+        node 2, and node 2 dies in the second dump.  The ledger's floor of
+        that ``(dump, rank)`` is 0; the dump must commit, not raise."""
+        steps = (
+            Step("dump", crash=MidDumpCrash(1, "write")),
+            Step("gc"), Step("repair"),
+            Step("dump", crash=MidDumpCrash(2, "write")),
+            Step("gc"), Step("repair"), Step("dump", tenant=1),
+            Step("repair"),
+        )
+        scenario = Scenario(
+            seed=558, n_ranks=4, k=2, chunk_size=128, chunks_per_rank=2,
+            f_threshold=4, shuffle=False, compress="zlib-1", degraded=True,
+            tenants=2, tenant_overlap=0.25, shard_count=8, steps=steps,
+            workload=WorkloadSpec(0.0, 0.2, 0.0, 2),
+        )
+        result = execute_scenario(scenario)
+        assert result.ok, [v.as_dict() for v in result.violations]
+        assert [st["op"] for st in result.steps] == [st.op for st in steps]
 
     def test_bug_injection_still_caught_with_tenants(self):
         result = execute_scenario(self.make_scenario(), bug="drop-replica")

@@ -93,3 +93,30 @@ class TestShrinker:
         out = shrink(base, lambda s: True)
         assert out.scenario.crash_count == 0
         assert all(step.op == "dump" for step in out.scenario.steps)
+
+    def test_tenants_go_last_of_all(self):
+        """A multi-tenant chain failure that needs none of it shrinks
+        through the chain machinery, then chain mode, then the tenants,
+        down to the bare cluster."""
+        base = Scenario(
+            seed=9, n_ranks=3, k=2, tenants=3, chain=True, arrival="bursty",
+            steps=(
+                Step("dump", tenant=2),
+                Step("dump", tenant=2, kind="delta"),
+                Step("dump", tenant=1),
+                Step("prune", tenant=2),
+                Step("gc", tenant=1),
+                Step("compact", tenant=2),
+            ),
+        )
+        out = shrink(base, lambda s: True)
+        final = out.scenario
+        assert (final.tenants, final.chain, final.arrival) == (
+            1, False, "steady"
+        )
+        assert [st.as_dict() for st in final.steps] == [{"op": "dump"}]
+        order = [
+            out.trail.index(entry) for entry in
+            ("disable chain mode", "reduce tenants to 1")
+        ]
+        assert order == sorted(order)
