@@ -48,8 +48,10 @@ from repro.chain.errors import ChainBrokenError, ChainStateError
 from repro.chain.node import ChainNode, chunk_slices
 from repro.core.chunking import Dataset
 from repro.core.config import DumpConfig
+from repro.core.dump import chunk_boundaries
 from repro.core.fingerprint import Fingerprinter
 from repro.core.fpcache import FingerprintCache
+from repro.core.local_dedup import local_dedup_batched
 from repro.core.restore import RestoreReport, restore_from_manifest
 from repro.core.runner import run_collective
 from repro.storage.chain_codec import ChainCodecError, decode_chain, encode_chain
@@ -354,13 +356,11 @@ class ChainManager:
         """The fingerprint column ``rank`` itself wrote under ``dump_id``,
         read from whichever node holds a replica of its manifest.  Dead
         nodes are asked too: a replica stranded on a crashed node pins its
-        chunks all the same.
-
-        A degraded dump may lose one rank outright (its node was already
-        dead, so its one replica went to a partner, and the partner died
-        mid-dump).  The other ranks' chunks are stored by then, so the
-        epoch commits with the column the rank would have written, hashed
-        here as its dump chunked it; what nobody stores restores as a
+        chunks all the same.  A degraded dump may lose one rank outright
+        (its node was dead, its one replica went to a partner, the partner
+        died mid-dump) while the other ranks' chunks are stored: the epoch
+        then commits with the column that rank would have written, hashed
+        here as its dump chunked it, and what nobody stores restores as a
         typed loss.  Without degraded mode a missing manifest is a bug."""
         for node in self.cluster.nodes:
             if node.has_manifest(rank, dump_id):
@@ -369,9 +369,6 @@ class ChainManager:
             raise ChainStateError(
                 f"rank {rank} left no manifest of dump {dump_id} on any node"
             )
-        from repro.core.dump import chunk_boundaries
-        from repro.core.local_dedup import local_dedup_batched
-
         return local_dedup_batched(
             dataset, Fingerprinter(self.config.effective_hash_name),
             self.config.chunk_size,
@@ -461,7 +458,7 @@ class ChainManager:
         did = self._alloc_dump_id(dump_id)
 
         def rank_main(comm):
-            from repro.core.dump import dump_output
+            from repro.core.dump import dump_output  # late: tests spy on it
 
             return dump_output(
                 comm, dump_datasets[comm.rank], dump_config, self.cluster,
@@ -641,9 +638,8 @@ class ChainManager:
         """Replace the epoch's cluster manifests with pinned subsets: only
         the written chunks *this chain's* live epochs still reference,
         marked as (never directly restorable) deltas.  Another owner's
-        reference on a shared index pins nothing here: that owner's GC may
-        discard the chunk, and a pin naming a chunk no node stores is a
-        permanent false "lost chunk" to repair."""
+        reference pins nothing: that owner's GC may discard the chunk, and
+        a pin naming an unstored chunk is a false "lost" to repair for ever."""
         cs = self.config.chunk_size
         for rank in range(self.n):
             lengths = [
@@ -655,8 +651,8 @@ class ChainManager:
             kept_lengths = []
             kept_fps = []
             for fp, length in zip(node.fps[rank], lengths):
-                held = self.index.has(fp) and self.index.get(fp).refs
-                if held and held.get(self.owner):
+                refs = self.index.get(fp).refs if self.index.has(fp) else {}
+                if refs.get(self.owner):
                     kept_fps.append(fp)
                     kept_lengths.append(length)
             pin = Manifest(

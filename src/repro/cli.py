@@ -320,7 +320,7 @@ def cmd_fuzz(args) -> None:
         scenarios = list(iter_corpus(directory))
     elif args.chain:
         # Scan seeds upward from --seed until --runs chain scenarios are
-        # found (roughly 1 in 4 single-tenant seeds draws a chain).
+        # found (roughly 1 in 4 seeds outside the repeat mode draws one).
         scenarios = []
         seed, limit = args.seed, args.seed + 100 * args.runs
         while len(scenarios) < args.runs and seed < limit:

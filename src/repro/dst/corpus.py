@@ -10,14 +10,13 @@ SLO fires, keeping the burn-rate engine's alert path replayed in CI —
 cross-backend differential runs, and checkpoint-chain scenarios: delta dumps over an epoch-evolving workload,
 prune/compact maintenance and chain crashes — including at least one
 long chain reaching depth >= 8 and one compacting chain, both replayed
-differentially on the thread and process backends, and two multi-tenant
-chains: one whose tenants share content and prune a pinned base (330),
-one bursty with a mid-delta crash (851) — plus the seeds of two bugs the
-0-1199 window found: a view truncated by the F cap (779) and a degraded
-full that loses one rank outright (1090)).  CI replays the
-corpus on every PR under a small time budget; the scheduled sweep
-explores fresh random seeds and falls back to the corpus format when it
-finds a failure.
+differentially on the thread and process backends; two multi-tenant
+chains, one sharing content and pruning a pinned base (330), one bursty
+with a mid-delta crash (851); and two bugs the 0-1199 window found, an
+F-capped view (779) and a degraded full that loses a rank (1090)).  CI
+replays the corpus on every PR under a small time budget; the scheduled
+sweep explores fresh random seeds and falls back to the corpus format when
+it finds a failure.
 """
 
 from __future__ import annotations

@@ -323,7 +323,9 @@ class BareSystem:
             ("audit-consistency", lambda i: inv.check_audit_consistency(
                 cluster, i, sorted({d for d, _r in floors}), floors
             )),
-            ("referential-integrity", self.referential_integrity),
+            ("referential-integrity", lambda i: (
+                inv.check_referential_integrity(cluster, i, *self.pins())
+            )),
         ]
         # Parity keeps shards, not replicas: its margin check stands in
         # for the two replica-count oracles.
@@ -333,8 +335,9 @@ class BareSystem:
         )
         return [check for check in checks if check[0] not in unarmed]
 
-    def referential_integrity(self, step_idx: int) -> List[inv.Violation]:
-        return inv.check_referential_integrity(self.cluster, step_idx)
+    def pins(self) -> tuple:
+        """``(pinned dump ids, index)`` where retired chain epochs exist."""
+        return ()
 
     def finish(self, result: FuzzResult) -> None:
         """Add what only this system knows to the finished result."""
@@ -342,35 +345,33 @@ class BareSystem:
 
 class ServiceSystem(BareSystem):
     """A multi-tenant or chain scenario on
-    :class:`repro.svc.CheckpointService`: the one dump model production
-    runs, where every dump is an epoch of its tenant's chain.
+    :class:`repro.svc.CheckpointService`, the one dump model production
+    runs: every dump is an epoch of its tenant's chain.
 
-    Dumps route through the service's admission queue — one executes per
-    tick, so under ``steady`` arrival the schedule is exactly the
-    scenario's step order, while ``bursty`` arrival submits every dump of
-    a consecutive-dump run up front (later dumps queue behind earlier
-    ones, so queue waits grow and the armed queue-wait SLO sees real
-    burn); ``tick`` steps advance the service clock idly between bursts.
-    A chain scenario's tenants each dump one epoch-evolving
+    Dumps route through the admission queue, one per tick: under ``steady``
+    arrival the schedule is the scenario's step order, ``bursty`` arrival
+    submits every dump of a consecutive-dump run up front (later ones queue
+    behind earlier ones, so the armed queue-wait SLO sees real burn) and
+    ``tick`` steps advance the clock idly between bursts.  A chain
+    scenario's tenants each dump one epoch-evolving
     :class:`~repro.apps.mutating.MutatingWorkload` (the k-th submission is
-    epoch k, as a ``full`` or a ``delta``); the others dump independent
-    synthetic fulls.  ``gc`` and ``prune`` retire the tenant's oldest live
-    dump, ``compact`` rewrites its newest into a synthetic full.
+    epoch k, a ``full`` or a ``delta``), the others independent synthetic
+    fulls.  ``gc`` and ``prune`` retire the tenant's oldest live dump,
+    ``compact`` rewrites its newest into a synthetic full.
 
     The replica ledger works on *global* dump ids, the manifest keys the
-    service writes (a delta's manifests list only its own chunks —
-    precisely what its floors protect): compaction migrates the old id's
-    floors to the new id at the *effective* (path-minimum) level, swept
-    dumps stop owing replicas and pinned ones keep owing them.
+    service writes (a delta's manifests list only its own chunks, exactly
+    what its floors protect): compaction migrates the old id's floors to
+    the new id at the *effective* (path-minimum) level, swept dumps stop
+    owing replicas, pinned ones keep owing them.
 
     The battery is the base one minus the per-dump ``restore`` (a delta is
-    not independently restorable by design; the per-epoch oracle replaces
-    it) plus the service oracles (tenant isolation, cross-tenant
-    accounting, SLO determinism: a fresh engine replayed over the timeline
-    must reproduce the live alert list) and the chain oracles: structure,
-    refcount conservation over every chain sharing the index, and
-    restore-to-any-epoch byte-equality against what each ``(tenant,
-    epoch)`` dumped, under the effective floor.
+    not restorable on its own; the per-epoch oracle replaces it), plus the
+    service oracles (tenant isolation, cross-tenant accounting, SLO
+    determinism: a fresh engine replayed over the timeline reproduces the
+    live alerts) and the chain oracles: structure, refcount conservation
+    over every chain sharing the index, and restore-to-any-epoch equality
+    with what each ``(tenant, epoch)`` dumped, under the effective floor.
     """
 
     def setup(self) -> None:
@@ -385,27 +386,22 @@ class ServiceSystem(BareSystem):
         ))
         self.cluster = service.cluster
         self.trace_sources.append([service.trace])
-        self.tenant_names = [f"t{i}" for i in range(scenario.tenants)]
+        #: every tenant's chain; ``chain.owner`` is the tenant's name
         self.chains = [
-            service.register_tenant(name).chain for name in self.tenant_names
+            service.register_tenant(f"t{i}").chain
+            for i in range(scenario.tenants)
         ]
-        #: chain scenarios: per tenant, its evolving workload, standing at
-        #: the epoch its next submission dumps
-        self.chain_workloads = [
-            scenario.make_chain_workload(t) for t in range(scenario.tenants)
-        ] if scenario.chain else []
-        #: (tenant name, epoch) -> the workload it dumped: the byte oracle
-        self.dumped: Dict[Tuple[str, int], object] = {}
+        #: tenant name -> epoch -> the workload it dumped: the byte oracle
+        self.dumped: Dict[str, Dict[int, object]] = {
+            chain.owner: {} for chain in self.chains
+        }
         #: ticket -> (workload, crash that will fire)
         self.pending: Dict[int, Tuple[object, Optional[object]]] = {}
-        self.submit_dump_index = 0  # scenario dump index of next submission
-        self.next_submit_idx = 0  # first step whose dump is not yet submitted
         # Exactly the step kinds Scenario validation admits for the mode.
         if scenario.tenants > 1:
             self.ops["gc"] = self.collect
         if scenario.chain:
-            self.ops["prune"] = self.collect
-            self.ops["compact"] = self.compact
+            self.ops.update(prune=self.collect, compact=self.compact)
 
     def tick(self, step: Step, step_idx: int, step_doc: dict) -> None:
         self.service.tick_idle()
@@ -414,57 +410,53 @@ class ServiceSystem(BareSystem):
     def repair(self):
         return self.service.repair()
 
-    def submit_run(self, start_idx: int, arm_crash) -> int:
+    def submit_run(self, start_idx: int, arm_crash) -> None:
         """Submit the dump at ``start_idx`` — and, under bursty arrival,
         every consecutive dump step after it (the burst).  Mid-dump crash
         liveness is judged at submission: a burst has no crash/repair
         steps inside it and the generator never targets one node twice,
         so run-start liveness is execution-time liveness for every victim.
-        Returns the first step index past the submitted stretch.
         """
         steps = self.scenario.steps
         j = start_idx
         while j < len(steps) and steps[j].op == "dump":
             s = steps[j]
-            if self.chain_workloads:
-                # A snapshot, not the live workload: a burst queues
-                # several epochs of one tenant before any of them runs.
-                evolving = self.chain_workloads[s.tenant]
-                workload = evolving.at_epoch(evolving.epoch)
-                evolving.advance()
+            earlier = [st for st in steps[:j] if st.op == "dump"]
+            if self.scenario.chain:
+                # The tenant's k-th dump is epoch k of its evolving
+                # workload, a snapshot each: a burst queues several epochs
+                # of one tenant before any of them runs.
+                workload = self.scenario.make_chain_workload(
+                    s.tenant, sum(st.tenant == s.tenant for st in earlier)
+                )
             else:
                 workload = self.scenario.make_workload(
-                    self.submit_dump_index, tenant=s.tenant
+                    len(earlier), tenant=s.tenant
                 )
             crash, phase_hook = arm_crash(s.crash)
             ticket = self.service.submit(
-                self.tenant_names[s.tenant], workload,
+                self.chains[s.tenant].owner, workload,
                 phase_hook=phase_hook, kind=s.kind,
             )
             self.pending[ticket] = (workload, crash)
-            self.submit_dump_index += 1
             j += 1
             if self.scenario.arrival != "bursty":
                 break
-        return j
 
     def dump(self, step: Step, step_idx: int, step_doc: dict, arm_crash):
-        if step_idx >= self.next_submit_idx:
-            self.next_submit_idx = self.submit_run(step_idx, arm_crash)
+        if not self.pending:  # else this step's dump went in with its burst
+            self.submit_run(step_idx, arm_crash)
         # One dump executes per tick (max_inflight=1); under bursty
         # arrival the admission queue's round-robin may execute a
         # different tenant's dump than this step submitted, so the
         # outcome's own ticket keys the bookkeeping.
         outcome = self.service.step()[0]
         workload, crash = self.pending.pop(outcome.ticket)
-        self.dumped[(outcome.tenant, outcome.tenant_dump_id)] = workload
-        step_doc.update(
-            tenant=outcome.tenant, wait_ticks=outcome.wait_ticks,
-            epoch=outcome.tenant_dump_id, kind=outcome.kind,
-            promoted=outcome.promoted,
-            changed_chunks=outcome.changed_chunks,
-            total_chunks=outcome.total_chunks,
-        )
+        self.dumped[outcome.tenant][outcome.tenant_dump_id] = workload
+        step_doc["epoch"] = outcome.tenant_dump_id
+        for name in ("tenant", "wait_ticks", "kind", "promoted",
+                     "changed_chunks", "total_chunks"):
+            step_doc[name] = getattr(outcome, name)
         return outcome.global_dump_id, outcome.reports, crash
 
     def pop_floors(self, dump_ids) -> None:
@@ -473,27 +465,25 @@ class ServiceSystem(BareSystem):
             for rank in range(self.n):
                 self.ledger.floors.pop((did, rank), None)
 
-    def path_floors(self, chain, epoch: int) -> Dict[int, int]:
-        """Per rank: the minimum replica floor over every dump on the
-        epoch's ancestor path — losing any ancestor below its floor breaks
-        every descendant's time travel."""
-        path = chain.path_of(epoch)
+    def path_floors(self, chain, epoch: int) -> Dict[Tuple[int, int], int]:
+        """``(epoch, rank)`` -> the minimum replica floor over every dump on
+        the epoch's ancestor path: losing any ancestor below its floor
+        breaks every descendant's time travel."""
+        floors, path = self.ledger.floors, chain.path_of(epoch)
         return {
-            rank: min(
-                self.ledger.floors.get((node.dump_id, rank), 0)
-                for node in path
+            (epoch, rank): min(
+                floors.get((node.dump_id, rank), 0) for node in path
             )
             for rank in range(self.n)
         }
 
     def collect(self, step: Step, step_idx: int, step_doc: dict):
-        """``gc`` and ``prune``: retire the tenant's oldest live dump.
-        ``prune`` never takes the last one, so time travel to *somewhere*
-        survives every chain schedule the generator draws (and no later
-        full lands on a store GC emptied: DESIGN.md "dst: one interpreter,
-        two systems")."""
-        tenant = step_doc["tenant"] = self.tenant_names[step.tenant]
+        """``gc`` and ``prune``: retire the tenant's oldest live dump;
+        ``prune`` never its last, so time travel to *somewhere* survives
+        every chain schedule and no later full lands on a store GC emptied
+        (DESIGN.md "dst: one interpreter, two systems")."""
         chain = self.chains[step.tenant]
+        tenant = step_doc["tenant"] = chain.owner
         live = chain.live_epochs()
         if len(live) <= (step.op == "prune"):
             step_doc["noop"] = True
@@ -523,8 +513,8 @@ class ServiceSystem(BareSystem):
         )]
 
     def compact(self, step: Step, step_idx: int, step_doc: dict) -> None:
-        tenant = step_doc["tenant"] = self.tenant_names[step.tenant]
         chain = self.chains[step.tenant]
+        tenant = step_doc["tenant"] = chain.owner
         tip = chain.tip()
         if tip is None or (tip.kind == "full" and tip.parent_epoch is None):
             step_doc["noop"] = True
@@ -536,7 +526,9 @@ class ServiceSystem(BareSystem):
         outcome = self.service.compact(tenant, tip.epoch)
         self.pop_floors([outcome.old_dump_id])
         for rank in range(self.n):
-            self.ledger.floors[(outcome.new_dump_id, rank)] = eff[rank]
+            self.ledger.floors[(outcome.new_dump_id, rank)] = eff[
+                (tip.epoch, rank)
+            ]
         self.pop_floors(ids_before[e] for e in outcome.swept_epochs)
         step_doc.update(
             epoch=tip.epoch, old_dump_id=outcome.old_dump_id,
@@ -544,31 +536,22 @@ class ServiceSystem(BareSystem):
             swept_epochs=list(outcome.swept_epochs),
         )
 
-    def referential_integrity(self, step_idx: int) -> List[inv.Violation]:
-        pinned = {
+    def pins(self) -> tuple:
+        return {
             node.dump_id for chain in self.chains
             for node in chain.nodes.values() if node.retired
-        }
-        return inv.check_referential_integrity(
-            self.cluster, step_idx, pinned, self.service.index
-        )
-
-    def oracle(self, tenant: str, epoch: int, rank: int) -> bytes:
-        workload = self.dumped[(tenant, epoch)]
-        return workload.build_dataset(rank, self.n).to_bytes()
+        }, self.service.index
 
     def chain_restore(self, step_idx: int) -> List[inv.Violation]:
         out: List[inv.Violation] = []
         for chain in self.chains:
-            floors = {
-                (epoch, rank): floor
-                for epoch in chain.live_epochs()
-                for rank, floor in self.path_floors(chain, epoch).items()
-            }
+            dumped = self.dumped[chain.owner]
+            floors: Dict[Tuple[int, int], int] = {}
+            for epoch in chain.live_epochs():
+                floors.update(self.path_floors(chain, epoch))
             out += inv.check_chain_restore(
-                chain, step_idx, floors,
-                lambda epoch, rank, tenant=chain.owner: self.oracle(
-                    tenant, epoch, rank
+                chain, step_idx, floors, lambda epoch, rank: (
+                    dumped[epoch].build_dataset(rank, self.n).to_bytes()
                 ),
             )
         return out
@@ -752,37 +735,29 @@ def differential_check(
 ) -> List[inv.Violation]:
     """Compare two backends' runs of the same scenario: cluster state,
     normalized reports and invariant verdicts must be identical."""
-    out: List[inv.Violation] = []
-    last = len(thread_result.scenario.steps) - 1
-    if thread_result.cluster_digest != process_result.cluster_digest:
-        out.append(inv.Violation(
-            "differential", last,
-            f"cluster digests diverge: thread "
-            f"{thread_result.cluster_digest[:16]} vs process "
-            f"{process_result.cluster_digest[:16]}",
-        ))
-    if thread_result.reports_digest != process_result.reports_digest:
-        out.append(inv.Violation(
-            "differential", last,
-            f"dump report digests diverge: thread "
-            f"{thread_result.reports_digest[:16]} vs process "
-            f"{process_result.reports_digest[:16]}",
-        ))
-    thread_verdicts = [v.as_dict() for v in thread_result.violations]
-    process_verdicts = [v.as_dict() for v in process_result.violations]
-    if thread_verdicts != process_verdicts:
-        out.append(inv.Violation(
-            "differential", last,
-            f"invariant verdicts diverge: thread found "
-            f"{len(thread_verdicts)}, process found {len(process_verdicts)}",
-        ))
-    if thread_result.slo != process_result.slo:
-        out.append(inv.Violation(
-            "differential", last,
-            "SLO verdicts diverge between backends (queue waits are "
-            "logical ticks, so they must be backend-independent)",
-        ))
-    return out
+    thread, process = thread_result, process_result
+    found = (len(thread.violations), len(process.violations))
+    diverged = (
+        (thread.cluster_digest != process.cluster_digest,
+         f"cluster digests diverge: thread {thread.cluster_digest[:16]} "
+         f"vs process {process.cluster_digest[:16]}"),
+        (thread.reports_digest != process.reports_digest,
+         f"dump report digests diverge: thread "
+         f"{thread.reports_digest[:16]} vs process "
+         f"{process.reports_digest[:16]}"),
+        ([v.as_dict() for v in thread.violations]
+         != [v.as_dict() for v in process.violations],
+         f"invariant verdicts diverge: thread found {found[0]}, "
+         f"process found {found[1]}"),
+        (thread.slo != process.slo,
+         "SLO verdicts diverge between backends (queue waits are "
+         "logical ticks, so they must be backend-independent)"),
+    )
+    last = len(thread.scenario.steps) - 1
+    return [
+        inv.Violation("differential", last, detail)
+        for differs, detail in diverged if differs
+    ]
 
 
 def run_scenario(

@@ -29,16 +29,14 @@ Generation respects the constraints that make the invariant oracles sound:
 * chain mode (incremental checkpoint chains: delta dumps, prune/compact
   maintenance, time-travel restores against a per-epoch oracle) is drawn
   for any number of tenants, always starts with a full dump, and keeps a
-  tenant's prune steps behind at least two of its live epochs, so no
-  tenant's last dump is ever collected (a later full of a diverged state
-  would land on a store GC emptied, which is where healthy-path top-up
-  collisions show: ROADMAP, fault-model item).
+  tenant's prune steps behind two of its live epochs, so no tenant's last
+  dump is ever collected (DESIGN.md "dst: one interpreter, two systems").
 """
 
 from __future__ import annotations
 
 import random
-from typing import List
+from typing import List, Optional
 
 from repro.dst.scenario import (
     MidDumpCrash,
@@ -106,32 +104,38 @@ def generate_scenario(seed: int) -> Scenario:
     def live_nodes() -> List[int]:
         return [i for i, a in enumerate(alive) if a]
 
+    def draw_victim(probability: float) -> Optional[int]:
+        """Kill a live node with ``probability`` while the crash budget
+        lasts and more than two nodes would stay; the victim or None."""
+        nonlocal crash_budget, any_crash
+        if not (
+            crash_budget > 0
+            and len(live_nodes()) > 2
+            and rng.random() < probability
+        ):
+            return None
+        victim = rng.choice(live_nodes())
+        alive[victim] = False
+        crash_budget -= 1
+        any_crash = True
+        return victim
+
+    def draw_mid_dump_crash(probability: float) -> Optional[MidDumpCrash]:
+        victim, phases = draw_victim(probability), ("exchange", "write")
+        return None if victim is None else MidDumpCrash(
+            node=victim, phase=rng.choice(phases)
+        )
+
     for d in range(n_dumps):
         # Between-step events before every dump but the first.
         if d > 0:
-            if crash_budget > 0 and len(live_nodes()) > 2 and rng.random() < 0.45:
-                victim = rng.choice(live_nodes())
+            victim = draw_victim(0.45)
+            if victim is not None:
                 steps.append(Step("crash", node=victim))
-                alive[victim] = False
-                crash_budget -= 1
-                any_crash = True
             if any_crash and rng.random() < 0.4:
                 steps.append(Step("repair"))
                 crash_budget = max(0, k_eff - 1)
-        crash = None
-        if (
-            crash_budget > 0
-            and len(live_nodes()) > 2
-            and rng.random() < 0.3
-        ):
-            victim = rng.choice(live_nodes())
-            crash = MidDumpCrash(
-                node=victim, phase=rng.choice(("exchange", "write"))
-            )
-            alive[victim] = False
-            crash_budget -= 1
-            any_crash = True
-        steps.append(Step("dump", crash=crash))
+        steps.append(Step("dump", crash=draw_mid_dump_crash(0.3)))
     # Sometimes end with a repair so the final state is audited post-heal.
     if any_crash and rng.random() < 0.5:
         steps.append(Step("repair"))
@@ -196,11 +200,9 @@ def generate_scenario(seed: int) -> Scenario:
     # mostly-delta epochs, interleaved with prune/compact maintenance,
     # between-dump and mid-dump crashes (same K_eff - 1 budget and repair
     # reset as above) and time-travel restores checked against the
-    # per-epoch oracle.  A multi-tenant scenario draws a tenant per dump /
-    # prune / compact step (its tenants share content with probability
-    # ``tenant_overlap``, see ``Scenario.make_chain_workload``) and keeps
-    # its arrival mode; a single-tenant one draws nothing new, so those
-    # seeds keep their scenarios.
+    # per-epoch oracle.  A multi-tenant scenario keeps its arrival mode and
+    # draws a tenant per dump / prune / compact step; a single-tenant one
+    # draws nothing new, so those seeds keep their scenarios.
     chain = not repeat and rng.random() < 0.25
     if chain:
         alive = [True] * n
@@ -215,16 +217,9 @@ def generate_scenario(seed: int) -> Scenario:
         live_epochs = [0] * tenants
         live_epochs[first] = 1
         for _ in range(rng.randint(3, 9)):
-            if (
-                crash_budget > 0
-                and len(live_nodes()) > 2
-                and rng.random() < 0.22
-            ):
-                victim = rng.choice(live_nodes())
+            victim = draw_victim(0.22)
+            if victim is not None:
                 chain_steps.append(Step("crash", node=victim))
-                alive[victim] = False
-                crash_budget -= 1
-                any_crash = True
                 if rng.random() < 0.6:
                     chain_steps.append(Step("repair"))
                     crash_budget = max(0, k_eff - 1)
@@ -235,19 +230,7 @@ def generate_scenario(seed: int) -> Scenario:
             t = pick_tenant()
             if live_epochs[t] >= 1 and rng.random() < 0.15:
                 chain_steps.append(Step("compact", tenant=t))
-            crash = None
-            if (
-                crash_budget > 0
-                and len(live_nodes()) > 2
-                and rng.random() < 0.12
-            ):
-                victim = rng.choice(live_nodes())
-                crash = MidDumpCrash(
-                    node=victim, phase=rng.choice(("exchange", "write"))
-                )
-                alive[victim] = False
-                crash_budget -= 1
-                any_crash = True
+            crash = draw_mid_dump_crash(0.12)
             kind = "delta" if rng.random() < 0.7 else "full"
             t = pick_tenant()
             chain_steps.append(Step("dump", kind=kind, crash=crash, tenant=t))

@@ -41,14 +41,6 @@ class Violation:
             "detail": self.detail,
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Violation":
-        return cls(
-            invariant=doc["invariant"],
-            step=int(doc["step"]),
-            detail=doc["detail"],
-        )
-
 
 def _manifest_fps(cluster: Cluster, rank: int, dump_id: int):
     """Distinct fingerprints of a rank's manifest, from any node (live or
@@ -261,9 +253,9 @@ def check_cross_tenant_accounting(service, step: int) -> List[Violation]:
     """What only a service has (the references themselves are
     :func:`check_chain_refcounts`'s): every live dump must still have a
     manifest somewhere (dead nodes included), every indexed chunk that was
-    ever stored must still be stored somewhere, and attribution must bill exactly the
-    unique bytes regardless of policy, with the cross-tenant ratio in
-    ``[0, 1)``."""
+    ever stored must still be stored somewhere, and attribution must bill
+    exactly the unique bytes regardless of policy, with the cross-tenant
+    ratio in ``[0, 1)``."""
     out: List[Violation] = []
     cluster = service.cluster
     stored_ids = {
@@ -406,28 +398,14 @@ def check_chain_refcounts(managers, step: int) -> List[Violation]:
     out: List[Violation] = []
     index, cluster = managers[0].index, managers[0].cluster
     expected = recount_references(managers)
-    for fp in sorted(expected):
-        if not index.has(fp):
+    actual = {fp: dict(entry.refs) for fp, entry in index.items()}
+    for fp in sorted(expected.keys() | actual.keys()):
+        if expected.get(fp) != actual.get(fp):
             out.append(Violation(
                 "chain-refcounts", step,
-                f"chunk {fp.hex()[:12]} is resolved by "
-                f"{sum(expected[fp].values())} live epoch(s) but missing "
-                f"from the GC index",
-            ))
-            continue
-        refs = dict(index.get(fp).refs)
-        if refs != expected[fp]:
-            out.append(Violation(
-                "chain-refcounts", step,
-                f"chunk {fp.hex()[:12]}: index refs {refs} != live-epoch "
-                f"recount {expected[fp]}",
-            ))
-    for fp, _entry in sorted(index.items()):
-        if fp not in expected:
-            out.append(Violation(
-                "chain-refcounts", step,
-                f"GC index holds chunk {fp.hex()[:12]} resolved by no "
-                f"live epoch (leaked reference)",
+                f"chunk {fp.hex()[:12]}: index refs {actual.get(fp)} != "
+                f"live-epoch recount {expected.get(fp)} (None on the left: "
+                f"released too early; on the right: a leaked reference)",
             ))
     for node in cluster.nodes:
         for fp in sorted(node.chunks.fingerprints()):

@@ -282,16 +282,6 @@ class Scenario:
             raise ScenarioError(
                 "multi-tenant scenarios use replication redundancy only"
             )
-        for step in self.steps:
-            if step.op == "gc" and self.tenants < 2:
-                raise ScenarioError(
-                    "gc steps require a multi-tenant scenario (tenants >= 2)"
-                )
-            if step.op in TENANT_OPS and step.tenant >= self.tenants:
-                raise ScenarioError(
-                    f"step tenant {step.tenant} out of range for "
-                    f"{self.tenants} tenants"
-                )
         if self.arrival not in ARRIVAL_MODES:
             raise ScenarioError(
                 f"arrival must be one of {ARRIVAL_MODES}, got {self.arrival!r}"
@@ -313,6 +303,15 @@ class Scenario:
                     "(parity stripes cannot span a chain)"
                 )
         for step in self.steps:
+            if step.op == "gc" and self.tenants < 2:
+                raise ScenarioError(
+                    "gc steps require a multi-tenant scenario (tenants >= 2)"
+                )
+            if step.op in TENANT_OPS and step.tenant >= self.tenants:
+                raise ScenarioError(
+                    f"step tenant {step.tenant} out of range for "
+                    f"{self.tenants} tenants"
+                )
             if step.op in ("prune", "compact") and not self.chain:
                 raise ScenarioError(
                     f"{step.op} steps require a chain scenario"
@@ -397,23 +396,23 @@ class Scenario:
             seed=self.seed * 7919 + content,
         )
 
-    def make_chain_workload(self, tenant: int = 0):
-        """The epoch-evolving workload ``tenant`` dumps in a chain scenario
-        (deterministic).
+    def make_chain_workload(self, tenant: int = 0, epoch: int = 0):
+        """What ``tenant`` dumps as epoch ``epoch`` of a chain scenario: its
+        epoch-evolving workload, advanced that far (deterministic).
 
         Geometry is a pure function of the scenario's chunk knobs — most
         chunks land in segment 0, plus one unaligned segment and one short
         tail segment so delta slicing sees non-chunk-multiple boundaries.
-        A later tenant shares tenant 0's content (same seed, so every chunk
-        of every epoch is cross-tenant) with probability ``tenant_overlap``,
-        a pure function of seed and tenant like :meth:`shared_dump`.
+        With probability ``tenant_overlap`` (decided as :meth:`shared_dump`
+        decides) a later tenant dumps tenant 0's very content: same seed,
+        so every chunk of every epoch is cross-tenant.
         """
         from repro.apps.mutating import MutatingWorkload
 
         cs = self.chunk_size
         main_chunks = max(1, self.chunks_per_rank - 2)
         salt = 0 if self.shared_dump(tenant) else tenant * 104729
-        return MutatingWorkload(
+        workload = MutatingWorkload(
             seed=self.seed * 6151 + 13 + salt,
             segment_lengths=(
                 cs * main_chunks,
@@ -423,6 +422,8 @@ class Scenario:
             chunk_size=cs,
             dirty_frac=0.3,
         )
+        workload.advance(epoch)
+        return workload
 
     # -- serialization ---------------------------------------------------------
     def as_dict(self) -> dict:

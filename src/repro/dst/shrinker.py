@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, List, Optional
 
-from repro.dst.scenario import Scenario, ScenarioError, Step
+from repro.dst.scenario import Scenario, ScenarioError
 
 
 @dataclass
@@ -32,30 +32,40 @@ def _without_index(steps, index: int):
     return tuple(s for i, s in enumerate(steps) if i != index)
 
 
-def _candidates(scenario: Scenario) -> Iterator:
-    """Yield ``(description, candidate)`` simplifications, simplest wins
-    first.  Invalid candidates (scenario validation) are skipped by the
-    caller."""
-    steps = scenario.steps
-    # 1. Drop between-dump crash / repair / collection / compaction events.
-    for i, step in enumerate(steps):
-        if step.op in ("crash", "repair", "gc", "prune", "compact"):
+def _drop(scenario: Scenario, ops) -> Iterator:
+    """Candidates dropping one step of the given kinds each."""
+    for i, step in enumerate(scenario.steps):
+        if step.op in ops:
             yield (
                 f"drop {step.op} step {i}",
                 lambda s=scenario, i=i: s.with_(
                     steps=_without_index(s.steps, i)
                 ),
             )
-    # 1b. Drop idle tick steps and fall back to steady arrival — burst
-    #     shape rarely matters to a minimal reproducer.
-    for i, step in enumerate(steps):
-        if step.op == "tick":
+
+
+def _reduce(scenario, name, floor, targets, also=lambda s, t: {}) -> Iterator:
+    """Candidates setting the integer knob ``name`` to each smaller target."""
+    for target in sorted(targets):
+        if floor <= target < getattr(scenario, name):
             yield (
-                f"drop tick step {i}",
-                lambda s=scenario, i=i: s.with_(
-                    steps=_without_index(s.steps, i)
+                f"reduce {name} to {target}",
+                lambda s=scenario, t=target: s.with_(
+                    **{name: t}, **also(s, t)
                 ),
             )
+
+
+def _candidates(scenario: Scenario) -> Iterator:
+    """Yield ``(description, candidate)`` simplifications, simplest wins
+    first.  Invalid candidates (scenario validation) are skipped by the
+    caller."""
+    steps = scenario.steps
+    # 1. Drop between-dump crash / repair / collection / compaction events.
+    yield from _drop(scenario, ("crash", "repair", "gc", "prune", "compact"))
+    # 1b. Drop idle tick steps and fall back to steady arrival — burst
+    #     shape rarely matters to a minimal reproducer.
+    yield from _drop(scenario, ("tick",))
     if scenario.arrival != "steady":
         yield (
             "set arrival=steady",
@@ -67,8 +77,7 @@ def _candidates(scenario: Scenario) -> Iterator:
             yield (
                 f"remove mid-dump crash from step {i}",
                 lambda s=scenario, i=i: s.with_(steps=tuple(
-                    Step("dump", tenant=st.tenant, kind=st.kind)
-                    if j == i else st
+                    replace(st, crash=None) if j == i else st
                     for j, st in enumerate(s.steps)
                 )),
             )
@@ -79,45 +88,20 @@ def _candidates(scenario: Scenario) -> Iterator:
             yield (
                 f"promote delta dump step {i} to full",
                 lambda s=scenario, i=i: s.with_(steps=tuple(
-                    Step("dump", crash=st.crash, tenant=st.tenant,
-                         kind="full")
-                    if j == i else st
+                    replace(st, kind="full") if j == i else st
                     for j, st in enumerate(s.steps)
                 )),
             )
     # 3. Drop dump steps (keep at least one).
     if scenario.n_dumps > 1:
-        for i, step in enumerate(steps):
-            if step.op == "dump":
-                yield (
-                    f"drop dump step {i}",
-                    lambda s=scenario, i=i: s.with_(
-                        steps=_without_index(s.steps, i)
-                    ),
-                )
+        yield from _drop(scenario, ("dump",))
     # 4. Shrink the cluster.  Crash victims beyond the new size make the
     #    candidate invalid and it is skipped — event-dropping above opens
-    #    the way first.
-    for target in sorted({2, scenario.n_ranks // 2, scenario.n_ranks - 1}):
-        if 2 <= target < scenario.n_ranks:
-            yield (
-                f"reduce n_ranks to {target}",
-                lambda s=scenario, t=target: s.with_(n_ranks=t),
-            )
-    # 5. Shrink K.
-    for target in sorted({1, 2, scenario.k - 1}):
-        if 1 <= target < scenario.k:
-            yield (
-                f"reduce k to {target}",
-                lambda s=scenario, t=target: s.with_(k=t),
-            )
-    # 6. Shrink the data.
-    for target in sorted({1, 2, scenario.chunks_per_rank // 2}):
-        if 1 <= target < scenario.chunks_per_rank:
-            yield (
-                f"reduce chunks_per_rank to {target}",
-                lambda s=scenario, t=target: s.with_(chunks_per_rank=t),
-            )
+    #    the way first.  Then K, then the data.
+    n, k, chunks = scenario.n_ranks, scenario.k, scenario.chunks_per_rank
+    yield from _reduce(scenario, "n_ranks", 2, {2, n // 2, n - 1})
+    yield from _reduce(scenario, "k", 1, {1, 2, k - 1})
+    yield from _reduce(scenario, "chunks_per_rank", 1, {1, 2, chunks // 2})
     # 7. Simplify feature flags and the workload mix.
     if scenario.compress is not None:
         yield (
@@ -147,7 +131,7 @@ def _candidates(scenario: Scenario) -> Iterator:
     # 8. Leave chain mode last: only valid once every prune/compact step
     #    and delta dump kind has been simplified away (validation rejects
     #    the candidate otherwise), at which point the schedule is a plain
-    #    dump run and the base executor is the simpler reproducer.
+    #    dump run.
     if scenario.chain:
         yield (
             "disable chain mode",
@@ -155,18 +139,13 @@ def _candidates(scenario: Scenario) -> Iterator:
         )
     # 9. Then fewer tenants, folding their steps onto the ones that stay;
     #    a single tenant is only valid once every gc step and bursty
-    #    arrival went, and is the bare cluster.
-    for target in sorted({1, scenario.tenants - 1}):
-        if 1 <= target < scenario.tenants:
-            yield (
-                f"reduce tenants to {target}",
-                lambda s=scenario, t=target: s.with_(
-                    tenants=t,
-                    steps=tuple(
-                        replace(st, tenant=st.tenant % t) for st in s.steps
-                    ),
-                ),
-            )
+    #    arrival went, and is the bare cluster: the simplest reproducer.
+    yield from _reduce(
+        scenario, "tenants", 1, {1, scenario.tenants - 1},
+        lambda s, t: {"steps": tuple(
+            replace(st, tenant=st.tenant % t) for st in s.steps
+        )},
+    )
 
 
 def shrink(

@@ -112,9 +112,8 @@ class GlobalDedupIndex:
                 if entry is None:
                     shard[fp] = ChunkEntry(size, tenant, {tenant: 1})
                     continue
-                # Recorded while no node stored it (size 0: a degraded dump
-                # lost the rank that wrote it).  If someone stores it now,
-                # everyone who references it starts paying for it.
+                # Size 0: recorded while no node stored it (a degraded dump
+                # lost the rank that wrote it).  Its holders pay from now on.
                 entry.size = size
                 for other in entry.refs:
                     if other != tenant:

@@ -119,6 +119,54 @@ class TestReferentialIntegrity:
         assert inv.check_referential_integrity(cluster, 0, {7}) == []
 
 
+class TestChainRefcounts:
+    """One recount for every chain sharing an index: a bare manager alone
+    (``tests/chain``), every tenant's chain in a service (dst)."""
+
+    def service(self):
+        from repro.apps.mutating import MutatingWorkload
+        from repro.svc import CheckpointService
+
+        service = CheckpointService(
+            3, config=DumpConfig(replication_factor=2, chunk_size=64)
+        )
+        for i, name in enumerate(("a", "b")):
+            service.register_tenant(name)
+            workload = MutatingWorkload(
+                seed=2, segment_lengths=(256, 90), chunk_size=64,
+                dirty_frac=0.3,
+            )
+            workload.advance(i)
+            for kind in ("full", "delta"):
+                service.submit(name, workload, kind=kind)
+                service.drain()
+                workload.advance()
+        return service, [service.chain_of(name) for name in ("a", "b")]
+
+    def test_clean_service_recounts_to_its_index(self):
+        service, chains = self.service()
+        assert inv.check_chain_refcounts(chains, 0) == []
+        assert inv.check_cross_tenant_accounting(service, 0) == []
+        # one tenant's chain alone is not the whole index
+        assert inv.check_chain_refcounts(chains[:1], 0)
+
+    def test_leak_release_and_missed_gc_are_each_caught(self):
+        service, chains = self.service()
+        fp = sorted(chains[0].resolved_distinct(0))[0]
+        service.index.record("a", fp, 64)
+        (leak,) = inv.check_chain_refcounts(chains, 0)
+        assert leak.invariant == "chain-refcounts"
+        assert fp.hex()[:12] in leak.detail
+        service.index.release("a", fp)
+        service.index.release("a", fp)
+        (early,) = inv.check_chain_refcounts(chains, 0)
+        assert fp.hex()[:12] in early.detail
+        service.index.record("a", fp, 64)
+        service.cluster.nodes[0].chunks.put(b"\x01" * 20, b"stray")
+        (missed,) = inv.check_chain_refcounts(chains, 0)
+        assert "referenced by no live epoch" in missed.detail
+
+
 class TestAuditConsistency:
     def test_agrees_when_healthy(self):
         cluster, _reports = dumped_cluster()
