@@ -114,6 +114,11 @@ class SyntheticWorkload(SegmentedWorkload):
             )
         return segments
 
+    def per_rank_bytes(self, n_ranks: int, rank: int = 0) -> int:
+        # Every class is a whole number of chunks and they sum to
+        # ``chunks_per_rank``: the size is known without building the bytes.
+        return self.chunks_per_rank * self.chunk_size
+
     # -- analytic expectations (used by exact tests) ---------------------------
     def expected_local_unique_chunks(self) -> int:
         counts = self.class_counts()

@@ -120,6 +120,74 @@ def cmd_sweep_k(args) -> None:
     print(format_series("K", list(args.k), series))
 
 
+def _world_args(
+    parser, n, k, chunks_per_rank, chunk_size, strategy=True,
+    n_help="process count", seed_help=None,
+) -> None:
+    """Declare the flags of a subcommand that drives a world: its geometry,
+    ``--strategy`` (unless ``strategy=False``), ``--seed`` and ``--backend``.
+    A list default for ``n`` makes ``--n`` take several values."""
+    parser.add_argument("--n", type=int, default=n, help=n_help,
+                        nargs="+" if isinstance(n, list) else None)
+    parser.add_argument("--k", type=int, default=k, help="replication factor")
+    parser.add_argument("--chunks-per-rank", type=int, default=chunks_per_rank)
+    parser.add_argument("--chunk-size", type=int, default=chunk_size)
+    if strategy:
+        parser.add_argument("--strategy", default=Strategy.COLL_DEDUP.value,
+                            choices=[s.value for s in Strategy])
+    parser.add_argument("--seed", type=int, default=0, help=seed_help)
+    parser.add_argument("--backend", help="SPMD execution backend: thread or "
+                        "process (default: REPRO_SPMD_BACKEND or thread)")
+
+
+def _config(args, **extra):
+    """The subcommand's :class:`~repro.core.config.DumpConfig`.
+
+    Resolves ``args.backend`` first, so a bad name fails before any work
+    and every world, report and snapshot of the run sees one canonical
+    name (the flag, else ``REPRO_SPMD_BACKEND``, else thread).
+    """
+    from repro.core.config import DumpConfig
+    from repro.simmpi.backend import normalize_backend
+
+    args.backend = normalize_backend(args.backend)
+    return DumpConfig(
+        replication_factor=args.k,
+        chunk_size=args.chunk_size,
+        f_threshold=1 << 14,
+        strategy=getattr(args, "strategy", Strategy.COLL_DEDUP),
+        **extra,
+    )
+
+
+def _dump_synthetic(args, config, n):
+    """Dump the seeded synthetic workload onto a fresh ``n``-node cluster;
+    returns the cluster and the world that ran the dump."""
+    from repro.apps.synthetic import SyntheticWorkload
+    from repro.core.dump import dump_output
+    from repro.core.runner import run_collective
+    from repro.storage.local_store import Cluster
+
+    workload = SyntheticWorkload(chunks_per_rank=args.chunks_per_rank,
+                                 chunk_size=args.chunk_size, seed=args.seed)
+    cluster = Cluster(n)
+
+    def rank_main(comm):
+        dataset = workload.build_dataset(comm.rank, n)
+        return dump_output(comm, dataset, config, cluster)
+
+    _res, world = run_collective(n, rank_main, cluster=cluster, backend=args.backend)
+    return cluster, world
+
+
+def _service(args, **kw):
+    """The checkpoint service ``serve``, ``slo`` and ``chain`` drive."""
+    from repro.svc import CheckpointService
+
+    config = _config(args)
+    return CheckpointService(args.n, config=config, backend=args.backend, **kw)
+
+
 def cmd_repair(args) -> None:
     """Demonstrate the failure -> repair cycle on a synthetic cluster.
 
@@ -127,40 +195,16 @@ def cmd_repair(args) -> None:
     to K and audits — printing what the scan found, what moved where, and
     the modelled repair time.
     """
-    from repro.apps.synthetic import SyntheticWorkload
-    from repro.core.config import DumpConfig
-    from repro.core.dump import dump_output
     from repro.netsim import MachineProfile, repair_time
     from repro.core.runner import run_collective
     from repro.repair import execute_repair, plan_repair, scan_cluster
     from repro.sim.metrics import repair_balance
     from repro.storage.failures import FailureInjector
-    from repro.storage.local_store import Cluster
 
     n, k = args.n[0], args.k
     if args.fail >= n:
         raise SystemExit(f"cannot fail {args.fail} of {n} nodes")
-    config = DumpConfig(
-        replication_factor=k,
-        chunk_size=args.chunk_size,
-        f_threshold=1 << 14,
-        strategy=Strategy.parse(args.strategy),
-        spmd_backend=args.backend,
-    )
-    workload = SyntheticWorkload(
-        chunks_per_rank=args.chunks_per_rank,
-        chunk_size=args.chunk_size,
-        seed=args.seed,
-    )
-    cluster = Cluster(n)
-    run_collective(
-        n,
-        lambda comm: dump_output(
-            comm, workload.build_dataset(comm.rank, n), config, cluster
-        ),
-        cluster=cluster,
-        backend=config.spmd_backend,
-    )
+    cluster, _world = _dump_synthetic(args, _config(args), n)
 
     injector = FailureInjector(cluster, seed=args.seed)
     victims = injector.fail_random_nodes(args.fail)
@@ -169,7 +213,7 @@ def cmd_repair(args) -> None:
     schedule = plan_repair(cluster, scan)
     results, _world = run_collective(
         n, execute_repair, cluster, schedule, scan,
-        cluster=cluster, backend=config.spmd_backend,
+        cluster=cluster, backend=args.backend,
     )
     report = results[0]
     audit = injector.audit(0)
@@ -216,42 +260,16 @@ def cmd_repair(args) -> None:
 
 def cmd_trace_record(args) -> None:
     """Record a span-level synthetic dump and write the run snapshot."""
-    from repro.apps.synthetic import SyntheticWorkload
-    from repro.core.config import DumpConfig
-    from repro.core.dump import dump_output
-    from repro.core.runner import run_collective
     from repro.obs import capture_run, write_chrome_trace, write_run
-    from repro.storage.local_store import Cluster
 
     n = args.n
-    config = DumpConfig(
-        replication_factor=args.k,
-        chunk_size=args.chunk_size,
-        f_threshold=1 << 14,
-        strategy=Strategy.parse(args.strategy),
-        spmd_backend=args.backend,
-        pipelined=args.pipelined,
-        integrity=args.integrity,
-        trace_level="span",
-    )
-    workload = SyntheticWorkload(
-        chunks_per_rank=args.chunks_per_rank,
-        chunk_size=args.chunk_size,
-        seed=args.seed,
-    )
-    cluster = Cluster(n)
-    _results, world = run_collective(
-        n,
-        lambda comm: dump_output(
-            comm, workload.build_dataset(comm.rank, n), config, cluster
-        ),
-        cluster=cluster,
-        backend=config.spmd_backend,
-    )
+    config = _config(args, pipelined=args.pipelined, integrity=args.integrity,
+                     trace_level="span")
+    _cluster, world = _dump_synthetic(args, config, n)
     run = capture_run(
         world,
         meta={
-            "backend": config.spmd_backend or "thread",
+            "backend": args.backend,
             "n": n,
             "k": args.k,
             "strategy": config.strategy.value,
@@ -425,19 +443,18 @@ def cmd_chain(args) -> None:
     per-epoch table (kind, dump id, dirty chunks, shipped bytes, depth)
     and the store footprint next to what N independent fulls would have
     cost — the incremental-chain savings story in one screen.
+
+    The chain is one tenant of the checkpoint service: every epoch is a
+    ``submit(kind=)`` + ``drain``, and restore, prune and compaction are
+    the service's ``restore`` / ``gc`` / ``compact`` — the request path
+    ``serve`` runs.
     """
     from repro.apps.mutating import MutatingWorkload
-    from repro.chain import ChainManager
-    from repro.core.config import DumpConfig
-    from repro.storage.local_store import Cluster
 
-    config = DumpConfig(
-        replication_factor=args.k,
-        chunk_size=args.chunk_size,
-        strategy=Strategy.parse(args.strategy),
-    )
-    cluster = Cluster(args.n)
-    manager = ChainManager(cluster, config, args.n, backend=args.backend)
+    tenant = "chain"
+    service = _service(args)
+    service.register_tenant(tenant)
+    chain = service.chain_of(tenant)
     chunk_size = args.chunk_size
     workload = MutatingWorkload(
         seed=args.seed,
@@ -449,9 +466,7 @@ def cmd_chain(args) -> None:
         chunk_size=chunk_size,
         dirty_frac=args.dirty_frac,
     )
-    full_bytes = sum(
-        workload.per_rank_bytes(args.n, rank) for rank in range(args.n)
-    )
+    full_bytes = workload.per_rank_bytes(args.n) * args.n  # one geometry
     rows = []
     shipped_total = 0
     for epoch in range(args.epochs):
@@ -460,17 +475,19 @@ def cmd_chain(args) -> None:
         kind = "full" if not epoch or (
             args.full_every and epoch % args.full_every == 0
         ) else "delta"
-        result = manager.chain_dump(workload, kind=kind)
-        shipped = sum(r.dataset_bytes for r in result.reports)
+        stored_before = service.index.unique_bytes
+        service.submit(tenant, workload, kind=kind)
+        (outcome,) = service.drain()
+        shipped = sum(r.dataset_bytes for r in outcome.reports)
         shipped_total += shipped
         rows.append([
-            result.epoch,
-            result.kind + ("*" if result.promoted else ""),
-            result.dump_id,
-            f"{result.changed_chunks}/{result.total_chunks}",
+            outcome.tenant_dump_id,
+            outcome.kind + ("*" if outcome.promoted else ""),
+            outcome.global_dump_id,
+            f"{outcome.changed_chunks}/{outcome.total_chunks}",
             shipped,
-            result.new_unique_bytes,
-            manager.depth_of(result.epoch),
+            service.index.unique_bytes - stored_before,
+            chain.depth_of(outcome.tenant_dump_id),
         ])
     print(f"chain: {args.epochs} epochs, n={args.n}, K={args.k}, "
           f"dirty={args.dirty_frac:.0%}")
@@ -480,36 +497,36 @@ def cmd_chain(args) -> None:
     ))
 
     failures = 0
-    for epoch in manager.live_epochs():
+    live = chain.live_epochs()
+    for epoch in live:
         snap = workload.at_epoch(epoch)
         for rank in range(args.n):
-            data, _report = manager.restore_epoch(rank, epoch)
+            data, _report = service.restore(tenant, rank, epoch)
             if data.to_bytes() != snap.build_dataset(rank, args.n).to_bytes():
                 failures += 1
                 print(f"MISMATCH: epoch {epoch} rank {rank}")
-    verified = len(manager.live_epochs()) * args.n
+    verified = len(live) * args.n
     print(f"time-travel restore: {verified - failures}/{verified} "
           f"epoch-rank restores byte-identical to the workload oracle")
 
     for _ in range(args.prune):
-        live = manager.live_epochs()
-        if len(live) < 2:
+        if len(chain.live_epochs()) < 2:
             break
-        outcome = manager.prune(live[0])
-        print(f"prune epoch {outcome.epoch}: dropped "
-              f"{outcome.chunks_dropped} chunks ({outcome.bytes_freed} B), "
-              f"pinned={outcome.pinned}, swept={list(outcome.swept_epochs)}")
+        outcome = service.gc(tenant)
+        print(f"prune epoch {outcome.tenant_dump_id}: dropped "
+              f"{outcome.chunks_dropped} distinct chunks "
+              f"({outcome.bytes_reclaimed} B over all replicas), "
+              f"pinned={outcome.pinned}")
     if args.compact:
-        tip = manager.live_epochs()[-1]
-        outcome = manager.compact(tip)
+        outcome = service.compact(tenant)
         if outcome.compacted:
-            print(f"compact epoch {tip}: dump {outcome.old_dump_id} -> "
-                  f"{outcome.new_dump_id}, chain depth now "
-                  f"{manager.depth_of(tip)}")
+            print(f"compact epoch {outcome.epoch}: dump {outcome.old_dump_id} "
+                  f"-> {outcome.new_dump_id}, chain depth now "
+                  f"{chain.depth_of(outcome.epoch)}")
         else:
-            print(f"compact epoch {tip}: already a parentless full")
+            print(f"compact epoch {outcome.epoch}: already a parentless full")
 
-    stats = cluster.store_stats()
+    stats = service.cluster.store_stats()
     naive = full_bytes * args.epochs
     print(f"shipped {shipped_total} B across {args.epochs} epochs "
           f"({naive} B as independent fulls, "
@@ -533,9 +550,7 @@ def cmd_serve(args) -> None:
     timeline (the report gains an SLO section); ``--top-every N``
     repaints a one-line live dashboard every N service ticks.
     """
-    from repro.core.config import DumpConfig
     from repro.svc import (
-        CheckpointService,
         ServiceError,
         TenantQuota,
         TenantWorkload,
@@ -544,24 +559,10 @@ def cmd_serve(args) -> None:
         format_top,
     )
 
-    config = DumpConfig(
-        replication_factor=args.k,
-        chunk_size=args.chunk_size,
-        f_threshold=1 << 14,
-        strategy=Strategy.parse(args.strategy),
-    )
-    service = CheckpointService(
-        args.n,
-        config=config,
-        shard_count=args.shards,
-        backend=args.backend or "thread",
-        max_inflight=args.max_inflight,
-        attribution=args.attribution,
-    )
-    quota = TenantQuota(
-        max_logical_bytes=args.quota_bytes,
-        max_dumps_per_window=args.quota_rate,
-    )
+    service = _service(args, shard_count=args.shards,
+                       max_inflight=args.max_inflight, attribution=args.attribution)
+    quota = TenantQuota(max_logical_bytes=args.quota_bytes,
+                        max_dumps_per_window=args.quota_rate)
     if args.slo:
         from repro.obs.slo import SLOEngine
 
@@ -572,12 +573,8 @@ def cmd_serve(args) -> None:
     for dump_index in range(args.dumps):
         for i, name in enumerate(names):
             workload = TenantWorkload(
-                i,
-                overlap=args.overlap,
-                chunks_per_rank=args.chunks_per_rank,
-                chunk_size=args.chunk_size,
-                seed=args.seed,
-                dump_index=dump_index,
+                i, overlap=args.overlap, chunks_per_rank=args.chunks_per_rank,
+                chunk_size=args.chunk_size, seed=args.seed, dump_index=dump_index,
             )
             try:
                 service.submit(name, workload)
@@ -627,19 +624,10 @@ def cmd_slo(args) -> None:
     import json as _json
     import random
 
-    from repro.core.config import DumpConfig
     from repro.obs.slo import DEFAULT_OBJECTIVES, SLOEngine, format_slo_report
-    from repro.svc import CheckpointService, TenantWorkload
+    from repro.svc import TenantWorkload
 
-    config = DumpConfig(
-        replication_factor=args.k,
-        chunk_size=args.chunk_size,
-        f_threshold=1 << 14,
-    )
-    service = CheckpointService(
-        args.n, config=config, backend=args.backend or "thread",
-        max_inflight=1,
-    )
+    service = _service(args, max_inflight=1)
     engine = SLOEngine(
         args.objective or DEFAULT_OBJECTIVES,
         windows=((8, 1.0), (4, 1.0)),
@@ -654,17 +642,11 @@ def cmd_slo(args) -> None:
     for _burst in range(args.bursts):
         for _ in range(rng.randint(1, 2 * args.tenants)):
             tenant = rng.randrange(args.tenants)
-            service.submit(
-                names[tenant],
-                TenantWorkload(
-                    tenant,
-                    overlap=args.overlap,
-                    chunks_per_rank=args.chunks_per_rank,
-                    chunk_size=args.chunk_size,
-                    seed=args.seed,
-                    dump_index=dump_index,
-                ),
+            workload = TenantWorkload(
+                tenant, overlap=args.overlap, chunks_per_rank=args.chunks_per_rank,
+                chunk_size=args.chunk_size, seed=args.seed, dump_index=dump_index,
             )
+            service.submit(names[tenant], workload)
             dump_index += 1
         while service.queue.depth:
             service.step()
@@ -767,39 +749,15 @@ def build_parser() -> argparse.ArgumentParser:
     rp = sub.add_parser(
         "repair", help="fail nodes on a dumped cluster, then repair back to K"
     )
-    rp.add_argument("--n", type=int, nargs="+", default=[8], help="process count")
-    rp.add_argument("--k", type=int, default=3, help="replication factor")
+    _world_args(rp, n=[8], k=3, chunks_per_rank=8, chunk_size=256)
     rp.add_argument("--fail", type=int, default=2, help="nodes to fail")
-    rp.add_argument("--chunks-per-rank", type=int, default=8)
-    rp.add_argument("--chunk-size", type=int, default=256)
-    rp.add_argument("--strategy", default=Strategy.COLL_DEDUP.value,
-                    choices=[s.value for s in Strategy])
-    rp.add_argument("--seed", type=int, default=0)
-    rp.add_argument(
-        "--backend",
-        default=None,
-        help="SPMD execution backend: thread or process "
-        "(default: REPRO_SPMD_BACKEND or thread)",
-    )
     rp.set_defaults(func=cmd_repair)
 
     tc = sub.add_parser(
         "trace-record",
         help="record a span-level synthetic dump into a run snapshot",
     )
-    tc.add_argument("--n", type=int, default=4, help="process count")
-    tc.add_argument("--k", type=int, default=3, help="replication factor")
-    tc.add_argument("--chunks-per-rank", type=int, default=8)
-    tc.add_argument("--chunk-size", type=int, default=256)
-    tc.add_argument("--strategy", default=Strategy.COLL_DEDUP.value,
-                    choices=[s.value for s in Strategy])
-    tc.add_argument("--seed", type=int, default=0)
-    tc.add_argument(
-        "--backend",
-        default=None,
-        help="SPMD execution backend: thread or process "
-        "(default: REPRO_SPMD_BACKEND or thread)",
-    )
+    _world_args(tc, n=4, k=3, chunks_per_rank=8, chunk_size=256)
     tc.add_argument(
         "--pipelined", action="store_true",
         help="double-buffered hash/exchange/write pipeline "
@@ -842,13 +800,9 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="DIR",
                     help="replay every scenario in DIR "
                     "(default: the checked-in tests/dst/corpus)")
-    fz.add_argument(
-        "--backend",
-        default=None,
-        choices=("thread", "process"),
-        help="force one SPMD backend (default: scenario decides; "
-        "differential scenarios run both and compare)",
-    )
+    fz.add_argument("--backend", choices=("thread", "process"),
+                    help="force one SPMD backend (default: scenario decides; "
+                    "differential scenarios run both and compare)")
     fz.add_argument("--chain", action="store_true",
                     help="with --seed/--runs: scan seeds upward and keep "
                     "only checkpoint-chain scenarios")
@@ -873,8 +827,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="incremental checkpoint chain: delta dumps, time-travel "
         "restore, refcounted GC, compaction",
     )
-    ch.add_argument("--n", type=int, default=4, help="process count")
-    ch.add_argument("--k", type=int, default=2, help="replication factor")
+    _world_args(ch, n=4, k=2, chunks_per_rank=16, chunk_size=256)
     ch.add_argument("--epochs", type=int, default=6,
                     help="epochs to dump (first is always a full)")
     ch.add_argument("--dirty-frac", type=float, default=0.15,
@@ -886,17 +839,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="prune the N oldest epochs after verification")
     ch.add_argument("--compact", action="store_true",
                     help="compact the tip into a synthetic full")
-    ch.add_argument("--chunks-per-rank", type=int, default=16)
-    ch.add_argument("--chunk-size", type=int, default=256)
-    ch.add_argument("--strategy", default=Strategy.COLL_DEDUP.value,
-                    choices=[s.value for s in Strategy])
-    ch.add_argument("--seed", type=int, default=0)
-    ch.add_argument(
-        "--backend",
-        default=None,
-        help="SPMD execution backend: thread or process "
-        "(default: REPRO_SPMD_BACKEND or thread)",
-    )
     ch.set_defaults(func=cmd_chain)
 
     sv = sub.add_parser(
@@ -910,15 +852,10 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--overlap", type=float, default=0.5,
                     help="fraction of each tenant's bytes shared with "
                     "every other tenant")
-    sv.add_argument("--n", type=int, default=4, help="ranks per dump")
-    sv.add_argument("--k", type=int, default=2, help="replication factor")
+    _world_args(sv, n=4, k=2, chunks_per_rank=16, chunk_size=256,
+                n_help="ranks per dump")
     sv.add_argument("--shards", type=int, default=8,
                     help="chunk-store shards per node")
-    sv.add_argument("--chunks-per-rank", type=int, default=16)
-    sv.add_argument("--chunk-size", type=int, default=256)
-    sv.add_argument("--strategy", default=Strategy.COLL_DEDUP.value,
-                    choices=[s.value for s in Strategy])
-    sv.add_argument("--seed", type=int, default=0)
     sv.add_argument("--max-inflight", type=int, default=2,
                     help="dumps admitted per scheduler tick")
     sv.add_argument("--attribution", default="first-writer",
@@ -931,12 +868,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--gc-oldest", action="store_true",
                     help="after all rounds, garbage-collect every "
                     "tenant's oldest dump")
-    sv.add_argument(
-        "--backend",
-        default=None,
-        help="SPMD execution backend: thread or process "
-        "(default: REPRO_SPMD_BACKEND or thread)",
-    )
     sv.add_argument("--out", default=None, metavar="FILE",
                     help="write the service metrics run snapshot here")
     sv.add_argument("--slo", action="store_true",
@@ -952,25 +883,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="seeded bursty serve run with deterministic burn-rate "
         "SLO verdicts",
     )
-    so.add_argument("--seed", type=int, default=0,
-                    help="arrival-process seed (same seed, same verdict)")
+    _world_args(so, n=4, k=2, chunks_per_rank=8, chunk_size=128,
+                strategy=False, n_help="ranks per dump",
+                seed_help="arrival-process seed (same seed, same verdict)")
     so.add_argument("--tenants", type=int, default=2)
     so.add_argument("--bursts", type=int, default=6,
                     help="burst rounds (each: clump of submits, drain, "
                     "idle gap)")
-    so.add_argument("--n", type=int, default=4, help="ranks per dump")
-    so.add_argument("--k", type=int, default=2, help="replication factor")
     so.add_argument("--overlap", type=float, default=0.5)
-    so.add_argument("--chunks-per-rank", type=int, default=8)
-    so.add_argument("--chunk-size", type=int, default=128)
     so.add_argument("--min-samples", type=int, default=3,
                     help="samples a window needs before it may fire")
     so.add_argument("--objective", action="append", default=[],
                     metavar="SPEC",
                     help="objective '<op>.<field>.<stat> <cmp> <value>' "
                     "(repeatable; default: the built-in set)")
-    so.add_argument("--backend", default=None,
-                    help="SPMD execution backend: thread or process")
     so.add_argument("--out", default=None, metavar="FILE",
                     help="write the repro.obs/slo/v1 verdict JSON here")
     so.add_argument("--timeline-out", default=None, metavar="FILE",

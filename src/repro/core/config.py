@@ -43,6 +43,12 @@ class Strategy(enum.Enum):
 class DumpConfig:
     """Parameters of one collective dump.
 
+    The world that runs the dump is not part of it: every driver that
+    spawns one (``run_collective``, ``run_checkpointed``, ``repair_cluster``,
+    :class:`~repro.chain.ChainManager`, the service, the CLI) takes
+    ``backend=`` / ``timeout=`` and defaults to ``REPRO_SPMD_BACKEND`` /
+    ``REPRO_SPMD_TIMEOUT``.
+
     Parameters
     ----------
     replication_factor:
@@ -116,14 +122,6 @@ class DumpConfig:
     #: replica short of K (no local copy); a follow-up repair
     #: (:func:`repro.repair.repair_cluster`) tops it up.
     degraded: bool = False
-    #: SPMD execution backend for drivers that spawn their own world
-    #: (:func:`repro.ftrt.runtime.run_checkpointed`, the CLI): ``"thread"``
-    #: (default) or ``"process"`` for fork-based multi-core execution.
-    #: ``None`` defers to ``REPRO_SPMD_BACKEND``, then thread.
-    spmd_backend: Optional[str] = None
-    #: World timeout in seconds for those same drivers.  ``None`` defers to
-    #: ``REPRO_SPMD_TIMEOUT``, then the 60 s default.
-    spmd_timeout: Optional[float] = None
     #: Observability level for the dump: ``"phase"`` (counters only, the
     #: default) or ``"span"`` (additionally record hierarchical timestamped
     #: spans and metrics — see :mod:`repro.obs`).  ``None`` defers to
@@ -181,20 +179,6 @@ class DumpConfig:
         if self.dedup_domain_size is not None and self.dedup_domain_size < 1:
             raise ValueError(
                 f"dedup_domain_size must be >= 1, got {self.dedup_domain_size}"
-            )
-        if self.spmd_backend is not None:
-            from repro.simmpi.backend import normalize_backend
-            from repro.simmpi.errors import SimMPIError
-
-            try:
-                object.__setattr__(
-                    self, "spmd_backend", normalize_backend(self.spmd_backend)
-                )
-            except SimMPIError as exc:  # keep config errors as ValueError
-                raise ValueError(str(exc)) from None
-        if self.spmd_timeout is not None and self.spmd_timeout <= 0:
-            raise ValueError(
-                f"spmd_timeout must be > 0, got {self.spmd_timeout}"
             )
         if self.trace_level is not None:
             from repro.simmpi.trace import TRACE_LEVELS

@@ -265,9 +265,9 @@ def run_checkpointed(
     """Run ``program(runtime, *args, **kwargs)`` on every rank of a world.
 
     Each rank gets its own :class:`CheckpointRuntime` (reach the
-    communicator via ``runtime.comm``).  The execution backend defaults to
-    ``config.spmd_backend`` and the world timeout to ``config.spmd_timeout``
-    (both overridable per call); under the process backend the ranks'
+    communicator via ``runtime.comm``).  ``backend`` and ``timeout``
+    default to ``REPRO_SPMD_BACKEND`` / ``REPRO_SPMD_TIMEOUT``, then thread
+    and 60 s; under the process backend the ranks'
     cluster writes — checkpoints, repairs — are merged back into ``cluster``
     via :func:`repro.core.runner.run_collective`, so the caller's cluster
     ends up identical to a thread-backend run.
@@ -287,8 +287,8 @@ def run_checkpointed(
         rank_main,
         *args,
         cluster=cluster,
-        backend=backend if backend is not None else config.spmd_backend,
-        timeout=timeout if timeout is not None else config.spmd_timeout,
+        backend=backend,
+        timeout=timeout,
         **kwargs,
     )
     return results

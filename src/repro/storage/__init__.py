@@ -15,7 +15,6 @@ from repro.storage.local_store import (
     NodeDelta,
     NodeStorage,
     ShardedChunkStore,
-    ShardedManifestIndex,
     StorageError,
     StoreDelta,
     make_chunk_store,
@@ -36,7 +35,6 @@ __all__ = [
     "ParallelFileSystem",
     "RecoverabilityReport",
     "ShardedChunkStore",
-    "ShardedManifestIndex",
     "StorageError",
     "StoreDelta",
     "make_chunk_store",

@@ -14,7 +14,6 @@ from __future__ import annotations
 import os
 import threading
 from collections import Counter
-from collections.abc import MutableMapping
 from itertools import compress
 from operator import not_
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
@@ -548,44 +547,6 @@ class ShardedChunkStore:
                 self.shards[i]._bump(fp, payload, count, adopt=True)
 
 
-class ShardedManifestIndex(MutableMapping):
-    """Manifest index split across ``shard_count`` dicts by key hash.
-
-    Gives each chunk-store shard a manifest-index sibling so a node's whole
-    metadata surface scales out together; behaves exactly like the plain
-    dict :class:`NodeStorage` uses for the single-shard layout.
-    """
-
-    __slots__ = ("shard_count", "_shards")
-
-    def __init__(self, shard_count: int) -> None:
-        self.shard_count = shard_count
-        self._shards: List[Dict[Tuple[int, int], bytes]] = [
-            {} for _ in range(shard_count)
-        ]
-
-    def _shard(self, key: Tuple[int, int]) -> Dict[Tuple[int, int], bytes]:
-        rank, dump_id = key
-        # Knuth multiplicative hash keeps consecutive ranks off one shard.
-        return self._shards[(rank * 2654435761 + dump_id) % self.shard_count]
-
-    def __getitem__(self, key):
-        return self._shard(key)[key]
-
-    def __setitem__(self, key, value):
-        self._shard(key)[key] = value
-
-    def __delitem__(self, key):
-        del self._shard(key)[key]
-
-    def __iter__(self):
-        for shard in self._shards:
-            yield from shard
-
-    def __len__(self):
-        return sum(len(shard) for shard in self._shards)
-
-
 def make_chunk_store(
     dedup: bool = True,
     directory: Optional[str] = None,
@@ -614,9 +575,9 @@ class NodeStorage:
         self.chunks = make_chunk_store(
             dedup=dedup, directory=chunk_dir, shard_count=shard_count
         )
-        self._manifests: MutableMapping[Tuple[int, int], bytes] = (
-            ShardedManifestIndex(shard_count) if shard_count > 1 else {}
-        )
+        # One dict whatever ``shard_count``: chunk shards exist for their
+        # locks, and manifests are written once per dump and rank.
+        self._manifests: Dict[Tuple[int, int], bytes] = {}
         self._parity: List = []  # ParityRecord instances (see repro.erasure)
         self._parity_by_fp: Dict[Tuple[Fingerprint, int], object] = {}
         self.alive = True

@@ -50,6 +50,7 @@ from repro.core.config import DumpConfig
 from repro.core.dump import DumpReport
 from repro.obs.metrics import LATENCY_BUCKETS
 from repro.obs.timeline import DEFAULT_CAPACITY, TimelineStore
+from repro.simmpi.backend import normalize_backend
 from repro.simmpi.trace import Trace
 from repro.storage.local_store import Cluster
 from repro.svc.admission import AdmissionQueue, DumpRequest
@@ -132,7 +133,7 @@ class CheckpointService:
         n_ranks: int,
         config: Optional[DumpConfig] = None,
         shard_count: int = 8,
-        backend: str = "thread",
+        backend: Optional[str] = None,
         max_inflight: int = 2,
         queue_depth: int = 64,
         attribution: str = "first-writer",
@@ -149,7 +150,9 @@ class CheckpointService:
         self.n_ranks = n_ranks
         self.config = config or DumpConfig()
         self.shard_count = shard_count
-        self.backend = backend
+        #: resolved once (``None``: ``REPRO_SPMD_BACKEND``, else thread), so
+        #: every dump, report and timeline sample names the backend that ran
+        self.backend = normalize_backend(backend)
         self.max_inflight = max_inflight
         self.attribution = attribution
         self.timeout = timeout

@@ -86,3 +86,7 @@ class TenantWorkload(SegmentedWorkload):
                     )
                 )
         return segments
+
+    def per_rank_bytes(self, n_ranks: int, rank: int = 0) -> int:
+        # Shared plus unique chunks are ``chunks_per_rank`` whole chunks.
+        return self.chunks_per_rank * self.chunk_size

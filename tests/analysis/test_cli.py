@@ -1,5 +1,7 @@
 """The repro-eval command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -126,3 +128,68 @@ class TestErrorExitCodes:
     def test_bad_flag_value_one_line_error(self, capsys):
         assert main(["trace-record", "--n", "many"]) == 2
         assert "invalid int value" in capsys.readouterr().err
+
+
+def shm_segments():
+    """The process backend's shared-memory segments (``psm*`` windows,
+    ``psr*`` result blobs) that currently exist."""
+    return {name for name in os.listdir("/dev/shm") if name.startswith(("psm", "psr"))}
+
+
+@pytest.fixture
+def worlds(monkeypatch):
+    """The backend of every world the command spawns, in order."""
+    import repro.core.runner as runner
+
+    seen = []
+    real = runner.create_world
+
+    def spy(size, backend=None, timeout=None):
+        seen.append(backend)
+        return real(size, backend=backend, timeout=timeout)
+
+    monkeypatch.setattr(runner, "create_world", spy)
+    return seen
+
+
+WORLD_COMMANDS = {
+    "repair": ["repair", "--n", "3", "--k", "2", "--fail", "1"],
+    "trace-record": ["trace-record", "--n", "2", "--out", "{tmp}/run.json"],
+    "chain": ["chain", "--n", "2", "--epochs", "3"],
+    "serve": ["serve", "--tenants", "2", "--dumps", "1", "--n", "2"],
+    "slo": ["slo", "--tenants", "2", "--bursts", "2", "--n", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(WORLD_COMMANDS))
+class TestWorldDrivingCommands:
+    """Every subcommand that spawns a world resolves its backend the same
+    way: the flag, else ``REPRO_SPMD_BACKEND``, else thread."""
+
+    @staticmethod
+    def argv(command, tmp_path, *extra):
+        tiny = ["--chunks-per-rank", "4", "--chunk-size", "64"]
+        base = [arg.format(tmp=tmp_path) for arg in WORLD_COMMANDS[command]]
+        return base + tiny + list(extra)
+
+    def test_process_flag_runs_clean(self, command, tmp_path, worlds, capsys):
+        before = shm_segments()
+        assert main(self.argv(command, tmp_path, "--backend", "process")) == 0
+        assert worlds and set(worlds) == {"process"}
+        assert shm_segments() <= before
+
+    def test_environment_reaches_the_world(
+        self, command, tmp_path, worlds, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_SPMD_BACKEND", "process")
+        assert main(self.argv(command, tmp_path)) == 0
+        assert worlds and set(worlds) == {"process"}
+
+    def test_bad_backend_is_one_line_before_any_world(
+        self, command, tmp_path, worlds, capsys
+    ):
+        assert main(self.argv(command, tmp_path, "--backend", "banana")) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "unknown SPMD backend 'banana'" in err
+        assert worlds == []

@@ -1,6 +1,7 @@
 """Synthetic workload generator: exact redundancy control."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.apps.synthetic import SyntheticWorkload
 from repro.core import DumpConfig, Strategy
@@ -31,6 +32,27 @@ class TestComposition:
     def test_per_rank_size_exact(self):
         w = SyntheticWorkload(chunks_per_rank=64, chunk_size=CS)
         assert w.per_rank_bytes(4) == 64 * CS
+
+    @given(data=st.data())
+    def test_per_rank_bytes_is_the_declared_geometry(self, data):
+        """Any class mix, chunk count (0 included) and rank: the size read
+        off the geometry is the size of the bytes the rank dumps."""
+        weights = data.draw(st.lists(st.integers(0, 9), min_size=5, max_size=5))
+        total = sum(weights) or 1
+        n = data.draw(st.integers(1, 6), label="n_ranks")
+        rank = data.draw(st.integers(0, n - 1), label="rank")
+        w = SyntheticWorkload(
+            chunks_per_rank=data.draw(st.integers(0, 40), label="chunks"),
+            chunk_size=data.draw(st.integers(1, 300), label="chunk_size"),
+            frac_global=weights[0] / total,
+            frac_group=weights[1] / total,
+            frac_zero=weights[2] / total,
+            frac_local_dup=weights[3] / total,
+            group_size=data.draw(st.integers(1, 4), label="group_size"),
+            local_dup_degree=data.draw(st.integers(1, 5), label="dup_degree"),
+            seed=data.draw(st.integers(0, 3), label="seed"),
+        )
+        assert w.per_rank_bytes(n, rank) == w.build_dataset(rank, n).nbytes
 
     def test_deterministic_across_instances(self):
         a = SyntheticWorkload(chunks_per_rank=16, chunk_size=CS, seed=3)

@@ -36,6 +36,17 @@ class TestChainCommand:
         assert "compact epoch 4" in text
         assert "chain depth now 1" in text
 
+    def test_process_backend_prune_and_compact_verify_every_epoch(self, capsys):
+        assert run_cli([
+            "chain", "--n", "3", "--epochs", "4", "--backend", "process",
+            "--prune", "1", "--compact",
+            "--chunks-per-rank", "8", "--chunk-size", "64",
+        ]) == 0
+        text = capsys.readouterr().out
+        assert "12/12 epoch-rank restores byte-identical" in text
+        assert "prune epoch 0: dropped" in text and "distinct chunks" in text
+        assert "compact epoch 3" in text and "chain depth now 1" in text
+
     def test_full_every_resets_chain_depth(self, capsys):
         assert run_cli([
             "chain", "--n", "3", "--epochs", "6", "--full-every", "3",

@@ -294,13 +294,7 @@ class TestCheckpointRuntimeEquivalence:
     def test_run_checkpointed_merges_cluster_back(self):
         observed = {}
         for backend in BACKENDS:
-            cfg = DumpConfig(
-                replication_factor=2,
-                chunk_size=CS,
-                f_threshold=4096,
-                spmd_backend=backend,
-                spmd_timeout=TIMEOUT,
-            )
+            cfg = DumpConfig(replication_factor=2, chunk_size=CS, f_threshold=4096)
             cluster = Cluster(N)
 
             def program(runtime):
@@ -310,7 +304,10 @@ class TestCheckpointRuntimeEquivalence:
                     runtime.maybe_checkpoint(step)
                 return runtime.stats.checkpoints_taken
 
-            results = run_checkpointed(N, cluster, cfg, interval=2, program=program)
+            results = run_checkpointed(
+                N, cluster, cfg, interval=2, program=program,
+                backend=backend, timeout=TIMEOUT,
+            )
             observed[backend] = (results, cluster_state(cluster))
         assert observed["thread"] == observed["process"]
         assert observed["process"][0] == [2] * N

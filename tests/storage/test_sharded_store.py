@@ -18,7 +18,6 @@ from hypothesis import given, strategies as st
 from repro.storage import (
     ChunkStore,
     ShardedChunkStore,
-    ShardedManifestIndex,
     make_chunk_store,
 )
 from repro.storage.local_store import StorageError, StoreDelta
@@ -245,22 +244,6 @@ class TestShardedStore:
         assert isinstance(
             make_chunk_store(shard_count=2), ShardedChunkStore
         )
-
-
-class TestShardedManifestIndex:
-    def test_mapping_protocol(self):
-        index = ShardedManifestIndex(shard_count=4)
-        keys = [(rank, dump) for rank in range(3) for dump in range(3)]
-        for i, key in enumerate(keys):
-            index[key] = b"m%d" % i
-        assert len(index) == len(keys)
-        assert sorted(index.keys()) == sorted(keys)
-        assert index[(1, 1)] == b"m4"
-        del index[(0, 0)]
-        assert (0, 0) not in index
-        assert len(index) == len(keys) - 1
-        with pytest.raises(KeyError):
-            index[(0, 0)]
 
 
 class TestShardedBatchedReads:

@@ -2,6 +2,7 @@
 quotas, scheduling and the obs metrics surface."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.config import DumpConfig
 from repro.svc import (
@@ -411,6 +412,58 @@ class TestBackendsAndRepair:
             make_service(attribution="auction")
         with pytest.raises(ValueError):
             make_service(max_inflight=0)
+
+    def test_backend_defaults_to_the_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SPMD_BACKEND", "process")
+        service = make_service()
+        assert service.backend == "process"
+        assert build_report(service).backend == "process"
+        assert service.capture_metrics()["meta"]["backend"] == "process"
+        assert make_service(backend="thread").backend == "thread"
+
+
+class TestRequestSizing:
+    """A request is sized from the workload's declared geometry."""
+
+    @given(
+        overlap=st.floats(0.0, 1.0),
+        chunks=st.integers(0, 40),
+        chunk_size=st.integers(1, 300),
+        n_ranks=st.integers(1, 6),
+        data=st.data(),
+    )
+    def test_tenant_bytes_are_the_declared_geometry(
+        self, overlap, chunks, chunk_size, n_ranks, data
+    ):
+        rank = data.draw(st.integers(0, n_ranks - 1), label="rank")
+        workload = TenantWorkload(
+            data.draw(st.integers(0, 3), label="tenant"), overlap=overlap,
+            chunks_per_rank=chunks, chunk_size=chunk_size,
+            seed=data.draw(st.integers(0, 3), label="seed"),
+        )
+        assert workload.per_rank_bytes(n_ranks, rank) == workload.build_dataset(
+            rank, n_ranks
+        ).nbytes
+
+    def test_submit_builds_no_rank_data(self, monkeypatch):
+        from repro.apps.synthetic import SyntheticWorkload
+
+        calls = []
+        for cls in (TenantWorkload, SyntheticWorkload):
+            real = cls.rank_segments
+
+            def spy(self, rank, n_ranks, real=real):
+                calls.append(rank)
+                return real(self, rank, n_ranks)
+
+            monkeypatch.setattr(cls, "rank_segments", spy)
+        service = make_service()
+        service.register_tenant("a")
+        service.submit("a", tenant_workload(0))
+        service.submit("a", SyntheticWorkload(chunks_per_rank=8, chunk_size=CS))
+        assert calls == []
+        service.drain()  # the dumps themselves build the data
+        assert calls
 
 
 class TestDegradedDumpThatLosesARank:
