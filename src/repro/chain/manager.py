@@ -82,6 +82,8 @@ class ChainDumpResult:
     cross_owner_hits: int = 0
     #: per-rank :class:`~repro.core.dump.DumpReport` list
     reports: list = field(default_factory=list)
+    #: the collective's per-rank :class:`~repro.simmpi.trace.Trace` list
+    traces: list = field(default_factory=list)
 
     @property
     def delta_fraction(self) -> float:
@@ -466,7 +468,7 @@ class ChainManager:
             )
 
         with self._span("chain-dump", epoch=epoch, kind=kind, dump_id=did):
-            reports, _world = run_collective(
+            reports, world = run_collective(
                 self.n, rank_main, cluster=self.cluster,
                 backend=self.backend, timeout=self.timeout,
             )
@@ -504,6 +506,7 @@ class ChainManager:
             new_unique_bytes=new_bytes,
             cross_owner_hits=cross_hits,
             reports=list(reports),
+            traces=[comm.trace for comm in world.comms],
         )
 
     # -- restore ----------------------------------------------------------------

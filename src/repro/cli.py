@@ -160,40 +160,37 @@ def _config(args, **extra):
     )
 
 
-def _dump_synthetic(args, config, n):
-    """Dump the seeded synthetic workload onto a fresh ``n``-node cluster;
-    returns the cluster and the world that ran the dump."""
-    from repro.apps.synthetic import SyntheticWorkload
-    from repro.core.dump import dump_output
-    from repro.core.runner import run_collective
-    from repro.storage.local_store import Cluster
-
-    workload = SyntheticWorkload(chunks_per_rank=args.chunks_per_rank,
-                                 chunk_size=args.chunk_size, seed=args.seed)
-    cluster = Cluster(n)
-
-    def rank_main(comm):
-        dataset = workload.build_dataset(comm.rank, n)
-        return dump_output(comm, dataset, config, cluster)
-
-    _res, world = run_collective(n, rank_main, cluster=cluster, backend=args.backend)
-    return cluster, world
-
-
-def _service(args, **kw):
-    """The checkpoint service ``serve``, ``slo`` and ``chain`` drive."""
+def _service(args, config=None, **kw):
+    """The checkpoint service a subcommand runs its world through, on its
+    first ``--n`` where it takes several; ``config`` defaults to
+    :func:`_config`'s."""
     from repro.svc import CheckpointService
 
-    config = _config(args)
-    return CheckpointService(args.n, config=config, backend=args.backend, **kw)
+    config = config or _config(args)
+    n = args.n[0] if isinstance(args.n, list) else args.n
+    return CheckpointService(n, config=config, backend=args.backend, **kw)
+
+
+def _synthetic_full(args, service):
+    """Dump the seeded synthetic workload as the one full of a fresh
+    tenant; returns the :class:`~repro.svc.DumpOutcome`."""
+    from repro.apps.synthetic import SyntheticWorkload
+
+    service.register_tenant("synthetic")
+    service.submit("synthetic", SyntheticWorkload(
+        chunks_per_rank=args.chunks_per_rank, chunk_size=args.chunk_size,
+        seed=args.seed,
+    ))
+    (outcome,) = service.drain()
+    return outcome
 
 
 def cmd_repair(args) -> None:
     """Demonstrate the failure -> repair cycle on a synthetic cluster.
 
-    Dumps a synthetic workload, fails ``--fail`` random nodes, repairs back
-    to K and audits — printing what the scan found, what moved where, and
-    the modelled repair time.
+    Dumps a synthetic workload as one full through the service, fails
+    ``--fail`` random nodes, repairs back to K and audits — printing what
+    the scan found, what moved where, and the modelled repair time.
     """
     from repro.netsim import MachineProfile, repair_time
     from repro.core.runner import run_collective
@@ -204,7 +201,9 @@ def cmd_repair(args) -> None:
     n, k = args.n[0], args.k
     if args.fail >= n:
         raise SystemExit(f"cannot fail {args.fail} of {n} nodes")
-    cluster, _world = _dump_synthetic(args, _config(args), n)
+    service = _service(args)
+    _synthetic_full(args, service)
+    cluster = service.cluster
 
     injector = FailureInjector(cluster, seed=args.seed)
     victims = injector.fail_random_nodes(args.fail)
@@ -259,15 +258,16 @@ def cmd_repair(args) -> None:
 
 
 def cmd_trace_record(args) -> None:
-    """Record a span-level synthetic dump and write the run snapshot."""
+    """Record a span-level synthetic full through the service and write
+    the run snapshot of the collective's per-rank traces."""
     from repro.obs import capture_run, write_chrome_trace, write_run
 
     n = args.n
     config = _config(args, pipelined=args.pipelined, integrity=args.integrity,
                      trace_level="span")
-    _cluster, world = _dump_synthetic(args, config, n)
+    outcome = _synthetic_full(args, _service(args, config))
     run = capture_run(
-        world,
+        outcome.traces,
         meta={
             "backend": args.backend,
             "n": n,

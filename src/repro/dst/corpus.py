@@ -2,7 +2,7 @@
 
 The checked-in corpus (``tests/dst/corpus/*.json``) is a set of generated
 scenarios frozen as JSON, chosen to cover the feature matrix (degraded
-dumps with mid-dump and between-dump crashes, repair, parity redundancy, compression, the fingerprint-cache mode, the
+dumps with mid-dump and between-dump crashes, repair, parity redundancy, compression, the repeat mode, the
 pipelined dump with fast (non-cryptographic) fingerprints, sharded chunk
 stores, multi-tenant service scenarios with per-tenant GC, bursty
 arrival with idle ticks — including at least one seed whose queue-wait

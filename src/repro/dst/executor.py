@@ -1,7 +1,7 @@
 """Scenario executor: one step interpreter runs a
 :class:`~repro.dst.scenario.Scenario` as a dump→crash→repair→restore loop
-over one of two systems (the bare cluster, or the service every chain
-runs behind), with the system's invariant battery after every step.
+over the checkpoint service, where production runs every dump, with the
+system's invariant battery after every step.
 
 Execution is a pure function of the scenario (and the chosen backend):
 datasets come from the seeded synthetic workload, failures fire at the
@@ -25,15 +25,11 @@ import logging
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.dump import dump_output
-from repro.core.fpcache import FingerprintCache
 from repro.core.restore import verify_restorable
-from repro.core.runner import run_collective
 from repro.dst import invariants as inv
 from repro.dst.scenario import MidDumpCrash, Scenario, ScenarioError, Step
 from repro.obs.export import merge_traces
 from repro.obs.slo import SLOEngine
-from repro.repair import repair_cluster
 from repro.simmpi.trace import Trace
 from repro.storage.failures import FailureInjector
 from repro.storage.local_store import Cluster
@@ -48,12 +44,13 @@ VERDICT_SCHEMA_ID = "repro.dst/verdict/v1"
 #: correctness bugs used to prove the harness actually catches violations
 BUGS = ("drop-replica",)
 
-#: report fields excluded from the cross-backend digest: the fingerprint
-#: cache exists only on the thread backend (per-rank caches do not survive
-#: the process backend's forks), so its hit counters legitimately differ.
+#: report fields excluded from the digest: a rank-side fingerprint cache's
+#: hit counters, which only a thread-backend cache can move (per-rank
+#: caches do not survive the process backend's forks); left out, digests
+#: compare across backends and with those of earlier commits.
 _BACKEND_SPECIFIC_FIELDS = ("cache_hits", "cache_bytes_skipped")
 
-#: SLO configuration armed on every multi-tenant scenario.  Queue-wait
+#: SLO configuration armed on every scenario.  Queue-wait
 #: ticks are pure logical time, so the alert timeline joins the verdict's
 #: byte-equality contract; the windows are short to match the short step
 #: schedules the generator draws (steady runs wait 1 tick, bursty runs
@@ -75,8 +72,8 @@ class FuzzResult:
     reports_digest: str = ""
     #: per-rank merged traces (``collect_trace=True`` only)
     traces: Optional[list] = None
-    #: the service SLO engine's deterministic verdict (multi-tenant
-    #: scenarios only; tick-based, so it joins the byte-equality contract)
+    #: the service SLO engine's deterministic verdict (tick-based, so it
+    #: joins the byte-equality contract)
     slo: Optional[dict] = None
 
     @property
@@ -209,155 +206,33 @@ def reports_digest(all_reports: List[List]) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-class BareSystem:
-    """The bare cluster, and the base :class:`ServiceSystem` extends.
+class ServiceSystem:
+    """What the step loop drives: :class:`repro.svc.CheckpointService`, the
+    one dump model production runs, in which every dump is an epoch of its
+    tenant's chain.
 
-    A *system* is what the step loop drives, and it owns everything that
-    differs between the two: how the cluster is built, what a dump is
-    (and which step-document fields it adds), who repairs, its byte
-    oracle, the ordered invariant battery, and the step kinds beyond
+    The system owns what the loop leaves open: how the cluster is built,
+    what a dump is (and which step-document fields it adds), who repairs,
+    the ordered invariant battery, and the step kinds beyond
     ``dump``/``crash``/``repair`` it understands (:attr:`ops`: ``op ->
-    handler(step, step_idx, step_doc)``, which may return violations).
-    Of the loop's state it sees only the ledger and the ``arm_crash``
-    helper passed to :meth:`dump`.
+    handler(step, step_idx, step_doc)``, which may return violations).  Of
+    the loop's state it sees only the ledger and the ``arm_crash`` helper
+    passed to :meth:`dump`.
 
-    Here a dump is one ``dump_output`` collective over the seeded
-    synthetic workload, with dump ids counting up from 0.
-    """
-
-    def __init__(
-        self, scenario: Scenario, backend: str, config, ledger: ReplicaLedger,
-        trace: Optional[Trace] = None,
-    ) -> None:
-        self.scenario = scenario
-        self.backend = backend
-        self.config = config
-        self.ledger = ledger
-        #: the driver pseudo-rank's trace (``collect_trace`` only)
-        self.trace = trace
-        self.n = scenario.n_ranks
-        #: worlds / trace lists merged into ``result.traces``
-        self.trace_sources: List[object] = []
-        self.ops: Dict[str, Callable] = {"tick": self.tick}
-        self.setup()
-
-    def setup(self) -> None:
-        self.cluster = Cluster(self.n, shard_count=self.scenario.shard_count)
-        self.next_dump_id = 0
-        self.fpcaches: Dict[int, FingerprintCache] = {}
-        self.use_fpcache = (
-            self.scenario.workload_mode == "repeat"
-            and self.config.chunking == "fixed"
-            and self.backend == "thread"
-        )
-
-    def tick(self, step: Step, step_idx: int, step_doc: dict) -> None:
-        # Idle ticks model arrival gaps; without a service queue there
-        # is no logical clock to advance, so they are pure no-ops.
-        step_doc["noop"] = True
-
-    def repair(self):
-        return repair_cluster(
-            self.cluster, self.scenario.k, backend=self.backend
-        )
-
-    def dump(self, step: Step, step_idx: int, step_doc: dict, arm_crash):
-        """Run one dump; returns ``(dump_id, reports, crash_that_fired)``."""
-        n, config, cluster = self.n, self.config, self.cluster
-        this_dump = self.next_dump_id
-        workload = self.scenario.make_workload(this_dump)
-        crash, phase_hook = arm_crash(step.crash)
-        all_clean = self.use_fpcache and this_dump > 0
-
-        def rank_main(comm):
-            dataset = workload.build_dataset(comm.rank, n)
-            dirty = None
-            fpc = None
-            if self.use_fpcache:
-                fpc = self.fpcaches.get(comm.rank)
-                if fpc is None:
-                    fpc = self.fpcaches[comm.rank] = FingerprintCache(
-                        config.chunk_size, config.effective_hash_name
-                    )
-                if all_clean:
-                    # "repeat" mode rewrites identical content, so
-                    # declaring every segment clean is truthful.
-                    dirty = [[] for _ in range(dataset.num_segments)]
-            return dump_output(
-                comm, dataset, config, cluster,
-                dump_id=this_dump, fpcache=fpc,
-                dirty_regions=dirty, phase_hook=phase_hook,
-            )
-
-        reports, world = run_collective(
-            n, rank_main, cluster=cluster, backend=self.backend
-        )
-        if self.trace is not None:
-            self.trace_sources.append(world)
-        self.next_dump_id += 1
-        return this_dump, reports, crash
-
-    def oracle(self, dump_id: int, rank: int) -> bytes:
-        workload = self.scenario.make_workload(dump_id)
-        return workload.build_dataset(rank, self.n).to_bytes()
-
-    def battery(self) -> List[tuple]:
-        """The ``(verdict name, check(step_idx) -> violations)`` pairs armed
-        after every step, in verdict order."""
-        cluster, floors = self.cluster, self.ledger.floors
-        parity = self.scenario.redundancy == "parity"
-
-        def restore(step_idx: int) -> List[inv.Violation]:
-            # Parity promises restorability, not a replica count.
-            wanted = {key: 1 for key in floors} if parity else floors
-            return inv.check_restore(cluster, step_idx, wanted, self.oracle)
-
-        checks = [
-            ("parity-margin", lambda i: inv.check_parity_margin(
-                cluster, i, self.scenario.k_eff
-            )),
-            ("replication", lambda i: inv.check_replication(
-                cluster, i, floors
-            )),
-            ("restore", restore),
-            ("audit-consistency", lambda i: inv.check_audit_consistency(
-                cluster, i, sorted({d for d, _r in floors}), floors
-            )),
-            ("referential-integrity", lambda i: (
-                inv.check_referential_integrity(cluster, i, *self.pins())
-            )),
-        ]
-        # Parity keeps shards, not replicas: its margin check stands in
-        # for the two replica-count oracles.
-        unarmed = (
-            ("replication", "audit-consistency") if parity
-            else ("parity-margin",)
-        )
-        return [check for check in checks if check[0] not in unarmed]
-
-    def pins(self) -> tuple:
-        """``(pinned dump ids, index)`` where retired chain epochs exist."""
-        return ()
-
-    def finish(self, result: FuzzResult) -> None:
-        """Add what only this system knows to the finished result."""
-
-
-class ServiceSystem(BareSystem):
-    """A multi-tenant or chain scenario on
-    :class:`repro.svc.CheckpointService`, the one dump model production
-    runs: every dump is an epoch of its tenant's chain.
+    The tenants are ``t0``, ``t1``, ….  A chain scenario's tenants each dump
+    one epoch-evolving :class:`~repro.apps.mutating.MutatingWorkload` (the
+    k-th submission is epoch k, a ``full`` or a ``delta``); otherwise every
+    dump is a full of the seeded synthetic workload, ``make_workload(k)``
+    for the scenario's k-th dump: in ``repeat`` mode the same content each
+    time, under ``redundancy="parity"`` a parity full.  ``gc`` and
+    ``prune`` retire the tenant's oldest live dump, ``compact`` rewrites its
+    newest into a synthetic full.
 
     Dumps route through the admission queue, one per tick: under ``steady``
     arrival the schedule is the scenario's step order, ``bursty`` arrival
     submits every dump of a consecutive-dump run up front (later ones queue
     behind earlier ones, so the armed queue-wait SLO sees real burn) and
-    ``tick`` steps advance the clock idly between bursts.  A chain
-    scenario's tenants each dump one epoch-evolving
-    :class:`~repro.apps.mutating.MutatingWorkload` (the k-th submission is
-    epoch k, a ``full`` or a ``delta``), the others independent synthetic
-    fulls.  ``gc`` and ``prune`` retire the tenant's oldest live dump,
-    ``compact`` rewrites its newest into a synthetic full.
+    ``tick`` steps advance the clock idly between bursts.
 
     The replica ledger works on *global* dump ids, the manifest keys the
     service writes (a delta's manifests list only its own chunks, exactly
@@ -365,19 +240,23 @@ class ServiceSystem(BareSystem):
     the new id at the *effective* (path-minimum) level, swept dumps stop
     owing replicas, pinned ones keep owing them.
 
-    The battery is the base one minus the per-dump ``restore`` (a delta is
-    not restorable on its own; the per-epoch oracle replaces it), plus the
-    service oracles (tenant isolation, cross-tenant accounting, SLO
-    determinism: a fresh engine replayed over the timeline reproduces the
-    live alerts) and the chain oracles: structure, refcount conservation
-    over every chain sharing the index, and restore-to-any-epoch equality
-    with what each ``(tenant, epoch)`` dumped, under the effective floor.
+    The battery holds the cluster oracles (replica floors and audit
+    consistency, or the parity margin; referential integrity), the service
+    oracles (tenant isolation, cross-tenant accounting, SLO determinism: a
+    fresh engine replayed over the timeline reproduces the live alerts) and
+    the chain oracles: structure, refcount conservation over every chain
+    sharing the index, and restore-to-any-epoch equality with what each
+    ``(tenant, epoch)`` dumped, under the effective floor.
     """
 
-    def setup(self) -> None:
-        scenario = self.scenario
+    def __init__(
+        self, scenario: Scenario, backend: str, config, ledger: ReplicaLedger,
+    ) -> None:
+        self.scenario = scenario
+        self.ledger = ledger
+        self.n = scenario.n_ranks
         self.service = service = CheckpointService(
-            self.n, config=self.config, backend=self.backend,
+            self.n, config=config, backend=backend,
             shard_count=scenario.shard_count, max_inflight=1,
         )
         service.attach_slo(SLOEngine(
@@ -385,7 +264,9 @@ class ServiceSystem(BareSystem):
             min_samples=SVC_SLO_MIN_SAMPLES,
         ))
         self.cluster = service.cluster
-        self.trace_sources.append([service.trace])
+        #: trace lists merged into ``result.traces``: the service's own,
+        #: then every dump's per-rank traces
+        self.trace_sources: List[object] = [[service.trace]]
         #: every tenant's chain; ``chain.owner`` is the tenant's name
         self.chains = [
             service.register_tenant(f"t{i}").chain
@@ -398,6 +279,7 @@ class ServiceSystem(BareSystem):
         #: ticket -> (workload, crash that will fire)
         self.pending: Dict[int, Tuple[object, Optional[object]]] = {}
         # Exactly the step kinds Scenario validation admits for the mode.
+        self.ops: Dict[str, Callable] = {"tick": self.tick}
         if scenario.tenants > 1:
             self.ops["gc"] = self.collect
         if scenario.chain:
@@ -444,6 +326,7 @@ class ServiceSystem(BareSystem):
                 break
 
     def dump(self, step: Step, step_idx: int, step_doc: dict, arm_crash):
+        """Run one dump; returns ``(dump_id, reports, crash_that_fired)``."""
         if not self.pending:  # else this step's dump went in with its burst
             self.submit_run(step_idx, arm_crash)
         # One dump executes per tick (max_inflight=1); under bursty
@@ -453,6 +336,7 @@ class ServiceSystem(BareSystem):
         outcome = self.service.step()[0]
         workload, crash = self.pending.pop(outcome.ticket)
         self.dumped[outcome.tenant][outcome.tenant_dump_id] = workload
+        self.trace_sources.append(outcome.traces)
         step_doc["epoch"] = outcome.tenant_dump_id
         for name in ("tenant", "wait_ticks", "kind", "promoted",
                      "changed_chunks", "total_chunks"):
@@ -481,7 +365,7 @@ class ServiceSystem(BareSystem):
         """``gc`` and ``prune``: retire the tenant's oldest live dump;
         ``prune`` never its last, so time travel to *somewhere* survives
         every chain schedule and no later full lands on a store GC emptied
-        (DESIGN.md "dst: one interpreter, two systems")."""
+        (DESIGN.md "dst: one interpreter, one system")."""
         chain = self.chains[step.tenant]
         tenant = step_doc["tenant"] = chain.owner
         live = chain.live_epochs()
@@ -537,6 +421,7 @@ class ServiceSystem(BareSystem):
         )
 
     def pins(self) -> tuple:
+        """``(pinned dump ids, index)``: the retired chain epochs."""
         return {
             node.dump_id for chain in self.chains
             for node in chain.nodes.values() if node.retired
@@ -557,10 +442,23 @@ class ServiceSystem(BareSystem):
         return out
 
     def battery(self) -> List[tuple]:
+        """The ``(verdict name, check(step_idx) -> violations)`` pairs armed
+        after every step, in verdict order."""
+        cluster, floors = self.cluster, self.ledger.floors
         service, chains = self.service, self.chains
-        return [
-            check for check in super().battery() if check[0] != "restore"
-        ] + [
+        checks = [
+            ("parity-margin", lambda i: inv.check_parity_margin(
+                cluster, i, self.scenario.k_eff
+            )),
+            ("replication", lambda i: inv.check_replication(
+                cluster, i, floors
+            )),
+            ("audit-consistency", lambda i: inv.check_audit_consistency(
+                cluster, i, sorted({d for d, _r in floors}), floors
+            )),
+            ("referential-integrity", lambda i: (
+                inv.check_referential_integrity(cluster, i, *self.pins())
+            )),
             ("tenant-isolation",
              lambda i: inv.check_tenant_isolation(service, i)),
             ("cross-tenant-accounting",
@@ -575,16 +473,16 @@ class ServiceSystem(BareSystem):
              lambda i: inv.check_chain_refcounts(chains, i)),
             ("chain-restore", self.chain_restore),
         ]
+        # Parity keeps shards, not replicas: its margin check stands in
+        # for the two replica-count oracles.
+        unarmed = (
+            ("replication", "audit-consistency")
+            if self.scenario.redundancy == "parity" else ("parity-margin",)
+        )
+        return [check for check in checks if check[0] not in unarmed]
 
     def finish(self, result: FuzzResult) -> None:
         result.slo = self.service.slo.verdict(self.service.timeline)
-
-
-def system_for(scenario: Scenario) -> type:
-    """The system a scenario runs on, chosen from the scenario itself."""
-    if scenario.chain or scenario.tenants > 1:
-        return ServiceSystem
-    return BareSystem
 
 
 def execute_scenario(
@@ -601,12 +499,13 @@ def execute_scenario(
     per-rank traces land on ``result.traces`` (plus a driver pseudo-rank
     narrating the step schedule), ready for ``repro-eval trace``.
 
-    This is the one step loop.  It owns what is the same on every system
-    (liveness and the :class:`ReplicaLedger`, ``crash``, ``repair``, arming
-    a mid-dump crash, the dump tail, the battery, the digests, the driver
-    pseudo-rank); what a dump, a tick or a ``gc`` is belongs to the system
-    (see :class:`BareSystem`).  A step or a check that raises is a finding,
-    not a traceback: one ``step-error`` violation, and the run ends there.
+    This is the one step loop.  It owns what does not depend on the
+    service (liveness and the :class:`ReplicaLedger`, ``crash``,
+    ``repair``, arming a mid-dump crash, the dump tail, the battery, the
+    digests, the driver pseudo-rank); what a dump, a tick or a ``gc`` is
+    belongs to the system (see :class:`ServiceSystem`).  A step or a check
+    that raises is a finding, not a traceback: one ``step-error``
+    violation, and the run ends there.
     """
     if bug is not None and bug not in BUGS:
         raise ValueError(f"unknown bug {bug!r}; expected one of {BUGS}")
@@ -616,21 +515,21 @@ def execute_scenario(
     ledger = ReplicaLedger(k_eff)
     alive = [True] * n
     # Pseudo-rank n narrates the scenario schedule alongside the real
-    # ranks' dump/repair spans (its spans are no-ops at phase level).
+    # ranks' dump spans (its spans are no-ops at phase level).
     driver = Trace(rank=n, level="span" if collect_trace else "phase")
-    system = system_for(scenario)(
+    system = ServiceSystem(
         scenario, backend,
         scenario.dump_config(trace_level="span" if collect_trace else None),
-        ledger, driver if collect_trace else None,
+        ledger,
     )
     cluster = system.cluster
     all_reports: List[List] = []
 
     def arm_crash(crash: Optional[MidDumpCrash]):
         """``(crash, phase_hook)`` for a dump being submitted now — both
-        None unless the victim is alive at this moment.  A system calls
+        None unless the victim is alive at this moment.  The system calls
         this when it *submits* a dump, because the service judges
-        liveness at submission and the bare cluster at execution."""
+        liveness at submission."""
         if crash is None or not alive[crash.node]:
             return None, None
         return crash, FailureInjector(cluster).mid_dump_hook(

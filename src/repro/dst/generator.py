@@ -17,9 +17,10 @@ Generation respects the constraints that make the invariant oracles sound:
   whose failure semantics are identical across SPMD backends;
 * parity redundancy (incompatible with degraded mode) is only drawn for
   crash-free, coll-dedup, non-differential scenarios;
-* the fingerprint-cache mode (``workload_mode="repeat"``) is never
-  differential (per-rank caches do not survive the process backend's
-  forks);
+* the repeat mode (``workload_mode="repeat"``: fulls of identical
+  content) is single-tenant and never differential, a rule kept from when
+  it drove a thread-only fingerprint cache so that seeds keep their
+  scenarios;
 * ``pipelined=True`` is only drawn for configs the pipelined dump
   actually accepts (replication, non-degraded), so the knob never
   silently degenerates to the strict path; ``integrity`` varies freely;
@@ -30,7 +31,7 @@ Generation respects the constraints that make the invariant oracles sound:
   maintenance, time-travel restores against a per-epoch oracle) is drawn
   for any number of tenants, always starts with a full dump, and keeps a
   tenant's prune steps behind two of its live epochs, so no tenant's last
-  dump is ever collected (DESIGN.md "dst: one interpreter, two systems").
+  dump is ever collected (DESIGN.md "dst: one interpreter, one system").
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ def generate_scenario(seed: int) -> Scenario:
     # Store sharding and multi-tenancy draw after everything else (same
     # stability rule).  The sharded store must be observably identical to
     # the flat one, so shard_count varies freely; multi-tenancy excludes
-    # the repeat/fpcache mode (a single-tenant thread-only path).
+    # the repeat mode (a multi-tenant dump's content is per tenant).
     shard_count = rng.choice((1, 1, 1, 2, 8))
     tenants = 1
     tenant_overlap = 0.5

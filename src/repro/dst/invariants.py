@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.offsets import window_layout, window_layout_degraded
-from repro.core.restore import restore_dataset, verify_restorable
+from repro.core.restore import verify_restorable
 from repro.core.shuffle import live_partners_of, partners_of
 from repro.storage.local_store import Cluster, StorageError
 
@@ -86,39 +86,6 @@ def check_replication(
                     f"chunk {fp.hex()[:12]} of rank {rank} dump {dump_id} "
                     f"has {live} live replicas, floor is {floor}",
                 ))
-    return out
-
-
-def check_restore(
-    cluster: Cluster,
-    step: int,
-    floors: Dict[Tuple[int, int], int],
-    oracle,
-) -> List[Violation]:
-    """Every ``(dump, rank)`` with a positive floor must restore to exactly
-    the bytes the application dumped (``oracle(dump_id, rank) -> bytes``).
-    """
-    out: List[Violation] = []
-    for (dump_id, rank), floor in sorted(floors.items()):
-        if floor < 1:
-            continue
-        expected = oracle(dump_id, rank)
-        try:
-            dataset, _report = restore_dataset(cluster, rank, dump_id)
-        except StorageError as exc:
-            out.append(Violation(
-                "restore", step,
-                f"rank {rank} dump {dump_id} failed to restore "
-                f"(floor {floor}): {exc}",
-            ))
-            continue
-        actual = dataset.to_bytes()
-        if actual != expected:
-            out.append(Violation(
-                "restore", step,
-                f"rank {rank} dump {dump_id} restored {len(actual)}B that "
-                f"differ from the {len(expected)}B oracle",
-            ))
     return out
 
 

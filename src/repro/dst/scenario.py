@@ -196,18 +196,18 @@ class Scenario:
     #: vectorised non-cryptographic xx128 kernel)
     integrity: str = "crypto"
     #: ``"fresh"`` — every dump gets new data (independent checkpoints);
-    #: ``"repeat"`` — all dumps write the same data and dumps after the
-    #: first declare every segment clean, exercising the cross-dump
-    #: fingerprint cache (thread backend only).
+    #: ``"repeat"`` — every dump is a full of dump 0's very content, so a
+    #: later dump finds every chunk stored and sets a fresh replica floor.
     workload_mode: str = "fresh"
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
     steps: Tuple[Step, ...] = (Step("dump"),)
     #: run the scenario on both SPMD backends and require byte-identical
     #: reports, cluster state and invariant verdicts
     differential: bool = False
-    #: tenants sharing the cluster; > 1 (or ``chain``) routes execution
-    #: through :class:`~repro.svc.service.CheckpointService` with the
-    #: namespace-isolation and cross-tenant accounting invariants armed
+    #: tenants ``t0``, ``t1``, … of the
+    #: :class:`~repro.svc.service.CheckpointService` every scenario runs
+    #: on; with more than one, dumps interleave across tenants and ``gc``
+    #: steps become legal
     tenants: int = 1
     #: fraction of multi-tenant dumps that write the cross-tenant shared
     #: base state (the redundancy the service dedups across tenants)
@@ -276,7 +276,8 @@ class Scenario:
         if self.tenants > 1 and self.workload_mode == "repeat":
             raise ScenarioError(
                 "multi-tenant scenarios cannot use workload_mode='repeat' "
-                "(the fingerprint cache is a single-tenant thread-only path)"
+                "(a multi-tenant dump's content is drawn per tenant and "
+                "dump, see make_workload)"
             )
         if self.tenants > 1 and self.redundancy == "parity":
             raise ScenarioError(

@@ -104,6 +104,8 @@ class DumpOutcome:
     #: chunks this dump rewrote / chunks of its datasets, summed over ranks
     changed_chunks: int = 0
     total_chunks: int = 0
+    #: the collective's per-rank traces (the service's own is ``trace``)
+    traces: list = field(default_factory=list)
 
 
 @dataclass
@@ -428,6 +430,7 @@ class CheckpointService:
             promoted=result.promoted,
             changed_chunks=result.changed_chunks,
             total_chunks=result.total_chunks,
+            traces=result.traces,
         )
         self._outcomes[request.ticket] = outcome
         return outcome

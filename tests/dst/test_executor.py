@@ -19,12 +19,7 @@ from repro.dst import (
     run_scenario,
     shrink,
 )
-from repro.dst.executor import (
-    BareSystem,
-    ServiceSystem,
-    cluster_digest,
-    system_for,
-)
+from repro.dst.executor import ServiceSystem, cluster_digest
 from repro.dst.scenario import STEP_OPS
 from repro.storage.manifest import Manifest
 
@@ -100,6 +95,34 @@ class TestExecution:
         crash_steps = [st for st in result.steps if st["op"] == "crash"]
         assert crash_steps[0]["noop"] is False
         assert crash_steps[1]["noop"] is True
+
+    def test_repeat_mode_dumps_fulls_and_still_catches_a_dropped_replica(
+        self,
+    ):
+        """Repeat mode is fulls of identical content, not deltas with no
+        dirty chunk: a zero-chunk delta sets no new floor, so the
+        path-minimum floor would stay at the first dump's post-crash level
+        and hide the dropped replica on this seed."""
+        scenario = generate_scenario(58)
+        assert scenario.workload_mode == "repeat" and scenario.n_dumps == 2
+        result = execute_scenario(scenario)
+        assert result.ok, result.violations
+        dumps = [st for st in result.steps if st["op"] == "dump"]
+        assert [st["kind"] for st in dumps] == ["full", "full"]
+        assert all(st["changed_chunks"] == st["total_chunks"] for st in dumps)
+        caught = execute_scenario(scenario, bug="drop-replica")
+        assert {v.invariant for v in caught.violations} >= {"replication"}
+
+    def test_parity_full_restores_as_a_chain_epoch(self):
+        result = execute_scenario(small_scenario(
+            redundancy="parity", steps=(Step("dump"), Step("dump")),
+        ))
+        assert result.ok, result.violations
+        for step in result.steps:
+            assert step["kind"] == "full"
+            checked = step["invariants_checked"]
+            assert {"parity-margin", "chain-restore"} <= set(checked)
+            assert not {"replication", "audit-consistency"} & set(checked)
 
     def test_backend_override(self):
         s = small_scenario()
@@ -303,22 +326,27 @@ def fake_system(forget_dump=None, raise_dump=None):
     onto ``k_eff`` nodes.  ``forget_dump`` drops one replica of rank 0's
     chunk at that dump id; ``raise_dump`` makes that dump raise."""
 
-    class FakeSystem(BareSystem):
+    class FakeSystem(ServiceSystem):
         built = []
+        next_dump_id = 0
 
-        def setup(self):
-            super().setup()
+        def __init__(self, *args):
+            super().__init__(*args)
             self.built.append(self)
 
-        def oracle(self, dump_id, rank):
-            return b"dump %d rank %d" % (dump_id, rank)
+        def battery(self):
+            # Its chunks are in no chain: there is no reference to recount.
+            return [
+                check for check in super().battery()
+                if check[0] != "chain-refcounts"
+            ]
 
         def dump(self, step, step_idx, step_doc, arm_crash):
             dump_id = self.next_dump_id
             if dump_id == raise_dump:
                 raise RuntimeError("fake dump failed\nwith a second line")
             for rank in range(self.n):
-                payload = self.oracle(dump_id, rank)
+                payload = b"dump %d rank %d" % (dump_id, rank)
                 fp = hashlib.sha1(payload).digest()
                 manifest = Manifest(
                     rank, dump_id, [len(payload)], [fp],
@@ -341,10 +369,10 @@ def fake_system(forget_dump=None, raise_dump=None):
 
 class TestStepLoopOverAFakeSystem:
     """The loop's own behaviour, pinned without a collective: the system
-    is substituted at the one place the loop picks it."""
+    is substituted at the one place the loop builds it."""
 
     def run(self, monkeypatch, system, steps, **changes):
-        monkeypatch.setattr(executor, "system_for", lambda scenario: system)
+        monkeypatch.setattr(executor, "ServiceSystem", system)
         scenario = small_scenario(
             n_ranks=4, k=2, degraded=True, steps=steps, **changes
         )
@@ -412,14 +440,14 @@ class TestStepLoopOverAFakeSystem:
         assert violation.detail == "dump raised KeyError: 'lost'"
         assert result.steps[0]["invariants_checked"] == [
             "window-layout", "report-sanity",
-            "replication", "restore", "lost",
+            "replication", "audit-consistency", "lost",
         ]
 
 
-#: per system: the Scenario modes that select it
+#: the Scenario modes the system runs
 SYSTEM_MODES = {
-    BareSystem: (dict(),),
     ServiceSystem: (
+        dict(), dict(redundancy="parity"),
         dict(tenants=2, shard_count=2), dict(chain=True),
         dict(chain=True, tenants=3),
     ),
@@ -439,12 +467,16 @@ class TestStepKindsPerSystem:
         — and a rejected kind is a ``ScenarioError``, never a
         ``KeyError``."""
         for mode in SYSTEM_MODES[system]:
-            base = small_scenario(degraded=True, **mode)
-            assert system_for(base) is system
+            # Parity refuses degraded mode, and so crash steps: for the
+            # config, not the kind, so the loop cannot refuse them too.
+            parity = mode.get("redundancy") == "parity"
+            base = small_scenario(degraded=not parity, **mode)
             for op in STEP_OPS + ("frobnicate",):
                 try:
                     scenario = base.with_(steps=self.schedule(op))
                 except ScenarioError:
+                    if parity and op == "crash":
+                        continue
                     # Smuggle the step past validation: the loop must
                     # refuse it the same way, before running anything.
                     step = Step("tick")
@@ -470,8 +502,8 @@ class TestStepKindsPerSystem:
         built = []
 
         class Spy(ServiceSystem):
-            def setup(self):
-                super().setup()
+            def __init__(self, *args):
+                super().__init__(*args)
                 built.append(self)
 
         result = execute_scenario_on(Spy, scenario)
@@ -486,7 +518,7 @@ class TestStepKindsPerSystem:
 
 def execute_scenario_on(system, scenario):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(executor, "system_for", lambda s: system)
+        patch.setattr(executor, "ServiceSystem", system)
         return execute_scenario(scenario)
 
 
@@ -509,3 +541,21 @@ class TestDriverTrace:
         assert set(repair.attrs) >= {"chunks_moved", "manifests_moved"}
         # the service's own trace is still there, beside the driver's
         assert any(s.name == "svc-repair" for s in by_rank[0].spans)
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_every_rank_keeps_its_dump_spans(self, backend):
+        """The collective's per-rank traces ride the service outcome."""
+        scenario = small_scenario(
+            n_ranks=3, tenants=2, steps=(
+                Step("dump", tenant=0), Step("dump", tenant=1),
+            ),
+        )
+        result = execute_scenario(
+            scenario, backend=backend, collect_trace=True
+        )
+        assert result.ok, result.violations
+        by_rank = {trace.rank: trace for trace in result.traces}
+        for rank in range(scenario.n_ranks):
+            names = [span.name for span in by_rank[rank].spans]
+            assert names.count("dump") == 2, (rank, names)
+            assert {"hash", "exchange", "write"} <= set(names)

@@ -69,25 +69,38 @@ class TestReplication:
 
 
 class TestRestore:
+    """A standalone dump is a depth-1 full of a chain, and restores as one
+    (``chain-restore``)."""
+
+    class RankDatasets:
+        def build_dataset(self, rank, n):
+            return make_rank_dataset(rank)
+
+    def chained_full(self):
+        from repro.chain import ChainManager
+
+        cfg = DumpConfig(replication_factor=K, chunk_size=64,
+                         strategy=Strategy.COLL_DEDUP, f_threshold=4096)
+        manager = ChainManager(Cluster(N), cfg, N)
+        manager.chain_dump(self.RankDatasets(), kind="full")
+        return manager
+
+    @staticmethod
+    def oracle(epoch, rank):
+        return make_rank_dataset(rank).to_bytes()
+
     def test_byte_equality_against_oracle(self):
-        cluster, _reports = dumped_cluster()
-
-        def oracle(dump_id, rank):
-            return make_rank_dataset(rank).to_bytes()
-
-        assert inv.check_restore(cluster, 0, full_floors(), oracle) == []
+        manager = self.chained_full()
+        floors = {(0, rank): K for rank in range(N)}
+        assert inv.check_chain_restore(manager, 0, floors, self.oracle) == []
 
     def test_corrupted_payload_detected(self):
-        cluster, _reports = dumped_cluster()
-        store = cluster.nodes[0].chunks
+        manager = self.chained_full()
+        store = manager.cluster.nodes[0].chunks
         for fp in list(store._chunks):
             store._chunks[fp] = b"\x00" * len(store._chunks[fp])
-
-        def oracle(dump_id, rank):
-            return make_rank_dataset(rank).to_bytes()
-
-        out = inv.check_restore(cluster, 0, {(0, 0): K}, oracle)
-        assert out and out[0].invariant == "restore"
+        out = inv.check_chain_restore(manager, 0, {(0, 0): K}, self.oracle)
+        assert out and out[0].invariant == "chain-restore"
 
 
 class TestReferentialIntegrity:

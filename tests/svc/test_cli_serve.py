@@ -1,4 +1,5 @@
-"""The ``repro-eval serve`` subcommand: report output, GC, metrics file."""
+"""The ``repro-eval serve`` subcommand: report output, GC, metrics file;
+and the other subcommands that dump through the service."""
 
 import json
 
@@ -133,3 +134,40 @@ class TestSloCommand:
             "--objective", "dump.queue_wait_ticks.p95 < 1e9", "--check",
         ]
         assert main(argv) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["repair", "--n", "3", "--k", "2", "--fail", "1"],
+    ["trace-record", "--n", "3", "--out", "{tmp}/run.json"],
+], ids=["repair", "trace-record"])
+def test_cli_dumps_reach_dump_output_only_through_chain_dump(
+    argv, tmp_path, monkeypatch, capsys
+):
+    """A CLI dump is an epoch of a service tenant's chain: every rank's
+    ``dump_output`` runs inside ``ChainManager.chain_dump``."""
+    import repro.core.dump
+    from repro.chain import ChainManager
+
+    real_dump, real_chain_dump = (
+        repro.core.dump.dump_output, ChainManager.chain_dump
+    )
+    inside, calls = [], []
+
+    def chain_dump(self, *args, **kwargs):
+        inside.append(True)
+        try:
+            return real_chain_dump(self, *args, **kwargs)
+        finally:
+            inside.pop()
+
+    def dump_output(*args, **kwargs):
+        calls.append(bool(inside))
+        return real_dump(*args, **kwargs)
+
+    monkeypatch.setattr(ChainManager, "chain_dump", chain_dump)
+    monkeypatch.setattr(repro.core.dump, "dump_output", dump_output)
+    argv = [arg.format(tmp=tmp_path) for arg in argv] + [
+        "--chunks-per-rank", "4", "--chunk-size", "64", "--backend", "thread",
+    ]
+    assert main(argv) == 0
+    assert calls == [True] * 3
