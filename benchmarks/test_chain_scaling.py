@@ -13,22 +13,19 @@ the aggregate delta time must win >= 3x, and both tips are byte-compared
 to the per-epoch workload oracle.  (Time-travel restore at depth is
 ``chain.manager.restore_s_d*`` in ``bench/``.)
 
-Results land in ``BENCH_restore.json`` in the unified
-``repro.obs/bench/v1`` schema.  Set ``CHAIN_SMOKE=1`` for a fast
-correctness-only pass (CI): sizes shrink and the speedup floor is
-reported but not asserted.
+The walls and the speedup print under ``pytest -s``; nothing is written.
+Set ``CHAIN_SMOKE=1`` for a fast correctness-only pass (CI): sizes shrink
+and the speedup floor is reported but not asserted.
 """
 
 import os
 import time
-from pathlib import Path
 
 import pytest
 
 from repro.apps.mutating import MutatingWorkload
 from repro.chain import ChainManager
 from repro.core import DumpConfig
-from repro.obs.schema import write_bench_entry
 from repro.storage import Cluster
 
 pytestmark = [pytest.mark.slow, pytest.mark.bench]
@@ -43,8 +40,6 @@ EPOCHS = 3 if SMOKE else 6                # delta epochs after the base full
 CHUNKS = 512 if SMOKE else 8192           # per rank
 MIN_DELTA_SPEEDUP = 3.0
 
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_restore.json"
-
 
 def _workload() -> MutatingWorkload:
     return MutatingWorkload(
@@ -58,10 +53,6 @@ def _workload() -> MutatingWorkload:
 def _chain() -> ChainManager:
     config = DumpConfig(replication_factor=K, chunk_size=CS)
     return ChainManager(Cluster(N_RANKS), config, N_RANKS)
-
-
-def _emit(key, payload):
-    write_bench_entry(RESULT_PATH, key, payload, smoke=SMOKE)
 
 
 def test_warm_delta_dump_speedup():
@@ -98,23 +89,11 @@ def test_warm_delta_dump_speedup():
         assert via_delta.to_bytes() == via_full.to_bytes() == want
 
     speedup = full_wall / delta_wall
-    _emit(
-        "chain_delta_dump",
-        {
-            "ranks": N_RANKS,
-            "replication_factor": K,
-            "chunk_size": CS,
-            "chunks_per_rank": CHUNKS,
-            "dirty_frac": DIRTY_FRAC,
-            "epochs": EPOCHS,
-            "timings": {
-                "full": round(full_wall, 4),
-                "delta": round(delta_wall, 4),
-            },
-            "speedup": round(speedup, 2),
-            "min_required": MIN_DELTA_SPEEDUP,
-        },
-    )
+    print()
+    print(f"-- warm delta vs full, {N_RANKS} ranks, K={K}, {EPOCHS} epochs "
+          f"of {CHUNKS} x {CS} B chunks per rank, {DIRTY_FRAC:.0%} dirty --")
+    print(f"full {full_wall:.4f} s, delta {delta_wall:.4f} s, "
+          f"speedup {speedup:.2f}x (need >= {MIN_DELTA_SPEEDUP}x)")
     if not SMOKE:
         assert speedup >= MIN_DELTA_SPEEDUP, (
             f"warm delta dumps only {speedup:.2f}x faster than fulls on a "

@@ -7,23 +7,19 @@ throughput — is the measured quantity.  (Absolute dump rates, the
 fingerprint-cache hit path included, are ``dump_MBps`` and
 ``core.fpcache.*`` in ``bench/``.)
 
-Results land in ``BENCH_hotpath.json`` at the repo root, in the unified
-``repro.obs/bench/v1`` schema (validated before every write — see
-:func:`repro.obs.schema.write_bench_entry`).  Set ``HOTPATH_SMOKE=1`` to
-run a fast correctness-only pass (CI smoke): sizes shrink and the overhead
-budgets are reported but not asserted.
+The walls and overheads print under ``pytest -s``; nothing is written.
+Set ``HOTPATH_SMOKE=1`` to run a fast correctness-only pass (CI smoke):
+sizes shrink and the overhead budgets are reported but not asserted.
 """
 
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core import DumpConfig, Strategy, dump_output
 from repro.core.chunking import Dataset
-from repro.obs.schema import write_bench_entry
 from repro.simmpi import World
 from repro.storage import Cluster
 
@@ -35,8 +31,6 @@ CS = 256                                 # small chunks -> per-chunk overhead do
 N_RANKS = 4
 REPS = 2 if SMOKE else 3
 COLD_CHUNKS = 2048 if SMOKE else 16384   # per rank
-
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
 
 
 def _rank_dataset(rank: int, n_chunks: int) -> Dataset:
@@ -72,10 +66,6 @@ def _best(fn, reps=REPS):
     return wall, reports
 
 
-def _emit(key, payload):
-    write_bench_entry(RESULT_PATH, key, payload, smoke=SMOKE)
-
-
 def test_span_tracing_overhead():
     """Span-level tracing vs the disabled default on the cold dump.
 
@@ -86,8 +76,7 @@ def test_span_tracing_overhead():
     hierarchy (dump -> phases -> allreduce rounds), the chunk-size
     histogram and put latencies, and may not slow the dump by more than
     50% (it is typically a few percent; the bound is loose because tiny
-    smoke dumps amplify fixed costs).  Both walls are emitted so the
-    trajectory tracks the real overhead ratio.
+    smoke dumps amplify fixed costs).  Both walls are printed.
     """
     datasets = [_rank_dataset(r, COLD_CHUNKS // 2) for r in range(N_RANKS)]
     k = N_RANKS
@@ -99,22 +88,11 @@ def test_span_tracing_overhead():
     )
 
     overhead = span_wall / phase_wall - 1.0
-    _emit(
-        "trace_overhead",
-        {
-            "strategy": "no-dedup",
-            "ranks": N_RANKS,
-            "replication_factor": k,
-            "chunk_size": CS,
-            "chunks_per_rank": COLD_CHUNKS // 2,
-            "timings": {
-                "phase_level": round(phase_wall, 4),
-                "span_level": round(span_wall, 4),
-            },
-            "speedup": None,
-            "span_overhead_fraction": round(overhead, 4),
-        },
-    )
+    print()
+    print(f"-- span tracing, no-dedup, {N_RANKS} ranks, K={k}, "
+          f"{COLD_CHUNKS // 2} x {CS} B chunks per rank --")
+    print(f"phase level {phase_wall:.4f} s, span level {span_wall:.4f} s, "
+          f"overhead {overhead * 100:.1f}% (budget: 50%)")
     if not SMOKE:
         assert overhead <= 0.5, (
             f"span-level tracing slowed the dump by "
@@ -130,8 +108,7 @@ def test_timeline_overhead():
     that moves megabytes, so the instrumentation must be effectively free.
     This pins that claim at 5% (sibling of the span-tracing bound above,
     but far tighter: the timeline is always on in production serves,
-    whereas span tracing is opt-in).  Both walls are emitted so the
-    trajectory tracks the real ratio.
+    whereas span tracing is opt-in).  Both walls are printed.
     """
     from repro.svc import CheckpointService, TenantWorkload
 
@@ -160,23 +137,11 @@ def test_timeline_overhead():
     assert recorded == dumps  # the enabled runs actually recorded
 
     overhead = enabled_wall / disabled_wall - 1.0
-    _emit(
-        "timeline_overhead",
-        {
-            "strategy": "local-dedup",
-            "ranks": N_RANKS,
-            "replication_factor": 2,
-            "chunk_size": CS,
-            "chunks_per_rank": chunks,
-            "dumps": dumps,
-            "timings": {
-                "timeline_disabled": round(disabled_wall, 4),
-                "timeline_enabled": round(enabled_wall, 4),
-            },
-            "speedup": None,
-            "timeline_overhead_fraction": round(overhead, 4),
-        },
-    )
+    print()
+    print(f"-- telemetry timeline, local-dedup service, {N_RANKS} ranks, K=2, "
+          f"{dumps} dumps of {chunks} x {CS} B chunks per rank --")
+    print(f"disabled {disabled_wall:.4f} s, enabled {enabled_wall:.4f} s, "
+          f"overhead {overhead * 100:.1f}% (budget: 5%)")
     if not SMOKE:
         assert overhead <= 0.05, (
             f"timeline recording slowed the service dump by "

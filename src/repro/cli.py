@@ -32,10 +32,9 @@ Multi-tenant checkpoint service (see :mod:`repro.svc`):
         --gc-oldest --out svc_run.json
     repro-eval serve --tenants 2 --dumps 6 --slo --top-every 2
 
-SLO burn rates and bench regression gating (see :mod:`repro.obs`):
+SLO burn rates (see :mod:`repro.obs`):
 
     repro-eval slo --seed 7 --tenants 3 --bursts 8 --out verdict.json
-    repro-eval bench-diff BENCH_fresh.json BENCH_hotpath.json
 
 Errors (unknown subcommands, bad ``--backend``, missing trace files,
 malformed snapshots) print a one-line message to stderr and exit 2.
@@ -667,26 +666,6 @@ def cmd_slo(args) -> None:
         raise SystemExit(1)
 
 
-def cmd_bench_diff(args) -> None:
-    """Compare a fresh bench document against a committed baseline.
-
-    Exits 0 when every shared benchmark is within tolerance, 2 on any
-    regression — the CI gate that stops a PR from landing a slowdown the
-    bench suite already measured.
-    """
-    from repro.obs.bench_diff import diff_bench, format_bench_diff, load_bench
-
-    diff = diff_bench(
-        load_bench(args.fresh),
-        load_bench(args.baseline),
-        tolerance=args.tolerance,
-        min_seconds=args.min_seconds,
-    )
-    print(format_bench_diff(diff))
-    if not diff.ok:
-        raise SystemExit(2)
-
-
 def cmd_shuffle(args) -> None:
     runner = _runner(args.app)
     n = args.n[0]
@@ -905,19 +884,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="exit 1 if any alert fired")
     so.set_defaults(func=cmd_slo)
 
-    bd = sub.add_parser(
-        "bench-diff",
-        help="compare a fresh bench JSON against a committed baseline; "
-        "exit 2 on regression",
-    )
-    bd.add_argument("fresh", help="freshly generated BENCH_*.json")
-    bd.add_argument("baseline", help="committed baseline BENCH_*.json")
-    bd.add_argument("--tolerance", type=float, default=0.25,
-                    help="allowed fractional slowdown before a timing "
-                    "counts as a regression (default 0.25)")
-    bd.add_argument("--min-seconds", type=float, default=1e-3,
-                    help="ignore timings below this floor (noise)")
-    bd.set_defaults(func=cmd_bench_diff)
     return parser
 
 

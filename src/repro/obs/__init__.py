@@ -22,13 +22,10 @@ a first-class observability layer:
   Chrome trace-event JSON (loadable in Perfetto, one track per rank) and
   Prometheus-style text exposition.
 * :mod:`repro.obs.schema` — structural validators for the run snapshot,
-  the unified ``BENCH_*.json`` benchmark schema, timelines and SLO
-  verdicts.
+  timelines and SLO verdicts.
 * :mod:`repro.obs.analyzer` — loads an exported run and computes per-phase
   critical-path breakdowns, rank skew (straggler detection) and A/B diffs
   between two runs (the engine behind ``repro-eval trace``).
-* :mod:`repro.obs.bench_diff` — noise-tolerant comparison of fresh bench
-  documents against the committed baselines (``repro-eval bench-diff``).
 
 Spans and metrics ride the per-rank trace, so they transport through the
 process backend's child→parent pickle path exactly like the phase counters
@@ -67,9 +64,8 @@ __all__ = [
     "aggregate_registries",
     # lazily re-exported (see __getattr__): capture_run, merge_traces,
     # chrome_trace, prometheus_text, write_run, write_chrome_trace,
-    # validate_run, validate_bench, validate_timeline, validate_slo,
-    # load_run, SLOEngine, Objective, parse_objective, format_slo_report,
-    # diff_bench, load_bench, format_bench_diff
+    # validate_run, validate_timeline, validate_slo, load_run, SLOEngine,
+    # Objective, parse_objective, format_slo_report
 ]
 
 #: Lazy re-exports.  ``repro.simmpi.trace`` imports :mod:`repro.obs.spans`
@@ -86,7 +82,6 @@ _LAZY = {
     "write_chrome_trace": "repro.obs.export",
     "SchemaError": "repro.obs.schema",
     "validate_run": "repro.obs.schema",
-    "validate_bench": "repro.obs.schema",
     "validate_timeline": "repro.obs.schema",
     "validate_slo": "repro.obs.schema",
     "load_run": "repro.obs.analyzer",
@@ -95,9 +90,6 @@ _LAZY = {
     "parse_objective": "repro.obs.slo",
     "format_slo_report": "repro.obs.slo",
     "DEFAULT_OBJECTIVES": "repro.obs.slo",
-    "diff_bench": "repro.obs.bench_diff",
-    "load_bench": "repro.obs.bench_diff",
-    "format_bench_diff": "repro.obs.bench_diff",
 }
 
 

@@ -1,18 +1,12 @@
-"""Stable JSON schemas for observability exports and benchmark results.
+"""Stable JSON schemas for observability exports.
 
-Four document families share this module:
+Three document families share this module:
 
 * **run snapshots** (``repro.obs/run/v1``) — the machine-readable export of
   one traced collective run: per-rank phase counters, spans and metrics
   plus the cross-rank aggregation.  Written by
   :func:`repro.obs.export.write_run`, consumed by
   :mod:`repro.obs.analyzer` and the ``repro-eval trace`` subcommand.
-* **benchmark results** (``repro.obs/bench/v1``) — the unified shape of
-  the ``BENCH_*.json`` files at the repo root.  Every benchmark entry
-  carries the shared keys ``timings`` (label → seconds) and ``speedup``;
-  the document carries ``host``/``cores``/``smoke`` so trajectories from
-  different machines stay comparable, and ``repro-eval bench-diff``
-  compares fresh documents against the committed baselines.
 * **telemetry timelines** (``repro.obs/timeline/v1``) — serialized
   :class:`~repro.obs.timeline.TimelineStore` ring buffers: tick-tagged
   operation samples plus the online quantile sketches.
@@ -22,19 +16,15 @@ Four document families share this module:
 
 Validation is structural (no external jsonschema dependency): required
 keys, types and value ranges.  Failures raise :class:`SchemaError` naming
-the offending path, so a benchmark writing a malformed document fails its
-own run instead of poisoning the trajectory.
+the offending path.
 """
 
 from __future__ import annotations
 
-import json
 import numbers
-from pathlib import Path
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Mapping
 
 RUN_SCHEMA_ID = "repro.obs/run/v1"
-BENCH_SCHEMA_ID = "repro.obs/bench/v1"
 TIMELINE_SCHEMA_ID = "repro.obs/timeline/v1"
 SLO_SCHEMA_ID = "repro.obs/slo/v1"
 
@@ -92,6 +82,8 @@ def validate_run(doc: Mapping[str, Any]) -> Mapping[str, Any]:
         if not isinstance(entry, Mapping):
             _fail(path, "expected an object")
         rank = _require(entry, "rank", int, path)
+        if rank < 0:
+            _fail(f"{path}.rank", f"must be >= 0, got {rank}")
         if rank in seen:
             _fail(f"{path}.rank", f"duplicate rank {rank}")
         seen.add(rank)
@@ -116,7 +108,7 @@ def validate_run(doc: Mapping[str, Any]) -> Mapping[str, Any]:
             if end < start:
                 _fail(spath, f"end {end} before start {start}")
             parent = _require(span, "parent", int, spath)
-            if parent >= j:
+            if not -1 <= parent < j:
                 _fail(
                     f"{spath}.parent",
                     f"must reference an earlier span, got {parent}",
@@ -124,43 +116,6 @@ def validate_run(doc: Mapping[str, Any]) -> Mapping[str, Any]:
             _require(span, "attrs", Mapping, spath)
         _require(entry, "metrics", Mapping, path)
     _require(doc, "metrics", Mapping, "$")
-    return doc
-
-
-# -- benchmark results ---------------------------------------------------------
-def validate_bench(doc: Mapping[str, Any]) -> Mapping[str, Any]:
-    """Validate a unified benchmark document; returns it on success."""
-    if not isinstance(doc, Mapping):
-        _fail("$", f"expected an object, got {type(doc).__name__}")
-    schema = _require(doc, "schema", str, "$")
-    if schema != BENCH_SCHEMA_ID:
-        _fail("$.schema", f"expected {BENCH_SCHEMA_ID!r}, got {schema!r}")
-    _require(doc, "host", str, "$")
-    cores = _require(doc, "cores", int, "$")
-    if cores < 1:
-        _fail("$.cores", f"must be >= 1, got {cores}")
-    _require(doc, "smoke", bool, "$")
-    benchmarks = _require(doc, "benchmarks", Mapping, "$")
-    if not benchmarks:
-        _fail("$.benchmarks", "must contain at least one benchmark")
-    for name, entry in benchmarks.items():
-        path = f"$.benchmarks[{name!r}]"
-        if not isinstance(entry, Mapping):
-            _fail(path, "expected an object")
-        timings = _require(entry, "timings", Mapping, path)
-        if not timings:
-            _fail(f"{path}.timings", "must contain at least one timing")
-        for label, seconds in timings.items():
-            if not _is_number(seconds) or seconds < 0:
-                _fail(
-                    f"{path}.timings[{label!r}]",
-                    f"expected seconds >= 0, got {seconds!r}",
-                )
-        if "speedup" not in entry:
-            _fail(f"{path}.speedup", "missing required key")
-        speedup = entry["speedup"]
-        if speedup is not None and (not _is_number(speedup) or speedup < 0):
-            _fail(f"{path}.speedup", f"expected a number >= 0 or null, got {speedup!r}")
     return doc
 
 
@@ -250,50 +205,4 @@ def validate_slo(doc: Mapping[str, Any]) -> Mapping[str, Any]:
             _fail(f"{path}.event",
                   f"expected 'fire' or 'resolve', got {event!r}")
     _require(doc, "ok", bool, "$")
-    return doc
-
-
-def bench_document(
-    host: str, cores: int, smoke: bool, benchmarks: Optional[Dict[str, Any]] = None
-) -> Dict[str, Any]:
-    """An empty unified benchmark document."""
-    return {
-        "schema": BENCH_SCHEMA_ID,
-        "host": host,
-        "cores": int(cores),
-        "smoke": bool(smoke),
-        "benchmarks": dict(benchmarks or {}),
-    }
-
-
-def write_bench_entry(
-    path, name: str, payload: Mapping[str, Any], smoke: bool = False
-) -> Dict[str, Any]:
-    """Merge one benchmark entry into the unified document at ``path``.
-
-    Existing conforming documents keep their other entries; legacy flat
-    documents (pre-schema) are migrated by starting fresh.  The merged
-    document is validated *before* writing, so a malformed payload fails
-    the calling benchmark without touching the file.
-    """
-    import os
-    import platform
-
-    path = Path(path)
-    doc = None
-    if path.exists():
-        try:
-            existing = json.loads(path.read_text())
-            if existing.get("schema") == BENCH_SCHEMA_ID:
-                doc = existing
-        except (OSError, json.JSONDecodeError):
-            doc = None
-    if doc is None:
-        doc = bench_document(platform.node() or "unknown", os.cpu_count() or 1, smoke)
-    doc["smoke"] = bool(smoke)
-    doc["host"] = platform.node() or "unknown"
-    doc["cores"] = os.cpu_count() or 1
-    doc["benchmarks"][name] = dict(payload)
-    validate_bench(doc)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return doc

@@ -1,18 +1,8 @@
-"""Structural validation of run snapshots and unified benchmark documents."""
-
-import json
+"""Structural validation of run snapshots."""
 
 import pytest
 
-from repro.obs.schema import (
-    BENCH_SCHEMA_ID,
-    RUN_SCHEMA_ID,
-    SchemaError,
-    bench_document,
-    validate_bench,
-    validate_run,
-    write_bench_entry,
-)
+from repro.obs.schema import RUN_SCHEMA_ID, SchemaError, validate_run
 
 
 def minimal_run():
@@ -79,6 +69,18 @@ class TestValidateRun:
         with pytest.raises(SchemaError, match="earlier span"):
             validate_run(doc)
 
+    def test_rejects_parent_below_root(self):
+        doc = minimal_run()
+        doc["ranks"][0]["spans"][1]["parent"] = -5
+        with pytest.raises(SchemaError, match="earlier span"):
+            validate_run(doc)
+
+    def test_rejects_negative_rank(self):
+        doc = minimal_run()
+        doc["ranks"][0]["rank"] = -3
+        with pytest.raises(SchemaError, match="rank"):
+            validate_run(doc)
+
     def test_rejects_non_numeric_phase_counter(self):
         doc = minimal_run()
         doc["ranks"][0]["phases"]["hash"]["sent_bytes"] = "many"
@@ -89,82 +91,3 @@ class TestValidateRun:
         with pytest.raises(SchemaError):
             validate_run([])
 
-
-class TestValidateBench:
-    def minimal(self):
-        return bench_document(
-            "h", 4, False,
-            {"cold": {"timings": {"legacy": 2.0, "batched": 1.0},
-                      "speedup": 2.0}},
-        )
-
-    def test_accepts_minimal(self):
-        assert validate_bench(self.minimal()) is not None
-
-    def test_speedup_null_allowed(self):
-        doc = self.minimal()
-        doc["benchmarks"]["cold"]["speedup"] = None
-        validate_bench(doc)
-
-    def test_rejects_missing_timings(self):
-        doc = self.minimal()
-        del doc["benchmarks"]["cold"]["timings"]
-        with pytest.raises(SchemaError, match="timings"):
-            validate_bench(doc)
-
-    def test_rejects_empty_timings(self):
-        doc = self.minimal()
-        doc["benchmarks"]["cold"]["timings"] = {}
-        with pytest.raises(SchemaError, match="at least one timing"):
-            validate_bench(doc)
-
-    def test_rejects_negative_timing(self):
-        doc = self.minimal()
-        doc["benchmarks"]["cold"]["timings"]["legacy"] = -1
-        with pytest.raises(SchemaError, match="seconds >= 0"):
-            validate_bench(doc)
-
-    def test_rejects_missing_speedup(self):
-        doc = self.minimal()
-        del doc["benchmarks"]["cold"]["speedup"]
-        with pytest.raises(SchemaError, match="speedup"):
-            validate_bench(doc)
-
-    def test_rejects_bad_cores(self):
-        doc = self.minimal()
-        doc["cores"] = 0
-        with pytest.raises(SchemaError, match="cores"):
-            validate_bench(doc)
-
-    def test_extra_keys_allowed(self):
-        doc = self.minimal()
-        doc["benchmarks"]["cold"]["chunks_per_rank"] = 4096
-        validate_bench(doc)
-
-
-class TestWriteBenchEntry:
-    def test_creates_and_merges(self, tmp_path):
-        path = tmp_path / "BENCH_x.json"
-        write_bench_entry(path, "a", {"timings": {"t": 1.0}, "speedup": 1.5})
-        write_bench_entry(path, "b", {"timings": {"t": 2.0}, "speedup": None})
-        doc = json.loads(path.read_text())
-        assert doc["schema"] == BENCH_SCHEMA_ID
-        assert set(doc["benchmarks"]) == {"a", "b"}
-        validate_bench(doc)
-
-    def test_migrates_legacy_flat_document(self, tmp_path):
-        path = tmp_path / "BENCH_x.json"
-        path.write_text(json.dumps({"old_entry": {"seconds": 1}, "smoke": True}))
-        doc = write_bench_entry(
-            path, "a", {"timings": {"t": 1.0}, "speedup": 1.0}
-        )
-        assert "old_entry" not in doc["benchmarks"]
-        validate_bench(json.loads(path.read_text()))
-
-    def test_malformed_payload_leaves_file_untouched(self, tmp_path):
-        path = tmp_path / "BENCH_x.json"
-        write_bench_entry(path, "a", {"timings": {"t": 1.0}, "speedup": 1.0})
-        before = path.read_text()
-        with pytest.raises(SchemaError):
-            write_bench_entry(path, "bad", {"timings": {}})
-        assert path.read_text() == before
