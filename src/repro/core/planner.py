@@ -15,28 +15,43 @@ exactly which chunks it stores, discards, and sends to which partner slot:
   ranks; the copies assigned to this rank go to its partner slots 1..P.
 * fingerprint not in the view: treated as unique — store locally and send
   to all K-1 partners.
+
+The rules run as masks over the rows of one ``GlobalView.rows`` lookup;
+``tests/core/reference.py`` keeps the per-fingerprint loop they replace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.core.fingerprint import Fingerprint
-from repro.core.hmerge import GlobalView
+from repro.core.hmerge import PAD, GlobalView
 from repro.core.local_dedup import LocalIndex
 
 
-def round_robin_share(extra: int, d: int, j: int) -> int:
+def round_robin_share(extra, d, j):
     """Number of the ``extra`` copies assigned to designated index ``j`` of
-    ``d`` designated ranks under round-robin distribution.
+    ``d`` designated ranks under round-robin distribution (element-wise
+    over arrays).
 
     Copy ``c`` (0-based) goes to designated index ``c % d``; index ``j``
     therefore handles ``ceil((extra - j) / d)`` copies.
     """
-    if extra <= 0 or j >= d:
-        return 0
-    return (extra - j + d - 1) // d
+    share = (extra - j + d - 1) // np.maximum(d, 1)
+    return np.where((extra > 0) & (j < d), share, 0)
+
+
+def _distinct_nodes(ranks: np.ndarray, mask: np.ndarray, node_of) -> np.ndarray:
+    """Per row, the number of distinct nodes among the ranks under ``mask``."""
+    none = np.iinfo(np.int64).max
+    nodes = np.asarray(node_of, dtype=np.int64)[np.where(mask, ranks, 0)]
+    nodes = np.sort(np.where(mask, nodes, none), axis=1)
+    fresh = (nodes[:, 1:] != nodes[:, :-1]) & (nodes[:, 1:] != none)
+    return (nodes[:, 0] != none) + fresh.sum(axis=1)
 
 
 @dataclass
@@ -130,7 +145,6 @@ def build_plan(
     k_eff = min(k, world_size)
     nparts = k_eff - 1
     plan = ReplicationPlan(rank=rank, k=k_eff)
-    plan.partner_chunks = [[] for _ in range(nparts)]
 
     degraded = alive is not None and not all(alive)
     if degraded:
@@ -148,40 +162,34 @@ def build_plan(
         # no-dedup: chunk stream as-is, duplicates and all.
         fps = list(local_index.order)
 
-    for fp in fps:
-        entry = view.get(fp) if view is not None else None
-        if entry is None:
-            if self_alive:
-                plan.store_fps.append(fp)
-            if topup:
-                for p in range(max_parts):
-                    plan.partner_chunks[p].append(fp)
-            else:
-                plan.short_fps.append(fp)
-            continue
-        ranks = entry.ranks
+    # Per fingerprint: discarded, a parity-mode short, and the number of
+    # partner slots (1..copies) it goes to.  Out of the view it is unique.
+    rows = view.rows(fps) if view is not None else np.full(len(fps), -1)
+    seen = np.nonzero(rows >= 0)[0]
+    discard = np.zeros(len(fps), dtype=bool)
+    short = (rows < 0) & (not topup)
+    copies = np.where(rows < 0, max_parts if topup else 0, 0)
+    if len(seen):
+        ranks = view.ranks[rows[seen]]
+        listed = ranks != PAD
+        cell = ranks == rank
+        member = cell.any(axis=1)
+        j = cell.argmax(axis=1)  # valid ranks sort first: the tuple index
         if degraded:
-            live_designated = [r for r in ranks if alive[r]]
-            if rank not in ranks:
-                if live_designated:
-                    plan.discarded_fps.append(fp)
-                else:
-                    # Every designated holder died: this live natural holder
-                    # steps up and re-seeds the chunk as if it were unique.
-                    if self_alive:
-                        plan.store_fps.append(fp)
-                    for p in range(max_parts):
-                        plan.partner_chunks[p].append(fp)
-                continue
-            if self_alive:
-                plan.store_fps.append(fp)
-            coverage = (
-                len({node_of[r] for r in live_designated})
-                if node_of is not None
-                else len(live_designated)
-            )
-            if coverage >= k_eff:
-                continue
+            live = listed & np.asarray(alive, dtype=bool)[np.where(listed, ranks, 0)]
+            any_live = live.any(axis=1)
+        else:
+            live = listed
+        coverage = (
+            live.sum(axis=1) if node_of is None
+            else _distinct_nodes(ranks, live, node_of)
+        )
+        topped = member & (coverage < k_eff)
+        if degraded:
+            discard[seen] = ~member & any_live
+            # Every designated holder died: a live natural holder steps up
+            # and re-seeds the chunk as if it were unique.
+            seed = ~member & ~any_live
             if topup:
                 # Plans are built before the shuffle exists, so no sender can
                 # aim a top-up at a node known not to hold the chunk — a
@@ -194,28 +202,21 @@ def build_plan(
                 # recipients already hold it, so distinct live replicas reach
                 # min(K, live) no matter how the shuffle lands.  Costs up to
                 # D-1 redundant copies per short chunk, degraded dumps only.
-                seeder = live_designated[0] if live_designated else ranks[0]
-                if rank == seeder:
-                    for p in range(max_parts):
-                        plan.partner_chunks[p].append(fp)
-            elif ranks.index(rank) == 0:
-                plan.short_fps.append(fp)
-            continue
-        d = len(ranks)
-        coverage = (
-            len({node_of[r] for r in ranks}) if node_of is not None else d
-        )
-        if rank not in ranks and coverage >= k_eff:
-            plan.discarded_fps.append(fp)
-            continue
-        plan.store_fps.append(fp)
-        if coverage >= k_eff or rank not in ranks:
-            continue
-        j = ranks.index(rank)
-        if topup:
-            copies = round_robin_share(k_eff - coverage, d, j)
-            for p in range(min(copies, nparts)):
-                plan.partner_chunks[p].append(fp)
-        elif j == 0:
-            plan.short_fps.append(fp)
+                seeder = np.where(any_live, live.argmax(axis=1), 0)
+                seed |= topped & (j == seeder)
+            copies[seen] = np.where(seed, max_parts, 0)
+        else:
+            discard[seen] = ~member & (coverage >= k_eff)
+            if topup:
+                share = round_robin_share(k_eff - coverage, listed.sum(axis=1), j)
+                copies[seen] = np.where(topped, share, 0)
+        if not topup:
+            short[seen] = topped & (j == 0)
+
+    plan.store_fps = list(compress(fps, (~discard & self_alive).tolist()))
+    plan.discarded_fps = list(compress(fps, discard.tolist()))
+    plan.short_fps = list(compress(fps, short.tolist()))
+    plan.partner_chunks = [
+        list(compress(fps, (copies > p).tolist())) for p in range(nparts)
+    ]
     return plan

@@ -18,8 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.core.fingerprint import Fingerprint
-from repro.core.hmerge import GlobalView
+from repro.core.hmerge import PAD, GlobalView
 from repro.core.local_dedup import LocalIndex
 from repro.erasure.reed_solomon import ReedSolomon
 
@@ -86,23 +88,23 @@ class HybridPolicy:
             stripe_parity=self.stripe_parity,
         )
         for rank, idx in enumerate(indices):
-            for fp, size in idx.chunk_sizes.items():
-                entry = view.get(fp) if view is not None else None
-                if entry is None:
-                    missing = k - 1
-                elif rank in entry.ranks:
-                    d = len(entry.ranks)
-                    missing = max(0, k - d) if entry.ranks.index(rank) == 0 else 0
-                else:
-                    continue  # covered by designated ranks
-                if missing <= 0:
-                    continue
-                summary.short_chunks += 1
-                summary.short_bytes += size
-                summary.replication_topup_bytes += missing * size
-                summary.parity_bytes += (
-                    self.stripe_parity * size + self.stripe_data - 1
-                ) // self.stripe_data
+            fps = list(idx.chunk_sizes)
+            sizes = np.fromiter(idx.chunk_sizes.values(), np.int64, len(fps))
+            # Out of the view a chunk is K-1 copies short; in it, its first
+            # designated rank owes K-D and every other holder owes nothing.
+            missing = np.full(len(fps), k - 1, dtype=np.int64)
+            if view is not None:
+                rows = view.rows(fps)
+                seen = rows >= 0
+                ranks = view.ranks[rows[seen]]
+                owed = np.maximum(0, k - (ranks != PAD).sum(axis=1))
+                missing[seen] = np.where(ranks[:, 0] == rank, owed, 0)
+            sizes, missing = sizes[missing > 0], missing[missing > 0]
+            parity = (self.stripe_parity * sizes + self.stripe_data - 1) // self.stripe_data
+            summary.short_chunks += len(sizes)
+            summary.short_bytes += int(sizes.sum())
+            summary.replication_topup_bytes += int((missing * sizes).sum())
+            summary.parity_bytes += int(parity.sum())
         return summary
 
     # -- functional path --------------------------------------------------------

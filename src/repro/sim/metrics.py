@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.config import Strategy
 from repro.core.local_dedup import LocalIndex
 from repro.sim.driver import SimResult
@@ -90,15 +92,15 @@ def unique_content_bytes(
         return sum(idx.unique_bytes for idx in indices)
     view = result.view
     total = 0
-    counted = set()
+    counted = np.zeros(len(view), dtype=bool)
     for idx in indices:
-        for fp, size in idx.chunk_sizes.items():
-            if fp in view.entries:
-                if fp not in counted:
-                    counted.add(fp)
-                    total += size
-            else:
-                total += size
+        sizes = np.fromiter(idx.chunk_sizes.values(), np.int64, len(idx.chunk_sizes))
+        rows = view.rows(list(idx.chunk_sizes))
+        inside = rows >= 0
+        # A rank's fingerprints are distinct, so its rows are too.
+        first = ~counted[rows[inside]]
+        total += int(sizes[~inside].sum()) + int(sizes[inside][first].sum())
+        counted[rows[inside]] = True
     return total
 
 

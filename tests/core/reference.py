@@ -1,23 +1,26 @@
-"""Executable reference for the dump's local dedup and wire records and for
-both restore paths.
+"""Executable reference for the dump's local dedup, replication plan and
+wire records and for both restore paths.
 
 The per-chunk loops the batched ``repro.core`` replaced, kept naive on
-purpose: one hash and one dict probe per chunk, one ``bytes`` join per
-window slot, one ``has``/``locate``/``get`` per manifest entry.  The
-equivalence suites (``test_hotpath_equivalence.py``, ``test_local_dedup.py``,
-``test_wire.py``, ``test_restore_equivalence.py``) hold the production
-functions equal to these.  Whole-dump decisions have an independent oracle
-already — ``repro.sim.simulate_dump`` — so there is no reference dump here.
+purpose: one hash and one dict probe per chunk, one view lookup per
+fingerprint, one ``bytes`` join per window slot, one
+``has``/``locate``/``get`` per manifest entry.  The equivalence suites
+(``test_hotpath_equivalence.py``, ``test_local_dedup.py``,
+``test_planner.py``, ``test_wire.py``, ``test_restore_equivalence.py``)
+hold the production functions equal to these.  Whole-dump decisions have
+an independent oracle already — ``repro.sim.simulate_dump`` — so there is
+no reference dump here.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.chunking import Dataset
 from repro.core.collective_restore import CollectiveRestoreReport
 from repro.core.local_dedup import LocalIndex
+from repro.core.planner import ReplicationPlan
 from repro.core.restore import RestoreReport
 from repro.erasure.ec_dump import reconstruct_chunk
 from repro.storage.local_store import StorageError
@@ -50,6 +53,93 @@ def local_dedup(dataset, fingerprinter, chunk_size, chunker=None) -> LocalIndex:
             index.chunk_sizes[fp] = len(chunk)
             index.unique[fp] = chunk
     return index
+
+
+def build_plan(
+    rank: int,
+    local_index: LocalIndex,
+    view,
+    k: int,
+    world_size: int,
+    dedup_local: bool = True,
+    node_of=None,
+    topup: bool = True,
+    alive: Optional[Sequence[bool]] = None,
+) -> ReplicationPlan:
+    """``repro.core.planner.build_plan``, one ``view.get`` per fingerprint."""
+    k_eff = min(k, world_size)
+    nparts = k_eff - 1
+    plan = ReplicationPlan(rank=rank, k=k_eff)
+    plan.partner_chunks = [[] for _ in range(nparts)]
+
+    degraded = alive is not None and not all(alive)
+    if degraded:
+        n_live = sum(1 for a in alive if a)
+        self_alive = bool(alive[rank])
+        max_parts = min(nparts, n_live - (1 if self_alive else 0))
+    else:
+        self_alive = True
+        max_parts = nparts
+
+    fps = local_index.unique_fingerprints() if dedup_local else list(local_index.order)
+    for fp in fps:
+        entry = view.get(fp) if view is not None else None
+        if entry is None:
+            if self_alive:
+                plan.store_fps.append(fp)
+            if topup:
+                for p in range(max_parts):
+                    plan.partner_chunks[p].append(fp)
+            else:
+                plan.short_fps.append(fp)
+            continue
+        ranks = entry.ranks
+        if degraded:
+            live_designated = [r for r in ranks if alive[r]]
+            if rank not in ranks:
+                if live_designated:
+                    plan.discarded_fps.append(fp)
+                else:
+                    if self_alive:
+                        plan.store_fps.append(fp)
+                    for p in range(max_parts):
+                        plan.partner_chunks[p].append(fp)
+                continue
+            if self_alive:
+                plan.store_fps.append(fp)
+            coverage = (
+                len({node_of[r] for r in live_designated})
+                if node_of is not None
+                else len(live_designated)
+            )
+            if coverage >= k_eff:
+                continue
+            if topup:
+                seeder = live_designated[0] if live_designated else ranks[0]
+                if rank == seeder:
+                    for p in range(max_parts):
+                        plan.partner_chunks[p].append(fp)
+            elif ranks.index(rank) == 0:
+                plan.short_fps.append(fp)
+            continue
+        d = len(ranks)
+        coverage = len({node_of[r] for r in ranks}) if node_of is not None else d
+        if rank not in ranks and coverage >= k_eff:
+            plan.discarded_fps.append(fp)
+            continue
+        plan.store_fps.append(fp)
+        if coverage >= k_eff or rank not in ranks:
+            continue
+        j = ranks.index(rank)
+        if topup:
+            # round robin: copy c of the K - coverage goes to designee c % d
+            extra = k_eff - coverage
+            copies = (extra - j + d - 1) // d if extra > 0 and j < d else 0
+            for p in range(min(copies, nparts)):
+                plan.partner_chunks[p].append(fp)
+        elif j == 0:
+            plan.short_fps.append(fp)
+    return plan
 
 
 def encode_record(fp: bytes, chunk: bytes, chunk_size: int) -> bytes:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import Dataset, DumpConfig, Strategy, dump_output
+from repro.core.hmerge import GlobalView, MergeEntry
 from repro.simmpi import World
 from repro.storage import Cluster
 
@@ -86,6 +87,20 @@ class TestReportAccounting:
         reports, _ = run_dump(7, Strategy.COLL_DEDUP)
         assert len({r.view_entries for r in reports}) == 1
         assert reports[0].view_entries > 0
+
+    def test_no_entry_objects_between_reduction_and_exchange(self, monkeypatch):
+        """The view stays columns: a coll-dedup dump builds no MergeEntry
+        and never looks a fingerprint up one at a time."""
+        want, _ = run_dump(4, Strategy.COLL_DEDUP)
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("per-fingerprint view access in a dump")
+
+        monkeypatch.setattr(MergeEntry, "_trusted", classmethod(refuse))
+        monkeypatch.setattr(GlobalView, "get", refuse)
+        got, _ = run_dump(4, Strategy.COLL_DEDUP)
+        assert got == want
+        assert sum(r.discarded_chunks for r in got) > 0
 
     def test_baselines_have_no_view(self):
         for strategy in (Strategy.NO_DEDUP, Strategy.LOCAL_DEDUP):

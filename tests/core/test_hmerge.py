@@ -1,5 +1,6 @@
 """HMERGE: frequency union, top-F cap, load-balanced rank truncation."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -191,6 +192,66 @@ class TestMergeEntryAndView:
         assert t.nbytes_estimate() > 0
         assert GlobalView.from_table(t).nbytes_estimate() > 0
 
+    def test_view_shares_the_table_columns(self):
+        t = hmerge(table_of(0, [fp(1), fp(2)]), table_of(1, [fp(2)]))
+        view = GlobalView.from_table(t)
+        assert view.fps is t.fps and view.freq is t.freq and view.ranks is t.ranks
+        assert view.k == t.k
+        assert view.entries == t.entries
+        assert view.get(fp(2)) == MergeEntry(freq=2, ranks=(0, 1))
+        assert view.get(fp(9)) is None
+
+    def test_rows_one_lookup(self):
+        t = hmerge(table_of(0, [fp(1), fp(3)]), table_of(1, [fp(5)]))
+        view = GlobalView.from_table(t)
+        rows = view.rows([fp(5), fp(2), fp(1), fp(3), fp(9), fp(5)])
+        assert rows.dtype == np.int64
+        assert rows.tolist() == [2, -1, 0, 1, -1, 2]
+        assert view.rows([]).tolist() == []
+        empty = GlobalView.from_table(table_of(0, []))
+        assert empty.rows([fp(1), fp(2)]).tolist() == [-1, -1]
+
+    def test_rows_reject_other_widths(self):
+        view = GlobalView.from_table(table_of(0, [fp(1)]))
+        with pytest.raises(ValueError, match="widths differ"):
+            view.rows([b"\x01" * 19])
+        with pytest.raises(ValueError, match="uniform width"):
+            view.rows([fp(1), b"\x01" * 21])
+
+
+class TestWidthExact:
+    """A fingerprint of another width is absent, never NUL-padded to a
+    match: ``S`` comparison pads the shorter side."""
+
+    STORED = b"\x01" * 19 + b"\x00"
+
+    @pytest.mark.parametrize(
+        "query",
+        [b"\x01" * 19, b"\x01" * 19 + b"\x00\x00", b"\x01" * 19 + b"\x00" * 12],
+        ids=["19B", "21B", "31B"],
+    )
+    def test_table_rejects_other_widths(self, query):
+        t = table_of(0, [self.STORED, fp(7)])
+        assert self.STORED in t
+        assert query not in t
+
+    @pytest.mark.parametrize(
+        "query", [b"\x01" * 19, b"\x01" * 19 + b"\x00\x00", b""],
+        ids=["19B", "21B", "0B"],
+    )
+    def test_view_rejects_other_widths(self, query):
+        view = GlobalView.from_table(table_of(0, [self.STORED, fp(7)]))
+        assert self.STORED in view and view.designated(self.STORED) == (0,)
+        assert query not in view
+        assert view.get(query) is None
+        assert view.designated(query) == ()
+        with pytest.raises(ValueError):
+            view.rows([query])
+
+    def test_from_local_rejects_mixed_widths(self):
+        with pytest.raises(ValueError, match="uniform width"):
+            table_of(0, [fp(1), b"\x01" * 19])
+
 
 class TestVectorizedEntries:
     """The bulk-extraction `entries` path against a per-entry reference."""
@@ -253,9 +314,9 @@ class TestVectorizedEntries:
             table_of(1, [fp(i) for i in range(6, 18)], k=3, f=10),
         )
         view = GlobalView.from_table(t)
-        uncached = GlobalView(entries=view.entries, k=view.k)
+        per_entry = sum(len(f) + 4 + 4 * len(e.ranks) for f, e in view.entries.items())
         assert view.wire_nbytes is not None
-        assert view.nbytes_estimate() == uncached.nbytes_estimate()
+        assert view.nbytes_estimate() == per_entry
 
     def test_no_regression_vs_reference(self):
         """The bulk path must not be slower than the per-entry loop.

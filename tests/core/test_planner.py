@@ -1,11 +1,15 @@
 """Replication planning: store/discard/send decisions and Load vectors."""
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.core.hmerge import GlobalView, MergeEntry
+from repro.core.global_dedup import simulate_global_view
+from repro.core.hmerge import PAD, GlobalView, MergeEntry, MergeTable
 from repro.core.local_dedup import index_from_fingerprints
 from repro.core.planner import ReplicationPlan, build_plan, round_robin_share
+
+from tests.core import reference
 
 
 def fp(i):
@@ -13,7 +17,19 @@ def fp(i):
 
 
 def view_of(entries, k=3):
-    return GlobalView(entries={f: e for f, e in entries.items()}, k=k)
+    """The view of a merge table holding exactly ``entries`` (fingerprint ->
+    MergeEntry), columns filled the way ``hmerge`` leaves them."""
+    order = sorted(entries)
+    width = max([k] + [len(entries[f].ranks) for f in order])
+    table = MergeTable(k, max(1, len(order)))
+    if order:
+        table.fps = np.frombuffer(b"".join(order), dtype=f"S{len(order[0])}")
+        table.freq = np.array([entries[f].freq for f in order], dtype=np.int64)
+        table.ranks = np.full((len(order), width), PAD, dtype=np.int32)
+        for row, f in enumerate(order):
+            ranks = entries[f].ranks
+            table.ranks[row, : len(ranks)] = ranks
+    return GlobalView.from_table(table)
 
 
 class TestRoundRobinShare:
@@ -139,6 +155,96 @@ class TestBuildPlanBaselines:
         plan = build_plan(0, idx, None, k=3, world_size=4, dedup_local=False)
         assert plan.load == [3, 3, 3]
         assert plan.store_fps == [fp(1), fp(1), fp(2)]
+
+
+def key(i):
+    """Fingerprint ``i``; half of them end in a NUL byte, which an ``S``
+    element read back would strip."""
+    return bytes([i]) * 19 + (b"\x00" if i % 2 else b"\x07")
+
+
+MODES = ("healthy", "node-aware", "parity", "degraded", "baseline", "mixed")
+
+
+@st.composite
+def planning_cases(draw, mode):
+    """A world's local indices and the ``build_plan`` arguments its ranks
+    share: up to 7 ranks with random (possibly empty) indices, ``k`` up to 6
+    (so above the world size too), and a view from the reduction itself
+    (F-truncated when ``f`` is small) or drawn freely, designations
+    unrelated to who holds what."""
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(1, 6))
+    k_eff = min(k, n)
+    pool = draw(st.integers(1, 14))
+    per_rank = [
+        draw(st.lists(st.integers(0, pool - 1), max_size=10)) for _ in range(n)
+    ]
+    indices = [index_from_fingerprints([key(i) for i in ids], 64) for ids in per_rank]
+    nodes = st.lists(st.integers(0, max(0, n - 2)), min_size=n, max_size=n)
+    lives = st.lists(st.booleans(), min_size=n, max_size=n)
+    node_of = alive = None
+    topup, dedup_local = True, True
+    if mode == "node-aware":
+        node_of = draw(nodes)
+    elif mode == "parity":
+        topup = False
+    elif mode == "degraded":
+        alive = draw(lives)
+    elif mode == "mixed":
+        node_of = draw(st.none() | nodes)
+        alive = draw(st.none() | lives)
+        topup = draw(st.booleans())
+    view = None
+    if mode == "baseline":
+        dedup_local = draw(st.booleans())
+    elif draw(st.booleans()):
+        f = draw(st.integers(1, pool + 2))
+        view = simulate_global_view(
+            [idx.counts.keys() for idx in indices], k_eff, f, node_of=node_of
+        )[0]
+    else:
+        listed = draw(st.sets(st.integers(0, pool - 1)))
+        view = view_of(
+            {
+                key(i): MergeEntry(
+                    freq=draw(st.integers(1, 9)),
+                    ranks=tuple(sorted(draw(
+                        st.sets(st.integers(0, n - 1), min_size=1, max_size=k)
+                    ))),
+                )
+                for i in sorted(listed)
+            },
+            k=k_eff,
+        )
+    return indices, dict(
+        view=view, k=k, world_size=n, dedup_local=dedup_local,
+        node_of=node_of, topup=topup, alive=alive,
+    )
+
+
+class TestMatchesReference:
+    """``build_plan`` equals the per-fingerprint loop of
+    ``tests/core/reference.py`` list for list, in every mode."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_every_rank_equals_reference_loop(self, mode, data):
+        indices, kwargs = data.draw(planning_cases(mode))
+        for rank, index in enumerate(indices):
+            want = reference.build_plan(rank, index, **kwargs)
+            assert build_plan(rank, index, **kwargs) == want, rank
+
+    def test_empty_index(self):
+        view = view_of({fp(1): MergeEntry(freq=2, ranks=(0, 1))})
+        for alive in (None, [True, False, True]):
+            for topup in (True, False):
+                plan = build_plan(
+                    0, index_from_fingerprints([], 64), view, k=3,
+                    world_size=3, topup=topup, alive=alive,
+                )
+                assert plan == ReplicationPlan(rank=0, k=3, partner_chunks=[[], []])
 
 
 class TestPlanAccounting:
