@@ -3,24 +3,36 @@
 
 After collective dedup, some chunks are still short of the target K —
 the globally unique ones.  Plain coll-dedup tops them up with K-D full
-copies; the hybrid policy stripes them with Reed-Solomon parity instead,
-giving the same any-(K-1)-failure guarantee at a fraction of the bytes.
-This example runs both the accounting and the real encode/decode path:
-it destroys chunks and rebuilds them from parity.
+copies; the parity dump (``DumpConfig(redundancy="parity")``) stripes them
+across ranks with Reed-Solomon parity instead, giving the same
+any-(K-1)-failure guarantee at a fraction of the bytes.  This example runs
+both dumps on the same data and compares what each stores on top of the
+chunks themselves, then kills nodes under a parity dump and restores.
 
 Run:  python examples/erasure_hybrid.py
 """
 
+from repro import Cluster, World, dump_output, restore_dataset
 from repro.analysis.tables import format_table, human_bytes
 from repro.apps.synthetic import SyntheticWorkload
-from repro.core import DumpConfig, Strategy
-from repro.core.fingerprint import Fingerprinter
-from repro.erasure import HybridPolicy
-from repro.sim import simulate_dump
+from repro.core import DumpConfig
 
 N_RANKS = 16
 K = 3
 CHUNK = 1024
+STRIPE_DATA = 8
+
+
+def dump(workload, **redundancy):
+    config = DumpConfig(replication_factor=K, chunk_size=CHUNK,
+                        f_threshold=1 << 17, **redundancy)
+    cluster = Cluster(N_RANKS)
+    reports = World(N_RANKS).run(
+        lambda comm: dump_output(
+            comm, workload.build_dataset(comm.rank, N_RANKS), config, cluster
+        )
+    )
+    return reports, cluster
 
 
 def main() -> None:
@@ -28,79 +40,34 @@ def main() -> None:
         chunks_per_rank=128, chunk_size=CHUNK,
         frac_global=0.3, frac_zero=0.1, frac_local_dup=0.1,  # half unique
     )
-    indices = workload.build_indices(N_RANKS, chunk_size=CHUNK)
-    config = DumpConfig(replication_factor=K, chunk_size=CHUNK,
-                        f_threshold=1 << 17)
-    view = simulate_dump(indices, config).view
+    replication, _cluster = dump(workload)
+    _reports, parity_cluster = dump(
+        workload, redundancy="parity", stripe_data=STRIPE_DATA
+    )
+    topup = sum(r.received_bytes for r in replication)
+    parity = sum(node.parity_bytes for node in parity_cluster.nodes)
 
-    policy = HybridPolicy(stripe_data=8, stripe_parity=K - 1)
-    summary = policy.summarize(indices, view, K)
-
-    print(f"{N_RANKS} ranks, K={K}: {summary.short_chunks} chunks lack "
-          f"natural replicas ({human_bytes(summary.short_bytes)}).")
+    print(f"{N_RANKS} ranks, K={K}: what each dump stores beyond the chunks.")
     print(format_table(
         ["top-up mechanism", "extra bytes", "relative"],
         [
-            [f"replication ({K - 1} copies)",
-             human_bytes(summary.replication_topup_bytes), "1.00x"],
-            [f"RS({policy.stripe_data + policy.stripe_parity},{policy.stripe_data}) parity",
-             human_bytes(summary.parity_bytes),
-             f"{summary.parity_bytes / summary.replication_topup_bytes:.2f}x"],
+            [f"replication ({K - 1} copies)", human_bytes(topup), "1.00x"],
+            [f"RS({STRIPE_DATA + K - 1},{STRIPE_DATA}) parity",
+             human_bytes(parity), f"{parity / topup:.2f}x"],
         ],
     ))
-
-    # Functional proof: encode one rank's unique chunks, destroy two, rebuild.
-    rank = 5
-    fpr = Fingerprinter("sha1")
-    dataset = workload.build_dataset(rank, N_RANKS)
-    chunks = {}
-    for chunk in dataset.chunks(CHUNK):
-        fp = fpr(chunk)
-        entry = view.get(fp)
-        # The chunks replication would top up: no global entry, or this rank
-        # is the first designated holder and natural copies fall short of K.
-        short = entry is None or (
-            rank in entry.ranks
-            and len(entry.ranks) < K
-            and entry.ranks.index(rank) == 0
-        )
-        if short and fp not in chunks:
-            chunks[fp] = chunk
-    sizes = {fp: len(c) for fp, c in chunks.items()}
-    stripes = policy.protect_rank(chunks, CHUNK)
-    print(f"\nRank {rank}: {len(chunks)} unique chunks packed into "
-          f"{len(stripes)} stripes of {policy.stripe_data}+{policy.stripe_parity}.")
-
-    stripe = stripes[0]
-    victims = stripe.fingerprints[: K - 1]
-    surviving = {fp: c for fp, c in chunks.items() if fp not in victims}
-    recovered = policy.recover_chunks(stripe, surviving, sizes)
-    assert all(recovered[fp] == chunks[fp] for fp in victims)
-    print(f"Destroyed {len(victims)} chunks of stripe 0; parity decode "
-          f"rebuilt them bit-exactly.")
 
     parity_dump_end_to_end()
 
 
 def parity_dump_end_to_end() -> None:
-    """The same idea inside DUMP_OUTPUT itself: redundancy="parity" forms
-    cross-rank stripes during the dump, and restore decodes after node
-    failures."""
-    from repro import Cluster, World, dump_output, restore_dataset
-    from repro.apps.synthetic import SyntheticWorkload
-
+    """The parity dump end to end: redundancy="parity" forms cross-rank
+    stripes during the dump, and restore decodes after node failures."""
     print("\n-- end to end: DumpConfig(redundancy='parity') --")
     workload = SyntheticWorkload(chunks_per_rank=64, chunk_size=CHUNK,
                                  frac_global=0.3, frac_zero=0.1)
-    config = DumpConfig(replication_factor=K, chunk_size=CHUNK,
-                        f_threshold=1 << 17, redundancy="parity",
-                        stripe_data=8)
-    cluster = Cluster(N_RANKS)
-    reports = World(N_RANKS).run(
-        lambda comm: dump_output(
-            comm, workload.build_dataset(comm.rank, N_RANKS), config, cluster
-        )
-    )
+    reports, cluster = dump(workload, redundancy="parity",
+                            stripe_data=STRIPE_DATA)
     parity = sum(node.parity_bytes for node in cluster.nodes)
     print(f"dump complete: {sum(r.parity_stripes for r in reports)} stripes, "
           f"{human_bytes(parity)} of parity instead of replica top-ups.")

@@ -30,7 +30,7 @@ from repro.core.fpcache import DirtyRegions, FingerprintCache
 from repro.core.global_dedup import build_global_view
 from repro.core.hmerge import GlobalView
 from repro.core.local_dedup import local_dedup_batched
-from repro.core.offsets import WindowLayout, window_layout, window_layout_degraded
+from repro.core.offsets import WindowLayout, window_layout
 from repro.core.pipeline import (
     pipeline_eligible,
     pipeline_full_eligible,
@@ -41,8 +41,6 @@ from repro.core.planner import ReplicationPlan, build_plan
 from repro.core.shuffle import (
     identity_shuffle,
     inverse_positions,
-    live_partners_of,
-    live_senders_to,
     node_aware_shuffle,
     partners_of,
     rank_shuffle,
@@ -220,8 +218,7 @@ def _dump_output_impl(
     if config.degraded:
         snapshot = [cluster.node_of(r).alive for r in range(world)]
         alive = collectives.bcast(comm, snapshot)
-    degraded_layout = alive is not None and not all(alive)
-    report.degraded = degraded_layout
+    report.degraded = alive is not None and not all(alive)
 
     def enter_phase(name: str) -> None:
         if phase_hook is not None:
@@ -350,12 +347,8 @@ def _dump_output_impl(
         report.shuffle_position = my_pos
         comm.trace.annotate(position=my_pos)
     with comm.trace.span("calc-off"):
-        if degraded_layout:
-            report.partners = live_partners_of(my_pos, shuffle, k_eff, alive)
-            layout = window_layout_degraded(shuffle, send_load, k_eff, alive)
-        else:
-            report.partners = partners_of(my_pos, shuffle, k_eff)
-            layout = window_layout(shuffle, send_load, k_eff)
+        report.partners = partners_of(my_pos, shuffle, k_eff, alive)
+        layout = window_layout(shuffle, send_load, k_eff, alive)
         comm.trace.annotate(window_slots=layout.window_slots[rank])
     if comm.trace.span_enabled:
         comm.trace.metrics.gauge("window_slots").set(layout.window_slots[rank])
@@ -477,12 +470,7 @@ def _dump_output_impl(
         manifest_tag = comm.next_collective_tag()
         for partner in report.partners:
             comm.send(blob, partner, tag=manifest_tag)
-        manifest_senders = (
-            live_senders_to(my_pos, shuffle, k_eff, alive)
-            if degraded_layout
-            else senders_to(my_pos, shuffle, k_eff)
-        )
-        for sender in manifest_senders:
+        for sender in senders_to(my_pos, shuffle, k_eff, alive):
             incoming_blob = comm.recv(sender, tag=manifest_tag)
             if commit_ok:
                 node.put_manifest_blob(incoming_blob)

@@ -21,7 +21,7 @@ payload, fixed slot size) converts them to bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.shuffle import inverse_positions
 
@@ -63,6 +63,7 @@ def window_layout(
     shuffle: Sequence[int],
     send_load: Sequence[Sequence[int]],
     k: int,
+    alive: Optional[Sequence[bool]] = None,
 ) -> WindowLayout:
     """Compute every rank's window size and every sender's offsets.
 
@@ -77,55 +78,24 @@ def window_layout(
         ``send_load[rank][0]`` is its local-store count and is ignored here).
     k:
         Replication factor.
+    alive:
+        Per-rank liveness of a degraded dump; ``None`` means all alive.
+
+    Partner relations follow :func:`repro.core.shuffle.partners_of`: a
+    sender's partner slot ``j`` targets its j-th *live* successor.  Walking
+    backward from a live target, the sender at backward distance ``b``
+    contributes ``SendLoad[sender][j]`` slots with ``j = (live ranks
+    strictly between) + 1`` (``j = b`` with every node alive); dead senders
+    stay in the walk (their data still ships) without advancing ``j``, and
+    the walk stops once ``j`` exceeds ``min(k, N) - 1``.  Dead targets
+    expose zero-slot windows.
     """
     n = len(shuffle)
     if len(send_load) != n:
         raise ValueError(
             f"send_load has {len(send_load)} rows for a world of {n} ranks"
         )
-    nparts = min(k, n) - 1
-    layout = WindowLayout()
-    for t in range(n):
-        target = shuffle[t]
-        cursor = 0
-        regions: List[Tuple[int, int, int]] = []
-        for j in range(1, nparts + 1):
-            sender = shuffle[(t - j) % n]
-            row = send_load[sender]
-            count = int(row[j]) if j < len(row) else 0
-            layout.offsets[(sender, target)] = cursor
-            regions.append((sender, cursor, count))
-            cursor += count
-        layout.window_slots[target] = cursor
-        layout.regions[target] = regions
-    return layout
-
-
-def window_layout_degraded(
-    shuffle: Sequence[int],
-    send_load: Sequence[Sequence[int]],
-    k: int,
-    alive: Sequence[bool],
-) -> WindowLayout:
-    """:func:`window_layout` for a degraded dump: dead nodes are skipped.
-
-    Partner relations follow :func:`repro.core.shuffle.live_partners_of`:
-    a sender's partner slot ``j`` targets its j-th *live* successor.  The
-    receive layout stays globally computable with the same information as
-    the healthy case — walking backward from a live target, the sender at
-    backward distance ``b`` contributes ``SendLoad[sender][j]`` slots with
-    ``j = (live ranks strictly between) + 1``; dead senders stay in the
-    walk (their data still ships) without advancing ``j``, and the walk
-    stops once ``j`` exceeds ``min(k, N) - 1``.  Dead targets expose
-    zero-slot windows.  With every node alive this is exactly
-    :func:`window_layout`.
-    """
-    n = len(shuffle)
-    if len(send_load) != n:
-        raise ValueError(
-            f"send_load has {len(send_load)} rows for a world of {n} ranks"
-        )
-    if len(alive) != n:
+    if alive is not None and len(alive) != n:
         raise ValueError(f"alive has {len(alive)} entries for {n} ranks")
     nparts = min(k, n) - 1
     layout = WindowLayout()
@@ -133,7 +103,7 @@ def window_layout_degraded(
         target = shuffle[t]
         cursor = 0
         regions: List[Tuple[int, int, int]] = []
-        if alive[target]:
+        if alive is None or alive[target]:
             live_between = 0
             for back in range(1, n):
                 j = live_between + 1
@@ -145,7 +115,7 @@ def window_layout_degraded(
                 layout.offsets[(sender, target)] = cursor
                 regions.append((sender, cursor, count))
                 cursor += count
-                if alive[sender]:
+                if alive is None or alive[sender]:
                     live_between += 1
         layout.window_slots[target] = cursor
         layout.regions[target] = regions

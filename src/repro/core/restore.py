@@ -175,13 +175,16 @@ def verify_restorable(
     still counts as restorable when its erasure-coded stripe (parity
     redundancy mode) has enough surviving shards to decode.
     """
-    from repro.erasure.ec_dump import can_reconstruct
+    from repro.erasure.ec_dump import find_stripe
 
     try:
         manifest = cluster.find_manifest(rank, dump_id)
     except StorageError as exc:
         return str(exc)
     for fp in set(manifest.fingerprints):
-        if not cluster.locate(fp) and not can_reconstruct(cluster, fp, dump_id):
+        if cluster.locate(fp):
+            continue
+        stripe = find_stripe(cluster, fp, dump_id)
+        if stripe is None or stripe.margin < 0:
             return f"chunk {fp.hex()[:12]}... has no live holder or stripe"
     return None

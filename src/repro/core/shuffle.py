@@ -15,7 +15,7 @@ paper's Figure 2 outcome.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 
 def rank_shuffle(send_totals: Sequence[int], k: int) -> List[int]:
@@ -113,35 +113,22 @@ def inverse_positions(shuffle: Sequence[int]) -> List[int]:
     return positions
 
 
-def partners_of(position: int, shuffle: Sequence[int], k: int) -> List[int]:
-    """Replication partners of the rank at ``position`` in shuffled order.
-
-    Returns the ranks at positions ``position+1 .. position+k-1`` (mod N),
-    capped at ``N-1`` distinct partners when K exceeds the world size.
-    """
-    n = len(shuffle)
-    return [shuffle[(position + j) % n] for j in range(1, min(k, n))]
-
-
-def senders_to(position: int, shuffle: Sequence[int], k: int) -> List[int]:
-    """Ranks whose partner set includes the rank at ``position``, in
-    increasing distance order (distance j sender sends via its j-th slot)."""
-    n = len(shuffle)
-    return [shuffle[(position - j) % n] for j in range(1, min(k, n))]
-
-
-def live_partners_of(
-    position: int, shuffle: Sequence[int], k: int, alive: Sequence[bool]
+def partners_of(
+    position: int,
+    shuffle: Sequence[int],
+    k: int,
+    alive: Optional[Sequence[bool]] = None,
 ) -> List[int]:
-    """Degraded-mode partners: the nearest *live* successors in shuffled
-    order, up to ``min(k, N) - 1`` of them.
+    """Replication partners of the rank at ``position`` in shuffled order:
+    its nearest *live* successors, up to ``min(k, N) - 1`` of them.
 
-    Replicas on dead nodes protect nothing, so dead ranks are skipped
-    outright — the successor walk simply reaches further.  Ranks whose own
-    node is dead still get a partner list: their storage failed but their
-    process holds the data, and shipping it to live partners is the only
-    way that data survives the dump at all.  Reduces to
-    :func:`partners_of` when every node is alive.
+    With every node alive (``alive=None``) these are the ranks at positions
+    ``position+1 .. position+k-1`` (mod N).  In a degraded dump replicas on
+    dead nodes protect nothing, so dead ranks are skipped outright — the
+    successor walk simply reaches further.  Ranks whose own node is dead
+    still get a partner list: their storage failed but their process holds
+    the data, and shipping it to live partners is the only way that data
+    survives the dump at all.
     """
     n = len(shuffle)
     want = min(k, n) - 1
@@ -150,27 +137,30 @@ def live_partners_of(
         if len(partners) >= want:
             break
         candidate = shuffle[(position + step) % n]
-        if alive[candidate]:
+        if alive is None or alive[candidate]:
             partners.append(candidate)
     return partners
 
 
-def live_senders_to(
-    position: int, shuffle: Sequence[int], k: int, alive: Sequence[bool]
+def senders_to(
+    position: int,
+    shuffle: Sequence[int],
+    k: int,
+    alive: Optional[Sequence[bool]] = None,
 ) -> List[int]:
-    """Degraded-mode senders: every rank whose
-    :func:`live_partners_of` list includes the rank at ``position``.
+    """Every rank whose :func:`partners_of` list includes the rank at
+    ``position``, in increasing distance order.
 
     Mirror of the partner walk: walking backward from a live target, a
     sender at backward distance ``b`` uses its partner slot
-    ``j = (live ranks strictly between it and the target) + 1``; the walk
-    ends once ``j`` would exceed ``min(k, N) - 1``.  Dead senders are
-    *included* (they ship their data even though their store is gone);
-    dead targets receive nothing and get an empty list.  Reduces to
-    :func:`senders_to` when every node is alive.
+    ``j = (live ranks strictly between it and the target) + 1`` (``j = b``
+    with every node alive); the walk ends once ``j`` would exceed
+    ``min(k, N) - 1``.  Dead senders are *included* (they ship their data
+    even though their store is gone); dead targets receive nothing and get
+    an empty list.
     """
     n = len(shuffle)
-    if not alive[shuffle[position]]:
+    if alive is not None and not alive[shuffle[position]]:
         return []
     nparts = min(k, n) - 1
     senders: List[int] = []
@@ -180,6 +170,6 @@ def live_senders_to(
             break
         sender = shuffle[(position - back) % n]
         senders.append(sender)
-        if alive[sender]:
+        if alive is None or alive[sender]:
             live_between += 1
     return senders

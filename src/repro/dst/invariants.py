@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.offsets import window_layout, window_layout_degraded
+from repro.core.offsets import window_layout
 from repro.core.restore import verify_restorable
-from repro.core.shuffle import live_partners_of, partners_of
+from repro.core.shuffle import partners_of
 from repro.storage.local_store import Cluster, StorageError
 
 
@@ -465,13 +465,8 @@ def check_window_layout(
     send_load = [[] for _ in range(n)]
     for report in reports:
         send_load[report.rank] = list(report.load)
-    degraded_layout = any(r.degraded for r in reports)
-    if degraded_layout:
-        layout = window_layout_degraded(
-            shuffle, send_load, k_eff, alive_at_start
-        )
-    else:
-        layout = window_layout(shuffle, send_load, k_eff)
+    alive = alive_at_start if any(r.degraded for r in reports) else None
+    layout = window_layout(shuffle, send_load, k_eff, alive)
 
     # Regions tile each window exactly: no overlap, no gap, no spill.
     for target in range(n):
@@ -508,12 +503,7 @@ def check_window_layout(
     # Partner lists and per-partner send counts match the agreed layout.
     for report in reports:
         pos = report.shuffle_position
-        if degraded_layout:
-            expected_partners = live_partners_of(
-                pos, shuffle, k_eff, alive_at_start
-            )
-        else:
-            expected_partners = partners_of(pos, shuffle, k_eff)
+        expected_partners = partners_of(pos, shuffle, k_eff, alive)
         if list(report.partners) != expected_partners:
             out.append(Violation(
                 "window-layout", step,

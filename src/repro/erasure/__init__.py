@@ -7,22 +7,21 @@ for replication."  This package provides that combination:
 * :mod:`~repro.erasure.gf256` — GF(2^8) arithmetic (log/antilog tables).
 * :mod:`~repro.erasure.reed_solomon` — systematic RS(n, k): any k of the n
   shards reconstruct the data.
-* :mod:`~repro.erasure.hybrid` — the hybrid policy: chunks that are
-  naturally duplicated keep counting as replicas, while rare chunks are
-  striped with parity instead of being copied K-D more times, trading
-  storage/traffic for reconstruction cost.
+* :mod:`~repro.erasure.ec_dump` — the parity dump
+  (``DumpConfig(redundancy="parity")``): chunks that are naturally
+  duplicated keep counting as replicas, while rare chunks are striped
+  across ranks with parity instead of being copied K-D more times, and a
+  restore or repair decodes them from their stripe.
 """
 
 from repro.erasure.gf256 import GF256
 from repro.erasure.reed_solomon import ReedSolomon
-from repro.erasure.hybrid import HybridPolicy, HybridPlanSummary
-from repro.erasure.ec_dump import ParityRecord, reconstruct_chunk
+from repro.erasure.ec_dump import ParityRecord, find_stripe, reconstruct_chunk
 
 __all__ = [
     "GF256",
-    "HybridPolicy",
-    "HybridPlanSummary",
     "ParityRecord",
     "ReedSolomon",
+    "find_stripe",
     "reconstruct_chunk",
 ]

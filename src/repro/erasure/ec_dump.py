@@ -12,13 +12,21 @@ failure coverage as K-replication at ``m/d`` of its storage.
 
 Traffic is ~the same as replication (each unprotected chunk travels to the
 m parity holders — information must reach them somehow); the win is
-storage: parity occupies ``m/d`` of the protected data instead of ``m``
-copies.  Bench X1 quantifies both.
+storage: parity occupies roughly ``m/d`` of the protected data instead of
+``m`` copies.  Roughly, because a group makes as many stripes as its
+longest member short-list and every shard is as wide as a slot, so short
+lists and short chunks are paid for as zero padding.  Bench X1 measures
+both dumps.
+
+A member ships its chunks to the holders as one frame (RPB1: an index
+column, a digest column and a ragged payload column; DESIGN.md "One
+frame").
 
 Restore: a lost chunk is *decoded* — the parity record (stored with each
 shard) names the stripe's member fingerprints, survivors are fetched by
 content address from any live node, and the RS system is solved
-(:func:`reconstruct_chunk`).
+(:func:`reconstruct_chunk`).  :func:`find_stripe` is the one place that
+locates a chunk's stripe and counts what survives of it.
 """
 
 from __future__ import annotations
@@ -28,7 +36,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core import frame
 from repro.core.fingerprint import Fingerprint
+from repro.core.frame import DIGEST, RAGGED, FrameError, Schema
 from repro.erasure.gf256 import GF256
 from repro.erasure.reed_solomon import ReedSolomon
 from repro.storage.local_store import Cluster, StorageError
@@ -86,6 +96,33 @@ def group_structure(
     return groups
 
 
+_BUNDLE_MAGIC = b"RPB1"
+_BUNDLE_SCHEMA = Schema(
+    scalars=(),
+    columns=(("index", "u8"), ("fps", DIGEST), ("payloads", RAGGED)),
+)
+
+
+def encode_parity_bundle(bundle: Sequence[Tuple[int, Fingerprint, bytes]]) -> bytes:
+    """Pack a member's ``(stripe index, fingerprint, payload)`` triples as
+    one RPB1 frame."""
+    columns = [[triple[c] for triple in bundle] for c in range(3)]
+    return frame.encode(_BUNDLE_MAGIC, _BUNDLE_SCHEMA, (), columns)
+
+
+def decode_parity_bundle(blob) -> List[Tuple[int, Fingerprint, bytes]]:
+    """The triples of :func:`encode_parity_bundle`, in order."""
+    _scalars, (indices, fps, payloads) = frame.decode(
+        _BUNDLE_MAGIC, blob, _BUNDLE_SCHEMA
+    )
+    if not len(indices) == len(fps) == len(payloads):
+        raise FrameError(
+            f"RPB1: {len(indices)} indices, {len(fps)} fingerprints and "
+            f"{len(payloads)} payloads"
+        )
+    return list(zip(indices.tolist(), fps.tolist(), payloads))
+
+
 def parity_shard(
     codec: ReedSolomon, shard_index: int, data_shards: Sequence[bytes]
 ) -> bytes:
@@ -116,8 +153,6 @@ def ship_parity(
     Collective: every rank calls this (possibly with zero chunks to
     protect).  ``K=1`` is a no-op (nothing to protect against).
     """
-    from repro.simmpi import collectives
-
     world = comm.size
     d, m = effective_geometry(config.stripe_data, k_eff, world)
     if m == 0:
@@ -127,19 +162,17 @@ def ship_parity(
     codec = ReedSolomon(d + m, d)
     tag = comm.next_collective_tag()
 
-    # Everyone learns everyone's short-chunk count (stripe counts per group).
-    short_counts = collectives.allgather(comm, len(plan.short_fps))
-
     # Member role: send (index, fp, payload) triples to each group holder.
-    my_group = my_pos // d
-    members, holders = groups[my_group]
+    _members, holders = groups[my_pos // d]
     bundle = [
         (i, fp, payload_of[fp]) for i, fp in enumerate(plan.short_fps)
     ]
+    blob = encode_parity_bundle(bundle)
+    bundle_bytes = sum(len(p) for _i, _f, p in bundle)
     for hpos in holders:
-        comm.send(bundle, shuffle[hpos], tag=tag)
+        comm.send(blob, shuffle[hpos], tag=tag)
         report.sent_chunks += len(bundle)
-        report.sent_bytes += sum(len(p) for _i, _f, p in bundle)
+        report.sent_bytes += bundle_bytes
 
     # Holder role: for every group I hold, receive all members' chunks,
     # encode my shard of each stripe, store it with full stripe metadata.
@@ -151,41 +184,28 @@ def ship_parity(
         my_shard_index = g_holders.index(my_pos)
         incoming: Dict[int, Dict[int, Tuple[Fingerprint, bytes]]] = {}
         for mpos in g_members:
-            triples = comm.recv(shuffle[mpos], tag=tag)
+            triples = decode_parity_bundle(comm.recv(shuffle[mpos], tag=tag))
             incoming[mpos] = {i: (fp, payload) for i, fp, payload in triples}
             report.received_chunks += len(triples)
             report.received_bytes += sum(len(p) for _i, _f, p in triples)
-        n_stripes = max(
-            (short_counts[shuffle[mpos]] for mpos in g_members), default=0
-        )
+        # A member's bundle is its whole short-list: one stripe per entry of
+        # the longest.
+        n_stripes = max(map(len, incoming.values()), default=0)
         member_ranks = tuple(shuffle[mpos] for mpos in g_members)
         for s in range(n_stripes):
-            fps: List[Fingerprint] = []
-            sizes: List[int] = []
-            shards: List[bytes] = []
-            for mpos in g_members:
-                entry = incoming[mpos].get(s)
-                if entry is None:
-                    fps.append(NO_CHUNK)
-                    sizes.append(0)
-                    shards.append(b"\x00" * width)
-                else:
-                    fp, payload = entry
-                    fps.append(fp)
-                    sizes.append(len(payload))
-                    shards.append(payload.ljust(width, b"\x00"))
-            while len(shards) < d:  # short tail group
-                fps.append(NO_CHUNK)
-                sizes.append(0)
-                shards.append(b"\x00" * width)
+            # A member whose short-list ended, and the missing members of a
+            # short tail group, are known-zero NO_CHUNK shards.
+            entries = [incoming[mpos].get(s, (NO_CHUNK, b"")) for mpos in g_members]
+            entries += [(NO_CHUNK, b"")] * (d - len(entries))
+            shards = [payload.ljust(width, b"\x00") for _fp, payload in entries]
             shard = parity_shard(codec, my_shard_index, shards)
             node.put_parity(
                 ParityRecord(
                     dump_id=dump_id,
                     stripe_index=s,
                     group_members=member_ranks,
-                    fingerprints=tuple(fps),
-                    chunk_sizes=tuple(sizes),
+                    fingerprints=tuple(fp for fp, _payload in entries),
+                    chunk_sizes=tuple(len(payload) for _fp, payload in entries),
                     stripe_data=d,
                     stripe_parity=m,
                     shard_index=my_shard_index,
@@ -197,84 +217,64 @@ def ship_parity(
     comm.trace.end_span(encode_span)
 
 
-def _gather_stripe(
+@dataclass(frozen=True)
+class Stripe:
+    """What survives of the stripe covering one chunk (:func:`find_stripe`)."""
+
+    #: the first live parity record covering the chunk
+    anchor: ParityRecord
+    #: the chunk's original payload size
+    size: int
+    #: shard-holding nodes the stripe can still lose before it stops
+    #: decoding; negative when it already cannot decode
+    margin: int
+    #: per member: a live node holding its chunk, None when the chunk has no
+    #: live holder or the member is a ``NO_CHUNK`` pad
+    sources: Tuple[Optional[int], ...]
+    #: live parity shards by shard index
+    shards: Dict[int, bytes]
+
+
+def find_stripe(
     cluster: Cluster, fp: Fingerprint, dump_id: int
-) -> Optional[Tuple[ParityRecord, Dict[int, bytes]]]:
-    """Locate a live stripe covering ``fp`` and its surviving shards."""
-    anchor: Optional[ParityRecord] = None
-    for node in cluster.nodes:
-        if not node.alive:
-            continue
-        record = node.find_parity(fp, dump_id)
-        if record is not None:
-            anchor = record
-            break
-    if anchor is None:
-        return None
-
-    available: Dict[int, bytes] = {}
-    for pos, member_fp in enumerate(anchor.fingerprints):
-        if member_fp == NO_CHUNK:
-            available[pos] = b"\x00" * anchor.shard_width  # known-zero pad
-            continue
-        holders = cluster.locate(member_fp)
-        if holders:
-            # A stored payload is a bytes-like, not always ``bytes``.
-            payload = bytes(cluster.nodes[holders[0]].chunks.get(member_fp))
-            available[pos] = payload.ljust(anchor.shard_width, b"\x00")
-    key = anchor.stripe_key()
-    for node in cluster.nodes:
-        if not node.alive:
-            continue
-        for record in node.parity_for_stripe(key):
-            available[anchor.stripe_data + record.shard_index] = record.shard
-    return anchor, available
-
-
-def stripe_margin(
-    cluster: Cluster, fp: Fingerprint, dump_id: int
-) -> Optional[int]:
-    """How many more shard-holding nodes the stripe covering ``fp`` can
-    lose before it stops decoding; ``None`` when no live parity record
-    covers the chunk.
+) -> Optional[Stripe]:
+    """The stripe covering ``fp`` in ``dump_id``, or ``None`` when no live
+    parity record covers it.  Reads no chunk payload.
 
     A margin of ``m`` (= ``stripe_parity``) is a fully intact stripe — the
-    same failure tolerance as K-replication.  The count is conservative:
-    every available shard unit (member chunk with a live holder, live
-    parity shard, known-zero pad) contributes one, even if a member chunk
-    happens to have extra natural replicas.
+    same failure tolerance as K-replication — and ``margin >= 0`` is exactly
+    when :func:`reconstruct_chunk` succeeds.  The count is conservative:
+    every available shard unit (member chunk with a live holder, distinct
+    live parity shard, known-zero pad) contributes one, even if a member
+    chunk happens to have extra natural replicas.
     """
     anchor: Optional[ParityRecord] = None
-    for node in cluster.nodes:
-        if not node.alive:
-            continue
-        record = node.find_parity(fp, dump_id)
-        if record is not None:
-            anchor = record
+    for node in cluster.alive_nodes:
+        anchor = node.find_parity(fp, dump_id)
+        if anchor is not None:
             break
     if anchor is None:
         return None
-    available = 0
-    for member_fp in anchor.fingerprints:
-        if member_fp == NO_CHUNK or cluster.locate(member_fp):
-            available += 1
+    members = [f for f in anchor.fingerprints if f != NO_CHUNK]
+    first_holder = {
+        f: holders[0]
+        for f, holders in zip(members, cluster.locate_many(members))
+        if holders
+    }
+    available = sum(f == NO_CHUNK or f in first_holder for f in anchor.fingerprints)
     key = anchor.stripe_key()
-    shard_indices = set()
-    for node in cluster.nodes:
-        if not node.alive:
-            continue
-        for record in node.parity_for_stripe(key):
-            shard_indices.add(record.shard_index)
-    return available + len(shard_indices) - anchor.stripe_data
-
-
-def can_reconstruct(cluster: Cluster, fp: Fingerprint, dump_id: int) -> bool:
-    """True iff :func:`reconstruct_chunk` would succeed (no decoding done)."""
-    gathered = _gather_stripe(cluster, fp, dump_id)
-    if gathered is None:
-        return False
-    anchor, available = gathered
-    return len(available) >= anchor.stripe_data
+    shards = {
+        record.shard_index: record.shard
+        for node in cluster.alive_nodes
+        for record in node.parity_for_stripe(key)
+    }
+    return Stripe(
+        anchor=anchor,
+        size=anchor.chunk_sizes[anchor.fingerprints.index(fp)],
+        margin=available + len(shards) - anchor.stripe_data,
+        sources=tuple(map(first_holder.get, anchor.fingerprints)),
+        shards=shards,
+    )
 
 
 def reconstruct_chunk(
@@ -284,25 +284,36 @@ def reconstruct_chunk(
 ) -> bytes:
     """Rebuild a chunk with no live replica from its cross-rank stripe.
 
-    Finds any live parity record covering ``fp``, gathers the stripe's
-    surviving data chunks (content-addressed, from any live holder), the
-    other live parity shards, and RS-decodes.  Raises
-    :class:`StorageError` when fewer than ``stripe_data`` shards survive.
+    Finds the stripe with :func:`find_stripe`, fetches its surviving data
+    chunks (content-addressed, from any live holder), and RS-decodes them
+    with the live parity shards.  Raises :class:`StorageError` when fewer
+    than ``stripe_data`` shards survive.
     """
-    gathered = _gather_stripe(cluster, fp, dump_id)
-    if gathered is None:
+    stripe = find_stripe(cluster, fp, dump_id)
+    if stripe is None:
         raise StorageError(
             f"chunk {fp.hex()[:12]}...: no live parity covers it"
         )
-    anchor, available = gathered
-    if len(available) < anchor.stripe_data:
+    anchor = stripe.anchor
+    d = anchor.stripe_data
+    if stripe.margin < 0:
         raise StorageError(
-            f"chunk {fp.hex()[:12]}...: stripe has only {len(available)} of "
-            f"{anchor.stripe_data} shards alive"
+            f"chunk {fp.hex()[:12]}...: stripe has only {d + stripe.margin} of "
+            f"{d} shards alive"
         )
-    codec = ReedSolomon(
-        anchor.stripe_data + anchor.stripe_parity, anchor.stripe_data
-    )
-    data = codec.decode(available)
+    width = anchor.shard_width
+    available: Dict[int, bytes] = {}
+    for pos, (member_fp, source) in enumerate(
+        zip(anchor.fingerprints, stripe.sources)
+    ):
+        if member_fp == NO_CHUNK:
+            available[pos] = b"\x00" * width  # known-zero pad
+        elif source is not None:
+            # A stored payload is a bytes-like, not always ``bytes``.
+            payload = bytes(cluster.nodes[source].chunks.get(member_fp))
+            available[pos] = payload.ljust(width, b"\x00")
+    for index, shard in stripe.shards.items():
+        available[d + index] = shard
+    data = ReedSolomon(d + anchor.stripe_parity, d).decode(available)
     pos = anchor.fingerprints.index(fp)
-    return data[pos][: anchor.chunk_sizes[pos]]
+    return data[pos][: stripe.size]

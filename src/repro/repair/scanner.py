@@ -150,19 +150,6 @@ class RepairScan:
         )
 
 
-def _parity_chunk_size(
-    cluster: Cluster, fp: Fingerprint, dump_id: int
-) -> Optional[int]:
-    """Original size of a parity-covered chunk, from any live record."""
-    for node in cluster.nodes:
-        if not node.alive:
-            continue
-        record = node.find_parity(fp, dump_id)
-        if record is not None:
-            return record.chunk_sizes[record.fingerprints.index(fp)]
-    return None
-
-
 def scan_cluster(
     cluster: Cluster,
     target_k: int,
@@ -177,7 +164,7 @@ def scan_cluster(
     """
     if target_k < 1:
         raise ValueError(f"target_k must be >= 1, got {target_k}")
-    from repro.erasure.ec_dump import can_reconstruct, stripe_margin
+    from repro.erasure.ec_dump import find_stripe
 
     if dump_ids is None:
         dump_ids = cluster.known_dumps()
@@ -262,8 +249,8 @@ def scan_cluster(
             # parity.  Stripes below that margin get the chunk
             # re-replicated instead (parity repair would need the whole
             # group's cooperation; replication only needs the bytes).
-            margin = stripe_margin(cluster, fp, dump_id)
-            if margin is not None and margin >= target - 1:
+            stripe = find_stripe(cluster, fp, dump_id)
+            if stripe is not None and stripe.margin >= target - 1:
                 continue
         table.append((fp, sizes[i], tuple(holders), dump_id))
 
@@ -281,15 +268,15 @@ def scan_cluster(
         for fp in sorted(holderless):
             dumps = referencing[fp]
             for dump_id in dumps:
-                if (fp, dump_id) in covered and can_reconstruct(
-                    cluster, fp, dump_id
-                ):
-                    size = _parity_chunk_size(cluster, fp, dump_id) or 0
+                if (fp, dump_id) not in covered:
+                    continue
+                stripe = find_stripe(cluster, fp, dump_id)
+                if stripe is not None and stripe.margin >= 0:
                     if dump_id == dumps[0]:
                         # a chunk only a later dump rescues is not sized
                         # into the walk's byte count
-                        scan.scanned_bytes += size
-                    table.append((fp, size, (), dump_id))
+                        scan.scanned_bytes += stripe.size
+                    table.append((fp, stripe.size, (), dump_id))
                     break
             else:
                 scan.lost_chunks.append((fp, dumps[0]))

@@ -62,7 +62,7 @@ class FailureInjector:
         :func:`repro.core.restore.verify_restorable`, which drives the same
         check before an actual restore).
         """
-        from repro.erasure.ec_dump import can_reconstruct
+        from repro.erasure.ec_dump import find_stripe
 
         if ranks is None:
             ranks = range(self.cluster.n_ranks)
@@ -78,9 +78,10 @@ class FailureInjector:
                 continue
             missing = 0
             for fp in set(manifest.fingerprints):
-                if not self.cluster.locate(fp) and not can_reconstruct(
-                    self.cluster, fp, dump_id
-                ):
+                if self.cluster.locate(fp):
+                    continue
+                stripe = find_stripe(self.cluster, fp, dump_id)
+                if stripe is None or stripe.margin < 0:
                     missing += 1
             if missing:
                 report.lost_ranks.append(rank)

@@ -111,6 +111,12 @@ class ChunkStore:
         Optional backing directory; chunks are persisted as files named by
         the hex fingerprint (useful for the on-disk examples).  Default is
         in-memory.
+
+    Every mutation holds the store's lock for the whole call: rank threads
+    that share a node (``Cluster(rank_to_node=...)``) write to one store,
+    and a refcount read-modify-write must not interleave with another.
+    Reads take no lock; a new fingerprint's payload is stored before its
+    refcount, so a reader that sees the refcount finds the payload.
     """
 
     def __init__(self, dedup: bool = True, directory: Optional[str] = None) -> None:
@@ -121,8 +127,18 @@ class ChunkStore:
         self.logical_bytes = 0
         self.physical_bytes = 0
         self.put_count = 0
+        self._lock = threading.Lock()
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        del state["_lock"]  # a lock neither pickles nor deep-copies
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
 
     # -- chunk operations --------------------------------------------------------
     def _bump(
@@ -132,11 +148,12 @@ class ChunkStore:
 
         Every reference-adding path (:meth:`put`, :meth:`put_counted`, delta
         replay) funnels through here so alternative layouts — the sharded
-        store — cannot drift from the flat accounting rules.  ``payload`` may
-        be None only when the fingerprint is already stored (the size is then
-        looked up).  A new payload is copied unless the caller vouches with
-        ``adopt`` that it is immutable and the store may keep the object it
-        was given; only :meth:`apply_delta` does (see :class:`StoreDelta`).
+        store — cannot drift from the flat accounting rules; callers hold
+        the store's lock.  ``payload`` may be None only when the fingerprint
+        is already stored (the size is then looked up).  A new payload is
+        copied unless the caller vouches with ``adopt`` that it is immutable
+        and the store may keep the object it was given; only
+        :meth:`apply_delta` does (see :class:`StoreDelta`).
         Never infer that from ``memoryview.readonly``: an application hands
         out read-only views of memory it rewrites in place.  Returns the
         number of chunks physically written.
@@ -155,8 +172,8 @@ class ChunkStore:
                     "and this store never held it"
                 )
             size = len(payload)
-            refcounts[fp] = n
             self._chunks[fp] = payload if adopt else bytes(payload)
+            refcounts[fp] = n
             written = 1 if self.dedup else n
             self.physical_bytes += size if self.dedup else n * size
             if self._directory is not None:
@@ -172,7 +189,8 @@ class ChunkStore:
 
     def put(self, fp: Fingerprint, data: bytes) -> bool:
         """Store a chunk; returns True if it was physically written."""
-        return self._bump(fp, data, 1) > 0
+        with self._lock:
+            return self._bump(fp, data, 1) > 0
 
     def put_many(self, pairs: Iterable[Tuple[Fingerprint, bytes]]) -> int:
         """Batch :meth:`put`; returns how many chunks were physically written.
@@ -192,33 +210,34 @@ class ChunkStore:
         fps, payloads = zip(*pairs)
         counts = Counter(fps)
         logical = sum(map(len, payloads))
-        new_fps = [fp for fp in counts if fp not in refcounts]
-        if new_fps:
-            # Store the first-occurrence payload of each new fingerprint;
-            # the scan stops as soon as every new fingerprint is covered.
-            needed = set(new_fps)
-            for fp, data in pairs:
-                if fp in needed:
-                    chunks[fp] = bytes(data)
-                    needed.discard(fp)
-                    if self._directory is not None:
-                        path = os.path.join(self._directory, fp.hex())
-                        with open(path, "wb") as fh:
-                            fh.write(data)
-                    if not needed:
-                        break
-        for fp, c in counts.items():
-            refcounts[fp] = refcounts.get(fp, 0) + c
-        if self.dedup:
-            physical = sum(len(chunks[fp]) for fp in new_fps)
-            written = len(new_fps)
-        else:
-            physical = logical
-            written = len(pairs)
-        self.put_count += len(pairs)
-        self.logical_bytes += logical
-        self.physical_bytes += physical
-        return written
+        with self._lock:
+            new_fps = [fp for fp in counts if fp not in refcounts]
+            if new_fps:
+                # Store the first-occurrence payload of each new fingerprint;
+                # the scan stops as soon as every new fingerprint is covered.
+                needed = set(new_fps)
+                for fp, data in pairs:
+                    if fp in needed:
+                        chunks[fp] = bytes(data)
+                        needed.discard(fp)
+                        if self._directory is not None:
+                            path = os.path.join(self._directory, fp.hex())
+                            with open(path, "wb") as fh:
+                                fh.write(data)
+                        if not needed:
+                            break
+            for fp, c in counts.items():
+                refcounts[fp] = refcounts.get(fp, 0) + c
+            if self.dedup:
+                physical = sum(len(chunks[fp]) for fp in new_fps)
+                written = len(new_fps)
+            else:
+                physical = logical
+                written = len(pairs)
+            self.put_count += len(pairs)
+            self.logical_bytes += logical
+            self.physical_bytes += physical
+            return written
 
     def put_counted(
         self, items: Iterable[Tuple[Fingerprint, bytes, int]]
@@ -232,8 +251,9 @@ class ChunkStore:
         number of chunks physically written.
         """
         written = 0
-        for fp, data, count in items:
-            written += self._bump(fp, data, count)
+        with self._lock:
+            for fp, data, count in items:
+                written += self._bump(fp, data, count)
         return written
 
     def discard(self, fp: Fingerprint) -> int:
@@ -244,18 +264,19 @@ class ChunkStore:
         here.  ``put_count`` stays cumulative.  Returns the payload size
         reclaimed, 0 if the fingerprint was absent.
         """
-        count = self._refcounts.pop(fp, 0)
-        if not count:
-            return 0
-        size = self.nbytes_of(fp)
-        self._chunks.pop(fp, None)
-        self.physical_bytes -= size if self.dedup else count * size
-        self.logical_bytes -= count * size
-        if self._directory is not None:
-            path = os.path.join(self._directory, fp.hex())
-            if os.path.exists(path):
-                os.remove(path)
-        return size
+        with self._lock:
+            count = self._refcounts.pop(fp, 0)
+            if not count:
+                return 0
+            size = self.nbytes_of(fp)
+            self._chunks.pop(fp, None)
+            self.physical_bytes -= size if self.dedup else count * size
+            self.logical_bytes -= count * size
+            if self._directory is not None:
+                path = os.path.join(self._directory, fp.hex())
+                if os.path.exists(path):
+                    os.remove(path)
+            return size
 
     def get(self, fp: Fingerprint) -> Payload:
         try:
@@ -329,11 +350,12 @@ class ChunkStore:
         }
 
     def clear(self) -> None:
-        self._chunks.clear()
-        self._refcounts.clear()
-        self.logical_bytes = 0
-        self.physical_bytes = 0
-        self.put_count = 0
+        with self._lock:
+            self._chunks.clear()
+            self._refcounts.clear()
+            self.logical_bytes = 0
+            self.physical_bytes = 0
+            self.put_count = 0
 
     # -- delta merge-back (process backend) -------------------------------------
     def mark(self) -> None:
@@ -362,8 +384,9 @@ class ChunkStore:
         The payloads are kept, not copied (the :class:`StoreDelta`
         contract): a view among them keeps its buffer alive until the last
         chunk cut from it is discarded or the store is cleared."""
-        for fp, payload, count in delta.entries:
-            self._bump(fp, payload, count, adopt=True)
+        with self._lock:
+            for fp, payload, count in delta.entries:
+                self._bump(fp, payload, count, adopt=True)
 
 
 class ShardedChunkStore:
@@ -404,78 +427,64 @@ class ShardedChunkStore:
             )
             for i in range(shard_count)
         ]
-        self._locks = [threading.Lock() for _ in range(shard_count)]
 
     def shard_of(self, fp: Fingerprint) -> int:
         """Shard index from the fingerprint's first prefix byte."""
         return fp[0] % self.shard_count
 
     # -- chunk operations --------------------------------------------------------
+    def _by_shard(self, items) -> Dict[int, List]:
+        """Items keyed by a fingerprint in front, grouped by shard in order."""
+        groups: Dict[int, List] = {}
+        for item in items:
+            groups.setdefault(item[0][0] % self.shard_count, []).append(item)
+        return groups
+
     def put(self, fp: Fingerprint, data: bytes) -> bool:
-        i = fp[0] % self.shard_count
-        with self._locks[i]:
-            return self.shards[i].put(fp, data)
+        return self.shards[fp[0] % self.shard_count].put(fp, data)
 
     def put_many(self, pairs: Iterable[Tuple[Fingerprint, bytes]]) -> int:
-        pairs = pairs if isinstance(pairs, (list, tuple)) else list(pairs)
-        if not pairs:
-            return 0
-        if self.shard_count == 1:
-            with self._locks[0]:
-                return self.shards[0].put_many(pairs)
-        groups: Dict[int, List[Tuple[Fingerprint, bytes]]] = {}
-        for pair in pairs:
-            groups.setdefault(pair[0][0] % self.shard_count, []).append(pair)
-        written = 0
-        for i, group in groups.items():
-            with self._locks[i]:
-                written += self.shards[i].put_many(group)
-        return written
+        return sum(
+            self.shards[i].put_many(group)
+            for i, group in self._by_shard(pairs).items()
+        )
 
     def put_counted(
         self, items: Iterable[Tuple[Fingerprint, bytes, int]]
     ) -> int:
-        written = 0
-        for fp, data, count in items:
-            i = fp[0] % self.shard_count
-            with self._locks[i]:
-                written += self.shards[i]._bump(fp, data, count)
-        return written
+        return sum(
+            self.shards[i].put_counted(group)
+            for i, group in self._by_shard(items).items()
+        )
 
     def discard(self, fp: Fingerprint) -> int:
-        i = fp[0] % self.shard_count
-        with self._locks[i]:
-            return self.shards[i].discard(fp)
+        return self.shards[fp[0] % self.shard_count].discard(fp)
 
     def get(self, fp: Fingerprint) -> bytes:
         return self.shards[fp[0] % self.shard_count].get(fp)
 
     def _scatter_gather(self, fps, op: str):
-        """Run a batch read op per shard — one lock acquisition per shard —
-        and scatter the results back into request order."""
+        """Run a batch read op per shard and scatter the results back into
+        request order."""
         fps = fps if isinstance(fps, (list, tuple)) else list(fps)
         if self.shard_count == 1:
-            with self._locks[0]:
-                return getattr(self.shards[0], op)(fps)
+            return getattr(self.shards[0], op)(fps)
         groups: Dict[int, List[int]] = {}
         for pos, fp in enumerate(fps):
             groups.setdefault(fp[0] % self.shard_count, []).append(pos)
         out: List = [None] * len(fps)
         for i, positions in groups.items():
-            with self._locks[i]:
-                results = getattr(self.shards[i], op)(
-                    [fps[p] for p in positions]
-                )
+            results = getattr(self.shards[i], op)([fps[p] for p in positions])
             for p, value in zip(positions, results):
                 out[p] = value
         return out
 
     def get_many(self, fps: Iterable[Fingerprint]) -> List[bytes]:
-        """Batch :meth:`get`, grouped by shard (one lock grab per shard)."""
+        """Batch :meth:`get`, grouped by shard."""
         return self._scatter_gather(fps, "get_many")
 
     def has_many(self, fps: Iterable[Fingerprint]) -> List[bool]:
-        """Batch :meth:`has`, grouped by shard (one lock grab per shard)."""
+        """Batch :meth:`has`, grouped by shard."""
         return self._scatter_gather(fps, "has_many")
 
     def nbytes_of(self, fp: Fingerprint) -> int:
@@ -541,10 +550,8 @@ class ShardedChunkStore:
         return StoreDelta(entries)
 
     def apply_delta(self, delta: StoreDelta) -> None:
-        for fp, payload, count in delta.entries:
-            i = fp[0] % self.shard_count
-            with self._locks[i]:
-                self.shards[i]._bump(fp, payload, count, adopt=True)
+        for i, entries in self._by_shard(delta.entries).items():
+            self.shards[i].apply_delta(StoreDelta(entries))
 
 
 def make_chunk_store(
@@ -578,14 +585,18 @@ class NodeStorage:
         # One dict whatever ``shard_count``: chunk shards exist for their
         # locks, and manifests are written once per dump and rank.
         self._manifests: Dict[Tuple[int, int], bytes] = {}
-        self._parity: List = []  # ParityRecord instances (see repro.erasure)
+        # ParityRecord instances (see repro.erasure), in insertion order,
+        # indexed by covered (fingerprint, dump) and by stripe.
+        self._parity: List = []
         self._parity_by_fp: Dict[Tuple[Fingerprint, int], object] = {}
+        self._parity_by_stripe: Dict[Tuple, List] = {}
         self.alive = True
 
     # -- parity area (erasure-coded redundancy mode) ---------------------------
     def put_parity(self, record) -> None:
         """Store one :class:`~repro.erasure.ec_dump.ParityRecord`."""
         self._parity.append(record)
+        self._parity_by_stripe.setdefault(record.stripe_key(), []).append(record)
         for fp in record.fingerprints:
             if fp:  # skip NO_CHUNK placeholders
                 self._parity_by_fp.setdefault((fp, record.dump_id), record)
@@ -599,9 +610,9 @@ class NodeStorage:
         return self._parity_by_fp.keys()
 
     def parity_for_stripe(self, stripe_key) -> List:
-        """All locally stored shards of one stripe (see
+        """All locally stored shards of one stripe, in insertion order (see
         :meth:`~repro.erasure.ec_dump.ParityRecord.stripe_key`)."""
-        return [r for r in self._parity if r.stripe_key() == stripe_key]
+        return self._parity_by_stripe.get(stripe_key, [])
 
     @property
     def parity_bytes(self) -> int:

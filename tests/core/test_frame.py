@@ -3,8 +3,9 @@
 Every blob that crosses a rank or a disk is a schema over
 ``repro.core.frame`` (RMT1 merge tables, RRQ1/RRP1 restore rounds, the RCD1
 cluster delta with its nested RPR1 parity records, the RCH1 chain, RMF1
-manifests).  A new codec, or a new way for bytes to be wrong, is one more
-entry in ``CODECS`` or ``mutations`` below, not a new file:
+manifests, RPB1 parity bundles).  A new codec, or a new way for bytes to be
+wrong, is one more entry in ``CODECS`` or ``mutations`` below, not a new
+file:
 
 * round trips: random schemas through the frame, random objects through
   each codec (digest strategies are biased to trailing-NUL and all-zero
@@ -37,6 +38,7 @@ from repro.chain.node import ChainNode
 from repro.core import frame, wire
 from repro.core.frame import DIGEST, RAGGED, RAGGED_VIEW, FrameError, Schema
 from repro.core.hmerge import MergeTable, hmerge
+from repro.erasure import ec_dump
 from repro.erasure.ec_dump import NO_CHUNK, ParityRecord
 from repro.storage import chain_codec, delta_codec, manifest as manifest_mod
 from repro.storage.local_store import ClusterDelta, NodeDelta, StoreDelta
@@ -316,6 +318,10 @@ def sample_chain():
     return [full, delta], 2, 8, 2, 10
 
 
+parity_bundles = st.lists(st.tuples(small, digests, st.binary(max_size=12)), max_size=6)
+SAMPLE_BUNDLE = [(0, NUL_FPS[0], b"abc"), (1, NUL_FPS[1], b""), (2, NUL_FPS[2], b"\x00p"),
+                 (7, NUL_FPS[3], b"z")]
+
 manifests = st.builds(
     Manifest, rank=small, dump_id=small, segment_lengths=st.lists(small, max_size=5),
     fingerprints=st.lists(digests, max_size=8), chunk_size=st.integers(1, 2**30),
@@ -357,6 +363,10 @@ CODECS = {
                  chunk_size=4096, compressed=True),
         Manifest(rank=0, dump_id=0),
     ),
+    "RPB1": Codec(
+        b"RPB1", ec_dump._BUNDLE_SCHEMA, ec_dump.encode_parity_bundle,
+        ec_dump.decode_parity_bundle, parity_bundles, list, SAMPLE_BUNDLE, [],
+    ),
 }
 each_codec = pytest.mark.parametrize("codec", CODECS.values(), ids=list(CODECS))
 
@@ -374,7 +384,7 @@ def test_schema_round_trip(codec, data):
 @each_codec
 def test_trailing_nul_and_all_zero_digests_survive_every_digest_column(codec):
     """The samples carry NUL_FPS in every digest column (manifest, RRQ1,
-    RCH1, RMT1, RCD1 chunk and parity fingerprints)."""
+    RCH1, RMT1, RCD1 chunk and parity fingerprints, RPB1)."""
     decoded = codec.decode(codec.encode(codec.sample))
     assert codec.canon(decoded) == codec.canon(codec.sample)
 

@@ -1,13 +1,18 @@
 """Erasure-coded redundancy end to end: cross-rank stripe groups with
 rotating parity holders, and decode-on-restore."""
 
+import itertools
+
 import pytest
 
 from repro.core import DumpConfig, Strategy, dump_output, restore_dataset
 from repro.core.runner import run_collective
+from repro.erasure import ec_dump
 from repro.erasure.ec_dump import (
+    NO_CHUNK,
     ParityRecord,
     effective_geometry,
+    find_stripe,
     group_structure,
     parity_shard,
     reconstruct_chunk,
@@ -15,9 +20,11 @@ from repro.erasure.ec_dump import (
 from repro.erasure.reed_solomon import ReedSolomon
 from repro.simmpi import World
 from repro.storage import Cluster
+from repro.storage.failures import FailureInjector
 from repro.storage.local_store import StorageError
 
 from tests.conftest import make_rank_dataset
+from tests.repair import reference
 
 CS = 64
 
@@ -33,6 +40,14 @@ def dump_parity(n, k=3, stripe_data=4, cluster=None, backend="thread"):
         cluster=cluster, backend=backend, timeout=60,
     )
     return reports, cluster
+
+
+def failure_subsets(n):
+    """Every set of failed nodes of an ``n``-node cluster, the empty one and
+    the full one included."""
+    return itertools.chain.from_iterable(
+        itertools.combinations(range(n), r) for r in range(n + 1)
+    )
 
 
 class TestConfig:
@@ -153,6 +168,33 @@ class TestParityDump:
         with pytest.raises(StorageError):
             restore_dataset(cluster, members_with_data[0])
 
+    def test_parity_bundles_travel_as_frames(self, monkeypatch):
+        """Every message of the parity phase is bytes-like: the process
+        backend ships one frame per holder, not a pickled list."""
+        sent = []
+        ship = ec_dump.ship_parity
+
+        def spying_ship(comm, *args, **kwargs):
+            send = comm.send
+
+            def recording_send(obj, dest, tag=0):
+                sent.append(obj)
+                return send(obj, dest, tag=tag)
+
+            comm.send = recording_send
+            try:
+                return ship(comm, *args, **kwargs)
+            finally:
+                del comm.send
+
+        monkeypatch.setattr(ec_dump, "ship_parity", spying_ship)
+        reports, cluster = dump_parity(6)
+        assert sum(r.parity_stripes for r in reports) > 0
+        assert sent
+        assert all(isinstance(obj, (bytes, bytearray, memoryview)) for obj in sent)
+        for rank in range(6):
+            assert restore_dataset(cluster, rank)[0] == make_rank_dataset(rank)
+
     def test_k1_is_a_noop(self):
         reports, cluster = dump_parity(3, k=1)
         assert all(node.parity_bytes == 0 for node in cluster.nodes)
@@ -241,6 +283,41 @@ class TestReconstructChunk:
         with pytest.raises(StorageError, match="parity"):
             reconstruct_chunk(cluster, b"\x07" * 20, dump_id=0)
 
+    def test_every_failure_subset_agrees_with_the_reference(self):
+        """Under every set of failed nodes, for every chunk a stripe covers:
+        ``find_stripe`` counts the margin the payload-gathering reference
+        counts, ``margin >= 0`` is the reference's "decodable", and exactly
+        then ``reconstruct_chunk`` gives back the original bytes."""
+        n = 6
+        _reports, cluster = dump_parity(n, k=3, stripe_data=4)
+        covered = sorted({
+            (fp, record.dump_id)
+            for node in cluster.nodes
+            for record in node._parity
+            for fp in record.fingerprints
+            if fp != NO_CHUNK
+        })
+        original = {fp: bytes(cluster.locate_any(fp)) for fp, _dump in covered}
+        outcomes = set()
+        for failed in failure_subsets(n):
+            for node_id in failed:
+                cluster.fail_node(node_id)
+            for fp, dump_id in covered:
+                stripe = find_stripe(cluster, fp, dump_id)
+                margin = None if stripe is None else stripe.margin
+                assert margin == reference.stripe_margin(cluster, fp, dump_id), failed
+                decodable = margin is not None and margin >= 0
+                assert decodable == reference.decodable(cluster, fp, dump_id), failed
+                if decodable:
+                    assert stripe.size == len(original[fp])
+                    assert reconstruct_chunk(cluster, fp, dump_id) == original[fp]
+                else:
+                    with pytest.raises(StorageError):
+                        reconstruct_chunk(cluster, fp, dump_id)
+                outcomes.add(decodable)
+            cluster.revive_all()
+        assert outcomes == {True, False}
+
     def test_insufficient_shards_raises(self):
         cluster = Cluster(3)
         chunks = self.chunks(4)
@@ -280,3 +357,32 @@ class TestECAwareVerification:
         # Either the stripe is short of shards or (k=2) the manifest and its
         # single replica died together — both are honest unrecoverability.
         assert "stripe" in reason or "manifest" in reason
+
+    def test_every_failure_subset_agrees_with_the_reference(self):
+        """``verify_restorable`` and the failure audit call a rank
+        restorable exactly when a manifest copy survives and every chunk has
+        a live holder or a stripe the reference can decode."""
+        from repro.core.restore import verify_restorable
+
+        n = 6
+        _reports, cluster = dump_parity(n, k=3, stripe_data=4)
+        outcomes = set()
+        for failed in failure_subsets(n):
+            for node_id in failed:
+                cluster.fail_node(node_id)
+            expected = []
+            for rank in range(n):
+                holders = cluster.manifest_holders(rank, 0)
+                manifest = holders and cluster.nodes[holders[0]].get_manifest(rank, 0)
+                restorable = bool(holders) and all(
+                    cluster.locate(fp) or reference.decodable(cluster, fp, 0)
+                    for fp in set(manifest.fingerprints)
+                )
+                assert (verify_restorable(cluster, rank) is None) == restorable, failed
+                if restorable:
+                    expected.append(rank)
+                outcomes.add(restorable)
+            audit = FailureInjector(cluster).audit(0)
+            assert audit.recoverable_ranks == expected, failed
+            cluster.revive_all()
+        assert outcomes == {True, False}

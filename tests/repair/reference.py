@@ -4,13 +4,18 @@ The per-chunk loops the batched ``repro.repair`` replaced, kept naive on
 purpose: one ``locate`` per fingerprint, one ``min`` per copy, one slot
 counter per window.  ``test_repair_equivalence.py`` holds the production
 scan, schedule and window layout equal to these.
+
+A stripe is judged the way a decoder would: walk every live node's parity
+records, fetch every surviving shard's bytes and count them
+(:func:`gather_stripe`).  ``tests/erasure/test_ec_dump.py`` holds
+``repro.erasure.ec_dump.find_stripe`` equal to it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.erasure.ec_dump import can_reconstruct, stripe_margin
+from repro.erasure.ec_dump import NO_CHUNK
 from repro.repair import (
     ChunkDeficit,
     ManifestDeficit,
@@ -19,12 +24,59 @@ from repro.repair import (
 )
 
 
-def _parity_chunk_size(cluster, fp, dump_id) -> int:
+def _anchor(cluster, fp, dump_id):
+    """The first record covering ``fp`` in ``dump_id`` on the first live
+    node that has one, or None."""
     for node in cluster.alive_nodes:
-        record = node.find_parity(fp, dump_id)
-        if record is not None:
-            return record.chunk_sizes[record.fingerprints.index(fp)]
-    return 0
+        for record in node._parity:
+            if record.dump_id == dump_id and fp in record.fingerprints:
+                return record
+    return None
+
+
+def gather_stripe(cluster, fp, dump_id):
+    """``(anchor, {shard position: bytes})`` of the stripe covering ``fp``:
+    member chunks fetched from their first live holder (pads are known
+    zeros), parity shards from every live node; None without a live record."""
+    anchor = _anchor(cluster, fp, dump_id)
+    if anchor is None:
+        return None
+    available: Dict[int, bytes] = {}
+    for pos, member in enumerate(anchor.fingerprints):
+        if member == NO_CHUNK:
+            available[pos] = bytes(anchor.shard_width)
+            continue
+        holders = cluster.locate(member)
+        if holders:
+            payload = bytes(cluster.nodes[holders[0]].chunks.get(member))
+            available[pos] = payload.ljust(anchor.shard_width, b"\x00")
+    for node in cluster.alive_nodes:
+        for record in node._parity:
+            if record.stripe_key() == anchor.stripe_key():
+                available[anchor.stripe_data + record.shard_index] = record.shard
+    return anchor, available
+
+
+def stripe_margin(cluster, fp, dump_id) -> Optional[int]:
+    """Surviving shards beyond ``stripe_data``; None without a live record."""
+    gathered = gather_stripe(cluster, fp, dump_id)
+    if gathered is None:
+        return None
+    anchor, available = gathered
+    return len(available) - anchor.stripe_data
+
+
+def decodable(cluster, fp, dump_id) -> bool:
+    """True iff enough of the stripe covering ``fp`` survives to decode it."""
+    margin = stripe_margin(cluster, fp, dump_id)
+    return margin is not None and margin >= 0
+
+
+def _parity_chunk_size(cluster, fp, dump_id) -> int:
+    record = _anchor(cluster, fp, dump_id)
+    if record is None:
+        return 0
+    return record.chunk_sizes[record.fingerprints.index(fp)]
 
 
 def scan(cluster, target_k, dump_ids=None) -> dict:
@@ -61,7 +113,7 @@ def scan(cluster, target_k, dump_ids=None) -> dict:
             for fp in set(node.get_manifest(rank, dump_id).fingerprints):
                 if fp in repairable:
                     # Lost so far: a later dump's stripe may still cover it.
-                    if not repairable[fp] and can_reconstruct(cluster, fp, dump_id):
+                    if not repairable[fp] and decodable(cluster, fp, dump_id):
                         chunks[fp] = parity_only(fp, dump_id)
                         lost_chunks = [e for e in lost_chunks if e[0] != fp]
                         repairable[fp] = True
@@ -82,7 +134,7 @@ def scan(cluster, target_k, dump_ids=None) -> dict:
                             fp=fp, dump_id=dump_id, size=size,
                             holders=tuple(chunk_holders), target=target,
                         )
-                elif can_reconstruct(cluster, fp, dump_id):
+                elif decodable(cluster, fp, dump_id):
                     chunks[fp] = parity_only(fp, dump_id)
                     scanned_bytes += chunks[fp].size
                 else:

@@ -1,7 +1,12 @@
 """ChunkStore accounting, dedup vs raw mode, directory backend."""
 
+import copy
 import gc
 import os
+import pickle
+import sys
+import threading
+import time
 import weakref
 
 import numpy as np
@@ -187,3 +192,63 @@ class TestAdoptedPayloads:
         store = ChunkStore(directory=str(tmp_path))
         store.apply_delta(delta)
         assert (tmp_path / fp(1).hex()).read_bytes() == bytes(range(8, 16))
+
+
+class SlowRefcounts(dict):
+    """A refcount table that yields the GIL after every read, so an unlocked
+    read-modify-write loses an update whenever two writers overlap."""
+
+    def get(self, *args):
+        value = super().get(*args)
+        time.sleep(0)
+        return value
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)
+        time.sleep(0)
+        return value
+
+
+class TestConcurrentWriters:
+    """Rank threads that share a node (``Cluster(rank_to_node=...)``) write
+    to one flat store at once."""
+
+    @pytest.mark.parametrize("op", ["put_many", "put_counted"])
+    def test_no_reference_is_lost(self, op):
+        store = ChunkStore()
+        store._refcounts = SlowRefcounts()
+        fps = [fp(i) for i in range(3)]
+        rounds = 50
+        start = threading.Barrier(4, timeout=60)
+
+        def writer():
+            start.wait()
+            for _ in range(rounds):
+                if op == "put_many":
+                    store.put_many([(f, b"x") for f in fps])
+                else:
+                    store.put_counted([(f, b"x", 1) for f in fps])
+
+        threads = [threading.Thread(target=writer) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [store.refcount(f) for f in fps] == [4 * rounds] * len(fps)
+        assert store.put_count == store.logical_bytes == 4 * rounds * len(fps)
+        assert store.physical_bytes == len(fps)
+
+    def test_copies_get_their_own_lock(self):
+        store = ChunkStore()
+        store.put(fp(1), b"abcd")
+        for twin in (copy.deepcopy(store), pickle.loads(pickle.dumps(store))):
+            assert twin._lock is not store._lock
+            with store._lock:  # the original's lock does not block the copy
+                twin.put(fp(1), b"abcd")
+            assert twin.refcount(fp(1)) == 2 and store.refcount(fp(1)) == 1
