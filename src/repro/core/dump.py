@@ -21,11 +21,11 @@ Phases (each bracketed by a trace phase so the cost model can price them):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.core.chunking import Dataset
 from repro.core.config import DumpConfig, Strategy
-from repro.core.fingerprint import Fingerprint, Fingerprinter
+from repro.core.fingerprint import Fingerprinter
 from repro.core.fpcache import DirtyRegions, FingerprintCache
 from repro.core.global_dedup import build_global_view
 from repro.core.hmerge import GlobalView
@@ -270,9 +270,9 @@ def _dump_output_impl(
         codec = get_codec(config.compress)
         with comm.trace.phase("compress"):
             payload_of = {fp: codec.encode(raw) for fp, raw in index.unique.items()}
+        payload_size = {fp: len(p) for fp, p in payload_of.items()}
     else:
-        payload_of = index.unique
-    payload_size = {fp: len(p) for fp, p in payload_of.items()}
+        payload_of, payload_size = index.unique, index.chunk_sizes
     if comm.trace.span_enabled:
         comm.trace.metrics.histogram("chunk_size_bytes").observe_many(
             payload_size.values()
@@ -373,6 +373,10 @@ def _dump_output_impl(
         window = Window.create(comm, layout.window_slots[rank] * slot)
         capacity = config.wire_payload_capacity
         digest_size = fingerprinter.digest_size
+        # The last region encoded: its fingerprints, its view, its payload
+        # bytes.  The baseline strategies send every partner the same list,
+        # and a region equal to the last one is copied, not encoded again.
+        encoded = None
         for p, fps in enumerate(plan.partner_chunks):
             if p >= len(report.partners):
                 # Degraded: fewer live partners than slots; the planner kept
@@ -388,37 +392,34 @@ def _dump_output_impl(
             target = report.partners[p]
             count = len(fps)
             if count:
-                encode_records_into(
-                    window.put_view(
-                        target, layout.offset_of(rank, target) * slot, count * slot
-                    ),
-                    ((fp, payload_of[fp]) for fp in fps),
-                    digest_size,
-                    capacity,
+                region = window.put_view(
+                    target, layout.offset_of(rank, target) * slot, count * slot
                 )
+                if encoded is not None and encoded[0] == fps:
+                    region[:] = encoded[1]
+                else:
+                    encode_records_into(
+                        region,
+                        zip(fps, map(payload_of.__getitem__, fps)),
+                        digest_size,
+                        capacity,
+                    )
+                    encoded = fps, region, sum(map(payload_size.__getitem__, fps))
+                report.sent_bytes += encoded[2]
             report.sent_per_partner.append(count)
             report.sent_chunks += count
-            report.sent_bytes += sum(payload_size[fp] for fp in fps)
         comm.trace.record_chunks(report.sent_chunks, report.sent_bytes)
         comm.trace.annotate(
             sent_chunks=report.sent_chunks, sent_bytes=report.sent_bytes
         )
         window.fence()
-        incoming = window.local_view()
-        received_unique: List[Tuple[Fingerprint, bytes, int]] = []
-        received_records = received_nbytes = 0
-        for sender, start, count in layout.regions[rank]:
-            # Replicated regions repeat few distinct fingerprints; collapse
-            # each region in one vectorised sweep over the window itself and
-            # materialise one payload per distinct fingerprint.
-            pairs, mults, nbytes = decode_region_unique(
-                incoming, digest_size, capacity, start, count
-            )
-            received_unique.extend(
-                (fp, payload, m) for (fp, payload), m in zip(pairs, mults)
-            )
-            received_records += sum(mults)
-            received_nbytes += nbytes
+        # The senders' regions tile the window, so one decode over all of it
+        # collapses repeats across senders too and materialises one payload
+        # per distinct fingerprint, read in place out of the window.
+        received_records = layout.window_slots[rank]
+        pairs, mults, received_nbytes = decode_region_unique(
+            window.local_view(), digest_size, capacity, 0, received_records
+        )
         window.free()
 
     # Phase 5: commit to local storage and replicate the manifest.
@@ -433,12 +434,17 @@ def _dump_output_impl(
         else:
             node = cluster.storage_for(rank)
             commit_ok = True
-        store_nbytes = sum(map(payload_size.__getitem__, plan.store_fps))
+        store_fps = plan.store_fps
+        store_nbytes = sum(map(payload_size.__getitem__, store_fps))
         if commit_ok:
-            node.chunks.put_many((fp, payload_of[fp]) for fp in plan.store_fps)
-            report.stored_chunks = len(plan.store_fps)
+            node.chunks.put_many(
+                zip(store_fps, map(payload_of.__getitem__, store_fps))
+            )
+            report.stored_chunks = len(store_fps)
             report.stored_bytes = store_nbytes
-            node.chunks.put_counted(received_unique)
+            node.chunks.put_counted(
+                (fp, payload, m) for (fp, payload), m in zip(pairs, mults)
+            )
             report.received_chunks = received_records
             report.received_bytes = received_nbytes
         else:

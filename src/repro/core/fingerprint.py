@@ -29,17 +29,20 @@ threads is unsupported.  The pipelined dump respects this by reading
 from __future__ import annotations
 
 import hashlib
+from functools import partial
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 Fingerprint = bytes
 
+# The constructors themselves, not wrappers: the batch kernel calls one per
+# chunk, and a Python frame around it costs about a tenth of a 256 B sha1.
 _ALGORITHMS: Dict[str, Tuple[Callable[[bytes], "hashlib._Hash"], int]] = {
-    "sha1": (lambda data: hashlib.sha1(data), 20),
-    "sha256": (lambda data: hashlib.sha256(data), 32),
-    "md5": (lambda data: hashlib.md5(data), 16),
-    "blake2b": (lambda data: hashlib.blake2b(data, digest_size=16), 16),
+    "sha1": (hashlib.sha1, 20),
+    "sha256": (hashlib.sha256, 32),
+    "md5": (hashlib.md5, 16),
+    "blake2b": (partial(hashlib.blake2b, digest_size=16), 16),
 }
 
 #: The vectorised non-crypto algorithm selected by ``integrity="fast"``.
@@ -288,6 +291,58 @@ class Fingerprinter:
     def reset_counter(self) -> None:
         self._hashed_inline = 0
         self._hashed_batches.clear()
+
+
+def first_occurrences(
+    column: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Collapse a fixed-width digest column to its distinct values.
+
+    ``column`` is a 1-D array of ``np.void`` digests (it may be a strided
+    field of a record array).  Returns ``(first, counts, inverse)``: the row
+    of each distinct digest's first occurrence, ascending; how many rows
+    carry it; and, per row, the index into ``first`` of its digest.
+
+    Digests are hash output, so their first eight bytes almost always tell
+    two apart: the column is sorted on those as one ``uint64`` key, and only
+    if two different digests tie on it is it sorted again on the whole
+    digest (as ``S``, whose compare strips trailing NULs: on a fixed width
+    that is still byte equality).  Not ``np.unique``: that sorts voids
+    through a generic compare, and on its first string call imports
+    ``numpy.ma`` (15 ms in every forked rank).  A digest's first row is the
+    least row index in its sorted run, so the sort need not be stable, and
+    the runs are put in first-occurrence order by a mask, not a second sort.
+    """
+    n = len(column)
+    if not n:
+        empty = np.zeros(0, dtype=np.intp)
+        return empty, empty, empty
+    rows = np.ascontiguousarray(column).view(np.uint8).reshape(n, -1)
+    prefix = np.zeros((n, 8), dtype=np.uint8)
+    prefix[:, : min(8, rows.shape[1])] = rows[:, :8]
+    key = prefix.view(np.uint64).ravel()
+    order = np.argsort(key)
+    ranked = key[order]
+    same = ranked[1:] == ranked[:-1]
+    tied = np.flatnonzero(same)
+    if tied.size and (rows[order[tied]] != rows[order[tied + 1]]).any():
+        keys = column.view(f"S{column.dtype.itemsize}")
+        order = np.argsort(keys)
+        ranked = keys[order]
+        same = ranked[1:] == ranked[:-1]
+    fresh = np.ones(n, dtype=bool)
+    fresh[1:] = ~same
+    starts = np.flatnonzero(fresh)
+    heads = np.minimum.reduceat(order, starts)  # each sorted run's first row
+    is_first = np.zeros(n, dtype=bool)
+    is_first[heads] = True
+    first = np.flatnonzero(is_first)
+    place = (np.cumsum(is_first) - 1)[heads]  # each run's index into ``first``
+    counts = np.empty(len(heads), dtype=np.intp)
+    counts[place] = np.diff(np.append(starts, n))
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = place[np.cumsum(fresh) - 1]
+    return first, counts, inverse
 
 
 def supported_hashes() -> List[str]:

@@ -6,14 +6,14 @@ only one copy, which results in a set of locally unique fingerprints."
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.chunking import Dataset, num_chunks
-from repro.core.fingerprint import Fingerprint, Fingerprinter
+from repro.core.chunking import Dataset
+from repro.core.fingerprint import Fingerprint, Fingerprinter, first_occurrences
 
 
 @dataclass
@@ -66,6 +66,14 @@ class LocalIndex:
         return list(self.counts.keys())
 
 
+#: Bytes per payload gather: bounds the gathered block (the only temporary
+#: of the payload cut) to about 1 MiB.
+_BLOCK_BYTES = 1 << 20
+#: Fewer first occurrences than this in a segment are cut one slice each:
+#: a gather's fixed cost is a few dozen slices.
+_GATHER_MIN = 32
+
+
 def local_dedup_batched(
     dataset: Dataset,
     fingerprinter: Fingerprinter,
@@ -77,13 +85,17 @@ def local_dedup_batched(
 ) -> LocalIndex:
     """Chunk + fingerprint a dataset and collapse local duplicates.
 
-    Array-backed: chunks are hashed as ``memoryview`` slices (no ``bytes``
-    copy per chunk; see :meth:`Fingerprinter.fingerprint_segment`), only the
-    locally *unique* chunks are ever materialised as payload bytes, and the
-    duplicate collapse runs as one sorted-``np.unique`` over the packed
-    fingerprint array.  The dicts of the returned :class:`LocalIndex`
-    iterate in first-occurrence order (``tests/core/reference.py`` holds
-    the naive per-chunk builder this is tested against).
+    Columnar: chunks are hashed as ``memoryview`` slices (no ``bytes`` copy
+    per chunk; see :meth:`Fingerprinter.fingerprint_segment`), the duplicate
+    collapse is one sort over the packed fingerprint column
+    (:func:`~repro.core.fingerprint.first_occurrences`), and the first
+    occurrences' sizes and payloads are cut per segment: full grid chunks
+    through one gather of the segment's rows and ``tolist()``, a short tail
+    or a content-defined chunk through its own slice.  Only the locally
+    *unique* chunks are ever materialised.  The dicts of the returned
+    :class:`LocalIndex` are built by ``dict(zip(...))`` over those columns
+    and iterate in first-occurrence order (``tests/core/reference.py``
+    holds the naive per-chunk builder this is tested against).
 
     ``boundaries`` replaces the fixed ``chunk_size`` grid with explicit
     chunk end-offsets, one ascending list per segment ending at the
@@ -101,12 +113,16 @@ def local_dedup_batched(
     ``boundaries`` are given.
     """
     seg_views = [dataset.segment(i) for i in range(dataset.num_segments)]
+    seg_lengths = np.asarray(dataset.segment_lengths, dtype=np.int64)
     if boundaries is not None:
-        views: List[memoryview] = []
-        for view, ends in zip(seg_views, boundaries):
-            views.extend(view[lo:hi] for lo, hi in zip([0, *ends], ends))
-        fps = fingerprinter.fingerprint_views(views)
-        chunk_view_at = views.__getitem__
+        fps = fingerprinter.fingerprint_views(
+            [
+                view[lo:hi]
+                for view, ends in zip(seg_views, boundaries)
+                for lo, hi in zip([0, *ends], ends)
+            ]
+        )
+        per_segment = np.asarray([len(ends) for ends in boundaries], dtype=np.int64)
     else:
         if cache is not None:
             fps = cache.fingerprint_dataset(dataset, fingerprinter, dirty_regions)
@@ -114,40 +130,62 @@ def local_dedup_batched(
             fps = []
             for view in seg_views:
                 fps.extend(fingerprinter.fingerprint_segment(view, chunk_size))
-
-        # Chunk-index -> segment resolution for the few first-occurrence
-        # payload slices below (duplicates never get materialised, and
-        # neither do the non-first copies of unique chunks).
-        starts = [0]
-        for view in seg_views:
-            starts.append(starts[-1] + num_chunks(len(view), chunk_size))
-
-        def chunk_view_at(i: int) -> memoryview:
-            s = bisect_right(starts, i) - 1
-            offset = (i - starts[s]) * chunk_size
-            return seg_views[s][offset : offset + chunk_size]
+        per_segment = -(-seg_lengths // chunk_size)  # chunks per segment
 
     index = LocalIndex()
     index.order = fps
     if not fps:
         return index
 
-    digest = fingerprinter.digest_size
-    arr = np.frombuffer(b"".join(fps), dtype=np.dtype((np.void, digest)))
-    _uniq, first_idx, counts = np.unique(
-        arr, return_index=True, return_counts=True
+    column = np.frombuffer(
+        b"".join(fps), dtype=np.dtype((np.void, fingerprinter.digest_size))
     )
-    # np.unique sorts by fingerprint value; re-walk in first-occurrence
-    # order so the dicts iterate in dataset order.
-    for u in np.argsort(first_idx):
-        i = int(first_idx[u])
-        fp = fps[i]
-        view = chunk_view_at(i)
-        index.counts[fp] = int(counts[u])
-        index.chunk_sizes[fp] = len(view)
-        if keep_payloads:
-            index.unique[fp] = bytes(view)
+    first, counts, _inverse = first_occurrences(column)
+    distinct = list(map(fps.__getitem__, first.tolist()))
+
+    # Where each first occurrence lies: its segment and byte range.
+    seg_first_row = np.concatenate(([0], np.cumsum(per_segment)))
+    segment = np.searchsorted(seg_first_row, first, side="right") - 1
+    if boundaries is not None:
+        ends = np.fromiter(chain.from_iterable(boundaries), np.int64, len(fps))
+        starts = np.concatenate(([0], ends[:-1]))
+        starts[seg_first_row[:-1][per_segment > 0]] = 0
+        los, his = starts[first], ends[first]
+    else:
+        los = (first - seg_first_row[segment]) * chunk_size
+        his = np.minimum(los + chunk_size, seg_lengths[segment])
+    sizes = (his - los).tolist()
+    index.counts = dict(zip(distinct, counts.tolist()))
+    index.chunk_sizes = dict(zip(distinct, sizes))
+    if keep_payloads:
+        payloads: List[bytes] = []
+        cuts = np.searchsorted(segment, np.arange(len(seg_views) + 1)).tolist()
+        lo_list, hi_list = los.tolist(), his.tolist()
+        for view, a, b in zip(seg_views, cuts, cuts[1:]):
+            if boundaries is None and b - a >= _GATHER_MIN:
+                payloads.extend(_gather(view, los[a:b], chunk_size))
+            else:  # a few chunks, or content-defined ones: a slice each
+                slices = map(slice, lo_list[a:b], hi_list[a:b])
+                payloads.extend(map(bytes, map(view.__getitem__, slices)))
+        index.unique = dict(zip(distinct, payloads))
     return index
+
+
+def _gather(view: memoryview, los: np.ndarray, width: int) -> List[bytes]:
+    """``bytes`` of the fixed-grid chunks of one segment starting at
+    ``los``: whole rows of the segment viewed as ``(n, width)`` voids go
+    through one gather and ``tolist()`` per ~1 MiB block, a short tail is
+    one slice."""
+    whole = len(view) // width
+    rows = los[: np.searchsorted(los, whole * width)] // width
+    grid = np.frombuffer(view, dtype=np.dtype((np.void, width)), count=whole)
+    step = max(1, _BLOCK_BYTES // width)
+    out: List[bytes] = []
+    for lo in range(0, len(rows), step):
+        out.extend(grid[rows[lo : lo + step]].tolist())
+    if len(rows) < len(los):
+        out.append(bytes(view[whole * width :]))
+    return out
 
 
 def index_from_fingerprints(

@@ -133,23 +133,18 @@ def _finish_exchange_write(
             sent_chunks=report.sent_chunks, sent_bytes=report.sent_bytes
         )
         window.fence()
-        incoming = window.local_view()
-        received_unique: List[Tuple[Fingerprint, bytes, int]] = []
-        received_records = received_nbytes = 0
-        for _sender, start, count in layout.regions[comm.rank]:
-            pairs, mults, nbytes = decode_region_unique(
-                incoming, digest_size, capacity, start, count
-            )
-            received_unique.extend(
-                (fp, payload, m) for (fp, payload), m in zip(pairs, mults)
-            )
-            received_records += sum(mults)
-            received_nbytes += nbytes
+        # One decode over the whole window, as the strict path does.
+        received_records = layout.window_slots[comm.rank]
+        pairs, mults, received_nbytes = decode_region_unique(
+            window.local_view(), digest_size, capacity, 0, received_records
+        )
         window.free()
 
     with comm.trace.phase("write"):
         post_start = time.perf_counter()
-        node.chunks.put_counted(received_unique)
+        node.chunks.put_counted(
+            (fp, payload, m) for (fp, payload), m in zip(pairs, mults)
+        )
         report.received_chunks += received_records
         report.received_bytes += received_nbytes
         comm.trace.record_chunks(
@@ -229,7 +224,7 @@ def pipelined_exchange_write(
     report.sent_per_partner = [len(fps) for fps in plan.partner_chunks]
     report.sent_chunks = sum(report.sent_per_partner)
     report.sent_bytes = sum(
-        payload_size[fp] for fps in plan.partner_chunks for fp in fps
+        sum(map(payload_size.__getitem__, fps)) for fps in plan.partner_chunks
     )
 
     bases = [layout.offset_of(rank, target) for target in partners]
@@ -252,7 +247,7 @@ def pipelined_exchange_write(
                         window.put_view(
                             partners[p], (bases[p] + lo) * slot, len(seg) * slot
                         ),
-                        ((fp, payload_of[fp]) for fp in seg),
+                        zip(seg, map(payload_of.__getitem__, seg)),
                         digest_size,
                         capacity,
                     )
@@ -261,7 +256,7 @@ def pipelined_exchange_write(
             with comm.trace.span("pipeline", stage="write", batch=bi):
                 seg = plan.store_fps[lo:hi]
                 if seg:
-                    node.chunks.put_many((fp, payload_of[fp]) for fp in seg)
+                    node.chunks.put_many(zip(seg, map(payload_of.__getitem__, seg)))
                     report.stored_chunks += len(seg)
                     report.stored_bytes += sum(
                         map(payload_size.__getitem__, seg)

@@ -10,12 +10,14 @@ makes a received chunk a usable *replica* rather than anonymous bytes.
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
+from itertools import chain
 from typing import Iterable, List, Tuple
 
 import numpy as np
 
 from repro.core import frame
-from repro.core.fingerprint import Fingerprint
+from repro.core.fingerprint import Fingerprint, first_occurrences
 from repro.core.frame import DIGEST, RAGGED, FrameError, Schema
 
 _LEN = struct.Struct("<I")
@@ -26,9 +28,30 @@ def slot_nbytes(digest_size: int, chunk_size: int) -> int:
     return digest_size + _LEN.size + chunk_size
 
 
-#: Records written per ``struct.pack_into`` call: bounds the format string
-#: and the argument tuple, and spreads a call's fixed cost over 64 records.
-_PACK_GROUP = 64
+#: Slots per block of the codec's temporaries (the joined fingerprint and
+#: payload columns, the gathered payloads): about 1 MiB whatever the region.
+_BLOCK_BYTES = 1 << 20
+
+
+@lru_cache(maxsize=64)
+def _slot_dtype(digest_size: int, chunk_size: int) -> np.dtype:
+    """One window slot as a numpy record: ``fp | length | payload``."""
+    return np.dtype(
+        {
+            "names": ["fp", "length", "payload"],
+            "formats": [
+                np.dtype((np.void, digest_size)),
+                "<u4",
+                np.dtype((np.void, chunk_size)),
+            ],
+            "offsets": [0, digest_size, digest_size + _LEN.size],
+            "itemsize": slot_nbytes(digest_size, chunk_size),
+        }
+    )
+
+
+def _block(digest_size: int, chunk_size: int) -> int:
+    return max(1, _BLOCK_BYTES // slot_nbytes(digest_size, chunk_size))
 
 
 def encode_records_into(
@@ -43,10 +66,13 @@ def encode_records_into(
     ``out`` is the sender's view of its region in a partner's window
     (:meth:`repro.simmpi.window.Window.put_view`) or any other writable
     buffer.  Each slot is ``fingerprint | u32 length | payload | zero
-    padding``, and every byte of it is written exactly once, straight from
-    the payload ``bytes``: ``struct``'s ``s`` code copies a payload and
-    zero-fills the rest of its field, so stale bytes of a reused buffer
-    cannot leak into a slot.  Returns the number of records packed.
+    padding``.  The records are split into a fingerprint and a payload
+    column, and each ~1 MiB block of slots is written as three column
+    assignments over a record view of ``out``; a short payload is joined
+    with its zero padding first, so stale bytes of a reused buffer cannot
+    leak into a slot.  Payloads may be any bytes-like (a store also hands
+    out views of a mapping it adopted).  Returns the number of records
+    packed.
 
     A fingerprint that is not ``digest_size`` wide, a payload longer than
     ``chunk_size`` or a record past the end of ``out`` raises ``ValueError``
@@ -54,48 +80,52 @@ def encode_records_into(
     """
     slot = slot_nbytes(digest_size, chunk_size)
     pos = start_slot * slot
-    fields = []
-    for fp, chunk in records:
-        if len(fp) != digest_size:
-            raise ValueError(
-                f"fingerprint of {len(fp)}B in a {digest_size}B-digest slot"
-            )
-        n = len(chunk)
-        if n > chunk_size:
-            raise ValueError(
-                f"chunk of {n}B exceeds the slot payload size {chunk_size}B"
-            )
-        fields += (fp, n, chunk)
-    count = len(fields) // 3
+    flat = list(chain.from_iterable(records))  # fp, payload, fp, payload, ...
+    fps, chunks = flat[0::2], flat[1::2]
+    count = len(fps)
+    lengths = np.fromiter(map(len, chunks), dtype=np.int64, count=count)
+    bad_fp = bad_chunk = count
+    if count and set(map(len, fps)) != {digest_size}:
+        bad_fp = next(i for i, fp in enumerate(fps) if len(fp) != digest_size)
+    if count and lengths.max() > chunk_size:
+        bad_chunk = int(np.argmax(lengths > chunk_size))
+    if bad_fp < count and bad_fp <= bad_chunk:
+        raise ValueError(
+            f"fingerprint of {len(fps[bad_fp])}B in a {digest_size}B-digest slot"
+        )
+    if bad_chunk < count:
+        raise ValueError(
+            f"chunk of {lengths[bad_chunk]}B exceeds the slot payload size "
+            f"{chunk_size}B"
+        )
     room = memoryview(out).nbytes
     if pos + count * slot > room:
         raise ValueError(
             f"record {max(0, room - pos) // slot} overflows the {room}B buffer"
         )
-    record = f"{digest_size}sI{chunk_size}s"
-    for lo in range(0, count, _PACK_GROUP):
-        hi = min(lo + _PACK_GROUP, count)
-        group = fields[3 * lo : 3 * hi]
-        try:
-            struct.pack_into("<" + record * (hi - lo), out, pos + lo * slot, *group)
-        except struct.error:
-            # ``s`` takes only ``bytes``; a store also hands out views of a
-            # mapping it adopted (repair reads them with ``get_many``).
-            group[2::3] = map(bytes, group[2::3])
-            struct.pack_into("<" + record * (hi - lo), out, pos + lo * slot, *group)
-    return count
-
-
-def _record_dtype(digest_size: int, chunk_size: int) -> np.dtype:
-    """A slot as a numpy record: the header fields in place, payload skipped."""
-    return np.dtype(
-        {
-            "names": ["fp", "length"],
-            "formats": [np.dtype((np.void, digest_size)), "<u4"],
-            "offsets": [0, digest_size],
-            "itemsize": slot_nbytes(digest_size, chunk_size),
-        }
+    if not count:
+        return 0
+    slots = np.frombuffer(
+        out, dtype=_slot_dtype(digest_size, chunk_size), count=count, offset=pos
     )
+    pads = None
+    if lengths.min() < chunk_size:
+        padding = memoryview(bytes(chunk_size))
+        widths = (chunk_size - lengths).tolist()
+        pads = list(map(padding.__getitem__, map(slice, widths)))
+    step = _block(digest_size, chunk_size)
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
+        block = slots[lo:hi]
+        block["fp"] = np.frombuffer(b"".join(fps[lo:hi]), dtype=block.dtype["fp"])
+        block["length"] = lengths[lo:hi]
+        payloads = chunks[lo:hi]
+        if pads is not None:
+            payloads = chain.from_iterable(zip(payloads, pads[lo:hi]))
+        block["payload"] = np.frombuffer(
+            b"".join(payloads), dtype=block.dtype["payload"]
+        )
+    return count
 
 
 def decode_region_unique(
@@ -115,13 +145,16 @@ def decode_region_unique(
     ``buffer`` is read in place — it is the receiver's
     :meth:`~repro.simmpi.window.Window.local_view`, or any bytes-like — and
     nothing of it is copied but one ``bytes`` per distinct payload, the copy
-    the store keeps.  Replicated regions are dominated by repeated
-    fingerprints, which one ``np.unique`` sweep over the fingerprint column
-    collapses.  Precondition (guaranteed by content addressing): slots
-    sharing a fingerprint carry identical payloads.  Slot headers are
-    validated in one numpy sweep over the region: a region reaching past
-    the buffer or a length field above ``chunk_size`` raises ``ValueError``.
-    No array over ``buffer`` outlives the call.
+    the store keeps.  The region is a record array: one sort of its
+    fingerprint column collapses the repeats
+    (:func:`~repro.core.fingerprint.first_occurrences`), and the first
+    occurrences' payloads come out through one gather and ``tolist()`` per
+    ~1 MiB block when all fill their slots, one slice each otherwise.  Slot
+    headers are validated in one sweep over the region: a region reaching
+    past the buffer, a length field above ``chunk_size``, or a slot whose
+    length differs from its fingerprint's first slot (content addressing
+    gives one fingerprint one payload) raises ``ValueError`` naming the
+    slot.  No array over ``buffer`` outlives the call.
     """
     if slot_count <= 0:
         return [], [], 0
@@ -135,7 +168,7 @@ def decode_region_unique(
             f"{max(0, view.nbytes - short * slot)}B"
         )
     records = np.frombuffer(
-        view, dtype=_record_dtype(digest_size, chunk_size), count=slot_count,
+        view, dtype=_slot_dtype(digest_size, chunk_size), count=slot_count,
         offset=base,
     )
     lengths = records["length"]
@@ -145,20 +178,30 @@ def decode_region_unique(
             f"corrupt record in slot {start_slot + int(bad[0])}: "
             f"length {int(lengths[bad[0]])}"
         )
-    distinct, first_idx, counts = np.unique(
-        records["fp"], return_index=True, return_counts=True
-    )
-    order = np.argsort(first_idx)
-    first = first_idx[order]
-    starts = base + first * slot + digest_size + _LEN.size
-    ends = starts + lengths[first]
-    payloads = [
-        bytes(view[lo:hi]) for lo, hi in zip(starts.tolist(), ends.tolist())
-    ]
+    first, counts, inverse = first_occurrences(records["fp"])
+    first_lengths = lengths[first]
+    clash = np.flatnonzero(lengths != first_lengths[inverse])
+    if clash.size:
+        at = int(clash[0])
+        head = int(first[inverse[at]])
+        raise ValueError(
+            f"corrupt record in slot {start_slot + at}: length "
+            f"{int(lengths[at])}, but slot {start_slot + head} carries its "
+            f"fingerprint with length {int(lengths[head])}"
+        )
+    payloads: List[bytes] = []
+    if first_lengths.min() == chunk_size:
+        step = _block(digest_size, chunk_size)
+        for lo in range(0, len(first), step):
+            payloads.extend(records["payload"][first[lo : lo + step]].tolist())
+    else:  # short payloads (a tail, a compressed frame): a slice each
+        starts = base + first * slot + digest_size + _LEN.size
+        slices = map(slice, starts.tolist(), (starts + first_lengths).tolist())
+        payloads.extend(map(bytes, map(view.__getitem__, slices)))
     return (
-        list(zip(distinct[order].tolist(), payloads)),
-        counts[order].tolist(),
-        int(lengths.sum()),
+        list(zip(records["fp"][first].tolist(), payloads)),
+        counts.tolist(),
+        int(lengths.sum(dtype=np.int64)),
     )
 
 

@@ -13,14 +13,17 @@ from __future__ import annotations
 
 import os
 import threading
-from collections import Counter
+from collections import Counter, deque
 from itertools import compress
-from operator import not_
+from operator import itemgetter, mul, not_
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.core.fingerprint import Fingerprint
 from repro.storage.manifest import Manifest
 
+
+#: The columns of a ``(fingerprint, payload[, count])`` batch item.
+_FP, _PAYLOAD, _COUNT = itemgetter(0), itemgetter(1), itemgetter(2)
 
 #: A stored chunk payload: a read-only bytes-like.  ``bytes`` when a put
 #: copied it, a ``memoryview`` slice of an adopted mapping when a delta
@@ -146,10 +149,10 @@ class ChunkStore:
     ) -> int:
         """Add ``n`` references to a fingerprint — the one mutation primitive.
 
-        Every reference-adding path (:meth:`put`, :meth:`put_counted`, delta
-        replay) funnels through here so alternative layouts — the sharded
-        store — cannot drift from the flat accounting rules; callers hold
-        the store's lock.  ``payload`` may be None only when the fingerprint
+        :meth:`put` and delta replay funnel through here, and the batch
+        puts (:meth:`_put_columns`) are held equal to a loop of :meth:`put`
+        by tests, so alternative layouts — the sharded store — cannot drift
+        from the flat accounting rules; callers hold the store's lock.  ``payload`` may be None only when the fingerprint
         is already stored (the size is then looked up).  A new payload is
         copied unless the caller vouches with ``adopt`` that it is immutable
         and the store may keep the object it was given; only
@@ -196,65 +199,88 @@ class ChunkStore:
         """Batch :meth:`put`; returns how many chunks were physically written.
 
         Semantically identical to calling :meth:`put` per pair (same stored
-        payloads, same counters), but the multiplicity bookkeeping runs at
-        C speed (``Counter`` over the fingerprint column) and only *new*
-        fingerprints — a handful per dump for redundant data — pay the
-        payload-materialisation scan.  This sits on the dump's write phase,
-        which commits every stored and received chunk of a checkpoint.
+        payloads, refcounts, insertion order and counters); the commit runs
+        over the fingerprint and payload columns (:meth:`_put_columns`).
+        This sits on the dump's write phase, which commits every stored
+        chunk of a checkpoint.
         """
         pairs = pairs if isinstance(pairs, (list, tuple)) else list(pairs)
-        if not pairs:
-            return 0
-        refcounts = self._refcounts
-        chunks = self._chunks
-        fps, payloads = zip(*pairs)
-        counts = Counter(fps)
-        logical = sum(map(len, payloads))
-        with self._lock:
-            new_fps = [fp for fp in counts if fp not in refcounts]
-            if new_fps:
-                # Store the first-occurrence payload of each new fingerprint;
-                # the scan stops as soon as every new fingerprint is covered.
-                needed = set(new_fps)
-                for fp, data in pairs:
-                    if fp in needed:
-                        chunks[fp] = bytes(data)
-                        needed.discard(fp)
-                        if self._directory is not None:
-                            path = os.path.join(self._directory, fp.hex())
-                            with open(path, "wb") as fh:
-                                fh.write(data)
-                        if not needed:
-                            break
-            for fp, c in counts.items():
-                refcounts[fp] = refcounts.get(fp, 0) + c
-            if self.dedup:
-                physical = sum(len(chunks[fp]) for fp in new_fps)
-                written = len(new_fps)
-            else:
-                physical = logical
-                written = len(pairs)
-            self.put_count += len(pairs)
-            self.logical_bytes += logical
-            self.physical_bytes += physical
-            return written
+        return self._put_columns(
+            list(map(_FP, pairs)), list(map(_PAYLOAD, pairs)), None
+        )
 
     def put_counted(
         self, items: Iterable[Tuple[Fingerprint, bytes, int]]
     ) -> int:
         """Batch :meth:`put` over pre-collapsed duplicates.
 
-        Each item is a distinct ``(fingerprint, payload, multiplicity)``
-        triple — e.g. from
-        :func:`~repro.core.wire.decode_region_unique` — and accounts like
-        ``multiplicity`` identical puts of that payload.  Returns the
-        number of chunks physically written.
+        Each item is a ``(fingerprint, payload, multiplicity)`` triple —
+        e.g. from :func:`~repro.core.wire.decode_region_unique` — and
+        accounts like ``multiplicity`` identical puts of that payload; a
+        fingerprint may come back in a later item.  Returns the number of
+        chunks physically written.
         """
-        written = 0
+        items = items if isinstance(items, (list, tuple)) else list(items)
+        return self._put_columns(
+            list(map(_FP, items)), list(map(_PAYLOAD, items)), list(map(_COUNT, items))
+        )
+
+    def _put_columns(
+        self,
+        fps: List[Fingerprint],
+        payloads: List[Payload],
+        counts: Optional[List[int]],
+    ) -> int:
+        """``counts[i]`` puts of ``payloads[i]`` under ``fps[i]`` (one put
+        each when ``counts`` is None), as columns.
+
+        Every fingerprint of the call enters through one ``dict.update``
+        over zipped columns, in first-occurrence order, with a copy of its
+        first payload; the few already stored then get their own payload
+        back and take a per-item increment.  Accounting is the column sums,
+        exactly what one :meth:`_bump` per item adds up to.
+        """
+        if not fps:
+            return 0
+        totals = Counter(fps)
+        if counts is None:
+            logical, puts = sum(map(len, payloads)), len(fps)
+        else:
+            logical, puts = sum(map(mul, map(len, payloads), counts)), sum(counts)
+            for fp, count in compress(zip(fps, counts), map((1).__ne__, counts)):
+                totals[fp] += count - 1
+        if len(totals) < len(fps):  # repeats: each fingerprint's first payload
+            first: Dict[Fingerprint, Payload] = {}
+            deque(map(first.setdefault, fps, payloads), maxlen=0)
+            fps, payloads = list(first), list(first.values())
+        refcounts, chunks = self._refcounts, self._chunks
         with self._lock:
-            for fp, data, count in items:
-                written += self._bump(fp, data, count)
-        return written
+            stored = refcounts.keys() & totals.keys()
+            kept = [(fp, chunks[fp]) for fp in stored]
+            bumped = [(fp, refcounts[fp] + totals[fp]) for fp in stored]
+            # payloads before refcounts: a reader that sees one finds the other
+            chunks.update(zip(fps, map(bytes, payloads)))
+            stored_bytes = sum(map(len, map(chunks.__getitem__, stored)))
+            chunks.update(kept)
+            refcounts.update(totals)
+            refcounts.update(bumped)
+            if self._directory is not None:
+                for fp, data in zip(fps, payloads):
+                    # content-addressed: an existing file already holds the bytes
+                    path = os.path.join(self._directory, fp.hex())
+                    if fp not in stored and not os.path.exists(path):
+                        with open(path, "wb") as fh:
+                            fh.write(data)
+            if self.dedup:
+                physical = sum(map(len, payloads)) - stored_bytes
+                written = len(totals) - len(stored)
+            else:
+                physical = logical
+                written = puts
+            self.put_count += puts
+            self.logical_bytes += logical
+            self.physical_bytes += physical
+            return written
 
     def discard(self, fp: Fingerprint) -> int:
         """Physically drop a fingerprint: payload, refcount and accounting.
@@ -402,9 +428,8 @@ class ShardedChunkStore:
 
     Observable behaviour — payloads, refcounts, logical/physical/put
     accounting, deltas — is byte-identical to the flat store because every
-    shard *is* a flat store and all mutations funnel through
-    ``ChunkStore._bump``; tests/storage/test_sharded_store.py holds the two
-    layouts equal under random op interleavings.
+    shard *is* a flat store; tests/storage/test_sharded_store.py holds the
+    two layouts equal under random op interleavings.
     """
 
     def __init__(

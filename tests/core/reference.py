@@ -55,6 +55,26 @@ def local_dedup(dataset, fingerprinter, chunk_size, chunker=None) -> LocalIndex:
     return index
 
 
+def first_occurrences(
+    digests: Sequence[bytes],
+) -> Tuple[List[int], List[int], List[int]]:
+    """``repro.core.fingerprint.first_occurrences`` over a list of digests,
+    one dict probe per row: first row of each distinct digest, its
+    multiplicity, and every row's index into the first list."""
+    slot_of: Dict[bytes, int] = {}
+    first: List[int] = []
+    counts: List[int] = []
+    inverse: List[int] = []
+    for row, digest in enumerate(digests):
+        if digest not in slot_of:
+            slot_of[digest] = len(first)
+            first.append(row)
+            counts.append(0)
+        counts[slot_of[digest]] += 1
+        inverse.append(slot_of[digest])
+    return first, counts, inverse
+
+
 def build_plan(
     rank: int,
     local_index: LocalIndex,
@@ -167,6 +187,34 @@ def decode_region(
         hdr = digest_size + _LEN.size
         out.append((record[:digest_size], record[hdr : hdr + length]))
     return out
+
+
+def decode_region_unique(
+    buffer: bytes, digest_size: int, chunk_size: int, start_slot: int, slot_count: int
+) -> Tuple[List[Tuple[bytes, bytes]], List[int], int]:
+    """``repro.core.wire.decode_region_unique``, one record at a time: each
+    fingerprint's first payload and multiplicity, in first-occurrence order,
+    and every record's length.  A slot whose length differs from its
+    fingerprint's first slot raises, naming the slot."""
+    first: Dict[bytes, Tuple[int, bytes]] = {}
+    mults: Dict[bytes, int] = {}
+    nbytes = 0
+    records = decode_region(buffer, digest_size, chunk_size, start_slot, slot_count)
+    for slot, (fp, payload) in enumerate(records, start_slot):
+        nbytes += len(payload)
+        if fp not in first:
+            first[fp] = slot, payload
+            mults[fp] = 1
+            continue
+        head, seen = first[fp]
+        if len(payload) != len(seen):
+            raise ValueError(
+                f"corrupt record in slot {slot}: length {len(payload)}, but slot "
+                f"{head} carries its fingerprint with length {len(seen)}"
+            )
+        mults[fp] += 1
+    pairs = [(fp, payload) for fp, (_slot, payload) in first.items()]
+    return pairs, list(mults.values()), nbytes
 
 
 def _cut(chunks: List[bytes], segment_lengths) -> Dataset:

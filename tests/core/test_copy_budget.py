@@ -75,6 +75,47 @@ def test_thread_dump_peak_is_stored_plus_window_bytes():
         assert restored.to_bytes() == datasets[rank].to_bytes()
 
 
+def test_no_dedup_256_dump_peak_is_kept_plus_window_bytes():
+    # The shape of the cold-nodedup-256 benchmark: 2 MiB per rank in 256 B
+    # chunks, no dedup, K = 4.  Per-record bookkeeping (a bytes header, a
+    # fingerprint, two dict slots per stored copy) is about two thirds of a
+    # 256 B payload, so "stored" is what the dump leaves allocated, measured,
+    # not the payload count.  Codec temporaries over whole columns (a
+    # partner's region joined at once, a window's payloads gathered at once)
+    # would sit on top of it at the peak.
+    n, k, rank_bytes, chunk = 4, 4, 2 << 20, 256
+    datasets = [
+        Dataset([np.random.RandomState(r).bytes(rank_bytes)]) for r in range(n)
+    ]
+    config = DumpConfig(
+        replication_factor=k, chunk_size=chunk, strategy=Strategy.NO_DEDUP
+    )
+    cluster = Cluster(n, dedup=False)
+    world = World(n)
+
+    def program(comm):
+        return dump_output(comm, datasets[comm.rank], config, cluster)
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        reports = world.run(program)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+    assert cluster.total_physical_bytes == k * n * rank_bytes
+    window = sum(r.received_chunks for r in reports) * slot_nbytes(20, chunk)
+    # Measured: 72 MiB against a budget of 81 (54 kept + 26 window + 1).
+    assert peak <= kept + window + SLACK, (
+        f"peak {peak / 2**20:.1f} MiB exceeds kept {kept / 2**20:.1f} + "
+        f"window {window / 2**20:.1f} + slack {SLACK / 2**20:.1f} MiB"
+    )
+    for rank in range(n):
+        restored, _report = restore_dataset(cluster, rank)
+        assert restored.to_bytes() == datasets[rank].to_bytes()
+
+
 def test_process_merge_back_allocates_bookkeeping_not_payload(tmp_path, monkeypatch):
     # 16 KiB chunks: the parent keeps a view (184 B), a fingerprint and two
     # dict slots per chunk, about 470 B, which at 4 KiB would be 1.8 MiB of

@@ -5,7 +5,11 @@ import hashlib
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.fingerprint import Fingerprinter, supported_hashes
+import numpy as np
+
+from repro.core.fingerprint import Fingerprinter, first_occurrences, supported_hashes
+
+from tests.core import reference
 
 
 class TestFingerprinter:
@@ -118,3 +122,34 @@ class TestXX128:
         assert fp(a) == fp(a)
         if a != b:
             assert fp(a) != fp(b)
+
+
+class TestFirstOccurrences:
+    """The collapse under local dedup and the window decode, against the
+    per-row dict reference."""
+
+    #: digests that tie on their first eight bytes (the sort key) but not
+    #: on the rest, beside ones that differ early, and NUL tails
+    _digest = st.sampled_from(
+        [b"A" * 8 + bytes([t]) * 12 for t in (0, 1, 2)]
+        + [b"B" * 20, b"A" * 7 + b"\x00" * 13, b"\x00" * 20]
+    )
+
+    @given(st.lists(_digest, max_size=40), st.booleans())
+    def test_matches_reference(self, digests, strided):
+        column = np.frombuffer(b"".join(digests), dtype=np.dtype((np.void, 20)))
+        if strided:  # a field of a record array, as the window decode reads it
+            records = np.zeros(len(digests), dtype=[("fp", "V20"), ("pad", "u4")])
+            records["fp"] = column
+            column = records["fp"]
+        first, counts, inverse = first_occurrences(column)
+        assert (first.tolist(), counts.tolist(), inverse.tolist()) == (
+            reference.first_occurrences(digests)
+        )
+
+    @pytest.mark.parametrize("width", [4, 16, 32])
+    def test_other_widths(self, width):
+        digests = [bytes([i % 3]) * width for i in range(7)]
+        column = np.frombuffer(b"".join(digests), dtype=np.dtype((np.void, width)))
+        got = first_occurrences(column)
+        assert tuple(a.tolist() for a in got) == reference.first_occurrences(digests)

@@ -25,6 +25,7 @@ from repro.storage import Cluster
 
 from tests.conftest import make_rank_dataset
 from tests.core.reference import decode_region, encode_record, local_dedup
+from tests.core.reference import decode_region_unique as reference_decode_unique
 
 DIGEST = 20
 CHUNK = 32
@@ -47,6 +48,17 @@ records_strategy = st.lists(
 )
 
 
+def assert_decodes_like_reference(window, start, count, chunk=CHUNK):
+    try:
+        expected = reference_decode_unique(window, DIGEST, chunk, start, count)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            decode_region_unique(window, DIGEST, chunk, start, count)
+        assert str(raised.value) == str(exc)
+        return
+    assert decode_region_unique(window, DIGEST, chunk, start, count) == expected
+
+
 class TestWireCodecEquivalence:
     @given(records=records_strategy)
     def test_encode_matches_reference_bytes(self, records):
@@ -66,20 +78,10 @@ class TestWireCodecEquivalence:
             st.integers(min_value=0, max_value=len(records) - start),
             label="count",
         )
-        pairs, mults, nbytes = decode_region_unique(
-            window, DIGEST, CHUNK, start, count
-        )
-        legacy = decode_region(window, DIGEST, CHUNK, start, count)
         # The region collapsed to distinct fingerprints in first-occurrence
-        # order, each with its first payload and its multiplicity.
-        first = {}
-        for fp, payload in legacy:
-            first.setdefault(fp, payload)
-        assert pairs == list(first.items())
-        assert mults == [
-            sum(1 for fp, _ in legacy if fp == seen) for seen in first
-        ]
-        assert nbytes == sum(len(payload) for _, payload in legacy)
+        # order, each with its first payload and its multiplicity; a repeat
+        # whose length disagrees with the first is refused at the same slot.
+        assert_decodes_like_reference(window, start, count)
 
     @given(records=records_strategy)
     def test_round_trip_through_reused_buffer(self, records):
@@ -88,6 +90,59 @@ class TestWireCodecEquivalence:
         encode_records_into(buf, records, DIGEST, CHUNK)
         decoded = decode_region(bytes(buf), DIGEST, CHUNK, 0, len(records))
         assert decoded == records
+
+    @given(
+        records=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=255).map(fp_of),
+                st.one_of(
+                    st.binary(min_size=CHUNK, max_size=CHUNK),
+                    st.binary(max_size=CHUNK - 1),
+                ),
+                st.booleans(),
+            ),
+            max_size=12,
+        ),
+        start=st.integers(min_value=0, max_value=3),
+    )
+    def test_mixed_payloads_into_a_dirty_buffer(self, records, start):
+        # Full and short payloads, some as views, at a slot offset of a
+        # buffer full of stale bytes: every slot byte is the reference's,
+        # and nothing outside the records' slots moves.
+        slot = slot_nbytes(DIGEST, CHUNK)
+        buf = bytearray(b"\xaa" * ((start + len(records) + 1) * slot))
+        packed = encode_records_into(
+            memoryview(buf),
+            [(fp, memoryview(c) if as_view else c) for fp, c, as_view in records],
+            DIGEST, CHUNK, start_slot=start,
+        )
+        assert packed == len(records)
+        legacy = b"".join(encode_record(fp, c, CHUNK) for fp, c, _ in records)
+        stale = b"\xaa" * slot
+        assert bytes(buf) == stale * start + legacy + stale
+
+    @pytest.mark.parametrize("short_every", [0, 7])
+    def test_regions_past_one_block(self, short_every):
+        # The codec cuts its temporaries into ~1 MiB blocks of slots: a
+        # 2.4 MiB region round-trips, full payloads only (gathered) or with
+        # short ones in every block (sliced).
+        chunk = 4096
+        rng = np.random.RandomState(7)
+        records = [
+            (
+                fp_of(i % 251) + bytes([i // 251]),
+                rng.bytes(i % chunk if short_every and i % short_every == 0 else chunk),
+            )
+            for i in range(600)
+        ]
+        buf = bytearray(b"\xaa" * (len(records) * slot_nbytes(DIGEST + 1, chunk)))
+        encode_records_into(buf, records, DIGEST + 1, chunk)
+        assert bytes(buf) == b"".join(encode_record(fp, c, chunk) for fp, c in records)
+        pairs, mults, nbytes = decode_region_unique(
+            buf, DIGEST + 1, chunk, 0, len(records)
+        )
+        assert pairs == records and mults == [1] * len(records)
+        assert nbytes == sum(len(c) for _fp, c in records)
 
     def test_decode_rejects_truncated_window(self):
         window = encode_record(fp_of(1), b"a", CHUNK)
@@ -165,6 +220,46 @@ class TestLocalDedupEquivalence:
         assert sum(
             index.chunk_sizes[fp] * n for fp, n in index.counts.items()
         ) == ds.nbytes
+
+    @given(
+        segments=st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 3), max_size=6),
+                st.integers(0, 2),
+            ),
+            min_size=2,
+            max_size=5,
+        ),
+        hash_name=st.sampled_from(["sha1", "xx128"]),
+    )
+    def test_multi_segment_tails_match_reference(self, segments, hash_name):
+        # Segments cut from a pool of full chunks, each ending in a tail from
+        # a pool of short ones (or none): repeats inside a segment, across
+        # segments and between tails.
+        full = [bytes([i]) * CHUNK for i in range(4)]
+        tails = [b"", b"t", b"\x00" * (CHUNK - 1)]
+        ds = Dataset(
+            [b"".join(full[i] for i in rows) + tails[t] for rows, t in segments]
+        )
+        reference = local_dedup(ds, Fingerprinter(hash_name), CHUNK)
+        assert_same_index(
+            local_dedup_batched(ds, Fingerprinter(hash_name), CHUNK), reference
+        )
+
+    def test_payload_gather_past_one_block(self):
+        # Payloads of whole grid chunks are gathered ~1 MiB at a time, per
+        # segment, beside each segment's tail.
+        chunk = 4096
+        rng = np.random.RandomState(3)
+        pool = [rng.bytes(chunk) for _ in range(340)]
+        segments = [
+            b"".join(pool[i % 300] for i in range(400)) + b"tail",
+            b"".join(pool[300 + (7 * i) % 40] for i in range(90)) + b"tail",
+            b"".join(pool[(3 * i) % 340] for i in range(20)),
+        ]
+        ds = Dataset(segments)
+        reference = local_dedup(ds, Fingerprinter(), chunk)
+        assert_same_index(local_dedup_batched(ds, Fingerprinter(), chunk), reference)
 
     @given(segments=segments_strategy)
     def test_warm_cache_index_identical_to_cold(self, segments):

@@ -90,6 +90,20 @@ class TestDecodeRegionUnique:
     def test_empty_region(self):
         assert decode_region_unique(b"", DIGEST, CHUNK, 0, 0) == ([], [], 0)
 
+    def test_length_clash_names_the_slot(self):
+        # A hostile window: slot 3 repeats slot 1's fingerprint with another
+        # length.  Keeping the first payload and summing every length would
+        # report bytes the store never accounts.
+        window = pack(
+            [(fp_of(1), b"a"), (fp_of(2), b"bb"), (fp_of(3), b"c"), (fp_of(2), b"b")]
+        )
+        with pytest.raises(ValueError, match="slot 3: length 1, but slot 1"):
+            decode_region_unique(window, DIGEST, CHUNK, 0, 4)
+        # the slot is named in window coordinates, whatever the region
+        with pytest.raises(ValueError, match="slot 3: length 1, but slot 1"):
+            decode_region_unique(window, DIGEST, CHUNK, 1, 3)
+        assert decode_region_unique(window, DIGEST, CHUNK, 0, 3)[2] == 4
+
 
 @given(
     st.lists(
@@ -100,10 +114,17 @@ class TestDecodeRegionUnique:
 def test_roundtrip_property(records):
     window = pack(records)
     assert decode_region(window, DIGEST, CHUNK, 0, len(records)) == records
+    first = {}
+    for slot, (fp, chunk) in enumerate(records):
+        if len(first.setdefault(fp, chunk)) != len(chunk):
+            # a repeat that disagrees on the length is refused at its slot
+            with pytest.raises(ValueError, match=f"slot {slot}: length {len(chunk)}"):
+                decode_region_unique(window, DIGEST, CHUNK, 0, len(records))
+            return
     pairs, mults, nbytes = decode_region_unique(
         window, DIGEST, CHUNK, 0, len(records)
     )
-    assert dict(pairs) == dict(reversed(records))  # first payload per fp
+    assert pairs == list(first.items())  # first payload per fp
     assert sum(mults) == len(records)
     assert nbytes == sum(len(chunk) for _fp, chunk in records)
 

@@ -11,6 +11,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.storage.local_store import ChunkStore, StorageError, StoreDelta
 
@@ -252,3 +253,86 @@ class TestConcurrentWriters:
             with store._lock:  # the original's lock does not block the copy
                 twin.put(fp(1), b"abcd")
             assert twin.refcount(fp(1)) == 2 and store.refcount(fp(1)) == 1
+
+
+_STORE_FPS = [fp(i) for i in range(6)]
+_STORE_PAYLOADS = [b"", b"a", b"bb", b"ccc", bytes(range(16)), b"z" * 40]
+
+#: one batch item: a fingerprint out of a small pool (so a call repeats
+#: fingerprints and meets ones already stored), a payload, a multiplicity
+#: and whether the payload arrives as a read-only ``memoryview``
+_batch_item = st.tuples(
+    st.integers(0, len(_STORE_FPS) - 1),
+    st.integers(0, len(_STORE_PAYLOADS) - 1),
+    st.integers(1, 3),
+    st.booleans(),
+)
+
+
+def _store_state(store):
+    return (
+        list(store.fingerprints()),
+        [
+            (store.refcount(f), store.get(f), type(store.get(f)))
+            for f in store.fingerprints()
+        ],
+        store.logical_bytes,
+        store.physical_bytes,
+        store.put_count,
+    )
+
+
+class TestBatchPutsMatchSequentialPut:
+    """``put_many`` and ``put_counted`` commit whole columns; a loop of
+    :meth:`ChunkStore.put` is their specification, down to the stored
+    payloads, the insertion order of ``fingerprints()``, the counters and
+    the return value."""
+
+    @staticmethod
+    def _stores(dedup, preload):
+        stores = ChunkStore(dedup=dedup), ChunkStore(dedup=dedup)
+        for store in stores:
+            for i, j in preload:
+                store.put(_STORE_FPS[i], _STORE_PAYLOADS[j])
+        return stores
+
+    @staticmethod
+    def _payload(j, as_view):
+        payload = _STORE_PAYLOADS[j]
+        return memoryview(bytearray(payload)).toreadonly() if as_view else payload
+
+    @given(
+        dedup=st.booleans(),
+        preload=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=4),
+        calls=st.lists(st.lists(_batch_item, max_size=8), min_size=1, max_size=3),
+    )
+    def test_put_many_is_a_loop_of_put(self, dedup, preload, calls):
+        batched, looped = self._stores(dedup, preload)
+        for call in calls:
+            pairs = [(_STORE_FPS[i], self._payload(j, view)) for i, j, _n, view in call]
+            expected = sum(looped.put(f, p) for f, p in pairs)
+            assert batched.put_many(iter(pairs)) == expected
+            assert _store_state(batched) == _store_state(looped)
+
+    @given(
+        dedup=st.booleans(),
+        preload=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=4),
+        calls=st.lists(st.lists(_batch_item, max_size=8), min_size=1, max_size=3),
+    )
+    def test_put_counted_is_a_loop_of_put(self, dedup, preload, calls):
+        batched, looped = self._stores(dedup, preload)
+        for call in calls:
+            items = [
+                (_STORE_FPS[i], self._payload(j, view), n) for i, j, n, view in call
+            ]
+            expected = sum(looped.put(f, p) for f, p, n in items for _ in range(n))
+            assert batched.put_counted(iter(items)) == expected
+            assert _store_state(batched) == _store_state(looped)
+
+    def test_an_adopted_payload_stays_when_a_batch_repeats_it(self):
+        slab = bytes(range(8))
+        batched = ChunkStore()
+        batched.apply_delta(StoreDelta([(fp(1), memoryview(slab)[:4], 1)]))
+        batched.put_counted([(fp(1), bytes(range(4)), 2), (fp(2), b"new", 1)])
+        assert type(batched.get(fp(1))) is memoryview
+        assert batched.refcount(fp(1)) == 3 and batched.physical_bytes == 7
