@@ -353,21 +353,22 @@ class ChainManager:
                 swept.append(e)
 
     def _written_column(
-        self, rank: int, dump_id: int, dataset: Dataset
+        self, rank: int, dump_id: int, dataset: Dataset, lossy: bool
     ) -> List[bytes]:
         """The fingerprint column ``rank`` itself wrote under ``dump_id``,
         read from whichever node holds a replica of its manifest.  Dead
         nodes are asked too: a replica stranded on a crashed node pins its
-        chunks all the same.  A degraded dump may lose one rank outright
-        (its node was dead, its one replica went to a partner, the partner
-        died mid-dump) while the other ranks' chunks are stored: the epoch
-        then commits with the column that rank would have written, hashed
-        here as its dump chunked it, and what nobody stores restores as a
-        typed loss.  Without degraded mode a missing manifest is a bug."""
+        chunks all the same.  A ``lossy`` dump — its reports show a dead
+        node in the liveness snapshot or dropped commits — may lose one rank
+        outright (its node was dead, its one replica went to a partner, the
+        partner died mid-dump) while the other ranks' chunks are stored: the
+        epoch then commits with the column that rank would have written,
+        hashed here as its dump chunked it, and what nobody stores restores
+        as a typed loss.  Otherwise a missing manifest is a bug."""
         for node in self.cluster.nodes:
             if node.has_manifest(rank, dump_id):
                 return node.get_manifest(rank, dump_id).fingerprints
-        if not self.config.degraded:
+        if not lossy:
             raise ChainStateError(
                 f"rank {rank} left no manifest of dump {dump_id} on any node"
             )
@@ -473,8 +474,9 @@ class ChainManager:
                 backend=self.backend, timeout=self.timeout,
             )
             if kind == "full":
+                lossy = any(rep.degraded or rep.dropped_chunks for rep in reports)
                 node_fps = [
-                    self._written_column(r, did, datasets[r])
+                    self._written_column(r, did, datasets[r], lossy)
                     for r in range(self.n)
                 ]
                 total = sum(map(len, node_fps))

@@ -740,7 +740,7 @@ def build_parser() -> argparse.ArgumentParser:
     tc.add_argument(
         "--pipelined", action="store_true",
         help="double-buffered hash/exchange/write pipeline "
-        "(replication, non-degraded configs only)",
+        "(replication only; a dead node falls back to strict phases)",
     )
     tc.add_argument(
         "--integrity", default="crypto", choices=("crypto", "fast"),

@@ -112,16 +112,6 @@ class DumpConfig:
     #: complexity bound to the F threshold (ablation bench X10).
     #: Replication partners remain global.
     dedup_domain_size: Optional[int] = None
-    #: Degraded operation: the dump tolerates dead nodes instead of raising.
-    #: Designations held by ranks on dead nodes are reassigned to live
-    #: holders, partner windows skip dead nodes (each rank replicates to its
-    #: nearest *live* successors in shuffled order), and a node that dies
-    #: mid-dump has its would-be commits dropped and accounted
-    #: (``DumpReport.dropped_chunks``/``dropped_bytes``) rather than
-    #: aborting the collective.  Data of ranks on dead nodes ends one
-    #: replica short of K (no local copy); a follow-up repair
-    #: (:func:`repro.repair.repair_cluster`) tops it up.
-    degraded: bool = False
     #: Observability level for the dump: ``"phase"`` (counters only, the
     #: default) or ``"span"`` (additionally record hierarchical timestamped
     #: spans and metrics — see :mod:`repro.obs`).  ``None`` defers to
@@ -138,9 +128,9 @@ class DumpConfig:
     #: no-dedup, the hash phase too) as a double-buffered pipeline over
     #: chunk batches instead of strict barriers, so a rank's store writes
     #: overlap its partners' hashing/exchange.  Results are byte-identical
-    #: to the strict path; configurations the pipeline cannot express
-    #: (parity redundancy, degraded mode) silently fall back to strict
-    #: phases.
+    #: to the strict path; dumps the pipeline cannot express (parity
+    #: redundancy, a dead node in the liveness snapshot) silently fall back
+    #: to strict phases.
     pipelined: bool = False
     #: Chain-delta dump (see :mod:`repro.chain`): the datasets being dumped
     #: are one epoch's *dirty chunks only*, so the written manifests carry
@@ -195,11 +185,6 @@ class DumpConfig:
         object.__setattr__(self, "strategy", Strategy.parse(self.strategy))
         if self.redundancy == "parity" and self.strategy is not Strategy.COLL_DEDUP:
             raise ValueError("parity redundancy requires the coll-dedup strategy")
-        if self.degraded and self.redundancy == "parity":
-            raise ValueError(
-                "degraded mode is not supported with parity redundancy: "
-                "stripe groups assume every member rank can commit shards"
-            )
 
     @property
     def effective_hash_name(self) -> str:

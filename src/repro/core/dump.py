@@ -50,7 +50,7 @@ from repro.core.wire import decode_region_unique, encode_records_into, slot_nbyt
 from repro.simmpi import collectives
 from repro.simmpi.comm import Communicator
 from repro.simmpi.window import Window
-from repro.storage.local_store import Cluster
+from repro.storage.local_store import Cluster, StorageError
 from repro.storage.manifest import Manifest
 
 
@@ -91,11 +91,11 @@ class DumpReport:
     cache_hits: int = 0
     #: dataset bytes the hash phase skipped thanks to those hits
     cache_bytes_skipped: int = 0
-    #: True when the dump planned around dead nodes (degraded mode with at
-    #: least one node down at dump start)
+    #: True when the dump planned around dead nodes (at least one node down
+    #: in the liveness snapshot taken at dump start)
     degraded: bool = False
     #: chunk records this rank could not commit because its node was dead at
-    #: write time (mid-dump failure under degraded mode), and their payload
+    #: write time (it died after the liveness snapshot), and their payload
     #: bytes — the honest accounting of what the failure cost
     dropped_chunks: int = 0
     dropped_bytes: int = 0
@@ -162,7 +162,13 @@ def dump_output(
         ``buffer``).
     cluster:
         Storage cluster to commit chunks/manifests to.  For faithful
-        no-dedup accounting create it with ``dedup=False``.
+        no-dedup accounting create it with ``dedup=False``.  Dead nodes are
+        planned around, never raised on: a rank whose node is dead ships
+        its data to live partners, and a node that dies mid-dump has its
+        commits dropped (``report.degraded`` / ``dropped_chunks``; a
+        :func:`repro.repair.repair_cluster` restores K).  Parity redundancy
+        tolerates no dead node and raises :class:`StorageError` on every
+        rank.
     fpcache:
         Optional per-rank :class:`~repro.core.fpcache.FingerprintCache`
         carried across dumps.  With ``dirty_regions`` (see
@@ -186,7 +192,6 @@ def dump_output(
         dump_id=dump_id,
         strategy=config.strategy.value,
         k=config.effective_k(comm.size),
-        degraded=config.degraded,
     ):
         return _dump_output_impl(
             comm, dataset, config, cluster, dump_id, fpcache, dirty_regions,
@@ -210,15 +215,22 @@ def _dump_output_impl(
     fingerprinter = Fingerprinter(config.effective_hash_name)
     report = DumpReport(rank=rank, strategy=strategy.value, k=k_eff)
 
-    # Degraded mode: agree on one liveness snapshot before planning.  Rank
-    # 0's view wins (broadcast), so a node dying *during* the dump cannot
-    # split the ranks between two layouts — its rank keeps participating
-    # under the agreed layout and the write phase drops its commits.
-    alive: Optional[List[bool]] = None
-    if config.degraded:
-        snapshot = [cluster.node_of(r).alive for r in range(world)]
-        alive = collectives.bcast(comm, snapshot)
-    report.degraded = alive is not None and not all(alive)
+    # Agree on one liveness snapshot before planning.  Rank 0's view wins
+    # (broadcast), so a node dying *during* the dump cannot split the ranks
+    # between two layouts — its rank keeps participating under the agreed
+    # layout and the write phase drops its commits.  With every node alive
+    # the plan is the healthy one; a dead node is planned around.
+    snapshot = [cluster.node_of(r).alive for r in range(world)]
+    alive: List[bool] = collectives.bcast(comm, snapshot)
+    report.degraded = not all(alive)
+    comm.trace.annotate(degraded=report.degraded)
+    if report.degraded and config.redundancy == "parity":
+        dead = sorted({cluster.rank_to_node[r] for r, a in enumerate(alive) if not a})
+        raise StorageError(
+            f"parity redundancy tolerates no dead node (dead nodes: {dead}): "
+            "stripe groups assume every member rank can commit shards, and "
+            "they are not yet planned over live ranks"
+        )
 
     def enter_phase(name: str) -> None:
         if phase_hook is not None:
@@ -227,7 +239,7 @@ def _dump_output_impl(
     # 3-stage pipeline: under no-dedup the Load vector is known from the
     # chunk count alone, so the window layout is agreed first and hash,
     # exchange and write run per batch (see repro.core.pipeline).
-    if pipeline_full_eligible(config, fpcache):
+    if pipeline_full_eligible(config, fpcache, alive):
         return pipelined_no_dedup_dump(
             comm, dataset, config, cluster, dump_id, report, enter_phase,
             fingerprinter,
@@ -356,7 +368,7 @@ def _dump_output_impl(
 
     # 2-stage pipeline: exchange and write interleave over chunk batches;
     # everything up to the layout stayed strict (see repro.core.pipeline).
-    if pipeline_eligible(config):
+    if pipeline_eligible(config, alive):
         pipelined_exchange_write(
             comm, config, cluster, plan, layout, report, payload_of,
             payload_size, fingerprinter.digest_size, slot, dataset,
@@ -379,8 +391,8 @@ def _dump_output_impl(
         encoded = None
         for p, fps in enumerate(plan.partner_chunks):
             if p >= len(report.partners):
-                # Degraded: fewer live partners than slots; the planner kept
-                # these slots empty.
+                # Dead nodes leave fewer live partners than slots; the
+                # planner kept these slots empty.
                 if fps:
                     raise RuntimeError(
                         f"rank {rank}: planned chunks for partner slot "
@@ -425,15 +437,11 @@ def _dump_output_impl(
     # Phase 5: commit to local storage and replicate the manifest.
     with comm.trace.phase("write"):
         enter_phase("write")
-        if config.degraded:
-            # Re-check liveness at commit time: a node that died after the
-            # liveness snapshot (mid-dump) kept its rank in the collective,
-            # but nothing may land on its storage — drop and account.
-            node = cluster.node_of(rank)
-            commit_ok = node.alive
-        else:
-            node = cluster.storage_for(rank)
-            commit_ok = True
+        # Re-check liveness at commit time: a node that died after the
+        # liveness snapshot (mid-dump) kept its rank in the collective, but
+        # nothing may land on its storage — drop and account.
+        node = cluster.node_of(rank)
+        commit_ok = node.alive
         store_fps = plan.store_fps
         store_nbytes = sum(map(payload_size.__getitem__, store_fps))
         if commit_ok:

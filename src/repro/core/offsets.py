@@ -79,7 +79,7 @@ def window_layout(
     k:
         Replication factor.
     alive:
-        Per-rank liveness of a degraded dump; ``None`` means all alive.
+        The dump's per-rank liveness snapshot; ``None`` means all alive.
 
     Partner relations follow :func:`repro.core.shuffle.partners_of`: a
     sender's partner slot ``j`` targets its j-th *live* successor.  Walking

@@ -27,8 +27,8 @@ Both forms are byte-identical to the strict path: puts land at the same
 window offsets with the same record bytes, local stores replay the same
 ``(fingerprint, payload)`` sequence (put accounting is additive), and the
 post-fence tail (decode received regions, commit replicas, manifest
-exchange) is unchanged.  Configurations the pipeline cannot express —
-parity redundancy, degraded mode — are rejected by
+exchange) is unchanged.  Dumps the pipeline cannot express — parity
+redundancy, a dead node in the liveness snapshot — are rejected by
 :func:`pipeline_eligible` and silently fall back to the strict phases in
 :mod:`repro.core.dump`.
 
@@ -45,7 +45,7 @@ behind the exchange.  The cross-rank view lives in
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.chunking import Dataset, num_chunks
 from repro.core.config import DumpConfig, Strategy
@@ -72,21 +72,26 @@ from repro.storage.manifest import Manifest
 PIPELINE_BATCH_SLOTS = 64
 
 
-def pipeline_eligible(config: DumpConfig) -> bool:
+def pipeline_eligible(
+    config: DumpConfig, alive: Optional[Sequence[bool]] = None
+) -> bool:
     """True when this dump may take a pipelined path at all.
 
-    Parity redundancy and degraded mode fall back to strict phases.  The
-    2-stage form works on the plan, so it does not care how the chunks
-    were cut: fixed and content-defined chunking are equally eligible.
+    Parity redundancy and a liveness snapshot ``alive`` with a dead node
+    (``None``: every node alive) fall back to strict phases.  The 2-stage
+    form works on the plan, so it does not care how the chunks were cut:
+    fixed and content-defined chunking are equally eligible.
     """
     return (
         config.pipelined
-        and not config.degraded
+        and (alive is None or all(alive))
         and config.redundancy == "replication"
     )
 
 
-def pipeline_full_eligible(config: DumpConfig, fpcache) -> bool:
+def pipeline_full_eligible(
+    config: DumpConfig, fpcache, alive: Optional[Sequence[bool]] = None
+) -> bool:
     """True when the dump may take the 3-stage hash→exchange→write form.
 
     Requires no-dedup and fixed-size chunking (the Load vector must be
@@ -96,7 +101,7 @@ def pipeline_full_eligible(config: DumpConfig, fpcache) -> bool:
     (the cache API wants whole-dataset resolution).
     """
     return (
-        pipeline_eligible(config)
+        pipeline_eligible(config, alive)
         and config.strategy is Strategy.NO_DEDUP
         and config.chunking == "fixed"
         and config.compress is None

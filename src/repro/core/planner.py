@@ -128,7 +128,7 @@ def build_plan(
         ``plan.short_fps`` — attributed to the first designated holder so
         each stripe member is protected exactly once globally.
     alive:
-        Degraded mode: per-rank node liveness.  Dead ranks neither store nor
+        The dump's liveness snapshot, per rank.  Dead ranks neither store nor
         count toward coverage — designations they hold are effectively
         reassigned: coverage is recounted over *live* designated ranks, the
         resulting shortfall is topped up round-robin over the full

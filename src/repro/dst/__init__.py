@@ -2,7 +2,7 @@
 
 The paper's guarantee — after ``DUMP_OUTPUT`` every chunk lives on
 ``min(K, live)`` distinct nodes and any K-1 losses are survivable — now
-spans the collective dump (degraded mode, parity redundancy, both SPMD
+spans the collective dump (dead nodes, parity redundancy, both SPMD
 backends), online repair, the multi-tenant service and checkpoint chains.
 Hand-written scenarios cover their pairwise compositions; this package
 searches the rest of the space:

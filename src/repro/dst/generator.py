@@ -11,19 +11,20 @@ Generation respects the constraints that make the invariant oracles sound:
 * crash events (mid-dump or between-dump) are budgeted to ``K_eff - 1``
   per repair epoch, so the replica ledger's floors stay positive and the
   replication/restore checks stay armed;
-* crashes force ``degraded=True`` (a non-degraded dump aborts on a dead
-  node) and pick only currently-live victims;
+* crashes pick only currently-live victims (every dump plans around the
+  nodes already dead);
 * mid-dump crashes kill the triggering rank's own node, the only schedule
   whose failure semantics are identical across SPMD backends;
-* parity redundancy (incompatible with degraded mode) is only drawn for
+* parity redundancy (which tolerates no dead node) is only drawn for
   crash-free, coll-dedup, non-differential scenarios;
 * the repeat mode (``workload_mode="repeat"``: fulls of identical
   content) is single-tenant and never differential, a rule kept from when
   it drove a thread-only fingerprint cache so that seeds keep their
   scenarios;
-* ``pipelined=True`` is only drawn for configs the pipelined dump
-  actually accepts (replication, non-degraded), so the knob never
-  silently degenerates to the strict path; ``integrity`` varies freely;
+* ``pipelined=True`` is only drawn for crash-free replication
+  scenarios, whose every dump the pipelined path accepts (a dead node in
+  the liveness snapshot falls back to the strict path), so the knob never
+  silently degenerates; ``integrity`` varies freely;
 * bursty arrival (whole dump-runs submitted up front, idle ``tick`` steps
   between bursts) is only drawn for multi-tenant scenarios — it is a
   service-queue property — and feeds the deterministic queue-wait SLO;
@@ -92,7 +93,7 @@ def generate_scenario(seed: int) -> Scenario:
             seed=seed, n_ranks=n, k=k, chunk_size=chunk_size,
             chunks_per_rank=chunks_per_rank, f_threshold=f_threshold,
             strategy=strategy, shuffle=shuffle,
-            redundancy="parity", compress=compress, degraded=False,
+            redundancy="parity", compress=compress,
             integrity=rng.choice(("crypto", "crypto", "fast")),
             workload_mode="fresh", workload=workload,
             steps=tuple(steps), differential=False,
@@ -141,12 +142,13 @@ def generate_scenario(seed: int) -> Scenario:
     if any_crash and rng.random() < 0.5:
         steps.append(Step("repair"))
 
-    degraded = any_crash or rng.random() < 0.2
     # New dimensions draw last so older seeds keep their step schedules.
-    # Pipelined dumps need replication and no degraded mode (dump.py falls
-    # back to strict otherwise); gating the knob here keeps the feature
-    # matrix honest — a drawn True always engages.
-    pipelined = rng.random() < 0.35 and not degraded
+    # Pipelined dumps need replication and every node alive (dump.py falls
+    # back to strict otherwise), so the knob is gated on crashes — a drawn
+    # True always engages — and on a retired draw (degraded mode's, taken
+    # only without crashes as it was) so seeds keep their scenarios.
+    strict = any_crash or rng.random() < 0.2
+    pipelined = rng.random() < 0.35 and not strict
     integrity = rng.choice(("crypto", "crypto", "fast"))
 
     # Store sharding and multi-tenancy draw after everything else (same
@@ -239,18 +241,17 @@ def generate_scenario(seed: int) -> Scenario:
         if any_crash and rng.random() < 0.5:
             chain_steps.append(Step("repair"))
         steps = chain_steps
-        degraded = degraded or any_crash
-        # Keep the pipelined knob honest: chain crashes may have forced
-        # degraded mode after the knob was drawn, and a pipelined dump
-        # falls back to strict ordering when degraded.
-        pipelined = pipelined and not degraded
+        # Keep the pipelined knob honest: chain crashes come after the knob
+        # was drawn, and a pipelined dump falls back to strict ordering
+        # once a node is dead.
+        pipelined = pipelined and not any_crash
 
     return Scenario(
         seed=seed, n_ranks=n, k=k, chunk_size=chunk_size,
         chunks_per_rank=chunks_per_rank, f_threshold=f_threshold,
         strategy=strategy, shuffle=shuffle,
         redundancy="replication", compress=compress,
-        degraded=degraded, pipelined=pipelined, integrity=integrity,
+        pipelined=pipelined, integrity=integrity,
         workload_mode="repeat" if repeat else "fresh",
         workload=workload, steps=tuple(steps),
         differential=differential,

@@ -512,8 +512,8 @@ def check_window_layout(
             ))
         planned = list(report.load[1:])
         sent = list(report.sent_per_partner)
-        # Trailing zero slots (degraded mode plans fewer live partners
-        # than K-1) are equivalent whether reported or omitted.
+        # Trailing zero slots (a dump around dead nodes plans fewer live
+        # partners than K-1) are equivalent whether reported or omitted.
         while planned and planned[-1] == 0:
             planned.pop()
         while sent and sent[-1] == 0:

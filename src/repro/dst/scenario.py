@@ -3,7 +3,7 @@
 A :class:`Scenario` is a complete, serializable description of one
 dump→crash→repair→restore experiment: the cluster shape (ranks, K, chunk
 geometry), the dump configuration flags under test (strategy, shuffle,
-redundancy mode, compression, degraded operation),
+redundancy mode, compression, pipelining),
 the synthetic workload composition, and an ordered *step schedule* mixing
 collective dumps (optionally with a mid-dump node crash at a chosen
 phase), between-dump node crashes and online repairs.
@@ -186,11 +186,10 @@ class Scenario:
     shuffle: bool = True
     redundancy: str = "replication"
     compress: Optional[str] = None
-    degraded: bool = False
     #: request the double-buffered hash/exchange/write pipeline; silently
-    #: falls back to the strict phase order when the config is ineligible
-    #: (degraded, parity) — byte-identical either way, which
-    #: is exactly what the invariant oracles then re-prove
+    #: falls back to the strict phase order when the dump is ineligible
+    #: (a dead node in its liveness snapshot, parity) — byte-identical
+    #: either way, which is exactly what the invariant oracles then re-prove
     pipelined: bool = False
     #: fingerprint integrity mode: ``"crypto"`` (sha1) or ``"fast"`` (the
     #: vectorised non-cryptographic xx128 kernel)
@@ -255,14 +254,13 @@ class Scenario:
                     f"mid-dump crash node {step.crash.node} out of range "
                     f"for {self.n_ranks} ranks"
                 )
-        if self.crash_count and not self.degraded:
-            raise ScenarioError(
-                "scenarios with crash events must set degraded=True "
-                "(a non-degraded dump aborts on dead nodes)"
-            )
-        if self.redundancy == "parity" and (self.degraded or self.crash_count):
+        if self.redundancy == "parity" and self.crash_count:
             raise ScenarioError("parity redundancy cannot be combined with "
-                                "degraded mode or crash events")
+                                "crash events (it tolerates no dead node)")
+        if self.pipelined and any(s.crash is not None for s in self.steps):
+            raise ScenarioError("pipelined scenarios cannot carry mid-dump "
+                                "crashes (the pipelined dump assumes every "
+                                "node that was alive at its start commits)")
         if self.tenants < 1:
             raise ScenarioError(f"tenants must be >= 1, got {self.tenants}")
         if self.shard_count < 1:
@@ -353,7 +351,6 @@ class Scenario:
             shuffle=self.shuffle,
             redundancy=self.redundancy,
             compress=self.compress,
-            degraded=self.degraded,
             pipelined=self.pipelined,
             integrity=self.integrity,
             trace_level=trace_level,
@@ -440,7 +437,6 @@ class Scenario:
             "shuffle": self.shuffle,
             "redundancy": self.redundancy,
             "compress": self.compress,
-            "degraded": self.degraded,
             "pipelined": self.pipelined,
             "integrity": self.integrity,
             "workload_mode": self.workload_mode,
@@ -481,7 +477,6 @@ class Scenario:
                 shuffle=bool(doc.get("shuffle", True)),
                 redundancy=str(doc.get("redundancy", "replication")),
                 compress=doc.get("compress"),
-                degraded=bool(doc.get("degraded", False)),
                 pipelined=bool(doc.get("pipelined", False)),
                 integrity=str(doc.get("integrity", "crypto")),
                 workload_mode=str(doc.get("workload_mode", "fresh")),

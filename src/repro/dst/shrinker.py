@@ -123,11 +123,6 @@ def _candidates(scenario: Scenario) -> Iterator:
             "disable shuffle",
             lambda s=scenario: s.with_(shuffle=False),
         )
-    if scenario.degraded and scenario.crash_count == 0:
-        yield (
-            "disable degraded mode",
-            lambda s=scenario: s.with_(degraded=False),
-        )
     # 8. Leave chain mode last: only valid once every prune/compact step
     #    and delta dump kind has been simplified away (validation rejects
     #    the candidate otherwise), at which point the schedule is a plain

@@ -27,7 +27,7 @@ a rank whose *process* dies hard (killed, segfault, ``os._exit``) surfaces
 as a :class:`~repro.simmpi.errors.RankCrashError` entry rather than a hang,
 and stragglers are reported as :class:`~repro.simmpi.errors.DeadlockError`
 after the world timeout — the same contract the failure-injection and
-degraded-dump machinery is written against.
+dead-node dump machinery is written against.
 
 Fork-only (POSIX): rank functions, their closures and the inherited cluster
 state need no pickling.  Rank results *are* pickled back to the parent, so

@@ -100,7 +100,8 @@ class FailureInjector:
         phase_hook=...)``; the first rank to enter ``phase`` fails the node
         (exactly once, thread-safe), so the dump experiences the loss while
         its exchange/write phases are still in flight — the scenario
-        degraded mode (``DumpConfig.degraded``) must survive.
+        every dump must survive (the victim's commits are dropped and
+        accounted in ``DumpReport.dropped_chunks``).
 
         With ``rank`` given, only that specific rank triggers the failure
         instead of whichever rank reaches the phase first.  Thread

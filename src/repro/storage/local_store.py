@@ -11,7 +11,6 @@ defined.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import Counter, deque
 from itertools import compress
@@ -110,10 +109,6 @@ class ChunkStore:
         When True (default) a fingerprint is written physically once and
         reference-counted.  When False every put writes physically (models
         the no-dedup strategy's raw stream).
-    directory:
-        Optional backing directory; chunks are persisted as files named by
-        the hex fingerprint (useful for the on-disk examples).  Default is
-        in-memory.
 
     Every mutation holds the store's lock for the whole call: rank threads
     that share a node (``Cluster(rank_to_node=...)``) write to one store,
@@ -122,17 +117,14 @@ class ChunkStore:
     refcount, so a reader that sees the refcount finds the payload.
     """
 
-    def __init__(self, dedup: bool = True, directory: Optional[str] = None) -> None:
+    def __init__(self, dedup: bool = True) -> None:
         self.dedup = dedup
-        self._directory = directory
         self._chunks: Dict[Fingerprint, Payload] = {}
         self._refcounts: Dict[Fingerprint, int] = {}
         self.logical_bytes = 0
         self.physical_bytes = 0
         self.put_count = 0
         self._lock = threading.Lock()
-        if directory is not None:
-            os.makedirs(directory, exist_ok=True)
 
     def __getstate__(self) -> Dict[str, object]:
         state = dict(self.__dict__)
@@ -179,13 +171,6 @@ class ChunkStore:
             refcounts[fp] = n
             written = 1 if self.dedup else n
             self.physical_bytes += size if self.dedup else n * size
-            if self._directory is not None:
-                path = os.path.join(self._directory, fp.hex())
-                # Content-addressed: an existing file already holds the bytes
-                # (e.g. a rank process persisted it before the delta replay).
-                if not os.path.exists(path):
-                    with open(path, "wb") as fh:
-                        fh.write(payload)
         self.put_count += n
         self.logical_bytes += n * size
         return written
@@ -264,13 +249,6 @@ class ChunkStore:
             chunks.update(kept)
             refcounts.update(totals)
             refcounts.update(bumped)
-            if self._directory is not None:
-                for fp, data in zip(fps, payloads):
-                    # content-addressed: an existing file already holds the bytes
-                    path = os.path.join(self._directory, fp.hex())
-                    if fp not in stored and not os.path.exists(path):
-                        with open(path, "wb") as fh:
-                            fh.write(data)
             if self.dedup:
                 physical = sum(map(len, payloads)) - stored_bytes
                 written = len(totals) - len(stored)
@@ -298,29 +276,19 @@ class ChunkStore:
             self._chunks.pop(fp, None)
             self.physical_bytes -= size if self.dedup else count * size
             self.logical_bytes -= count * size
-            if self._directory is not None:
-                path = os.path.join(self._directory, fp.hex())
-                if os.path.exists(path):
-                    os.remove(path)
             return size
 
     def get(self, fp: Fingerprint) -> Payload:
         try:
             return self._chunks[fp]
         except KeyError:
-            if self._directory is not None:
-                path = os.path.join(self._directory, fp.hex())
-                if os.path.exists(path):
-                    with open(path, "rb") as fh:
-                        return fh.read()
             raise StorageError(f"chunk {fp.hex()[:12]}... not in store") from None
 
     def get_many(self, fps: Iterable[Fingerprint]) -> List[Payload]:
         """Batch :meth:`get`: payloads in request order.
 
-        The common case — every fingerprint in memory — is a single dict
-        sweep; any miss falls back to per-fingerprint :meth:`get` for the
-        disk-backed lookup and the exact missing-chunk error.
+        One dict sweep; a miss falls back to per-fingerprint :meth:`get`
+        for the exact missing-chunk error.
         """
         fps = fps if isinstance(fps, (list, tuple)) else list(fps)
         chunks = self._chunks
@@ -436,22 +404,12 @@ class ShardedChunkStore:
         self,
         shard_count: int = 8,
         dedup: bool = True,
-        directory: Optional[str] = None,
     ) -> None:
         if shard_count < 1:
             raise ValueError("shard_count must be >= 1")
         self.dedup = dedup
         self.shard_count = shard_count
-        self._directory = directory
-        self.shards = [
-            ChunkStore(
-                dedup=dedup,
-                directory=(
-                    os.path.join(directory, f"shard{i:02d}") if directory else None
-                ),
-            )
-            for i in range(shard_count)
-        ]
+        self.shards = [ChunkStore(dedup=dedup) for _ in range(shard_count)]
 
     def shard_of(self, fp: Fingerprint) -> int:
         """Shard index from the fingerprint's first prefix byte."""
@@ -579,34 +537,21 @@ class ShardedChunkStore:
             self.shards[i].apply_delta(StoreDelta(entries))
 
 
-def make_chunk_store(
-    dedup: bool = True,
-    directory: Optional[str] = None,
-    shard_count: int = 1,
-):
+def make_chunk_store(dedup: bool = True, shard_count: int = 1):
     """A flat store for ``shard_count == 1``, a sharded one otherwise."""
     if shard_count <= 1:
-        return ChunkStore(dedup=dedup, directory=directory)
-    return ShardedChunkStore(shard_count, dedup=dedup, directory=directory)
+        return ChunkStore(dedup=dedup)
+    return ShardedChunkStore(shard_count, dedup=dedup)
 
 
 class NodeStorage:
     """One node's local storage: chunk store, manifest area and (for the
     erasure-coded redundancy mode) a parity-shard area."""
 
-    def __init__(
-        self,
-        node_id: int,
-        dedup: bool = True,
-        directory: Optional[str] = None,
-        shard_count: int = 1,
-    ):
+    def __init__(self, node_id: int, dedup: bool = True, shard_count: int = 1):
         self.node_id = node_id
         self.shard_count = shard_count
-        chunk_dir = os.path.join(directory, f"node{node_id:04d}") if directory else None
-        self.chunks = make_chunk_store(
-            dedup=dedup, directory=chunk_dir, shard_count=shard_count
-        )
+        self.chunks = make_chunk_store(dedup=dedup, shard_count=shard_count)
         # One dict whatever ``shard_count``: chunk shards exist for their
         # locks, and manifests are written once per dump and rank.
         self._manifests: Dict[Tuple[int, int], bytes] = {}
@@ -732,7 +677,6 @@ class Cluster:
         self,
         n_ranks: int,
         dedup: bool = True,
-        directory: Optional[str] = None,
         rank_to_node: Optional[List[int]] = None,
         shard_count: int = 1,
     ) -> None:
@@ -745,9 +689,7 @@ class Cluster:
         self.shard_count = shard_count
         n_nodes = max(rank_to_node) + 1
         self._nodes = [
-            NodeStorage(
-                i, dedup=dedup, directory=directory, shard_count=shard_count
-            )
+            NodeStorage(i, dedup=dedup, shard_count=shard_count)
             for i in range(n_nodes)
         ]
 
@@ -780,7 +722,7 @@ class Cluster:
     def alive_nodes(self) -> List[NodeStorage]:
         return [n for n in self._nodes if n.alive]
 
-    # -- lookup (the restore path's directory service) -------------------------
+    # -- lookup (the restore path's location service) --------------------------
     def locate(self, fp: Fingerprint) -> List[int]:
         """Live node ids holding the fingerprint."""
         return [n.node_id for n in self._nodes if n.alive and n.chunks.has(fp)]

@@ -71,9 +71,7 @@ class TestLostRank:
         wrong or empty bytes, and the index does not bill what nobody
         stored until somebody stores it."""
         n = 4
-        manager, workload, hook = lose_rank_one(
-            n, degraded=True, chunking=chunking
-        )
+        manager, workload, hook = lose_rank_one(n, chunking=chunking)
         result = manager.chain_dump(workload, kind="full", phase_hook=hook)
         assert (result.epoch, result.kind) == (0, "full")
         assert not any(
@@ -114,8 +112,9 @@ class TestLostRank:
             assert dataset.to_bytes() == oracle(workload, 0, 1, n)
 
     def test_a_dump_that_is_not_degraded_still_raises(self, monkeypatch):
-        """Without degraded mode nothing may be lost: a rank that left no
-        manifest anywhere is a bug, named by rank, and commits nothing."""
+        """When the reports show no dead node and no dropped commit nothing
+        may be lost: a rank that left no manifest anywhere is a bug, named
+        by rank, and commits nothing."""
         from repro.storage.local_store import NodeStorage
 
         manager, workload = make_chain(depth=1)
@@ -470,7 +469,7 @@ class TestBrokenChain:
             assert "epoch 2" in reason
 
     def test_node_failure_within_replication_still_restores(self):
-        manager, workload = make_chain(depth=2, degraded=True)
+        manager, workload = make_chain(depth=2)
         manager.cluster.fail_node(0)
         for epoch in range(3):
             for rank in range(N):

@@ -1,5 +1,7 @@
 """DumpConfig / Strategy validation."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import DumpConfig, Strategy
@@ -63,3 +65,12 @@ class TestDumpConfig:
     def test_frozen(self):
         with pytest.raises(Exception):
             DumpConfig().replication_factor = 9
+
+    def test_field_names_are_pinned(self):
+        """Every knob of the dump, by name: a new field shows up here."""
+        assert [f.name for f in dataclasses.fields(DumpConfig)] == [
+            "replication_factor", "chunk_size", "f_threshold", "hash_name",
+            "strategy", "shuffle", "node_aware", "chunking", "compress",
+            "redundancy", "stripe_data", "dedup_domain_size", "trace_level",
+            "integrity", "pipelined", "chain_delta",
+        ]

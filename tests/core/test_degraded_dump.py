@@ -1,18 +1,23 @@
 """Degraded dumps: the collective completes despite dead nodes.
 
-``DumpConfig.degraded`` turns node failures from fatal into accounted-for:
-ranks whose node died keep computing and sending (their data survives on
-live partners), dead nodes store nothing, and the dump reports what was
-dropped.  A follow-up repair tops the short replicas back up to K.
+Every dump plans around the dead nodes of its liveness snapshot, so node
+failures are accounted for, never fatal: ranks whose node died keep
+computing and sending (their data survives on live partners), dead nodes
+store nothing, and the dump reports what was dropped.  A follow-up repair
+tops the short replicas back up to K.  Parity redundancy tolerates no dead
+node and raises a typed error on every rank.
 """
+
+import os
 
 import pytest
 
 from repro.core import DumpConfig, Strategy, dump_output, restore_dataset
+from repro.core.runner import run_collective
 from repro.repair import repair_cluster, scan_cluster
 from repro.simmpi import World
 from repro.simmpi.errors import WorldError
-from repro.storage import Cluster, FailureInjector
+from repro.storage import Cluster, FailureInjector, StorageError
 
 from tests.conftest import make_rank_dataset
 
@@ -21,7 +26,7 @@ CS = 64
 
 def degraded_dump(n, k=3, strategy=Strategy.COLL_DEDUP, dead=(), phase_hook=None):
     cfg = DumpConfig(replication_factor=k, chunk_size=CS, strategy=strategy,
-                     f_threshold=4096, degraded=True)
+                     f_threshold=4096)
     cluster = Cluster(n)
     for node_id in dead:
         cluster.fail_node(node_id)
@@ -34,24 +39,37 @@ def degraded_dump(n, k=3, strategy=Strategy.COLL_DEDUP, dead=(), phase_hook=None
 
 class TestConfig:
     def test_degraded_parity_rejected(self):
-        with pytest.raises(ValueError):
-            DumpConfig(degraded=True, redundancy="parity")
-
-    def test_non_degraded_dump_raises_on_dead_node(self):
-        cluster = Cluster(4)
-        cluster.fail_node(1)
-        cfg = DumpConfig(replication_factor=2, chunk_size=CS, f_threshold=4096)
-        with pytest.raises(WorldError):
-            World(4).run(
-                lambda comm: dump_output(
-                    comm, make_rank_dataset(comm.rank), cfg, cluster
+        """A parity dump with a dead node fails loud, the same on every rank
+        of either backend, and names the dead nodes."""
+        n = 5
+        cfg = DumpConfig(replication_factor=3, chunk_size=CS, f_threshold=4096,
+                         redundancy="parity", stripe_data=2)
+        before = set(os.listdir("/dev/shm"))
+        for backend in ("thread", "process"):
+            cluster = Cluster(n)
+            cluster.fail_node(1)
+            cluster.fail_node(3)
+            with pytest.raises(WorldError) as info:
+                run_collective(
+                    n,
+                    lambda comm: dump_output(
+                        comm, make_rank_dataset(comm.rank), cfg, cluster
+                    ),
+                    cluster=cluster, backend=backend, timeout=60,
                 )
-            )
+            failures = info.value.failures
+            assert sorted(failures) == list(range(n)), backend
+            for exc in failures.values():
+                assert type(exc) is StorageError
+                assert "parity" in str(exc) and "dead nodes: [1, 3]" in str(exc)
+            assert all(node.chunks.chunk_count == 0 for node in cluster.nodes)
+        assert set(os.listdir("/dev/shm")) <= before
 
 
 class TestHealthyCluster:
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_degraded_flag_is_inert_when_all_alive(self, strategy):
+        """With every node alive nothing is degraded or dropped."""
         n = 5
         cluster, reports = degraded_dump(n, strategy=strategy)
         assert all(not r.degraded for r in reports)
@@ -103,8 +121,7 @@ class TestDeadAtDumpTime:
 class TestMidDumpDeath:
     def test_victim_drops_its_commits_and_dump_survives(self):
         n, k, victim = 7, 3, 3
-        cfg = DumpConfig(replication_factor=k, chunk_size=CS, f_threshold=4096,
-                         degraded=True)
+        cfg = DumpConfig(replication_factor=k, chunk_size=CS, f_threshold=4096)
         cluster = Cluster(n)
         injector = FailureInjector(cluster)
         hook = injector.mid_dump_hook(victim, phase="exchange")
@@ -123,3 +140,22 @@ class TestMidDumpDeath:
         assert FailureInjector(cluster).audit(0).all_recoverable
         repair_cluster(cluster, k)
         assert scan_cluster(cluster, k).clean
+
+    def test_dead_node_and_death_in_write_under_the_default_config(self):
+        """One node dead at the snapshot and another dying in ``write``: the
+        default config plans around the first and accounts for the second."""
+        n, dead, victim = 6, 1, 4
+        cluster = Cluster(n)
+        cluster.fail_node(dead)
+        hook = FailureInjector(cluster).mid_dump_hook(victim, phase="write")
+        cfg = DumpConfig(chunk_size=CS)
+        reports = World(n).run(
+            lambda comm: dump_output(comm, make_rank_dataset(comm.rank), cfg,
+                                     cluster, phase_hook=hook)
+        )
+        assert all(r.degraded for r in reports)
+        assert reports[victim].dropped_chunks > 0
+        assert reports[victim].dropped_bytes > 0
+        assert [r.rank for r in reports if r.dropped_chunks] == [victim]
+        assert cluster.nodes[victim].chunks.chunk_count == 0
+        assert not cluster.nodes[victim].manifest_keys()

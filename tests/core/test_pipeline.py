@@ -62,8 +62,28 @@ class TestEligibility:
         assert not pipeline_eligible(cfg(pipelined=False))
 
     def test_degraded_and_parity_fall_back(self):
-        assert not pipeline_eligible(cfg(degraded=True))
+        """A dead node in the liveness snapshot falls back to the strict
+        path: no pipeline span, the strict dump's cluster and reports."""
+        assert pipeline_eligible(cfg(), alive=[True] * N)
+        assert not pipeline_eligible(cfg(), alive=[True, False, True, True])
+        assert not pipeline_full_eligible(
+            cfg(strategy=Strategy.NO_DEDUP), None, alive=[False] + [True] * 3
+        )
         assert not pipeline_eligible(cfg(redundancy="parity"))
+        runs = []
+        for pipelined in (True, False):
+            cluster = Cluster(N)
+            cluster.fail_node(2)
+            runs.append(dump(
+                cfg(strategy=Strategy.NO_DEDUP, pipelined=pipelined,
+                    trace_level="span"),
+                cluster=cluster,
+            ))
+        (pipe, pipe_reports, world), (strict, strict_reports, _w) = runs
+        assert pipeline_stage_overlap(capture_run(world))["stages"] == {}
+        assert stored(pipe) == stored(strict)
+        assert [vars(r) for r in pipe_reports] == [vars(r) for r in strict_reports]
+        assert all(r.degraded for r in pipe_reports)
 
     def test_full_form_needs_no_dedup_fixed_uncompressed_no_cache(self):
         base = cfg(strategy=Strategy.NO_DEDUP)

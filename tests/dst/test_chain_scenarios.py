@@ -41,7 +41,6 @@ def chain_scenario(**overrides):
         chunks_per_rank=5,
         strategy="coll-dedup",
         redundancy="replication",
-        degraded=True,
         chain=True,
         steps=(
             Step("dump", kind="full"),
@@ -155,7 +154,7 @@ class TestScenarioModel:
             Step("dump", tenant=2, kind="delta"), Step("prune", tenant=2),
             Step("compact", tenant=2), Step("gc", tenant=0),
         )
-        s = chain_scenario(tenants=3, degraded=False, steps=steps)
+        s = chain_scenario(tenants=3, steps=steps)
         assert Scenario.from_dict(s.as_dict()) == s
         for op in ("dump", "gc", "prune", "compact"):
             with pytest.raises(ScenarioError, match="out of range"):
@@ -169,7 +168,7 @@ class TestScenarioModel:
 
     def test_chain_excludes_parity(self):
         with pytest.raises(ScenarioError):
-            chain_scenario(redundancy="parity", degraded=False)
+            chain_scenario(redundancy="parity")
 
 
 class TestExecutor:

@@ -30,7 +30,6 @@ def test_backends_agree_under_mid_dump_crash():
         seed=8,
         n_ranks=4,
         k=3,
-        degraded=True,
         steps=(
             Step("dump"),
             Step("dump", crash=MidDumpCrash(node=2, phase="write")),

@@ -63,7 +63,6 @@ class TestExecution:
         s = small_scenario(
             n_ranks=4,
             k=3,
-            degraded=True,
             steps=(
                 Step("dump"),
                 Step("crash", node=1),
@@ -82,7 +81,6 @@ class TestExecution:
         s = small_scenario(
             n_ranks=4,
             k=2,
-            degraded=True,
             steps=(
                 Step("dump"),
                 Step("crash", node=2),
@@ -217,7 +215,7 @@ class TestMultiTenantExecution:
         )
         scenario = Scenario(
             seed=558, n_ranks=4, k=2, chunk_size=128, chunks_per_rank=2,
-            f_threshold=4, shuffle=False, compress="zlib-1", degraded=True,
+            f_threshold=4, shuffle=False, compress="zlib-1",
             tenants=2, tenant_overlap=0.25, shard_count=8, steps=steps,
             workload=WorkloadSpec(0.0, 0.2, 0.0, 2),
         )
@@ -374,7 +372,7 @@ class TestStepLoopOverAFakeSystem:
     def run(self, monkeypatch, system, steps, **changes):
         monkeypatch.setattr(executor, "ServiceSystem", system)
         scenario = small_scenario(
-            n_ranks=4, k=2, degraded=True, steps=steps, **changes
+            n_ranks=4, k=2, steps=steps, **changes
         )
         return scenario, execute_scenario(scenario)
 
@@ -467,10 +465,10 @@ class TestStepKindsPerSystem:
         — and a rejected kind is a ``ScenarioError``, never a
         ``KeyError``."""
         for mode in SYSTEM_MODES[system]:
-            # Parity refuses degraded mode, and so crash steps: for the
-            # config, not the kind, so the loop cannot refuse them too.
+            # Parity refuses crash steps: for the config, not the kind, so
+            # the loop cannot refuse them too.
             parity = mode.get("redundancy") == "parity"
-            base = small_scenario(degraded=not parity, **mode)
+            base = small_scenario(**mode)
             for op in STEP_OPS + ("frobnicate",):
                 try:
                     scenario = base.with_(steps=self.schedule(op))
@@ -525,7 +523,7 @@ def execute_scenario_on(system, scenario):
 class TestDriverTrace:
     def test_service_scenario_has_the_driver_pseudo_rank(self):
         scenario = small_scenario(
-            n_ranks=4, k=2, degraded=True, tenants=2, shard_count=2,
+            n_ranks=4, k=2, tenants=2, shard_count=2,
             steps=(
                 Step("dump", tenant=0), Step("crash", node=1),
                 Step("repair"), Step("dump", tenant=1),

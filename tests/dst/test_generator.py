@@ -22,7 +22,7 @@ class TestValidity:
     def test_generated_scenarios_validate(self):
         """Construction runs the full Scenario validation; surviving it for
         a wide seed window means the generator never emits an illegal
-        combination (parity+crash, crash without degraded, ...)."""
+        combination (parity+crash, pipelined+mid-dump crash, ...)."""
         for seed in range(200):
             s = generate_scenario(seed)
             assert isinstance(s, Scenario)
@@ -102,11 +102,11 @@ class TestValidity:
                     live[st.tenant] -= 1
 
     def test_pipelined_scenarios_always_engage(self):
-        """The generator only sets ``pipelined=True`` on configs where the
-        dump actually takes the pipelined path (replication, not degraded)
-        — the knob is never decorative."""
+        """The generator only sets ``pipelined=True`` where every dump
+        actually takes the pipelined path (replication, no dead node in any
+        liveness snapshot) — the knob is never decorative."""
         for seed in range(200):
             s = generate_scenario(seed)
             if s.pipelined:
-                assert not s.degraded
+                assert s.crash_count == 0
                 assert s.redundancy == "replication"

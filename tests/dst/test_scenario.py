@@ -17,7 +17,6 @@ from repro.dst import (
 def scenario(**changes):
     base = Scenario(
         seed=1,
-        degraded=True,
         steps=(Step("dump"), Step("crash", node=1), Step("repair")),
     )
     return base.with_(**changes) if changes else base
@@ -38,13 +37,16 @@ class TestValidation:
         with pytest.raises(ScenarioError):
             scenario(steps=(Step("dump"), Step("crash", node=99)))
 
-    def test_crashes_require_degraded_mode(self):
-        with pytest.raises(ScenarioError):
-            scenario(degraded=False)
-
     def test_parity_rejects_crashes(self):
         with pytest.raises(ScenarioError):
             scenario(redundancy="parity")
+
+    def test_pipelined_rejects_mid_dump_crashes(self):
+        scenario(pipelined=True)  # a between-dump crash falls back to strict
+        with pytest.raises(ScenarioError):
+            scenario(pipelined=True, steps=(
+                Step("dump", crash=MidDumpCrash(node=1, phase="write")),
+            ))
 
     def test_mid_dump_crash_phase_checked(self):
         with pytest.raises(ScenarioError):
@@ -147,7 +149,6 @@ class TestSerialization:
 class TestArrival:
     def multi(self, **changes):
         base = scenario(
-            degraded=False,
             steps=(
                 Step("dump", tenant=0),
                 Step("tick"),

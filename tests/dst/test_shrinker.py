@@ -82,7 +82,6 @@ class TestShrinker:
             seed=9,
             n_ranks=4,
             k=2,
-            degraded=True,
             steps=(
                 Step("dump"),
                 Step("crash", node=1),

@@ -64,7 +64,6 @@ def dump_once(
     strategy,
     *,
     dead=(),
-    degraded=False,
     k=3,
     dump_id=0,
     pipelined=False,
@@ -76,7 +75,6 @@ def dump_once(
         chunk_size=CS,
         f_threshold=4096,
         strategy=strategy,
-        degraded=degraded,
         pipelined=pipelined,
         integrity=integrity,
     )
@@ -228,9 +226,7 @@ class TestDegradedDumpEquivalence:
     def test_dead_node_dump_identical(self, strategy):
         observed = {}
         for backend in BACKENDS:
-            cluster, reports = dump_once(
-                backend, strategy, dead=(1,), degraded=True
-            )
+            cluster, reports = dump_once(backend, strategy, dead=(1,))
             restored = [
                 restore_dataset(cluster, rank, 0)[0].to_bytes() for rank in range(N)
             ]

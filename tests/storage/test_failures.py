@@ -132,8 +132,7 @@ class TestAuditEdgeCases:
         landed before the loss."""
         n, k = 4, 2
         cfg = DumpConfig(replication_factor=k, chunk_size=64,
-                         strategy=Strategy.COLL_DEDUP, f_threshold=4096,
-                         degraded=True)
+                         strategy=Strategy.COLL_DEDUP, f_threshold=4096)
         cluster = Cluster(n)
         injector = FailureInjector(cluster)
         hook = injector.mid_dump_hook(2, phase="write", rank=2)

@@ -1,4 +1,4 @@
-"""ChunkStore accounting, dedup vs raw mode, directory backend."""
+"""ChunkStore accounting, dedup vs raw mode."""
 
 import copy
 import gc
@@ -78,24 +78,9 @@ class TestRawStore:
         assert store.get(fp(1)) == b"xxxx"
 
 
-class TestDirectoryBackend:
-    def test_chunks_persisted_as_files(self, tmp_path):
-        store = ChunkStore(directory=str(tmp_path))
-        store.put(fp(7), b"persisted")
-        path = tmp_path / fp(7).hex()
-        assert path.exists()
-        assert path.read_bytes() == b"persisted"
-
-    def test_get_falls_back_to_disk(self, tmp_path):
-        store = ChunkStore(directory=str(tmp_path))
-        store.put(fp(7), b"persisted")
-        store._chunks.clear()  # simulate memory eviction
-        assert store.get(fp(7)) == b"persisted"
-
-
 class TestBatchedReads:
-    def _loaded(self, **kwargs):
-        store = ChunkStore(**kwargs)
+    def _loaded(self):
+        store = ChunkStore()
         for i in range(8):
             store.put(fp(i), bytes([i]) * 4)
         return store
@@ -122,13 +107,6 @@ class TestBatchedReads:
         fps = [fp(0), fp(42), fp(7), fp(99)]
         assert store.has_many(fps) == [store.has(f) for f in fps]
         assert ChunkStore().has_many([]) == []
-
-    def test_disk_backed_get_many(self, tmp_path):
-        store = self._loaded(directory=str(tmp_path))
-        # Drop the memory copies so get_many actually reads the files.
-        evicted = ChunkStore(directory=str(tmp_path))
-        fps = [fp(5), fp(1)]
-        assert evicted.get_many(fps) == [bytes([5]) * 4, bytes([1]) * 4]
 
 
 def slab_delta(n=4, size=8):
@@ -187,12 +165,6 @@ class TestAdoptedPayloads:
             assert slab() is not None, "one chunk left: the slab stays"
             store.discard(fp(3))
         assert slab() is None
-
-    def test_adopted_chunks_reach_a_directory_backend(self, tmp_path):
-        _slab, delta = slab_delta()
-        store = ChunkStore(directory=str(tmp_path))
-        store.apply_delta(delta)
-        assert (tmp_path / fp(1).hex()).read_bytes() == bytes(range(8, 16))
 
 
 class SlowRefcounts(dict):

@@ -407,6 +407,28 @@ class TestBackendsAndRepair:
                     rank, N
                 ).to_bytes()
 
+    def test_a_request_while_a_node_is_dead_commits_and_repairs(self):
+        """A default-config request submitted while node 1 is down commits
+        an epoch planned around it: every rank restores byte-equal, and
+        ``repair()`` brings every chunk back to K."""
+        from repro.repair import scan_cluster
+
+        service = make_service()
+        service.register_tenant("a")
+        service.cluster.fail_node(1)
+        outcome = dump(service, "a", tenant_workload(0))
+        assert outcome.tenant_dump_id == 0
+        assert all(r.degraded and not r.dropped_chunks for r in outcome.reports)
+        assert service.cluster.nodes[1].chunks.chunk_count == 0
+        workload = tenant_workload(0)
+        for rank in range(N):
+            dataset, _report = service.restore("a", rank, 0)
+            assert dataset.to_bytes() == workload.build_dataset(rank, N).to_bytes()
+        k = service.config.replication_factor
+        assert not scan_cluster(service.cluster, k).clean
+        assert service.repair().complete
+        assert scan_cluster(service.cluster, k).clean
+
     def test_rejects_bad_construction(self):
         with pytest.raises(ValueError):
             make_service(attribution="auction")
@@ -483,7 +505,7 @@ class TestDegradedDumpThatLosesARank:
         from repro.storage.failures import FailureInjector
 
         service = make_service(config=DumpConfig(
-            replication_factor=2, chunk_size=CS, degraded=True, shuffle=False,
+            replication_factor=2, chunk_size=CS, shuffle=False,
         ))
         service.register_tenant("a")
         workload = MutatingWorkload(

@@ -45,8 +45,7 @@ def run_all_ops(service):
     service.restore("alice", 0, 0)
     service.cluster.fail_node(1)
     service.repair()
-    # Dumps need every node up unless the config is degraded; model the
-    # node rejoining after repair before submitting more work.
+    # Model the node rejoining after repair before submitting more work.
     service.cluster.revive_all()
     service.submit("bob", tenant_workload(1, dump_index=2))
     service.drain()
