@@ -12,7 +12,7 @@ import pytest
 
 from repro.analysis.tables import format_table
 from repro.core import Strategy
-from repro.ftrt.interval import expected_waste, simulate_run, young_interval
+from repro.netsim.interval import expected_waste, simulate_run, young_interval
 
 N = 408
 K = 3

@@ -8,16 +8,20 @@ perturbations whose pages deduplicate everywhere, and the base-state
 tables are identical on every rank.  The example shows how much of each
 checkpoint each strategy would move, then restarts mid-run after failures.
 
+Every rank's model state is registered with a ``MemoryRegistry`` and each
+checkpoint is the next delta epoch of a checkpoint-service tenant.  The
+per-rank models never touch a communicator, so one loop steps them all.
+
 Run:  python examples/hurricane_cm1.py
 """
 
 import numpy as np
 
-from repro import Cluster, DumpConfig, Strategy, World
+from repro import DumpConfig, Strategy
 from repro.analysis.tables import format_table, human_bytes
-from repro.apps.cm1 import CM1, CM1RankModel
-from repro.ftrt import CheckpointRuntime
+from repro.apps import CM1, CM1RankModel, MemoryRegistry
 from repro.sim import compute_metrics, simulate_dump
+from repro.svc import CheckpointService
 
 N_RANKS = 16
 K = 3
@@ -51,49 +55,51 @@ def redundancy_report(app: CM1) -> None:
     ))
 
 
-def program(comm, cluster, app):
-    config = DumpConfig(replication_factor=K, chunk_size=4096, f_threshold=1 << 17)
-    runtime = CheckpointRuntime(comm, cluster, config, interval=30)
-
-    ix, iy = app.placement(comm.rank, N_RANKS)
-    model = CM1RankModel(
-        NX, NY, NZ, origin=(ix * NX, iy * NY), vortex=app.vortex(N_RANKS)
-    )
-    for name, array in model.state_arrays().items():
-        runtime.memory.register(name, array)
-
-    for step in range(1, 71):
-        model.step()
-        runtime.maybe_checkpoint(step)
-    final_theta = model.fields["theta"].copy()
-
-    # Kill two nodes, restart from the step-60 checkpoint, redo 10 steps.
-    comm.barrier()
-    if comm.rank == 0:
-        cluster.fail_node(3)
-        cluster.fail_node(11)
-    comm.barrier()
-    runtime.restart()
-    model.step(10)
-    return (
-        bool(np.array_equal(model.fields["theta"], final_theta)),
-        model.active,
-        runtime.stats.checkpoints_taken,
-    )
-
-
 def main() -> None:
     app = build_app()
     redundancy_report(app)
 
     print("\nRunning 70 steps with checkpoints at 30 and 60, then a "
           "2-node failure and restart...")
-    cluster = Cluster(N_RANKS)
-    results = World(N_RANKS).run(program, cluster, app)
+    config = DumpConfig(replication_factor=K, chunk_size=4096, f_threshold=1 << 17)
+    service = CheckpointService(N_RANKS, config)
+    service.register_tenant("cm1")
+    registry = MemoryRegistry()
+    models = []
+    for rank in range(N_RANKS):
+        ix, iy = app.placement(rank, N_RANKS)
+        model = CM1RankModel(
+            NX, NY, NZ, origin=(ix * NX, iy * NY), vortex=app.vortex(N_RANKS)
+        )
+        for name, array in model.state_arrays().items():
+            registry.register(rank, name, array)
+        models.append(model)
 
-    stormy = sum(1 for _m, active, _c in results if active)
-    assert all(match for match, _a, _c in results)
-    assert all(ckpts == 2 for _m, _a, ckpts in results)
+    checkpoints = []
+    for step in range(1, 71):
+        for model in models:
+            model.step()
+        if step % 30 == 0:
+            service.submit("cm1", registry, kind="delta")
+            checkpoints.extend(service.drain())
+    final_theta = [model.fields["theta"].copy() for model in models]
+
+    # Kill two nodes, restart from the step-60 checkpoint, redo 10 steps.
+    service.cluster.fail_node(3)
+    service.cluster.fail_node(11)
+    for rank, model in enumerate(models):
+        dataset, _report = service.restore("cm1", rank, checkpoints[-1].tenant_dump_id)
+        registry.restore(rank, dataset)
+        model.step(10)
+
+    assert len(checkpoints) == 2
+    assert all(
+        np.array_equal(model.fields["theta"], theta)
+        for model, theta in zip(models, final_theta)
+    )
+    stormy = sum(1 for model in models if model.active)
+    print(f"Epoch 1 (step 60) shipped {checkpoints[1].changed_chunks} of "
+          f"{checkpoints[1].total_chunks} chunks as a delta.")
     print(f"Restart reproduced the exact step-70 state on all {N_RANKS} ranks "
           f"({stormy} stormy, {N_RANKS - stormy} calm).")
 

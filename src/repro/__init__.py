@@ -5,24 +5,35 @@ distributed data redundancy to reduce collective I/O replication
 overhead"*, IPDPS 2015 — the ``DUMP_OUTPUT`` collective that co-optimizes
 inter-process deduplication with partner replication, plus every substrate
 it runs on: an MPI-like SPMD layer, node-local content-addressed storage,
-the HPCCG/CM1 workloads, a checkpoint-restart runtime and the performance
-model that regenerates the paper's evaluation.
+the HPCCG/CM1 workloads, a multi-tenant checkpoint service and the
+performance model that regenerates the paper's evaluation.
 
-Quickstart::
+Quickstart — an application checkpointed through the checkpoint service,
+each checkpoint an epoch of the tenant's chain::
 
-    from repro import Dataset, DumpConfig, dump_output, restore_dataset
-    from repro.simmpi import World
-    from repro.storage import Cluster
+    import numpy as np
 
-    cluster = Cluster(n_ranks=8)
-    config = DumpConfig(replication_factor=3)
+    from repro import DumpConfig
+    from repro.apps import MemoryRegistry
+    from repro.svc import CheckpointService
 
-    def program(comm):
-        data = Dataset.from_buffer(my_bytes_for(comm.rank))
-        return dump_output(comm, data, config, cluster)
+    service = CheckpointService(8, DumpConfig(replication_factor=3))
+    service.register_tenant("app")
+    registry = MemoryRegistry()
+    states = [np.full(1 << 16, float(rank)) for rank in range(8)]
+    for rank, state in enumerate(states):
+        registry.register(rank, "state", state)
 
-    reports = World(8).run(program)
-    dataset, _ = restore_dataset(cluster, rank=0)
+    service.submit("app", registry, kind="delta")  # epoch 0 is a full
+    service.drain()
+    states[3][:512] = -1.0
+    service.submit("app", registry, kind="delta")  # epoch 1: changed chunks
+    service.drain()
+
+    service.cluster.fail_node(3)
+    dataset, _report = service.restore("app", rank=3, tenant_dump_id=1)
+    registry.restore(3, dataset)  # written back in place
+    service.repair()  # back to K replicas
 
 See ``examples/`` for runnable scenarios and ``benchmarks/`` for the
 regeneration of every table and figure in the paper.

@@ -6,6 +6,8 @@
   a hurricane-like vortex (CM1's checkpoint redundancy character).
 * :mod:`~repro.apps.synthetic` — a controlled-redundancy generator for
   tests and ablations.
+* :mod:`~repro.apps.memory` — registered application memory, the
+  transparent-checkpointing stand-in the examples checkpoint.
 
 All of them implement :class:`~repro.apps.base.SegmentedWorkload`: they
 describe each rank's checkpoint as named memory segments, and the base
@@ -16,6 +18,7 @@ class fingerprints shared segments once — which is what makes the paper's
 from repro.apps.base import SegmentedWorkload
 from repro.apps.hpccg import HPCCG, HPCCGRankSolver
 from repro.apps.cm1 import CM1, CM1RankModel
+from repro.apps.memory import MemoryRegistry
 from repro.apps.synthetic import SyntheticWorkload
 
 __all__ = [
@@ -23,6 +26,7 @@ __all__ = [
     "CM1RankModel",
     "HPCCG",
     "HPCCGRankSolver",
+    "MemoryRegistry",
     "SegmentedWorkload",
     "SyntheticWorkload",
 ]

@@ -50,8 +50,8 @@ BoundaryClass = Tuple[bool, bool, bool, bool, bool, bool]
 class HPCCGRankSolver:
     """The CG machinery for one rank's sub-block.
 
-    Usable standalone (the ftrt examples drive it step by step) and by the
-    :class:`HPCCG` workload generator.
+    Usable standalone (the checkpoint examples step every rank's solver)
+    and by the :class:`HPCCG` workload generator.
     """
 
     def __init__(

@@ -44,7 +44,7 @@ class DumpConfig:
     """Parameters of one collective dump.
 
     The world that runs the dump is not part of it: every driver that
-    spawns one (``run_collective``, ``run_checkpointed``, ``repair_cluster``,
+    spawns one (``run_collective``, ``repair_cluster``,
     :class:`~repro.chain.ChainManager`, the service, the CLI) takes
     ``backend=`` / ``timeout=`` and defaults to ``REPRO_SPMD_BACKEND`` /
     ``REPRO_SPMD_TIMEOUT``.

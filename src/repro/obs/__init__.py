@@ -15,7 +15,7 @@ a first-class observability layer:
   mergeable across ranks with a documented rank-error bound.
 * :mod:`repro.obs.timeline` — the continuous telemetry timeline: a bounded
   ring buffer of tick-tagged operation samples (``repro.obs/timeline/v1``)
-  fed by the checkpoint service, the ftrt runtime and the dst executor.
+  fed by the checkpoint service and the dst executor.
 * :mod:`repro.obs.slo` — declarative SLOs with deterministic multi-window
   burn-rate alerting over the timeline (``repro.obs/slo/v1`` verdicts).
 * :mod:`repro.obs.export` — exporters: a stable run-snapshot JSON schema,

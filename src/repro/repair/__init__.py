@@ -17,8 +17,9 @@ only what was actually lost:
 
 :func:`repair_cluster` wires the three together for offline use (it spawns
 its own SPMD world); inside an existing world — e.g. right after a
-collective restart — call the layers directly, every rank planning
-independently, as :meth:`repro.ftrt.runtime.CheckpointRuntime.repair` does.
+collective restart — call the layers directly: every rank scans and plans
+independently and all of them derive the one schedule
+(``tests/repair/test_repair_edges.py`` holds this).
 
 All three layers are batched: the scan's table and the schedule are
 columns (``ChunkDeficit`` / ``RepairTransfer`` are views built on request),

@@ -1,11 +1,11 @@
 """Regression suite: a chain delta is never silently restorable.
 
-Before the chain layer, every consumer of a dump id — ``restore_dataset``,
-the collective ``load_input``, the ftrt :class:`CheckpointRuntime` restart
-paths — assumed any manifest describes a complete dataset.  A chain delta
-holds one epoch's dirty chunks only: reassembling it as a full dataset is
-silent corruption (a short dataset of concatenated dirty chunks).  These
-tests pin the fix — every such path surfaces a typed
+Before the chain layer, every consumer of a dump id — ``restore_dataset``
+and the collective ``load_input`` — assumed any manifest describes a
+complete dataset.  A chain delta holds one epoch's dirty chunks only:
+reassembling it as a full dataset is silent corruption (a short dataset of
+concatenated dirty chunks).  These tests pin the fix — every such path
+surfaces a typed
 :class:`~repro.chain.errors.ChainBrokenError` instead — plus the
 chain-level failure mode: a delta whose parent chunks were lost reports
 the ancestor epoch that wrote them.
@@ -19,7 +19,6 @@ from repro.core.collective_restore import load_input
 from repro.core.config import DumpConfig
 from repro.core.restore import restore_dataset
 from repro.core.runner import run_collective
-from repro.ftrt.runtime import CheckpointRuntime
 from repro.storage.local_store import Cluster
 
 N = 2
@@ -68,57 +67,6 @@ class TestRestorePathsRejectDeltas:
         dataset, _ = restore_dataset(cluster, 0, full_id)
         want = workload.at_epoch(0).build_dataset(0, N).to_bytes()
         assert dataset.to_bytes() == want
-
-
-class TestFtrtRuntimeSeam:
-    def test_restart_on_chain_delta_is_typed_not_garbage(self):
-        """An ftrt runtime pointed (via shared cluster) at a chain delta's
-        dump id must raise, not hand the app a dirty-chunk concatenation."""
-        cluster, config, manager, _ = chained_cluster()
-        dump_id = delta_dump_id(manager)
-
-        def rank_main(comm):
-            runtime = CheckpointRuntime(comm, cluster, config, interval=1)
-            runtime.memory.register("state", bytearray(CHUNK))
-            with pytest.raises(ChainBrokenError, match="chain delta"):
-                runtime.restart(dump_id)
-            return runtime.stats.restarts
-
-        results, _ = run_collective(N, rank_main, cluster=cluster)
-        assert results == [0] * N  # the failed restart was not recorded
-
-    def test_restart_collective_on_chain_delta_is_typed(self):
-        cluster, config, manager, _ = chained_cluster()
-        dump_id = delta_dump_id(manager)
-
-        def rank_main(comm):
-            runtime = CheckpointRuntime(comm, cluster, config, interval=1)
-            runtime.memory.register("state", bytearray(CHUNK))
-            with pytest.raises(ChainBrokenError):
-                runtime.restart_collective(dump_id)
-            return "typed"
-
-        results, _ = run_collective(N, rank_main, cluster=cluster)
-        assert results == ["typed"] * N
-
-    def test_ftrt_checkpoints_interleave_with_chains_safely(self):
-        """ftrt checkpoints sharing a cluster with a chain keep restoring:
-        the chain dumps under the ids its caller hands it and never goes
-        back below them."""
-        cluster, config, manager, workload = chained_cluster()
-
-        def rank_main(comm):
-            runtime = CheckpointRuntime(comm, cluster, config, interval=1)
-            runtime._next_dump_id = 100  # disjoint id space
-            runtime.memory.register("state", bytearray(b"x" * CHUNK))
-            runtime.maybe_checkpoint(1)
-            return runtime.restart()
-
-        results, _ = run_collective(N, rank_main, cluster=cluster)
-        assert results == [100] * N
-        workload.advance()
-        assert manager.chain_dump(workload, dump_id=101).dump_id == 101
-        assert manager.compact(manager.tip().epoch).new_dump_id == 102
 
 
 class TestLostParentChunks:

@@ -209,3 +209,26 @@ class TestEdgeCases:
         reports, cluster = run_dump(4, Strategy.COLL_DEDUP, dataset_factory=factory)
         for rank, r in enumerate(reports):
             assert r.n_chunks == rank + 1
+
+
+class TestCallers:
+    def test_only_the_chain_calls_dump_output(self):
+        """One dump model: every dump in ``src/repro`` is a chain epoch, so
+        ``chain/manager.py`` is the only module that calls ``dump_output``."""
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        root = Path(repro.__file__).parent
+        callers = set()
+        for path in root.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(
+                        func, "attr", None
+                    )
+                    if name == "dump_output":
+                        callers.add(path.relative_to(root.parent).as_posix())
+        assert callers == {"repro/chain/manager.py"}

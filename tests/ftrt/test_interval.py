@@ -4,7 +4,7 @@ timeline simulator that validates them."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ftrt.interval import (
+from repro.netsim.interval import (
     daly_interval,
     expected_waste,
     simulate_run,

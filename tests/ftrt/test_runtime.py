@@ -1,337 +1,188 @@
-"""CheckpointRuntime: interval scheduling, restart, failure survival."""
+"""Application checkpoint-restart through the checkpoint service: a
+:class:`MemoryRegistry` tenant checkpointed as delta epochs, restarted
+after node failures and repaired back to K."""
 
 import numpy as np
 import pytest
 
-from repro.core import DumpConfig, Strategy
-from repro.ftrt import CheckpointRuntime
-from repro.simmpi import World
-from repro.storage import Cluster
+from repro.apps.memory import MemoryRegistry
+from repro.core import DumpConfig
+from repro.repair import scan_cluster
+from repro.svc import CheckpointService, UnknownDumpError
+
+TENANT = "app"
 
 
-def spmd_app(cluster, cfg, n_steps, interval, fail_after=None, fail_nodes=()):
-    """A toy SPMD iterative app with checkpoint-restart."""
+def make_app(n, k):
+    config = DumpConfig(replication_factor=k, chunk_size=64, f_threshold=1024)
+    service = CheckpointService(n, config)
+    service.register_tenant(TENANT)
+    return service, MemoryRegistry()
 
-    def prog(comm):
-        rt = CheckpointRuntime(comm, cluster, cfg, interval=interval)
-        state = np.full(64, float(comm.rank))
-        shared = np.zeros(128)  # identical across ranks -> natural replicas
-        rt.memory.register("state", state)
-        rt.memory.register("shared", shared)
-        for step in range(1, n_steps + 1):
-            state += 1.0
-            shared[:] = step
-            rt.maybe_checkpoint(step)
-        if fail_after is not None:
-            comm.barrier()
-            if comm.rank == 0:
-                for node in fail_nodes:
-                    cluster.fail_node(node)
-            comm.barrier()
-            rt.restart()
-        return state.copy(), shared.copy(), rt.stats
 
-    return prog
+def checkpoint(service, registry):
+    service.submit(TENANT, registry, kind="delta")
+    (outcome,) = service.drain()
+    return outcome
+
+
+def restart(service, registry, epoch):
+    for rank in range(service.n_ranks):
+        dataset, _report = service.restore(TENANT, rank, epoch)
+        registry.restore(rank, dataset)
+
+
+def run_app(n, k, n_steps, interval, fail_nodes=None):
+    """A toy iterative app, checkpointed every ``interval`` steps; with
+    ``fail_nodes`` it loses them and restarts from its newest epoch."""
+    service, registry = make_app(n, k)
+    states = [np.full(64, float(rank)) for rank in range(n)]
+    # identical across ranks -> natural replicas
+    shared = [np.zeros(128) for _ in range(n)]
+    for rank in range(n):
+        registry.register(rank, "state", states[rank])
+        registry.register(rank, "shared", shared[rank])
+    outcomes = []
+    for step in range(1, n_steps + 1):
+        for rank in range(n):
+            states[rank] += 1.0
+            shared[rank][:] = step
+        if step % interval == 0:
+            outcomes.append(checkpoint(service, registry))
+    if fail_nodes is not None:
+        for node in fail_nodes:
+            service.cluster.fail_node(node)
+        restart(service, registry, outcomes[-1].tenant_dump_id)
+    return service, states, shared, outcomes
+
+
+def one_checkpoint(n, k, size=32):
+    service, registry = make_app(n, k)
+    states = [np.full(size, float(rank + 1)) for rank in range(n)]
+    for rank, state in enumerate(states):
+        registry.register(rank, "state", state)
+    checkpoint(service, registry)
+    return service, registry, states
 
 
 class TestScheduling:
-    def test_checkpoints_at_interval_multiples(self):
-        cluster = Cluster(4)
-        cfg = DumpConfig(replication_factor=2, chunk_size=64, f_threshold=1024)
-        results = World(4).run(spmd_app(cluster, cfg, n_steps=10, interval=3))
-        for _state, _shared, stats in results:
-            assert stats.checkpoints_taken == 3  # steps 3, 6, 9
-
-    def test_step_zero_not_checkpointed(self):
-        cluster = Cluster(2)
-        cfg = DumpConfig(replication_factor=2, chunk_size=64, f_threshold=1024)
-
-        def prog(comm):
-            rt = CheckpointRuntime(comm, cluster, cfg, interval=5)
-            rt.memory.register("x", np.zeros(4))
-            assert rt.maybe_checkpoint(0) is None
-            assert rt.last_dump_id is None
-            return True
-
-        assert all(World(2).run(prog))
-
-    def test_invalid_interval(self):
-        cluster = Cluster(1)
-        cfg = DumpConfig(replication_factor=1)
-
-        def prog(comm):
-            CheckpointRuntime(comm, cluster, cfg, interval=0)
-
-        with pytest.raises(Exception):
-            World(1).run(prog)
-
     def test_restart_without_checkpoint_raises(self):
-        cluster = Cluster(1)
-        cfg = DumpConfig(replication_factor=1, chunk_size=64)
-
-        def prog(comm):
-            rt = CheckpointRuntime(comm, cluster, cfg, interval=1)
-            rt.memory.register("x", np.zeros(2))
-            rt.restart()
-
-        with pytest.raises(Exception):
-            World(1).run(prog)
+        service, registry = make_app(1, 1)
+        registry.register(0, "x", np.zeros(2))
+        with pytest.raises(UnknownDumpError):
+            service.restore(TENANT, 0, 0)
 
 
 class TestRestart:
     def test_restart_restores_last_checkpoint(self):
-        cluster = Cluster(4)
-        cfg = DumpConfig(replication_factor=2, chunk_size=64, f_threshold=1024)
-        results = World(4).run(
-            spmd_app(cluster, cfg, n_steps=10, interval=4, fail_after=10)
+        _service, states, shared, outcomes = run_app(
+            n=4, k=2, n_steps=10, interval=4, fail_nodes=()
         )
-        for rank, (state, shared, stats) in enumerate(results):
+        # Only the first checkpoint is a full; the second ships the
+        # chunks the app wrote since.
+        assert [o.kind for o in outcomes] == ["full", "delta"]
+        for rank in range(4):
             # Last checkpoint at step 8: state was rank + 8.
-            assert np.all(state == rank + 8)
-            assert np.all(shared == 8)
-            assert stats.restarts == 1
+            assert np.all(states[rank] == rank + 8)
+            assert np.all(shared[rank] == 8)
 
     def test_restart_after_node_failures(self):
-        n, k = 6, 3
-        cluster = Cluster(n)
-        cfg = DumpConfig(replication_factor=k, chunk_size=64, f_threshold=1024)
-        results = World(n).run(
-            spmd_app(cluster, cfg, n_steps=6, interval=3, fail_after=6,
-                     fail_nodes=(1, 4))
+        # K-1 = 2 nodes die; every rank, those two included, restores from
+        # the surviving replicas.
+        _service, states, _shared, _outcomes = run_app(
+            n=6, k=3, n_steps=6, interval=3, fail_nodes=(1, 4)
         )
-        for rank, (state, shared, stats) in enumerate(results):
-            if rank in (1, 4):
-                continue  # their nodes are gone; survivors must restore
+        for rank, state in enumerate(states):
             assert np.all(state == rank + 6)
 
     def test_restart_specific_dump_id(self):
-        cluster = Cluster(3)
-        cfg = DumpConfig(replication_factor=2, chunk_size=64, f_threshold=1024)
-
-        def prog(comm):
-            rt = CheckpointRuntime(comm, cluster, cfg, interval=1)
-            state = np.zeros(16)
-            rt.memory.register("s", state)
-            for step in (1, 2, 3):
+        service, registry = make_app(3, 2)
+        states = [np.zeros(16) for _ in range(3)]
+        for rank, state in enumerate(states):
+            registry.register(rank, "s", state)
+        for step in (1, 2, 3):
+            for state in states:
                 state[:] = step
-                rt.maybe_checkpoint(step)
-            used = rt.restart(dump_id=0)  # roll back to the first checkpoint
-            return used, state.copy()
-
-        for used, state in World(3).run(prog):
-            assert used == 0
+            checkpoint(service, registry)
+        restart(service, registry, 0)  # roll back to the first checkpoint
+        for state in states:
             assert np.all(state == 1.0)
 
     def test_stats_accumulate(self):
-        cluster = Cluster(2)
-        cfg = DumpConfig(replication_factor=2, chunk_size=64, f_threshold=1024)
-        results = World(2).run(spmd_app(cluster, cfg, n_steps=4, interval=2))
-        for _s, _sh, stats in results:
-            assert stats.checkpoints_taken == 2
-            assert stats.bytes_captured == 2 * (64 * 8 + 128 * 8)
-            assert len(stats.reports) == 2
-
-
-class TestCollectiveRestart:
-    def test_restart_collective_restores_state(self):
-        n, k = 5, 3
-        cluster = Cluster(n)
-        cfg = DumpConfig(replication_factor=k, chunk_size=64, f_threshold=1024)
-
-        def prog(comm):
-            rt = CheckpointRuntime(comm, cluster, cfg, interval=2)
-            state = np.full(32, float(comm.rank))
-            rt.memory.register("state", state)
-            for step in (1, 2, 3, 4):
-                state += 1.0
-                rt.maybe_checkpoint(step)
-            state[:] = -99.0  # diverge, then roll back collectively
-            used = rt.restart_collective()
-            return used, state.copy()
-
-        for rank, (used, state) in enumerate(World(n).run(prog)):
-            assert used == 1  # checkpoint at step 4 has dump_id 1
-            assert np.all(state == rank + 4)
-
-    def test_restart_collective_without_checkpoint_raises(self):
-        cluster = Cluster(1)
-        cfg = DumpConfig(replication_factor=1, chunk_size=64)
-
-        def prog(comm):
-            rt = CheckpointRuntime(comm, cluster, cfg, interval=1)
-            rt.memory.register("x", np.zeros(2))
-            rt.restart_collective()
-
-        with pytest.raises(Exception):
-            World(1).run(prog)
+        service, _states, _shared, outcomes = run_app(
+            n=2, k=2, n_steps=4, interval=2
+        )
+        assert [len(o.reports) for o in outcomes] == [2, 2]
+        # The full captures every registered byte of both ranks.
+        assert sum(r.dataset_bytes for r in outcomes[0].reports) == 2 * (
+            64 * 8 + 128 * 8
+        )
+        usage = service._state(TENANT).usage
+        assert usage.total_dumps == usage.live_dumps == 2
+        assert usage.logical_bytes == sum(
+            r.dataset_bytes for o in outcomes for r in o.reports
+        )
 
 
 class TestRepair:
     def test_repair_tops_cluster_back_up_to_k(self):
-        n, k = 6, 3
-        cluster = Cluster(n)
-        cfg = DumpConfig(replication_factor=k, chunk_size=64, f_threshold=1024)
-
-        def prog(comm):
-            rt = CheckpointRuntime(comm, cluster, cfg, interval=1)
-            state = np.full(32, float(comm.rank))
-            rt.memory.register("state", state)
-            state += 1.0
-            rt.maybe_checkpoint(1)
-            comm.barrier()
-            if comm.rank == 0:
-                cluster.fail_node(4)
-            comm.barrier()
-            report = rt.repair()
-            return report, rt.stats.repairs
-
-        results = World(n).run(prog)
-        reports = [report for report, _count in results]
-        assert all(count == 1 for _r, count in results)
-        assert all(r.complete for r in reports)
-        assert reports[0].chunks_moved > 0
-        # Every rank gets the identical merged report.
-        assert all(r.chunks_moved == reports[0].chunks_moved for r in reports)
-
-        from repro.repair import scan_cluster
-        assert scan_cluster(cluster, k).clean
+        service, _registry, _states = one_checkpoint(6, 3)
+        service.cluster.fail_node(4)
+        report = service.repair()
+        assert report.complete
+        assert report.chunks_moved > 0
+        assert scan_cluster(service.cluster, 3).clean
 
     def test_auto_repair_runs_after_restart(self):
-        n, k = 6, 3
-        cluster = Cluster(n)
-        cfg = DumpConfig(replication_factor=k, chunk_size=64, f_threshold=1024)
-
-        def prog(comm):
-            rt = CheckpointRuntime(comm, cluster, cfg, interval=1,
-                                   auto_repair=True)
-            state = np.full(16, float(comm.rank))
-            rt.memory.register("state", state)
-            state += 1.0
-            rt.maybe_checkpoint(1)
-            comm.barrier()
-            if comm.rank == 0:
-                cluster.fail_node(2)
-            comm.barrier()
-            rt.restart()
-            return state.copy(), rt.stats
-
-        results = World(n).run(prog)
-        for rank, (state, stats) in enumerate(results):
-            if rank != 2:
-                assert np.all(state == rank + 1)
-            assert stats.repairs == 1
-            assert len(stats.repair_reports) == 1
-            assert stats.repair_reports[0].complete
-
-        from repro.repair import scan_cluster
-        assert scan_cluster(cluster, k).clean
+        service, registry, states = one_checkpoint(6, 3, size=16)
+        service.cluster.fail_node(2)
+        for state in states:
+            state[:] = -1.0
+        restart(service, registry, 0)
+        report = service.repair()
+        for rank, state in enumerate(states):
+            assert np.all(state == rank + 1)
+        assert report.complete
+        assert scan_cluster(service.cluster, 3).clean
 
     def test_repair_without_failures_is_clean(self):
-        cluster = Cluster(4)
-        cfg = DumpConfig(replication_factor=2, chunk_size=64, f_threshold=1024)
-
-        def prog(comm):
-            rt = CheckpointRuntime(comm, cluster, cfg, interval=1)
-            rt.memory.register("x", np.ones(8) * comm.rank)
-            rt.maybe_checkpoint(1)
-            return rt.repair()
-
-        for report in World(4).run(prog):
-            assert report.clean
-            assert report.chunks_moved == 0
+        service, _registry, _states = one_checkpoint(4, 2, size=8)
+        report = service.repair()
+        assert report.clean
+        assert report.chunks_moved == 0
 
 
 class TestTimeline:
     def test_runtime_feeds_its_timeline(self):
-        """Dumps, restores and repairs land tick-tagged samples on the
-        runtime's timeline, stamped with the app's logical step."""
-        cluster = Cluster(4)
-        cfg = DumpConfig(replication_factor=2, chunk_size=64, f_threshold=1024)
-
-        def prog(comm):
-            rt = CheckpointRuntime(comm, cluster, cfg, interval=2)
-            rt.memory.register("x", np.zeros(64))
-            for step in range(1, 5):
-                rt.maybe_checkpoint(step)
-            if comm.rank == 0:
-                rt.restart()
-            comm.barrier()
-            return rt.timeline.op_counts(), rt.timeline.latest_tick()
-
-        results = World(4).run(prog)
-        counts, latest = results[0]
+        """Dumps, restores and repairs land samples on the service's
+        timeline, stamped with its logical tick (one per drain step)."""
+        service, states, _shared, _outcomes = run_app(
+            n=4, k=2, n_steps=4, interval=2
+        )
+        service.restore(TENANT, 0, 1)
+        counts = service.timeline.op_counts()
         assert counts["dump"] == 2  # steps 2 and 4
         assert counts["restore"] == 1
-        assert latest == 4  # logical step, not wall clock
-        for _counts, other_latest in results[1:]:
-            assert other_latest == 4
+        assert service.timeline.latest_tick() == 2  # ticks, not wall clock
 
     def test_dump_samples_carry_strategy_and_bytes(self):
-        cluster = Cluster(2)
-        cfg = DumpConfig(replication_factor=2, chunk_size=64, f_threshold=1024)
-
-        def prog(comm):
-            rt = CheckpointRuntime(comm, cluster, cfg, interval=1)
-            rt.memory.register("x", np.ones(64))
-            rt.maybe_checkpoint(1)
-            (sample,) = rt.timeline.samples(op="dump")
-            assert sample.backend == "ftrt"
-            assert sample.strategy == cfg.strategy.value
-            assert sample.values["logical_bytes"] > 0
-            assert sample.values["latency_s"] >= 0
-            return True
-
-        assert all(World(2).run(prog))
+        service, _registry, _states = one_checkpoint(2, 2, size=64)
+        (sample,) = service.timeline.samples(op="dump")
+        assert sample.tenant == TENANT
+        assert sample.backend == service.backend
+        assert sample.strategy == service.config.strategy.value
+        assert sample.values["logical_bytes"] == 2 * 64 * 8
+        assert sample.values["latency_s"] >= 0
 
     def test_restore_sample_reports_locality(self):
-        cluster = Cluster(4)
-        cfg = DumpConfig(replication_factor=2, chunk_size=64, f_threshold=1024)
-
-        def prog(comm):
-            rt = CheckpointRuntime(comm, cluster, cfg, interval=1)
-            rt.memory.register("x", np.full(256, float(comm.rank)))
-            rt.maybe_checkpoint(1)
-            rt.restart()
-            (sample,) = rt.timeline.samples(op="restore")
-            assert 0.0 <= sample.values["locality"] <= 1.0
-            return rt.timeline.sketch("restore", "latency_s").count
-
-        assert all(c == 1 for c in World(4).run(prog))
+        service, _registry, _states = one_checkpoint(4, 2, size=256)
+        service.restore(TENANT, 0, 0)
+        (sample,) = service.timeline.samples(op="restore")
+        assert 0.0 <= sample.values["locality"] <= 1.0
+        assert service.timeline.sketch("restore", "latency_s").count == 1
 
     def test_repair_lands_on_the_timeline(self):
-        cluster = Cluster(4)
-        cfg = DumpConfig(replication_factor=2, chunk_size=64, f_threshold=1024)
-
-        def prog(comm):
-            rt = CheckpointRuntime(comm, cluster, cfg, interval=1)
-            rt.memory.register("x", np.full(256, float(comm.rank)))
-            rt.maybe_checkpoint(1)
-            comm.barrier()
-            if comm.rank == 0:
-                cluster.fail_node(3)
-            comm.barrier()
-            rt.repair()
-            return rt.timeline.op_counts().get("repair", 0)
-
-        assert all(c == 1 for c in World(4).run(prog))
-
-    def test_shared_timeline_can_be_injected(self):
-        from repro.obs.timeline import TimelineStore
-
-        cluster = Cluster(2)
-        cfg = DumpConfig(replication_factor=2, chunk_size=64, f_threshold=1024)
-        stores = [TimelineStore(), TimelineStore()]
-
-        def prog(comm):
-            rt = CheckpointRuntime(
-                comm, cluster, cfg, interval=1, timeline=stores[comm.rank]
-            )
-            rt.memory.register("x", np.zeros(64))
-            rt.maybe_checkpoint(1)
-            return True
-
-        assert all(World(2).run(prog))
-        merged = TimelineStore()
-        for store in stores:
-            merged.merge(store)
-        assert merged.sketch("dump", "latency_s").count == 2
+        service, _registry, _states = one_checkpoint(4, 2, size=256)
+        service.cluster.fail_node(3)
+        service.repair()
+        assert service.timeline.op_counts().get("repair", 0) == 1

@@ -13,7 +13,6 @@ import pytest
 
 from repro.core import DumpConfig, Strategy, dump_output, restore_dataset
 from repro.core.runner import run_collective
-from repro.ftrt.runtime import run_checkpointed
 from repro.repair import repair_cluster, scan_cluster
 from repro.storage import Cluster, FailureInjector
 
@@ -288,26 +287,34 @@ class TestRepairEquivalence:
 
 class TestCheckpointRuntimeEquivalence:
     def test_run_checkpointed_merges_cluster_back(self):
+        """Application checkpoints through the service: a process-backend
+        run merges every rank's writes back into the service's cluster,
+        which ends up identical to a thread-backend run."""
+        from repro.apps.memory import MemoryRegistry
+        from repro.dst import cluster_digest
+        from repro.svc import CheckpointService
+
         observed = {}
         for backend in BACKENDS:
             cfg = DumpConfig(replication_factor=2, chunk_size=CS, f_threshold=4096)
-            cluster = Cluster(N)
-
-            def program(runtime):
-                data = bytearray(make_rank_dataset(runtime.comm.rank).to_bytes())
-                runtime.memory.register("state", data)
-                for step in range(1, 5):
-                    runtime.maybe_checkpoint(step)
-                return runtime.stats.checkpoints_taken
-
-            results = run_checkpointed(
-                N, cluster, cfg, interval=2, program=program,
-                backend=backend, timeout=TIMEOUT,
-            )
-            observed[backend] = (results, cluster_state(cluster))
+            service = CheckpointService(N, cfg, backend=backend, timeout=TIMEOUT)
+            service.register_tenant("app")
+            registry = MemoryRegistry()
+            states = [bytearray(make_rank_dataset(r).to_bytes()) for r in range(N)]
+            for rank, state in enumerate(states):
+                registry.register(rank, "state", state)
+            kinds = []
+            for step in range(1, 5):
+                for state in states:
+                    state[:8] = bytes([step]) * 8
+                if step % 2 == 0:
+                    service.submit("app", registry, kind="delta")
+                    kinds += [outcome.kind for outcome in service.drain()]
+            cluster = service.cluster
+            observed[backend] = (kinds, cluster_digest(cluster), cluster_state(cluster))
         assert observed["thread"] == observed["process"]
-        assert observed["process"][0] == [2] * N
-        # The parent-visible cluster holds every checkpoint's manifests.
-        for rank in range(N):
-            for dump_id in (0, 1):
-                assert cluster.find_manifest(rank, dump_id) is not None
+        assert observed["process"][0] == ["full", "delta"]
+        # The service's cluster holds every checkpoint's manifests.
+        for node in service.chain_of("app").nodes.values():
+            for rank in range(N):
+                assert cluster.find_manifest(rank, node.dump_id) is not None

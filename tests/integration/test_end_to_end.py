@@ -1,15 +1,41 @@
-"""End-to-end: real mini-apps checkpointing through the full stack, with
-failures, restarts and cross-strategy consistency."""
+"""End-to-end: real mini-apps checkpointing through the checkpoint service,
+with failures, restarts and cross-strategy consistency."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.apps.cm1 import CM1RankModel, VortexSpec
 from repro.apps.hpccg import HPCCGRankSolver
+from repro.apps.memory import MemoryRegistry
 from repro.core import DumpConfig, Strategy
-from repro.ftrt import CheckpointRuntime
 from repro.simmpi import World
 from repro.storage import Cluster, FailureInjector
+from repro.svc import CheckpointService
+
+ROOT = Path(__file__).resolve().parents[2]
+
+
+def checkpoint(service, registry):
+    service.submit("app", registry, kind="delta")
+    (outcome,) = service.drain()
+    return outcome
+
+
+def restart(service, registry, epoch):
+    for rank in range(service.n_ranks):
+        dataset, _report = service.restore("app", rank, epoch)
+        registry.restore(rank, dataset)
+
+
+def app_service(n, cfg):
+    service = CheckpointService(n, cfg)
+    service.register_tenant("app")
+    return service, MemoryRegistry()
 
 
 class TestHPCCGCheckpointRestart:
@@ -20,66 +46,81 @@ class TestHPCCGCheckpointRestart:
     K = 3
 
     def test_restart_resumes_identical_trajectory(self):
-        cluster = Cluster(self.N)
         cfg = DumpConfig(replication_factor=self.K, chunk_size=256,
                          f_threshold=8192)
-
-        def prog(comm):
-            solver = HPCCGRankSolver(6, 6, 6)
-            rt = CheckpointRuntime(comm, cluster, cfg, interval=10)
+        service, registry = app_service(self.N, cfg)
+        solvers = [HPCCGRankSolver(6, 6, 6) for _ in range(self.N)]
+        for rank, solver in enumerate(solvers):
             for name, arr in solver.solver_arrays().items():
                 if name != "indices":
-                    rt.memory.register(name, arr)
-            rt.memory.register("indices", solver.indices)
+                    registry.register(rank, name, arr)
+            registry.register(rank, "indices", solver.indices)
 
+        for solver in solvers:
             solver.iterate(10)
-            rt.maybe_checkpoint(10)
+        epoch = checkpoint(service, registry).tenant_dump_id
+        for solver in solvers:
             solver.iterate(10)  # work to be lost
-            reference_x = solver.x.copy()
+        references = [solver.x.copy() for solver in solvers]
 
-            # Disaster strikes: kill K-1 nodes (once, via rank 0).
-            comm.barrier()
-            if comm.rank == 0:
-                FailureInjector(cluster, seed=5).fail_random_nodes(self.K - 1)
-            comm.barrier()
+        # Disaster strikes: kill K-1 nodes.
+        FailureInjector(service.cluster, seed=5).fail_random_nodes(self.K - 1)
 
-            rt.restart()  # back to iteration 10
+        restart(service, registry, epoch)  # back to iteration 10
+        for solver, reference in zip(solvers, references):
             # The CG scalar state (_rs_old) must be re-derived on restart.
             solver._rs_old = float(solver.r @ solver.r)
             solver.iterate(10)  # redo the lost work
-            return np.allclose(solver.x, reference_x, rtol=1e-8)
-
-        assert all(World(self.N).run(prog))
+            assert np.allclose(solver.x, reference, rtol=1e-8)
 
 
 class TestCM1CheckpointRestart:
     def test_two_interval_checkpoints_like_paper(self):
         """70 steps, checkpoint every 30 (the paper's CM1 configuration,
         scaled down)."""
-        n = 4
-        cluster = Cluster(n)
+        n, px = 4, 2
         cfg = DumpConfig(replication_factor=2, chunk_size=256, f_threshold=8192)
-
-        def prog(comm):
-            px = 2
-            ix, iy = comm.rank % px, comm.rank // px
-            vortex = VortexSpec(center_x=16, center_y=16, radius=10)
+        service, registry = app_service(n, cfg)
+        vortex = VortexSpec(center_x=16, center_y=16, radius=10)
+        models = []
+        for rank in range(n):
+            ix, iy = rank % px, rank // px
             model = CM1RankModel(16, 16, 4, origin=(ix * 16, iy * 16), vortex=vortex)
-            rt = CheckpointRuntime(comm, cluster, cfg, interval=30)
             for name, arr in model.state_arrays().items():
-                rt.memory.register(name, arr)
-            for step in range(1, 71):
+                registry.register(rank, name, arr)
+            models.append(model)
+        outcomes = []
+        for step in range(1, 71):
+            for model in models:
                 model.step()
-                rt.maybe_checkpoint(step)
-            state_at_70 = model.fields["theta"].copy()
-            rt.restart()  # latest checkpoint: step 60
+            if step % 30 == 0:
+                outcomes.append(checkpoint(service, registry))
+        states_at_70 = [model.fields["theta"].copy() for model in models]
+        restart(service, registry, outcomes[-1].tenant_dump_id)  # step 60
+        assert [o.kind for o in outcomes] == ["full", "delta"]
+        for model, state_at_70 in zip(models, states_at_70):
             model.step(10)
-            return np.array_equal(model.fields["theta"], state_at_70), rt.stats
+            assert np.array_equal(model.fields["theta"], state_at_70)
 
-        results = World(n).run(prog)
-        for same, stats in results:
-            assert same
-            assert stats.checkpoints_taken == 2
+
+class TestCheckpointExamples:
+    """The application checkpoint examples run end to end."""
+
+    @pytest.mark.parametrize("script", [
+        "checkpoint_restart_hpccg.py",
+        "hurricane_cm1.py",
+        "multilevel_checkpointing.py",
+    ])
+    def test_example_exits_zero(self, script):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "examples" / script)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 class TestCrossStrategyConsistency:

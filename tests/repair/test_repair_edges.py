@@ -5,7 +5,6 @@ import pytest
 
 from repro.core import DumpConfig, Strategy, restore_dataset
 from repro.core.runner import run_collective
-from repro.ftrt.runtime import run_checkpointed
 from repro.repair import execute_repair, plan_repair, repair_cluster, scan_cluster
 from repro.storage import Cluster
 from repro.storage.manifest import Manifest
@@ -130,35 +129,34 @@ def test_later_dumps_stripe_rescues_what_the_first_dump_lost():
 def test_auto_repair_inside_an_existing_world(backend):
     # Every rank scans and plans on its own inside the running world and
     # all of them must arrive at the one schedule the executor needs.
+    from repro.apps.memory import MemoryRegistry
+    from repro.svc import CheckpointService
+
     n, k = 5, 3
     config = DumpConfig(replication_factor=k, chunk_size=CS, f_threshold=4096)
-    cluster = Cluster(n)
+    service = CheckpointService(n, config, backend=backend, timeout=60)
+    service.register_tenant("app")
+    registry = MemoryRegistry()
+    for rank in range(n):
+        data = bytearray(rank_dataset(rank, 0, 11, 7).to_bytes())
+        registry.register(rank, "state", data)
+    service.submit("app", registry)
+    service.drain()
+    cluster = service.cluster
 
-    def checkpoint(runtime):
-        data = bytearray(rank_dataset(runtime.comm.rank, 0, 11, 7).to_bytes())
-        runtime.memory.register("state", data)
-        runtime.maybe_checkpoint(1)
+    def repair(comm):
+        cluster.fail_node(2)  # every rank's failure detector agrees
+        scan = scan_cluster(cluster, k)
+        return execute_repair(comm, cluster, plan_repair(cluster, scan), scan)
 
-    run_checkpointed(
-        n, cluster, config, 1, checkpoint, backend=backend, timeout=60
+    reports, _world = run_collective(
+        n, repair, cluster=cluster, backend=backend, timeout=60
     )
-
-    def restart(runtime):
-        data = bytearray(len(rank_dataset(runtime.comm.rank, 0, 11, 7).to_bytes()))
-        runtime.memory.register("state", data)
-        runtime.cluster.fail_node(2)  # every rank's failure detector agrees
-        runtime.restart(dump_id=0)
-        return bytes(data), runtime.stats.repair_reports[0]
-
-    results = run_checkpointed(
-        n, cluster, config, 1, restart,
-        auto_repair=True, backend=backend, timeout=60,
-    )
-    reports = [report for _data, report in results]
     assert all(r.complete and r.chunks_moved > 0 for r in reports)
     merged = comparable_report(reports[0])
     assert all(comparable_report(r) == merged for r in reports)
-    for rank, (data, _report) in enumerate(results):
-        assert data == rank_dataset(rank, 0, 11, 7).to_bytes()
+    for rank in range(n):
+        dataset, _report = service.restore("app", rank, 0)
+        assert dataset.to_bytes() == rank_dataset(rank, 0, 11, 7).to_bytes()
     assert not cluster.nodes[2].alive
     assert scan_cluster(cluster, k).clean
