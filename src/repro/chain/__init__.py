@@ -1,8 +1,7 @@
 """repro.chain: incremental checkpoint chains.
 
 First-class chains of full + delta dumps with time-travel restore to any
-epoch, refcounted GC, compaction into synthetic fulls, and
-fragmentation-aware locality rewriting.  See
+epoch, refcounted GC and compaction into synthetic fulls.  See
 :class:`~repro.chain.manager.ChainManager` for the full story.
 """
 
@@ -12,7 +11,6 @@ from repro.chain.manager import (
     ChainDumpResult,
     ChainGCResult,
     ChainManager,
-    ChainRewriteResult,
 )
 from repro.chain.node import CHAIN_KINDS, ChainNode, chunk_slices
 
@@ -25,7 +23,6 @@ __all__ = [
     "ChainGCResult",
     "ChainManager",
     "ChainNode",
-    "ChainRewriteResult",
     "ChainStateError",
     "chunk_slices",
 ]

@@ -1,17 +1,21 @@
 """Incremental checkpoint chains: delta dumps, time-travel restore,
-refcounted GC, compaction and locality-aware rewriting.
+refcounted GC and compaction.
 
 A :class:`ChainManager` sits on top of the existing collective dump /
 batched restore / content-addressed store stack and records every dump as
 a chain node keyed by *epoch*:
 
 * a **full** dump stores a complete dataset per rank (the ordinary
-  collective dump);
-* a **delta** dump reuses the :class:`~repro.core.fpcache.FingerprintCache`
-  / ``dirty_regions`` machinery to fingerprint only the chunks the
-  application touched, diffs against the parent epoch's resolved chunk
-  set, and collectively dumps *only the changed chunks* — everything else
-  is referenced up the parent chain by digest.
+  collective dump); its ranks hash it, and the manager reads its columns
+  back from the manifests they write;
+* a **delta** dump fingerprints only the chunks the application touched
+  (the manager's per-rank :class:`~repro.core.fpcache.FingerprintCache`
+  fed by the workload's ``dirty_regions``), diffs against the parent
+  epoch's resolved chunk set, and collectively dumps *only the changed
+  chunks*, handing each rank its column of their fingerprints so nothing
+  is hashed twice — everything else is referenced up the parent chain by
+  digest.  The diff is positional on the fixed chunk grid, so under
+  content-defined chunking a requested delta is promoted to a full.
 
 Restore-to-any-epoch resolves the newest-wins chunk set by walking the
 chain from its base full through each delta, materialises a synthetic full
@@ -23,11 +27,7 @@ retires pruned epochs —
 replacing their cluster manifests with *pinned* subsets so inherited
 chunks stay referenced and repair-protected — and physically discards
 chunks whose last reference died.  Compaction rewrites a deep chain node
-into a synthetic full in place; the locality rewriter re-duplicates
-remote-heavy epochs' chunks onto the owning rank's node when the restore
-read pattern (the ``restore_locality`` gauge's fraction) degrades past a
-threshold — deliberately trading dedup for restore locality, as
-fragmentation-aware dedup systems do.
+into a synthetic full in place.
 
 Every mutation happens *parent-side* (the driving process), so thread and
 process SPMD backends produce byte-identical chains, clusters and
@@ -128,35 +128,6 @@ class ChainCompactResult:
     swept_epochs: Tuple[int, ...] = ()
 
 
-@dataclass
-class RankRewrite:
-    """Locality rewrite decision for one rank of one epoch."""
-
-    rank: int
-    locality_before: float
-    locality_after: float
-    chunks_copied: int
-    bytes_copied: int
-    rewritten: bool
-
-
-@dataclass
-class ChainRewriteResult:
-    """Outcome of a fragmentation-aware locality rewrite."""
-
-    epoch: int
-    threshold: float
-    ranks: List[RankRewrite] = field(default_factory=list)
-
-    @property
-    def chunks_copied(self) -> int:
-        return sum(r.chunks_copied for r in self.ranks)
-
-    @property
-    def bytes_copied(self) -> int:
-        return sum(r.bytes_copied for r in self.ranks)
-
-
 class ChainManager:
     """First-class incremental checkpoint chains over one cluster.
 
@@ -180,7 +151,7 @@ class ChainManager:
         that resolve to it (the service passes the tenant's name).
     trace:
         Optional :class:`~repro.simmpi.trace.Trace` for ``chain-*`` spans
-        and the ``chain_depth``/``chain_locality`` gauges.
+        and the ``chain_depth`` gauge.
     timeout:
         World timeout of the dump collectives (assignable between dumps).
     """
@@ -389,11 +360,13 @@ class ChainManager:
         """Dump the workload's current state as the next chain epoch.
 
         ``kind="delta"`` diffs against the tip epoch and dumps only the
-        changed chunks; it silently promotes to a full when there is no
-        live parent or the dataset geometry changed (shifted chunk
-        boundaries make positional diffing unsound).  Dirty-region hints
-        from the workload keep the parent-side fingerprinting incremental;
-        a missing hook only costs hashing time, never correctness.
+        changed chunks, whose fingerprints the ranks are handed instead of
+        hashing them again; it silently promotes to a full when there is no
+        live parent, the dataset geometry changed or the chunking is
+        content-defined (shifted chunk boundaries make positional diffing
+        unsound).  Dirty-region hints from the workload keep the
+        parent-side fingerprinting incremental; a missing hook only costs
+        hashing time, never correctness.
         """
         if kind not in ("full", "delta"):
             raise ChainStateError(
@@ -411,7 +384,9 @@ class ChainManager:
         ]
         lengths = [list(ds.segment_lengths) for ds in datasets]
         promoted = kind == "delta" and (
-            parent is None or lengths != parent.segment_lengths
+            parent is None
+            or lengths != parent.segment_lengths
+            or self.config.chunking == "cdc"
         )
         if promoted:
             kind = "full"
@@ -446,6 +421,9 @@ class ChainManager:
                 ]))
             total = sum(map(len, fps_new))
             parent_epoch: Optional[int] = parent.epoch
+            # One segment per changed chunk: the delta's fixed-grid column is
+            # what was diffed, so the ranks are handed it instead of hashing.
+            rank_fps: List[Optional[List[bytes]]] = node_fps
         else:
             # A full is hashed once, by its ranks: its columns are read back
             # from the manifests they write.  The caches go now and not on
@@ -456,6 +434,7 @@ class ChainManager:
             positions = [[] for _ in range(self.n)]
             dump_datasets = datasets
             parent_epoch = None
+            rank_fps = [None] * self.n
         dump_config = self.config.with_(chain_delta=kind == "delta")
 
         did = self._alloc_dump_id(dump_id)
@@ -465,7 +444,8 @@ class ChainManager:
 
             return dump_output(
                 comm, dump_datasets[comm.rank], dump_config, self.cluster,
-                dump_id=did, phase_hook=phase_hook,
+                dump_id=did, fingerprints=rank_fps[comm.rank],
+                phase_hook=phase_hook,
             )
 
         with self._span("chain-dump", epoch=epoch, kind=kind, dump_id=did):
@@ -726,75 +706,6 @@ class ChainManager:
             compacted=True,
             swept_epochs=swept,
         )
-
-    # -- locality rewriting -----------------------------------------------------
-    def rewrite_for_locality(
-        self, epoch: int, threshold: float = 0.5
-    ) -> ChainRewriteResult:
-        """Re-duplicate an epoch's remote chunks onto each rank's own node
-        when its restore read pattern degraded past ``threshold``.
-
-        Long chains fragment: a deep epoch's resolved set scatters across
-        whichever nodes its ancestors' dumps deduplicated onto, so the
-        ``restore_locality`` fraction (chunks served by the rank's own
-        node) decays.  For every rank below the threshold this copies the
-        remote chunks home — deliberately trading dedup savings back for
-        restore locality.  Pure duplication: restores stay byte-identical,
-        only their source pattern changes.
-        """
-        from repro.core.restore_plan import plan_restore
-
-        node = self.node_of(epoch)
-        if node.retired:
-            raise ChainStateError(
-                f"cannot rewrite pruned epoch {epoch}"
-            )
-        result = ChainRewriteResult(epoch=epoch, threshold=threshold)
-        self._tip = None
-        with self._span("chain-rewrite", epoch=epoch, threshold=threshold):
-            for rank in range(self.n):
-                own = self.cluster.node_of(rank)
-                manifest = self.synthetic_manifest(rank, epoch)
-                plan = plan_restore(
-                    self.cluster, rank, manifest, allow_reconstruct=False
-                )
-                n_distinct = len(plan.fps)
-                before = (
-                    len(plan.local_indices) / n_distinct
-                    if n_distinct else 1.0
-                )
-                if not own.alive or before >= threshold:
-                    result.ranks.append(RankRewrite(
-                        rank=rank, locality_before=before,
-                        locality_after=before, chunks_copied=0,
-                        bytes_copied=0, rewritten=False,
-                    ))
-                    continue
-                copied = 0
-                copied_bytes = 0
-                for node_id, indices in sorted(
-                    plan.remote_groups().items()
-                ):
-                    fps = [plan.fps[j] for j in indices]
-                    frames = self.cluster.nodes[node_id].chunks.get_many(fps)
-                    for fp, frame in zip(fps, frames):
-                        own.chunks.put(fp, frame)
-                        copied += 1
-                        copied_bytes += len(frame)
-                after_plan = plan_restore(
-                    self.cluster, rank, manifest, allow_reconstruct=False
-                )
-                after = (
-                    len(after_plan.local_indices) / n_distinct
-                    if n_distinct else 1.0
-                )
-                self._gauge("chain_locality", after)
-                result.ranks.append(RankRewrite(
-                    rank=rank, locality_before=before,
-                    locality_after=after, chunks_copied=copied,
-                    bytes_copied=copied_bytes, rewritten=True,
-                ))
-        return result
 
     # -- persistence ------------------------------------------------------------
     def to_blob(self) -> bytes:

@@ -21,12 +21,11 @@ Phases (each bracketed by a trace phase so the cost model can price them):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.chunking import Dataset
 from repro.core.config import DumpConfig, Strategy
-from repro.core.fingerprint import Fingerprinter
-from repro.core.fpcache import DirtyRegions, FingerprintCache
+from repro.core.fingerprint import Fingerprint, Fingerprinter
 from repro.core.global_dedup import build_global_view
 from repro.core.hmerge import GlobalView
 from repro.core.local_dedup import local_dedup_batched
@@ -87,10 +86,6 @@ class DumpReport:
     partners: List[int] = field(default_factory=list)
     manifest_bytes: int = 0
     parity_stripes: int = 0
-    #: chunks whose fingerprint came from the cross-dump cache (no re-hash)
-    cache_hits: int = 0
-    #: dataset bytes the hash phase skipped thanks to those hits
-    cache_bytes_skipped: int = 0
     #: True when the dump planned around dead nodes (at least one node down
     #: in the liveness snapshot taken at dump start)
     degraded: bool = False
@@ -146,8 +141,7 @@ def dump_output(
     config: DumpConfig,
     cluster: Cluster,
     dump_id: int = 0,
-    fpcache: Optional[FingerprintCache] = None,
-    dirty_regions: DirtyRegions = None,
+    fingerprints: Optional[Sequence[Fingerprint]] = None,
     phase_hook: Optional[Callable[[str, int], None]] = None,
 ) -> DumpReport:
     """Collectively dump ``dataset`` with replication factor ``config.K``.
@@ -169,15 +163,15 @@ def dump_output(
         :func:`repro.repair.repair_cluster` restores K).  Parity redundancy
         tolerates no dead node and raises :class:`StorageError` on every
         rank.
-    fpcache:
-        Optional per-rank :class:`~repro.core.fpcache.FingerprintCache`
-        carried across dumps.  With ``dirty_regions`` (see
-        :meth:`repro.apps.base.SegmentedWorkload.dirty_regions`) chunks
-        outside the declared dirty ranges reuse their cached fingerprint
-        and skip hashing; ``report.cache_hits``/``cache_bytes_skipped``
-        account the savings.  Fixed-size chunking only: content-defined
-        boundaries move with the content, so a cache keyed by chunk index
-        does not apply and is left untouched.
+    fingerprints:
+        Optional fixed-grid fingerprint column of ``dataset``, one per
+        chunk, which the caller already holds: the hash phase then hashes
+        nothing (``report.hashed_bytes == 0``).  The caller vouches for it;
+        :meth:`repro.chain.ChainManager.chain_dump` passes a delta's, which
+        it diffed before the collective, so a delta epoch is hashed once.
+        A column whose length is not the dataset's chunk count raises
+        ``ValueError``, and so does any column under ``chunking="cdc"``
+        (content-defined boundaries are not the grid it names).
     phase_hook:
         Optional callback invoked as ``hook(phase_name, rank)`` when this
         rank enters each trace phase — the failure-injection seam
@@ -194,8 +188,7 @@ def dump_output(
         k=config.effective_k(comm.size),
     ):
         return _dump_output_impl(
-            comm, dataset, config, cluster, dump_id, fpcache, dirty_regions,
-            phase_hook,
+            comm, dataset, config, cluster, dump_id, fingerprints, phase_hook,
         )
 
 
@@ -205,8 +198,7 @@ def _dump_output_impl(
     config: DumpConfig,
     cluster: Cluster,
     dump_id: int,
-    fpcache: Optional[FingerprintCache],
-    dirty_regions: DirtyRegions,
+    fingerprints: Optional[Sequence[Fingerprint]],
     phase_hook: Optional[Callable[[str, int], None]],
 ) -> DumpReport:
     rank, world = comm.rank, comm.size
@@ -239,7 +231,7 @@ def _dump_output_impl(
     # 3-stage pipeline: under no-dedup the Load vector is known from the
     # chunk count alone, so the window layout is agreed first and hash,
     # exchange and write run per batch (see repro.core.pipeline).
-    if pipeline_full_eligible(config, fpcache, alive):
+    if pipeline_full_eligible(config, fingerprints, alive):
         return pipelined_no_dedup_dump(
             comm, dataset, config, cluster, dump_id, report, enter_phase,
             fingerprinter,
@@ -251,22 +243,13 @@ def _dump_output_impl(
         # boundaries come from is the only place the dump looks at
         # ``chunking``; everything downstream works on the LocalIndex.
         boundaries = chunk_boundaries(dataset, config)
-        if boundaries is not None:
-            fpcache = None
-        if fpcache is not None:
-            fpcache.ensure_compatible(config.chunk_size, config.effective_hash_name)
         index = local_dedup_batched(
             dataset,
             fingerprinter,
             config.chunk_size,
-            cache=fpcache,
-            dirty_regions=dirty_regions,
+            fingerprints=fingerprints,
             boundaries=boundaries,
         )
-        if fpcache is not None:
-            stats = fpcache.take_stats()
-            report.cache_hits = stats.hits
-            report.cache_bytes_skipped = stats.bytes_skipped
         comm.trace.record_chunks(index.total_chunks, dataset.nbytes)
         comm.trace.annotate(
             chunks=index.total_chunks,

@@ -5,11 +5,13 @@ state — CG iterations touch the solver vectors but not the operator, a
 weather model's calm subdomains stay bitwise constant.  Keller & Bautista
 Gomez's *Application-Level Differential Checkpointing* observes that the
 unchanged part needn't be re-hashed at all.  :class:`FingerprintCache`
-implements that for the dump hot path: a per-rank cache of chunk
-fingerprints keyed by ``(segment index, chunk index)``, consulted by
-:func:`repro.core.local_dedup.local_dedup_batched` with a *dirty-region*
+implements that for chain deltas: a per-rank cache of chunk fingerprints
+keyed by ``(segment index, chunk index)``, kept parent-side by
+:class:`repro.chain.ChainManager` and consulted with a *dirty-region*
 description supplied by the application (see
-:meth:`repro.apps.base.SegmentedWorkload.dirty_regions`).
+:meth:`repro.apps.base.SegmentedWorkload.dirty_regions`).  The manager
+diffs the column it returns and hands the changed fingerprints to the
+ranks, so a delta's chunks are hashed once, here.
 
 Safety model: a chunk's cached fingerprint is reused only when
 
@@ -48,7 +50,7 @@ class _SegmentEntry:
 
 @dataclass
 class CacheStats:
-    """Accounting of one dump's cache effectiveness (feeds ``DumpReport``)."""
+    """Accounting of one dump's cache effectiveness."""
 
     hits: int = 0
     misses: int = 0

@@ -79,8 +79,7 @@ def local_dedup_batched(
     fingerprinter: Fingerprinter,
     chunk_size: int,
     keep_payloads: bool = True,
-    cache=None,
-    dirty_regions=None,
+    fingerprints: Optional[Sequence[Fingerprint]] = None,
     boundaries: Optional[Sequence[Sequence[int]]] = None,
 ) -> LocalIndex:
     """Chunk + fingerprint a dataset and collapse local duplicates.
@@ -105,13 +104,19 @@ def local_dedup_batched(
     builds a fingerprints-only index (used by the deterministic global
     simulator, which never moves real chunk bytes).
 
-    ``cache``/``dirty_regions`` plug in a cross-dump
-    :class:`~repro.core.fpcache.FingerprintCache`: clean chunks reuse their
-    cached fingerprint and skip hashing entirely (differential-checkpointing
-    style); payloads still come from the live dataset views.  The cache is
-    keyed by fixed-grid chunk index, so it is not consulted when
-    ``boundaries`` are given.
+    ``fingerprints`` is the dataset's fixed-grid fingerprint column, known
+    to the caller already (a chain delta's, diffed by the manager): nothing
+    is hashed and the caller vouches for it, as the caller of
+    :func:`~repro.core.restore.restore_from_manifest` vouches for a
+    synthetic manifest; payloads still come from the live dataset views.
+    A column whose length is not the grid's chunk count, or one given with
+    ``boundaries``, raises ``ValueError``.
     """
+    if fingerprints is not None and boundaries is not None:
+        raise ValueError(
+            "a fingerprint column names fixed-grid chunks; content-defined "
+            "boundaries cut others"
+        )
     seg_views = [dataset.segment(i) for i in range(dataset.num_segments)]
     seg_lengths = np.asarray(dataset.segment_lengths, dtype=np.int64)
     if boundaries is not None:
@@ -124,13 +129,19 @@ def local_dedup_batched(
         )
         per_segment = np.asarray([len(ends) for ends in boundaries], dtype=np.int64)
     else:
-        if cache is not None:
-            fps = cache.fingerprint_dataset(dataset, fingerprinter, dirty_regions)
+        per_segment = -(-seg_lengths // chunk_size)  # chunks per segment
+        if fingerprints is not None:
+            fps = list(fingerprints)
+            n_chunks = int(per_segment.sum())
+            if len(fps) != n_chunks:
+                raise ValueError(
+                    f"a column of {len(fps)} fingerprints for a dataset of "
+                    f"{n_chunks} chunks of {chunk_size} B"
+                )
         else:
             fps = []
             for view in seg_views:
                 fps.extend(fingerprinter.fingerprint_segment(view, chunk_size))
-        per_segment = -(-seg_lengths // chunk_size)  # chunks per segment
 
     index = LocalIndex()
     index.order = fps

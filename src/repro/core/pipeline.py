@@ -90,22 +90,24 @@ def pipeline_eligible(
 
 
 def pipeline_full_eligible(
-    config: DumpConfig, fpcache, alive: Optional[Sequence[bool]] = None
+    config: DumpConfig,
+    fingerprints: Optional[Sequence[Fingerprint]],
+    alive: Optional[Sequence[bool]] = None,
 ) -> bool:
     """True when the dump may take the 3-stage hash→exchange→write form.
 
     Requires no-dedup and fixed-size chunking (the Load vector must be
     known before hashing: the chunk count follows from the segment lengths
     on the fixed grid, but from the content under CDC), raw payloads
-    (compression changes wire sizes mid-stream) and no fingerprint cache
-    (the cache API wants whole-dataset resolution).
+    (compression changes wire sizes mid-stream) and no given fingerprint
+    column (a given column means the strict path).
     """
     return (
         pipeline_eligible(config, alive)
         and config.strategy is Strategy.NO_DEDUP
         and config.chunking == "fixed"
         and config.compress is None
-        and fpcache is None
+        and fingerprints is None
     )
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.restore import verify_restorable
@@ -43,12 +43,6 @@ VERDICT_SCHEMA_ID = "repro.dst/verdict/v1"
 #: mutation names accepted by ``execute_scenario(bug=...)`` — deliberate
 #: correctness bugs used to prove the harness actually catches violations
 BUGS = ("drop-replica",)
-
-#: report fields excluded from the digest: a rank-side fingerprint cache's
-#: hit counters, which only a thread-backend cache can move (per-rank
-#: caches do not survive the process backend's forks); left out, digests
-#: compare across backends and with those of earlier commits.
-_BACKEND_SPECIFIC_FIELDS = ("cache_hits", "cache_bytes_skipped")
 
 #: SLO configuration armed on every scenario.  Queue-wait
 #: ticks are pure logical time, so the alert timeline joins the verdict's
@@ -157,19 +151,6 @@ def _inject_drop_replica(cluster: Cluster) -> Optional[str]:
     return None
 
 
-def _normalized_report(report) -> dict:
-    """Full report as a plain dict, minus backend-specific fields."""
-    doc = {
-        name: getattr(report, name)
-        for name in report.__dataclass_fields__
-        if name not in _BACKEND_SPECIFIC_FIELDS
-    }
-    doc["sent_per_partner"] = list(report.sent_per_partner)
-    doc["load"] = list(report.load)
-    doc["partners"] = list(report.partners)
-    return doc
-
-
 def cluster_digest(cluster: Cluster) -> str:
     """Deterministic digest of the full cluster state: per-node chunk
     refcounts, byte accounting, manifest blobs, parity records and liveness.
@@ -201,7 +182,7 @@ def cluster_digest(cluster: Cluster) -> str:
 
 def reports_digest(all_reports: List[List]) -> str:
     """Deterministic digest over every dump's normalized per-rank reports."""
-    doc = [[_normalized_report(r) for r in reports] for reports in all_reports]
+    doc = [[asdict(r) for r in reports] for reports in all_reports]
     blob = json.dumps(doc, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()
 
@@ -576,7 +557,7 @@ def execute_scenario(
             alive[crash.node] = False
             ledger.record_death()
         step_doc["dump_id"] = dump_id
-        step_doc["reports"] = [_normalized_report(r) for r in reports]
+        step_doc["reports"] = [asdict(r) for r in reports]
         step_doc["invariants_checked"] += ["window-layout", "report-sanity"]
         found = inv.check_window_layout(step_idx, reports, k_eff, snapshot)
         found += inv.check_report_sanity(

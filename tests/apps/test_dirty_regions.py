@@ -96,14 +96,16 @@ class TestEndToEndCaching:
         rank, n_ranks = 0, 8
         ds = w.build_dataset(rank, n_ranks)
         cache = FingerprintCache(CS)
-        cold = local_dedup_batched(ds, Fingerprinter(), CS, cache=cache)
+        cold = local_dedup_batched(ds, Fingerprinter(), CS)
+        cache.fingerprint_dataset(ds, Fingerprinter())
+        cache.take_stats()
 
         ds2 = w.build_dataset(rank, n_ranks)
         fpr = Fingerprinter()
-        warm = local_dedup_batched(
-            ds2, fpr, CS, cache=cache,
-            dirty_regions=w.dirty_regions(rank, n_ranks),
+        column = cache.fingerprint_dataset(
+            ds2, fpr, w.dirty_regions(rank, n_ranks)
         )
+        warm = local_dedup_batched(ds2, Fingerprinter(), CS, fingerprints=column)
         assert warm.order == cold.order
         assert list(warm.unique.items()) == list(cold.unique.items())
         stats = cache.take_stats()

@@ -193,7 +193,7 @@ OPS = st.one_of(
         ("delta", "delta", "full", "reload", "failed", "failed-full")
     )),
     st.tuples(
-        st.sampled_from(("prune", "compact", "rewrite")),
+        st.sampled_from(("prune", "compact")),
         st.integers(min_value=0, max_value=7),
     ),
 )
@@ -220,10 +220,9 @@ def assert_carried_tip_is_the_walk(manager):
 @example(seed=3, ops=[("failed-full",)])  # warm caches, then a full that raises
 @example(seed=3, ops=[("failed",), ("failed-full",), ("compact", 1)])
 def test_carried_tip_equals_the_walk_under_any_interleaving(seed, ops):
-    """Dumps, prune, compact, rewrite_for_locality, save/load and a failed
-    dump in any order: the carried tip is always what the walk resolves,
-    and the next delta is the one a manager that never carried anything
-    produces."""
+    """Dumps, prune, compact, save/load and a failed dump in any order:
+    the carried tip is always what the walk resolves, and the next delta
+    is the one a manager that never carried anything produces."""
     import copy
     import tempfile
 
@@ -259,10 +258,8 @@ def test_carried_tip_equals_the_walk_under_any_interleaving(seed, ops):
             epoch = live[op[1] % len(live)]
             if op[0] == "prune":
                 manager.prune(epoch)
-            elif op[0] == "compact":
-                manager.compact(epoch)
             else:
-                manager.rewrite_for_locality(epoch, threshold=1.01)
+                manager.compact(epoch)
         assert_carried_tip_is_the_walk(manager)
 
     # The same next epoch through a manager rebuilt from the blob over a copy

@@ -2,8 +2,8 @@
 
 The algebraic/property layer lives in ``test_chain_algebra.py``; here every
 manager operation is exercised directly — dump kinds and promotion, epoch
-resolution, time-travel restore, prune/pin/sweep, compaction, locality
-rewriting, persistence and the error surface.
+resolution, time-travel restore, prune/pin/sweep, compaction, persistence
+and the error surface.
 """
 
 import copy
@@ -187,6 +187,46 @@ class TestDump:
         grown.epoch = workload.epoch + 1
         result = manager.chain_dump(grown, kind="delta")
         assert result.kind == "full" and result.promoted
+
+    def test_cdc_delta_promotes_to_a_full_that_restores(self):
+        """The diff is positional on the fixed grid, while the ranks cut
+        content-defined chunks: a CDC delta is dumped as a full, so every
+        epoch restores byte-equal and the index sizes no chunk as 0."""
+        n = 4
+        config = DumpConfig(replication_factor=2, chunking="cdc")
+        manager = ChainManager(Cluster(n), config, n)
+        workload = MutatingWorkload(seed=1, dirty_frac=0.3)
+        manager.chain_dump(workload, kind="full")
+        workload.advance()
+        result = manager.chain_dump(workload)
+        assert (result.kind, result.promoted) == ("full", True)
+        assert result.changed_chunks == result.total_chunks
+        for epoch in (0, 1):
+            for rank in range(n):
+                dataset, _ = manager.restore_epoch(rank, epoch)
+                assert dataset.to_bytes() == oracle(workload, epoch, rank, n)
+        assert all(entry.size > 0 for _fp, entry in manager.index.items())
+
+    def test_a_delta_is_hashed_once_by_the_manager(self):
+        """A delta's ranks are handed the fingerprints the manager diffed
+        and hash nothing; a full's ranks hash every byte they dump."""
+        manager = ChainManager(
+            Cluster(N), DumpConfig(replication_factor=2, chunk_size=CHUNK), N
+        )
+        workload = MutatingWorkload(seed=3, chunk_size=CHUNK)
+        full = manager.chain_dump(workload, kind="full")
+        hashed = sum(r.hashed_bytes for r in full.reports)
+        assert hashed == sum(len(oracle(workload, 0, rank)) for rank in range(N))
+        for _ in range(2):
+            workload.advance()
+            delta = manager.chain_dump(workload)
+            assert delta.kind == "delta" and delta.changed_chunks > 0
+            assert sum(r.n_chunks for r in delta.reports) == delta.changed_chunks
+            assert sum(r.hashed_bytes for r in delta.reports) == 0
+        for epoch in range(3):
+            for rank in range(N):
+                dataset, _ = manager.restore_epoch(rank, epoch)
+                assert dataset.to_bytes() == oracle(workload, epoch, rank)
 
     def test_dump_ids_monotonic_and_recorded(self):
         manager, _ = make_chain(depth=3)
@@ -475,30 +515,6 @@ class TestBrokenChain:
             for rank in range(N):
                 dataset, _ = manager.restore_epoch(rank, epoch)
                 assert dataset.to_bytes() == oracle(workload, epoch, rank)
-
-
-class TestLocalityRewrite:
-    def test_rewrite_raises_locality_and_preserves_bytes(self):
-        manager, workload = make_chain(depth=5, dirty_frac=0.25)
-        result = manager.rewrite_for_locality(5, threshold=1.01)
-        assert any(r.rewritten for r in result.ranks)
-        for r in result.ranks:
-            assert r.locality_after >= r.locality_before
-        for rank in range(N):
-            dataset, report = manager.restore_epoch(rank, 5)
-            assert dataset.to_bytes() == oracle(workload, 5, rank)
-
-    def test_rewrite_noop_above_threshold(self):
-        manager, _ = make_chain(depth=1)
-        result = manager.rewrite_for_locality(1, threshold=0.0)
-        assert all(not r.rewritten for r in result.ranks)
-        assert result.chunks_copied == 0
-
-    def test_rewrite_pruned_epoch_rejected(self):
-        manager, _ = make_chain(depth=1)
-        manager.prune(0)
-        with pytest.raises(ChainStateError, match="pruned"):
-            manager.rewrite_for_locality(0)
 
 
 class TestPersistence:

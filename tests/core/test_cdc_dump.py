@@ -6,7 +6,7 @@ import hashlib
 import pytest
 
 from repro.core import Dataset, DumpConfig, Strategy, dump_output, restore_dataset
-from repro.simmpi import World
+from repro.simmpi import World, WorldError
 from repro.storage import Cluster
 
 
@@ -75,24 +75,30 @@ class TestCDCDump:
             assert exchange.chunks == r.sent_chunks
 
     def test_fingerprint_cache_is_left_untouched(self):
-        """The cache is keyed by fixed-grid chunk index; a CDC dump neither
-        reads nor fills it."""
+        """A cache's column names fixed-grid chunks: a CDC dump refuses it
+        before anything is stored."""
+        from repro.core.fingerprint import Fingerprinter
         from repro.core.fpcache import FingerprintCache
 
         n = 3
         cfg = DumpConfig(replication_factor=2, chunk_size=1024, chunking="cdc")
         cluster = Cluster(n)
-        caches = [FingerprintCache(1024) for _ in range(n)]
-        reports = World(n).run(
-            lambda comm: dump_output(
-                comm, self.make_dataset(comm.rank), cfg, cluster,
-                fpcache=caches[comm.rank], dirty_regions=[[], []],
+        columns = [
+            FingerprintCache(1024).fingerprint_dataset(
+                self.make_dataset(rank), Fingerprinter()
             )
-        )
-        assert all(r.cache_hits == 0 for r in reports)
-        assert all(len(cache) == 0 for cache in caches)
-        for rank in range(n):
-            assert restore_dataset(cluster, rank)[0] == self.make_dataset(rank)
+            for rank in range(n)
+        ]
+        with pytest.raises(WorldError, match="ValueError.*fixed-grid"):
+            World(n).run(
+                lambda comm: dump_output(
+                    comm, self.make_dataset(comm.rank), cfg, cluster,
+                    fingerprints=columns[comm.rank],
+                )
+            )
+        for node in cluster.nodes:
+            assert node.chunks.chunk_count == 0
+            assert not node.manifest_keys()
 
     def test_cdc_survives_shift_fixed_does_not(self):
         """On byte-shifted shared data, CDC still finds the cross-rank

@@ -1,10 +1,15 @@
 """The DUMP_OUTPUT collective: storage outcomes, accounting, invariants."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import Dataset, DumpConfig, Strategy, dump_output
+from repro.core.dump import DumpReport
+from repro.core.fingerprint import Fingerprinter
 from repro.core.hmerge import GlobalView, MergeEntry
-from repro.simmpi import World
+from repro.core.local_dedup import local_dedup_batched
+from repro.simmpi import World, WorldError
 from repro.storage import Cluster
 
 from tests.conftest import make_rank_dataset
@@ -209,6 +214,44 @@ class TestEdgeCases:
         reports, cluster = run_dump(4, Strategy.COLL_DEDUP, dataset_factory=factory)
         for rank, r in enumerate(reports):
             assert r.n_chunks == rank + 1
+
+
+class TestGivenFingerprints:
+    def test_a_column_of_the_wrong_length_raises_and_stores_nothing(self):
+        n = 3
+        cfg = DumpConfig(replication_factor=2, chunk_size=CS)
+        cluster = Cluster(n)
+        datasets = [make_rank_dataset(rank) for rank in range(n)]
+        columns = [
+            local_dedup_batched(ds, Fingerprinter(), CS).order[:-1]
+            for ds in datasets
+        ]
+        with pytest.raises(WorldError, match="ValueError.*a column of"):
+            World(n).run(
+                lambda comm: dump_output(
+                    comm, datasets[comm.rank], cfg, cluster,
+                    fingerprints=columns[comm.rank],
+                )
+            )
+        for node in cluster.nodes:
+            assert node.chunks.chunk_count == 0
+            assert not node.manifest_keys()
+
+
+class TestReportFields:
+    def test_field_names_are_pinned(self):
+        """Every per-rank outcome of a dump, by name: a new field shows up
+        here, beside ``DumpConfig``'s in ``test_config.py``."""
+        assert [f.name for f in dataclasses.fields(DumpReport)] == [
+            "rank", "strategy", "k", "n_chunks", "dataset_bytes",
+            "hashed_bytes", "local_unique_chunks", "local_unique_bytes",
+            "view_entries", "view_bytes", "reduction_rounds",
+            "discarded_chunks", "stored_chunks", "stored_bytes",
+            "received_chunks", "received_bytes", "sent_chunks", "sent_bytes",
+            "sent_per_partner", "load", "shuffle_position", "partners",
+            "manifest_bytes", "parity_stripes", "degraded", "dropped_chunks",
+            "dropped_bytes",
+        ]
 
 
 class TestCallers:

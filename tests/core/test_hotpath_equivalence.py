@@ -263,14 +263,17 @@ class TestLocalDedupEquivalence:
 
     @given(segments=segments_strategy)
     def test_warm_cache_index_identical_to_cold(self, segments):
+        """A column from a warm cache, handed in, builds the index a cold
+        hash builds, and the index hashes nothing."""
         ds = Dataset(segments)
         cache = FingerprintCache(CHUNK)
-        cold = local_dedup_batched(ds, Fingerprinter(), CHUNK, cache=cache)
+        cold = local_dedup_batched(ds, Fingerprinter(), CHUNK)
+        cache.fingerprint_dataset(ds, Fingerprinter())
         all_clean = [[] for _ in segments]
+        column = cache.fingerprint_dataset(ds, Fingerprinter(), all_clean)
+        assert cache.take_stats().bytes_hashed == ds.nbytes  # the cold call
         fpr = Fingerprinter()
-        warm = local_dedup_batched(
-            ds, fpr, CHUNK, cache=cache, dirty_regions=all_clean
-        )
+        warm = local_dedup_batched(ds, fpr, CHUNK, fingerprints=column)
         assert warm.order == cold.order
         assert list(warm.unique.items()) == list(cold.unique.items())
         assert fpr.hashed_bytes == 0
@@ -278,7 +281,7 @@ class TestLocalDedupEquivalence:
 
 # -- full dump ----------------------------------------------------------------
 
-def run_dump(n, datasets, caches=None, dirty=None, k=3, dump_id=0,
+def run_dump(n, datasets, columns=None, k=3, dump_id=0,
              cluster=None, strategy=Strategy.COLL_DEDUP):
     cfg = DumpConfig(
         replication_factor=k, chunk_size=CS, strategy=strategy,
@@ -293,21 +296,28 @@ def run_dump(n, datasets, caches=None, dirty=None, k=3, dump_id=0,
             cfg,
             cluster,
             dump_id,
-            fpcache=caches[comm.rank] if caches else None,
-            dirty_regions=dirty[comm.rank] if dirty else None,
+            fingerprints=columns[comm.rank] if columns else None,
         )
     )
     return reports, cluster
 
 
 def report_key(report):
-    """Every accounting field of a DumpReport except the hash-work fields
-    the cache is *supposed* to change (hashed_bytes, cache stats)."""
+    """Every accounting field of a DumpReport except the hash work a given
+    column is *supposed* to change (hashed_bytes)."""
     d = dict(vars(report))
-    d.pop("cache_hits")
-    d.pop("cache_bytes_skipped")
     d.pop("hashed_bytes")
     return d
+
+
+def cached_columns(caches, datasets, dirty=None):
+    """Each rank's column through its parent-side cache, and the stats of
+    that call."""
+    columns = [
+        cache.fingerprint_dataset(ds, Fingerprinter(), dirty[r] if dirty else None)
+        for r, (cache, ds) in enumerate(zip(caches, datasets))
+    ]
+    return columns, [cache.take_stats() for cache in caches]
 
 
 class TestDumpEquivalence:
@@ -321,23 +331,27 @@ class TestDumpEquivalence:
         datasets = [Dataset([shared, base[r]]) for r in range(n)]
         caches = [FingerprintCache(CS) for _ in range(n)]
 
-        run_dump(n, datasets, caches=caches, dump_id=0)
+        columns, _stats = cached_columns(caches, datasets)
+        run_dump(n, datasets, columns=columns, dump_id=0)
 
         # Iterate: mutate one chunk of each rank's unique segment.
         for r in range(n):
             base[r][3 * CS] ^= 0xFF
         dirty = [[[], [(3 * CS, 3 * CS + 1)]] for _ in range(n)]
 
+        columns, stats = cached_columns(caches, datasets, dirty)
         warm_reports, warm_cluster = run_dump(
-            n, datasets, caches=caches, dirty=dirty, dump_id=1
+            n, datasets, columns=columns, dump_id=1
         )
         cold_reports, cold_cluster = run_dump(n, datasets, dump_id=1)
 
-        for wr, cr in zip(warm_reports, cold_reports):
+        for st, wr, cr in zip(stats, warm_reports, cold_reports):
             assert report_key(wr) == report_key(cr)
-            assert wr.cache_hits == 15  # 16 chunks per rank, 1 dirty
-            assert wr.cache_bytes_skipped == 15 * CS
-            assert wr.hashed_bytes == CS  # only the dirty chunk was hashed
+            assert st.hits == 15  # 16 chunks per rank, 1 dirty
+            assert st.bytes_skipped == 15 * CS
+            assert st.bytes_hashed == CS  # only the dirty chunk was hashed
+            assert wr.hashed_bytes == 0  # and the ranks hashed nothing
+            assert cr.hashed_bytes == 16 * CS
         for rank in range(n):
             warm_restored, _ = restore_dataset(warm_cluster, rank, 1)
             cold_restored, _ = restore_dataset(cold_cluster, rank, 1)
@@ -346,17 +360,20 @@ class TestDumpEquivalence:
 
     def test_lying_free_fallback_when_no_dirty_info(self):
         """No dirty_regions hook: the cache must rehash everything and the
-        dump must still be byte-identical to an uncached one."""
+        dump of its column must still be byte-identical to an uncached one."""
         n = 4
         datasets = [make_rank_dataset(r, chunk_size=CS) for r in range(n)]
         caches = [FingerprintCache(CS) for _ in range(n)]
-        run_dump(n, datasets, caches=caches, dump_id=0)
+        columns, _stats = cached_columns(caches, datasets)
+        run_dump(n, datasets, columns=columns, dump_id=0)
+        columns, stats = cached_columns(caches, datasets)
         cached_reports, cached_cluster = run_dump(
-            n, datasets, caches=caches, dump_id=1
+            n, datasets, columns=columns, dump_id=1
         )
         plain_reports, _ = run_dump(n, datasets, dump_id=1)
-        for cr, pr in zip(cached_reports, plain_reports):
-            assert cr.cache_hits == 0
+        for st, ds, cr, pr in zip(stats, datasets, cached_reports, plain_reports):
+            assert st.hits == 0
+            assert st.bytes_hashed == ds.nbytes
             assert report_key(cr) == report_key(pr)
         for rank in range(n):
             restored, _ = restore_dataset(cached_cluster, rank, 1)

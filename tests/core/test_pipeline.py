@@ -87,19 +87,19 @@ class TestEligibility:
 
     def test_full_form_needs_no_dedup_fixed_uncompressed_no_cache(self):
         base = cfg(strategy=Strategy.NO_DEDUP)
-        assert pipeline_full_eligible(base, fpcache=None)
+        assert pipeline_full_eligible(base, fingerprints=None)
         assert not pipeline_full_eligible(
-            cfg(strategy=Strategy.COLL_DEDUP), fpcache=None
+            cfg(strategy=Strategy.COLL_DEDUP), fingerprints=None
         )
         assert not pipeline_full_eligible(
-            cfg(strategy=Strategy.NO_DEDUP, compress="rle"), fpcache=None
+            cfg(strategy=Strategy.NO_DEDUP, compress="rle"), fingerprints=None
         )
         # CDC's chunk count depends on the content, so the Load vector is
         # not known before hashing.
         assert not pipeline_full_eligible(
-            cfg(strategy=Strategy.NO_DEDUP, chunking="cdc"), fpcache=None
+            cfg(strategy=Strategy.NO_DEDUP, chunking="cdc"), fingerprints=None
         )
-        assert not pipeline_full_eligible(base, fpcache=object())
+        assert not pipeline_full_eligible(base, fingerprints=[])
 
 
 class TestByteIdentity:
