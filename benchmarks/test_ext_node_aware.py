@@ -2,27 +2,41 @@
 
 Under *block* rank placement (12 consecutive ranks per node), rank-level
 replicas pile onto one node: naive partners ``i+1, i+2`` usually share the
-sender's node, and even natural replicas may be co-located.  The
-node-aware mode makes designation, top-up counting and the shuffle all
-operate on distinct *nodes*.  This bench measures the node-distinct
-replication factor actually achieved, and what the fix costs in traffic.
+sender's node, and even natural replicas may be co-located.  A dump placed
+against the machine's rank -> node map makes designation, top-up counting
+and the shuffle all operate on distinct *nodes*.  This bench measures the
+node-distinct replication factor actually achieved, and what it costs in
+traffic, against the paper's rank-granular placement (the identity map).
 (The main benches use cyclic placement, where the naive relation already
 reaches remote nodes — see MachineProfile.placement.)
 """
 
-from repro.analysis.experiments import hpccg_runner
+from repro.analysis.experiments import PAPER_F_THRESHOLD, hpccg_runner
 from repro.analysis.tables import format_table
-from repro.core import Strategy
+from repro.core import DumpConfig, Strategy
 from repro.netsim.machine import MachineProfile
+from repro.sim import compute_metrics, simulate_dump
 
 N = 204  # 17 nodes x 12 ranks
 K = 3
 
 
 def run_modes(runner):
-    plain = runner.run(N, Strategy.COLL_DEDUP, k=K, node_aware=False)
-    aware = runner.run(N, Strategy.COLL_DEDUP, k=K, node_aware=True)
-    return plain, aware
+    """Node-distinct metrics of the paper's placement (identity map) and of
+    the placement against the machine's map."""
+    rank_to_node = runner.machine.rank_to_node(N)
+    indices = runner.indices(N)
+    config = DumpConfig(
+        replication_factor=K, chunk_size=runner.chunk_size,
+        f_threshold=PAPER_F_THRESHOLD,
+    )
+    return [
+        compute_metrics(
+            indices, simulate_dump(indices, config, rank_to_node=placed),
+            rank_to_node=rank_to_node,
+        )
+        for placed in (list(range(N)), rank_to_node)
+    ]
 
 
 def test_ext_node_aware(benchmark, hpccg):
@@ -30,16 +44,18 @@ def test_ext_node_aware(benchmark, hpccg):
         machine=MachineProfile.shamrock().with_(placement="block")
     )
     runner._index_cache = hpccg._index_cache  # reuse the expensive indices
-    plain, aware = benchmark.pedantic(run_modes, args=(runner,), rounds=1, iterations=1)
+    plain, aware = benchmark.pedantic(
+        run_modes, args=(runner,), rounds=1, iterations=1
+    )
+    scale = runner.volume_scale(N)
 
-    def row(name, run):
-        scale = run.volume_scale
+    def row(name, metrics):
         return [
             name,
-            run.metrics.effective_replication_min,
-            run.metrics.node_replication_min,
-            f"{run.metrics.sent_total_bytes * scale / 1e9:.1f}",
-            f"{run.metrics.recv_max * scale / 1e9:.2f}",
+            metrics.effective_replication_min,
+            metrics.node_replication_min,
+            f"{metrics.sent_total_bytes * scale / 1e9:.1f}",
+            f"{metrics.recv_max * scale / 1e9:.2f}",
         ]
 
     print()
@@ -52,16 +68,16 @@ def test_ext_node_aware(benchmark, hpccg):
     ))
 
     # The paper's rank-level guarantee holds either way ...
-    assert plain.metrics.effective_replication_min >= K
-    # ... but node-level protection needs the extension.  The window-based
-    # exchange can still co-locate a top-up copy with a designated rank
-    # across the shuffle's wrap-around seam, so the worst chunk may sit one
-    # node short of K; rank-aware mode bottoms out at a single node.
-    assert plain.metrics.node_replication_min == 1
-    assert aware.metrics.node_replication_min > plain.metrics.node_replication_min
-    assert aware.metrics.node_replication_min >= K - 1
-    # The fix costs extra traffic (co-located natural replicas get topped
-    # up), but far less than falling back to local-dedup would.
-    assert aware.metrics.sent_total_bytes >= plain.metrics.sent_total_bytes
+    assert plain.effective_replication_min >= K
+    # ... but node-level protection needs the machine's map.  The window-based
+    # exchange can still co-locate a copy with a designated rank across the
+    # shuffle's wrap-around seam, so the worst chunk may sit one node short
+    # of K; rank-granular placement bottoms out at a single node.
+    assert plain.node_replication_min == 1
+    assert aware.node_replication_min > plain.node_replication_min
+    assert aware.node_replication_min >= K - 1
+    # Node placement costs extra traffic (co-located natural replicas get
+    # topped up), but far less than falling back to local-dedup would.
+    assert aware.sent_total_bytes >= plain.sent_total_bytes
     local = runner.run(N, Strategy.LOCAL_DEDUP, k=K)
-    assert aware.metrics.sent_total_bytes < local.metrics.sent_total_bytes
+    assert aware.sent_total_bytes < local.metrics.sent_total_bytes

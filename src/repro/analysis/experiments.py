@@ -90,22 +90,23 @@ class WorkloadRunner:
         k: int = 3,
         shuffle: bool = True,
         f_threshold: int = PAPER_F_THRESHOLD,
-        node_aware: bool = False,
         dedup_domain_size=None,
     ) -> ExperimentRun:
-        """Simulate + price one dump configuration."""
+        """Simulate + price one dump configuration.
+
+        Placement is the paper's, rank-granular; the machine's rank -> node
+        map only prices the dump and counts node-distinct replicas."""
         config = DumpConfig(
             replication_factor=k,
             chunk_size=self.chunk_size,
             f_threshold=f_threshold,
             strategy=strategy,
             shuffle=shuffle,
-            node_aware=node_aware,
             dedup_domain_size=dedup_domain_size,
         )
         indices = self.indices(n_ranks)
         rank_to_node = self.machine.rank_to_node(n_ranks)
-        result = simulate_dump(indices, config, rank_to_node=rank_to_node)
+        result = simulate_dump(indices, config)
         metrics = compute_metrics(indices, result, rank_to_node=rank_to_node)
         scale = self.volume_scale(n_ranks)
         breakdown = dump_time(result, self.machine, volume_scale=scale)

@@ -259,11 +259,14 @@ def cmd_repair(args) -> None:
 def cmd_trace_record(args) -> None:
     """Record a span-level synthetic full through the service and write
     the run snapshot of the collective's per-rank traces."""
+    from repro.core.fingerprint import FAST_HASH_NAME
     from repro.obs import capture_run, write_chrome_trace, write_run
 
     n = args.n
-    config = _config(args, pipelined=args.pipelined, integrity=args.integrity,
-                     trace_level="span")
+    config = _config(
+        args, pipelined=args.pipelined, trace_level="span",
+        hash_name=FAST_HASH_NAME if args.integrity == "fast" else "sha1",
+    )
     outcome = _synthetic_full(args, _service(args, config))
     run = capture_run(
         outcome.traces,
@@ -543,8 +546,10 @@ def cmd_serve(args) -> None:
     their bytes (the cross-tenant redundancy the service dedups), submits
     ``--dumps`` rounds of dumps through the admission queue, and prints
     the per-tenant bill, cross-tenant savings, store shape and queue
-    health.  ``--out`` writes the service's ``repro.obs/run/v1`` metrics
-    snapshot (queue depth, admission latency, dedup-ratio gauges).
+    health.  ``--ranks-per-node R`` hosts the ranks R to a node in blocks,
+    and every dump places its replicas off the sender's node.  ``--out``
+    writes the service's ``repro.obs/run/v1`` metrics snapshot (queue
+    depth, admission latency, dedup-ratio gauges).
     ``--slo`` arms the default burn-rate objectives over the service
     timeline (the report gains an SLO section); ``--top-every N``
     repaints a one-line live dashboard every N service ticks.
@@ -558,8 +563,12 @@ def cmd_serve(args) -> None:
         format_top,
     )
 
-    service = _service(args, shard_count=args.shards,
+    if args.ranks_per_node < 1:
+        raise SystemExit(f"--ranks-per-node must be >= 1, not {args.ranks_per_node}")
+    rank_to_node = [rank // args.ranks_per_node for rank in range(args.n)]
+    service = _service(args, shard_count=args.shards, rank_to_node=rank_to_node,
                        max_inflight=args.max_inflight, attribution=args.attribution)
+    print(f"placement: {args.n} ranks on {len(service.cluster.nodes)} nodes")
     quota = TenantQuota(max_logical_bytes=args.quota_bytes,
                         max_dumps_per_window=args.quota_rate)
     if args.slo:
@@ -833,6 +842,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "every other tenant")
     _world_args(sv, n=4, k=2, chunks_per_rank=16, chunk_size=256,
                 n_help="ranks per dump")
+    sv.add_argument("--ranks-per-node", type=int, default=1, metavar="R",
+                    help="ranks per node, placed in blocks (ranks 0..R-1 "
+                    "on node 0, ...); replicas avoid their sender's node")
     sv.add_argument("--shards", type=int, default=8,
                     help="chunk-store shards per node")
     sv.add_argument("--max-inflight", type=int, default=2,

@@ -24,12 +24,7 @@ from repro.core.fingerprint import Fingerprinter
 from repro.core.fpcache import FingerprintCache
 from repro.core.local_dedup import LocalIndex, local_dedup_batched
 from repro.core.hmerge import GlobalView, MergeTable, hmerge
-from repro.core.shuffle import (
-    identity_shuffle,
-    node_aware_shuffle,
-    partners_of,
-    rank_shuffle,
-)
+from repro.core.shuffle import identity_shuffle, partners_of, rank_shuffle
 from repro.core.offsets import WindowLayout, window_layout
 from repro.core.planner import ReplicationPlan, build_plan
 from repro.core.dump import DumpReport, dump_output
@@ -58,7 +53,6 @@ __all__ = [
     "join_chunks",
     "load_input",
     "local_dedup_batched",
-    "node_aware_shuffle",
     "partners_of",
     "rank_shuffle",
     "restore_dataset",

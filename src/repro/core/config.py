@@ -62,18 +62,20 @@ class DumpConfig:
     hash_name:
         Fingerprint function (``sha1`` as in the paper; ``blake2b`` and
         ``md5`` supported for the speed/collision trade-off noted in Sec. IV).
+        ``"xx128"`` is the vectorised non-crypto kernel (see
+        :mod:`repro.core.fingerprint`), which batch-hashes whole segments
+        with numpy; dedup/restore semantics are unchanged, but keep a
+        cryptographic hash wherever fingerprints double as verification.
     strategy:
         Which of the three evaluated strategies to run.
     shuffle:
         Enable Algorithm 2's load-aware partner selection (the paper's
         ``coll-shuffle`` vs ``coll-no-shuffle`` ablation).  Ignored by the
         two baseline strategies, which the paper defines with naive
-        ``i+1..i+K-1`` partner selection.
-    node_aware:
-        Extension (paper §VI future work): additionally prefer partners on
-        distinct *nodes* during the shuffle, so replicas actually protect
-        against node failures when several ranks share a node.  Only
-        meaningful with ``shuffle=True`` under coll-dedup.
+        ``i+1..i+K-1`` partner selection.  Where several ranks share a node
+        there is no switch: designation, top-up counting and the shuffle
+        always work on the cluster's ``rank_to_node`` map, so a replica
+        lands off its sender's node where one can.
     chunking:
         ``"fixed"`` (the paper: chunks = memory pages of ``chunk_size``) or
         ``"cdc"`` — content-defined boundaries with ``chunk_size`` as the
@@ -95,7 +97,6 @@ class DumpConfig:
     hash_name: str = "sha1"
     strategy: Strategy = Strategy.COLL_DEDUP
     shuffle: bool = True
-    node_aware: bool = False
     chunking: str = "fixed"
     compress: Optional[str] = None
     #: "replication" (the paper) or "parity" (§VI extension): chunks without
@@ -117,13 +118,6 @@ class DumpConfig:
     #: spans and metrics — see :mod:`repro.obs`).  ``None`` defers to
     #: ``REPRO_TRACE``, then leaves the rank's trace untouched.
     trace_level: Optional[str] = None
-    #: Fingerprint integrity mode: ``"crypto"`` (the paper: ``hash_name``
-    #: as configured, collision-resistant) or ``"fast"`` — the vectorised
-    #: non-crypto ``xx128`` kernel (see :mod:`repro.core.fingerprint`),
-    #: which batch-hashes whole segments with numpy and overrides
-    #: ``hash_name``.  Dedup/restore semantics are unchanged; pick
-    #: ``"crypto"`` wherever fingerprints double as verification.
-    integrity: str = "crypto"
     #: Pipelined dump: process the exchange + write phases (and, under
     #: no-dedup, the hash phase too) as a double-buffered pipeline over
     #: chunk batches instead of strict barriers, so a rank's store writes
@@ -178,22 +172,13 @@ class DumpConfig:
                     f"trace_level must be one of {TRACE_LEVELS}, "
                     f"got {self.trace_level!r}"
                 )
-        if self.integrity not in ("crypto", "fast"):
-            raise ValueError(
-                f"integrity must be 'crypto' or 'fast', got {self.integrity!r}"
-            )
         object.__setattr__(self, "strategy", Strategy.parse(self.strategy))
         if self.redundancy == "parity" and self.strategy is not Strategy.COLL_DEDUP:
             raise ValueError("parity redundancy requires the coll-dedup strategy")
 
     @property
     def effective_hash_name(self) -> str:
-        """The fingerprint algorithm actually run: ``hash_name`` under
-        ``integrity="crypto"``, the vectorised ``xx128`` under ``"fast"``."""
-        if self.integrity == "fast":
-            from repro.core.fingerprint import FAST_HASH_NAME
-
-            return FAST_HASH_NAME
+        """The fingerprint algorithm the dump runs: ``hash_name``."""
         return self.hash_name
 
     @property

@@ -40,7 +40,6 @@ from repro.core.planner import ReplicationPlan, build_plan
 from repro.core.shuffle import (
     identity_shuffle,
     inverse_positions,
-    node_aware_shuffle,
     partners_of,
     rank_shuffle,
     senders_to,
@@ -282,10 +281,10 @@ def _dump_output_impl(
     report.local_unique_chunks = index.unique_chunks
     report.local_unique_bytes = index.unique_bytes
 
-    # Phase 2: collective reduction (coll-dedup only).  Node-aware mode
-    # feeds the static rank->node mapping into designation and top-up
-    # decisions (extension, paper Sec. VI).
-    node_of = list(cluster.rank_to_node) if config.node_aware else None
+    # Phase 2: collective reduction (coll-dedup only).  Designation, top-up
+    # coverage and the shuffle all place against the cluster's rank->node
+    # map: a replica on its sender's node does not survive that node.
+    node_of = cluster.rank_to_node
     view: Optional[GlobalView] = None
     if strategy is Strategy.COLL_DEDUP:
         with comm.trace.phase("reduction") as counters:
@@ -315,7 +314,7 @@ def _dump_output_impl(
         k_eff,
         world,
         dedup_local=strategy is not Strategy.NO_DEDUP,
-        node_of=node_of if strategy is Strategy.COLL_DEDUP else None,
+        node_of=node_of,
         topup=not parity_mode,
         alive=alive,
     )
@@ -331,10 +330,7 @@ def _dump_output_impl(
     with comm.trace.span("shuffle"):
         if strategy is Strategy.COLL_DEDUP and config.shuffle:
             totals = [sum(row[1:]) for row in send_load]
-            if config.node_aware:
-                shuffle = node_aware_shuffle(totals, k_eff, cluster.rank_to_node)
-            else:
-                shuffle = rank_shuffle(totals, k_eff)
+            shuffle = rank_shuffle(totals, k_eff, node_of)
         else:
             shuffle = identity_shuffle(world)
         positions = inverse_positions(shuffle)

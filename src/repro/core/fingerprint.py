@@ -6,7 +6,7 @@ other hash functions if a better trade-off between performance and collision
 chance is desired".  :class:`Fingerprinter` is that pluggable point; the
 supported algorithms cover the spectrum from crypto-grade (sha1, sha256) to
 fast (blake2b with a 16-byte digest, md5) to the vectorised non-crypto
-``xx128`` used by ``DumpConfig(integrity="fast")``.
+``xx128`` (``DumpConfig(hash_name="xx128")``).
 
 ``xx128`` is a position-keyed 128-bit mix computed with numpy: a whole
 segment's chunks are viewed as an ``(n_chunks, words)`` uint64 matrix and
@@ -16,7 +16,7 @@ per-chunk Python/hashlib overhead disappears from the hash phase
 platform-independent
 (little-endian word packing) and identical between the scalar and batch
 entry points, but it is *not* collision-resistant against adversarial
-input; keep ``integrity="crypto"`` where verification matters.
+input; keep a cryptographic hash where verification matters.
 
 Thread-safety contract: a :class:`Fingerprinter` belongs to one rank (one
 thread/process).  The hashed-byte accounting is batch-accumulated — one
@@ -45,7 +45,7 @@ _ALGORITHMS: Dict[str, Tuple[Callable[[bytes], "hashlib._Hash"], int]] = {
     "blake2b": (partial(hashlib.blake2b, digest_size=16), 16),
 }
 
-#: The vectorised non-crypto algorithm selected by ``integrity="fast"``.
+#: The vectorised non-crypto algorithm (``--integrity fast`` on the CLI).
 FAST_HASH_NAME = "xx128"
 _FAST_DIGEST_SIZE = 16
 

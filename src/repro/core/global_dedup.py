@@ -15,6 +15,7 @@ Two entry points compute the same global view:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.fingerprint import Fingerprint
@@ -32,23 +33,25 @@ def build_global_view(
 ) -> Tuple[GlobalView, MergeTable]:
     """Run the collective reduction; returns (view, final merge table).
 
-    ``node_of`` (rank -> node, identical on all ranks) enables node-aware
-    designated-rank truncation — see :class:`~repro.core.hmerge.MergeTable`.
+    ``node_of`` (rank -> node, identical on all ranks) is the cluster's map
+    every merge truncates designated ranks against (see
+    :func:`~repro.core.hmerge.hmerge`); it is configuration, so it stays
+    off the wire.
     """
     # world_rank keeps designated-rank ids global even when ``comm`` is a
     # sub-communicator (dedup domains).
-    table = MergeTable.from_local(
-        local_fingerprints, comm.world_rank, k, f, node_of=node_of
-    )
+    table = MergeTable.from_local(local_fingerprints, comm.world_rank, k, f)
     with comm.trace.span("hmerge", table_entries=len(table.fps)):
-        merged = collectives.allreduce(comm, table, hmerge)
+        merged = collectives.allreduce(comm, table, partial(hmerge, node_of=node_of))
     return GlobalView.from_table(merged), merged
 
 
 def reduction_merge_tree(
     tables: Sequence[MergeTable],
+    node_of=None,
 ) -> Tuple[MergeTable, List[int]]:
-    """Merge per-rank tables in the exact tree shape of the allreduce.
+    """Merge per-rank tables in the exact tree shape of the allreduce, each
+    merge against the rank -> node map ``node_of``.
 
     Returns the final table plus the per-round table sizes in bytes (one
     entry per communication round of a single lane), which the cost model
@@ -72,7 +75,7 @@ def reduction_merge_tree(
     for nr in range(p2):
         if nr < rem:
             fold_bytes = max(fold_bytes, tables[2 * nr + 1].nbytes_estimate())
-            lanes.append(hmerge(tables[2 * nr], tables[2 * nr + 1]))
+            lanes.append(hmerge(tables[2 * nr], tables[2 * nr + 1], node_of))
         else:
             lanes.append(tables[nr + rem])
     if rem:
@@ -83,7 +86,9 @@ def reduction_merge_tree(
     # pair suffices — i.e. merge adjacent lanes repeatedly.
     while len(lanes) > 1:
         level_nbytes.append(max(t.nbytes_estimate() for t in lanes))
-        lanes = [hmerge(lanes[i], lanes[i + 1]) for i in range(0, len(lanes), 2)]
+        lanes = [
+            hmerge(lanes[i], lanes[i + 1], node_of) for i in range(0, len(lanes), 2)
+        ]
 
     if rem:
         # Folded-out ranks receive the final table back: one more round.
@@ -107,8 +112,8 @@ def simulate_global_view(
     if rank_ids is None:
         rank_ids = range(len(per_rank_fingerprints))
     tables = [
-        MergeTable.from_local(fps, rank, k, f, node_of=node_of)
+        MergeTable.from_local(fps, rank, k, f)
         for rank, fps in zip(rank_ids, per_rank_fingerprints)
     ]
-    merged, level_nbytes = reduction_merge_tree(tables)
+    merged, level_nbytes = reduction_merge_tree(tables, node_of)
     return GlobalView.from_table(merged), merged, level_nbytes

@@ -160,21 +160,15 @@ class MergeTable(_Columns):
     algorithms use the arrays.
     """
 
-    __slots__ = ("fps", "freq", "ranks", "load_arr", "k", "f", "node_of")
+    __slots__ = ("fps", "freq", "ranks", "load_arr", "k", "f")
 
-    def __init__(self, k: int, f: int, node_of: Optional[Sequence[int]] = None) -> None:
+    def __init__(self, k: int, f: int) -> None:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         if f < 1:
             raise ValueError(f"f must be >= 1, got {f}")
         self.k = k
         self.f = f
-        #: optional rank -> node mapping (static configuration, identical on
-        #: every rank, NOT wire data): when set, rank-list truncation prefers
-        #: evicting ranks whose node is already represented, so the surviving
-        #: designated set spans as many distinct nodes as possible
-        #: (node-aware extension, paper Sec. VI).
-        self.node_of = node_of
         self.fps = np.empty(0, dtype="S1")
         self.freq = np.empty(0, dtype=np.int64)
         self.ranks = np.full((0, k), PAD, dtype=np.int32)
@@ -188,7 +182,6 @@ class MergeTable(_Columns):
         rank: int,
         k: int,
         f: int,
-        node_of: Optional[Sequence[int]] = None,
     ) -> "MergeTable":
         """Initial table of one rank: every locally unique fingerprint with
         frequency 1 and itself as the only designated rank.
@@ -197,7 +190,7 @@ class MergeTable(_Columns):
         deterministic subset (smallest fingerprints) is selected — the same
         relaxation the merge applies, pushed to the leaves.
         """
-        table = cls(k, f, node_of=node_of)
+        table = cls(k, f)
         # Sort and drop neighbours by hand: np.unique imports numpy.ma on its
         # first string call, about 15 ms in every forked rank.
         column = np.sort(_column(list(fingerprints)))
@@ -273,11 +266,11 @@ def _evict_overflow(
     """Reduce every row of ``ranks`` to at most ``k`` valid entries.
 
     Each vectorised round evicts, from every still-overflowing row, the
-    designated rank with the highest load — restricted, in node-aware mode,
-    to ranks on already-duplicated nodes when any exist.  Equal loads are
-    tie-broken by a deterministic per-(entry, rank) hash: without it every
-    row of a round would evict the *same* rank (rows see identical loads),
-    which is exactly the herding the load balancing exists to avoid.
+    designated rank with the highest load — restricted, given a rank ->
+    node map, to ranks on already-duplicated nodes when any exist.  Equal
+    loads are tie-broken by a deterministic per-(entry, rank) hash: without
+    it every row of a round would evict the *same* rank (rows see identical
+    loads), which is exactly the herding the load balancing exists to avoid.
     Evictions of one round are applied to ``load`` simultaneously; rows are
     ordered by fingerprint (the caller passes them sorted), so the result
     is symmetric in the merge arguments.
@@ -346,9 +339,16 @@ def _evict_overflow(
     return ranks
 
 
-def hmerge(a: MergeTable, b: MergeTable) -> MergeTable:
+def hmerge(
+    a: MergeTable, b: MergeTable, node_of: Optional[Sequence[int]] = None
+) -> MergeTable:
     """Merge two tables: sum frequencies, bound rank lists to K dropping the
     most-loaded ranks first, keep the F most frequent fingerprints.
+
+    ``node_of`` (rank -> node, the cluster's static map, identical on every
+    rank) makes rank-list truncation evict ranks whose node is already
+    represented first, so the surviving designated set spans as many
+    distinct nodes as possible.  On one rank per node it changes nothing.
 
     Pure (inputs are not mutated) — required because the threads-based
     substrate passes objects by reference, so a mutating operator would
@@ -360,8 +360,7 @@ def hmerge(a: MergeTable, b: MergeTable) -> MergeTable:
             f"(k={a.k}, f={a.f}) vs (k={b.k}, f={b.f})"
         )
     k, f = a.k, a.f
-    node_of = a.node_of if a.node_of is not None else b.node_of
-    out = MergeTable(k, f, node_of=node_of)
+    out = MergeTable(k, f)
     load = _merge_loads(a, b)
 
     if not len(a.fps) and not len(b.fps):

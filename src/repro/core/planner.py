@@ -118,8 +118,8 @@ def build_plan(
         ``False`` reproduces no-dedup: every chunk occurrence (duplicates
         included) is stored and replicated.
     node_of:
-        Optional rank -> node mapping (node-aware extension).  When set,
-        replication coverage is counted in *distinct nodes*: natural copies
+        The cluster's rank -> node map (``None``: one rank per node).
+        Replication coverage is counted in *distinct nodes*: natural copies
         sharing a node count once, so co-located replicas get topped up.
     topup:
         ``True`` (the paper): missing replicas are filled with full copies

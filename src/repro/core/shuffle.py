@@ -11,6 +11,12 @@ non-advancing inner loop (``j`` and ``tail`` are never updated); we
 implement the evident intent — repeatedly emit the heaviest remaining rank
 followed by the ``K-1`` lightest remaining ranks — which reproduces the
 paper's Figure 2 outcome.
+
+Placement is against the cluster's rank -> node map (the paper runs 12
+ranks per node): a replica on its sender's node does not survive that
+node, so the shuffle keeps each partner window on distinct nodes where it
+can.  On one rank per node that constraint never binds and the order is
+the paper's.
 """
 
 from __future__ import annotations
@@ -18,7 +24,11 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 
-def rank_shuffle(send_totals: Sequence[int], k: int) -> List[int]:
+def rank_shuffle(
+    send_totals: Sequence[int],
+    k: int,
+    rank_to_node: Optional[Sequence[int]] = None,
+) -> List[int]:
     """Compute the shuffled rank order (position -> rank).
 
     Parameters
@@ -28,66 +38,36 @@ def rank_shuffle(send_totals: Sequence[int], k: int) -> List[int]:
         must send to its partners; index = rank.
     k:
         Replication factor; each head rank is followed by ``k-1`` tail ranks.
+    rank_to_node:
+        Which node hosts each rank (default: one rank per node).  A replica
+        on its sender's node does not survive that node, so each next entry
+        prefers a candidate on a node different from the previous ``k-1``
+        entries — the ranks whose partner window it joins — draining
+        crowded nodes first.  When no such candidate remains (fewer nodes
+        than K), the load-preferred one is taken.  With one rank per node
+        every remaining candidate is on a fresh node with one rank left, so
+        the order is exactly Algorithm 2's head/tail interleaving.
+
+        The choice looks back only: nothing keeps the last ``k-1``
+        positions off the nodes of the first ones they wrap around to.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     n = len(send_totals)
-    # Descending load; ties broken by ascending rank id for determinism.
-    order = sorted(range(n), key=lambda r: (-send_totals[r], r))
-    shuffle: List[int] = []
-    head, tail = 0, n - 1
-    while head <= tail:
-        shuffle.append(order[head])
-        head += 1
-        for _ in range(k - 1):
-            if head > tail:
-                break
-            shuffle.append(order[tail])
-            tail -= 1
-    return shuffle
-
-
-def identity_shuffle(n: int) -> List[int]:
-    """The naive ordering used by no-dedup/local-dedup and coll-no-shuffle."""
-    return list(range(n))
-
-
-def node_aware_shuffle(
-    send_totals: Sequence[int], k: int, rank_to_node: Sequence[int]
-) -> List[int]:
-    """Topology-aware variant of :func:`rank_shuffle` (paper §VI future work).
-
-    With several ranks per node, the naive ``i+1..i+K-1`` partner relation
-    places most replicas on the *same node* as the sender — useless against
-    node failure.  This selector keeps Algorithm 2's head/tail interleaving
-    (so receive sizes stay balanced) but, when choosing each next entry,
-    prefers a candidate hosted on a node different from the previous
-    ``k-1`` entries — the ranks whose partner window it will join.
-
-    Falls back to the load-preferred candidate when no node-distinct one
-    exists (e.g. fewer nodes than K).
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    n = len(send_totals)
+    if rank_to_node is None:
+        rank_to_node = list(range(n))
     if len(rank_to_node) != n:
         raise ValueError("rank_to_node must map every rank")
+    # Descending load; ties broken by ascending rank id for determinism.
     order = sorted(range(n), key=lambda r: (-send_totals[r], r))
     remaining_per_node: dict = {}
-    for rank in range(n):
-        node = rank_to_node[rank]
+    for node in rank_to_node:
         remaining_per_node[node] = remaining_per_node.get(node, 0) + 1
     shuffle: List[int] = []
 
-    def recent_nodes() -> set:
-        return {rank_to_node[r] for r in shuffle[-(k - 1) :]} if k > 1 else set()
-
     def take(preference: List[int]) -> None:
-        """Append a candidate on a fresh node, draining crowded nodes first
-        (greedily preserving node diversity for later windows); fall back to
-        the most load-preferred candidate when no fresh node remains."""
-        avoid = recent_nodes()
-        fresh = [c for c in preference if rank_to_node[c] not in avoid]
+        recent = {rank_to_node[r] for r in shuffle[-(k - 1) :]} if k > 1 else set()
+        fresh = [c for c in preference if rank_to_node[c] not in recent]
         if fresh:
             pick = max(fresh, key=lambda c: remaining_per_node[rank_to_node[c]])
         else:
@@ -103,6 +83,11 @@ def node_aware_shuffle(
                 break
             take(order[::-1])  # lightest remaining (tail)
     return shuffle
+
+
+def identity_shuffle(n: int) -> List[int]:
+    """The naive ordering used by no-dedup/local-dedup and coll-no-shuffle."""
+    return list(range(n))
 
 
 def inverse_positions(shuffle: Sequence[int]) -> List[int]:

@@ -212,13 +212,12 @@ def decode_region_unique(
 
 _MT_MAGIC = b"RMT1"
 _MT_SCHEMA = Schema(
-    scalars=("k", "f", "has_node_of"),
+    scalars=("k", "f"),
     columns=(
         ("fps", DIGEST),
         ("freq", "i8"),
         ("ranks", "i4"),  # k per fingerprint, PAD-filled
         ("load_arr", "i8"),
-        ("node_of", "i8"),
     ),
 )
 
@@ -237,8 +236,8 @@ def encode_merge_table(table) -> bytes:
     return frame.encode(
         _MT_MAGIC,
         _MT_SCHEMA,
-        (table.k, table.f, table.node_of is not None),
-        (table.fps, table.freq, table.ranks, table.load_arr, table.node_of or ()),
+        (table.k, table.f),
+        (table.fps, table.freq, table.ranks, table.load_arr),
     )
 
 
@@ -250,14 +249,12 @@ def decode_merge_table(blob):
     """
     from repro.core.hmerge import MergeTable
 
-    (k, f, has_node_of), (fps, freq, ranks, load_arr, node_of) = frame.decode(
-        _MT_MAGIC, blob, _MT_SCHEMA
-    )
+    (k, f), (fps, freq, ranks, load_arr) = frame.decode(_MT_MAGIC, blob, _MT_SCHEMA)
     n = len(fps)
-    if len(freq) != n or len(ranks) != n * k or has_node_of not in (0, 1):
+    if len(freq) != n or len(ranks) != n * k:
         raise FrameError(
             f"RMT1: {n} fingerprints with {len(freq)} frequencies and "
-            f"{len(ranks)} ranks at k={k}, has_node_of={has_node_of}"
+            f"{len(ranks)} ranks at k={k}"
         )
     try:
         table = MergeTable(k, f)
@@ -267,8 +264,6 @@ def decode_merge_table(blob):
     # back strips NULs, and nothing does (see ``MergeTable.entries``).
     table.fps = fps.view(f"S{fps.dtype.itemsize}")
     table.freq, table.ranks, table.load_arr = freq, ranks.reshape(n, k), load_arr
-    if has_node_of:
-        table.node_of = tuple(node_of.tolist())
     return table
 
 

@@ -192,7 +192,8 @@ class Scenario:
     #: either way, which is exactly what the invariant oracles then re-prove
     pipelined: bool = False
     #: fingerprint integrity mode: ``"crypto"`` (sha1) or ``"fast"`` (the
-    #: vectorised non-cryptographic xx128 kernel)
+    #: vectorised non-cryptographic xx128 kernel); :meth:`dump_config`
+    #: maps it to ``DumpConfig.hash_name``
     integrity: str = "crypto"
     #: ``"fresh"`` — every dump gets new data (independent checkpoints);
     #: ``"repeat"`` — every dump is a full of dump 0's very content, so a
@@ -342,6 +343,7 @@ class Scenario:
     def dump_config(self, trace_level: Optional[str] = None):
         """The :class:`~repro.core.config.DumpConfig` this scenario runs."""
         from repro.core.config import DumpConfig, Strategy
+        from repro.core.fingerprint import FAST_HASH_NAME
 
         return DumpConfig(
             replication_factor=self.k,
@@ -352,7 +354,7 @@ class Scenario:
             redundancy=self.redundancy,
             compress=self.compress,
             pipelined=self.pipelined,
-            integrity=self.integrity,
+            hash_name=FAST_HASH_NAME if self.integrity == "fast" else "sha1",
             trace_level=trace_level,
         )
 

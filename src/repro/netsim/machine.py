@@ -28,7 +28,7 @@ class MachineProfile:
     #: replicas on "K-1 other *remote nodes*"; with the naive i+1..i+K-1
     #: partner relation that only holds under cyclic (round-robin) rank
     #: placement, so cyclic is the faithful default.  Block placement is
-    #: kept for the node-aware extension study (bench X4), where same-node
+    #: kept for the node-placement study (bench X4), where same-node
     #: partners are precisely the failure mode under test.
     placement: str = "cyclic"
 

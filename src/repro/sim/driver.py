@@ -24,7 +24,6 @@ from repro.core.planner import ReplicationPlan, build_plan
 from repro.core.shuffle import (
     identity_shuffle,
     inverse_positions,
-    node_aware_shuffle,
     partners_of,
     rank_shuffle,
 )
@@ -60,8 +59,12 @@ def simulate_dump(
 
     ``indices[r]`` must be rank r's :class:`LocalIndex` (payloads optional —
     only ``order``, ``counts`` and ``chunk_sizes`` are consulted).
-    ``rank_to_node`` is only consulted by the node-aware partner selection
-    (``config.node_aware``); it defaults to one rank per node.
+    ``rank_to_node`` is the placement map, as ``Cluster.rank_to_node`` is
+    for :func:`~repro.core.dump.dump_output`: designation, top-up coverage
+    and the shuffle keep replicas off their sender's node where they can.
+    It defaults to one rank per node, which is the paper's rank-granular
+    placement; pass a machine's map only to place against it (a machine
+    map for the node-distinct *metrics* goes to ``compute_metrics``).
     """
     world = len(indices)
     if world < 1:
@@ -82,18 +85,13 @@ def simulate_dump(
 
     # Phase 2: collective reduction (coll-dedup only), replayed on the exact
     # merge tree of the recursive-doubling allreduce.
-    node_of = None
-    if config.node_aware:
-        node_of = (
-            list(range(world)) if rank_to_node is None else list(rank_to_node)
-        )
     view: Optional[GlobalView] = None
     view_of_rank: Optional[List[GlobalView]] = None
     if strategy is Strategy.COLL_DEDUP:
         if config.dedup_domain_size is None:
             view, _table, level_nbytes = simulate_global_view(
                 [idx.counts.keys() for idx in indices], k_eff, config.f_threshold,
-                node_of=node_of,
+                node_of=rank_to_node,
             )
             result.reduction_level_nbytes = level_nbytes
         else:
@@ -108,7 +106,7 @@ def simulate_dump(
                     [indices[r].counts.keys() for r in ranks],
                     k_eff,
                     config.f_threshold,
-                    node_of=node_of,
+                    node_of=rank_to_node,
                     rank_ids=ranks,
                 )
                 for r in ranks:
@@ -134,7 +132,7 @@ def simulate_dump(
             k_eff,
             world,
             dedup_local=strategy is not Strategy.NO_DEDUP,
-            node_of=node_of if strategy is Strategy.COLL_DEDUP else None,
+            node_of=rank_to_node,
         )
         for rank in range(world)
     ]
@@ -143,13 +141,7 @@ def simulate_dump(
 
     if strategy is Strategy.COLL_DEDUP and config.shuffle:
         totals = [sum(row[1:]) for row in send_load]
-        if config.node_aware:
-            mapping = (
-                list(range(world)) if rank_to_node is None else list(rank_to_node)
-            )
-            shuffle = node_aware_shuffle(totals, k_eff, mapping)
-        else:
-            shuffle = rank_shuffle(totals, k_eff)
+        shuffle = rank_shuffle(totals, k_eff, rank_to_node)
     else:
         shuffle = identity_shuffle(world)
     result.shuffle = shuffle

@@ -668,9 +668,10 @@ class Cluster:
     """All nodes of the machine; the restore path's lookup service.
 
     One node per rank by default (the paper runs 12 ranks/node; pass a
-    ``rank_to_node`` map to model that — used by the node-distinct
-    replication metric, while placement itself stays rank-granular like the
-    paper's library).
+    ``rank_to_node`` map to model that).  Every dump places against the
+    map: designation, top-up coverage and the rank shuffle count distinct
+    nodes, so a replica lands off its sender's node wherever the shuffle's
+    window allows.
     """
 
     def __init__(

@@ -128,7 +128,12 @@ class GCOutcome:
 
 
 class CheckpointService:
-    """Long-lived multi-tenant front door over one sharded cluster."""
+    """Long-lived multi-tenant front door over one sharded cluster.
+
+    ``rank_to_node`` is the deployment: which node hosts each of the
+    ``n_ranks`` ranks (default: one rank per node).  It is the cluster's
+    map, and every dump places its replicas against it.
+    """
 
     def __init__(
         self,
@@ -141,6 +146,7 @@ class CheckpointService:
         attribution: str = "first-writer",
         timeout: Optional[float] = None,
         timeline_capacity: int = DEFAULT_CAPACITY,
+        rank_to_node: Optional[List[int]] = None,
     ) -> None:
         if attribution not in ATTRIBUTION_POLICIES:
             raise ValueError(
@@ -158,7 +164,9 @@ class CheckpointService:
         self.max_inflight = max_inflight
         self.attribution = attribution
         self.timeout = timeout
-        self.cluster = Cluster(n_ranks, shard_count=shard_count)
+        self.cluster = Cluster(
+            n_ranks, rank_to_node=rank_to_node, shard_count=shard_count
+        )
         self.index = GlobalDedupIndex(shard_count=max(shard_count, 1))
         self.queue = AdmissionQueue(max_depth=queue_depth)
         #: service-side trace (pseudo-rank 0): admission spans + gauges

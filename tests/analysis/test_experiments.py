@@ -76,11 +76,19 @@ class TestRunnerExtensions:
         )
 
     def test_node_aware_parameter(self):
+        """The runner places rank-granular, like the paper; the machine map
+        only counts node-distinct replicas.  Placing against that map does
+        no worse."""
         from repro.netsim.machine import MachineProfile
+        from repro.sim import compute_metrics, simulate_dump
 
-        runner = hpccg_runner(
-            nx=8, machine=MachineProfile.shamrock().with_(placement="block")
-        )
-        plain = runner.run(24, Strategy.COLL_DEDUP, k=3, node_aware=False)
-        aware = runner.run(24, Strategy.COLL_DEDUP, k=3, node_aware=True)
-        assert aware.metrics.node_replication_min >= plain.metrics.node_replication_min
+        machine = MachineProfile.shamrock().with_(placement="block")
+        runner = hpccg_runner(nx=8, machine=machine)
+        plain = runner.run(24, Strategy.COLL_DEDUP, k=3)
+        rank_to_node = machine.rank_to_node(24)
+        indices = runner.indices(24)
+        config = plain.result.config
+        assert plain.result.shuffle == simulate_dump(indices, config).shuffle
+        placed = simulate_dump(indices, config, rank_to_node=rank_to_node)
+        aware = compute_metrics(indices, placed, rank_to_node=rank_to_node)
+        assert aware.node_replication_min >= plain.metrics.node_replication_min

@@ -1,13 +1,14 @@
 """Executable reference for the dump's local dedup, replication plan and
-wire records and for both restore paths.
+wire records, the rank shuffle and both restore paths.
 
 The per-chunk loops the batched ``repro.core`` replaced, kept naive on
 purpose: one hash and one dict probe per chunk, one view lookup per
 fingerprint, one ``bytes`` join per window slot, one
 ``has``/``locate``/``get`` per manifest entry.  The equivalence suites
 (``test_hotpath_equivalence.py``, ``test_local_dedup.py``,
-``test_planner.py``, ``test_wire.py``, ``test_restore_equivalence.py``)
-hold the production functions equal to these.  Whole-dump decisions have
+``test_planner.py``, ``test_shuffle.py``, ``test_wire.py``,
+``test_restore_equivalence.py``) hold the production functions equal to
+these.  Whole-dump decisions have
 an independent oracle already — ``repro.sim.simulate_dump`` — so there is
 no reference dump here.
 """
@@ -160,6 +161,26 @@ def build_plan(
         elif j == 0:
             plan.short_fps.append(fp)
     return plan
+
+
+def rank_shuffle(send_totals: Sequence[int], k: int) -> List[int]:
+    """Algorithm 2 as the paper states it, with no node map: repeatedly
+    emit the heaviest remaining rank, then the ``k-1`` lightest."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    n = len(send_totals)
+    order = sorted(range(n), key=lambda r: (-send_totals[r], r))
+    shuffle: List[int] = []
+    head, tail = 0, n - 1
+    while head <= tail:
+        shuffle.append(order[head])
+        head += 1
+        for _ in range(k - 1):
+            if head > tail:
+                break
+            shuffle.append(order[tail])
+            tail -= 1
+    return shuffle
 
 
 def encode_record(fp: bytes, chunk: bytes, chunk_size: int) -> bytes:

@@ -70,7 +70,7 @@ class TestDumpConfig:
         """Every knob of the dump, by name: a new field shows up here."""
         assert [f.name for f in dataclasses.fields(DumpConfig)] == [
             "replication_factor", "chunk_size", "f_threshold", "hash_name",
-            "strategy", "shuffle", "node_aware", "chunking", "compress",
+            "strategy", "shuffle", "chunking", "compress",
             "redundancy", "stripe_data", "dedup_domain_size", "trace_level",
-            "integrity", "pipelined", "chain_delta",
+            "pipelined", "chain_delta",
         ]

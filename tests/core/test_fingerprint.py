@@ -64,7 +64,7 @@ class TestFingerprinter:
 
 
 class TestXX128:
-    """The vectorised non-cryptographic kernel behind integrity="fast"."""
+    """The vectorised non-cryptographic kernel behind hash_name="xx128"."""
 
     def test_digest_size_and_flags(self):
         fp = Fingerprinter("xx128")

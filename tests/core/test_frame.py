@@ -243,24 +243,21 @@ class Codec:
 @st.composite
 def merge_tables(draw):
     n, k, f = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 8))
-    node_of = draw(st.none() | st.just(tuple(rank // 2 for rank in range(n))))
     fps = draw(st.lists(digests, unique=True, max_size=6))
     leaves = [
-        MergeTable.from_local(
-            [fp for fp in fps if draw(st.booleans())], rank, k, f, node_of=node_of
-        )
+        MergeTable.from_local([fp for fp in fps if draw(st.booleans())], rank, k, f)
         for rank in range(n)
     ]
     return functools.reduce(hmerge, leaves)
 
 
 def sample_table():
-    leaves = [MergeTable.from_local(NUL_FPS[r:], r, 2, 16, node_of=(0, 0, 1)) for r in range(3)]
+    leaves = [MergeTable.from_local(NUL_FPS[r:], r, 2, 16) for r in range(3)]
     return functools.reduce(hmerge, leaves)
 
 
 def canon_table(t):
-    return (t.k, t.f, t.node_of, {f: (e.freq, e.ranks) for f, e in t.entries.items()}, t.rank_load)
+    return (t.k, t.f, {f: (e.freq, e.ranks) for f, e in t.entries.items()}, t.rank_load)
 
 
 slots = st.lists(st.tuples(digests | st.just(NO_CHUNK), small), max_size=4)

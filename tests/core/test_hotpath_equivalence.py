@@ -200,10 +200,10 @@ class TestLocalDedupEquivalence:
 
     @given(
         segments=cdc_segments_strategy,
-        integrity=st.sampled_from(["crypto", "fast"]),
+        hash_name=st.sampled_from(["sha1", "xx128"]),
     )
-    def test_cdc_index_identical_to_reference(self, segments, integrity):
-        cfg = DumpConfig(chunking="cdc", chunk_size=CDC_MAX, integrity=integrity)
+    def test_cdc_index_identical_to_reference(self, segments, hash_name):
+        cfg = DumpConfig(chunking="cdc", chunk_size=CDC_MAX, hash_name=hash_name)
         chunker = cfg.make_chunker()
         ds = Dataset(segments)
         reference = local_dedup(

@@ -154,7 +154,7 @@ class TestByteIdentity:
 class TestOverlapEvidence:
     def test_span_run_records_pipeline_spans_and_gauge(self):
         config = cfg(
-            strategy=Strategy.NO_DEDUP, integrity="fast",
+            strategy=Strategy.NO_DEDUP, hash_name="xx128",
             trace_level="span",
         )
         _cluster, _reports, world = dump(config)

@@ -10,6 +10,7 @@ from repro.core.shuffle import (
     rank_shuffle,
     senders_to,
 )
+from tests.core import reference
 
 
 class TestRankShuffle:
@@ -50,6 +51,17 @@ class TestRankShuffle:
     def test_permutation_property(self, loads, k):
         shuffle = rank_shuffle(loads, k)
         assert sorted(shuffle) == list(range(len(loads)))
+
+    @given(
+        st.lists(st.integers(0, 1000), max_size=40),
+        st.integers(1, 6),
+    )
+    def test_one_rank_per_node_equals_reference(self, loads, k):
+        """Without a map, and on the identity map, the node-aware shuffle is
+        the paper's head/tail interleaving (``reference.rank_shuffle``)."""
+        want = reference.rank_shuffle(loads, k)
+        assert rank_shuffle(loads, k) == want
+        assert rank_shuffle(loads, k, rank_to_node=list(range(len(loads)))) == want
 
     @given(
         st.lists(st.integers(0, 1000), min_size=2, max_size=30),

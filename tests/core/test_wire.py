@@ -132,14 +132,11 @@ def test_roundtrip_property(records):
 # -- packed reduction-state codec (RMT1) ---------------------------------------
 
 
-def _make_table(n_ranks=4, k=3, f=64, node_of=None):
+def _make_table(n_ranks=4, k=3, f=64):
     from repro.core.hmerge import MergeTable, hmerge
 
     tables = [
-        MergeTable.from_local(
-            [fp_of(i) for i in range(rank, rank + 5)], rank, k, f,
-            node_of=node_of,
-        )
+        MergeTable.from_local([fp_of(i) for i in range(rank, rank + 5)], rank, k, f)
         for rank in range(n_ranks)
     ]
     out = tables[0]
@@ -163,17 +160,6 @@ class TestMergeTableCodec:
         # which is what the reduction's sendrecv transport relies on.
         repickled = pickle.loads(pickle.dumps(table))
         assert repickled.entries == table.entries
-
-    def test_node_of_travels(self):
-        from repro.core.wire import decode_merge_table, encode_merge_table
-
-        node_of = (0, 0, 1, 1)
-        table = _make_table(node_of=node_of)
-        decoded = decode_merge_table(encode_merge_table(table))
-        assert decoded.node_of == node_of
-        assert decode_merge_table(
-            encode_merge_table(_make_table())
-        ).node_of is None
 
     def test_empty_table(self):
         from repro.core.hmerge import MergeTable

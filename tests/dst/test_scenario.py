@@ -29,6 +29,10 @@ class TestValidation:
         assert s.crash_count == 1
         assert s.k_eff == min(s.k, s.n_ranks)
 
+    def test_integrity_picks_the_hash(self):
+        assert scenario().dump_config().hash_name == "sha1"
+        assert scenario(integrity="fast").dump_config().hash_name == "xx128"
+
     def test_needs_at_least_one_dump(self):
         with pytest.raises(ScenarioError):
             scenario(steps=(Step("crash", node=0),))

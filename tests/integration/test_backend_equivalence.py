@@ -66,7 +66,7 @@ def dump_once(
     k=3,
     dump_id=0,
     pipelined=False,
-    integrity="crypto",
+    hash_name="sha1",
     shard_count=1,
 ):
     cfg = DumpConfig(
@@ -75,7 +75,7 @@ def dump_once(
         f_threshold=4096,
         strategy=strategy,
         pipelined=pipelined,
-        integrity=integrity,
+        hash_name=hash_name,
     )
     cluster = Cluster(N, shard_count=shard_count)
     for node_id in dead:
@@ -114,9 +114,9 @@ class TestDumpEquivalence:
             assert t[2][rank] == make_rank_dataset(rank).to_bytes()
 
     @pytest.mark.parametrize("strategy", list(Strategy))
-    @pytest.mark.parametrize("integrity", ["crypto", "fast"])
+    @pytest.mark.parametrize("hash_name", ["sha1", "xx128"])
     def test_pipelined_dump_identical_across_backends(
-        self, strategy, integrity
+        self, strategy, hash_name
     ):
         """The double-buffered pipelined dump and the vectorised
         non-cryptographic fingerprint mode are observably identical across
@@ -124,7 +124,7 @@ class TestDumpEquivalence:
         observed = {}
         for backend in BACKENDS:
             cluster, reports = dump_once(
-                backend, strategy, pipelined=True, integrity=integrity
+                backend, strategy, pipelined=True, hash_name=hash_name
             )
             restored = [
                 restore_dataset(cluster, rank, 0)[0].to_bytes()
@@ -139,7 +139,7 @@ class TestDumpEquivalence:
         # Pipelining must not change what lands in the cluster: a strict
         # dump of the same config yields byte-identical contents.
         strict, _ = dump_once(
-            "thread", strategy, pipelined=False, integrity=integrity
+            "thread", strategy, pipelined=False, hash_name=hash_name
         )
         assert cluster_state(strict) == observed["thread"][1]
         for rank in range(N):

@@ -325,6 +325,64 @@ class TestSharedIndexIsolation:
             assert data.to_bytes() == workload.build_dataset(rank, N).to_bytes()
 
 
+def restores_after_node_losses(n, ranks_per_node, k, lost, backend, placed=True):
+    """One full and two deltas on ``n`` ranks hosted ``ranks_per_node`` to a
+    node, then, for every set of ``lost`` nodes, fail them and restore every
+    rank of every epoch.  Returns (good, bad) (node set, epoch) counts.
+    ``placed=False`` gives the service the one-rank-per-node map while the
+    real failure domains stay the blocks: rank-granular placement."""
+    import itertools
+
+    nodes = [rank // ranks_per_node for rank in range(n)]
+    service = CheckpointService(
+        n, config=DumpConfig(replication_factor=k, chunk_size=256),
+        backend=backend, rank_to_node=nodes if placed else None,
+    )
+    service.register_tenant("a")
+    workload = MutatingWorkload(seed=1, chunk_size=256)
+    want = []
+    for epoch, kind in enumerate(("full", "delta", "delta")):
+        if epoch:
+            workload.advance()
+        dump(service, "a", workload, kind=kind)
+        want.append([
+            workload.at_epoch(epoch).build_dataset(rank, n).to_bytes()
+            for rank in range(n)
+        ])
+    good = bad = 0
+    for down in itertools.combinations(range(nodes[-1] + 1), lost):
+        for rank in range(n):
+            if nodes[rank] in down:
+                service.cluster.fail_rank(rank)
+        for epoch, datasets in enumerate(want):
+            try:
+                ok = all(
+                    service.restore("a", rank, epoch)[0].to_bytes() == datasets[rank]
+                    for rank in range(n)
+                )
+            except ChainBrokenError:  # a chunk with no live holder
+                ok = False
+            good, bad = good + ok, bad + (not ok)
+        service.cluster.revive_all()
+    return good, bad
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+class TestSharedNodes:
+    """Several ranks per node: every dump places against the service's
+    rank -> node map, so replicas survive the loss of whole nodes."""
+
+    def test_every_pair_of_four_nodes_can_fail(self, backend):
+        assert restores_after_node_losses(12, 3, 3, 2, backend) == (18, 0)
+
+    def test_rank_granular_placement_loses_data_with_every_pair(self, backend):
+        lost = restores_after_node_losses(12, 3, 3, 2, backend, placed=False)
+        assert lost == (0, 18)
+
+    def test_every_single_node_can_fail_at_k2(self, backend):
+        assert restores_after_node_losses(8, 2, 2, 1, backend) == (12, 0)
+
+
 class TestBrokenChainSurfacing:
     def test_restore_of_pruned_epoch_raises_typed_error(self):
         service = make_service()

@@ -26,6 +26,25 @@ class TestServe:
         assert "store:" in text and "8 shards" in text
         assert "queue:" in text
 
+    def test_ranks_per_node_builds_the_block_map(self, capsys, monkeypatch):
+        from repro.svc import CheckpointService
+
+        built = []
+        init = CheckpointService.__init__
+
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.cluster.rank_to_node)
+
+        monkeypatch.setattr(CheckpointService, "__init__", spy)
+        assert main(BASE + ["--ranks-per-node", "2"]) == 0
+        assert built == [[0, 0, 1, 1]]
+        assert "placement: 4 ranks on 2 nodes" in capsys.readouterr().out
+
+    def test_bad_ranks_per_node_is_refused(self):
+        with pytest.raises(SystemExit, match="ranks-per-node"):
+            main(BASE + ["--ranks-per-node", "0"])
+
     def test_gc_oldest_reports_cross_tenant_retention(self, capsys):
         assert main(BASE + ["--gc-oldest"]) == 0
         text = capsys.readouterr().out
