@@ -11,15 +11,14 @@ rationale); every benchmark drives them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.apps.base import SegmentedWorkload
 from repro.apps.cm1 import CM1
 from repro.apps.hpccg import HPCCG
 from repro.core.config import DumpConfig, Strategy
 from repro.core.local_dedup import LocalIndex
-from repro.core.offsets import window_layout
-from repro.core.shuffle import identity_shuffle, rank_shuffle
+from repro.core.offsets import place
 from repro.netsim.cost_model import DumpTimeBreakdown, dump_time
 from repro.netsim.machine import MachineProfile
 from repro.netsim.timeline import AppTimeline, completion_time, execution_increase
@@ -186,19 +185,14 @@ def fig2_example(k: int = 3) -> Dict[str, object]:
     the rest 10.  Returns the naive and load-aware max receive sizes
     (paper: 200 vs 110) and the shuffle used.
     """
-    send_per_partner = [100, 100, 10, 10, 10, 10]
-    n = len(send_per_partner)
-    send_load = [[0] + [s] * (k - 1) for s in send_per_partner]
-
-    def max_receive(order: Sequence[int]) -> int:
-        layout = window_layout(order, send_load, k)
-        return max(layout.window_slots.values())
-
-    naive = identity_shuffle(n)
-    shuffled = rank_shuffle([s * (k - 1) for s in send_per_partner], k)
+    send_load = [[0] + [s] * (k - 1) for s in [100, 100, 10, 10, 10, 10]]
+    naive, shuffled = (
+        place(send_load, DumpConfig(replication_factor=k, shuffle=shuffle))
+        for shuffle in (False, True)
+    )
     return {
-        "naive_max_receive": max_receive(naive),
-        "shuffled_max_receive": max_receive(shuffled),
-        "shuffle": shuffled,
+        "naive_max_receive": max(naive.layout.window_slots.values()),
+        "shuffled_max_receive": max(shuffled.layout.window_slots.values()),
+        "shuffle": shuffled.shuffle,
         "k": k,
     }

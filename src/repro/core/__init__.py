@@ -13,7 +13,8 @@ The public entry point is :func:`repro.core.dump.dump_output` — the paper's
 * :mod:`~repro.core.planner` — per-rank ``Load`` vectors and round-robin
   assignment of missing replicas (Algorithm 1 lines 4-9).
 * :mod:`~repro.core.shuffle` — Algorithm 2 (load-aware partner selection).
-* :mod:`~repro.core.offsets` — Algorithm 3 (single-sided window planning).
+* :mod:`~repro.core.offsets` — Algorithm 3 (single-sided window planning)
+  and :func:`~repro.core.offsets.place`, the one placement decision.
 * :mod:`~repro.core.restore` — manifest-driven restore, the correctness
   proof-of-the-pudding for every strategy.
 """
@@ -25,7 +26,7 @@ from repro.core.fpcache import FingerprintCache
 from repro.core.local_dedup import LocalIndex, local_dedup_batched
 from repro.core.hmerge import GlobalView, MergeTable, hmerge
 from repro.core.shuffle import identity_shuffle, partners_of, rank_shuffle
-from repro.core.offsets import WindowLayout, window_layout
+from repro.core.offsets import Placement, WindowLayout, place, window_layout
 from repro.core.planner import ReplicationPlan, build_plan
 from repro.core.dump import DumpReport, dump_output
 from repro.core.restore import restore_dataset
@@ -42,6 +43,7 @@ __all__ = [
     "GlobalView",
     "LocalIndex",
     "MergeTable",
+    "Placement",
     "ReplicationPlan",
     "Strategy",
     "WindowLayout",
@@ -54,6 +56,7 @@ __all__ = [
     "load_input",
     "local_dedup_batched",
     "partners_of",
+    "place",
     "rank_shuffle",
     "restore_dataset",
     "run_collective",

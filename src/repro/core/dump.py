@@ -29,7 +29,7 @@ from repro.core.fingerprint import Fingerprint, Fingerprinter
 from repro.core.global_dedup import build_global_view
 from repro.core.hmerge import GlobalView
 from repro.core.local_dedup import local_dedup_batched
-from repro.core.offsets import WindowLayout, window_layout
+from repro.core.offsets import place
 from repro.core.pipeline import (
     pipeline_eligible,
     pipeline_full_eligible,
@@ -37,13 +37,6 @@ from repro.core.pipeline import (
     pipelined_no_dedup_dump,
 )
 from repro.core.planner import ReplicationPlan, build_plan
-from repro.core.shuffle import (
-    identity_shuffle,
-    inverse_positions,
-    partners_of,
-    rank_shuffle,
-    senders_to,
-)
 from repro.core.wire import decode_region_unique, encode_records_into, slot_nbytes
 from repro.simmpi import collectives
 from repro.simmpi.comm import Communicator
@@ -327,20 +320,15 @@ def _dump_output_impl(
         enter_phase("allgather")
         send_load = collectives.allgather(comm, plan.load)
 
-    with comm.trace.span("shuffle"):
-        if strategy is Strategy.COLL_DEDUP and config.shuffle:
-            totals = [sum(row[1:]) for row in send_load]
-            shuffle = rank_shuffle(totals, k_eff, node_of)
-        else:
-            shuffle = identity_shuffle(world)
-        positions = inverse_positions(shuffle)
-        my_pos = positions[rank]
-        report.shuffle_position = my_pos
-        comm.trace.annotate(position=my_pos)
     with comm.trace.span("calc-off"):
-        report.partners = partners_of(my_pos, shuffle, k_eff, alive)
-        layout = window_layout(shuffle, send_load, k_eff, alive)
-        comm.trace.annotate(window_slots=layout.window_slots[rank])
+        placement = place(send_load, config, node_of, alive)
+        layout = placement.layout
+        report.shuffle_position = placement.positions[rank]
+        report.partners = placement.partners[rank]
+        comm.trace.annotate(
+            position=report.shuffle_position,
+            window_slots=layout.window_slots[rank],
+        )
     if comm.trace.span_enabled:
         comm.trace.metrics.gauge("window_slots").set(layout.window_slots[rank])
     slot = slot_nbytes(fingerprinter.digest_size, config.wire_payload_capacity)
@@ -349,9 +337,9 @@ def _dump_output_impl(
     # everything up to the layout stayed strict (see repro.core.pipeline).
     if pipeline_eligible(config, alive):
         pipelined_exchange_write(
-            comm, config, cluster, plan, layout, report, payload_of,
+            comm, config, cluster, plan, placement, report, payload_of,
             payload_size, fingerprinter.digest_size, slot, dataset,
-            index.order, dump_id, shuffle, my_pos, k_eff, enter_phase,
+            index.order, dump_id, enter_phase,
         )
         comm.barrier()
         return report
@@ -463,7 +451,7 @@ def _dump_output_impl(
         manifest_tag = comm.next_collective_tag()
         for partner in report.partners:
             comm.send(blob, partner, tag=manifest_tag)
-        for sender in senders_to(my_pos, shuffle, k_eff, alive):
+        for sender in placement.senders(rank):
             incoming_blob = comm.recv(sender, tag=manifest_tag)
             if commit_ok:
                 node.put_manifest_blob(incoming_blob)
@@ -475,8 +463,8 @@ def _dump_output_impl(
 
         with comm.trace.phase("parity"):
             ship_parity(
-                comm, cluster, config, plan, payload_of, shuffle, my_pos,
-                dump_id, report, k_eff,
+                comm, cluster, config, plan, payload_of, placement, dump_id,
+                report,
             )
     comm.barrier()
     return report

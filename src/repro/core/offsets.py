@@ -16,6 +16,11 @@ offset j for its partner i+2, where j is the send size from i+1 to i+2...").
 
 Offsets here are in *chunk slots*; the wire format (fingerprint + length +
 payload, fixed slot size) converts them to bytes.
+
+:func:`place` is the one placement decision: from the gathered matrix it
+sequences RANK_SHUFFLE (or the identity), the partner walk and CALC_OFF.
+The dump, both pipelines and the simulator call it; nothing else in
+``src/`` calls the pieces it composes.
 """
 
 from __future__ import annotations
@@ -23,7 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.shuffle import inverse_positions
+from repro.core.config import DumpConfig, Strategy
+from repro.core.shuffle import (
+    identity_shuffle,
+    inverse_positions,
+    partners_of,
+    rank_shuffle,
+)
 
 
 @dataclass
@@ -120,3 +131,62 @@ def window_layout(
         layout.window_slots[target] = cursor
         layout.regions[target] = regions
     return layout
+
+
+@dataclass(frozen=True)
+class Placement:
+    """Where every rank sits and whom it ships to, for one dump.
+
+    Attributes
+    ----------
+    shuffle:
+        The agreed order (position -> rank).
+    positions:
+        rank -> shuffled position.
+    partners:
+        rank -> its partner ranks, partner slot order (:func:`partners_of`).
+    layout:
+        Every window's regions and offsets (:func:`window_layout`).
+    """
+
+    shuffle: List[int]
+    positions: List[int]
+    partners: List[List[int]]
+    layout: WindowLayout
+
+    def senders(self, rank: int) -> List[int]:
+        """Every rank whose partner list includes ``rank``, in increasing
+        distance order: the owners of its window's regions (dead senders
+        included; a dead target has none)."""
+        return [sender for sender, _start, _count in self.layout.regions[rank]]
+
+
+def place(
+    send_load: Sequence[Sequence[int]],
+    config: DumpConfig,
+    rank_to_node: Optional[Sequence[int]] = None,
+    alive: Optional[Sequence[bool]] = None,
+) -> Placement:
+    """The placement every rank derives from the all-gathered ``SendLoad``
+    matrix (Algorithms 2 and 3), with no further communication.
+
+    Coll-dedup with ``config.shuffle`` orders the ranks by
+    :func:`rank_shuffle` over the rows' partner totals against
+    ``rank_to_node``; every other dump keeps the identity order.  ``k`` is
+    ``config.effective_k(len(send_load))``; ``alive`` is the dump's
+    liveness snapshot (``None``: every node alive).
+    """
+    n = len(send_load)
+    k = config.effective_k(n)
+    if config.strategy is Strategy.COLL_DEDUP and config.shuffle:
+        totals = [sum(row[1:]) for row in send_load]
+        shuffle = rank_shuffle(totals, k, rank_to_node)
+    else:
+        shuffle = identity_shuffle(n)
+    positions = inverse_positions(shuffle)
+    return Placement(
+        shuffle=shuffle,
+        positions=positions,
+        partners=[partners_of(positions[r], shuffle, k, alive) for r in range(n)],
+        layout=window_layout(shuffle, send_load, k, alive),
+    )

@@ -50,14 +50,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.chunking import Dataset, num_chunks
 from repro.core.config import DumpConfig, Strategy
 from repro.core.fingerprint import Fingerprint, Fingerprinter
-from repro.core.offsets import WindowLayout, window_layout
+from repro.core.offsets import Placement, place
 from repro.core.planner import ReplicationPlan
-from repro.core.shuffle import (
-    identity_shuffle,
-    inverse_positions,
-    partners_of,
-    senders_to,
-)
 from repro.core.wire import decode_region_unique, encode_records_into, slot_nbytes
 from repro.simmpi import collectives
 from repro.simmpi.comm import Communicator
@@ -116,15 +110,12 @@ def _finish_exchange_write(
     config: DumpConfig,
     report,
     window: Window,
-    layout: WindowLayout,
+    placement: Placement,
     digest_size: int,
     node,
     dataset: Dataset,
     order: List[Fingerprint],
     dump_id: int,
-    shuffle: List[int],
-    my_pos: int,
-    k_eff: int,
     pre_fence_write: float,
 ) -> None:
     """Post-fence tail shared by both pipelined forms.
@@ -141,7 +132,7 @@ def _finish_exchange_write(
         )
         window.fence()
         # One decode over the whole window, as the strict path does.
-        received_records = layout.window_slots[comm.rank]
+        received_records = placement.layout.window_slots[comm.rank]
         pairs, mults, received_nbytes = decode_region_unique(
             window.local_view(), digest_size, capacity, 0, received_records
         )
@@ -179,7 +170,7 @@ def _finish_exchange_write(
         manifest_tag = comm.next_collective_tag()
         for partner in report.partners:
             comm.send(blob, partner, tag=manifest_tag)
-        for sender in senders_to(my_pos, shuffle, k_eff):
+        for sender in placement.senders(comm.rank):
             node.put_manifest_blob(comm.recv(sender, tag=manifest_tag))
         post_fence_write = time.perf_counter() - post_start
 
@@ -195,7 +186,7 @@ def pipelined_exchange_write(
     config: DumpConfig,
     cluster: Cluster,
     plan: ReplicationPlan,
-    layout: WindowLayout,
+    placement: Placement,
     report,
     payload_of: Dict[Fingerprint, bytes],
     payload_size: Dict[Fingerprint, int],
@@ -204,9 +195,6 @@ def pipelined_exchange_write(
     dataset: Dataset,
     order: List[Fingerprint],
     dump_id: int,
-    shuffle: List[int],
-    my_pos: int,
-    k_eff: int,
     enter_phase: Callable[[str], None],
 ) -> None:
     """2-stage pipeline: exchange and write interleave over chunk batches.
@@ -220,6 +208,7 @@ def pipelined_exchange_write(
     rank = comm.rank
     capacity = config.wire_payload_capacity
     node = cluster.storage_for(rank)
+    layout = placement.layout
     partners = report.partners
     enter_phase("exchange")
     enter_phase("write")
@@ -271,8 +260,8 @@ def pipelined_exchange_write(
             pre_fence_write += time.perf_counter() - start
 
     _finish_exchange_write(
-        comm, config, report, window, layout, digest_size, node, dataset,
-        order, dump_id, shuffle, my_pos, k_eff, pre_fence_write,
+        comm, config, report, window, placement, digest_size, node, dataset,
+        order, dump_id, pre_fence_write,
     )
 
 
@@ -310,15 +299,15 @@ def pipelined_no_dedup_dump(
         enter_phase("allgather")
         send_load = collectives.allgather(comm, report.load)
 
-    with comm.trace.span("shuffle"):
-        shuffle = identity_shuffle(world)
-        my_pos = inverse_positions(shuffle)[rank]
-        report.shuffle_position = my_pos
-        comm.trace.annotate(position=my_pos)
     with comm.trace.span("calc-off"):
-        report.partners = partners_of(my_pos, shuffle, k_eff)
-        layout = window_layout(shuffle, send_load, k_eff)
-        comm.trace.annotate(window_slots=layout.window_slots[rank])
+        placement = place(send_load, config, cluster.rank_to_node)
+        layout = placement.layout
+        report.shuffle_position = placement.positions[rank]
+        report.partners = placement.partners[rank]
+        comm.trace.annotate(
+            position=report.shuffle_position,
+            window_slots=layout.window_slots[rank],
+        )
     if comm.trace.span_enabled:
         comm.trace.metrics.gauge("window_slots").set(layout.window_slots[rank])
     slot = slot_nbytes(fingerprinter.digest_size, config.wire_payload_capacity)
@@ -413,8 +402,8 @@ def pipelined_no_dedup_dump(
     report.stored_bytes = total_bytes
 
     _finish_exchange_write(
-        comm, config, report, window, layout, digest_size, node, dataset,
-        order, dump_id, shuffle, my_pos, k_eff, pre_fence_write,
+        comm, config, report, window, placement, digest_size, node, dataset,
+        order, dump_id, pre_fence_write,
     )
     comm.barrier()
     return report

@@ -125,36 +125,3 @@ def partners_of(
         if alive is None or alive[candidate]:
             partners.append(candidate)
     return partners
-
-
-def senders_to(
-    position: int,
-    shuffle: Sequence[int],
-    k: int,
-    alive: Optional[Sequence[bool]] = None,
-) -> List[int]:
-    """Every rank whose :func:`partners_of` list includes the rank at
-    ``position``, in increasing distance order.
-
-    Mirror of the partner walk: walking backward from a live target, a
-    sender at backward distance ``b`` uses its partner slot
-    ``j = (live ranks strictly between it and the target) + 1`` (``j = b``
-    with every node alive); the walk ends once ``j`` would exceed
-    ``min(k, N) - 1``.  Dead senders are *included* (they ship their data
-    even though their store is gone); dead targets receive nothing and get
-    an empty list.
-    """
-    n = len(shuffle)
-    if alive is not None and not alive[shuffle[position]]:
-        return []
-    nparts = min(k, n) - 1
-    senders: List[int] = []
-    live_between = 0
-    for back in range(1, n):
-        if live_between + 1 > nparts:
-            break
-        sender = shuffle[(position - back) % n]
-        senders.append(sender)
-        if alive is None or alive[sender]:
-            live_between += 1
-    return senders

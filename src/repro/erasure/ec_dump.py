@@ -141,11 +141,9 @@ def ship_parity(
     config,
     plan,
     payload_of: Dict[Fingerprint, bytes],
-    shuffle: Sequence[int],
-    my_pos: int,
+    placement,
     dump_id: int,
     report,
-    k_eff: int,
 ) -> None:
     """The dump-side protocol: members ship unprotected chunks to their
     group's parity holders; holders encode and store the shards.
@@ -154,7 +152,11 @@ def ship_parity(
     protect).  ``K=1`` is a no-op (nothing to protect against).
     """
     world = comm.size
-    d, m = effective_geometry(config.stripe_data, k_eff, world)
+    shuffle = placement.shuffle
+    my_pos = placement.positions[comm.rank]
+    d, m = effective_geometry(
+        config.stripe_data, config.effective_k(world), world
+    )
     if m == 0:
         return
     groups = group_structure(world, d, m)

@@ -70,42 +70,33 @@ def _per_node_sums(values: Sequence[float], rank_to_node: Sequence[int]) -> Dict
 
 def inter_node_exchange(
     result: SimResult, rank_to_node: Sequence[int]
-) -> "Tuple[Dict[int, float], Dict[int, float], Dict[Tuple[int, int], float]]":
+) -> Tuple[Dict[int, float], Dict[int, float]]:
     """Exchange-phase bytes that actually cross a NIC.
 
-    Returns ``(tx_by_node, rx_by_node, pair_bytes)`` with same-node
+    Returns ``(tx_by_node, rx_by_node)`` with same-node
     transfers excluded — a put between two ranks of one node is a shared-
     memory copy, not network traffic.  Each rank's sent bytes distribute
     over its partner slots proportionally to chunk counts (exact when
     chunks share a size, which fixed chunking guarantees except for tails).
     """
-    from repro.core.shuffle import inverse_positions
-
-    world = len(result.reports)
-    positions = inverse_positions(result.shuffle)
     tx: Dict[int, float] = {}
     rx: Dict[int, float] = {}
-    pair: Dict[Tuple[int, int], float] = {}
     for rank, (plan, report) in enumerate(zip(result.plans, result.reports)):
         src_node = rank_to_node[rank]
         total_chunks = sum(len(fps) for fps in plan.partner_chunks)
         if not total_chunks:
             continue
         per_chunk = report.sent_bytes / total_chunks
-        pos = positions[rank]
-        for p, fps in enumerate(plan.partner_chunks):
+        for target, fps in zip(report.partners, plan.partner_chunks):
             if not fps:
                 continue
-            target = result.shuffle[(pos + p + 1) % world]
             dst_node = rank_to_node[target]
             if src_node == dst_node:
                 continue
             nbytes = len(fps) * per_chunk
             tx[src_node] = tx.get(src_node, 0.0) + nbytes
             rx[dst_node] = rx.get(dst_node, 0.0) + nbytes
-            key = (src_node, dst_node)
-            pair[key] = pair.get(key, 0.0) + nbytes
-    return tx, rx, pair
+    return tx, rx
 
 
 def reduction_cap_bytes(f_threshold: int, k: int, digest_size: int = 20) -> float:
@@ -237,7 +228,7 @@ def dump_time(
 
     # exchange: per-node full-duplex NIC bound on *inter-node* traffic
     # (same-node puts are shared-memory copies), plus per-put CPU overhead.
-    send_by_node, recv_by_node, _pairs = inter_node_exchange(result, rank_to_node)
+    send_by_node, recv_by_node = inter_node_exchange(result, rank_to_node)
     puts_by_node = _per_node_sums([float(r.sent_chunks) for r in reports], rank_to_node)
     exchange = 0.0
     for node in set(send_by_node) | set(recv_by_node) | set(puts_by_node):

@@ -1,11 +1,13 @@
 """Single-process simulation of one collective dump across all ranks.
 
 The threaded path in :mod:`repro.core.dump` moves real bytes through real
-windows; this driver computes the *same decisions* (global view, plans,
-shuffle, window layout, per-rank traffic) from per-rank
-:class:`~repro.core.local_dedup.LocalIndex` objects alone.  Fingerprint
-lists are cheap (tens of bytes per 4 KB of simulated data), so the paper's
-full 408-rank configurations fit comfortably in one process.
+windows; this driver replays its reduction and *calls* the same
+:func:`~repro.core.planner.build_plan` and :func:`~repro.core.offsets.place`
+on per-rank :class:`~repro.core.local_dedup.LocalIndex` objects alone.  What
+it adds has no production analogue: the placement map and the report
+arithmetic.  Fingerprint lists are cheap (tens of bytes per 4 KB of
+simulated data), so the paper's full 408-rank configurations fit
+comfortably in one process.
 """
 
 from __future__ import annotations
@@ -19,14 +21,8 @@ from repro.core.fingerprint import Fingerprint
 from repro.core.global_dedup import simulate_global_view
 from repro.core.hmerge import GlobalView
 from repro.core.local_dedup import LocalIndex
-from repro.core.offsets import WindowLayout, window_layout
+from repro.core.offsets import Placement, place
 from repro.core.planner import ReplicationPlan, build_plan
-from repro.core.shuffle import (
-    identity_shuffle,
-    inverse_positions,
-    partners_of,
-    rank_shuffle,
-)
 
 
 @dataclass
@@ -37,8 +33,7 @@ class SimResult:
     reports: List[DumpReport] = field(default_factory=list)
     plans: List[ReplicationPlan] = field(default_factory=list)
     placements: Dict[Fingerprint, Set[int]] = field(default_factory=dict)
-    shuffle: List[int] = field(default_factory=list)
-    layout: Optional[WindowLayout] = None
+    placement: Optional[Placement] = None
     view: Optional[GlobalView] = None
     reduction_level_nbytes: List[int] = field(default_factory=list)
 
@@ -137,17 +132,8 @@ def simulate_dump(
         for rank in range(world)
     ]
     result.plans = plans
-    send_load = [plan.load for plan in plans]
-
-    if strategy is Strategy.COLL_DEDUP and config.shuffle:
-        totals = [sum(row[1:]) for row in send_load]
-        shuffle = rank_shuffle(totals, k_eff, rank_to_node)
-    else:
-        shuffle = identity_shuffle(world)
-    result.shuffle = shuffle
-    positions = inverse_positions(shuffle)
-    layout = window_layout(shuffle, send_load, k_eff)
-    result.layout = layout
+    placement = place([plan.load for plan in plans], config, rank_to_node)
+    result.placement = placement
 
     # Per-rank reports + the global placement map.  View stats are memoised
     # per distinct view object (one per dedup domain, or one global).
@@ -163,6 +149,8 @@ def simulate_dump(
     placements: Dict[Fingerprint, Set[int]] = {}
     result.placements = placements
     reports: List[DumpReport] = []
+    received_chunks = [0] * world
+    received_bytes = [0] * world
     for rank in range(world):
         idx = indices[rank]
         plan = plans[rank]
@@ -176,38 +164,26 @@ def simulate_dump(
             report.view_entries, report.view_bytes = stats_of(rank_view(rank))
         report.discarded_chunks = len(plan.discarded_fps)
         report.load = plan.load
-        report.shuffle_position = positions[rank]
-        report.partners = partners_of(positions[rank], shuffle, k_eff)
+        report.shuffle_position = placement.positions[rank]
+        report.partners = placement.partners[rank]
 
         for fp in plan.store_fps:
             report.stored_chunks += 1
             report.stored_bytes += idx.chunk_sizes[fp]
             placements.setdefault(fp, set()).add(rank)
-        for p, fps in enumerate(plan.partner_chunks):
-            target = shuffle[(positions[rank] + p + 1) % world]
+        for target, fps in zip(report.partners, plan.partner_chunks):
             count = len(fps)
             nbytes = sum(idx.chunk_sizes[fp] for fp in fps)
             report.sent_per_partner.append(count)
             report.sent_chunks += count
             report.sent_bytes += nbytes
+            received_chunks[target] += count
+            received_bytes[target] += nbytes
             for fp in fps:
                 placements.setdefault(fp, set()).add(target)
         reports.append(report)
-
-    # Receive side: every region of a rank's window maps back to a sender's
-    # partner slot; sizes come from the sender's chunk-size table.
-    for t in range(world):
-        target = shuffle[t]
-        report = reports[target]
-        for sender, _start, count in layout.regions[target]:
-            if count == 0:
-                continue
-            sender_pos = positions[sender]
-            distance = (t - sender_pos) % world
-            fps = plans[sender].partner_chunks[distance - 1]
-            report.received_chunks += count
-            report.received_bytes += sum(
-                indices[sender].chunk_sizes[fp] for fp in fps
-            )
+    for report in reports:
+        report.received_chunks = received_chunks[report.rank]
+        report.received_bytes = received_bytes[report.rank]
     result.reports = reports
     return result

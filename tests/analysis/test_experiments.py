@@ -88,7 +88,10 @@ class TestRunnerExtensions:
         rank_to_node = machine.rank_to_node(24)
         indices = runner.indices(24)
         config = plain.result.config
-        assert plain.result.shuffle == simulate_dump(indices, config).shuffle
+        assert (
+            plain.result.placement.shuffle
+            == simulate_dump(indices, config).placement.shuffle
+        )
         placed = simulate_dump(indices, config, rank_to_node=rank_to_node)
         aware = compute_metrics(indices, placed, rank_to_node=rank_to_node)
         assert aware.node_replication_min >= plain.metrics.node_replication_min

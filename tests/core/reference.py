@@ -183,6 +183,35 @@ def rank_shuffle(send_totals: Sequence[int], k: int) -> List[int]:
     return shuffle
 
 
+def senders_to(
+    position: int,
+    shuffle: Sequence[int],
+    k: int,
+    alive: Optional[Sequence[bool]] = None,
+) -> List[int]:
+    """Every rank whose ``partners_of`` list includes the rank at
+    ``position``, in increasing distance order: the mirror of the partner
+    walk.  Walking backward from a live target, the sender at backward
+    distance ``b`` uses its partner slot ``j = (live ranks strictly
+    between) + 1``; the walk ends once ``j`` would exceed ``min(k, N) - 1``.
+    Dead senders are included (they ship their data); a dead target gets
+    an empty list."""
+    n = len(shuffle)
+    if alive is not None and not alive[shuffle[position]]:
+        return []
+    nparts = min(k, n) - 1
+    senders: List[int] = []
+    live_between = 0
+    for back in range(1, n):
+        if live_between + 1 > nparts:
+            break
+        sender = shuffle[(position - back) % n]
+        senders.append(sender)
+        if alive is None or alive[sender]:
+            live_between += 1
+    return senders
+
+
 def encode_record(fp: bytes, chunk: bytes, chunk_size: int) -> bytes:
     """One window slot: fingerprint | u32 length | payload | zero padding."""
     if len(chunk) > chunk_size:

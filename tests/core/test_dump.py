@@ -254,24 +254,46 @@ class TestReportFields:
         ]
 
 
+def _callers(names):
+    """name -> modules of ``src/repro`` that call it (by AST)."""
+    import ast
+    from pathlib import Path
+
+    import repro
+
+    root = Path(repro.__file__).parent
+    callers = {name: set() for name in names}
+    for path in root.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(
+                    func, "attr", None
+                )
+                if name in callers:
+                    callers[name].add(path.relative_to(root.parent).as_posix())
+    return callers
+
+
 class TestCallers:
     def test_only_the_chain_calls_dump_output(self):
         """One dump model: every dump in ``src/repro`` is a chain epoch, so
         ``chain/manager.py`` is the only module that calls ``dump_output``."""
-        import ast
-        from pathlib import Path
+        assert _callers({"dump_output"}) == {
+            "dump_output": {"repro/chain/manager.py"}
+        }
 
-        import repro
-
-        root = Path(repro.__file__).parent
-        callers = set()
-        for path in root.rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text(), str(path))):
-                if isinstance(node, ast.Call):
-                    func = node.func
-                    name = func.id if isinstance(func, ast.Name) else getattr(
-                        func, "attr", None
-                    )
-                    if name == "dump_output":
-                        callers.add(path.relative_to(root.parent).as_posix())
-        assert callers == {"repro/chain/manager.py"}
+    def test_only_place_sequences_placement(self):
+        """One placement decision: ``core/offsets.py::place`` is the only
+        caller of the shuffle, the partner walk and the window layout.  The
+        exception is the dst oracle that re-derives the layout from the
+        reported positions (``check_window_layout``)."""
+        offsets, oracle = "repro/core/offsets.py", "repro/dst/invariants.py"
+        assert _callers(
+            {"rank_shuffle", "identity_shuffle", "partners_of", "window_layout"}
+        ) == {
+            "rank_shuffle": {offsets},
+            "identity_shuffle": {offsets},
+            "partners_of": {offsets, oracle},
+            "window_layout": {offsets, oracle},
+        }

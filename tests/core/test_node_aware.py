@@ -96,7 +96,8 @@ class TestNodeAwareDump:
             fp for fp, holders in result.placements.items()
             if len({rank_to_node[r] for r in holders}) < k
         ]
-        return result, metrics, short, [rank_to_node[r] for r in result.shuffle], k
+        nodes = [rank_to_node[r] for r in result.placement.shuffle]
+        return result, metrics, short, nodes, k
 
     def test_wrap_around_seam_costs_one_node(self):
         result, metrics, short, nodes, k = self._seam()
@@ -118,29 +119,55 @@ class TestNodeAwareDump:
         assert metrics.node_replication_min == k
 
     def test_threaded_equivalence_with_node_mapping(self):
-        """dump_output places against the cluster's map as the simulator
-        does against its ``rank_to_node``."""
+        """dump_output places by the same ``place`` call the simulator
+        makes, against the cluster's map: N in {4, 8, 16}, one or two ranks
+        per node, every node alive or node 0 or 1 dead."""
         from repro.core import dump_output
         from repro.core.fingerprint import Fingerprinter
         from repro.core.local_dedup import local_dedup_batched
+        from repro.core.offsets import place
         from repro.simmpi import World
         from repro.storage import Cluster
         from tests.conftest import make_rank_dataset
 
-        n, rpn = 8, 2
-        rank_to_node = [r // rpn for r in range(n)]
         cfg = DumpConfig(replication_factor=3, chunk_size=64, f_threshold=4096)
-        cluster = Cluster(n, rank_to_node=rank_to_node)
-        threaded = World(n).run(
-            lambda comm: dump_output(comm, make_rank_dataset(comm.rank), cfg, cluster)
-        )
         fpr = Fingerprinter("sha1")
-        indices = [local_dedup_batched(make_rank_dataset(r), fpr, 64) for r in range(n)]
-        sim = simulate_dump(indices, cfg, rank_to_node=rank_to_node)
-        assert [r.partners for r in threaded] != [
-            r.partners for r in simulate_dump(indices, cfg).reports
-        ]
-        for rank in range(n):
-            assert threaded[rank].partners == sim.reports[rank].partners
-            assert threaded[rank].sent_bytes == sim.reports[rank].sent_bytes
-            assert threaded[rank].received_bytes == sim.reports[rank].received_bytes
+        for n in (4, 8, 16):
+            indices = [
+                local_dedup_batched(make_rank_dataset(r), fpr, 64) for r in range(n)
+            ]
+            for rpn in (1, 2):
+                rank_to_node = [r // rpn for r in range(n)]
+                for dead in (None, 0, 1):
+                    cluster = Cluster(n, rank_to_node=rank_to_node)
+                    if dead is not None:
+                        cluster.fail_node(dead)
+                    alive = [cluster.node_of(r).alive for r in range(n)]
+                    threaded = World(n).run(
+                        lambda comm: dump_output(
+                            comm, make_rank_dataset(comm.rank), cfg, cluster
+                        )
+                    )
+                    placement = place(
+                        [r.load for r in threaded], cfg, rank_to_node, alive
+                    )
+                    for rank, report in enumerate(threaded):
+                        assert report.shuffle_position == placement.positions[rank]
+                        assert report.partners == placement.partners[rank]
+                        if alive[rank]:
+                            assert (
+                                report.received_chunks
+                                == placement.layout.window_slots[rank]
+                            )
+                    if dead is not None:
+                        continue
+                    sim = simulate_dump(indices, cfg, rank_to_node=rank_to_node)
+                    if rpn == 2 and n >= 8:  # the map moves these partners
+                        assert [r.partners for r in threaded] != [
+                            r.partners for r in simulate_dump(indices, cfg).reports
+                        ]
+                    for rank in range(n):
+                        mine, theirs = threaded[rank], sim.reports[rank]
+                        assert mine.partners == theirs.partners
+                        assert mine.sent_bytes == theirs.sent_bytes
+                        assert mine.received_bytes == theirs.received_bytes

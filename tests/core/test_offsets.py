@@ -3,8 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.offsets import window_layout
+from repro.core import DumpConfig
+from repro.core.offsets import place, window_layout
 from repro.core.shuffle import identity_shuffle, rank_shuffle
+from tests.core import reference
 
 
 def uniform_load(n, k, per_partner):
@@ -91,3 +93,33 @@ class TestWindowLayout:
         sendable_slots = min(k, n) - 1
         expected_total = sum(sum(row[1 : sendable_slots + 1]) for row in loads)
         assert sum(layout.window_slots.values()) == expected_total
+
+
+class TestPlace:
+    @given(st.integers(1, 12), st.integers(1, 6), st.booleans(), st.data())
+    def test_senders_match_reference_and_partners(self, n, k, shuffle, data):
+        """On any loads, K, rank -> node map and liveness snapshot, a
+        window's senders are the reference backward walk, and every
+        partner/sender pair is mutual."""
+        loads = [
+            [0] + [data.draw(st.integers(0, 20)) for _ in range(k - 1)]
+            for _ in range(n)
+        ]
+        rank_to_node = data.draw(
+            st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+        )
+        dead = data.draw(st.sets(st.sampled_from(sorted(set(rank_to_node)))))
+        alive = [node not in dead for node in rank_to_node]
+        config = DumpConfig(replication_factor=k, shuffle=shuffle)
+        placement = place(loads, config, rank_to_node, alive)
+        k_eff = config.effective_k(n)
+        for rank in range(n):
+            pos = placement.positions[rank]
+            assert placement.shuffle[pos] == rank
+            assert placement.senders(rank) == reference.senders_to(
+                pos, placement.shuffle, k_eff, alive
+            )
+            for partner in placement.partners[rank]:
+                assert rank in placement.senders(partner)
+            for sender in placement.senders(rank):
+                assert rank in placement.partners[sender]

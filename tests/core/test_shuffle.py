@@ -3,12 +3,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core import DumpConfig
+from repro.core.offsets import place
 from repro.core.shuffle import (
     identity_shuffle,
     inverse_positions,
     partners_of,
     rank_shuffle,
-    senders_to,
 )
 from tests.core import reference
 
@@ -95,13 +96,12 @@ class TestPartnersAndSenders:
         assert partners_of(0, [0, 1], k=1) == []
 
     def test_senders_inverse_of_partners(self):
-        shuffle = rank_shuffle([3, 1, 4, 1, 5, 9, 2, 6], k=3)
-        k = 3
-        for pos in range(len(shuffle)):
-            me = shuffle[pos]
-            for partner in partners_of(pos, shuffle, k):
-                ppos = shuffle.index(partner)
-                assert me in senders_to(ppos, shuffle, k)
+        loads = [[0, t, 0] for t in [3, 1, 4, 1, 5, 9, 2, 6]]
+        placement = place(loads, DumpConfig(replication_factor=3))
+        for me, partners in enumerate(placement.partners):
+            assert len(partners) == 2
+            for partner in partners:
+                assert me in placement.senders(partner)
 
     def test_identity_shuffle(self):
         assert identity_shuffle(4) == [0, 1, 2, 3]

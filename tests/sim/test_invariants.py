@@ -55,7 +55,7 @@ def test_conservation_and_layout(per_rank_ids, k, strategy, shuffle):
     assert sum(r.sent_bytes for r in result.reports) == sum(
         r.received_bytes for r in result.reports
     )
-    result.layout.check_invariants()
+    result.placement.layout.check_invariants()
     # Window sizes equal the planned send loads.
     for rank, plan in enumerate(result.plans):
         assert plan.load == result.reports[rank].load
