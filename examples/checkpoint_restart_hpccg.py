@@ -6,7 +6,11 @@ structure, scaled down).  Every solver array is registered with a
 ``MemoryRegistry`` (the AC-FTE page-capture analog), and every 10
 iterations the registry is checkpointed as the next delta epoch of a
 checkpoint-service tenant: the first epoch is a full, later ones ship only
-the chunks the solver wrote.  We then kill K-1 = 2 nodes, restore every
+the chunks the solver wrote.  At iteration 20 every rank starts keeping a
+residual history and registers it as one more region: the checkpoint stays
+a delta and ships the new region beside the solver's writes.  The table
+shows what each epoch shipped to the collective beside the column entries
+it rewrote (of all its chunks).  We then kill K-1 = 2 nodes, restore every
 rank from the newest epoch, redo the lost iterations, verify the
 trajectory matches the uninterrupted run and repair the cluster back to K.
 
@@ -27,6 +31,7 @@ from repro.svc import CheckpointService
 N_RANKS = 8
 K = 3
 CHECKPOINT_EVERY = 10
+HISTORY_FROM = 20  # the iteration the residual history is registered
 TOTAL_ITERS = 35
 SUB_BLOCK = 10  # 10^3 rows per rank (the paper uses 150^3)
 
@@ -45,9 +50,16 @@ def main() -> None:
 
     # Phase 1: run to completion, checkpointing on the way.
     checkpoints = []
+    histories = [np.zeros(TOTAL_ITERS) for _ in solvers]
     for iteration in range(1, TOTAL_ITERS + 1):
         for solver in solvers:
             solver.iterate(1)
+        if iteration == HISTORY_FROM:
+            for rank, history in enumerate(histories):
+                registry.register(rank, "residual_history", history)
+        if iteration >= HISTORY_FROM:
+            for solver, history in zip(solvers, histories):
+                history[iteration - 1] = solver.residual_norm()
         if iteration % CHECKPOINT_EVERY == 0:
             service.submit("hpccg", registry, kind="delta")
             checkpoints.extend((iteration, outcome) for outcome in service.drain())
@@ -72,9 +84,10 @@ def main() -> None:
     repair = service.repair()
 
     print(format_table(
-        ["epoch", "iteration", "kind", "chunks shipped"],
+        ["epoch", "iteration", "kind", "chunks shipped", "column entries"],
         [
-            [o.tenant_dump_id, it, o.kind, f"{o.changed_chunks}/{o.total_chunks}"]
+            [o.tenant_dump_id, it, o.kind, sum(r.n_chunks for r in o.reports),
+             f"{o.changed_chunks}/{o.total_chunks}"]
             for it, o in checkpoints
         ],
     ))
@@ -90,6 +103,7 @@ def main() -> None:
         ],
     ))
     assert all(matches)
+    assert [o.kind for _it, o in checkpoints] == ["full", "delta", "delta"]
     assert repair.complete and not repair.lost_chunks
     print(f"\nAll ranks resumed from iteration {restart_at} and reconverged "
           f"(final residual {residual_done:.2e}); repair re-replicated "

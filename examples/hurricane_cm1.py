@@ -98,8 +98,10 @@ def main() -> None:
         for model, theta in zip(models, final_theta)
     )
     stormy = sum(1 for model in models if model.active)
-    print(f"Epoch 1 (step 60) shipped {checkpoints[1].changed_chunks} of "
-          f"{checkpoints[1].total_chunks} chunks as a delta.")
+    delta = checkpoints[1]
+    print(f"Epoch 1 (step 60) shipped {sum(r.n_chunks for r in delta.reports)} "
+          f"chunks as a delta, rewriting {delta.changed_chunks} of its "
+          f"{delta.total_chunks} column entries.")
     print(f"Restart reproduced the exact step-70 state on all {N_RANKS} ranks "
           f"({stormy} stormy, {N_RANKS - stormy} calm).")
 

@@ -11,8 +11,7 @@ restores.
 :meth:`dirty_regions` reports precisely the chunks the *current* epoch
 rewrote, honouring the fingerprint-cache contract (declaring a written
 range clean is a correctness bug; this workload tracks its writes
-exactly).  Geometry never changes across epochs, so chain deltas never
-promote to fulls.
+exactly).  Geometry never changes across epochs.
 """
 
 from __future__ import annotations

@@ -11,9 +11,10 @@ a chain node keyed by *epoch*:
 * a **delta** dump fingerprints only the chunks the application touched
   (the manager's per-rank :class:`~repro.core.fpcache.FingerprintCache`
   fed by the workload's ``dirty_regions``), diffs against the parent
-  epoch's resolved chunk set, and collectively dumps *only the changed
-  chunks*, handing each rank its column of their fingerprints so nothing
-  is hashed twice — everything else is referenced up the parent chain by
+  epoch's resolved chunk set over whatever geometry each has, and
+  collectively dumps *only the changed chunks the parent does not already
+  hold*, handing each rank its column of their fingerprints so nothing is
+  hashed twice — everything else is referenced up the parent chain by
   digest.  The diff is positional on the fixed chunk grid, so under
   content-defined chunking a requested delta is promoted to a full.
 
@@ -45,7 +46,7 @@ from operator import ne
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.chain.errors import ChainBrokenError, ChainStateError
-from repro.chain.node import ChainNode, chunk_slices
+from repro.chain.node import ChainNode, chunk_count, chunk_slices
 from repro.core.chunking import Dataset
 from repro.core.config import DumpConfig
 from repro.core.dump import chunk_boundaries
@@ -67,10 +68,11 @@ class ChainDumpResult:
     epoch: int
     kind: str  # the kind actually dumped ("delta" may promote to "full")
     dump_id: int
-    #: a requested delta was promoted to a full (no parent, or the dataset
-    #: geometry changed — chunk boundaries shifted, diffing is unsound)
+    #: a requested delta was promoted to a full (no live parent, or
+    #: content-defined chunking, which the fixed-grid diff cannot follow)
     promoted: bool
-    #: chunks this epoch rewrote, summed over ranks (fulls: every chunk)
+    #: column entries this epoch rewrote, summed over ranks (fulls: every
+    #: chunk); what it shipped is ``sum(r.n_chunks for r in reports)``
     changed_chunks: int
     #: total logical chunks of the epoch's datasets, summed over ranks
     total_chunks: int
@@ -230,8 +232,7 @@ class ChainManager:
         path = self.path_of(epoch)
         fps = list(path[0].fps[rank])
         for node in path[1:]:
-            for pos, fp in zip(node.positions[rank], node.fps[rank]):
-                fps[pos] = fp
+            self._step(fps, node, rank)
         return fps
 
     def resolved_distinct(self, epoch: int) -> Set[bytes]:
@@ -259,6 +260,16 @@ class ChainManager:
         if self.trace is not None and self.trace.span_enabled:
             self.trace.metrics.gauge(name).set(value)
 
+    def _step(self, column: List[bytes], node: ChainNode, rank: int) -> None:
+        """Step the parent's resolved ``column`` of ``rank`` onto delta
+        ``node``: cut or pad it to the delta's own chunk count, then write
+        the delta's chunks over it (every padded slot is one of them)."""
+        count = chunk_count(node.segment_lengths[rank], self.config.chunk_size)
+        del column[count:]
+        column.extend([b""] * (count - len(column)))
+        for pos, fp in zip(node.positions[rank], node.fps[rank]):
+            column[pos] = fp
+
     def _carry(self, node: ChainNode) -> Tuple[int, List[List[bytes]]]:
         """Move the carried tip onto ``node`` and return its depth and
         columns: a full's own, the carried parent's with the delta's chunks
@@ -270,14 +281,27 @@ class ChainManager:
                 depth, columns = 1, [list(column) for column in node.fps]
             elif epoch == node.parent_epoch:
                 depth += 1
-                for column, positions, fps in zip(columns, node.positions, node.fps):
-                    for pos, fp in zip(positions, fps):
-                        column[pos] = fp
+                for rank, column in enumerate(columns):
+                    self._step(column, node, rank)
             else:
                 depth = self.depth_of(node.epoch)
                 columns = [self.resolved_fps(node.epoch, r) for r in range(self.n)]
             self._tip = (node.epoch, depth, columns)
         return depth, columns
+
+    def _held(
+        self, columns: List[List[bytes]], parent: List[List[bytes]]
+    ) -> Set[bytes]:
+        """The fingerprints of ``columns`` a delta need not ship: its parent
+        resolves to them, so a manifest on the delta's own path lists them,
+        and a live node stores them.  (Another live epoch's reference is not
+        enough: compaction can cut that epoch off this path and a prune then
+        sweeps its manifests, leaving a chunk no manifest names for repair.)"""
+        candidates = list(set().union(*columns) & set().union(*parent))
+        return {
+            fp for fp, holders
+            in zip(candidates, self.cluster.locate_many(candidates)) if holders
+        }
 
     def _record(self, node: ChainNode):
         """Commit ``node``'s references: one per distinct resolved chunk."""
@@ -359,14 +383,15 @@ class ChainManager:
     ) -> ChainDumpResult:
         """Dump the workload's current state as the next chain epoch.
 
-        ``kind="delta"`` diffs against the tip epoch and dumps only the
-        changed chunks, whose fingerprints the ranks are handed instead of
-        hashing them again; it silently promotes to a full when there is no
-        live parent, the dataset geometry changed or the chunking is
-        content-defined (shifted chunk boundaries make positional diffing
-        unsound).  Dirty-region hints from the workload keep the
-        parent-side fingerprinting incremental; a missing hook only costs
-        hashing time, never correctness.
+        ``kind="delta"`` diffs against the tip epoch, whatever geometry
+        either has, and dumps only the changed chunks the tip does not
+        already hold (it resolves to them and a live node stores them),
+        whose fingerprints the ranks are handed instead of hashing them
+        again.  It silently promotes to a full when there is no live parent
+        or the chunking is content-defined (the ranks cut by content, the
+        diff is positional on the fixed grid).  Dirty-region hints from the
+        workload keep the parent-side fingerprinting incremental; a missing
+        hook only costs hashing time, never correctness.
         """
         if kind not in ("full", "delta"):
             raise ChainStateError(
@@ -384,9 +409,7 @@ class ChainManager:
         ]
         lengths = [list(ds.segment_lengths) for ds in datasets]
         promoted = kind == "delta" and (
-            parent is None
-            or lengths != parent.segment_lengths
-            or self.config.chunking == "cdc"
+            parent is None or self.config.chunking == "cdc"
         )
         if promoted:
             kind = "full"
@@ -405,25 +428,31 @@ class ChainManager:
                 ))
             positions: List[List[int]] = []
             node_fps: List[List[bytes]] = []
-            dump_datasets: List[Dataset] = []
-            for new, old, dataset, seg_lengths in zip(
-                fps_new, self._carry(parent)[1], datasets, lengths
-            ):
+            old_columns = self._carry(parent)[1]
+            for new, old in zip(fps_new, old_columns):
                 # Whole columns, at C speed, not only what this epoch declared
                 # dirty: the cache may have re-hashed more since the parent.
                 pos = list(compress(range(len(new)), map(ne, new, old)))
+                pos.extend(range(len(old), len(new)))
                 positions.append(pos)
                 node_fps.append([new[i] for i in pos])
+            held = self._held(node_fps, old_columns)
+            dump_datasets: List[Dataset] = []
+            # One segment per shipped chunk: the delta's fixed-grid column is
+            # what was diffed, so the ranks are handed it instead of hashing.
+            rank_fps: List[Optional[List[bytes]]] = []
+            for dataset, seg_lengths, pos, fps in zip(
+                datasets, lengths, positions, node_fps
+            ):
+                ship = [fp not in held for fp in fps]
+                rank_fps.append(list(compress(fps, ship)))
                 dump_datasets.append(Dataset([
                     dataset.segment(seg_idx)[start:start + length]
                     for seg_idx, start, length
-                    in chunk_slices(seg_lengths, cs, pos)
+                    in chunk_slices(seg_lengths, cs, compress(pos, ship))
                 ]))
             total = sum(map(len, fps_new))
             parent_epoch: Optional[int] = parent.epoch
-            # One segment per changed chunk: the delta's fixed-grid column is
-            # what was diffed, so the ranks are handed it instead of hashing.
-            rank_fps: List[Optional[List[bytes]]] = node_fps
         else:
             # A full is hashed once, by its ranks: its columns are read back
             # from the manifests they write.  The caches go now and not on

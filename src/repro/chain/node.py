@@ -27,11 +27,12 @@ class ChainNode:
     Per-rank payload layout:
 
     * ``segment_lengths[rank]`` — the *logical* dataset segment lengths at
-      this epoch (full dataset geometry, for deltas too: a delta never
-      changes geometry — a resize promotes the dump to a full).
+      this epoch (full dataset geometry, for deltas too: each epoch records
+      its own, so a dataset reshaped since the parent stays a delta).
     * ``positions[rank]`` — for deltas, the flat chunk indices (dataset
-      chunk order, chunks never span segments) rewritten by this epoch;
-      empty for fulls.
+      chunk order, chunks never span segments) rewritten by this epoch:
+      every index whose fingerprint differs from the parent's, and every
+      index past the parent's chunk count; empty for fulls.
     * ``fps[rank]`` — for fulls, every chunk fingerprint in dataset order;
       for deltas, the new fingerprints at ``positions[rank]`` (parallel
       lists).
@@ -60,21 +61,19 @@ class ChainNode:
         if self.kind == "delta" and self.parent_epoch is None:
             raise ValueError("delta chain nodes need a parent epoch")
 
-    @property
-    def n_ranks(self) -> int:
-        return len(self.segment_lengths)
-
     def written_fingerprints(self) -> set:
-        """The distinct fingerprints this epoch itself wrote (its dump's
-        manifests), as opposed to what it inherits from ancestors."""
+        """The distinct fingerprints of the column entries this epoch itself
+        wrote, as opposed to what it inherits from ancestors."""
         out = set()
         for rank_fps in self.fps:
             out.update(rank_fps)
         return out
 
-    def changed_chunks(self) -> int:
-        """Chunks this epoch rewrote (for fulls: every chunk)."""
-        return sum(len(rank_fps) for rank_fps in self.fps)
+
+def chunk_count(segment_lengths: Sequence[int], chunk_size: int) -> int:
+    """Chunks of a dataset of the given segment geometry (chunks never span
+    segments, so each segment's tail chunk may be short)."""
+    return sum(-(-nbytes // chunk_size) for nbytes in segment_lengths)
 
 
 def chunk_slices(
@@ -84,7 +83,7 @@ def chunk_slices(
     of the given segment geometry (chunks never span segments, so the tail
     chunk of each segment may be short): the whole table, or only the rows
     of ``positions`` at a cost that does not depend on the dataset's size."""
-    counts = (-(-nbytes // chunk_size) for nbytes in segment_lengths)
+    counts = (chunk_count((nbytes,), chunk_size) for nbytes in segment_lengths)
     firsts = list(accumulate(counts, initial=0))  # each segment's first flat index
     out = []
     for p in range(firsts[-1]) if positions is None else positions:

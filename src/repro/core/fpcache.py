@@ -6,7 +6,7 @@ weather model's calm subdomains stay bitwise constant.  Keller & Bautista
 Gomez's *Application-Level Differential Checkpointing* observes that the
 unchanged part needn't be re-hashed at all.  :class:`FingerprintCache`
 implements that for chain deltas: a per-rank cache of chunk fingerprints
-keyed by ``(segment index, chunk index)``, kept parent-side by
+per segment, kept parent-side by
 :class:`repro.chain.ChainManager` and consulted with a *dirty-region*
 description supplied by the application (see
 :meth:`repro.apps.base.SegmentedWorkload.dirty_regions`).  The manager
@@ -16,8 +16,10 @@ ranks, so a delta's chunks are hashed once, here.
 Safety model: a chunk's cached fingerprint is reused only when
 
 * the cache was built with the same chunk size and hash function,
-* the segment's byte length is unchanged (a resize invalidates the whole
-  segment — chunk boundaries may have shifted), and
+* the dataset's segment lengths equal those of the previous call (dirty
+  ranges name segments by index: after a reshape — a region added,
+  dropped or resized — they may point at other bytes, so the dataset is
+  hashed whole), and
 * the chunk overlaps no declared dirty byte range.
 
 ``dirty_regions=None`` (the default for workloads that don't implement the
@@ -31,7 +33,7 @@ checkpointing libraries place on their protect/dirty APIs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.chunking import Dataset, as_bytes_view
 from repro.core.fingerprint import Fingerprint, Fingerprinter
@@ -40,12 +42,6 @@ from repro.core.fingerprint import Fingerprint, Fingerprinter
 #: the previous dump, one list per dataset segment.  ``None`` for the whole
 #: structure — or a segment entry of ``None`` — means "unknown: hash it all".
 DirtyRegions = Optional[Sequence[Optional[Sequence[Tuple[int, int]]]]]
-
-
-@dataclass
-class _SegmentEntry:
-    length: int
-    fingerprints: List[Fingerprint]
 
 
 @dataclass
@@ -72,15 +68,18 @@ class FingerprintCache:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.chunk_size = int(chunk_size)
         self.hash_name = hash_name
-        self._segments: Dict[int, _SegmentEntry] = {}
+        #: the previous call's segment lengths and per-segment fingerprints
+        self._lengths: Optional[List[int]] = None
+        self._segments: List[List[Fingerprint]] = []
         self._stats = CacheStats()
 
     # -- bookkeeping ---------------------------------------------------------
     def __len__(self) -> int:
-        return sum(len(e.fingerprints) for e in self._segments.values())
+        return sum(map(len, self._segments))
 
     def clear(self) -> None:
-        self._segments.clear()
+        self._lengths = None
+        self._segments = []
 
     def ensure_compatible(self, chunk_size: int, hash_name: str) -> None:
         """Re-key the cache for a new configuration, dropping stale entries."""
@@ -109,22 +108,20 @@ class FingerprintCache:
         cache so the *next* dump sees this dataset as the baseline.
         """
         self.ensure_compatible(self.chunk_size, fingerprinter.hash_name)
-        out: List[Fingerprint] = []
-        seen_segments = set()
+        lengths = dataset.segment_lengths
+        if lengths != self._lengths:
+            dirty_regions = None  # cold, or reshaped: hash it whole
+        segments: List[List[Fingerprint]] = []
         for seg_idx in range(dataset.num_segments):
             view = as_bytes_view(dataset.segment(seg_idx))
             regions = None
             if dirty_regions is not None and seg_idx < len(dirty_regions):
                 regions = dirty_regions[seg_idx]
-            fps = self._fingerprint_segment(
+            segments.append(self._fingerprint_segment(
                 seg_idx, view, regions, fingerprinter
-            )
-            seen_segments.add(seg_idx)
-            out.extend(fps)
-        # Segments that vanished must not resurrect on a later dump.
-        for stale in set(self._segments) - seen_segments:
-            del self._segments[stale]
-        return out
+            ))
+        self._lengths, self._segments = lengths, segments
+        return [fp for fps in segments for fp in fps]
 
     def _fingerprint_segment(
         self,
@@ -134,19 +131,16 @@ class FingerprintCache:
         fingerprinter: Fingerprinter,
     ) -> List[Fingerprint]:
         cs = self.chunk_size
-        entry = self._segments.get(seg_idx)
         nbytes = len(view)
-        if entry is None or entry.length != nbytes or regions is None:
-            # Cold, resized, or unknown dirtiness: full hash (the fallback).
+        if regions is None:
+            # Unknown dirtiness (or no baseline): full hash (the fallback).
             fps = fingerprinter.fingerprint_segment(view, cs)
             self._stats.misses += len(fps)
             self._stats.bytes_hashed += nbytes
-            self._segments[seg_idx] = _SegmentEntry(nbytes, fps)
             return fps
 
         dirty = self._dirty_chunks(regions, nbytes, cs)
-        cached = entry.fingerprints
-        fps = list(cached)
+        fps = list(self._segments[seg_idx])
         for chunk_idx in dirty:
             start = chunk_idx * cs
             chunk = view[start : start + cs]
@@ -158,7 +152,6 @@ class FingerprintCache:
         self._stats.bytes_skipped += nbytes - sum(
             min(cs, nbytes - i * cs) for i in dirty
         )
-        entry.fingerprints = fps
         return fps
 
     @staticmethod

@@ -298,7 +298,7 @@ def check_chain_structure(manager, step: int) -> List[Violation]:
     range, and every retired record must still anchor some live epoch
     (anything else should have been swept)."""
     from repro.chain.errors import ChainStateError
-    from repro.chain.node import chunk_slices
+    from repro.chain.node import chunk_count
 
     out: List[Violation] = []
     for epoch in sorted(manager.nodes):
@@ -320,9 +320,9 @@ def check_chain_structure(manager, step: int) -> List[Violation]:
                         f"epoch {epoch} rank {rank}: {len(positions)} "
                         f"positions but {len(node.fps[rank])} fingerprints",
                     ))
-                n_chunks = len(chunk_slices(
+                n_chunks = chunk_count(
                     node.segment_lengths[rank], manager.config.chunk_size
-                ))
+                )
                 if any(
                     b <= a for a, b in zip(positions, positions[1:])
                 ) or (positions and not (

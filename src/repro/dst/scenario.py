@@ -42,7 +42,8 @@ STEP_OPS = ("dump", "crash", "repair", "gc", "tick", "prune", "compact")
 TENANT_OPS = ("dump", "gc", "prune", "compact")
 
 #: chain dump kinds a chain scenario's dump step may request (``delta``
-#: silently promotes to ``full`` when there is no live parent)
+#: silently promotes to ``full`` when there is no live parent or the
+#: chunking is CDC)
 CHAIN_DUMP_KINDS = ("full", "delta")
 
 #: request arrival patterns for multi-tenant scenarios: ``steady`` submits

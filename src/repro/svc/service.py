@@ -98,7 +98,8 @@ class DumpOutcome:
     new_chunks: int = 0
     #: chunks satisfied by another tenant's earlier dump
     cross_tenant_hits: int = 0
-    #: the kind actually dumped (a requested delta may promote to a full)
+    #: the kind actually dumped (a requested delta promotes to a full when
+    #: the tenant has no live dump or the chunking is CDC)
     kind: str = "full"
     promoted: bool = False
     #: chunks this dump rewrote / chunks of its datasets, summed over ranks
@@ -262,7 +263,8 @@ class CheckpointService:
         Quota and backpressure rejections raise typed errors *here*, before
         anything is queued — a rejected request consumes no slot.  Quota is
         checked against the full dataset size whatever the kind (a delta may
-        always promote to a full); usage is charged what the dump shipped.
+        promote to a full); usage is charged the chunks the dump shipped,
+        which for a delta leaves out those its parent already holds.
         """
         if kind not in ("full", "delta"):
             raise ValueError(f"dump kind must be 'full' or 'delta', got {kind!r}")

@@ -1,10 +1,9 @@
 """The repro-eval command-line interface."""
 
-import os
-
 import pytest
 
 from repro.cli import build_parser, main
+from tests.conftest import own_shm_segments
 
 
 class TestParser:
@@ -130,12 +129,6 @@ class TestErrorExitCodes:
         assert "invalid int value" in capsys.readouterr().err
 
 
-def shm_segments():
-    """The process backend's shared-memory segments (``psm*`` windows,
-    ``psr*`` result blobs) that currently exist."""
-    return {name for name in os.listdir("/dev/shm") if name.startswith(("psm", "psr"))}
-
-
 @pytest.fixture
 def worlds(monkeypatch):
     """The backend of every world the command spawns, in order."""
@@ -173,10 +166,10 @@ class TestWorldDrivingCommands:
         return base + tiny + list(extra)
 
     def test_process_flag_runs_clean(self, command, tmp_path, worlds, capsys):
-        before = shm_segments()
+        before = own_shm_segments()
         assert main(self.argv(command, tmp_path, "--backend", "process")) == 0
         assert worlds and set(worlds) == {"process"}
-        assert shm_segments() <= before
+        assert own_shm_segments() <= before
 
     def test_environment_reaches_the_world(
         self, command, tmp_path, worlds, monkeypatch, capsys

@@ -188,9 +188,12 @@ def test_backends_produce_identical_chains(backend):
 
 CONFIG = DumpConfig(replication_factor=2, chunk_size=CHUNK)
 
+#: the geometries a ``reshape`` cycles through: a segment grown, one dropped
+GEOMETRIES = (SEGMENTS, (CHUNK * 6, CHUNK * 2 + 100, 200), (CHUNK * 5, 200))
+
 OPS = st.one_of(
     st.tuples(st.sampled_from(
-        ("delta", "delta", "full", "reload", "failed", "failed-full")
+        ("delta", "delta", "full", "reload", "failed", "failed-full", "reshape")
     )),
     st.tuples(
         st.sampled_from(("prune", "compact")),
@@ -219,8 +222,9 @@ def assert_carried_tip_is_the_walk(manager):
 )
 @example(seed=3, ops=[("failed-full",)])  # warm caches, then a full that raises
 @example(seed=3, ops=[("failed",), ("failed-full",), ("compact", 1)])
+@example(seed=3, ops=[("reshape",), ("prune", 1), ("reshape",), ("reshape",)])
 def test_carried_tip_equals_the_walk_under_any_interleaving(seed, ops):
-    """Dumps, prune, compact, save/load and a failed dump in any order:
+    """Dumps, reshapes, prune, compact, save/load and a failed dump in any order:
     the carried tip is always what the walk resolves, and the next delta
     is the one a manager that never carried anything produces."""
     import copy
@@ -230,9 +234,22 @@ def test_carried_tip_equals_the_walk_under_any_interleaving(seed, ops):
     manager, workload = build_chain(seed, 1, dirty_frac=0.2, n=n)
     for op in ops:
         live = manager.live_epochs()
-        if op[0] in ("delta", "full"):
+        if op[0] in ("delta", "full", "reshape"):
             workload.advance()
-            result = manager.chain_dump(workload, kind=op[0])
+            if op[0] == "reshape":
+                # The same seed on the next geometry: later chunks shift, and
+                # the dirty regions name the new segments, not the cached ones.
+                lengths = tuple(workload.segment_lengths)
+                reshaped = MutatingWorkload(
+                    seed=workload.seed,
+                    segment_lengths=GEOMETRIES[
+                        (GEOMETRIES.index(lengths) + 1) % len(GEOMETRIES)
+                    ],
+                    chunk_size=CHUNK, dirty_frac=workload.dirty_frac,
+                )
+                reshaped.epoch, workload = workload.epoch, reshaped
+            kind = "full" if op[0] == "full" else "delta"
+            result = manager.chain_dump(workload, kind=kind)
             assert manager._tip[0] == result.epoch  # carried, not re-derived
         elif op[0] in ("failed", "failed-full"):
             # A failed delta: the cache sees these bytes, the chain does not.

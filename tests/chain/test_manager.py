@@ -9,8 +9,10 @@ and the error surface.
 import copy
 import os
 
+import numpy as np
 import pytest
 
+from repro.apps.memory import MemoryRegistry
 from repro.apps.mutating import MutatingWorkload
 from repro.chain import (
     ChainBrokenError,
@@ -19,7 +21,12 @@ from repro.chain import (
     chunk_slices,
 )
 from repro.core.config import DumpConfig
-from repro.dst.invariants import recount_references
+from repro.dst.invariants import (
+    check_chain_refcounts,
+    check_chain_structure,
+    recount_references,
+)
+from repro.repair import repair_cluster, scan_cluster
 from repro.simmpi.trace import Trace
 from repro.storage.chain_codec import ChainCodecError
 from repro.storage.local_store import Cluster
@@ -132,6 +139,77 @@ class TestLostRank:
         )
 
 
+PROBE_CHUNK = 4096
+REGION = 64 * PROBE_CHUNK
+
+
+class Probe:
+    """An application checkpoint: three 256 KiB regions per rank in a
+    :class:`MemoryRegistry` (4 KiB chunks) under a base full.  A dump keeps
+    every rank's bytes for :meth:`assert_restores`; a ``dirty`` one first
+    rewrites the first three chunks of every rank's middle region."""
+
+    def __init__(self, n=4, k=3, registry=None):
+        self.n = n
+        self.rng = np.random.RandomState(5)
+        self.registry = registry if registry is not None else MemoryRegistry()
+        self.regions = [{} for _ in range(n)]
+        for rank in range(n):
+            for name in "abc":
+                self.register(rank, name, self.fresh(REGION))
+        self.manager = ChainManager(
+            Cluster(n),
+            DumpConfig(replication_factor=k, chunk_size=PROBE_CHUNK), n,
+        )
+        self.states = []
+        self.dump(kind="full", dirty=False)
+
+    def fresh(self, nbytes):
+        return np.frombuffer(self.rng.bytes(nbytes), np.uint8).copy()
+
+    def register(self, rank, name, region):
+        self.registry.register(rank, name, region)
+        self.regions[rank][name] = region
+
+    def dump(self, kind="delta", dirty=True):
+        if dirty:
+            for rank in range(self.n):
+                self.regions[rank]["b"][:3 * PROBE_CHUNK] = self.fresh(3 * PROBE_CHUNK)
+        result = self.manager.chain_dump(self.registry, kind=kind)
+        self.states.append([
+            self.registry.build_dataset(rank, self.n).to_bytes()
+            for rank in range(self.n)
+        ])
+        return result
+
+    def assert_restores(self, manager=None):
+        manager = manager or self.manager
+        for epoch in manager.live_epochs():
+            for rank in range(self.n):
+                dataset, _ = manager.restore_epoch(rank, epoch)
+                assert dataset.to_bytes() == self.states[epoch][rank], (epoch, rank)
+        assert check_chain_structure(manager, 0) == []
+        assert check_chain_refcounts([manager], 0) == []
+
+    # -- the reshapes, all on rank 0 ----------------------------------------------
+    def register_64k(self):
+        self.register(0, "d", self.fresh(16 * PROBE_CHUNK))
+
+    def unregister_first(self):
+        self.registry.unregister(0, "a")
+
+    def grow_middle_64k(self):
+        b, c = self.regions[0]["b"], self.regions[0]["c"]
+        for name in "bc":
+            self.registry.unregister(0, name)
+        self.register(0, "b", np.concatenate([b, self.fresh(16 * PROBE_CHUNK)]))
+        self.register(0, "c", c)
+
+
+def shipped(result):
+    return sum(report.n_chunks for report in result.reports)
+
+
 class TestChunkSlices:
     def test_tail_chunks_short(self):
         slices = chunk_slices([CHUNK * 2 + 100, 50], CHUNK)
@@ -178,6 +256,9 @@ class TestDump:
         assert result.delta_fraction < 1.0
 
     def test_geometry_change_promotes(self):
+        """A geometry change promotes nothing: a grown dataset stays a delta
+        that ships only the chunks its parent does not resolve to, and every
+        epoch restores."""
         manager, workload = make_chain(depth=1)
         grown = MutatingWorkload(
             seed=workload.seed,
@@ -185,8 +266,115 @@ class TestDump:
             chunk_size=CHUNK,
         )
         grown.epoch = workload.epoch + 1
+        parent = manager.resolved_distinct(1)
         result = manager.chain_dump(grown, kind="delta")
-        assert result.kind == "full" and result.promoted
+        assert (result.kind, result.promoted) == ("delta", False)
+        new = [
+            fp for column in manager.nodes[2].fps for fp in column
+            if fp not in parent
+        ]
+        assert 0 < shipped(result) == len(new) < result.changed_chunks
+        for epoch, source in ((0, workload), (1, workload), (2, grown)):
+            for rank in range(N):
+                dataset, _ = manager.restore_epoch(rank, epoch)
+                assert dataset.to_bytes() == oracle(source, epoch, rank)
+        assert check_chain_refcounts([manager], 0) == []
+
+    @pytest.mark.parametrize("change, shipped_chunks, entries, total", [
+        ("register_64k", 28, 28, 784),
+        ("unregister_first", 12, 137, 704),
+        ("grow_middle_64k", 28, 92, 784),
+    ])
+    def test_a_reshaped_registry_ships_only_new_content(
+        self, change, shipped_chunks, entries, total
+    ):
+        """One rank's reshape beside three rewritten chunks per rank: the
+        column entries follow the shift, the collective gets the new bytes."""
+        probe = Probe()
+        getattr(probe, change)()
+        result = probe.dump()
+        assert (result.kind, result.promoted) == ("delta", False)
+        assert (shipped(result), result.changed_chunks, result.total_chunks) == (
+            shipped_chunks, entries, total
+        )
+        assert sum(r.hashed_bytes for r in result.reports) == 0
+        probe.assert_restores()
+
+    def test_a_dropped_region_reported_clean_restores_its_neighbours(self):
+        """Dirty ranges name segments by index: once the middle region is
+        gone, "segment 1 is clean" speaks of other bytes, so the cache must
+        hash the reshaped dataset whole instead of trusting it."""
+
+        class CleanRegistry(MemoryRegistry):
+            def dirty_regions(self, rank, n_ranks):
+                return [[] for _ in self.names(rank)]
+
+        probe = Probe(registry=CleanRegistry())
+        probe.dump(dirty=False)  # warms the caches
+        for rank in range(probe.n):
+            probe.registry.unregister(rank, "b")
+        probe.dump(dirty=False)
+        probe.assert_restores()
+
+    def test_a_moved_chunk_whose_every_holder_is_dead_is_shipped_again(self):
+        probe = Probe(k=2)
+        cluster = probe.manager.cluster
+        probe.unregister_first()
+        # rank 0's regions b and c move to the front; b's first three chunks
+        # are rewritten by the dump, the other 125 are the base's bytes
+        moved = probe.manager.nodes[0].fps[0][64 + 3:]
+        for node_id in cluster.locate(moved[-1]):
+            cluster.fail_node(node_id)
+        homeless = sum(not cluster.locate(fp) for fp in moved)
+        assert homeless > 0
+        result = probe.dump()
+        assert (result.kind, shipped(result)) == ("delta", 12 + homeless)
+        cluster.revive_all()
+        probe.assert_restores()
+
+    def test_a_chunk_only_a_cut_off_epoch_resolves_to_is_shipped_again(self):
+        """Held means the *parent* resolves to it, so a manifest on the new
+        epoch's own path names it.  Here only the base does, and compaction
+        cut the base off the path: the chunk is shipped again, and after
+        the base is pruned repair still protects it."""
+        probe = Probe()
+        cluster = probe.manager.cluster
+        base = [bytes(probe.regions[r]["b"][:3 * PROBE_CHUNK]) for r in range(probe.n)]
+        probe.dump()
+        probe.dump()
+        probe.manager.compact(2)
+        for rank in range(probe.n):
+            probe.regions[rank]["b"][:3 * PROBE_CHUNK] = np.frombuffer(base[rank], np.uint8)
+        result = probe.dump(dirty=False)
+        assert (result.changed_chunks, shipped(result)) == (12, 12)
+        fp = probe.manager.nodes[0].fps[0][64]  # rank 0's b[0] at the base
+        for epoch in (0, 1):
+            probe.manager.prune(epoch)
+        assert probe.manager.live_epochs() == [2, 3]
+        cluster.fail_node(cluster.locate(fp)[0])
+        assert fp in scan_cluster(cluster, 3).fps
+        repair_cluster(cluster, 3)
+        assert len(cluster.locate(fp)) == 3
+        probe.assert_restores()
+
+    def test_prune_compact_and_from_blob_after_a_move(self):
+        probe = Probe()
+        cluster = probe.manager.cluster
+        probe.unregister_first()
+        probe.dump()
+        probe.dump()
+        probe.manager.prune(0)
+        probe.assert_restores()
+        cluster.fail_node(1)
+        repair_cluster(cluster, 3)
+        probe.assert_restores()
+        probe.manager.compact(1)
+        probe.assert_restores()
+        rebuilt = ChainManager.from_blob(
+            probe.manager.to_blob(), cluster,
+            DumpConfig(replication_factor=3, chunk_size=PROBE_CHUNK),
+        )
+        probe.assert_restores(rebuilt)
 
     def test_cdc_delta_promotes_to_a_full_that_restores(self):
         """The diff is positional on the fixed grid, while the ranks cut

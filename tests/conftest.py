@@ -26,6 +26,18 @@ def rng():
     return np.random.RandomState(1234)
 
 
+def own_shm_segments():
+    """The process backend's shared-memory segments (``psm*`` windows,
+    ``psr*`` result blobs) that worlds of this process created and that
+    still exist: their names carry its world uid prefix, so a concurrent
+    process's worlds do not show."""
+    uid = f"{os.getpid():x}x"
+    return {
+        name for name in os.listdir("/dev/shm")
+        if name.startswith(("psm" + uid, "psr" + uid))
+    }
+
+
 def make_rank_dataset(rank: int, chunk_size: int = 64, n_unique: int = 5):
     """A small per-rank dataset mixing all redundancy classes (used by many
     dump/restore tests): globally shared, group shared, locally duplicated,

@@ -8,8 +8,6 @@ tops the short replicas back up to K.  Parity redundancy tolerates no dead
 node and raises a typed error on every rank.
 """
 
-import os
-
 import pytest
 
 from repro.core import DumpConfig, Strategy, dump_output, restore_dataset
@@ -19,7 +17,7 @@ from repro.simmpi import World
 from repro.simmpi.errors import WorldError
 from repro.storage import Cluster, FailureInjector, StorageError
 
-from tests.conftest import make_rank_dataset
+from tests.conftest import make_rank_dataset, own_shm_segments
 
 CS = 64
 
@@ -44,7 +42,7 @@ class TestConfig:
         n = 5
         cfg = DumpConfig(replication_factor=3, chunk_size=CS, f_threshold=4096,
                          redundancy="parity", stripe_data=2)
-        before = set(os.listdir("/dev/shm"))
+        before = own_shm_segments()
         for backend in ("thread", "process"):
             cluster = Cluster(n)
             cluster.fail_node(1)
@@ -63,7 +61,7 @@ class TestConfig:
                 assert type(exc) is StorageError
                 assert "parity" in str(exc) and "dead nodes: [1, 3]" in str(exc)
             assert all(node.chunks.chunk_count == 0 for node in cluster.nodes)
-        assert set(os.listdir("/dev/shm")) <= before
+        assert own_shm_segments() <= before
 
 
 class TestHealthyCluster:

@@ -129,6 +129,22 @@ class TestInvalidation:
         stats = cache.take_stats()
         assert stats.hits == 0 and stats.misses == 5
 
+    def test_reshape_hashes_the_dataset_whole(self):
+        """Dirty ranges name segments by index: with the middle segment
+        gone, "segment 1 is clean" speaks of the old segment 2's bytes."""
+        a, b, c = seg(0, 3), seg(1, 3), seg(2, 3)
+        cache = FingerprintCache(CS)
+        cache.fingerprint_dataset(Dataset([a, b, c]), Fingerprinter(), None)
+        cache.take_stats()
+        dropped = Dataset([a, c])
+        fps = cache.fingerprint_dataset(dropped, Fingerprinter(), [[], []])
+        assert fps == Fingerprinter().fingerprint_all(dropped.chunks(CS))
+        stats = cache.take_stats()
+        assert stats.hits == 0 and stats.misses == 6
+        # the reshaped dataset is the next call's baseline
+        cache.fingerprint_dataset(dropped, Fingerprinter(), [[], []])
+        assert cache.take_stats().hits == 6
+
     def test_config_change_clears_cache(self):
         cache = FingerprintCache(CS, "sha1")
         ds = Dataset([seg(0, 4)])

@@ -16,7 +16,7 @@ from repro.core.runner import run_collective
 from repro.repair import repair_cluster, scan_cluster
 from repro.storage import Cluster, FailureInjector
 
-from tests.conftest import make_rank_dataset
+from tests.conftest import make_rank_dataset, own_shm_segments
 
 BACKENDS = ["thread", "process"]
 CS = 64
@@ -261,11 +261,9 @@ class TestRepairEquivalence:
         stores hold as views of the dump's result segments, and the refill
         arrives as views of the repair's; the cluster is the thread
         backend's byte for byte and /dev/shm ends as it began."""
-        import os
-
         from repro.dst import cluster_digest
 
-        before = set(os.listdir("/dev/shm"))
+        before = own_shm_segments()
         digests = {}
         for backend in BACKENDS:
             cluster, _reports = dump_once(backend, Strategy.COLL_DEDUP)
@@ -282,7 +280,7 @@ class TestRepairEquivalence:
         assert digests["thread"] == digests["process"]
         kinds = {type(cluster.nodes[1].chunks.get(fp)) for fp in cluster.nodes[1].chunks.fingerprints()}
         assert kinds == {memoryview}, "the process repair's refill is adopted, not copied"
-        assert set(os.listdir("/dev/shm")) <= before
+        assert own_shm_segments() <= before
 
 
 class TestCheckpointRuntimeEquivalence:

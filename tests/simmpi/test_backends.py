@@ -23,6 +23,7 @@ from repro.simmpi import (
     run_spmd,
 )
 from repro.simmpi.backend import BACKEND_ENV, DEFAULT_TIMEOUT, TIMEOUT_ENV, world_class
+from tests.conftest import own_shm_segments
 
 
 class TestBackendRegistry:
@@ -274,8 +275,7 @@ class TestProcessBackend:
             return True
 
         assert all(run_spmd(2, prog, backend="process", timeout=30))
-        leftovers = [n for n in os.listdir("/dev/shm") if n.startswith("psm")]
-        assert leftovers == []
+        assert own_shm_segments() == set()
 
     def test_fork_state_is_isolated(self):
         # Rank-side mutation of an inherited object must not reach the parent.

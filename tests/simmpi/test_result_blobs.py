@@ -21,6 +21,7 @@ import pytest
 
 from repro.simmpi.procworld import ProcessWorld
 from repro.simmpi.world import World
+from tests.conftest import own_shm_segments
 
 
 def _stage(comm, payloads):
@@ -224,10 +225,10 @@ class TestRunCollectiveMergeBack:
 
         monkeypatch.setattr(ProcessWorld, "stage_result", torn_on_rank_1)
         cluster = Cluster(3)
-        before = set(glob.glob("/dev/shm/psr*"))
+        before = own_shm_segments()
         with pytest.raises(FrameError, match=r"^RCD1: .*rank 1's cluster delta"):
             run_collective(3, program, cluster, cluster=cluster, backend="process", timeout=60)
-        assert set(glob.glob("/dev/shm/psr*")) <= before
+        assert own_shm_segments() <= before
         # Rank 0's delta was whole and is applied; rank 1's is not half-applied.
         assert cluster.nodes[0].chunks.put_count == 1
         assert cluster.nodes[1].chunks.put_count == 0
