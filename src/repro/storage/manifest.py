@@ -77,6 +77,14 @@ class Manifest:
         return frame.peek_scalars(_MAGIC, data, _SCHEMA)[:2]
 
     @classmethod
+    def fingerprint_column(cls, data: bytes):
+        """The fingerprint column of a serialized manifest as
+        :func:`~repro.core.frame.decode` cuts it: a read-only void view of
+        ``data``, one row per chunk (an empty manifest's rows are 1 byte
+        wide), without building the ``bytes`` list :meth:`from_bytes` does."""
+        return frame.decode(_MAGIC, data, _SCHEMA)[1][1]
+
+    @classmethod
     def from_bytes(cls, data: bytes) -> "Manifest":
         scalars, (segment_lengths, fingerprints) = frame.decode(_MAGIC, data, _SCHEMA)
         rank, dump_id, chunk_size, compressed, delta = scalars

@@ -11,8 +11,10 @@ chain-level failure mode: a delta whose parent chunks were lost reports
 the ancestor epoch that wrote them.
 """
 
+import numpy as np
 import pytest
 
+from repro.apps.memory import MemoryRegistry
 from repro.apps.mutating import MutatingWorkload
 from repro.chain import ChainBrokenError, ChainError, ChainManager
 from repro.core.collective_restore import load_input
@@ -117,6 +119,41 @@ class TestLostParentChunks:
         assert cut == []  # nothing was reassembled
         assert excinfo.value.missing == tuple(victims[:8])
         assert excinfo.value.writer_epoch == manager._writer_epoch(3, victims[0])
+
+    def test_a_lost_chunk_a_delta_held_names_the_epoch_that_shipped_it(self):
+        """Epoch 3 copies rank 0's chunk 1 over its chunk 0.  The parent
+        resolves to those bytes, so epoch 3 names the chunk but holds it
+        and ships nothing; its loss names epoch 1, which shipped it."""
+        rng = np.random.RandomState(3)
+        regions = [
+            np.frombuffer(rng.bytes(8 * CHUNK), np.uint8).copy() for _ in range(N)
+        ]
+        registry = MemoryRegistry()
+        for rank, region in enumerate(regions):
+            registry.register(rank, "state", region)
+        cluster = Cluster(N)
+        manager = ChainManager(
+            cluster, DumpConfig(replication_factor=2, chunk_size=CHUNK), N
+        )
+        manager.chain_dump(registry, kind="full")
+        regions[0][CHUNK:2 * CHUNK] = np.frombuffer(rng.bytes(CHUNK), np.uint8)
+        manager.chain_dump(registry)  # epoch 1 ships the new chunk
+        regions[1][:CHUNK] = np.frombuffer(rng.bytes(CHUNK), np.uint8)
+        manager.chain_dump(registry)  # epoch 2 does not touch it
+        regions[0][:CHUNK] = regions[0][CHUNK:2 * CHUNK]
+        result = manager.chain_dump(registry)
+        fp = manager.nodes[1].fps[0][0]
+        assert manager.nodes[3].fps == [[fp], []]
+        assert sum(report.n_chunks for report in result.reports) == 0
+        assert manager._writer_epoch(3, fp) == 1
+        for node in cluster.nodes:
+            node.chunks.discard(fp)
+        with pytest.raises(ChainBrokenError) as excinfo:
+            manager.restore_epoch(0, 3)
+        assert (excinfo.value.writer_epoch, excinfo.value.missing) == (1, (fp,))
+        assert manager.verify_epoch(0, 3) == (
+            f"chunk {fp.hex()[:12]}... (written by epoch 1) has no live holder"
+        )
 
     def test_a_healthy_restore_plans_once_and_locates_nothing(self, monkeypatch):
         """Work counts: one ``has_many`` sweep per live node (the restore's
