@@ -293,34 +293,31 @@ class Fingerprinter:
         self._hashed_batches.clear()
 
 
-def first_occurrences(
-    column: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Collapse a fixed-width digest column to its distinct values.
+def sorted_runs(column: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Sort a fixed-width digest column into runs of equal digests.
 
-    ``column`` is a 1-D array of ``np.void`` digests (it may be a strided
-    field of a record array).  Returns ``(first, counts, inverse)``: the row
-    of each distinct digest's first occurrence, ascending; how many rows
-    carry it; and, per row, the index into ``first`` of its digest.
+    ``column`` is a non-empty 1-D array of ``np.void`` digests (it may be a
+    strided field of a record array).  Returns ``(order, starts)``: the row
+    indices that put the column in ascending bytes order, and where in that
+    order each run of equal digests begins.  Within a run the rows come in
+    no particular order; ``np.minimum.reduceat(order, starts)`` is each
+    run's first row.
 
     Digests are hash output, so their first eight bytes almost always tell
-    two apart: the column is sorted on those as one ``uint64`` key, and only
-    if two different digests tie on it is it sorted again on the whole
-    digest (as ``S``, whose compare strips trailing NULs: on a fixed width
-    that is still byte equality).  Not ``np.unique``: that sorts voids
-    through a generic compare, and on its first string call imports
-    ``numpy.ma`` (15 ms in every forked rank).  A digest's first row is the
-    least row index in its sorted run, so the sort need not be stable, and
-    the runs are put in first-occurrence order by a mask, not a second sort.
+    two apart: the column is sorted on those, read as one big-endian
+    ``uint64`` (a digest under eight bytes is zero-padded), and only if two
+    different digests tie on that key is it sorted again on the whole
+    digest as ``S``.  An ``S`` compare strips trailing NULs, which on one
+    fixed width is still bytes order; never list an ``S`` view, whose
+    ``.tolist()`` strips them from the values too.  Not ``np.unique``: that
+    sorts voids through a generic compare, and on its first string call
+    imports ``numpy.ma`` (15 ms in every forked rank).
     """
     n = len(column)
-    if not n:
-        empty = np.zeros(0, dtype=np.intp)
-        return empty, empty, empty
     rows = np.ascontiguousarray(column).view(np.uint8).reshape(n, -1)
     prefix = np.zeros((n, 8), dtype=np.uint8)
     prefix[:, : min(8, rows.shape[1])] = rows[:, :8]
-    key = prefix.view(np.uint64).ravel()
+    key = prefix.view(">u8").ravel().astype(np.uint64)
     order = np.argsort(key)
     ranked = key[order]
     same = ranked[1:] == ranked[:-1]
@@ -332,16 +329,38 @@ def first_occurrences(
         same = ranked[1:] == ranked[:-1]
     fresh = np.ones(n, dtype=bool)
     fresh[1:] = ~same
-    starts = np.flatnonzero(fresh)
+    return order, np.flatnonzero(fresh)
+
+
+def first_occurrences(
+    column: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Collapse a fixed-width digest column to its distinct values.
+
+    ``column`` is a 1-D array of ``np.void`` digests (it may be a strided
+    field of a record array).  Returns ``(first, counts, inverse)``: the row
+    of each distinct digest's first occurrence, ascending; how many rows
+    carry it; and, per row, the index into ``first`` of its digest.
+
+    The runs come from :func:`sorted_runs`; a digest's first row is the
+    least row index in its run, and the runs are put in first-occurrence
+    order by a mask, not a second sort.
+    """
+    n = len(column)
+    if not n:
+        empty = np.zeros(0, dtype=np.intp)
+        return empty, empty, empty
+    order, starts = sorted_runs(column)
     heads = np.minimum.reduceat(order, starts)  # each sorted run's first row
     is_first = np.zeros(n, dtype=bool)
     is_first[heads] = True
     first = np.flatnonzero(is_first)
     place = (np.cumsum(is_first) - 1)[heads]  # each run's index into ``first``
+    lengths = np.diff(np.append(starts, n))
     counts = np.empty(len(heads), dtype=np.intp)
-    counts[place] = np.diff(np.append(starts, n))
+    counts[place] = lengths
     inverse = np.empty(n, dtype=np.intp)
-    inverse[order] = place[np.cumsum(fresh) - 1]
+    inverse[order] = np.repeat(place, lengths)
     return first, counts, inverse
 
 

@@ -259,8 +259,7 @@ def find_stripe(
         return None
     members = [f for f in anchor.fingerprints if f != NO_CHUNK]
     first_holder = {
-        f: holders[0]
-        for f, holders in zip(members, cluster.locate_many(members))
+        f: holders[0] for f, holders in zip(members, map(cluster.locate, members))
         if holders
     }
     available = sum(f == NO_CHUNK or f in first_holder for f in anchor.fingerprints)

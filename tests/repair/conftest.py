@@ -83,11 +83,11 @@ def build(recipe) -> Cluster:
     return cluster
 
 
-def assert_matches_reference(cluster, k):
+def assert_matches_reference(cluster, k, dump_ids=None):
     """Scan, schedule and window layout equal the reference's; returns the
     production ``(scan, schedule)``."""
-    scan = scan_cluster(cluster, k)
-    expected = reference.scan(cluster, k)
+    scan = scan_cluster(cluster, k, dump_ids)
+    expected = reference.scan(cluster, k, dump_ids)
     assert scan.target == expected["target"]
     assert scan.chunks == expected["chunks"]
     assert list(scan.chunks) == sorted(expected["chunks"]) == scan.fps
