@@ -160,7 +160,7 @@ def load_input(
                 if chain_broken:
                     raise ChainBrokenError(message)
                 raise StorageError(message)
-            report.local_chunks = len(plan.local_indices)
+            report.local_chunks = int(np.count_nonzero(plan.local))
             if comm.trace.span_enabled:
                 comm.trace.annotate(
                     chunks=len(manifest.fingerprints),
@@ -171,19 +171,15 @@ def load_input(
         # Round 1: per-holder request lists as packed RRQ1 blobs.  Each list
         # keeps first-occurrence order — the contiguous runs the holder's store
         # committed them in — so the reply round reads sequentially.
-        request_indices: List[List[int]] = [[] for _ in range(world)]
-        for node_id, indices in plan.remote_groups().items():
-            request_indices[serving[node_id]] = indices
+        fps, runs, gather = plan.by_source()
+        requests = [b""] * world
         with comm.trace.phase("restore-request"):
-            requests = [
-                encode_restore_request([plan.fps[j] for j in indices])
-                if indices
-                else b""
-                for indices in request_indices
-            ]
+            for source, start, stop in runs:
+                if source != plan.own_node_id:
+                    requests[serving[source]] = encode_restore_request(fps[start:stop])
             incoming_requests = collectives.alltoall(comm, requests)
             comm.trace.record_chunks(
-                sum(len(ix) for ix in request_indices), sum(map(len, requests))
+                len(fps) - report.local_chunks, sum(map(len, requests))
             )
 
         # Round 2: serve what we were asked, via one batched store read.  The
@@ -218,32 +214,28 @@ def load_input(
         else:
             decode_auto = None
         with comm.trace.phase("restore-reassemble"):
-            # Object array so per-peer frame lists scatter (and the final
-            # manifest-order gather runs) as single fancy-index operations.
-            payloads = np.empty(len(plan.fps), dtype=object)
+            frames = []
             local_bytes = 0
-            local_indices = plan.local_indices
-            if local_indices:
-                own_frames = serving_node.chunks.get_many(
-                    [plan.fps[j] for j in local_indices]
-                )
-                payloads[local_indices] = own_frames
-                local_bytes = sum(map(len, own_frames))
-            for peer in range(world):
-                indices = request_indices[peer]
-                if not indices:
-                    continue
-                frames = decode_restore_reply(incoming_replies[peer])
-                payloads[indices] = frames
-                report.pulled_chunks += len(indices)
-                report.pulled_bytes += sum(map(len, frames))
-                report.pulled_from[peer] = (
-                    report.pulled_from.get(peer, 0) + len(indices)
-                )
+            for source, start, stop in runs:
+                if source == plan.own_node_id:
+                    got = serving_node.chunks.get_many(fps[start:stop])
+                    local_bytes = sum(map(len, got))
+                else:
+                    peer = serving[source]
+                    got = decode_restore_reply(incoming_replies[peer])
+                    if len(got) != stop - start:
+                        raise StorageError(
+                            f"rank {rank}: rank {peer} answered {len(got)} "
+                            f"chunks for {stop - start}"
+                        )
+                    report.pulled_chunks += len(got)
+                    report.pulled_bytes += sum(map(len, got))
+                    report.pulled_from[peer] = len(got)
+                frames += got
             _record_locality(comm, local_bytes, report.pulled_bytes)
             if decode_auto is not None:
-                payloads[:] = [decode_auto(frame) for frame in payloads.tolist()]
-            chunks = payloads[plan.index].tolist()
+                frames = list(map(decode_auto, frames))
+            chunks = list(map(frames.__getitem__, gather.tolist()))
             segments = cut_segments(chunks, manifest.segment_lengths, rank)
             report.total_bytes = sum(manifest.segment_lengths)
         comm.barrier()

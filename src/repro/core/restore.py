@@ -8,23 +8,28 @@ survived, else from any live replica holder.  Restoration succeeding after
 K-1 node failures is the end-to-end guarantee every strategy must provide —
 the integration suite drives this path for all of them.
 
-Every source is planned in one vectorised pass
-(:func:`repro.core.restore_plan.plan_restore`), each holder's chunks are
-pulled with one ``get_many`` per node, and segments are cut straight from
-the chunk list.  The naive per-chunk loop this must match, bytes and
-report field for field, is ``tests/core/reference.py``.
+Every source is planned in one columnar pass
+(:func:`repro.core.restore_plan.plan_restore`).  The frames are read with
+one ``get_many`` per source, concatenated in source order and put in
+manifest order with one gather; segments are cut straight from that chunk
+list.  The naive per-chunk loop this must match, bytes and report field
+for field, is ``tests/core/reference.py``.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Dict, Optional
 
-import numpy as np
-
 from repro.core.chunking import Dataset
-from repro.core.restore_plan import cut_segments, plan_restore
+from repro.core.restore_plan import (
+    RECONSTRUCT,
+    cut_segments,
+    dedup_fingerprints,
+    plan_restore,
+)
 from repro.storage.local_store import Cluster, StorageError
 
 
@@ -108,41 +113,29 @@ def restore_from_manifest(
                 distinct_chunks=len(plan.fps),
             )
 
-    # Object array so per-holder frame lists scatter (and the final
-    # manifest-order gather runs) as single fancy-index operations.
-    payloads = np.empty(len(plan.fps), dtype=object)
     local_bytes = 0
+    frames = []
     with _span(trace, "restore-request", rank=rank):
-        local_indices = plan.local_indices
-        if local_indices:
-            own_chunks = cluster.nodes[plan.own_node_id].chunks
-            frames = own_chunks.get_many([plan.fps[j] for j in local_indices])
-            payloads[local_indices] = frames
-            local_bytes = sum(map(len, frames))
-            report.local_chunks = len(local_indices)
-            report.source_nodes[plan.own_node_id] = len(local_indices)
-        for node_id, indices in plan.remote_groups().items():
-            frames = cluster.nodes[node_id].chunks.get_many(
-                [plan.fps[j] for j in indices]
-            )
-            payloads[indices] = frames
-            report.remote_bytes += sum(map(len, frames))
-            report.remote_chunks += len(indices)
-            report.source_nodes[node_id] = (
-                report.source_nodes.get(node_id, 0) + len(indices)
-            )
-        decode_indices = plan.reconstruct_indices
-        if decode_indices:
-            # Last resort: erasure-coded redundancy (parity mode) — decode
-            # each chunk from its stripe's survivors.
-            from repro.erasure.ec_dump import reconstruct_chunk
+        fps, runs, gather = plan.by_source()
+        for source, start, stop in runs:
+            wanted = fps[start:stop]
+            if source == RECONSTRUCT:
+                # Last resort: erasure-coded redundancy (parity mode) — decode
+                # each chunk from its stripe's survivors.
+                from repro.erasure.ec_dump import reconstruct_chunk
 
-            for j in decode_indices:
-                frame = reconstruct_chunk(cluster, plan.fps[j], dump_id)
-                payloads[j] = frame
-                report.remote_chunks += 1
-                report.remote_bytes += len(frame)
-                report.decoded_chunks += 1
+                got = [reconstruct_chunk(cluster, fp, dump_id) for fp in wanted]
+                report.decoded_chunks += len(got)
+            else:
+                got = cluster.nodes[source].chunks.get_many(wanted)
+                report.source_nodes[source] = len(got)
+            frames += got
+            if source == plan.own_node_id:
+                local_bytes = sum(map(len, got))
+                report.local_chunks = len(got)
+            else:
+                report.remote_bytes += sum(map(len, got))
+                report.remote_chunks += len(got)
         if trace is not None and trace.span_enabled:
             trace.annotate(
                 local_chunks=report.local_chunks,
@@ -157,8 +150,8 @@ def restore_from_manifest(
 
     with _span(trace, "restore-reassemble", rank=rank):
         if decode_auto is not None:
-            payloads[:] = [decode_auto(frame) for frame in payloads.tolist()]
-        chunks = payloads[plan.index].tolist()
+            frames = list(map(decode_auto, frames))
+        chunks = list(map(frames.__getitem__, gather.tolist()))
         segments = cut_segments(chunks, manifest.segment_lengths, rank)
         report.total_bytes = sum(manifest.segment_lengths)
         if trace is not None:
@@ -173,7 +166,9 @@ def verify_restorable(
 
     Consistent with :func:`restore_dataset`: a chunk with no live replica
     still counts as restorable when its erasure-coded stripe (parity
-    redundancy mode) has enough surviving shards to decode.
+    redundancy mode) has enough surviving shards to decode.  Holders come
+    from one :meth:`~repro.storage.local_store.Cluster.holder_column` sweep;
+    the reason names the first unrestorable chunk in manifest order.
     """
     from repro.erasure.ec_dump import find_stripe
 
@@ -181,9 +176,9 @@ def verify_restorable(
         manifest = cluster.find_manifest(rank, dump_id)
     except StorageError as exc:
         return str(exc)
-    for fp in set(manifest.fingerprints):
-        if cluster.locate(fp):
-            continue
+    distinct, _index = dedup_fingerprints(manifest.fingerprints)
+    unheld = cluster.holder_column(distinct).replicas() == 0
+    for fp in compress(distinct, unheld.tolist()):
         stripe = find_stripe(cluster, fp, dump_id)
         if stripe is None or stripe.margin < 0:
             return f"chunk {fp.hex()[:12]}... has no live holder or stripe"

@@ -1,74 +1,79 @@
-"""Vectorised source planning shared by every restore path.
+"""Columnar source planning shared by every restore path.
 
-The seed-era restore loops resolved each manifest fingerprint with its own
-``has``/``locate``/``get`` calls — per-chunk Python overhead that dominates
-restart time exactly the way it dominated dump time before PR 1 batched
-the dump hot path.  This module is the restore-side mirror:
+A restore is planned over the manifest's *distinct* fingerprints, as
+columns, with no Python loop over chunks except the mixed-holder greedy:
 
-* :func:`plan_restore` collapses a manifest's fingerprint array to its
-  distinct fingerprints in first-occurrence order (numpy dedup over the
-  fixed-width digest column), resolves holders with one ``has_many`` sweep
-  per live node, and assigns each remote chunk to the least-loaded live
-  holder with the *same greedy policy and tie-break* as the naive
-  per-chunk loop (``tests/core/reference.py``) — byte-identical in both
-  data and report accounting.  The dominant case (every remote chunk replicated to
-  the same holder set, which is what partner replication produces) is
-  assigned in one closed-form round-robin instead of a per-chunk loop.
+* :func:`dedup_fingerprints` collapses the manifest's fingerprint list to
+  its distinct fingerprints in first-occurrence order through
+  :func:`~repro.core.fingerprint.first_occurrences` (one sort of the
+  digest column, the same one local dedup and the window decode use), and
+  returns the position -> distinct ``index`` column that rebuilds it.
+* :func:`plan_restore` resolves every chunk on the rank's own live node
+  with one ``has_many``; the rest resolve with one
+  :meth:`~repro.storage.local_store.Cluster.holder_column` sweep, whose
+  holder sets ``eligible_nodes`` masks.  Each remote chunk goes to the
+  least-loaded holder with the *same greedy policy and tie-break* as the
+  naive per-chunk loop (``tests/core/reference.py``): one closed-form
+  round-robin when every remote chunk has the same holder set (the shape
+  partner replication produces), else the greedy over one candidate tuple
+  per distinct holder set.
+* :meth:`RestorePlan.by_source` lays the distinct fingerprints out grouped
+  by source — own node, parity reconstruction, remote holders ascending —
+  so a restore reads one ``get_many`` per source over a slice of one
+  list, concatenates the frames in that order and puts them in manifest
+  order with one gather through the inverse permutation.
 * :func:`cut_segments` reassembles segment structure by cutting the chunk
   list directly instead of materialising the full ``b"".join`` stream and
   slicing it, halving peak restore memory; segment boundaries are located
   with one ``searchsorted`` over the chunk-offset column.
 
-``restore_dataset``, ``load_input`` and the service restore all plan
-through here.
+``restore_dataset``, the chain's ``restore_epoch`` (the service restores
+through it) and the collective ``load_input`` all plan through here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from itertools import compress
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.fingerprint import Fingerprint
-from repro.storage.local_store import Cluster, StorageError
+from repro.core.fingerprint import Fingerprint, first_occurrences
+from repro.storage.local_store import Cluster, HolderColumn, StorageError
 from repro.storage.manifest import Manifest
 
 #: planner source marker: chunk has no live replica holder and must be
 #: decoded from its erasure-coded stripe (parity redundancy mode)
 RECONSTRUCT = -1
 
+#: ``(source, start, stop)``: one source's slice of a grouped column
+Run = Tuple[int, int, int]
+
 
 def dedup_fingerprints(raw: Sequence[Fingerprint]):
     """``(distinct, index)``: distinct fingerprints in first-occurrence
     order plus the position->distinct index array rebuilding the original.
 
-    The dedup runs as one ``np.unique`` over the fixed-width digest column
-    (void dtype, not ``S`` — numpy's S strings are null-stripped, which
-    would truncate digests with trailing zero bytes).  Sequences whose
-    total length does not match a uniform digest width (never produced by
-    one dump, but cheap to tolerate) fall back to a dict sweep.
+    A list of one digest width is read as one ``np.void`` column and
+    collapsed by :func:`~repro.core.fingerprint.first_occurrences`; the
+    distinct values are the caller's own ``bytes`` objects at the first
+    rows, so a digest with trailing zero bytes survives (an ``S`` view's
+    ``.tolist()`` would strip them).  When nothing repeats, ``distinct`` is
+    the caller's list and ``index`` an ``arange``.  Mixed widths (never
+    produced by one dump, but cheap to tolerate) fall back to a dict sweep.
     """
     if not raw:
         return [], np.zeros(0, dtype=np.int64)
     digest = len(raw[0])
     joined = b"".join(raw)
     if digest and len(joined) == len(raw) * digest:
-        arr = np.frombuffer(joined, dtype=np.dtype((np.void, digest)))
-        uniq, first, inverse = np.unique(
-            arr, return_index=True, return_inverse=True
-        )
-        if uniq.size == len(raw):
-            # Already all distinct (the usual shape of a dedup'd dump's
-            # manifest): first-occurrence order is the original order —
-            # reuse the caller's bytes objects, skip the reorder entirely.
+        column = np.frombuffer(joined, dtype=np.dtype((np.void, digest)))
+        first, _counts, inverse = first_occurrences(column)
+        if first.size == len(raw):
             distinct = raw if isinstance(raw, list) else list(raw)
             return distinct, np.arange(len(raw), dtype=np.int64)
-        order = np.argsort(first, kind="stable")
-        distinct = uniq[order].tolist()  # void scalars -> bytes
-        remap = np.empty(len(order), dtype=np.int64)
-        remap[order] = np.arange(len(order))
-        return distinct, remap[inverse.reshape(-1)]
+        return list(map(raw.__getitem__, first.tolist())), inverse
     seen: Dict[Fingerprint, int] = {}
     distinct = []
     index = np.empty(len(raw), dtype=np.int64)
@@ -102,28 +107,46 @@ class RestorePlan:
     def local_indices(self) -> List[int]:
         return np.flatnonzero(self.local).tolist()
 
-    @property
-    def reconstruct_indices(self) -> List[int]:
-        return np.flatnonzero(self.sources == RECONSTRUCT).tolist()
+    def _runs(self) -> Tuple[np.ndarray, List[Run]]:
+        """``(order, runs)``: the distinct indices grouped by source — own
+        node, :data:`RECONSTRUCT`, then holders ascending, each group in
+        first-occurrence order (one stable sort) — and one ``(source,
+        start, stop)`` slice of ``order`` per group."""
+        key = np.where(self.local, -2, self.sources)
+        order = np.argsort(key, kind="stable")
+        if not order.size:
+            return order, []
+        cuts = (np.flatnonzero(np.diff(key[order])) + 1).tolist()
+        sources = self.sources[order[[0, *cuts]]].tolist()
+        return order, list(zip(sources, [0, *cuts], [*cuts, order.size]))
+
+    def by_source(self) -> Tuple[List[Fingerprint], List[Run], np.ndarray]:
+        """``(fps, runs, gather)``: the distinct fingerprints grouped by
+        source, one ``(source, start, stop)`` slice of them per source, and
+        the manifest-order gather.
+
+        A restore reads ``fps[start:stop]`` from each source in one batch
+        and concatenates the frames run by run; ``frames[gather[p]]`` is
+        then manifest position ``p``'s frame.  Within a run fingerprints
+        keep first-occurrence (manifest) order — the contiguous runs the
+        holder's store wrote them in — so a batched read is sequential,
+        not a random probe.
+        """
+        order, runs = self._runs()
+        position = np.empty_like(order)
+        position[order] = np.arange(order.size)
+        fps = list(map(self.fps.__getitem__, order.tolist()))
+        return fps, runs, position[self.index]
 
     def remote_groups(self) -> Dict[int, List[int]]:
-        """Distinct indices to pull, grouped by serving node.
-
-        Within each group indices keep first-occurrence (manifest) order —
-        each holder's request list is therefore sorted into the contiguous
-        runs its store wrote them in, which is what makes the batched reply
-        a coalesced sequential read instead of a random probe sequence.
-        """
-        remote = ~self.local
-        remote &= self.sources != RECONSTRUCT
-        groups: Dict[int, List[int]] = {}
-        masked = self.sources[remote]
-        if not masked.size:
-            return groups
-        positions = np.flatnonzero(remote)
-        for node_id in np.unique(masked).tolist():
-            groups[node_id] = positions[masked == node_id].tolist()
-        return groups
+        """Distinct indices to pull, keyed by serving node (ascending),
+        each group in first-occurrence order."""
+        order, runs = self._runs()
+        return {
+            source: order[start:stop].tolist()
+            for source, start, stop in runs
+            if source not in (self.own_node_id, RECONSTRUCT)
+        }
 
 
 def plan_restore(
@@ -139,13 +162,14 @@ def plan_restore(
     Reproduces the per-chunk greedy exactly: fingerprints are
     considered in first-occurrence order; a chunk on the rank's own live
     node is served locally, otherwise the least-loaded live holder wins
-    (fewest chunks assigned so far — local assignments included — with ties
-    to the lowest node id).  When every remote chunk is held by the same
-    node set (the common shape partner replication produces) the greedy
-    collapses to a closed-form round-robin over that set; otherwise a
-    per-chunk sweep reproduces it literally.  ``eligible_nodes`` restricts
-    remote candidates (the collective path can only pull from nodes that
-    have a serving rank); a chunk with no candidate raises
+    (fewest chunks assigned so far, with ties to the lowest node id).  A
+    remote chunk's holders never include the rank's own node (it would be
+    local), so local assignments never perturb those loads.  When every
+    remote chunk has the same holder set the greedy is a round-robin over
+    that set in ascending id order; otherwise it runs chunk by chunk over
+    one candidate tuple per distinct holder set.  ``eligible_nodes``
+    restricts remote candidates (the collective path can only pull from
+    nodes that have a serving rank); a chunk with no candidate raises
     :class:`~repro.storage.local_store.StorageError` unless
     ``allow_reconstruct`` marks it for erasure decode.
     """
@@ -161,28 +185,21 @@ def plan_restore(
 
     remote_j = np.flatnonzero(~local)
     if remote_j.size:
-        remote_fps = (
-            fps if remote_j.size == n else [fps[j] for j in remote_j.tolist()]
+        column = cluster.holder_column(
+            fps if remote_j.size == n else list(compress(fps, (~local).tolist()))
         )
-        # One has_many sweep per candidate node, in ascending node id order
-        # (the tie-break below relies on it).  The rank's own node is never
-        # a candidate for a remote chunk: if it held the chunk, the chunk
-        # would be local — so local assignments never perturb these loads.
-        row_ids: List[int] = []
-        rows: List[List[bool]] = []
-        for node in cluster.nodes:
-            if not node.alive:
-                continue
-            if eligible_nodes is not None and node.node_id not in eligible_nodes:
-                continue
-            row_ids.append(node.node_id)
-            rows.append(node.chunks.has_many(remote_fps))
-        held = np.zeros((max(len(rows), 1), remote_j.size), dtype=bool)
-        if rows:
-            held = np.array(rows, dtype=bool)
-        counts = held.sum(axis=0)
+        if eligible_nodes is not None:
+            allowed = sum(1 << node_id for node_id in set(eligible_nodes))
+            masked = [mask & allowed for mask in column.masks]
+            # Masking may merge two sets: renumber so equal sets share an id.
+            renumber = {mask: i for i, mask in enumerate(dict.fromkeys(masked))}
+            ids = np.fromiter(map(renumber.__getitem__, masked), np.intp, len(masked))
+            column = HolderColumn(ids[column.ids], list(renumber))
+        holders = column.sets()  # one ascending candidate tuple per set
+        set_ids = column.ids
+        empty = np.array([not h for h in holders], dtype=bool)[set_ids]
 
-        missing = np.flatnonzero(counts == 0)
+        missing = np.flatnonzero(empty)
         if missing.size:
             if not allow_reconstruct:
                 j = int(remote_j[missing[0]])
@@ -191,33 +208,24 @@ def plan_restore(
                 )
             sources[remote_j[missing]] = RECONSTRUCT
 
-        covered = np.flatnonzero(counts > 0)
+        covered = np.flatnonzero(~empty)
         if covered.size:
-            held_cols = held[:, covered]
-            if bool((held_cols == held_cols[:, :1]).all()):
+            covered_ids = set_ids[covered]
+            if bool((covered_ids == covered_ids[0]).all()):
                 # Uniform holder set: the greedy with equal starting loads
-                # cycles the holders in ascending id order — assign in one
-                # closed-form round-robin.
-                hs = np.array(row_ids, dtype=np.int64)[held_cols[:, 0]]
-                sources[remote_j[covered]] = hs[
-                    np.arange(covered.size) % hs.size
-                ]
+                # cycles the holders in ascending id order.
+                hs = np.array(holders[covered_ids[0]], dtype=np.int64)
+                sources[remote_j[covered]] = hs[np.arange(covered.size) % hs.size]
             else:
-                # Mixed holder sets: reproduce the per-chunk greedy.
-                loads: Dict[int, int] = {}
-                cols = held.T
-                for pos in covered.tolist():
-                    row = cols[pos]
-                    best = -1
-                    best_load = 0
-                    for i, node_id in enumerate(row_ids):
-                        if not row[i]:
-                            continue
-                        load = loads.get(node_id, 0)
-                        if best < 0 or load < best_load:
-                            best, best_load = node_id, load
-                    sources[remote_j[pos]] = best
-                    loads[best] = best_load + 1
+                # Mixed holder sets: the per-chunk greedy.  ``min`` keeps the
+                # first of equal loads, the lowest id of an ascending tuple.
+                load = [0] * len(cluster.nodes)
+                chosen = []
+                for set_id in covered_ids.tolist():
+                    best = min(holders[set_id], key=load.__getitem__)
+                    load[best] += 1
+                    chosen.append(best)
+                sources[remote_j[covered]] = chosen
     return RestorePlan(
         fps=fps, index=index, sources=sources, own_node_id=own_id, local=local
     )

@@ -412,35 +412,37 @@ class ShardedChunkStore:
         self.dedup = dedup
         self.shard_count = shard_count
         self.shards = [ChunkStore(dedup=dedup) for _ in range(shard_count)]
+        self._route = bytes(i % shard_count for i in range(256))  # prefix -> shard
 
     def shard_of(self, fp: Fingerprint) -> int:
         """Shard index from the fingerprint's first prefix byte."""
         return fp[0] % self.shard_count
 
     # -- chunk operations --------------------------------------------------------
-    def _by_shard(self, items) -> Dict[int, List]:
-        """Items keyed by a fingerprint in front, grouped by shard in order."""
-        groups: Dict[int, List] = {}
-        for item in items:
-            groups.setdefault(item[0][0] % self.shard_count, []).append(item)
-        return groups
+    def _by_shard(self, items, fps=None) -> List[Tuple]:
+        """``(shard, positions, batch)`` per shard the items' fingerprints (``fps``,
+        else each item's first field) route to, first appearance first."""
+        items = items if isinstance(items, list) else list(items)
+        fps = map(itemgetter(0), items) if fps is None else fps
+        shard_of = bytes(map(itemgetter(0), fps)).translate(self._route)
+        order = np.frombuffer(shard_of, np.uint8).argsort(kind="stable")
+        groups, start = [], 0
+        for shard in sorted(set(shard_of)):  # one stable sort, cut by shard
+            run = order[start : start + shard_of.count(shard)]
+            start += len(run)
+            groups.append((shard, run, list(map(items.__getitem__, run.tolist()))))
+        return sorted(groups, key=lambda group: shard_of.find(group[0]))
 
     def put(self, fp: Fingerprint, data: bytes) -> bool:
         return self.shards[fp[0] % self.shard_count].put(fp, data)
 
     def put_many(self, pairs: Iterable[Tuple[Fingerprint, bytes]]) -> int:
-        return sum(
-            self.shards[i].put_many(group)
-            for i, group in self._by_shard(pairs).items()
-        )
+        return sum(self.shards[i].put_many(b) for i, _, b in self._by_shard(pairs))
 
     def put_counted(
         self, items: Iterable[Tuple[Fingerprint, bytes, int]]
     ) -> int:
-        return sum(
-            self.shards[i].put_counted(group)
-            for i, group in self._by_shard(items).items()
-        )
+        return sum(self.shards[i].put_counted(b) for i, _, b in self._by_shard(items))
 
     def discard(self, fp: Fingerprint) -> int:
         return self.shards[fp[0] % self.shard_count].discard(fp)
@@ -452,17 +454,15 @@ class ShardedChunkStore:
         """Run a batch read op per shard and scatter the results back into
         request order."""
         fps = fps if isinstance(fps, (list, tuple)) else list(fps)
-        if self.shard_count == 1:
+        if self.shard_count == 1 or not fps:
             return getattr(self.shards[0], op)(fps)
-        groups: Dict[int, List[int]] = {}
-        for pos, fp in enumerate(fps):
-            groups.setdefault(fp[0] % self.shard_count, []).append(pos)
-        out: List = [None] * len(fps)
-        for i, positions in groups.items():
-            results = getattr(self.shards[i], op)([fps[p] for p in positions])
-            for p, value in zip(positions, results):
-                out[p] = value
-        return out
+        groups = self._by_shard(fps, fps)
+        results: List = []
+        for i, _, batch in groups:
+            results += getattr(self.shards[i], op)(batch)
+        position = np.empty(len(fps), dtype=np.intp)
+        position[np.concatenate([run for _, run, _ in groups])] = np.arange(len(fps))
+        return list(map(results.__getitem__, position.tolist()))
 
     def get_many(self, fps: Iterable[Fingerprint]) -> List[bytes]:
         """Batch :meth:`get`, grouped by shard."""
@@ -535,8 +535,8 @@ class ShardedChunkStore:
         return StoreDelta(entries)
 
     def apply_delta(self, delta: StoreDelta) -> None:
-        for i, entries in self._by_shard(delta.entries).items():
-            self.shards[i].apply_delta(StoreDelta(entries))
+        for i, _, batch in self._by_shard(delta.entries):
+            self.shards[i].apply_delta(StoreDelta(batch))
 
 
 def make_chunk_store(dedup: bool = True, shard_count: int = 1):

@@ -85,6 +85,16 @@ class TestFailureRecovery:
         reason = verify_restorable(cluster, 1)
         assert reason is not None
 
+    def test_verify_restorable_names_the_first_lost_chunk_in_manifest_order(self):
+        cluster = dump_world(4, Strategy.LOCAL_DEDUP, k=3)
+        fps = cluster.find_manifest(1, 0).fingerprints
+        lost = list(dict.fromkeys(fps[3:]))
+        for node in cluster.nodes:
+            for fp in lost:
+                node.chunks.discard(fp)
+        reason = verify_restorable(cluster, 1)
+        assert reason == f"chunk {lost[0].hex()[:12]}... has no live holder or stripe"
+
     def test_restore_report_names_source_nodes(self):
         n = 5
         cluster = dump_world(n, Strategy.LOCAL_DEDUP, k=3)

@@ -30,6 +30,7 @@ from repro.core.runner import run_collective
 from repro.simmpi import World
 from repro.storage import Cluster
 from repro.storage.local_store import StorageError
+from repro.storage.manifest import Manifest
 
 from tests.conftest import make_rank_dataset
 from tests.core import reference
@@ -164,6 +165,168 @@ class TestPlanRestore:
             plan_restore(cluster, 0, manifest, allow_reconstruct=False)
         plan = plan_restore(cluster, 0, manifest, allow_reconstruct=True)
         assert (plan.sources == RECONSTRUCT).all()
+
+
+def _greedy_sources(cluster, rank, manifest, eligible=None):
+    """``{fp: source}`` by the per-chunk greedy over the manifest's
+    fingerprints, the loop ``reference.restore_from_manifest`` and
+    ``reference.load_input`` run: the rank's own live node, else the
+    least-loaded live ``eligible`` holder (ties to the lowest id), else
+    RECONSTRUCT."""
+    own = cluster.node_of(rank)
+    loads, sources = {}, {}
+    for fp in manifest.fingerprints:
+        if fp in sources:
+            continue
+        if own.alive and own.chunks.has(fp):
+            sources[fp] = own.node_id
+            continue
+        holders = [
+            h for h in cluster.locate(fp) if eligible is None or h in eligible
+        ]
+        if not holders:
+            sources[fp] = RECONSTRUCT
+            continue
+        source = min(holders, key=lambda h: (loads.get(h, 0), h))
+        loads[source] = loads.get(source, 0) + 1
+        sources[fp] = source
+    return sources
+
+
+def _placed(n_nodes, holder_sets, order, seed, dead=()):
+    """A cluster built by hand: distinct chunk ``i`` (a 20-byte digest
+    ending in a zero byte) stored on the nodes of ``holder_sets[i]``, and
+    rank 0's manifest listing the chunks ``order`` names (repeats
+    allowed), in two segments, on every node."""
+    rng = random.Random(seed)
+    cluster = Cluster(n_nodes)
+    fps, payloads = [], []
+    for holders in holder_sets:
+        fp = rng.randbytes(18) + bytes([rng.choice([0, 7])]) + b"\x00"
+        payload = rng.randbytes(rng.randint(1, 2 * CS))
+        for node_id in holders:
+            cluster.nodes[node_id].chunks.put(fp, payload)
+        fps.append(fp)
+        payloads.append(payload)
+    listed = [fps[i] for i in order]
+    total = sum(len(payloads[i]) for i in order)
+    cut = rng.randint(0, total)
+    manifest = Manifest(
+        rank=0, dump_id=0, segment_lengths=[cut, total - cut],
+        fingerprints=listed, chunk_size=CS,
+    )
+    for node in cluster.nodes:
+        node.put_manifest(manifest)
+    for node_id in dead:
+        cluster.fail_node(node_id)
+    expected = b"".join(payloads[i] for i in order)
+    return cluster, manifest, expected
+
+
+def _plan_sources(plan):
+    return dict(zip(plan.fps, plan.sources.tolist()))
+
+
+class TestColumnarPlanMatchesGreedy:
+    def test_repeated_and_trailing_zero_digests(self):
+        holder_sets = [{0}, {1, 2}, {0, 2}, {1}]
+        order = [0, 1, 0, 2, 3, 1, 1, 3, 2]
+        cluster, manifest, expected = _placed(3, holder_sets, order, seed=3)
+        cluster.nodes[0].chunks.put(b"\x00" * 20, b"z" * CS)
+        manifest.fingerprints += [b"\x00" * 20, b"\x00" * 20]
+        manifest.segment_lengths[-1] += 2 * CS
+        expected += b"z" * 2 * CS
+        for node in cluster.nodes:
+            node.put_manifest(manifest)
+        plan = plan_restore(cluster, 0, manifest)
+        assert all(isinstance(fp, bytes) and len(fp) == 20 for fp in plan.fps)
+        assert plan.fps == list(dict.fromkeys(manifest.fingerprints))
+        assert [plan.fps[j] for j in plan.index.tolist()] == manifest.fingerprints
+        assert _plan_sources(plan) == _greedy_sources(cluster, 0, manifest)
+        ds, rep = restore_dataset(cluster, 0)
+        ref_ds, ref_rep = reference.restore_dataset(cluster, 0)
+        assert ds == ref_ds and ds.to_bytes() == expected
+        assert vars(rep) == vars(ref_rep)
+
+    @given(data=st.data())
+    def test_mixed_holder_sets_with_eligible_nodes(self, data):
+        n = data.draw(st.integers(2, 7), label="nodes")
+        node = st.integers(0, n - 1)
+        holder_sets = data.draw(
+            st.lists(st.sets(node, max_size=n), min_size=1, max_size=25),
+            label="holder_sets",
+        )
+        order = data.draw(
+            st.lists(st.integers(0, len(holder_sets) - 1), min_size=1, max_size=40),
+            label="order",
+        )
+        dead = data.draw(st.sets(node, max_size=2), label="dead")
+        eligible = data.draw(st.none() | st.sets(node), label="eligible")
+        cluster, manifest, expected = _placed(n, holder_sets, order, 0, dead)
+        plan = plan_restore(cluster, 0, manifest, eligible_nodes=eligible)
+        want = _greedy_sources(cluster, 0, manifest, eligible)
+        assert _plan_sources(plan) == want
+        # Each holder is asked in first-occurrence order (sequential reads).
+        for group in plan.remote_groups().values():
+            assert group == sorted(group)
+        assert [plan.fps[j] for j in plan.index.tolist()] == manifest.fingerprints
+        if eligible is None and RECONSTRUCT not in want.values():
+            ds, rep = restore_dataset(cluster, 0)
+            ref_ds, ref_rep = reference.restore_dataset(cluster, 0)
+            assert ds == ref_ds and ds.to_bytes() == expected
+            assert vars(rep) == vars(ref_rep)
+
+    def test_more_than_64_nodes(self):
+        holder_sets = [{65, 69}, {3, 66}, {64}, {69}, {1, 64, 69}, {66, 3}, set()]
+        order = [0, 1, 2, 3, 4, 5, 0, 4, 4, 1]
+        cluster, manifest, expected = _placed(70, holder_sets, order, 9, dead=[0])
+        want = _greedy_sources(cluster, 0, manifest)
+        assert _plan_sources(plan_restore(cluster, 0, manifest)) == want
+        eligible = {3, 64, 65, 69}
+        plan = plan_restore(cluster, 0, manifest, eligible_nodes=eligible)
+        assert _plan_sources(plan) == _greedy_sources(cluster, 0, manifest, eligible)
+        ds, rep = restore_dataset(cluster, 0)
+        ref_ds, ref_rep = reference.restore_dataset(cluster, 0)
+        assert ds == ref_ds and ds.to_bytes() == expected
+        assert vars(rep) == vars(ref_rep)
+        assert max(rep.source_nodes) == 69
+
+    @pytest.mark.parametrize("case", ["all-local", "all-remote", "compressed"])
+    def test_report_matches_reference(self, case):
+        compress = "zlib-1" if case == "compressed" else None
+        cluster, datasets, _cfg = _dump(5, Strategy.LOCAL_DEDUP, 1, compress, 11)
+        if case != "all-local":
+            cluster.fail_node(2)
+        ds, rep = restore_dataset(cluster, 2)
+        ref_ds, ref_rep = reference.restore_dataset(cluster, 2)
+        assert ds == ref_ds == datasets[2]
+        assert vars(rep) == vars(ref_rep)
+        if case == "all-local":
+            assert rep.remote_chunks == 0 and rep.local_chunks > 0
+        else:
+            assert rep.local_chunks == 0 and rep.remote_chunks > 0
+
+    def test_load_input_skips_holders_without_a_rank(self):
+        """Node 1 runs no rank, so the collective restore may not pull from
+        it even though it holds a copy of every chunk node 0 held."""
+        cfg = DumpConfig(replication_factor=2, chunk_size=CS)
+        cluster = Cluster(4, rank_to_node=[0, 2, 3, 3])
+        datasets = {r: make_rank_dataset(r) for r in range(4)}
+        World(4).run(
+            lambda comm: dump_output(comm, datasets[comm.rank], cfg, cluster)
+        )
+        source = cluster.nodes[0].chunks
+        for fp in list(source.fingerprints()):
+            cluster.nodes[1].chunks.put(fp, source.get(fp))
+        cluster.fail_node(0)
+        results = World(4).run(lambda comm: load_input(comm, cluster, cfg))
+        _assert_load_input_matches(
+            results, reference.load_input(cluster, 4), datasets
+        )
+        manifest = cluster.find_manifest(0, 0)
+        assert 1 in plan_restore(cluster, 0, manifest).remote_groups()
+        served = plan_restore(cluster, 0, manifest, eligible_nodes={0, 2, 3})
+        assert 1 not in served.remote_groups()
 
 
 # -- end-to-end equivalence ---------------------------------------------------

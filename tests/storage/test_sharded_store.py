@@ -263,3 +263,35 @@ class TestShardedBatchedReads:
         store.put(FPS[0], PAYLOADS[0])
         with pytest.raises(StorageError, match="not in store"):
             store.get_many([FPS[0], b"\xfe" * 20])
+
+    def test_batches_keep_order_and_raise_for_the_same_missing_chunk(self):
+        """One stable sort per batch: each shard sees its items in request
+        order, and the shards run in first-appearance order, so of several
+        missing chunks the one raised for is the first in the first shard
+        the batch touches, not the first in the batch."""
+        store = ShardedChunkStore(shard_count=4)
+        flats = [ChunkStore() for _ in store.shards]  # one per shard, fed by hand
+        fps = [bytes([p]) + bytes([i]) * 19 for i, p in enumerate([5, 2, 9, 6, 1, 13])]
+
+        def both(op, items):
+            getattr(store, op)(items)
+            for i, flat in enumerate(flats):
+                getattr(flat, op)([it for it in items if store.shard_of(it[0]) == i])
+
+        both("put_many", [(fp, fp[:4]) for fp in fps[:4]])
+        store.mark()
+        for flat in flats:
+            flat.mark()
+        both("put_counted", [(fp, fp[:4], 2) for fp in reversed(fps)])
+        assert [list(shard.fingerprints()) for shard in store.shards] == [
+            list(flat.fingerprints()) for flat in flats
+        ]
+        assert store.collect_delta().entries == [
+            entry for flat in flats for entry in flat.collect_delta().entries
+        ]
+        first_missing = b"\x01" + b"\xee" * 19  # shard 1, listed after ...
+        other_missing = b"\x04" + b"\xee" * 19  # ... this miss in shard 0
+        probe = [fps[0], other_missing, fps[4], first_missing]
+        with pytest.raises(StorageError, match=first_missing.hex()[:12]):
+            store.get_many(probe)
+        assert store.has_many(probe) == [True, False, True, False]
